@@ -389,6 +389,7 @@ func (s *Server) Children() []Child {
 func (s *Server) buildChildren() []Child {
 	items := s.receiver.Registry.Live()
 	out := make([]Child, 0, len(items))
+	keys := make([]string, 0, len(items)) // keys[i] orders out[i]
 	for _, it := range items {
 		m, ok := it.Payload.(*grrp.Message)
 		if !ok {
@@ -419,9 +420,25 @@ func (s *Server) buildChildren() []Child {
 			LastRefresh: it.LastRefresh,
 			Recovered:   it.Recovered,
 		})
+		keys = append(keys, url.String())
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].URL.String() < out[j].URL.String() })
+	sort.Sort(childrenByURL{keys, out})
 	return out
+}
+
+// childrenByURL sorts children by their rendered URL, built once per child
+// rather than twice per comparison: under registration churn the set is
+// rebuilt on almost every search.
+type childrenByURL struct {
+	keys     []string
+	children []Child
+}
+
+func (o childrenByURL) Len() int           { return len(o.keys) }
+func (o childrenByURL) Less(i, j int) bool { return o.keys[i] < o.keys[j] }
+func (o childrenByURL) Swap(i, j int) {
+	o.keys[i], o.keys[j] = o.keys[j], o.keys[i]
+	o.children[i], o.children[j] = o.children[j], o.children[i]
 }
 
 // poolEntry is one pooled child connection plus a reference count. Fan-out

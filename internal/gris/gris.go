@@ -90,10 +90,9 @@ type Config struct {
 	// full-subtree provider invocation is written through to this store
 	// (replacing that backend's `mds-warm=<name>` namespace), and
 	// WarmRestore refills the cache from it after a restart — a recovering
-	// GRIS answers immediately from
-	// its last known-good results instead of stalling on a cold stampede of
-	// provider invocations. Wire the store to internal/persist for
-	// crash-safe durability.
+	// GRIS answers immediately from its last known-good results instead of
+	// stalling on a cold stampede of provider invocations. Wire the store to
+	// internal/persist for crash-safe durability.
 	WarmStore *ldap.Store
 	// WarmGrace bounds how long restored results may serve before the
 	// normal cache TTL forces a live provider invocation; zero (or a value
@@ -114,10 +113,9 @@ type Server struct {
 	mu       sync.Mutex
 	backends []Backend
 
-	// cacheMu is a read-write lock so concurrent cache hits — the common
-	// case on the query hot path — never contend on a writer lock.
-	cacheMu sync.RWMutex
-	cache   map[string]*cacheEntry // backend name -> cached results
+	// cache maps backend name -> *snapshot. Written once per refresh and
+	// read by every query: hits — the hot path — take no lock at all.
+	cache sync.Map
 
 	// flightMu guards the singleflight table coalescing concurrent misses.
 	flightMu sync.Mutex
@@ -135,18 +133,30 @@ type Server struct {
 	sasl *gsi.SASLBinder
 }
 
-type cacheEntry struct {
-	entries   []*ldap.Entry
+// snapshot is one provider round, indexed: built once per refresh (or
+// WarmRestore), published by pointer swap and never written again, so an
+// enquiry reads the old round or the new one, never a blend. Entries are
+// keyed by DN — of two entries with one DN the later wins.
+type snapshot struct {
+	store     *ldap.Store
 	fetchedAt time.Time
+}
+
+func newSnapshot(entries []*ldap.Entry, fetchedAt time.Time) *snapshot {
+	snap := &snapshot{store: ldap.NewStore(), fetchedAt: fetchedAt}
+	// Backends never mutate what they returned, so it is adopted, not
+	// copied. No schema, no persister: cannot fail.
+	_ = snap.store.Adopt(entries)
+	return snap
 }
 
 // flight is one in-progress backend invocation that concurrent cache misses
 // share: the first miss runs the provider, later arrivals wait on done and
 // reuse its result instead of stampeding the backend.
 type flight struct {
-	done    chan struct{}
-	entries []*ldap.Entry
-	err     error
+	done chan struct{}
+	snap *snapshot
+	err  error
 }
 
 // New creates a GRIS.
@@ -157,8 +167,7 @@ func New(cfg Config) *Server {
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 2 * time.Second
 	}
-	s := &Server{cfg: cfg, clock: cfg.Clock,
-		cache: map[string]*cacheEntry{}, flights: map[string]*flight{}}
+	s := &Server{cfg: cfg, clock: cfg.Clock, flights: map[string]*flight{}}
 	if cfg.Keys != nil && cfg.Trust != nil {
 		s.sasl = gsi.NewSASLBinder(cfg.Keys, cfg.Trust, cfg.Clock.Now, cfg.TrustedDirectories)
 	}
@@ -216,33 +225,26 @@ func (s *Server) WarmRestore() int {
 	s.mu.Lock()
 	backends := append([]Backend(nil), s.backends...)
 	s.mu.Unlock()
-	all := ws.All()
 	total := 0
 	for _, b := range backends {
 		ttl := b.CacheTTL()
 		if ttl <= 0 {
 			continue // uncacheable backends are always invoked live
 		}
-		root := warmRoot(b.Name())
-		var entries []*ldap.Entry
-		for _, e := range all {
-			if e.DN.IsDescendantOf(root) {
-				c := e.Clone()
-				c.DN = c.DN[:len(c.DN)-1] // strip the namespace root
-				entries = append(entries, c)
-			}
-		}
-		if len(entries) == 0 {
+		warm := ws.Find(warmRoot(b.Name()), ldap.ScopeWholeSubtree, nil)
+		if len(warm) == 0 {
 			continue
 		}
-		ldap.SortEntries(entries)
+		entries := make([]*ldap.Entry, len(warm))
+		for i, e := range warm {
+			entries[i] = e.Clone()
+			entries[i].DN = entries[i].DN[:len(e.DN)-1] // strip the namespace root
+		}
 		grace := s.cfg.WarmGrace
 		if grace <= 0 || grace > ttl {
 			grace = ttl
 		}
-		s.cacheMu.Lock()
-		s.cache[b.Name()] = &cacheEntry{entries: entries, fetchedAt: now.Add(grace - ttl)}
-		s.cacheMu.Unlock()
+		s.cache.Store(b.Name(), newSnapshot(entries, now.Add(grace-ttl)))
 		total += len(entries)
 	}
 	return total
@@ -250,9 +252,7 @@ func (s *Server) WarmRestore() int {
 
 // FlushCache drops all cached provider results.
 func (s *Server) FlushCache() {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	s.cache = map[string]*cacheEntry{}
+	s.cache.Range(func(name, _ any) bool { s.cache.Delete(name); return true })
 }
 
 // principal extracts the policy principal recorded at bind time.
@@ -366,8 +366,14 @@ func (s *Server) Search(req *ldap.Request, op *ldap.SearchRequest, w ldap.Search
 	if _, isPS := ldap.FindControl(req.Controls, ldap.OIDPersistentSearch); isPS {
 		return s.persistentSearch(req, op, base, w, p)
 	}
+	// With no policy to hide entries the size limit is pushed into the cache
+	// lookups; one entry past it keeps the overflow visible to the send loop.
+	limit := int64(0)
+	if s.cfg.Policy == nil && op.SizeLimit > 0 {
+		limit = op.SizeLimit + 1
+	}
 	entries, partial := s.evaluate(&Query{Base: base, Scope: op.Scope, Filter: op.Filter,
-		Now: s.clock.Now(), Span: req.Span})
+		Now: s.clock.Now(), Span: req.Span}, limit)
 	sent := int64(0)
 	for _, e := range entries {
 		visible := s.redact(p, e, op)
@@ -408,18 +414,19 @@ func (s *Server) redact(p *gsi.Principal, e *ldap.Entry, op *ldap.SearchRequest)
 	return out
 }
 
-// evaluate runs the query against all intersecting backends, merging
-// results. It reports whether any backend declined for scope reasons.
-func (s *Server) evaluate(q *Query) ([]*ldap.Entry, bool) {
+// evaluate runs the query against all intersecting backends, returning the
+// matches in SortEntries order; a positive limit lets each cached backend
+// stop after its first limit matches. It reports whether any backend
+// declined or failed.
+func (s *Server) evaluate(q *Query, limit int64) ([]*ldap.Entry, bool) {
 	s.mu.Lock()
 	backends := append([]Backend(nil), s.backends...)
 	s.mu.Unlock()
 
 	var out []*ldap.Entry
+	ordered := true // out is in SortEntries order
 	partial := false
-	// Compile once per query: cached backends return supersets that are
-	// re-filtered per entry here, so the per-entry match must not re-fold.
-	cf := q.Filter.Compile()
+	cf := q.Filter.Compile() // once per query, not per backend or entry
 	for _, b := range backends {
 		if !regionsIntersect(q.Base, q.Scope, b.Suffix()) {
 			continue
@@ -428,71 +435,77 @@ func (s *Server) evaluate(q *Query) ([]*ldap.Entry, bool) {
 			continue
 		}
 		sp := q.Span.Child("backend:" + b.Name())
-		entries, err := s.fetch(b, q, sp)
+		entries, sorted, err := s.fetch(b, q, cf, limit, sp)
 		sp.End()
 		if err != nil {
-			if errors.Is(err, ErrScopeTooWide) {
-				partial = true
-				continue
-			}
-			// A failed provider must not prevent results from others
-			// (§2.2 robustness requirement).
+			// A provider that fails or declines the scope (ErrScopeTooWide)
+			// must not prevent results from others (§2.2 robustness).
 			partial = true
 			continue
 		}
-		for _, e := range entries {
-			if !e.DN.WithinScope(q.Base, q.Scope) {
-				continue
-			}
-			if !cf.Matches(e) {
-				continue
-			}
-			out = append(out, e)
+		// A single contributor's order stands; a second one forces a merge.
+		if len(out) == 0 {
+			out, ordered = entries, sorted
+		} else if len(entries) > 0 {
+			out, ordered = append(out, entries...), false
 		}
 	}
-	ldap.SortEntries(out)
+	if !ordered {
+		ldap.SortEntries(out)
+	}
 	return out, partial
 }
 
-// fetch returns backend results through the per-provider cache. Cached
-// results are supersets processed per-request ("cached providers can
-// maximize their performance by returning a superset of results that are
-// then processed out of the cache", §10.3). Backends with zero TTL, or
-// parametric backends (whose output depends on the filter), are invoked
-// every time. Concurrent queries that miss an expired TTL are coalesced
-// into a single provider invocation: without that, every TTL boundary
-// under load turns into an N× stampede on the backend.
-func (s *Server) fetch(b Backend, q *Query, sp *obs.Span) ([]*ldap.Entry, error) {
+// fetch returns the backend's entries that answer q, and whether they are
+// in SortEntries order. Cached results are supersets processed per-request
+// ("cached providers can maximize their performance by returning a superset
+// of results that are then processed out of the cache", §10.3) — out of an
+// indexed snapshot, so a narrow query reads its postings, not every cached
+// entry. Backends with zero TTL, or parametric backends (whose output
+// depends on the filter), are invoked every time and filtered inline.
+// Concurrent misses of an expired TTL coalesce into one provider invocation
+// (refresh), or every TTL boundary under load would stampede the backend.
+func (s *Server) fetch(b Backend, q *Query, cf *ldap.Compiled, limit int64, sp *obs.Span) ([]*ldap.Entry, bool, error) {
 	ttl := b.CacheTTL()
 	if ttl <= 0 {
 		s.Invocations.Inc()
 		sp.SetNote("invoke")
-		return b.Entries(q)
+		entries, err := b.Entries(q)
+		var out []*ldap.Entry
+		for _, e := range entries {
+			if e.DN.WithinScope(q.Base, q.Scope) && cf.Matches(e) {
+				out = append(out, e)
+			}
+		}
+		return out, false, err
 	}
-	if entries, ok := s.cached(b.Name(), q.Now, ttl); ok {
+	snap := s.cached(b.Name(), q.Now, ttl)
+	if snap != nil {
 		s.CacheHits.Inc()
 		sp.SetNote("hit")
-		return entries, nil
+	} else {
+		s.CacheMisses.Inc()
+		var err error
+		if snap, err = s.refresh(b, q.Now, ttl, sp); err != nil {
+			return nil, false, err
+		}
 	}
-	s.CacheMisses.Inc()
-	return s.refresh(b, q.Now, ttl, sp)
+	out, _ := snap.store.FindCompiled(q.Base, q.Scope, cf, limit)
+	return out, true, nil
 }
 
-// cached returns the fresh cache contents for a backend, if any. Reads take
-// only the shared lock, so cache hits never serialize behind each other.
-func (s *Server) cached(name string, now time.Time, ttl time.Duration) ([]*ldap.Entry, bool) {
-	s.cacheMu.RLock()
-	defer s.cacheMu.RUnlock()
-	if ce := s.cache[name]; ce != nil && now.Sub(ce.fetchedAt) < ttl {
-		return ce.entries, true
+// cached returns the fresh snapshot for a backend, or nil.
+func (s *Server) cached(name string, now time.Time, ttl time.Duration) *snapshot {
+	if v, ok := s.cache.Load(name); ok && now.Sub(v.(*snapshot).fetchedAt) < ttl {
+		return v.(*snapshot)
 	}
-	return nil, false
+	return nil
 }
 
 // refresh invokes the backend once per expiry, no matter how many queries
 // miss concurrently: the first miss becomes the flight leader and runs the
 // provider; the rest wait on the flight and share its result.
-func (s *Server) refresh(b Backend, now time.Time, ttl time.Duration, sp *obs.Span) ([]*ldap.Entry, error) {
+func (s *Server) refresh(b Backend, now time.Time, ttl time.Duration, sp *obs.Span) (*snapshot, error) {
 	name := b.Name()
 	s.flightMu.Lock()
 	if f := s.flights[name]; f != nil {
@@ -504,32 +517,29 @@ func (s *Server) refresh(b Backend, now time.Time, ttl time.Duration, sp *obs.Sp
 			return nil, f.err
 		}
 		s.CacheHits.Inc()
-		return f.entries, nil
+		return f.snap, nil
+	}
+	// A previous leader may have refilled the cache between our miss and
+	// now (it publishes before retiring its flight); re-check before
+	// taking leadership and paying for an invocation.
+	if snap := s.cached(name, now, ttl); snap != nil {
+		s.flightMu.Unlock()
+		s.CacheHits.Inc()
+		sp.SetNote("hit")
+		return snap, nil
 	}
 	f := &flight{done: make(chan struct{})}
 	s.flights[name] = f
 	s.flightMu.Unlock()
 
-	// A previous leader may have refilled the cache between our miss and
-	// taking flight leadership; re-check before paying for an invocation.
-	if entries, ok := s.cached(name, now, ttl); ok {
-		f.entries = entries
-		s.finishFlight(name, f)
-		s.CacheHits.Inc()
-		sp.SetNote("hit")
-		return entries, nil
-	}
-
 	s.Invocations.Inc()
 	sp.SetNote("miss,invoke")
 	// Cacheable backends are queried for their full subtree so the cache
 	// is a superset serving any narrower query.
-	full := &Query{Base: b.Suffix(), Scope: ldap.ScopeWholeSubtree, Now: now}
-	entries, err := b.Entries(full)
+	entries, err := b.Entries(&Query{Base: b.Suffix(), Scope: ldap.ScopeWholeSubtree, Now: now})
 	if err == nil {
-		s.cacheMu.Lock()
-		s.cache[name] = &cacheEntry{entries: entries, fetchedAt: now}
-		s.cacheMu.Unlock()
+		f.snap = newSnapshot(entries, now)
+		s.cache.Store(name, f.snap)
 		if ws := s.cfg.WarmStore; ws != nil {
 			// Write-through: replace the backend's warm subtree with the
 			// fresh superset so a post-crash WarmRestore sees the last
@@ -542,18 +552,16 @@ func (s *Server) refresh(b Backend, now time.Time, ttl time.Duration, sp *obs.Sp
 			// degrades to the previous round.
 			root := warmRoot(name)
 			ws.RemoveSubtree(root)
-			warm := make([]*ldap.Entry, 0, len(entries))
-			for _, e := range entries {
-				c := e.Clone()
-				c.DN = append(c.DN, root[0])
-				warm = append(warm, c)
+			warm := make([]*ldap.Entry, len(entries))
+			for i, e := range entries {
+				warm[i] = &ldap.Entry{DN: e.DN.Under(root), Attrs: e.Attrs}
 			}
-			_ = ws.PutAll(warm)
+			_ = ws.PutAll(warm) // copies: the warm store shares nothing with the snapshot
 		}
 	}
-	f.entries, f.err = entries, err
+	f.err = err
 	s.finishFlight(name, f)
-	return entries, err
+	return f.snap, err
 }
 
 // finishFlight publishes the flight result and retires it so the next
@@ -591,7 +599,7 @@ func (s *Server) persistentSearch(req *ldap.Request, op *ldap.SearchRequest,
 	}
 	first := true
 	for {
-		entries, _ := s.evaluate(&Query{Base: base, Scope: op.Scope, Filter: op.Filter, Now: s.clock.Now()})
+		entries, _ := s.evaluate(&Query{Base: base, Scope: op.Scope, Filter: op.Filter, Now: s.clock.Now()}, 0)
 		seen := map[string]bool{}
 		for _, e := range entries {
 			key := e.DN.Normalize()
@@ -650,17 +658,7 @@ func fingerprint(e *ldap.Entry) string {
 // entries under suffix. True when suffix lies inside the region or the base
 // lies inside suffix's subtree.
 func regionsIntersect(base ldap.DN, scope ldap.Scope, suffix ldap.DN) bool {
-	if base.Equal(suffix) || base.IsDescendantOf(suffix) {
-		return true
-	}
-	switch scope {
-	case ldap.ScopeBaseObject:
-		return false
-	case ldap.ScopeSingleLevel:
-		return suffix.Depth() == base.Depth()+1 && suffix.IsDescendantOf(base)
-	default: // whole subtree
-		return suffix.IsDescendantOf(base)
-	}
+	return base.WithinScope(suffix, ldap.ScopeWholeSubtree) || suffix.WithinScope(base, scope)
 }
 
 // pruneByAttributes reports whether the filter provably cannot match any

@@ -506,6 +506,39 @@ func BenchmarkSearchUncached(b *testing.B) {
 	}
 }
 
+// BenchmarkGRISEnquiry is the bench/ enquiry-point workload in process: one
+// host out of 2,000 cached entries by an equality filter. The answer comes
+// from the snapshot's index, so ns/op and allocs/op must not scale with the
+// cache size.
+func BenchmarkGRISEnquiry(b *testing.B) {
+	const hosts = 2000
+	suffix := ldap.MustParseDN("ou=s0, o=grid")
+	entries := make([]*ldap.Entry, hosts)
+	reqs := make([]*ldap.SearchRequest, hosts)
+	for k := range entries {
+		name := fmt.Sprintf("h%d", k)
+		entries[k] = ldap.NewEntry(suffix.ChildAVA("hn", name)).
+			Add("objectclass", "computer").Add("hn", name).Add("system", "linux redhat").
+			Add("cpucount", "4").Add("load5", fmt.Sprintf("%d.%d", k%4, k%10))
+		reqs[k] = &ldap.SearchRequest{BaseDN: suffix.String(), Scope: ldap.ScopeWholeSubtree,
+			Filter: ldap.MustParseFilter("(hn=" + name + ")")}
+	}
+	s := New(Config{Suffix: suffix, Clock: softstate.RealClock{}})
+	s.Register(&fakeBackend{name: "corpus", suffix: suffix, ttl: time.Hour, entries: entries})
+	r := anonReq()
+	w := &sink{}
+	s.Search(r, reqs[0], w) // fill the cache outside the timed loop
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.entries, w.ctls = w.entries[:0], w.ctls[:0]
+		s.Search(r, reqs[i%hosts], w)
+		if len(w.entries) != 1 {
+			b.Fatalf("enquiry %d answered with %d entries", i, len(w.entries))
+		}
+	}
+}
+
 func TestManyBackendsScale(t *testing.T) {
 	clock := softstate.NewFakeClock()
 	s := New(Config{Suffix: ldap.MustParseDN("o=center"), Clock: clock})

@@ -216,8 +216,39 @@ func (d DN) Normalize() string {
 	return b.String()
 }
 
-// Equal reports whether d and o name the same entry.
-func (d DN) Equal(o DN) bool { return d.Normalize() == o.Normalize() }
+// Equal reports whether d and o name the same entry. Normalize is the
+// definition — Equal(o) == (d.Normalize() == o.Normalize()) on every input —
+// but the comparison runs component-wise without building either key: scope
+// checks run once per candidate entry per query.
+func (d DN) Equal(o DN) bool {
+	if len(d) != len(o) {
+		// DNs of different depth share a key only when it is "": the root
+		// DN and a lone AVA-less RDN (which no parser produces).
+		return d.hasEmptyKey() && o.hasEmptyKey()
+	}
+	return equalRDNs(d, o)
+}
+
+func (d DN) hasEmptyKey() bool { return len(d) == 0 || len(d) == 1 && len(d[0]) == 0 }
+
+// equalRDNs compares two equally long RDN sequences the way their
+// Normalize keys compare. Escaping is injective and never touches letters,
+// and every separator inside a component is escaped, so the joined keys are
+// equal exactly when every attribute and value is equal under lowering.
+func equalRDNs(a, b DN) bool {
+	for i, ra := range a {
+		rb := b[i]
+		if len(ra) != len(rb) {
+			return false
+		}
+		for j, ava := range ra {
+			if !lowerEqual(ava.Attr, rb[j].Attr) || !lowerEqual(ava.Value, rb[j].Value) {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // IsZero reports whether d is the empty (root) DN.
 func (d DN) IsZero() bool { return len(d) == 0 }
@@ -260,7 +291,7 @@ func (d DN) IsDescendantOf(ancestor DN) bool {
 	if len(d) <= len(ancestor) {
 		return false
 	}
-	return DN(d[len(d)-len(ancestor):]).Normalize() == ancestor.Normalize()
+	return equalRDNs(d[len(d)-len(ancestor):], ancestor)
 }
 
 // WithinScope reports whether d falls inside a search with the given base

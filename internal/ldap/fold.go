@@ -43,13 +43,44 @@ func foldKeySlow(s string) string {
 	if isASCII {
 		b := []byte(s)
 		for i, c := range b {
-			if c >= 'A' && c <= 'Z' {
-				b[i] = c + 'a' - 'A'
-			}
+			b[i] = lowerASCII(c)
 		}
 		return string(b)
 	}
 	return strings.Map(foldRune, s)
+}
+
+// lowerEqual reports whether strings.ToLower(a) == strings.ToLower(b)
+// without building either string — the relation DN.Normalize induces on DN
+// components. It is deliberately not foldRune: ToLower keeps 'ſ', 'ı', 'µ'
+// and 'ς' distinct from 's', 'i', 'μ' and 'σ', and the DN comparisons must
+// agree with the Normalize keys the Store is indexed by. Like ToLower, an
+// invalid UTF-8 byte compares as U+FFFD.
+func lowerEqual(a, b string) bool {
+	for len(a) > 0 && len(b) > 0 {
+		ca, cb := a[0], b[0]
+		if ca < utf8.RuneSelf && cb < utf8.RuneSelf {
+			if ca != cb && lowerASCII(ca) != lowerASCII(cb) {
+				return false
+			}
+			a, b = a[1:], b[1:]
+			continue
+		}
+		ra, na := utf8.DecodeRuneInString(a)
+		rb, nb := utf8.DecodeRuneInString(b)
+		if ra != rb && unicode.ToLower(ra) != unicode.ToLower(rb) {
+			return false
+		}
+		a, b = a[na:], b[nb:]
+	}
+	return len(a) == 0 && len(b) == 0
+}
+
+func lowerASCII(c byte) byte {
+	if c >= 'A' && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }
 
 // foldConsume reports how many leading bytes of s case-insensitively match

@@ -12,9 +12,9 @@ package ldap
 //   - the mutating Entry methods (Add, Set, Delete, SortAttrs) panic
 //     outright when called on a sealed entry — the earliest, most precise
 //     catch;
-//   - every hand-out (FindLimit, findScan) and every ChangeEvent delivery
-//     re-verifies the checksum, catching raw field/slice writes that
-//     bypass the methods.
+//   - every hand-out (Find, FindLimit, FindCompiled — one code path) and
+//     every ChangeEvent delivery re-verifies the checksum, catching raw
+//     field/slice writes that bypass the methods.
 //
 // Clone and Select build fresh keyed literals, so their results carry a
 // zero (unsealed) seal and stay freely mutable — exactly the laundering
@@ -56,6 +56,18 @@ func (e *Entry) seal() {
 	e.san = entrySan{sealed: true, sum: e.checksum()}
 }
 
+// sealOrVerify seals an entry on its first publication and re-verifies one
+// that arrives already sealed — an adopted entry another store still serves
+// (Store.Adopt), which concurrent readers may be checking, so it is only
+// read here.
+func (e *Entry) sealOrVerify() {
+	if e.san.sealed {
+		e.verifySeal()
+		return
+	}
+	e.seal()
+}
+
 // verifySeal panics if a sealed entry's contents changed after publication.
 func (e *Entry) verifySeal() {
 	if e.san.sealed && e.san.sum != e.checksum() {
@@ -87,10 +99,6 @@ func verifyEntries(es []*Entry) []*Entry {
 // no-op outside -tags mdsdebug.
 func SealSnapshots(es []*Entry) {
 	for _, e := range es {
-		if e.san.sealed {
-			e.verifySeal()
-			continue
-		}
-		e.seal()
+		e.sealOrVerify()
 	}
 }

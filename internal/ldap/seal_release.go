@@ -9,6 +9,8 @@ type entrySan struct{}
 
 func (e *Entry) seal() {}
 
+func (e *Entry) sealOrVerify() {}
+
 func (e *Entry) verifySeal() {}
 
 func (e *Entry) checkMutable() {}

@@ -59,7 +59,62 @@ type node struct {
 	entry    *Entry           // immutable snapshot; nil for phantom nodes
 }
 
-type nodeSet map[*node]struct{}
+// nodeSet is one index posting: the nodes carrying an attribute or a value.
+// A directory's naming attributes are unique per entry, so most equality
+// postings hold exactly one node; that one is kept inline and the map is
+// only allocated for a second member. A node is never in both.
+type nodeSet struct {
+	one  *node
+	more map[*node]struct{}
+}
+
+func (s nodeSet) len() int {
+	if s.one != nil {
+		return 1 + len(s.more)
+	}
+	return len(s.more)
+}
+
+func (s *nodeSet) add(n *node) {
+	switch {
+	case s.one == n:
+	case s.one == nil && len(s.more) == 0:
+		s.one = n
+	default:
+		if s.more == nil {
+			s.more = map[*node]struct{}{}
+		}
+		s.more[n] = struct{}{}
+	}
+}
+
+func (s *nodeSet) remove(n *node) {
+	if s.one == n {
+		s.one = nil
+	} else {
+		delete(s.more, n)
+	}
+}
+
+func (s *nodeSet) addAll(o nodeSet) {
+	if o.one != nil {
+		s.add(o.one)
+	}
+	for n := range o.more {
+		s.add(n)
+	}
+}
+
+// appendTo appends the members to dst, in no particular order.
+func (s nodeSet) appendTo(dst []*node) []*node {
+	if s.one != nil {
+		dst = append(dst, s.one)
+	}
+	for n := range s.more {
+		dst = append(dst, n)
+	}
+	return dst
+}
 
 // inScope reports whether n falls inside the search region rooted at base,
 // using tree pointers only — no DN normalization on the read path.
@@ -160,11 +215,8 @@ func (s *Store) indexLocked(n *node) {
 	for _, a := range n.entry.Attrs {
 		af := foldKey(a.Name)
 		ps := s.pres[af]
-		if ps == nil {
-			ps = nodeSet{}
-			s.pres[af] = ps
-		}
-		ps[n] = struct{}{}
+		ps.add(n)
+		s.pres[af] = ps
 		vm := s.eq[af]
 		if vm == nil {
 			vm = map[string]nodeSet{}
@@ -173,36 +225,31 @@ func (s *Store) indexLocked(n *node) {
 		for _, v := range a.Values {
 			vf := foldKey(v)
 			vs := vm[vf]
-			if vs == nil {
-				vs = nodeSet{}
-				vm[vf] = vs
-			}
-			vs[n] = struct{}{}
+			vs.add(n)
+			vm[vf] = vs
 		}
+	}
+}
+
+// dropPosting removes n from the posting under key, and the posting itself
+// once it is empty.
+func dropPosting(m map[string]nodeSet, key string, n *node) {
+	ps := m[key]
+	ps.remove(n)
+	if ps.len() == 0 {
+		delete(m, key)
+	} else {
+		m[key] = ps
 	}
 }
 
 func (s *Store) unindexLocked(n *node) {
 	for _, a := range n.entry.Attrs {
 		af := foldKey(a.Name)
-		if ps := s.pres[af]; ps != nil {
-			delete(ps, n)
-			if len(ps) == 0 {
-				delete(s.pres, af)
-			}
-		}
+		dropPosting(s.pres, af, n)
 		vm := s.eq[af]
-		if vm == nil {
-			continue
-		}
 		for _, v := range a.Values {
-			vf := foldKey(v)
-			if vs := vm[vf]; vs != nil {
-				delete(vs, n)
-				if len(vs) == 0 {
-					delete(vm, vf)
-				}
-			}
+			dropPosting(vm, foldKey(v), n)
 		}
 		if len(vm) == 0 {
 			delete(s.eq, af)
@@ -210,10 +257,10 @@ func (s *Store) unindexLocked(n *node) {
 	}
 }
 
-// putLocked installs cp (already cloned, never mutated afterwards) at its
-// node, maintaining the indexes, and reports whether a prior entry existed.
+// putLocked installs cp (never mutated afterwards) at its node, maintaining
+// the indexes, and reports whether a prior entry existed.
 func (s *Store) putLocked(cp *Entry) bool {
-	cp.seal()
+	cp.sealOrVerify()
 	n := s.ensureNodeLocked(cp.DN)
 	existed := n.entry != nil
 	if existed {
@@ -246,8 +293,22 @@ func (s *Store) Put(e *Entry) error {
 // PutAll inserts or replaces a batch of entries under a single lock
 // acquisition — the bulk path used by MDS-1 style pushers, which re-upload
 // a resource's complete description every interval. Schema validation
-// happens up front; on error nothing is applied.
+// happens up front; on error nothing is applied. The entries are copied;
+// the caller keeps ownership of them.
 func (s *Store) PutAll(entries []*Entry) error {
+	cps := make([]*Entry, len(entries))
+	for i, e := range entries {
+		cps[i] = e.Clone()
+	}
+	return s.Adopt(cps)
+}
+
+// Adopt is PutAll without the copy, for a producer handing over a complete
+// result set it is done with (a GRIS provider round): the entries
+// themselves become the store's immutable snapshots, so the caller must
+// never mutate them again — it may keep reading them, and may adopt them
+// into a later store.
+func (s *Store) Adopt(entries []*Entry) error {
 	if s.Schema != nil {
 		for _, e := range entries {
 			if err := s.Schema.Validate(e); err != nil {
@@ -255,16 +316,12 @@ func (s *Store) PutAll(entries []*Entry) error {
 			}
 		}
 	}
-	cps := make([]*Entry, len(entries))
-	for i, e := range entries {
-		cps[i] = e.Clone()
-	}
 	s.mu.Lock()
-	for _, cp := range cps {
-		existed := s.putLocked(cp)
-		s.notifyLocked(existed, cp)
+	for _, e := range entries {
+		existed := s.putLocked(e)
+		s.notifyLocked(existed, e)
 	}
-	ack := s.persistPutLocked(cps)
+	ack := s.persistPutLocked(entries)
 	s.mu.Unlock()
 	return await(ack)
 }
@@ -382,7 +439,12 @@ func (s *Store) Find(base DN, scope Scope, filter *Filter) []*Entry {
 // the Search handler's SizeLimitExceeded signal. A limit <= 0 means
 // unlimited.
 func (s *Store) FindLimit(base DN, scope Scope, filter *Filter, limit int64) ([]*Entry, bool) {
-	cf := filter.Compile()
+	return s.FindCompiled(base, scope, filter.Compile(), limit)
+}
+
+// FindCompiled is FindLimit for a caller that already holds the compiled
+// filter — one query evaluated against several stores compiles once.
+func (s *Store) FindCompiled(base DN, scope Scope, cf *Compiled, limit int64) ([]*Entry, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	bn := s.nodes[base.Normalize()]
@@ -406,7 +468,7 @@ func (s *Store) FindLimit(base DN, scope Scope, filter *Filter, limit int64) ([]
 // are always re-verified against the full filter.
 func (s *Store) candidatesLocked(c *Compiled) (nodeSet, bool) {
 	if c == nil {
-		return nil, false
+		return nodeSet{}, false
 	}
 	switch c.kind {
 	case FilterEquality:
@@ -418,7 +480,7 @@ func (s *Store) candidatesLocked(c *Compiled) (nodeSet, bool) {
 		found := false
 		for _, sub := range c.subs {
 			if set, ok := s.candidatesLocked(sub); ok {
-				if !found || len(set) < len(best) {
+				if !found || set.len() < best.len() {
 					best, found = set, true
 				}
 			}
@@ -429,27 +491,25 @@ func (s *Store) candidatesLocked(c *Compiled) (nodeSet, bool) {
 		for _, sub := range c.subs {
 			set, ok := s.candidatesLocked(sub)
 			if !ok {
-				return nil, false
+				return nodeSet{}, false
 			}
-			for n := range set {
-				union[n] = struct{}{}
-			}
+			union.addAll(set)
 		}
 		return union, true
 	}
-	return nil, false
+	return nodeSet{}, false
 }
 
 // collectCandidates verifies an index-derived candidate set against scope
 // and the full filter, then orders and truncates it. Candidate sets are
 // small by construction, so sort-then-truncate here is cheap.
 func collectCandidates(cands nodeSet, bn *node, scope Scope, cf *Compiled, limit int64) ([]*Entry, bool) {
-	matched := make([]*node, 0, len(cands))
-	for n := range cands {
-		if n.entry == nil || !n.inScope(bn, scope) || !cf.Matches(n.entry) {
-			continue
+	all := cands.appendTo(make([]*node, 0, cands.len()))
+	matched := all[:0]
+	for _, n := range all {
+		if n.entry != nil && n.inScope(bn, scope) && cf.Matches(n.entry) {
+			matched = append(matched, n)
 		}
-		matched = append(matched, n)
 	}
 	sortNodes(matched)
 	truncated := false
@@ -527,29 +587,6 @@ func sortNodes(ns []*node) {
 		}
 		return ns[i].key < ns[j].key
 	})
-}
-
-// findScan is the pre-index linear scan over every entry, kept in-tree as
-// the differential reference: the property tests assert Find ≡ findScan on
-// randomized stores, and BenchmarkStoreFind measures the scan→index win
-// against it.
-func (s *Store) findScan(base DN, scope Scope, filter *Filter) []*Entry {
-	s.mu.RLock()
-	var out []*Entry
-	for _, n := range s.nodes {
-		e := n.entry
-		if e == nil || !e.DN.WithinScope(base, scope) {
-			continue
-		}
-		if filter != nil && !filter.Matches(e) {
-			continue
-		}
-		out = append(out, e)
-	}
-	s.mu.RUnlock()
-	verifyEntries(out)
-	SortEntries(out)
-	return out
 }
 
 // All returns a snapshot of every entry.

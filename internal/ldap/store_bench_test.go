@@ -30,7 +30,7 @@ func benchStore(b *testing.B, n int) *Store {
 
 // BenchmarkStoreFind measures an equality query against directories of
 // increasing size, comparing the indexed Find with the pre-change linear
-// scan (findScan, kept in-tree as the reference implementation). The
+// scan (findScan, the test-only reference oracle in store_index_test.go). The
 // indexed path answers from the equality index bucket, so its cost is
 // O(matches) while the scan is O(store).
 func BenchmarkStoreFind(b *testing.B) {

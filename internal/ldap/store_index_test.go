@@ -8,6 +8,30 @@ import (
 	"testing"
 )
 
+// findScan is the pre-index linear scan over every entry — the reference
+// oracle the property tests compare Find against, and the baseline
+// BenchmarkStoreFind measures the index win from. It shares no code with
+// the indexed path: scope is decided on Normalize keys (refWithinScope) and
+// the filter is evaluated uncompiled.
+func (s *Store) findScan(base DN, scope Scope, filter *Filter) []*Entry {
+	s.mu.RLock()
+	var out []*Entry
+	for _, n := range s.nodes {
+		e := n.entry
+		if e == nil || !refWithinScope(e.DN, base, scope) {
+			continue
+		}
+		if filter != nil && !filter.Matches(e) {
+			continue
+		}
+		out = append(out, e)
+	}
+	s.mu.RUnlock()
+	verifyEntries(out)
+	SortEntries(out)
+	return out
+}
+
 // buildRandomStore fills a store with a randomized DN tree: organizations,
 // groups, hosts, and per-host documents, with attribute values drawn from
 // small vocabularies so filters hit and miss both ways.

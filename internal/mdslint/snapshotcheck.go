@@ -2,7 +2,7 @@ package mdslint
 
 // SnapshotCheck enforces the store's copy-on-write contract (DESIGN.md §5,
 // internal/ldap/store.go): entries handed out by Store.Find / FindLimit /
-// All / findScan and delivered in ChangeEvents are shared immutable
+// FindCompiled / All and delivered in ChangeEvents are shared immutable
 // snapshots. Mutating one corrupts every concurrent reader and the store's
 // indexes — silently, until the mdsdebug seal sanitizer (or production)
 // catches it. The analyzer taints snapshot-returning calls and every value
@@ -39,8 +39,8 @@ func isSnapshotSource(fn *types.Func) bool {
 	switch {
 	case isMethod(fn, pkgLdap, "Store", "Find"),
 		isMethod(fn, pkgLdap, "Store", "FindLimit"),
+		isMethod(fn, pkgLdap, "Store", "FindCompiled"),
 		isMethod(fn, pkgLdap, "Store", "All"),
-		isMethod(fn, pkgLdap, "Store", "findScan"),
 		isMethod(fn, pkgQcache, "Cache", "Get"),
 		isMethod(fn, pkgQcache, "Cache", "GetOrFill"),
 		isMethod(fn, pkgQcache, "Cache", "Entries"):

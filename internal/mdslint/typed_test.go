@@ -105,6 +105,8 @@ func (s *Store) Find(base string) []*Entry { return append([]*Entry(nil), s.entr
 
 func (s *Store) FindLimit(base string, n int) ([]*Entry, bool) { return s.Find(base), false }
 
+func (s *Store) FindCompiled(base string, n int) ([]*Entry, bool) { return s.Find(base), false }
+
 func (s *Store) All() []*Entry { return s.Find("") }
 `
 
@@ -232,6 +234,15 @@ import "mds2/internal/ldap"
 
 func f(s *ldap.Store) {
 	es, _ := s.FindLimit("o=grid", 10)
+	es[0].Set("hn", "x") // want
+}
+`},
+		{"set through FindCompiled", `package app
+
+import "mds2/internal/ldap"
+
+func f(s *ldap.Store) {
+	es, _ := s.FindCompiled("o=grid", 10)
 	es[0].Set("hn", "x") // want
 }
 `},
