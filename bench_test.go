@@ -27,6 +27,7 @@ import (
 	"mds2/internal/mds1"
 	"mds2/internal/nws"
 	"mds2/internal/providers"
+	"mds2/internal/shard"
 	"mds2/internal/softstate"
 )
 
@@ -160,7 +161,9 @@ func BenchmarkE3ScopedSearch(b *testing.B) {
 }
 
 // BenchmarkGIISStrategies is the DESIGN.md ablation: chaining vs cached
-// index vs bloom-routed answering the same targeted query.
+// index vs bloom-routed vs a one-member sharded ring answering the same
+// targeted query. CI runs it once per push, so every selector that feeds
+// the fan-out engine is exercised end to end.
 func BenchmarkGIISStrategies(b *testing.B) {
 	cases := []struct {
 		name     string
@@ -169,6 +172,10 @@ func BenchmarkGIISStrategies(b *testing.B) {
 		{"chaining", func() giis.Strategy { return giis.NewChaining() }},
 		{"cached-index", func() giis.Strategy { return giis.NewCachedIndex(time.Hour) }},
 		{"bloom-routed", func() giis.Strategy { return giis.NewBloomRouted(time.Hour, 1<<14) }},
+		{"sharded", func() giis.Strategy {
+			solo := shard.NewRing([]shard.Member{{ID: "s0", URL: ldap.MustParseURL("sim://dir:389")}}, 0)
+			return giis.NewSharded(solo, "s0", 1)
+		}},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {

@@ -39,8 +39,8 @@ func main() {
 		replicas = flag.Int("replicas", 2, "sharded strategy: owners per registration (K)")
 		shardMod = flag.String("shard-mode", "proxy", "sharded strategy: proxy | referral")
 		cacheTTL = flag.Duration("cache-ttl", 30*time.Second, "index freshness for cache/bloom strategies")
-		fanout   = flag.Int("max-fanout", giis.DefaultMaxFanout, "chain strategy: max concurrent child searches")
-		hedge    = flag.Duration("hedge", 0, "chain strategy: return partial results after this deadline (0 = wait for all children)")
+		fanout   = flag.Int("max-fanout", giis.DefaultMaxFanout, "every chaining strategy (chain, bloom, sharded): max concurrent chained searches")
+		hedge    = flag.Duration("hedge", 0, "every chaining strategy (chain, bloom, sharded): return partial results after this deadline (0 = wait for all children)")
 		parent   = flag.String("parent", "", "parent GIIS address to register with")
 		vo       = flag.String("vo", "", "VO name for admission and upward registration")
 		interval = flag.Duration("interval", 30*time.Second, "upward registration interval")
@@ -86,19 +86,19 @@ func main() {
 	if *hedge < 0 {
 		log.Fatalf("giis: -hedge must be >= 0, got %v", *hedge)
 	}
+	fan := giis.Fanout{MaxFanout: *fanout, HedgeDeadline: *hedge}
 	var strat giis.Strategy
 	switch *strategy {
 	case "chain":
-		chain := giis.NewChaining()
-		chain.MaxFanout = *fanout
-		chain.HedgeDeadline = *hedge
-		strat = chain
+		strat = &giis.Chaining{Fanout: fan}
 	case "cache":
 		strat = giis.NewCachedIndex(*cacheTTL)
 	case "referral":
 		strat = giis.NewReferral()
 	case "bloom":
-		strat = giis.NewBloomRouted(*cacheTTL, 1<<16)
+		routed := giis.NewBloomRouted(*cacheTTL, 1<<16)
+		routed.Fanout = fan
+		strat = routed
 	case "sharded":
 		if *ringSpec == "" || *shardID == "" {
 			log.Fatal("giis: -strategy sharded requires -shard-ring and -shard-id")
@@ -120,7 +120,7 @@ func main() {
 		default:
 			log.Fatalf("giis: unknown -shard-mode %q", *shardMod)
 		}
-		sh.MaxFanout = *fanout
+		sh.Fanout = fan
 		sh.SummaryTTL = *cacheTTL
 		strat = sh
 	default:

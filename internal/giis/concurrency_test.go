@@ -11,6 +11,7 @@ import (
 
 	"mds2/internal/grrp"
 	"mds2/internal/ldap"
+	"mds2/internal/shard"
 	"mds2/internal/simnet"
 	"mds2/internal/softstate"
 )
@@ -69,6 +70,28 @@ func (h *laggyChild) Search(req *ldap.Request, op *ldap.SearchRequest, w ldap.Se
 	return ldap.Result{Code: ldap.ResultSuccess}
 }
 
+// chainingStrategies builds each chaining strategy around one Fanout: the
+// engine's bound, hedge and pool-safety guarantees must hold whichever
+// selector feeds it. The sharded entry is a one-member ring, so every child
+// is local and the fan-out is the whole search.
+var chainingStrategies = []struct {
+	name  string
+	build func(Fanout) Strategy
+}{
+	{"chaining", func(f Fanout) Strategy { return &Chaining{Fanout: f} }},
+	{"bloom-routed", func(f Fanout) Strategy {
+		b := NewBloomRouted(time.Hour, 1<<14)
+		b.Fanout = f
+		return b
+	}},
+	{"sharded", func(f Fanout) Strategy {
+		solo := shard.NewRing([]shard.Member{{ID: "s0", URL: ldap.MustParseURL("sim://giis-node:389")}}, 0)
+		sh := NewSharded(solo, "s0", 1)
+		sh.Fanout = f
+		return sh
+	}},
+}
+
 // fanoutRig is a wall-clock grid for concurrency tests and benchmarks:
 // `fast` instant children plus `slow` children delayed by slowDelay, all
 // registered with one chaining GIIS.
@@ -78,7 +101,7 @@ type fanoutRig struct {
 	children []*laggyChild
 }
 
-func newFanoutRig(t testing.TB, strategy *Chaining, fast, slow int, slowDelay time.Duration) *fanoutRig {
+func newFanoutRig(t testing.TB, strategy Strategy, fast, slow int, slowDelay time.Duration) *fanoutRig {
 	t.Helper()
 	network := simnet.New(1)
 	g := New(Config{
@@ -149,21 +172,25 @@ func TestHedgeDeadlineBoundsSlowChild(t *testing.T) {
 		hedge = 100 * time.Millisecond
 		delay = 2 * time.Second
 	)
-	r := newFanoutRig(t, &Chaining{Parallel: true, HedgeDeadline: hedge}, fast, 1, delay)
-	start := time.Now()
-	entries, res := r.search(t)
-	took := time.Since(start)
-	if res.Code != ldap.ResultSuccess {
-		t.Fatalf("res = %+v", res)
-	}
-	if !strings.Contains(res.Message, "hedge") {
-		t.Errorf("hedged search not flagged partial: %q", res.Message)
-	}
-	if len(entries) != fast {
-		t.Errorf("entries = %d, want %d (slow child cut off)", len(entries), fast)
-	}
-	if took >= delay {
-		t.Errorf("search took %v — blocked on the slow child instead of hedging", took)
+	for _, tc := range chainingStrategies {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newFanoutRig(t, tc.build(Fanout{HedgeDeadline: hedge}), fast, 1, delay)
+			start := time.Now()
+			entries, res := r.search(t)
+			took := time.Since(start)
+			if res.Code != ldap.ResultSuccess {
+				t.Fatalf("res = %+v", res)
+			}
+			if !strings.Contains(res.Message, "hedge") {
+				t.Errorf("hedged search not flagged partial: %q", res.Message)
+			}
+			if len(entries) != fast {
+				t.Errorf("entries = %d, want %d (slow child cut off)", len(entries), fast)
+			}
+			if took >= delay {
+				t.Errorf("search took %v — blocked on the slow child instead of hedging", took)
+			}
+		})
 	}
 }
 
@@ -171,7 +198,7 @@ func TestHedgeDeadlineBoundsSlowChild(t *testing.T) {
 // deadline the search waits out every child, slow ones included.
 func TestNoHedgeWaitsForAllChildren(t *testing.T) {
 	const delay = 50 * time.Millisecond
-	r := newFanoutRig(t, &Chaining{Parallel: true}, 3, 1, delay)
+	r := newFanoutRig(t, &Chaining{}, 3, 1, delay)
 	start := time.Now()
 	entries, res := r.search(t)
 	took := time.Since(start)
@@ -189,19 +216,23 @@ func TestNoHedgeWaitsForAllChildren(t *testing.T) {
 // TestMaxFanoutBoundsConcurrency: with MaxFanout 2 and children that stall
 // briefly, no more than 2 chained searches ever run at once.
 func TestMaxFanoutBoundsConcurrency(t *testing.T) {
-	r := newFanoutRig(t, &Chaining{Parallel: true, MaxFanout: 2}, 0, 8, 10*time.Millisecond)
-	entries, res := r.search(t)
-	if res.Code != ldap.ResultSuccess {
-		t.Fatalf("res = %+v", res)
-	}
-	if len(entries) != 8 {
-		t.Errorf("entries = %d, want 8", len(entries))
-	}
-	if peak := r.gauge.peak.Load(); peak > 2 {
-		t.Errorf("peak concurrent chained searches = %d, want <= MaxFanout (2)", peak)
-	}
-	if running := r.gauge.running.Load(); running != 0 {
-		t.Errorf("children still running after search: %d", running)
+	for _, tc := range chainingStrategies {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newFanoutRig(t, tc.build(Fanout{MaxFanout: 2}), 0, 8, 10*time.Millisecond)
+			entries, res := r.search(t)
+			if res.Code != ldap.ResultSuccess {
+				t.Fatalf("res = %+v", res)
+			}
+			if len(entries) != 8 {
+				t.Errorf("entries = %d, want 8", len(entries))
+			}
+			if peak := r.gauge.peak.Load(); peak > 2 {
+				t.Errorf("peak concurrent chained searches = %d, want <= MaxFanout (2)", peak)
+			}
+			if running := r.gauge.running.Load(); running != 0 {
+				t.Errorf("children still running after search: %d", running)
+			}
+		})
 	}
 }
 
@@ -215,7 +246,7 @@ func TestConcurrentSearchStress(t *testing.T) {
 		rounds  = 3
 		hedge   = 25 * time.Millisecond
 	)
-	r := newFanoutRig(t, &Chaining{Parallel: true, MaxFanout: 4, HedgeDeadline: hedge},
+	r := newFanoutRig(t, &Chaining{Fanout{MaxFanout: 4, HedgeDeadline: hedge}},
 		fast, 1, 300*time.Millisecond)
 	var wg sync.WaitGroup
 	errs := make(chan string, clients*rounds)
@@ -248,12 +279,19 @@ func TestConcurrentSearchStress(t *testing.T) {
 // close a client another chain is mid-Search on (the old dropClient race),
 // and healed partitions must be re-dialed transparently.
 func TestConcurrentSearchSurvivesEviction(t *testing.T) {
+	for _, tc := range chainingStrategies {
+		t.Run(tc.name, func(t *testing.T) { searchSurvivesEviction(t, tc.build(Fanout{})) })
+	}
+}
+
+func searchSurvivesEviction(t *testing.T, strategy Strategy) {
 	network := simnet.New(1)
 	g := New(Config{
-		Name:    "giis.vo",
-		Suffix:  ldap.MustParseDN("vo=v"),
-		SelfURL: ldap.MustParseURL("sim://giis-node:389"),
-		Clock:   softstate.RealClock{},
+		Name:     "giis.vo",
+		Suffix:   ldap.MustParseDN("vo=v"),
+		SelfURL:  ldap.MustParseURL("sim://giis-node:389"),
+		Clock:    softstate.RealClock{},
+		Strategy: strategy,
 		Dial: func(url ldap.URL) (*ldap.Client, error) {
 			conn, err := network.Dial("giis-node", url.Address())
 			if err != nil {

@@ -1,0 +1,290 @@
+package giis
+
+import (
+	"sync"
+	"time"
+
+	"mds2/internal/bloom"
+	"mds2/internal/flight"
+	"mds2/internal/ldap"
+	"mds2/internal/obs"
+	"mds2/internal/softstate"
+)
+
+// Fanout is the directory's one chained fan-out, embedded by every chaining
+// strategy (Chaining, BloomRouted, Sharded). The strategies differ only in
+// which hops they select; the bounded worker pool, the hedge deadline, the
+// reply-collect loop and the sender below are shared.
+type Fanout struct {
+	// MaxFanout bounds concurrent chained requests per search; zero means
+	// DefaultMaxFanout and one is a sequential walk. Excess hops queue for a
+	// free worker, so a directory with hundreds of children no longer spawns
+	// a goroutine and connection burst per query.
+	MaxFanout int
+	// HedgeDeadline is the soft deadline for child replies, measured on
+	// the directory's clock: when it expires, the replies received so far
+	// are returned and the result is marked partial, instead of the whole
+	// search blocking on a slow or partitioned child. Zero waits for every
+	// child (the pre-hedge behaviour).
+	HedgeDeadline time.Duration
+}
+
+// DefaultMaxFanout bounds chained concurrency when MaxFanout is unset.
+const DefaultMaxFanout = 16
+
+// hop is one unit of fan-out work: the query chained to the first of
+// targets that answers.
+type hop struct {
+	// targets are tried in order until one answers: a single child, or a
+	// partition key's owners in ring order (if the primary is down its
+	// replica still answers, which is the K-replication availability
+	// argument).
+	targets []Child
+	// extra controls ride on the chained request.
+	extra []ldap.Control
+	// skip, when set, runs on the worker before the first attempt; true
+	// drops the hop as an empty reply. Bloom pruning lives here rather than
+	// in the selector so a cold summary fetch is bounded and hedged like
+	// any other chained request.
+	skip func() bool
+	// attempt, when set, observes each try (n counts from zero).
+	attempt func(n int)
+}
+
+// childHops wraps each child as a single-target hop.
+func childHops(children []Child) []hop {
+	hops := make([]hop, len(children))
+	for i := range children {
+		hops[i].targets = children[i : i+1]
+	}
+	return hops
+}
+
+// inRegion keeps the children whose namespace the search region can touch.
+// A shard scatters over its whole partition to find the few a narrow region
+// names, so the result is not sized to the input.
+func inRegion(ctx *SearchContext, children []Child) []Child {
+	relevant := make([]Child, 0, min(len(children), DefaultMaxFanout))
+	for _, child := range children {
+		if _, _, ok := translateRegion(ctx.Base, ctx.Op.Scope, child); ok {
+			relevant = append(relevant, child)
+		}
+	}
+	return relevant
+}
+
+type hopReply struct {
+	entries []*ldap.Entry
+	err     error
+}
+
+// run chains the search to every hop and merges the replies to the client.
+// A non-nil dups turns DN dedup on (replicated partitions answer twice),
+// counting what it drops.
+func (f Fanout) run(ctx *SearchContext, hops []hop, dups *obs.Counter) ldap.Result {
+	if len(hops) == 0 {
+		return ldap.Result{Code: ldap.ResultSuccess}
+	}
+	s := ctx.Server
+	s.hFanout.ObserveValue(int64(len(hops)))
+
+	// Both channels are buffered for the full fan-out so workers never
+	// block: after a hedge cutoff the search returns immediately and any
+	// straggling worker finishes into the buffer and exits.
+	jobs := make(chan int, len(hops))
+	for i := range hops {
+		jobs <- i
+	}
+	close(jobs)
+	replies := make(chan hopReply, len(hops))
+	workers := f.MaxFanout
+	if workers <= 0 {
+		workers = DefaultMaxFanout
+	}
+	if workers > len(hops) {
+		workers = len(hops)
+	}
+	for i := 0; i < workers; i++ {
+		go func() {
+			for i := range jobs {
+				replies <- s.runHop(ctx, &hops[i])
+			}
+		}()
+	}
+
+	var hedge <-chan time.Time
+	if f.HedgeDeadline > 0 {
+		hedge = s.clock.After(f.HedgeDeadline)
+	}
+	// A size limit imposes a global order on which entries are kept, so
+	// replies buffer and sort before streaming; otherwise each hop's reply
+	// streams to the client the moment it arrives (sorted within the hop
+	// for determinism).
+	ordered := ctx.Op.SizeLimit > 0
+	var buffered []*ldap.Entry
+	var seen map[string]struct{}
+	if dups != nil {
+		seen = map[string]struct{}{}
+	}
+	unreachable, hedged := false, false
+
+collect:
+	for done := 0; done < len(hops); done++ {
+		select {
+		case r := <-replies:
+			if r.err != nil {
+				// A failed or partitioned child must not block the others
+				// (§2.2); we return what is reachable.
+				unreachable = true
+				continue
+			}
+			entries := r.entries
+			if seen != nil {
+				entries = dropSeen(seen, entries, dups)
+			}
+			if ordered {
+				buffered = append(buffered, entries...)
+				continue
+			}
+			if err := ctx.sendSorted(entries); err != nil {
+				return sizeOrUnavailable(err)
+			}
+		case <-hedge:
+			hedged = true
+			s.HedgeFired.Inc()
+			break collect
+		}
+	}
+	if err := ctx.sendSorted(buffered); err != nil {
+		return sizeOrUnavailable(err)
+	}
+	res := ldap.Result{Code: ldap.ResultSuccess}
+	switch {
+	case hedged:
+		res.Message = "partial results: hedge deadline expired before all providers replied"
+	case unreachable:
+		res.Message = "partial results: some providers unreachable"
+	}
+	return res
+}
+
+// runHop chains the search to the hop's targets in order until one answers.
+func (s *Server) runHop(ctx *SearchContext, h *hop) (r hopReply) {
+	if h.skip != nil && h.skip() {
+		return hopReply{}
+	}
+	for n, target := range h.targets {
+		if h.attempt != nil {
+			h.attempt(n)
+		}
+		r.entries, r.err = s.chain(ctx.Req, target, ctx.Base, ctx.Op.Scope, ctx.Op.Filter,
+			ctx.Op.Attributes, ctx.Op.SizeLimit, h.extra)
+		if r.err == nil {
+			break
+		}
+	}
+	return r
+}
+
+// dropSeen compacts entries in place to those whose DN is new to seen.
+func dropSeen(seen map[string]struct{}, entries []*ldap.Entry, dups *obs.Counter) []*ldap.Entry {
+	fresh := entries[:0]
+	for _, e := range entries {
+		k := e.DN.Normalize()
+		if _, dup := seen[k]; dup {
+			dups.Inc()
+			continue
+		}
+		seen[k] = struct{}{}
+		fresh = append(fresh, e)
+	}
+	return fresh
+}
+
+// sendSorted streams entries in DN order, honouring the size limit.
+func (c *SearchContext) sendSorted(entries []*ldap.Entry) error {
+	ldap.SortEntries(entries)
+	for _, e := range entries {
+		if err := c.send(e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// refer answers with continuation references instead of (or, for a sharded
+// directory, beside) data: urls go out as one referral and on the result.
+func (c *SearchContext) refer(res ldap.Result, urls []string) ldap.Result {
+	if len(urls) > 0 {
+		if err := c.W.SendReferral(urls...); err != nil {
+			return ldap.Result{Code: ldap.ResultUnavailable, Message: err.Error()}
+		}
+	}
+	res.Referrals = urls
+	return res
+}
+
+// summaryCache holds the Bloom summaries a pruning selector consults, one
+// per source (a child's service key, a ring member's ID), each for ttl.
+// Concurrent cold lookups of one source share a single fetch, and a failed
+// fetch is cached like a successful one, so a down source is not re-dialled
+// for its summary on every search.
+type summaryCache struct {
+	clock   softstate.Clock
+	ttl     time.Duration
+	skipped *obs.Counter // hops the summaries ruled out
+
+	mu    sync.Mutex
+	byKey map[string]cachedSummary
+	fills flight.Group[*bloom.Filter]
+}
+
+type cachedSummary struct {
+	filter    *bloom.Filter // nil: the fetch failed
+	fetchedAt time.Time
+}
+
+func newSummaryCache(clock softstate.Clock, ttl time.Duration, skipped *obs.Counter) *summaryCache {
+	return &summaryCache{clock: clock, ttl: ttl, skipped: skipped, byKey: map[string]cachedSummary{}}
+}
+
+func (c *summaryCache) fresh(key string) (*bloom.Filter, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cs, ok := c.byKey[key]
+	return cs.filter, ok && c.clock.Now().Sub(cs.fetchedAt) < c.ttl
+}
+
+// rulesOut reports (and counts) that the source behind key provably holds
+// no entry carrying every term — a conjunctive query can match only if each
+// equality term is (possibly) present. fetch fills a missing or expired
+// summary and returns nil when the source cannot supply one; no summary
+// fails open.
+func (c *summaryCache) rulesOut(key string, terms []string, fetch func() *bloom.Filter) bool {
+	if len(terms) == 0 {
+		return false
+	}
+	f, ok := c.fresh(key)
+	if !ok {
+		f, _, _ = c.fills.Do(key, func() (*bloom.Filter, error) {
+			if f, ok := c.fresh(key); ok {
+				return f, nil
+			}
+			f := fetch()
+			c.mu.Lock()
+			c.byKey[key] = cachedSummary{f, c.clock.Now()}
+			c.mu.Unlock()
+			return f, nil
+		})
+	}
+	if f == nil {
+		return false
+	}
+	for _, t := range terms {
+		if !f.Test(t) {
+			c.skipped.Inc()
+			return true
+		}
+	}
+	return false
+}

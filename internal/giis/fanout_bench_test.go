@@ -45,9 +45,9 @@ func BenchmarkFanoutSlowChild(b *testing.B) {
 		b.ReportMetric(float64(total)/float64(b.N), "entries/op")
 	}
 	b.Run("wait-all", func(b *testing.B) {
-		run(b, &Chaining{Parallel: true}, false)
+		run(b, &Chaining{}, false)
 	})
 	b.Run("hedge-50ms", func(b *testing.B) {
-		run(b, &Chaining{Parallel: true, HedgeDeadline: hedge}, true)
+		run(b, &Chaining{Fanout{HedgeDeadline: hedge}}, true)
 	})
 }

@@ -559,17 +559,6 @@ func (s *Server) evict(pe *poolEntry) {
 	s.poolMu.Unlock()
 }
 
-// chain translates a view-namespace region into the child's namespace,
-// runs the search there, and translates result DNs back into the view.
-// When req carries a trace, the hop is recorded as a chain span, the trace
-// identity propagates to the child via the trace-request control, and the
-// span tree the child reports back is grafted under the chain span — so the
-// root directory's trace shows every hop of a multi-level search.
-func (s *Server) chain(req *ldap.Request, child Child, base ldap.DN, scope ldap.Scope,
-	filter *ldap.Filter, attrs []string, sizeLimit int64) ([]*ldap.Entry, error) {
-	return s.chainWith(req, child, base, scope, filter, attrs, sizeLimit, nil)
-}
-
 // chainUncached is chain with the query cache deliberately bypassed —
 // strategies that maintain their own result cache (CachedIndex) fill
 // through here so an entry set is never cached twice at different TTLs.
@@ -582,9 +571,15 @@ func (s *Server) chainUncached(req *ldap.Request, child Child, base ldap.DN, sco
 	return s.chainTranslated(req, child, childBase, childScope, filter, attrs, sizeLimit, nil)
 }
 
-// chainWith is chain with extra request controls attached — the sharded
-// strategy rides its shard-local marker here so a peer shard answers from
-// its own children without fanning out again.
+// chain translates a view-namespace region into the child's namespace,
+// runs the search there, and translates result DNs back into the view.
+// When req carries a trace, the hop is recorded as a chain span, the trace
+// identity propagates to the child via the trace-request control, and the
+// span tree the child reports back is grafted under the chain span — so the
+// root directory's trace shows every hop of a multi-level search. extra
+// controls ride on the chained request — the sharded strategy's shard-local
+// marker, so a peer shard answers from its own children without fanning
+// out again.
 //
 // With the query cache enabled, the hop result is cached per child (the
 // owner component of the key), so identical queries hit without re-fanning
@@ -592,7 +587,7 @@ func (s *Server) chainUncached(req *ldap.Request, child Child, base ldap.DN, sco
 // Persistent-search subscriptions bypass the cache entirely: a subscriber
 // wants the live change stream, and a cached snapshot answered in its
 // place would silently go stale for the subscription's whole lifetime.
-func (s *Server) chainWith(req *ldap.Request, child Child, base ldap.DN, scope ldap.Scope,
+func (s *Server) chain(req *ldap.Request, child Child, base ldap.DN, scope ldap.Scope,
 	filter *ldap.Filter, attrs []string, sizeLimit int64, extra []ldap.Control) ([]*ldap.Entry, error) {
 
 	childBase, childScope, ok := translateRegion(base, scope, child)
@@ -1004,23 +999,4 @@ func (s *Server) Invite(transport grrp.Transport, targetAddr, vo string, ttl tim
 		m.Sign(s.cfg.Keys)
 	}
 	return transport.Send(targetAddr, m.Marshal())
-}
-
-func lowerTerms(f *ldap.Filter) []string {
-	var out []string
-	var walk func(*ldap.Filter)
-	walk = func(g *ldap.Filter) {
-		switch g.Kind {
-		case ldap.FilterAnd:
-			for _, sub := range g.Subs {
-				walk(sub)
-			}
-		case ldap.FilterEquality:
-			out = append(out, strings.ToLower(g.Attr)+"="+strings.ToLower(g.Value))
-		}
-	}
-	if f != nil {
-		walk(f)
-	}
-	return out
 }

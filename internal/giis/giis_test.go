@@ -395,8 +395,8 @@ func TestBloomRoutedSkipsNonMatchingChildren(t *testing.T) {
 	if r.giis.ChainedOps.Value() != base {
 		t.Errorf("bloom routing should skip all children, chains = %d", r.giis.ChainedOps.Value()-base)
 	}
-	if strategy.SkippedChildren < 2 {
-		t.Errorf("skipped = %d", strategy.SkippedChildren)
+	if strategy.SkippedChildren.Value() < 2 {
+		t.Errorf("skipped = %d", strategy.SkippedChildren.Value())
 	}
 	// A query matching one host chains only there.
 	entries, _ = r.search(&ldap.SearchRequest{

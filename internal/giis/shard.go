@@ -44,9 +44,7 @@ type Sharded struct {
 	KeyAttrs []string
 	// Mode selects proxy (default) or referral peer involvement.
 	Mode ShardMode
-	// MaxFanout bounds concurrent chained requests per search; zero means
-	// DefaultMaxFanout.
-	MaxFanout int
+	Fanout
 	// SummaryTTL bounds peer-summary staleness (default 30s); SummaryAttrs
 	// is the testable vocabulary (shard.DefaultSummaryAttrs when empty).
 	SummaryTTL   time.Duration
@@ -68,7 +66,7 @@ type Sharded struct {
 	localSummaryVer uint64
 	localSummaryOK  bool
 	// summaries caches peer summaries by member ID.
-	summaries map[string]*peerSummary
+	summaries *summaryCache
 
 	// Stats, registered under giis_shard_* when the server has an obs
 	// registry.
@@ -79,14 +77,6 @@ type Sharded struct {
 	PeerReferrals    obs.Counter // referral URLs returned to clients
 	BloomSkipped     obs.Counter // scatter fan-outs skipped by summaries
 	DupDropped       obs.Counter // duplicate entries dropped by DN dedup
-}
-
-type peerSummary struct {
-	filter    *bloom.Filter
-	fetchedAt time.Time
-	// failed records an unreachable fetch so the next attempt waits for
-	// the TTL instead of re-dialing a down peer on every search.
-	failed bool
 }
 
 // DefaultShardSummaryTTL bounds peer-summary staleness when unset.
@@ -115,7 +105,7 @@ func (sh *Sharded) attach(s *Server) {
 	if len(sh.SummaryAttrs) == 0 {
 		sh.SummaryAttrs = shard.DefaultSummaryAttrs
 	}
-	sh.summaries = map[string]*peerSummary{}
+	sh.summaries = newSummaryCache(s.clock, sh.SummaryTTL, &sh.BloomSkipped)
 	sh.planner = shard.NewPlanner(sh.Ring, sh.Self, sh.Replicas, s.cfg.Suffix, sh.KeyAttrs)
 
 	// Ownership enforcement: registrations hashing to other shards are
@@ -185,7 +175,25 @@ func (sh *Sharded) peerChild(m shard.Member) Child {
 	return Child{URL: m.URL, Suffix: sh.s.cfg.Suffix, ViewSuffix: sh.s.cfg.Suffix, MDSType: "giis"}
 }
 
-var shardLocalControl = ldap.Control{OID: shard.OIDShardLocal}
+// shardLocal marks a sub-query as one peer asking another (shared and
+// read-only: chains copy it before appending trace controls).
+var shardLocal = []ldap.Control{{OID: shard.OIDShardLocal}}
+
+// peerHop chains to the first of members that answers, as a shard-local
+// sub-query so the peer answers from its own children without fanning out
+// again.
+func (sh *Sharded) peerHop(members ...shard.Member) hop {
+	targets := make([]Child, len(members))
+	for i, m := range members {
+		targets[i] = sh.peerChild(m)
+	}
+	return hop{targets: targets, extra: shardLocal, attempt: func(n int) {
+		sh.PeerQueries.Inc()
+		if n > 0 {
+			sh.PeerFailovers.Inc()
+		}
+	}}
+}
 
 // Search implements Strategy.
 func (sh *Sharded) Search(ctx *SearchContext) ldap.Result {
@@ -231,211 +239,35 @@ func (sh *Sharded) Search(ctx *SearchContext) ldap.Result {
 	return sh.searchProxy(ctx, local, &plan)
 }
 
-// dedupSender streams entries to the client exactly once per DN. When the
-// search carries a size limit, entries buffer and sort globally first (the
-// limit imposes an order on which survive); otherwise each batch streams
-// as it arrives, sorted within itself.
-type dedupSender struct {
-	ctx      *SearchContext
-	sh       *Sharded
-	seen     map[string]struct{}
-	ordered  bool
-	buffered []*ldap.Entry
-}
-
-func (d *dedupSender) add(entries []*ldap.Entry) error {
-	fresh := entries[:0]
-	for _, e := range entries {
-		k := e.DN.Normalize()
-		if _, dup := d.seen[k]; dup {
-			d.sh.DupDropped.Inc()
-			continue
-		}
-		d.seen[k] = struct{}{}
-		fresh = append(fresh, e)
-	}
-	if d.ordered {
-		d.buffered = append(d.buffered, fresh...)
-		return nil
-	}
-	ldap.SortEntries(fresh)
-	for _, e := range fresh {
-		if err := d.ctx.send(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (d *dedupSender) flush() error {
-	if !d.ordered {
-		return nil
-	}
-	ldap.SortEntries(d.buffered)
-	for _, e := range d.buffered {
-		if err := d.ctx.send(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (sh *Sharded) newSender(ctx *SearchContext) *dedupSender {
-	return &dedupSender{ctx: ctx, sh: sh, seen: map[string]struct{}{}, ordered: ctx.Op.SizeLimit > 0}
-}
-
 // searchLocal answers entirely from the local partition (peer sub-queries
 // and the local half of every mode).
 func (sh *Sharded) searchLocal(ctx *SearchContext, local []Child) ldap.Result {
-	replies, n := sh.fanout(ctx, sh.localJobs(ctx, local))
-	sender := sh.newSender(ctx)
-	partial := false
-	for done := 0; done < n; done++ {
-		r := <-replies
-		if r.err != nil {
-			partial = true
-			continue
-		}
-		if err := sender.add(r.entries); err != nil {
-			return sizeOrUnavailable(err)
-		}
-	}
-	if err := sender.flush(); err != nil {
-		return sizeOrUnavailable(err)
-	}
-	res := ldap.Result{Code: ldap.ResultSuccess}
-	if partial {
-		res.Message = "partial results: some providers unreachable"
-	}
-	return res
-}
-
-type shardReply struct {
-	entries []*ldap.Entry
-	err     error
-}
-
-// localJobs builds one chained sub-query per relevant local child.
-func (sh *Sharded) localJobs(ctx *SearchContext, local []Child) []func() shardReply {
-	jobs := make([]func() shardReply, 0, len(local))
-	for _, child := range local {
-		if _, _, ok := translateRegion(ctx.Base, ctx.Op.Scope, child); !ok {
-			continue
-		}
-		child := child
-		jobs = append(jobs, func() shardReply {
-			entries, err := sh.s.chain(ctx.Req, child, ctx.Base, ctx.Op.Scope, ctx.Op.Filter,
-				ctx.Op.Attributes, ctx.Op.SizeLimit)
-			return shardReply{entries, err}
-		})
-	}
-	return jobs
-}
-
-// fanout runs jobs on a bounded worker pool (the Chaining pattern: closed
-// job channel, fully buffered replies so no worker ever blocks).
-func (sh *Sharded) fanout(ctx *SearchContext, fns []func() shardReply) (<-chan shardReply, int) {
-	jobs := make(chan func() shardReply, len(fns))
-	for _, fn := range fns {
-		jobs <- fn
-	}
-	close(jobs)
-	replies := make(chan shardReply, len(fns))
-	workers := sh.MaxFanout
-	if workers <= 0 {
-		workers = DefaultMaxFanout
-	}
-	if workers > len(fns) {
-		workers = len(fns)
-	}
-	for i := 0; i < workers; i++ {
-		go func() {
-			for fn := range jobs {
-				replies <- fn()
-			}
-		}()
-	}
-	if len(fns) > 0 {
-		sh.s.hFanout.ObserveValue(int64(len(fns)))
-	}
-	return replies, len(fns)
+	return sh.run(ctx, childHops(inRegion(ctx, local)), &sh.DupDropped)
 }
 
 // searchProxy merges the local partition with chained peer sub-queries.
 func (sh *Sharded) searchProxy(ctx *SearchContext, local []Child, plan *shard.Plan) ldap.Result {
-	fns := sh.localJobs(ctx, local)
-
+	hops := childHops(inRegion(ctx, local))
 	if plan.Routable {
-		// One job per key, failing over through the key's owners in ring
-		// order: if the primary is down its replica still answers, which is
-		// the K-replication availability argument.
+		// One hop per key, failing over through the key's owners.
 		for _, key := range plan.Keys {
-			owners := plan.OwnersFor(key)
-			if len(owners) == 0 {
-				continue
+			if owners := plan.OwnersFor(key); len(owners) > 0 {
+				hops = append(hops, sh.peerHop(owners...))
 			}
-			fns = append(fns, func() shardReply {
-				var lastErr error
-				for i, owner := range owners {
-					if i > 0 {
-						sh.PeerFailovers.Inc()
-					}
-					sh.PeerQueries.Inc()
-					entries, err := sh.s.chainWith(ctx.Req, sh.peerChild(owner), ctx.Base,
-						ctx.Op.Scope, ctx.Op.Filter, ctx.Op.Attributes, ctx.Op.SizeLimit,
-						[]ldap.Control{shardLocalControl})
-					if err == nil {
-						return shardReply{entries, nil}
-					}
-					lastErr = err
-				}
-				return shardReply{nil, lastErr}
-			})
 		}
 	} else {
 		// Scatter: every other ring member, minus those whose Bloom summary
 		// proves they cannot match.
 		terms := shard.QueryTerms(ctx.Op.Filter, sh.SummaryAttrs)
-		now := sh.s.clock.Now()
 		for _, m := range plan.Remote {
-			if len(terms) > 0 {
-				if f := sh.peerSummaryFor(m, now); f != nil && !summaryMayMatch(f, terms) {
-					sh.BloomSkipped.Inc()
-					continue
-				}
+			h := sh.peerHop(m)
+			h.skip = func() bool {
+				return sh.summaries.rulesOut(m.ID, terms, func() *bloom.Filter { return sh.fetchSummary(m) })
 			}
-			m := m
-			fns = append(fns, func() shardReply {
-				sh.PeerQueries.Inc()
-				entries, err := sh.s.chainWith(ctx.Req, sh.peerChild(m), ctx.Base,
-					ctx.Op.Scope, ctx.Op.Filter, ctx.Op.Attributes, ctx.Op.SizeLimit,
-					[]ldap.Control{shardLocalControl})
-				return shardReply{entries, err}
-			})
+			hops = append(hops, h)
 		}
 	}
-
-	replies, n := sh.fanout(ctx, fns)
-	sender := sh.newSender(ctx)
-	partial := false
-	for done := 0; done < n; done++ {
-		r := <-replies
-		if r.err != nil {
-			partial = true
-			continue
-		}
-		if err := sender.add(r.entries); err != nil {
-			return sizeOrUnavailable(err)
-		}
-	}
-	if err := sender.flush(); err != nil {
-		return sizeOrUnavailable(err)
-	}
-	res := ldap.Result{Code: ldap.ResultSuccess}
-	if partial {
-		res.Message = "partial results: some shards unreachable"
-	}
-	return res
+	return sh.run(ctx, hops, &sh.DupDropped)
 }
 
 // searchReferral serves the local partition and refers the client to the
@@ -462,14 +294,8 @@ func (sh *Sharded) searchReferral(ctx *SearchContext, local []Child, plan *shard
 		}
 	}
 	urls = dedupSorted(urls)
-	if len(urls) > 0 {
-		sh.PeerReferrals.Add(int64(len(urls)))
-		if err := ctx.W.SendReferral(urls...); err != nil {
-			return ldap.Result{Code: ldap.ResultUnavailable, Message: err.Error()}
-		}
-	}
-	res.Referrals = urls
-	return res
+	sh.PeerReferrals.Add(int64(len(urls)))
+	return ctx.refer(res, urls)
 }
 
 func dedupSorted(in []string) []string {
@@ -518,28 +344,8 @@ func (sh *Sharded) localSummaryBytes() []byte {
 	return b
 }
 
-// peerSummaryFor returns the cached Bloom summary for a peer, fetching over
-// the shard-summary extended operation when stale. Unavailable summaries
-// fail open (nil): the peer is queried anyway, and the failure is cached
-// for a TTL so a down peer is not re-dialed per search.
-func (sh *Sharded) peerSummaryFor(m shard.Member, now time.Time) *bloom.Filter {
-	sh.mu.Lock()
-	ps, ok := sh.summaries[m.ID]
-	if ok && now.Sub(ps.fetchedAt) < sh.SummaryTTL {
-		sh.mu.Unlock()
-		if ps.failed {
-			return nil
-		}
-		return ps.filter
-	}
-	sh.mu.Unlock()
-	f := sh.fetchSummary(m)
-	sh.mu.Lock()
-	sh.summaries[m.ID] = &peerSummary{filter: f, fetchedAt: now, failed: f == nil}
-	sh.mu.Unlock()
-	return f
-}
-
+// fetchSummary asks a peer for its summary over the shard-summary extended
+// operation; nil means the peer cannot supply one right now.
 func (sh *Sharded) fetchSummary(m shard.Member) *bloom.Filter {
 	pe, err := sh.s.acquire(m.URL)
 	if err != nil {

@@ -1,12 +1,13 @@
 package giis
 
 import (
-	"sync"
 	"time"
 
 	"mds2/internal/bloom"
 	"mds2/internal/ldap"
+	"mds2/internal/obs"
 	"mds2/internal/qcache"
+	"mds2/internal/shard"
 )
 
 // SearchContext carries one data search through a strategy.
@@ -45,140 +46,27 @@ type Strategy interface {
 // directory MDS-2.1 ships (§10.4: "GRIP requests directed to the GIIS are
 // simply forwarded on to the appropriate information provider").
 //
-// The fan-out is bounded and hedged: at most MaxFanout chained requests run
-// concurrently, child replies stream to the client as they arrive (no
-// full-barrier merge), and an optional hedge deadline cuts the search off
-// at a bounded latency with whatever has arrived rather than waiting on
-// the slowest or partitioned child.
+// The fan-out is bounded and hedged (see Fanout): at most MaxFanout chained
+// requests run concurrently, child replies stream to the client as they
+// arrive (no full-barrier merge), and an optional hedge deadline cuts the
+// search off at a bounded latency with whatever has arrived rather than
+// waiting on the slowest or partitioned child.
 type Chaining struct {
-	// Parallel fans chained requests out concurrently.
-	Parallel bool
-	// MaxFanout bounds concurrent chained requests per search; zero means
-	// DefaultMaxFanout. Excess children queue for a free worker, so a
-	// directory with hundreds of children no longer spawns a goroutine and
-	// connection burst per query.
-	MaxFanout int
-	// HedgeDeadline is the soft deadline for child replies, measured on
-	// the directory's clock: when it expires, the replies received so far
-	// are returned and the result is marked partial, instead of the whole
-	// search blocking on a slow or partitioned child. Zero waits for every
-	// child (the pre-hedge behaviour).
-	HedgeDeadline time.Duration
-	s             *Server
+	Fanout
 }
 
-// DefaultMaxFanout bounds chained concurrency when MaxFanout is unset.
-const DefaultMaxFanout = 16
-
-// NewChaining returns the default strategy (parallel bounded fan-out, no
-// hedge deadline).
-func NewChaining() *Chaining { return &Chaining{Parallel: true} }
+// NewChaining returns the default strategy (bounded fan-out, no hedge
+// deadline).
+func NewChaining() *Chaining { return &Chaining{} }
 
 // Name implements Strategy.
 func (c *Chaining) Name() string { return "chaining" }
 
-func (c *Chaining) attach(s *Server) { c.s = s }
+func (c *Chaining) attach(*Server) {}
 
 // Search implements Strategy.
 func (c *Chaining) Search(ctx *SearchContext) ldap.Result {
-	relevant := make([]Child, 0, len(ctx.Children))
-	for _, child := range ctx.Children {
-		if _, _, ok := translateRegion(ctx.Base, ctx.Op.Scope, child); ok {
-			relevant = append(relevant, child)
-		}
-	}
-	if len(relevant) == 0 {
-		return ldap.Result{Code: ldap.ResultSuccess}
-	}
-	c.s.hFanout.ObserveValue(int64(len(relevant)))
-
-	type reply struct {
-		entries []*ldap.Entry
-		err     error
-	}
-	// Both channels are buffered for the full fan-out so workers never
-	// block: after a hedge cutoff the search returns immediately and any
-	// straggling worker finishes into the buffer and exits.
-	jobs := make(chan Child, len(relevant))
-	for _, child := range relevant {
-		jobs <- child
-	}
-	close(jobs)
-	replies := make(chan reply, len(relevant))
-	workers := c.MaxFanout
-	if workers <= 0 {
-		workers = DefaultMaxFanout
-	}
-	if !c.Parallel {
-		workers = 1
-	}
-	if workers > len(relevant) {
-		workers = len(relevant)
-	}
-	for i := 0; i < workers; i++ {
-		go func() {
-			for child := range jobs {
-				entries, err := c.s.chain(ctx.Req, child, ctx.Base, ctx.Op.Scope, ctx.Op.Filter,
-					ctx.Op.Attributes, ctx.Op.SizeLimit)
-				replies <- reply{entries, err}
-			}
-		}()
-	}
-
-	var hedge <-chan time.Time
-	if c.HedgeDeadline > 0 {
-		hedge = c.s.clock.After(c.HedgeDeadline)
-	}
-	// A size limit imposes a global order on which entries are kept, so
-	// replies buffer and sort before streaming; otherwise each child's
-	// reply streams to the client the moment it arrives (sorted within the
-	// child for determinism).
-	ordered := ctx.Op.SizeLimit > 0
-	var buffered []*ldap.Entry
-	unreachable, hedged := false, false
-
-collect:
-	for done := 0; done < len(relevant); done++ {
-		select {
-		case r := <-replies:
-			if r.err != nil {
-				// A failed or partitioned child must not block the others
-				// (§2.2); we return what is reachable.
-				unreachable = true
-				continue
-			}
-			if ordered {
-				buffered = append(buffered, r.entries...)
-				continue
-			}
-			ldap.SortEntries(r.entries)
-			for _, e := range r.entries {
-				if err := ctx.send(e); err != nil {
-					return sizeOrUnavailable(err)
-				}
-			}
-		case <-hedge:
-			hedged = true
-			c.s.HedgeFired.Inc()
-			break collect
-		}
-	}
-	if ordered {
-		ldap.SortEntries(buffered)
-		for _, e := range buffered {
-			if err := ctx.send(e); err != nil {
-				return sizeOrUnavailable(err)
-			}
-		}
-	}
-	res := ldap.Result{Code: ldap.ResultSuccess}
-	switch {
-	case hedged:
-		res.Message = "partial results: hedge deadline expired before all providers replied"
-	case unreachable:
-		res.Message = "partial results: some providers unreachable"
-	}
-	return res
+	return c.run(ctx, childHops(inRegion(ctx, ctx.Children)), nil)
 }
 
 // CachedIndex maintains a local copy of each child's entries, refreshed
@@ -232,7 +120,7 @@ func (c *CachedIndex) Search(ctx *SearchContext) ldap.Result {
 	// per-entry match over the whole corpus stays allocation-free.
 	cf := ctx.Op.Filter.Compile()
 	var matched []*ldap.Entry
-	for _, child := range ctx.Children {
+	for _, child := range inRegion(ctx, ctx.Children) {
 		entries, err := c.childEntries(ctx.Req, child)
 		if err != nil {
 			partial = true
@@ -248,11 +136,8 @@ func (c *CachedIndex) Search(ctx *SearchContext) ldap.Result {
 			matched = append(matched, e)
 		}
 	}
-	ldap.SortEntries(matched)
-	for _, e := range matched {
-		if err := ctx.send(e); err != nil {
-			return sizeOrUnavailable(err)
-		}
+	if err := ctx.sendSorted(matched); err != nil {
+		return sizeOrUnavailable(err)
 	}
 	res := ldap.Result{Code: ldap.ResultSuccess}
 	if partial {
@@ -298,9 +183,7 @@ func (c *CachedIndex) Entries() []*ldap.Entry {
 // is not allowed to cache or proxy (§10.4: "we can return the name of the
 // information provider directly to the client in the form of a LDAP URL
 // using the referral mechanisms").
-type Referral struct {
-	s *Server
-}
+type Referral struct{}
 
 // NewReferral returns the referral strategy.
 func NewReferral() *Referral { return &Referral{} }
@@ -308,7 +191,7 @@ func NewReferral() *Referral { return &Referral{} }
 // Name implements Strategy.
 func (r *Referral) Name() string { return "referral" }
 
-func (r *Referral) attach(s *Server) { r.s = s }
+func (r *Referral) attach(*Server) {}
 
 // Search implements Strategy.
 func (r *Referral) Search(ctx *SearchContext) ldap.Result {
@@ -318,12 +201,7 @@ func (r *Referral) Search(ctx *SearchContext) ldap.Result {
 			urls = append(urls, child.URL.WithDN(base).String())
 		}
 	}
-	if len(urls) > 0 {
-		if err := ctx.W.SendReferral(urls...); err != nil {
-			return ldap.Result{Code: ldap.ResultUnavailable, Message: err.Error()}
-		}
-	}
-	return ldap.Result{Code: ldap.ResultSuccess, Referrals: urls}
+	return ctx.refer(ldap.Result{Code: ldap.ResultSuccess}, urls)
 }
 
 // BloomRouted chains like Chaining but first consults per-child Bloom
@@ -332,138 +210,63 @@ func (r *Referral) Search(ctx *SearchContext) ldap.Result {
 // aggregation alternative (after the Service Discovery Service). False
 // positives cost a wasted chained query; false negatives cannot occur.
 type BloomRouted struct {
+	Fanout
 	// TTL bounds summary staleness.
 	TTL time.Duration
 	// Bits sizes each summary (experiment E5 sweeps this).
 	Bits uint64
 
-	s  *Server
-	mu sync.Mutex
 	// summaries maps child service keys to their term filters.
-	summaries map[string]*summary
+	summaries *summaryCache
 
 	// SkippedChildren counts chains avoided by summary misses.
-	SkippedChildren int
-}
-
-type summary struct {
-	filter    *bloom.Filter
-	fetchedAt time.Time
+	SkippedChildren obs.Counter
 }
 
 // NewBloomRouted returns the Bloom-routed chaining strategy.
 func NewBloomRouted(ttl time.Duration, bits uint64) *BloomRouted {
-	return &BloomRouted{TTL: ttl, Bits: bits, summaries: map[string]*summary{}}
+	return &BloomRouted{TTL: ttl, Bits: bits}
 }
 
 // Name implements Strategy.
 func (b *BloomRouted) Name() string { return "bloom-routed" }
 
-func (b *BloomRouted) attach(s *Server) { b.s = s }
+func (b *BloomRouted) attach(s *Server) {
+	b.summaries = newSummaryCache(s.clock, b.TTL, &b.SkippedChildren)
+	if s.cfg.Obs != nil {
+		s.cfg.Obs.RegisterCounter("giis_bloom_skipped_total", &b.SkippedChildren)
+	}
+}
 
 // Search implements Strategy.
 func (b *BloomRouted) Search(ctx *SearchContext) ldap.Result {
-	terms := lowerTerms(ctx.Op.Filter)
-	now := b.s.clock.Now()
-	partial := false
-	var all []*ldap.Entry
-	for _, child := range ctx.Children {
-		if _, _, ok := translateRegion(ctx.Base, ctx.Op.Scope, child); !ok {
-			continue
-		}
-		if len(terms) > 0 {
-			if sm := b.summaryFor(child, now); sm != nil && !summaryMayMatch(sm.filter, terms) {
-				b.mu.Lock()
-				b.SkippedChildren++
-				b.mu.Unlock()
-				continue
-			}
-		}
-		entries, err := b.s.chain(ctx.Req, child, ctx.Base, ctx.Op.Scope, ctx.Op.Filter,
-			ctx.Op.Attributes, ctx.Op.SizeLimit)
-		if err != nil {
-			partial = true
-			continue
-		}
-		all = append(all, entries...)
-	}
-	ldap.SortEntries(all)
-	for _, e := range all {
-		if err := ctx.send(e); err != nil {
-			return sizeOrUnavailable(err)
+	hops := childHops(inRegion(ctx, ctx.Children))
+	terms := shard.QueryTerms(ctx.Op.Filter, nil)
+	for i := range hops {
+		child := &hops[i].targets[0]
+		hops[i].skip = func() bool {
+			return b.summaries.rulesOut(child.URL.ServiceKey(), terms,
+				func() *bloom.Filter { return b.summarize(ctx.Server, *child) })
 		}
 	}
-	res := ldap.Result{Code: ldap.ResultSuccess}
-	if partial {
-		res.Message = "partial results: some providers unreachable"
-	}
-	return res
+	return b.run(ctx, hops, nil)
 }
 
-// summaryMayMatch: a conjunctive query can match only if every equality
-// term is (possibly) present.
-func summaryMayMatch(f *bloom.Filter, terms []string) bool {
-	for _, t := range terms {
-		if !f.Test(t) {
-			return false
-		}
-	}
-	return true
-}
-
-func (b *BloomRouted) summaryFor(child Child, now time.Time) *summary {
-	key := child.URL.ServiceKey()
-	b.mu.Lock()
-	sm, ok := b.summaries[key]
-	if ok && now.Sub(sm.fetchedAt) < b.TTL {
-		b.mu.Unlock()
-		return sm
-	}
-	b.mu.Unlock()
-	entries, err := b.s.chain(nil, child, child.ViewSuffix, ldap.ScopeWholeSubtree, nil, nil, 0)
+// summarize builds a child's summary from its whole subtree. The fetch
+// bypasses the query cache: a summary is its own cache, and the subtree
+// under a key no client asks for would only push real results out.
+func (b *BloomRouted) summarize(s *Server, child Child) *bloom.Filter {
+	entries, err := s.chainUncached(nil, child, child.ViewSuffix, ldap.ScopeWholeSubtree, nil, nil, 0)
 	if err != nil {
-		return nil // no summary: fail open (chain anyway)
+		return nil
 	}
 	f := bloom.New(b.Bits, 4)
 	for _, e := range entries {
-		for _, t := range EntryTerms(e) {
-			f.Add(t)
+		for _, a := range e.Attrs {
+			for _, v := range a.Values {
+				f.Add(shard.Key(a.Name, v))
+			}
 		}
 	}
-	sm = &summary{filter: f, fetchedAt: now}
-	b.mu.Lock()
-	b.summaries[key] = sm
-	b.mu.Unlock()
-	return sm
-}
-
-// EntryTerms enumerates the lowercase attr=value terms of an entry, the
-// vocabulary Bloom summaries index.
-func EntryTerms(e *ldap.Entry) []string {
-	var out []string
-	for _, a := range e.Attrs {
-		for _, v := range a.Values {
-			out = append(out, lower(a.Name)+"="+lower(v))
-		}
-	}
-	return out
-}
-
-func lower(s string) string {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c >= 'A' && c <= 'Z' {
-			return lowerSlow(s)
-		}
-	}
-	return s
-}
-
-func lowerSlow(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			b[i] = c + 'a' - 'A'
-		}
-	}
-	return string(b)
+	return f
 }

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"mds2/internal/flight"
 	"mds2/internal/gsi"
 	"mds2/internal/ldap"
 	"mds2/internal/obs"
@@ -117,9 +118,9 @@ type Server struct {
 	// read by every query: hits — the hot path — take no lock at all.
 	cache sync.Map
 
-	// flightMu guards the singleflight table coalescing concurrent misses.
-	flightMu sync.Mutex
-	flights  map[string]*flight // backend name -> in-progress invocation
+	// flights coalesces concurrent misses of one backend (keyed by name)
+	// into a single provider invocation.
+	flights flight.Group[*snapshot]
 
 	// Stats
 	Queries     obs.Counter
@@ -150,15 +151,6 @@ func newSnapshot(entries []*ldap.Entry, fetchedAt time.Time) *snapshot {
 	return snap
 }
 
-// flight is one in-progress backend invocation that concurrent cache misses
-// share: the first miss runs the provider, later arrivals wait on done and
-// reuse its result instead of stampeding the backend.
-type flight struct {
-	done chan struct{}
-	snap *snapshot
-	err  error
-}
-
 // New creates a GRIS.
 func New(cfg Config) *Server {
 	if cfg.Clock == nil {
@@ -167,7 +159,8 @@ func New(cfg Config) *Server {
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 2 * time.Second
 	}
-	s := &Server{cfg: cfg, clock: cfg.Clock, flights: map[string]*flight{}}
+	s := &Server{cfg: cfg, clock: cfg.Clock}
+	s.flights.Joined = &s.Coalesced
 	if cfg.Keys != nil && cfg.Trust != nil {
 		s.sasl = gsi.NewSASLBinder(cfg.Keys, cfg.Trust, cfg.Clock.Now, cfg.TrustedDirectories)
 	}
@@ -507,39 +500,25 @@ func (s *Server) cached(name string, now time.Time, ttl time.Duration) *snapshot
 // provider; the rest wait on the flight and share its result.
 func (s *Server) refresh(b Backend, now time.Time, ttl time.Duration, sp *obs.Span) (*snapshot, error) {
 	name := b.Name()
-	s.flightMu.Lock()
-	if f := s.flights[name]; f != nil {
-		s.flightMu.Unlock()
-		s.Coalesced.Inc()
-		sp.SetNote("miss,coalesced")
-		<-f.done
-		if f.err != nil {
-			return nil, f.err
+	snap, shared, err := s.flights.Do(name, func() (*snapshot, error) {
+		// A previous leader may have refilled the cache between our miss and
+		// now (it publishes before retiring its flight); re-check before
+		// paying for an invocation.
+		if snap := s.cached(name, now, ttl); snap != nil {
+			s.CacheHits.Inc()
+			sp.SetNote("hit")
+			return snap, nil
 		}
-		s.CacheHits.Inc()
-		return f.snap, nil
-	}
-	// A previous leader may have refilled the cache between our miss and
-	// now (it publishes before retiring its flight); re-check before
-	// taking leadership and paying for an invocation.
-	if snap := s.cached(name, now, ttl); snap != nil {
-		s.flightMu.Unlock()
-		s.CacheHits.Inc()
-		sp.SetNote("hit")
-		return snap, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[name] = f
-	s.flightMu.Unlock()
-
-	s.Invocations.Inc()
-	sp.SetNote("miss,invoke")
-	// Cacheable backends are queried for their full subtree so the cache
-	// is a superset serving any narrower query.
-	entries, err := b.Entries(&Query{Base: b.Suffix(), Scope: ldap.ScopeWholeSubtree, Now: now})
-	if err == nil {
-		f.snap = newSnapshot(entries, now)
-		s.cache.Store(name, f.snap)
+		s.Invocations.Inc()
+		sp.SetNote("miss,invoke")
+		// Cacheable backends are queried for their full subtree so the cache
+		// is a superset serving any narrower query.
+		entries, err := b.Entries(&Query{Base: b.Suffix(), Scope: ldap.ScopeWholeSubtree, Now: now})
+		if err != nil {
+			return nil, err
+		}
+		snap := newSnapshot(entries, now)
+		s.cache.Store(name, snap)
 		if ws := s.cfg.WarmStore; ws != nil {
 			// Write-through: replace the backend's warm subtree with the
 			// fresh superset so a post-crash WarmRestore sees the last
@@ -558,19 +537,15 @@ func (s *Server) refresh(b Backend, now time.Time, ttl time.Duration, sp *obs.Sp
 			}
 			_ = ws.PutAll(warm) // copies: the warm store shares nothing with the snapshot
 		}
+		return snap, nil
+	})
+	if shared {
+		sp.SetNote("miss,coalesced")
+		if err == nil {
+			s.CacheHits.Inc()
+		}
 	}
-	f.err = err
-	s.finishFlight(name, f)
-	return f.snap, err
-}
-
-// finishFlight publishes the flight result and retires it so the next
-// expiry starts a fresh invocation.
-func (s *Server) finishFlight(name string, f *flight) {
-	s.flightMu.Lock()
-	delete(s.flights, name)
-	s.flightMu.Unlock()
-	close(f.done)
+	return snap, err
 }
 
 // persistentSearch implements push-mode GRIP on a GRIS by periodic

@@ -41,16 +41,16 @@ func (f *Filter) Compile() *Compiled {
 			c.subs[i] = sub.Compile()
 		}
 	case FilterGE, FilterLE:
-		c.attrFold = foldKey(f.Attr)
-		c.valueFold = foldKey(f.Value)
+		c.attrFold = FoldKey(f.Attr)
+		c.valueFold = FoldKey(f.Value)
 		if looksNumeric(f.Value) {
 			if v, err := strconv.ParseFloat(strings.TrimSpace(f.Value), 64); err == nil {
 				c.valueNum, c.valueIsNum = v, true
 			}
 		}
 	default:
-		c.attrFold = foldKey(f.Attr)
-		c.valueFold = foldKey(f.Value)
+		c.attrFold = FoldKey(f.Attr)
+		c.valueFold = FoldKey(f.Value)
 	}
 	return c
 }

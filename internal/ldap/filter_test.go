@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 func testEntry() *Entry {
@@ -393,5 +394,25 @@ func TestEntryStringContainsValues(t *testing.T) {
 	s := testEntry().String()
 	if !strings.Contains(s, "hn=hostX") || !strings.Contains(s, "dn: ") {
 		t.Errorf("diagnostic = %q", s)
+	}
+}
+
+// TestFoldKeyAgreesWithEqualFold pins the contract FoldKey exports: it is
+// constant on every simple case-folding orbit — the relation
+// strings.EqualFold, and so equality matching, induces — and on invalid
+// UTF-8, which EqualFold reads as U+FFFD. A Bloom term or partition key
+// rendered with FoldKey therefore never separates two values a filter
+// treats as equal.
+func TestFoldKeyAgreesWithEqualFold(t *testing.T) {
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if a, b := string(r), string(unicode.SimpleFold(r)); FoldKey(a) != FoldKey(b) {
+			t.Errorf("FoldKey(%q) = %q but FoldKey(%q) = %q", a, FoldKey(a), b, FoldKey(b))
+		}
+	}
+	for _, pair := range [][2]string{{"\xffab", "\xfeAB"}, {"maſſe", "MASSE"}, {"Kelvin", "kelvin"}} {
+		if !strings.EqualFold(pair[0], pair[1]) || FoldKey(pair[0]) != FoldKey(pair[1]) {
+			t.Errorf("%q / %q: EqualFold %v, FoldKey %q / %q", pair[0], pair[1],
+				strings.EqualFold(pair[0], pair[1]), FoldKey(pair[0]), FoldKey(pair[1]))
+		}
 	}
 }

@@ -18,11 +18,14 @@ import (
 // with EqualFold matching for all practical directory data.
 func foldRune(r rune) rune { return unicode.ToLower(unicode.ToUpper(r)) }
 
-// foldKey returns the case-folded form of s used as an attribute-index key.
+// FoldKey returns the case-folded form of s used as an attribute-index key,
+// and by everything outside this package that must agree with equality
+// matching (Bloom summary terms, shard partition keys): two strings that
+// strings.EqualFold — what Filter equality evaluates — have one FoldKey.
 // ASCII strings that are already lowercase are returned unchanged (no
 // allocation), which is the overwhelmingly common case for attribute names
 // and objectclass values.
-func foldKey(s string) string {
+func FoldKey(s string) string {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if c >= utf8.RuneSelf || (c >= 'A' && c <= 'Z') {

@@ -213,7 +213,7 @@ func (s *Store) pruneLocked(n *node) {
 
 func (s *Store) indexLocked(n *node) {
 	for _, a := range n.entry.Attrs {
-		af := foldKey(a.Name)
+		af := FoldKey(a.Name)
 		ps := s.pres[af]
 		ps.add(n)
 		s.pres[af] = ps
@@ -223,7 +223,7 @@ func (s *Store) indexLocked(n *node) {
 			s.eq[af] = vm
 		}
 		for _, v := range a.Values {
-			vf := foldKey(v)
+			vf := FoldKey(v)
 			vs := vm[vf]
 			vs.add(n)
 			vm[vf] = vs
@@ -245,11 +245,11 @@ func dropPosting(m map[string]nodeSet, key string, n *node) {
 
 func (s *Store) unindexLocked(n *node) {
 	for _, a := range n.entry.Attrs {
-		af := foldKey(a.Name)
+		af := FoldKey(a.Name)
 		dropPosting(s.pres, af, n)
 		vm := s.eq[af]
 		for _, v := range a.Values {
-			dropPosting(vm, foldKey(v), n)
+			dropPosting(vm, FoldKey(v), n)
 		}
 		if len(vm) == 0 {
 			delete(s.eq, af)

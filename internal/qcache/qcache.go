@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"mds2/internal/flight"
 	"mds2/internal/ldap"
 	"mds2/internal/obs"
 	"mds2/internal/softstate"
@@ -175,11 +176,10 @@ type item struct {
 	slot     int  // position in the CLOCK ring
 }
 
-// flight is one in-progress fill that concurrent identical misses join.
-type flight struct {
-	done    chan struct{}
+// filled is what one fill flight hands its leader and every joiner.
+type filled struct {
 	entries []*ldap.Entry
-	err     error
+	how     Outcome
 }
 
 // Cache is a bounded query-result cache. The zero value is not usable;
@@ -194,10 +194,8 @@ type Cache struct {
 	free  []int
 	hand  int
 
-	// flightMu guards the singleflight table. It is never held across a
-	// channel operation or a fill.
-	flightMu sync.Mutex
-	flights  map[string]*flight
+	// flights collapses concurrent identical misses into one fill.
+	flights flight.Group[filled]
 
 	// Counters (registered under Config.Obs when present; nil-safe no-ops
 	// otherwise).
@@ -231,11 +229,11 @@ func New(cfg Config) *Cache {
 		cfg.Name = "qcache"
 	}
 	c := &Cache{
-		cfg:     cfg,
-		clock:   cfg.Clock,
-		items:   map[string]*item{},
-		flights: map[string]*flight{},
+		cfg:   cfg,
+		clock: cfg.Clock,
+		items: map[string]*item{},
 	}
+	c.flights.Joined = &c.Coalesced
 	if cfg.Obs != nil {
 		p := metricPrefix(cfg.Name)
 		cfg.Obs.RegisterCounter(p+"_hits_total", &c.Hits)
@@ -326,56 +324,35 @@ func (c *Cache) GetOrFill(key string, region Region, bound time.Time,
 	if entries, ok := c.lookup(key, c.clock.Now()); ok {
 		return entries, OutcomeHit, nil
 	}
-	c.flightMu.Lock()
-	if f := c.flights[key]; f != nil {
-		c.flightMu.Unlock()
-		c.Coalesced.Inc()
-		<-f.done
-		if f.err != nil {
-			return nil, OutcomeCoalesced, f.err
+	res, shared, err := c.flights.Do(key, func() (filled, error) {
+		// A previous leader may have refilled between our miss and taking
+		// flight leadership; re-check before paying for a fan-out.
+		if entries, ok := c.lookup(key, c.clock.Now()); ok {
+			return filled{entries, OutcomeHit}, nil
 		}
-		return copyEntries(f.entries), OutcomeCoalesced, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
-	c.flightMu.Unlock()
-
-	// A previous leader may have refilled between our miss and taking
-	// flight leadership; re-check before paying for a fan-out.
-	if entries, ok := c.lookup(key, c.clock.Now()); ok {
-		c.finishFlight(key, f, entries, nil)
-		return entries, OutcomeHit, nil
-	}
-
-	c.Misses.Inc()
-	entries, err := fill()
-	if err != nil {
-		if c.cfg.ServeStale {
-			if stale, ok := c.stale(key); ok {
-				c.StaleServed.Inc()
-				c.finishFlight(key, f, stale, nil)
-				return stale, OutcomeStale, nil
+		c.Misses.Inc()
+		entries, err := fill()
+		if err != nil {
+			if c.cfg.ServeStale {
+				if stale, ok := c.stale(key); ok {
+					c.StaleServed.Inc()
+					return filled{stale, OutcomeStale}, nil
+				}
 			}
+			return filled{}, err
 		}
-		c.finishFlight(key, f, nil, err)
-		return nil, OutcomeMiss, err
+		// The fill result becomes the shared snapshot: seal it (mdsdebug) so
+		// any later in-place mutation of a cached entry panics at the write.
+		ldap.SealSnapshots(entries)
+		c.put(key, region, bound, entries)
+		return filled{entries, OutcomeMiss}, nil
+	})
+	if shared {
+		res.how = OutcomeCoalesced
 	}
-	// The fill result becomes the shared snapshot: seal it (mdsdebug) so
-	// any later in-place mutation of a cached entry panics at the write.
-	ldap.SealSnapshots(entries)
-	c.put(key, region, bound, entries)
-	c.finishFlight(key, f, entries, nil)
-	return copyEntries(entries), OutcomeMiss, err
-}
-
-// finishFlight publishes the flight result and retires it so the next miss
-// starts a fresh fill. The flight channel closes outside every lock.
-func (c *Cache) finishFlight(key string, f *flight, entries []*ldap.Entry, err error) {
-	f.entries, f.err = entries, err
-	c.flightMu.Lock()
-	delete(c.flights, key)
-	c.flightMu.Unlock()
-	close(f.done)
+	// Leader and joiners each take their own container over the flight's
+	// entries: any of them may reorder theirs while the others still copy.
+	return copyEntries(res.entries), res.how, err
 }
 
 // Put caches a result directly (GetOrFill is the usual path). See

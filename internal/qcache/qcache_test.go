@@ -192,10 +192,7 @@ func TestSingleflightStorm(t *testing.T) {
 	}
 	// Wait until all non-leaders are parked on the flight before releasing.
 	for {
-		c.flightMu.Lock()
-		f := c.flights[key]
-		c.flightMu.Unlock()
-		if f != nil && c.Coalesced.Value() >= callers-1 {
+		if fills.Load() == 1 && c.Coalesced.Value() >= callers-1 {
 			break
 		}
 		time.Sleep(time.Millisecond)

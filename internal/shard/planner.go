@@ -56,11 +56,14 @@ func (p *Planner) keyAttr(attr string) bool {
 	return false
 }
 
-// Key builds the canonical partition key for an attribute-value pair. The
-// same canonicalization is applied on the registration path and the query
-// path, which is what makes routing correct.
+// Key builds the canonical attr=value term: the partition key on the
+// registration and query paths, and the vocabulary of every Bloom summary
+// (entry side and query side alike). It folds with ldap.FoldKey, so any
+// value a filter's equality assertion matches renders the same term —
+// which is what makes routing correct and summaries free of false
+// negatives.
 func Key(attr, value string) string {
-	return strings.ToLower(strings.TrimSpace(attr)) + "=" + strings.ToLower(strings.TrimSpace(value))
+	return ldap.FoldKey(strings.TrimSpace(attr)) + "=" + ldap.FoldKey(strings.TrimSpace(value))
 }
 
 // RegistrationKey extracts the partition key from a registration's suffix

@@ -38,10 +38,10 @@ func SuffixTerms(suffix ldap.DN) []string {
 	return out
 }
 
-// QueryTerms extracts the terms a matching entry's provider suffix must
-// contain: top-level conjunctive equality assertions on the given
-// attributes. Terms under OR or NOT are not required and contribute
-// nothing (fail open).
+// QueryTerms extracts the terms every entry matching f must carry:
+// top-level conjunctive equality assertions, restricted to the given
+// attributes (nil admits every attribute). Terms under OR or NOT are not
+// required and contribute nothing (fail open).
 func QueryTerms(f *ldap.Filter, attrs []string) []string {
 	var out []string
 	var walk func(*ldap.Filter)
@@ -52,12 +52,8 @@ func QueryTerms(f *ldap.Filter, attrs []string) []string {
 				walk(sub)
 			}
 		case ldap.FilterEquality:
-			a := strings.ToLower(g.Attr)
-			for _, want := range attrs {
-				if a == want {
-					out = append(out, Key(g.Attr, g.Value))
-					return
-				}
+			if attrs == nil || containsFold(attrs, g.Attr) {
+				out = append(out, Key(g.Attr, g.Value))
 			}
 		}
 	}
@@ -65,4 +61,13 @@ func QueryTerms(f *ldap.Filter, attrs []string) []string {
 		walk(f)
 	}
 	return out
+}
+
+func containsFold(attrs []string, attr string) bool {
+	for _, a := range attrs {
+		if strings.EqualFold(a, attr) {
+			return true
+		}
+	}
+	return false
 }

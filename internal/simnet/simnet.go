@@ -201,7 +201,7 @@ func (n *Network) Listen(node, port string) (net.Listener, error) {
 	if _, exists := n.listeners[addr]; exists {
 		return nil, fmt.Errorf("%w: %s", ErrListenerInUse, addr)
 	}
-	l := &listener{net: n, node: node, addr: addr, accept: make(chan net.Conn, 16)}
+	l := &listener{net: n, node: node, addr: addr, accept: make(chan net.Conn, 16), done: make(chan struct{})}
 	n.listeners[addr] = l
 	return l, nil
 }
@@ -236,6 +236,9 @@ func (n *Network) Dial(from, to string) (net.Conn, error) {
 	select {
 	case l.accept <- serverConn:
 		return clientConn, nil
+	case <-l.done:
+		clientConn.Close()
+		return nil, fmt.Errorf("%w: %s", ErrNoListener, to)
 	// mdslint:ignore clockcheck real-time backstop for a wedged accept queue; a simulated clock may never advance while dial is parked here
 	case <-time.After(5 * time.Second):
 		clientConn.Close()
@@ -248,30 +251,31 @@ type listener struct {
 	node   string
 	addr   string
 	accept chan net.Conn
-	mu     sync.Mutex
-	closed bool
+	// done closes with the listener. accept itself never closes: a Dial
+	// that found the listener open may still be sending on it.
+	done   chan struct{}
+	closed bool // guarded by net.mu, the lock Dial reads it under
 }
 
 func (l *listener) Accept() (net.Conn, error) {
-	c, ok := <-l.accept
-	if !ok {
+	select {
+	case c := <-l.accept:
+		return c, nil
+	case <-l.done:
 		return nil, net.ErrClosed
 	}
-	return c, nil
 }
 
 func (l *listener) Close() error {
-	l.mu.Lock()
+	l.net.mu.Lock()
 	if l.closed {
-		l.mu.Unlock()
+		l.net.mu.Unlock()
 		return nil
 	}
 	l.closed = true
-	l.mu.Unlock()
-	l.net.mu.Lock()
 	delete(l.net.listeners, l.addr)
 	l.net.mu.Unlock()
-	close(l.accept)
+	close(l.done)
 	return nil
 }
 
