@@ -202,6 +202,58 @@ func BenchmarkGIISStrategies(b *testing.B) {
 	}
 }
 
+// BenchmarkGIISIndexUnderChurn is the register-storm workload in process:
+// a directory holding 1,000 registrations answers a one-level name-index
+// search (50 of them match) after every refresh. A refresh must cost the
+// next search neither a re-parse nor a rebuild of the registrations.
+func BenchmarkGIISIndexUnderChurn(b *testing.B) {
+	const providers, vos = 1000, 20
+	s := giis.New(giis.Config{Name: "d", Suffix: ldap.MustParseDN("o=grid"),
+		SelfURL: ldap.MustParseURL("sim://d:389"),
+		Dial:    func(ldap.URL) (*ldap.Client, error) { return nil, io.EOF }})
+	defer s.Close()
+	now := time.Now()
+	msgs := make([]*grrp.Message, providers)
+	for i := range msgs {
+		msgs[i] = &grrp.Message{
+			Type: grrp.TypeRegister, MDSType: "gris", VO: fmt.Sprintf("vo%d", i%vos),
+			ServiceURL: fmt.Sprintf("ldap://p%d.grid.example:2135", i),
+			SuffixDN:   fmt.Sprintf("hn=p%d, ou=providers, o=grid", i),
+			IssuedAt:   now, ValidUntil: now.Add(time.Hour),
+		}
+	}
+	if n := s.IngestBatch(msgs); n != providers {
+		b.Fatalf("accepted %d of %d registrations", n, providers)
+	}
+	ops := make([]*ldap.SearchRequest, vos)
+	for k := range ops {
+		ops[k] = &ldap.SearchRequest{BaseDN: "o=grid", Scope: ldap.ScopeSingleLevel,
+			Filter: ldap.MustParseFilter(fmt.Sprintf("(&(objectclass=mdsservice)(vo=vo%d))", k))}
+	}
+	req := &ldap.Request{Ctx: context.Background()}
+	w := &countWriter{}
+	s.Search(req, ops[0], w) // the first index query builds the index
+	w.n = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !s.Ingest(msgs[i%providers]) {
+			b.Fatal("refresh refused")
+		}
+		if res := s.Search(req, ops[i%vos], w); res.Code != ldap.ResultSuccess {
+			b.Fatal(res)
+		}
+	}
+	if w.n != b.N*providers/vos {
+		b.Fatalf("%d searches returned %d entries, want %d each", b.N, w.n, providers/vos)
+	}
+}
+
+type countWriter struct{ n int }
+
+func (w *countWriter) SendEntry(*ldap.Entry, ...ldap.Control) error { w.n++; return nil }
+func (w *countWriter) SendReferral(...string) error                 { return nil }
+
 // BenchmarkE1Detector measures detector throughput (experiment E1's inner
 // loop): one observation plus a periodic sweep over 1000 producers.
 func BenchmarkE1Detector(b *testing.B) {

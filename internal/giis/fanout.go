@@ -173,12 +173,19 @@ func (s *Server) runHop(ctx *SearchContext, h *hop) (r hopReply) {
 	if h.skip != nil && h.skip() {
 		return hopReply{}
 	}
+	// A child that truncates at the limit reports sizeLimitExceeded to the
+	// directory, which keeps the entries and loses the code; asking for one
+	// entry more lets the ordered sender see the overflow itself.
+	limit := ctx.Op.SizeLimit
+	if limit > 0 {
+		limit++
+	}
 	for n, target := range h.targets {
 		if h.attempt != nil {
 			h.attempt(n)
 		}
 		r.entries, r.err = s.chain(ctx.Req, target, ctx.Base, ctx.Op.Scope, ctx.Op.Filter,
-			ctx.Op.Attributes, ctx.Op.SizeLimit, h.extra)
+			ctx.Op.Attributes, limit, h.extra)
 		if r.err == nil {
 			break
 		}

@@ -14,7 +14,6 @@ package giis
 import (
 	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -148,12 +147,9 @@ type Server struct {
 	pool   map[string]*poolEntry
 	closed bool
 
-	// childMu guards the parsed child-set cache, rebuilt only when the
-	// registry version moves (registrations churn far slower than queries).
-	childMu    sync.Mutex
-	childCache []Child
-	childVer   uint64
-	childOK    bool
+	// table is the child set and name index, maintained from the registry's
+	// transition feed.
+	table *childTable
 
 	// Stats
 	Registrations obs.Counter // accepted GRRP messages
@@ -178,9 +174,8 @@ type Server struct {
 	hFanout     *obs.Histogram
 
 	// qc is the per-child-hop query-result cache (nil unless
-	// Config.QueryCache); qcStop cancels its registry-event subscription.
-	qc     *qcache.Cache
-	qcStop func()
+	// Config.QueryCache); the child table drops a departed child's keys.
+	qc *qcache.Cache
 
 	sasl *gsi.SASLBinder
 }
@@ -225,26 +220,9 @@ func New(cfg Config) *Server {
 			Max:   cfg.QueryCacheMax,
 			Obs:   cfg.Obs,
 		})
-		// Registry churn is the version-invalidation path: when a child's
-		// registration lapses or is withdrawn, its cached results drop
-		// immediately instead of waiting out their TTL. Joins and refreshes
-		// need nothing — keys are per child, so a new child is simply a
-		// future miss.
-		ch, cancel := s.receiver.Registry.Subscribe()
-		s.qcStop = cancel
-		go func() {
-			for ev := range ch {
-				if ev.Type != softstate.EventExpired && ev.Type != softstate.EventRemoved {
-					continue
-				}
-				owner := ev.Key
-				if url, err := ldap.ParseURL(ev.Key); err == nil {
-					owner = url.ServiceKey()
-				}
-				s.qc.InvalidateOwner(owner)
-			}
-		}()
 	}
+	s.table = newChildTable(&cfg, s.qc)
+	s.receiver.Registry.Observe(s.table)
 	if cfg.Strategy == nil {
 		cfg.Strategy = NewChaining()
 	}
@@ -346,9 +324,9 @@ func (s *Server) Ingest(m *grrp.Message) bool {
 }
 
 // IngestBatch validates and applies a batch of GRRP messages through one
-// registry transaction (one lock pass, one version bump), returning the
-// number accepted. Bulk loaders and refresh-storm absorbers use it to keep
-// the child-set cache from rebuilding per message.
+// registry transaction (one lock pass, one child-table generation),
+// returning the number accepted — the bulk loaders' and refresh-storm
+// absorbers' path.
 func (s *Server) IngestBatch(msgs []*grrp.Message) int {
 	n := s.receiver.IngestBatch(msgs)
 	s.Registrations.Add(int64(n))
@@ -365,80 +343,21 @@ func (s *Server) HandleDatagram(_ string, payload []byte) {
 	s.Ingest(m)
 }
 
-// Children returns the live child set, sorted by service URL. The parsed
-// set is cached against the registry version, so steady-state searches
-// reuse it instead of re-parsing every registration; the returned slice is
-// shared and must be treated as read-only.
+// Children returns the live child set, sorted by service URL, with every
+// child's deadline and refresh time current. The slice is shared and must be
+// treated as read-only.
 func (s *Server) Children() []Child {
-	ver := s.receiver.Registry.Version()
-	s.childMu.Lock()
-	if s.childOK && s.childVer == ver {
-		out := s.childCache
-		s.childMu.Unlock()
-		return out
-	}
-	s.childMu.Unlock()
-	out := s.buildChildren()
-	s.childMu.Lock()
-	s.childCache, s.childVer, s.childOK = out, ver, true
-	s.childMu.Unlock()
-	return out
+	children, _ := s.childSet()
+	return children
 }
 
-// buildChildren parses the live registry into the sorted child set.
-func (s *Server) buildChildren() []Child {
-	items := s.receiver.Registry.Live()
-	out := make([]Child, 0, len(items))
-	keys := make([]string, 0, len(items)) // keys[i] orders out[i]
-	for _, it := range items {
-		m, ok := it.Payload.(*grrp.Message)
-		if !ok {
-			continue
-		}
-		url, err := ldap.ParseURL(m.ServiceURL)
-		if err != nil {
-			continue
-		}
-		suffix, err := ldap.ParseDN(m.SuffixDN)
-		if err != nil {
-			continue
-		}
-		// A child whose namespace already sits under this directory's
-		// suffix keeps its name; foreign namespaces are grafted beneath
-		// the suffix (the Figure 5 VO view).
-		view := suffix
-		if !suffix.Equal(s.cfg.Suffix) && !suffix.IsDescendantOf(s.cfg.Suffix) {
-			view = suffix.Under(s.cfg.Suffix)
-		}
-		out = append(out, Child{
-			URL:         url,
-			Suffix:      suffix,
-			ViewSuffix:  view,
-			MDSType:     m.MDSType,
-			VO:          m.VO,
-			ExpiresAt:   it.ExpiresAt,
-			LastRefresh: it.LastRefresh,
-			Recovered:   it.Recovered,
-		})
-		keys = append(keys, url.String())
-	}
-	sort.Sort(childrenByURL{keys, out})
-	return out
-}
-
-// childrenByURL sorts children by their rendered URL, built once per child
-// rather than twice per comparison: under registration churn the set is
-// rebuilt on almost every search.
-type childrenByURL struct {
-	keys     []string
-	children []Child
-}
-
-func (o childrenByURL) Len() int           { return len(o.keys) }
-func (o childrenByURL) Less(i, j int) bool { return o.keys[i] < o.keys[j] }
-func (o childrenByURL) Swap(i, j int) {
-	o.keys[i], o.keys[j] = o.keys[j], o.keys[i]
-	o.children[i], o.children[j] = o.children[j], o.children[i]
+// childSet is Children plus the child-table generation the set was taken at
+// (what a value derived from the set is memoized against).
+func (s *Server) childSet() ([]Child, uint64) {
+	// The registry applies due expiries to the table before the table is
+	// read, so nothing is listed at or past its deadline.
+	s.receiver.Registry.Sweep()
+	return s.table.snapshot()
 }
 
 // poolEntry is one pooled child connection plus a reference count. Fan-out
@@ -460,9 +379,6 @@ func (s *Server) QueryCache() *qcache.Cache { return s.qc }
 // Close releases pooled connections and the registry. Connections still
 // borrowed by in-flight chains close on their final release.
 func (s *Server) Close() {
-	if s.qcStop != nil {
-		s.qcStop()
-	}
 	s.receiver.Close()
 	s.poolMu.Lock()
 	s.closed = true
@@ -827,51 +743,37 @@ func (s *Server) Search(req *ldap.Request, op *ldap.SearchRequest, w ldap.Search
 		}
 		return ldap.Result{Code: ldap.ResultSuccess}
 	}
-	children := s.Children()
+	children, gen := s.childSet()
 
-	// Serve local entries (self + name index) that fall in the region. The
-	// mayContainLocal guard skips materializing the index entirely for
-	// regions that provably cannot touch it — at shard scale the index is
-	// hundreds of thousands of entries, and the common routed data query
-	// ("hn=hostX, o=grid" subtree) never intersects it.
+	// Serve the local entries (self + name index) that fall in the region:
+	// one indexed lookup, and the stored entries go out as they are — the
+	// writer encodes an entry before SendEntry returns.
 	sent := int64(0)
 	if mayContainLocal(s.cfg.Suffix, base, op.Scope) {
-		cf := op.Filter.Compile()
-		sendLocal := func(e *ldap.Entry) error {
-			if !e.DN.WithinScope(base, op.Scope) {
-				return nil
-			}
-			if !cf.Matches(e) {
-				return nil
-			}
-			if op.SizeLimit > 0 && sent >= op.SizeLimit {
-				return errSizeLimit
-			}
-			sent++
-			return w.SendEntry(e.Select(op.Attributes))
-		}
-		if err := sendLocal(s.selfEntry(children)); err != nil {
-			return sizeOrUnavailable(err)
-		}
-		for _, c := range children {
-			if err := sendLocal(s.childIndexEntry(c)); err != nil {
-				return sizeOrUnavailable(err)
+		local, more := s.table.nameIndex().FindCompiled(base, op.Scope, op.Filter.Compile(), op.SizeLimit)
+		for _, e := range local {
+			if err := w.SendEntry(e.Project(op.Attributes)); err != nil {
+				return ldap.Result{Code: ldap.ResultUnavailable, Message: err.Error()}
 			}
 		}
+		if more {
+			return ldap.Result{Code: ldap.ResultSizeLimitExceeded}
+		}
+		sent = int64(len(local))
 	}
 
 	// Hand data queries to the strategy.
-	res := s.strategy.Search(&SearchContext{
+	return s.strategy.Search(&SearchContext{
 		Server: s, Req: req, Op: op, W: w,
-		Base: base, Children: children, sent: &sent,
+		Base: base, Children: children, gen: gen, sent: &sent,
 	})
-	return res
 }
 
 // mayContainLocal reports whether a search region could include the
 // directory's own service entry or any child index entry. All local entries
 // live at exactly suffix.Depth()+1, directly under the suffix, so most data
-// regions rule them out without touching the (potentially huge) child set.
+// regions rule them out here — and a directory that is only ever asked such
+// questions never builds its name index at all.
 func mayContainLocal(suffix, base ldap.DN, scope ldap.Scope) bool {
 	level := suffix.Depth() + 1
 	switch {
@@ -916,33 +818,6 @@ func sizeOrUnavailable(err error) ldap.Result {
 		return ldap.Result{Code: ldap.ResultSizeLimitExceeded}
 	}
 	return ldap.Result{Code: ldap.ResultUnavailable, Message: err.Error()}
-}
-
-// selfEntry is the directory's own service object.
-func (s *Server) selfEntry(children []Child) *ldap.Entry {
-	return ldap.NewEntry(s.cfg.Suffix.ChildAVA("mds-service", s.cfg.Name)).
-		Add("objectclass", "mdsservice", "service").
-		Add("url", s.cfg.SelfURL.String()).
-		Add("mdstype", "giis").
-		Add("provider", fmt.Sprintf("%d", len(children)))
-}
-
-// childIndexEntry is the name-index view of one registration (the §3
-// "name-serving aggregate directory" behaviour, available from every GIIS).
-func (s *Server) childIndexEntry(c Child) *ldap.Entry {
-	e := ldap.NewEntry(s.cfg.Suffix.ChildAVA("mds-child", c.URL.String())).
-		Add("objectclass", "mdsservice", "service").
-		Add("url", c.URL.String()).
-		Add("mdstype", c.MDSType).
-		Add("vo", c.VO).
-		Add("suffix", c.ViewSuffix.String()).
-		Add("providersuffix", c.Suffix.String())
-	if c.Recovered {
-		// Restored from the durability log after a restart and not yet
-		// reconfirmed; clients can weigh such children accordingly.
-		e.Add("recovered", "TRUE")
-	}
-	return e
 }
 
 // Extended dispatches GRIP extension operations registered in the

@@ -2,6 +2,7 @@ package giis
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -133,32 +134,51 @@ func TestQueryCacheBoundedByChildSoftState(t *testing.T) {
 }
 
 // TestRegistryExpiryInvalidatesQueryCache pins the early-invalidation
-// path: when a child's registration expires, its cached results drop via
-// the registry event subscription instead of lingering until their TTL.
+// path: when a child's registration is withdrawn or expires, its cached
+// results drop with it instead of lingering until their TTL — inside the
+// registry pass that applied the change, so a storm of other registrations
+// around it cannot crowd it out (the event channel this used to ride was
+// drained by a goroutine and dropped events past 256 per pass).
 func TestRegistryExpiryInvalidatesQueryCache(t *testing.T) {
 	r := newRig(t, NewChaining(), withQueryCache(24*time.Hour))
-	r.addHost("hostA", 1) // registration valid for one hour
+	r.addHost("hostA", 1) // registrations valid for one hour
+	r.addHost("hostB", 2)
 
 	if _, res := r.search(computerQuery()); res.Code != ldap.ResultSuccess {
 		t.Fatalf("prime failed: %+v", res)
 	}
-	if n := r.giis.QueryCache().Len(); n == 0 {
-		t.Fatal("prime query left nothing in the cache")
+	if n := r.giis.QueryCache().Len(); n != 2 {
+		t.Fatalf("prime query left %d keys in the cache, want one per child", n)
 	}
 
-	// Cross the registration deadline; the sweep fires EventExpired and the
-	// invalidation goroutine drops the child's keys (asynchronously).
-	r.clock.Advance(time.Hour + time.Second)
-	deadline := time.Now().Add(5 * time.Second)
-	for r.giis.QueryCache().Len() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("expired child's cached results never invalidated (stats %+v)",
-				r.giis.QueryCache().Stats())
+	storm := func() {
+		now := r.clock.Now()
+		msgs := make([]*grrp.Message, 1000)
+		for i := range msgs {
+			msgs[i] = &grrp.Message{Type: grrp.TypeRegister, MDSType: "gris",
+				ServiceURL: fmt.Sprintf("sim://p%d-node:389", i),
+				SuffixDN:   fmt.Sprintf("hn=p%d, o=center2", i),
+				IssuedAt:   now, ValidUntil: now.Add(3 * time.Hour)}
 		}
-		time.Sleep(time.Millisecond)
+		if n := r.giis.IngestBatch(msgs); n != len(msgs) {
+			t.Fatalf("storm: %d of %d registrations accepted", n, len(msgs))
+		}
 	}
-	if s := r.giis.QueryCache().Stats(); s.Invalidated == 0 {
-		t.Fatalf("invalidation counter did not move: %+v", s)
+	// A withdrawal right behind a storm: hostB's key is gone when Remove
+	// returns, hostA's (still valid by its own TTL) stays.
+	storm()
+	r.giis.Receiver().Registry.Remove("sim://hostB-node:389")
+	if n := r.giis.QueryCache().Len(); n != 1 {
+		t.Fatalf("%d keys cached after hostB was withdrawn, want hostA's only", n)
+	}
+	// Cross hostA's deadline and refresh the storm: whichever of the sweep
+	// timer and this batch notices the lapse, it has been applied — keys
+	// dropped — by the time the batch returns.
+	r.clock.Advance(time.Hour + time.Second)
+	storm()
+	if s := r.giis.QueryCache().Stats(); r.giis.QueryCache().Len() != 0 || s.Invalidated != 2 {
+		t.Fatalf("expired child's cached results not invalidated: %d keys, stats %+v",
+			r.giis.QueryCache().Len(), s)
 	}
 }
 

@@ -53,18 +53,11 @@ type Sharded struct {
 	s       *Server
 	planner *shard.Planner
 
-	mu sync.Mutex
-	// Routing index over the local child set, cached against the registry
-	// version like Server.Children.
-	idxVer   uint64
-	idxOK    bool
-	byKey    map[string][]Child
-	wildcard []Child
-	// localSummary caches this shard's own Bloom summary (served to peers
-	// over the shard-summary extended operation), also version-keyed.
-	localSummary    []byte
-	localSummaryVer uint64
-	localSummaryOK  bool
+	// routes is the routing index over the local child set and localSummary
+	// this shard's own Bloom summary (served to peers over the shard-summary
+	// extended operation), each rebuilt when the child table has moved.
+	routes       memo[shardRoutes]
+	localSummary memo[[]byte]
 	// summaries caches peer summaries by member ID.
 	summaries *summaryCache
 
@@ -143,30 +136,48 @@ func (sh *Sharded) attach(s *Server) {
 	}
 }
 
-// index returns the key-routed view of the local child set, rebuilt only
-// when the registry version moves.
-func (sh *Sharded) index(children []Child) (map[string][]Child, []Child) {
-	ver := sh.s.receiver.Registry.Version()
-	sh.mu.Lock()
-	if sh.idxOK && sh.idxVer == ver {
-		byKey, wildcard := sh.byKey, sh.wildcard
-		sh.mu.Unlock()
-		return byKey, wildcard
+// memo holds a value derived from one child-table generation. A stale value
+// is rebuilt outside the lock, so callers that race past a new generation
+// may each build; the newest generation's value is the one kept.
+type memo[V any] struct {
+	mu  sync.Mutex
+	gen uint64 // zero: nothing held (table generations start at one)
+	val V
+}
+
+func (m *memo[V]) get(gen uint64, build func() V) V {
+	m.mu.Lock()
+	if m.gen == gen {
+		v := m.val
+		m.mu.Unlock()
+		return v
 	}
-	sh.mu.Unlock()
-	byKey := map[string][]Child{}
-	var wildcard []Child
+	m.mu.Unlock()
+	v := build()
+	m.mu.Lock()
+	if gen > m.gen {
+		m.val, m.gen = v, gen
+	}
+	m.mu.Unlock()
+	return v
+}
+
+// shardRoutes is the key-routed view of the local child set.
+type shardRoutes struct {
+	byKey    map[string][]Child
+	wildcard []Child // children whose suffix carries no partition key
+}
+
+func (sh *Sharded) buildRoutes(children []Child) shardRoutes {
+	r := shardRoutes{byKey: map[string][]Child{}}
 	for _, c := range children {
 		if key, keyed := sh.planner.RegistrationKeyDN(c.Suffix); keyed {
-			byKey[key] = append(byKey[key], c)
+			r.byKey[key] = append(r.byKey[key], c)
 		} else {
-			wildcard = append(wildcard, c)
+			r.wildcard = append(r.wildcard, c)
 		}
 	}
-	sh.mu.Lock()
-	sh.byKey, sh.wildcard, sh.idxVer, sh.idxOK = byKey, wildcard, ver, true
-	sh.mu.Unlock()
-	return byKey, wildcard
+	return r
 }
 
 // peerChild wraps a ring member as a chain target. Peers share this
@@ -214,11 +225,11 @@ func (sh *Sharded) Search(ctx *SearchContext) ldap.Result {
 	// per-child region check for a lookup that names one key.
 	var local []Child
 	if plan.Routable {
-		byKey, wildcard := sh.index(ctx.Children)
+		routes := sh.routes.get(ctx.gen, func() shardRoutes { return sh.buildRoutes(ctx.Children) })
 		for _, k := range plan.Keys {
-			local = append(local, byKey[k]...)
+			local = append(local, routes.byKey[k]...)
 		}
-		local = append(local, wildcard...)
+		local = append(local, routes.wildcard...)
 	} else {
 		// Scatter consults the whole local partition; translateRegion
 		// below still prunes children outside the region.
@@ -315,33 +326,24 @@ func dedupSorted(in []string) []string {
 }
 
 // localSummaryBytes renders this shard's Bloom summary of its children's
-// namespace terms, cached against the registry version.
+// namespace terms.
 func (sh *Sharded) localSummaryBytes() []byte {
-	ver := sh.s.receiver.Registry.Version()
-	sh.mu.Lock()
-	if sh.localSummaryOK && sh.localSummaryVer == ver {
-		b := sh.localSummary
-		sh.mu.Unlock()
+	children, gen := sh.s.childSet()
+	return sh.localSummary.get(gen, func() []byte {
+		var terms []string
+		for _, c := range children {
+			terms = append(terms, shard.SuffixTerms(c.Suffix)...)
+		}
+		f := bloom.NewForCapacity(len(terms), 0.01)
+		for _, t := range terms {
+			f.Add(t)
+		}
+		b, err := f.MarshalBinary()
+		if err != nil {
+			return nil
+		}
 		return b
-	}
-	sh.mu.Unlock()
-	children := sh.s.Children()
-	var terms []string
-	for _, c := range children {
-		terms = append(terms, shard.SuffixTerms(c.Suffix)...)
-	}
-	f := bloom.NewForCapacity(len(terms), 0.01)
-	for _, t := range terms {
-		f.Add(t)
-	}
-	b, err := f.MarshalBinary()
-	if err != nil {
-		return nil
-	}
-	sh.mu.Lock()
-	sh.localSummary, sh.localSummaryVer, sh.localSummaryOK = b, ver, true
-	sh.mu.Unlock()
-	return b
+	})
 }
 
 // fetchSummary asks a peer for its summary over the shard-summary extended

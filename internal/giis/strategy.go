@@ -19,7 +19,8 @@ type SearchContext struct {
 	Base     ldap.DN
 	Children []Child
 
-	sent *int64 // shared with the local-entry sender for SizeLimit
+	gen  uint64 // child-table generation Children was taken at
+	sent *int64 // starts at the number of local entries already sent
 }
 
 // send streams one translated entry, honouring the size limit.

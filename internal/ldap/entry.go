@@ -142,13 +142,8 @@ func (e *Entry) Clone() *Entry {
 // special name "*" likewise selects all. Requested names absent from the
 // entry are simply omitted.
 func (e *Entry) Select(requested []string) *Entry {
-	if len(requested) == 0 {
+	if selectsAll(requested) {
 		return e.Clone()
-	}
-	for _, r := range requested {
-		if r == "*" {
-			return e.Clone()
-		}
 	}
 	out := &Entry{DN: append(DN(nil), e.DN...)}
 	for _, r := range requested {
@@ -157,6 +152,32 @@ func (e *Entry) Select(requested []string) *Entry {
 		}
 	}
 	return out
+}
+
+// Project is Select without the copy, for handing a store's immutable
+// snapshot to a SearchWriter: the result shares e's DN and value slices —
+// it is e itself when every attribute is selected — so it is as read-only
+// as e.
+func (e *Entry) Project(requested []string) *Entry {
+	if selectsAll(requested) {
+		return e
+	}
+	out := &Entry{DN: e.DN}
+	for _, r := range requested {
+		if vs := e.Values(r); vs != nil {
+			out.Attrs = append(out.Attrs, Attribute{Name: r, Values: vs})
+		}
+	}
+	return out
+}
+
+func selectsAll(requested []string) bool {
+	for _, r := range requested {
+		if r == "*" {
+			return true
+		}
+	}
+	return len(requested) == 0
 }
 
 // SortAttrs orders the entry's attributes by case-folded name, for

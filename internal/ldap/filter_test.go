@@ -330,6 +330,18 @@ func TestEntrySelect(t *testing.T) {
 	if all := e.Select([]string{"*"}); len(all.Attrs) != len(e.Attrs) {
 		t.Error("star selection should copy all")
 	}
+	// Project selects the same attributes without copying anything.
+	for _, requested := range [][]string{nil, {"*"}, {"hn", "load5", "missing"}, {"HN"}} {
+		if got, want := e.Project(requested).String(), e.Select(requested).String(); got != want {
+			t.Errorf("Project(%v) = %s, Select gives %s", requested, got, want)
+		}
+	}
+	if e.Project(nil) != e || e.Project([]string{"hn", "*"}) != e {
+		t.Error("projecting every attribute should return the entry itself")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { e.Project([]string{"hn"}) }); allocs > 2 {
+		t.Errorf("Project allocated %.0f objects, want the entry and its attribute list only", allocs)
+	}
 }
 
 func TestEntryMutators(t *testing.T) {

@@ -57,6 +57,8 @@ func (c *ConnState) Identity() any {
 // lifetime and feeds it from change notifications.
 type SearchWriter interface {
 	// SendEntry transmits one result entry with optional per-entry controls.
+	// The entry may be a shared immutable snapshot (Entry.Project): a writer
+	// reads it and never modifies it.
 	SendEntry(e *Entry, controls ...Control) error
 	// SendReferral transmits a continuation reference (LDAP URLs).
 	SendReferral(urls ...string) error

@@ -71,6 +71,17 @@ func (e *Entry) Clone() *Entry {
 
 func (e *Entry) Select(names []string) *Entry { return e.Clone() }
 
+func (e *Entry) Project(names []string) *Entry {
+	if len(names) == 0 {
+		return e
+	}
+	out := &Entry{DN: e.DN}
+	for _, n := range names {
+		out.Attrs = append(out.Attrs, Attribute{Name: n, Values: e.Values(n)})
+	}
+	return out
+}
+
 func (e *Entry) Values(name string) []string {
 	for _, a := range e.Attrs {
 		if a.Name == name {
@@ -244,6 +255,17 @@ import "mds2/internal/ldap"
 func f(s *ldap.Store) {
 	es, _ := s.FindCompiled("o=grid", 10)
 	es[0].Set("hn", "x") // want
+}
+`},
+		{"projection shares the snapshot", `package app
+
+import "mds2/internal/ldap"
+
+func f(s *ldap.Store) {
+	es, _ := s.FindCompiled("o=grid", 10)
+	es[0].Project(nil).Set("hn", "x") // want
+	vs := es[0].Project([]string{"hn"}).Values("hn")
+	vs[0] = "x" // want
 }
 `},
 		{"change event entry", `package app

@@ -94,9 +94,12 @@ type Registry struct {
 	// keys this node does not own are refused and counted in notOwned.
 	owns     func(key string, payload any) bool
 	notOwned uint64
-	// journal, when set, receives every transition for durability (see
-	// Journal); invoked under mu, enqueue-only.
-	journal Journal
+	// journal (durability) and observers (derived views) consume the
+	// transition feed — see Journal; invoked under mu. one is the scratch
+	// batch for a single-record transition.
+	journal   Journal
+	observers []Journal
+	one       [1]JournalRecord
 }
 
 // NewRegistry returns a registry driven by the given clock.
@@ -145,8 +148,8 @@ func (r *Registry) Refresh(key string, payload any, ttl time.Duration) bool {
 	}
 	r.expireLocked(now)
 	joined := r.refreshLocked(key, payload, ttl, now)
-	if r.journal != nil {
-		r.journalLocked([]JournalRecord{{Op: JournalRefresh, Item: *r.items[key]}})
+	if r.fedLocked() {
+		r.journalOneLocked(JournalRefresh, *r.items[key])
 	}
 	r.bumpLocked()
 	r.scheduleSweepLocked()
@@ -201,7 +204,11 @@ func (r *Registry) RefreshBatch(batch []Refreshment) int {
 	}
 	r.expireLocked(now)
 	accepted := 0
+	fed := r.fedLocked()
 	var journaled []JournalRecord
+	if fed {
+		journaled = make([]JournalRecord, 0, len(batch))
+	}
 	for _, b := range batch {
 		if b.TTL <= 0 {
 			continue
@@ -211,7 +218,7 @@ func (r *Registry) RefreshBatch(batch []Refreshment) int {
 			continue
 		}
 		r.refreshLocked(b.Key, b.Payload, b.TTL, now)
-		if r.journal != nil {
+		if fed {
 			journaled = append(journaled, JournalRecord{Op: JournalRefresh, Item: *r.items[b.Key]})
 		}
 		accepted++
@@ -242,8 +249,8 @@ func (r *Registry) Remove(key string) bool {
 		// bound over an empty table would schedule pointless sweeps.
 		r.earliest = time.Time{}
 	}
-	if r.journal != nil {
-		r.journalLocked([]JournalRecord{{Op: JournalRemove, Item: Item{Key: key}}})
+	if r.fedLocked() {
+		r.journalOneLocked(JournalRemove, Item{Key: key})
 	}
 	r.bumpLocked()
 	r.notifyLocked(Event{Key: key, Type: EventRemoved, Payload: it.Payload, At: now})
@@ -384,7 +391,7 @@ func (r *Registry) expireLocked(now time.Time) []string {
 	}
 	r.earliest = nextEarliest
 	sort.Strings(expired)
-	if r.journal != nil && len(expired) > 0 {
+	if r.fedLocked() && len(expired) > 0 {
 		recs := make([]JournalRecord, len(expired))
 		for i, key := range expired {
 			recs[i] = JournalRecord{Op: JournalExpire, Item: Item{Key: key}}
