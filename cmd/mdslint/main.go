@@ -5,7 +5,7 @@
 //
 // By default the whole module is type-checked (stdlib go/types, packages
 // loaded in parallel) so the type-aware analyzers — snapshotcheck,
-// poolcheck, berbalance — run alongside the syntax-only ones. Pass
+// poolcheck, berbalance, attrscheck — run alongside the syntax-only ones. Pass
 // -syntax to skip type checking (fast, syntax-only rules), or explicit
 // file/directory patterns to lint a subset syntax-only.
 //

@@ -532,8 +532,92 @@ func ReadPacket(r io.Reader) (*Packet, error) {
 	if _, err := io.ReadFull(r, buf[len(hdr):]); err != nil {
 		return nil, err
 	}
+	return DecodeOwned(buf)
+}
+
+// DecodeOwned is DecodeFull for a buffer the caller gives up: b must never
+// be written again, and the returned Packet keeps it alive, so Str hands out
+// zero-copy views into it instead of copies.
+func DecodeOwned(b []byte) (*Packet, error) {
 	d := decoder{viewOK: true}
-	return d.decodeFull(buf)
+	return d.decodeFull(b)
+}
+
+// FrameLen reports the total length (header plus contents) of the element
+// whose encoding starts b, once enough of b has arrived to tell: zero means
+// the header is still incomplete. It applies the stream-framing checks of
+// ReadPacket — a reader that buffers a connection itself frames with it and
+// then hands each complete element to Decode*, Element or its own scanner.
+func FrameLen(b []byte) (int, error) {
+	if len(b) == 0 {
+		return 0, nil
+	}
+	n := 1
+	if b[0]&0x1f == 0x1f {
+		// High-tag-number form: the identifier runs to the first octet
+		// without the continuation bit.
+		for {
+			if n > 5 {
+				return 0, ErrBadTag
+			}
+			if n == len(b) {
+				return 0, nil
+			}
+			n++
+			if b[n-1]&0x80 == 0 {
+				break
+			}
+		}
+	}
+	if n == len(b) {
+		return 0, nil
+	}
+	first := b[n]
+	n++
+	if first < 0x80 {
+		return n + int(first), nil
+	}
+	k := int(first & 0x7f)
+	if k == 0 {
+		return 0, ErrIndefinite
+	}
+	if k > 4 {
+		return 0, ErrTooLarge
+	}
+	if len(b) < n+k {
+		return 0, nil
+	}
+	length := 0
+	for _, c := range b[n : n+k] {
+		length = length<<8 | int(c)
+	}
+	if length > MaxElementSize {
+		return 0, ErrTooLarge
+	}
+	return n + k + length, nil
+}
+
+// Element splits the element at the front of b into its identifier octet,
+// its contents and the bytes that follow it, without building a Packet: the
+// primitive of a scanner that walks a frame in place. Only the one-octet
+// (low-tag-number) identifier form is understood; ErrBadTag reports the
+// other, which LDAP's own operations never use.
+func Element(b []byte) (id byte, contents, rest []byte, err error) {
+	if len(b) == 0 {
+		return 0, nil, nil, ErrTruncated
+	}
+	id = b[0]
+	if id&0x1f == 0x1f {
+		return 0, nil, nil, ErrBadTag
+	}
+	length, rest, err := parseLength(b[1:])
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	if length > len(rest) {
+		return 0, nil, nil, ErrTruncated
+	}
+	return id, rest[:length], rest[length:], nil
 }
 
 // ReadPacketBuf is ReadPacket with a caller-reused frame buffer: the

@@ -352,3 +352,65 @@ func BenchmarkDecodeSearchLikeMessage(b *testing.B) {
 		}
 	}
 }
+
+// TestFrameLenAgreesWithReadPacket: the in-place framer a buffering reader
+// uses frames every stream exactly where ReadPacket does — the total length
+// as soon as the header is in, zero before, the same refusals — and Element
+// splits what it framed the way Decode does.
+func TestFrameLenAgreesWithReadPacket(t *testing.T) {
+	long := bytes.Repeat([]byte("x"), 300)
+	frames := [][]byte{
+		Marshal(NewOctetString("foo")),
+		Marshal(NewOctetStringBytes(long)),
+		Marshal(NewSequence().Append(NewInteger(7), NewOctetStringBytes(long))),
+		Marshal(&Packet{Class: ClassContext, Tag: 1000, Value: []byte("hi")}), // high-tag form
+		{0x04, 0x83, 0, 0, 1, 'x'},                                            // non-minimal length
+	}
+	for _, frame := range frames {
+		for cut := 0; cut <= len(frame); cut++ {
+			n, err := FrameLen(frame[:cut])
+			if err != nil {
+				t.Fatalf("FrameLen(% x): %v", frame[:cut], err)
+			}
+			if n != 0 && n != len(frame) {
+				t.Fatalf("FrameLen(% x) = %d, frame is %d bytes", frame[:cut], n, len(frame))
+			}
+			if _, rerr := ReadPacket(bytes.NewReader(frame[:cut])); (rerr == nil) != (n != 0 && cut >= n) {
+				t.Fatalf("cut %d of % x: FrameLen %d, ReadPacket %v", cut, frame, n, rerr)
+			}
+		}
+		p, err := DecodeOwned(append([]byte(nil), frame...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, contents, rest, err := Element(frame)
+		if p.Tag >= 0x1f {
+			if err != ErrBadTag {
+				t.Fatalf("Element on a high-tag identifier: %v", err)
+			}
+			continue
+		}
+		if err != nil || len(rest) != 0 || id&0x1f != byte(p.Tag) || (!p.Constructed && !bytes.Equal(contents, p.Value)) {
+			t.Fatalf("Element(% x) = %#x, % x, % x, %v", frame, id, contents, rest, err)
+		}
+	}
+	for _, bad := range []struct {
+		in   []byte
+		want error
+	}{
+		{[]byte{0x30, 0x80}, ErrIndefinite},
+		{[]byte{0x30, 0x85, 0, 0, 0, 0, 1}, ErrTooLarge},
+		{[]byte{0x30, 0x84, 0x7f, 0xff, 0xff, 0xff}, ErrTooLarge},
+		{[]byte{0x1f, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0x00}, ErrBadTag},
+	} {
+		if _, err := FrameLen(bad.in); err != bad.want {
+			t.Errorf("FrameLen(% x) = %v, want %v", bad.in, err, bad.want)
+		}
+		if _, err := ReadPacket(bytes.NewReader(bad.in)); err != bad.want {
+			t.Errorf("ReadPacket(% x) = %v, want %v", bad.in, err, bad.want)
+		}
+	}
+	if _, _, _, err := Element([]byte{0x04, 5, 'x'}); err != ErrTruncated {
+		t.Errorf("Element on a short buffer: %v", err)
+	}
+}

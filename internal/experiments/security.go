@@ -49,11 +49,12 @@ func runSecurity(w io.Writer) error {
 		if e == nil {
 			return "(hidden)"
 		}
-		if len(e.Attrs) == len(entry.Attrs) {
+		attrs := e.Attributes()
+		if len(attrs) == len(entry.Attributes()) {
 			return "all attributes"
 		}
-		names := make([]string, 0, len(e.Attrs))
-		for _, a := range e.Attrs {
+		names := make([]string, 0, len(attrs))
+		for _, a := range attrs {
 			names = append(names, a.Name)
 		}
 		return fmt.Sprintf("%v", names)

@@ -1,6 +1,7 @@
 package giis
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -75,6 +76,9 @@ func inRegion(ctx *SearchContext, children []Child) []Child {
 
 type hopReply struct {
 	entries []*ldap.Entry
+	// partial: the child is a directory that answered but flagged its own
+	// answer incomplete — it could not reach one of its providers.
+	partial bool
 	err     error
 }
 
@@ -87,6 +91,7 @@ func (f Fanout) run(ctx *SearchContext, hops []hop, dups *obs.Counter) ldap.Resu
 	}
 	s := ctx.Server
 	s.hFanout.ObserveValue(int64(len(hops)))
+	ctx.projected = slices.Equal(ctx.Op.Attributes, ctx.chainAttrs)
 
 	// Both channels are buffered for the full fan-out so workers never
 	// block: after a hedge cutoff the search returns immediately and any
@@ -126,7 +131,7 @@ func (f Fanout) run(ctx *SearchContext, hops []hop, dups *obs.Counter) ldap.Resu
 	if dups != nil {
 		seen = map[string]struct{}{}
 	}
-	unreachable, hedged := false, false
+	unreachable, hedged, incomplete := false, false, false
 
 collect:
 	for done := 0; done < len(hops); done++ {
@@ -138,6 +143,7 @@ collect:
 				unreachable = true
 				continue
 			}
+			incomplete = incomplete || r.partial
 			entries := r.entries
 			if seen != nil {
 				entries = dropSeen(seen, entries, dups)
@@ -158,14 +164,15 @@ collect:
 	if err := ctx.sendSorted(buffered); err != nil {
 		return sizeOrUnavailable(err)
 	}
-	res := ldap.Result{Code: ldap.ResultSuccess}
 	switch {
 	case hedged:
-		res.Message = "partial results: hedge deadline expired before all providers replied"
+		return partialResult("hedge deadline expired before all providers replied")
 	case unreachable:
-		res.Message = "partial results: some providers unreachable"
+		return partialResult("some providers unreachable")
+	case incomplete:
+		return partialResult("some providers answered incompletely")
 	}
-	return res
+	return ldap.Result{Code: ldap.ResultSuccess}
 }
 
 // runHop chains the search to the hop's targets in order until one answers.
@@ -184,8 +191,8 @@ func (s *Server) runHop(ctx *SearchContext, h *hop) (r hopReply) {
 		if h.attempt != nil {
 			h.attempt(n)
 		}
-		r.entries, r.err = s.chain(ctx.Req, target, ctx.Base, ctx.Op.Scope, ctx.Op.Filter,
-			ctx.Op.Attributes, limit, h.extra)
+		r = s.chain(ctx.Req, target, ctx.Base, ctx.Op.Scope, ctx.Op.Filter,
+			ctx.chainAttrs, limit, h.extra)
 		if r.err == nil {
 			break
 		}

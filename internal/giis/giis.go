@@ -12,8 +12,10 @@
 package giis
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -477,15 +479,26 @@ func (s *Server) evict(pe *poolEntry) {
 
 // chainUncached is chain with the query cache deliberately bypassed —
 // strategies that maintain their own result cache (CachedIndex) fill
-// through here so an entry set is never cached twice at different TTLs.
+// through here so an entry set is never cached twice at different TTLs. The
+// child's own partial-results flag is not reported.
 func (s *Server) chainUncached(req *ldap.Request, child Child, base ldap.DN, scope ldap.Scope,
 	filter *ldap.Filter, attrs []string, sizeLimit int64) ([]*ldap.Entry, error) {
 	childBase, childScope, ok := translateRegion(base, scope, child)
 	if !ok {
 		return nil, nil
 	}
-	return s.chainTranslated(req, child, childBase, childScope, filter, attrs, sizeLimit, nil)
+	r := s.chainTranslated(req, child, childBase, childScope, filter, attrs, sizeLimit, nil)
+	return r.entries, r.err
 }
+
+// partialReply carries a hop reply out of a query-cache fill without letting
+// the cache keep it: the child flagged its own answer incomplete, and an
+// answer that is missing a provider must be asked again, not served for a
+// TTL. Being the fill's error, it reaches the flight's leader and every
+// joiner alike; chain unwraps it back into a partial hopReply.
+type partialReply struct{ entries []*ldap.Entry }
+
+func (*partialReply) Error() string { return "giis: child reported partial results" }
 
 // chain translates a view-namespace region into the child's namespace,
 // runs the search there, and translates result DNs back into the view.
@@ -504,11 +517,11 @@ func (s *Server) chainUncached(req *ldap.Request, child Child, base ldap.DN, sco
 // wants the live change stream, and a cached snapshot answered in its
 // place would silently go stale for the subscription's whole lifetime.
 func (s *Server) chain(req *ldap.Request, child Child, base ldap.DN, scope ldap.Scope,
-	filter *ldap.Filter, attrs []string, sizeLimit int64, extra []ldap.Control) ([]*ldap.Entry, error) {
+	filter *ldap.Filter, attrs []string, sizeLimit int64, extra []ldap.Control) hopReply {
 
 	childBase, childScope, ok := translateRegion(base, scope, child)
 	if !ok {
-		return nil, nil
+		return hopReply{}
 	}
 	if s.qc == nil || isPersistentSearch(req) {
 		return s.chainTranslated(req, child, childBase, childScope, filter, attrs, sizeLimit, extra)
@@ -523,7 +536,11 @@ func (s *Server) chain(req *ldap.Request, child Child, base ldap.DN, scope ldap.
 	// The child's soft-state deadline caps freshness: a cached result never
 	// outlives the registration that produced it (two-tier expiry).
 	entries, how, err := s.qc.GetOrFill(key, region, child.ExpiresAt, func() ([]*ldap.Entry, error) {
-		return s.chainTranslated(req, child, childBase, childScope, filter, attrs, sizeLimit, extra)
+		r := s.chainTranslated(req, child, childBase, childScope, filter, attrs, sizeLimit, extra)
+		if r.err == nil && r.partial {
+			return nil, &partialReply{r.entries}
+		}
+		return r.entries, r.err
 	})
 	if how != qcache.OutcomeMiss && req != nil && req.TraceID != "" {
 		// The miss path records a real chain span inside chainTranslated;
@@ -533,7 +550,12 @@ func (s *Server) chain(req *ldap.Request, child Child, base ldap.DN, scope ldap.
 		sp.SetNote("cache " + how.String())
 		sp.End()
 	}
-	return entries, err
+	var pr *partialReply
+	if errors.As(err, &pr) {
+		// Leader and joiners each sort their own container.
+		return hopReply{entries: append([]*ldap.Entry(nil), pr.entries...), partial: true}
+	}
+	return hopReply{entries: entries, err: err}
 }
 
 // chainOwner renders the cache-key owner for a hop: the child's service
@@ -561,7 +583,7 @@ func isPersistentSearch(req *ldap.Request) bool {
 // into the child's namespace (the fill path under the query cache).
 func (s *Server) chainTranslated(req *ldap.Request, child Child, childBase ldap.DN,
 	childScope ldap.Scope, filter *ldap.Filter, attrs []string, sizeLimit int64,
-	extra []ldap.Control) ([]*ldap.Entry, error) {
+	extra []ldap.Control) hopReply {
 
 	sreq := &ldap.SearchRequest{
 		BaseDN:     childBase.String(),
@@ -582,7 +604,7 @@ func (s *Server) chainTranslated(req *ldap.Request, child Child, childBase ldap.
 	if s.hChainChild != nil || traced {
 		start = s.clock.Now()
 	}
-	entries, doneCtls, err := s.chainOnce(sreq, child, ctls)
+	r, doneCtls := s.chainOnce(sreq, child, ctls)
 	if s.hChainChild != nil {
 		s.hChainChild.Observe(s.clock.Now().Sub(start))
 	}
@@ -590,19 +612,20 @@ func (s *Server) chainTranslated(req *ldap.Request, child Child, childBase ldap.
 		if t, ok := ldap.TraceSpans(doneCtls); ok {
 			sp.Graft(t.Spans)
 		}
-		if err != nil {
-			sp.SetNote("error: " + err.Error())
+		if r.err != nil {
+			sp.SetNote("error: " + r.err.Error())
 		}
 		sp.End()
 	}
-	return entries, err
+	return r
 }
 
 // chainOnce runs the translated search against the child, retrying once on
-// connection-level failure, and grafts result DNs back into the view. It
-// also returns the controls from the child's final done message (the traced
-// child's span tree rides there).
-func (s *Server) chainOnce(sreq *ldap.SearchRequest, child Child, ctls []ldap.Control) ([]*ldap.Entry, []ldap.Control, error) {
+// connection-level failure, and grafts result DNs back into the view. The
+// entries stay wire-backed (ldap.Client.SearchWire): all this directory
+// reads of them is their names. It also returns the controls from the
+// child's final done message (the traced child's span tree rides there).
+func (s *Server) chainOnce(sreq *ldap.SearchRequest, child Child, ctls []ldap.Control) (hopReply, []ldap.Control) {
 	var res *ldap.SearchResult
 	var err error
 	// Pooled connections may have been severed by a partition that has
@@ -612,10 +635,10 @@ func (s *Server) chainOnce(sreq *ldap.SearchRequest, child Child, ctls []ldap.Co
 		var pe *poolEntry
 		pe, err = s.acquire(child.URL)
 		if err != nil {
-			return nil, nil, err
+			return hopReply{err: err}, nil
 		}
 		s.ChainedOps.Inc()
-		res, err = pe.c.SearchWith(sreq, ctls)
+		res, err = pe.c.SearchWire(sreq, ctls)
 		if err == nil || (ldap.IsCode(err, ldap.ResultSizeLimitExceeded) && res != nil) {
 			// Success, or the child truncated at its size limit — partial
 			// entries still count.
@@ -625,24 +648,51 @@ func (s *Server) chainOnce(sreq *ldap.SearchRequest, child Child, ctls []ldap.Co
 		}
 		if ldap.IsCode(err, ldap.ResultNoSuchObject) {
 			s.release(pe)
-			return nil, nil, nil
+			return hopReply{}, nil
 		}
 		s.evict(pe)
 		s.release(pe)
 	}
 	if err != nil {
-		return nil, nil, err
+		return hopReply{err: err}, nil
 	}
-	// Entries decoded off this search are exclusively ours — nothing else
-	// holds a reference — so the DN graft happens in place instead of deep
-	// cloning every entry (which dominated chain cost on large result sets).
-	for _, e := range res.Entries {
-		if rel, ok := e.DN.RelativeTo(child.Suffix); ok {
-			e.DN = rel.Under(child.ViewSuffix)
+	// Only a directory's flag is taken up. It means a provider that could
+	// not be reached this time, which asking again can cure. A GRIS flags a
+	// backend that declines the query's scope — a fixed property of the
+	// query, and refusing to cache those replies would switch the query
+	// cache off for every wide search over a parametric provider.
+	r := hopReply{entries: res.Entries, partial: child.MDSType == "giis" && isPartial(res.Result)}
+	if child.grafted() {
+		// The child's entries are immutable snapshots, so each one that
+		// changes name gets a shell of its own around the same attributes.
+		grafted := make([]*ldap.Entry, len(res.Entries))
+		for i, e := range res.Entries {
+			if rel, ok := e.DN.RelativeTo(child.Suffix); ok {
+				e = e.WithDN(rel.Under(child.ViewSuffix))
+			}
+			grafted[i] = e
 		}
+		r.entries = grafted
 	}
-	return res.Entries, res.DoneControls, nil
+	return r, res.DoneControls
 }
+
+// grafted reports whether the child's namespace appears somewhere else in
+// this directory's view, so its entries change name on the way through. A
+// child already under the directory's suffix keeps its names as they are.
+func (c Child) grafted() bool {
+	return !slices.EqualFunc(c.Suffix, c.ViewSuffix, func(a, b ldap.RDN) bool { return slices.Equal(a, b) })
+}
+
+// partialPrefix opens the diagnostic message of a successful result that is
+// known to be incomplete; it is how the flag travels up a hierarchy.
+const partialPrefix = "partial results"
+
+func partialResult(why string) ldap.Result {
+	return ldap.Result{Code: ldap.ResultSuccess, Message: partialPrefix + ": " + why}
+}
+
+func isPartial(r ldap.Result) bool { return strings.HasPrefix(r.Message, partialPrefix) }
 
 // translateRegion maps a search region in the GIIS view into the child's
 // namespace, returning ok=false when the region cannot contain the child's
@@ -766,6 +816,7 @@ func (s *Server) Search(req *ldap.Request, op *ldap.SearchRequest, w ldap.Search
 	return s.strategy.Search(&SearchContext{
 		Server: s, Req: req, Op: op, W: w,
 		Base: base, Children: children, gen: gen, sent: &sent,
+		chainAttrs: qcache.NormalizeAttrs(op.Attributes),
 	})
 }
 

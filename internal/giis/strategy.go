@@ -21,15 +21,31 @@ type SearchContext struct {
 
 	gen  uint64 // child-table generation Children was taken at
 	sent *int64 // starts at the number of local entries already sent
+
+	// chainAttrs is the attribute selection a hop chains downstream: the
+	// normalized form of Op.Attributes the query cache keys by, so a cached
+	// reply is the same whichever spelling of the selection filled it.
+	chainAttrs []string
+	// projected: the children were asked for exactly Op.Attributes (it is
+	// already in chainAttrs' form), so their replies go out as they came in
+	// and send does not look inside them.
+	projected bool
 }
 
-// send streams one translated entry, honouring the size limit.
+// send streams one translated entry, honouring the size limit. The entry is
+// a shared snapshot — wire-backed when it was chained — and leaves as one:
+// unless the children already applied the client's selection, it is
+// projected, which shares its values and is the one thing on the relay path
+// that decodes a wire-backed entry.
 func (c *SearchContext) send(e *ldap.Entry) error {
 	if c.Op.SizeLimit > 0 && *c.sent >= c.Op.SizeLimit {
 		return errSizeLimit
 	}
 	*c.sent++
-	return c.W.SendEntry(e.Select(c.Op.Attributes))
+	if !c.projected {
+		e = e.Project(c.Op.Attributes)
+	}
+	return c.W.SendEntry(e)
 }
 
 // Strategy is the pluggable search handling of §10.4.
@@ -142,7 +158,7 @@ func (c *CachedIndex) Search(ctx *SearchContext) ldap.Result {
 	}
 	res := ldap.Result{Code: ldap.ResultSuccess}
 	if partial {
-		res.Message = "partial results: some providers unreachable"
+		res = partialResult("some providers unreachable")
 	}
 	return res
 }
@@ -263,7 +279,7 @@ func (b *BloomRouted) summarize(s *Server, child Child) *bloom.Filter {
 	}
 	f := bloom.New(b.Bits, 4)
 	for _, e := range entries {
-		for _, a := range e.Attrs {
+		for _, a := range e.Attributes() {
 			for _, v := range a.Values {
 				f.Add(shard.Key(a.Name, v))
 			}

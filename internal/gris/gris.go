@@ -398,11 +398,15 @@ func (s *Server) redact(p *gsi.Principal, e *ldap.Entry, op *ldap.SearchRequest)
 			return nil
 		}
 	}
+	if !op.TypesOnly {
+		// Nothing below writes to the entry: a cached snapshot goes to the
+		// writer as it is, sharing its values.
+		return visible.Project(op.Attributes)
+	}
 	out := visible.Select(op.Attributes)
-	if op.TypesOnly {
-		for i := range out.Attrs {
-			out.Attrs[i].Values = nil
-		}
+	attrs := out.Attributes()
+	for i := range attrs {
+		attrs[i].Values = nil
 	}
 	return out
 }
@@ -533,7 +537,7 @@ func (s *Server) refresh(b Backend, now time.Time, ttl time.Duration, sp *obs.Sp
 			ws.RemoveSubtree(root)
 			warm := make([]*ldap.Entry, len(entries))
 			for i, e := range entries {
-				warm[i] = &ldap.Entry{DN: e.DN.Under(root), Attrs: e.Attrs}
+				warm[i] = e.WithDN(e.DN.Under(root))
 			}
 			_ = ws.PutAll(warm) // copies: the warm store shares nothing with the snapshot
 		}
@@ -617,7 +621,7 @@ func fingerprint(e *ldap.Entry) string {
 	cp := e.Clone()
 	cp.SortAttrs()
 	var b strings.Builder
-	for _, a := range cp.Attrs {
+	for _, a := range cp.Attributes() {
 		b.WriteString(strings.ToLower(a.Name))
 		b.WriteByte('=')
 		for _, v := range a.Values {

@@ -190,7 +190,7 @@ func (pol *Policy) Redact(p *Principal, e *ldap.Entry) *ldap.Entry {
 		return nil
 	}
 	out := e.Select(attrs)
-	if len(out.Attrs) == 0 {
+	if len(out.Attributes()) == 0 {
 		// Nothing the principal may see actually exists on this entry;
 		// under restricted posture that hides the entry entirely.
 		if pol.Posture == PostureRestricted {

@@ -68,7 +68,7 @@ func (a *Archive) maxSamples() int {
 
 // RecordEntry samples every numeric attribute of an entry.
 func (a *Archive) RecordEntry(e *ldap.Entry, at time.Time) {
-	for _, attr := range e.Attrs {
+	for _, attr := range e.Attributes() {
 		if strings.EqualFold(attr.Name, "objectclass") {
 			continue
 		}

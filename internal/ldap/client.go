@@ -1,7 +1,6 @@
 package ldap
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -54,6 +53,12 @@ type Client struct {
 type pendingOp struct {
 	ch   chan *Message
 	gone chan struct{}
+	// wire marks a SearchWire: the read loop keeps the operation's result
+	// entries wire-backed and collects them in entries instead of sending
+	// each one down ch. The caller reads entries only after the done message
+	// arrives on ch, which orders its reads after the read loop's appends.
+	wire    bool
+	entries []*Entry
 }
 
 // ErrClientClosed reports use of a closed client.
@@ -77,33 +82,126 @@ func NewClient(conn net.Conn) *Client {
 	return c
 }
 
+// Read chunk sizes. A connection starts with the 4 KiB a bufio.Reader used
+// to hold; each chunk that has to be replaced because wire-backed entries
+// still point into it is twice the size of the last, up to maxReadChunk, so
+// only connections that stream results grow one.
+const (
+	minReadChunk = 4 << 10
+	maxReadChunk = 64 << 10
+)
+
+// readLoop frames the connection's responses out of its own read chunk and
+// routes them. A SearchResultEntry for a SearchWire is scanned where it
+// lies and kept wire-backed, aliasing the chunk; everything else is copied
+// out and tree-decoded. A chunk is reused until an entry aliases it; from
+// then on it is only ever filled further, then left to the entries that
+// hold it.
 func (c *Client) readLoop() {
-	r := bufio.NewReaderSize(c.conn, 4<<10)
+	var (
+		buf    = make([]byte, minReadChunk)
+		r, w   int  // buf[r:w] is received and not yet routed
+		pinned bool // wire-backed entries alias buf[:r]
+		wire   wireEntries
+	)
 	for {
-		pkt, err := ber.ReadPacket(r)
+		n, err := ber.FrameLen(buf[r:w])
 		if err != nil {
 			c.fail(err)
 			return
 		}
-		msg, err := DecodeMessage(pkt)
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		c.mu.Lock()
-		op := c.pending[msg.ID]
-		c.mu.Unlock()
-		if op == nil {
-			c.noteUnknown(msg.ID)
+		if n > 0 && n <= w-r {
+			aliased, err := c.route(buf[r:r+n:r+n], &wire)
+			if err != nil {
+				c.fail(err)
+				return
+			}
+			pinned = pinned || aliased
+			r += n
 			continue
 		}
-		select {
-		case op.ch <- msg:
-		case <-op.gone:
-			// The caller left between the map lookup and the send.
-			c.noteUnknown(msg.ID)
+		// The next frame is incomplete. Slide what is buffered of it to the
+		// front of a chunk nothing aliases (as bufio does), or move it to a
+		// new chunk when this one is spoken for or too small, then read on.
+		if !pinned && len(buf) <= maxReadChunk && r > 0 {
+			poisonChunk(buf[:r])
+			w = copy(buf, buf[r:w])
+			r = 0
+		}
+		if need := max(n, w-r+1); need > len(buf)-r {
+			size := len(buf)
+			if pinned {
+				size *= 2
+			}
+			next := make([]byte, max(min(size, maxReadChunk), need))
+			w = copy(next, buf[r:w])
+			buf, r, pinned = next, 0, false
+		}
+		m, err := c.conn.Read(buf[w:])
+		if err != nil {
+			c.fail(err)
+			return
+		}
+		w += m
+	}
+}
+
+// route delivers one complete response frame to the operation waiting for
+// it. aliased reports that the frame's bytes are now referenced by a
+// wire-backed entry and must never be overwritten.
+func (c *Client) route(frame []byte, wire *wireEntries) (aliased bool, err error) {
+	var op *pendingOp
+	id, opElem, canonical := scanEnvelope(frame)
+	if canonical {
+		op = c.pendingFor(id)
+		if op != nil && op.wire && opElem[0] == idSearchEntry {
+			if dn, attrs, ok := scanSearchEntry(opElem); ok {
+				e, err := wire.next(dn, attrs)
+				if err != nil {
+					return false, err
+				}
+				op.entries = append(op.entries, e)
+				return true, nil
+			}
 		}
 	}
+	// The decoded message keeps views into its frame, so it gets a copy of
+	// its own at exact size and the chunk stays free to be rewound.
+	own := make([]byte, len(frame))
+	copy(own, frame)
+	pkt, err := ber.DecodeOwned(own)
+	if err != nil {
+		return false, err
+	}
+	msg, err := DecodeMessage(pkt)
+	if err != nil {
+		return false, err
+	}
+	if !canonical {
+		op = c.pendingFor(msg.ID)
+	}
+	if op == nil {
+		c.noteUnknown(msg.ID)
+		return false, nil
+	}
+	if e, ok := msg.Op.(*SearchResultEntry); ok && op.wire {
+		// A frame outside the scanner's canonical shape is relayed decoded.
+		op.entries = append(op.entries, e.Entry)
+		return false, nil
+	}
+	select {
+	case op.ch <- msg:
+	case <-op.gone:
+		// The caller left between the map lookup and the send.
+		c.noteUnknown(msg.ID)
+	}
+	return false, nil
+}
+
+func (c *Client) pendingFor(id int64) *pendingOp {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.pending[id]
 }
 
 // noteUnknown records a response that had no pending operation to route to.
@@ -159,7 +257,7 @@ func (c *Client) allocID() int64 {
 	return id
 }
 
-func (c *Client) register(id int64, buffer int) (*pendingOp, error) {
+func (c *Client) register(id int64, buffer int, wire bool) (*pendingOp, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
@@ -168,7 +266,7 @@ func (c *Client) register(id int64, buffer int) (*pendingOp, error) {
 	if c.closed {
 		return nil, ErrClientClosed
 	}
-	op := &pendingOp{ch: make(chan *Message, buffer), gone: make(chan struct{})}
+	op := &pendingOp{ch: make(chan *Message, buffer), gone: make(chan struct{}), wire: wire}
 	c.pending[id] = op
 	return op, nil
 }
@@ -205,7 +303,7 @@ func (c *Client) write(m *Message) error {
 // roundTrip sends op and waits for a single response message.
 func (c *Client) roundTrip(op Op, controls ...Control) (*Message, error) {
 	id := c.allocID()
-	pop, err := c.register(id, 1)
+	pop, err := c.register(id, 1, false)
 	if err != nil {
 		return nil, err
 	}
@@ -289,9 +387,22 @@ func (c *Client) Search(req *SearchRequest) (*SearchResult, error) {
 	return c.SearchWith(req, nil)
 }
 
-// SearchWith is Search with request controls attached — the chained-search
-// path a GIIS uses to propagate trace identity to child hops.
+// SearchWith is Search with request controls attached (e.g. the trace
+// control). Every result entry comes back fully decoded.
 func (c *Client) SearchWith(req *SearchRequest, controls []Control) (*SearchResult, error) {
+	return c.search(req, controls, false)
+}
+
+// SearchWire is SearchWith for a caller that relays what it gets — the
+// chained-search path of a GIIS. Result entries come back wire-backed (see
+// Entry): named, but with their attributes left in the bytes they arrived
+// in, to be re-emitted as they are or decoded on first use. They are
+// immutable snapshots; WithDN renames one, Clone or Select copies one.
+func (c *Client) SearchWire(req *SearchRequest, controls []Control) (*SearchResult, error) {
+	return c.search(req, controls, true)
+}
+
+func (c *Client) search(req *SearchRequest, controls []Control, wire bool) (*SearchResult, error) {
 	ctx := context.Background()
 	if c.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -299,13 +410,13 @@ func (c *Client) SearchWith(req *SearchRequest, controls []Control) (*SearchResu
 		defer cancel()
 	}
 	res := &SearchResult{}
-	err := c.searchFunc(ctx, req, controls, func(e *Entry, _ []Control) error {
+	err := c.searchFunc(ctx, req, controls, wire, func(e *Entry, _ []Control) error {
 		res.Entries = append(res.Entries, e)
 		return nil
 	}, func(urls []string) error {
 		res.Referrals = append(res.Referrals, urls...)
 		return nil
-	}, &res.Result, &res.DoneControls)
+	}, res)
 	if err != nil {
 		return nil, err
 	}
@@ -325,17 +436,22 @@ func (c *Client) SearchWith(req *SearchRequest, controls []Control) (*SearchResu
 // GRIP subscription mode.
 func (c *Client) SearchFunc(ctx context.Context, req *SearchRequest, controls []Control,
 	entryFn func(*Entry, []Control) error, refFn func([]string) error, done *Result) error {
-	return c.searchFunc(ctx, req, controls, entryFn, refFn, done, nil)
+	var end SearchResult
+	err := c.searchFunc(ctx, req, controls, false, entryFn, refFn, &end)
+	if done != nil && err == nil {
+		*done = end.Result
+	}
+	return err
 }
 
-// searchFunc additionally captures the final message's controls when
-// doneControls is non-nil.
-func (c *Client) searchFunc(ctx context.Context, req *SearchRequest, controls []Control,
-	entryFn func(*Entry, []Control) error, refFn func([]string) error,
-	done *Result, doneControls *[]Control) error {
+// searchFunc runs one search. On the done message it fills end's Result and
+// DoneControls — and, for a wire search, whose entries the read loop
+// collected instead of passing them to entryFn, its Entries.
+func (c *Client) searchFunc(ctx context.Context, req *SearchRequest, controls []Control, wire bool,
+	entryFn func(*Entry, []Control) error, refFn func([]string) error, end *SearchResult) error {
 
 	id := c.allocID()
-	pop, err := c.register(id, 64)
+	pop, err := c.register(id, 64, wire)
 	if err != nil {
 		return err
 	}
@@ -368,11 +484,9 @@ func (c *Client) searchFunc(ctx context.Context, req *SearchRequest, controls []
 					}
 				}
 			case *SearchResultDone:
-				if done != nil {
-					*done = op.Result
-				}
-				if doneControls != nil {
-					*doneControls = msg.Controls
+				end.Result, end.DoneControls = op.Result, msg.Controls
+				if wire {
+					end.Entries = pop.entries
 				}
 				return nil
 			default:

@@ -45,14 +45,34 @@ func ParseDN(s string) (DN, error) {
 	if s == "" {
 		return DN{}, nil
 	}
-	var dn DN
-	for _, comp := range splitUnescaped(s, ',') {
+	// One counting pass sizes the DN and the single AVA array its RDNs are
+	// cut from: every entry crossing a directory has its name parsed, and a
+	// four-component name used to cost a dozen small allocations.
+	rdns, avas := 1, 1
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '\\':
+			i++ // skip escaped char
+		case ',':
+			rdns++
+			avas++
+		case '+':
+			avas++
+		}
+	}
+	dn := make(DN, 0, rdns)
+	all := make([]AVA, 0, avas)
+	for rest, more := s, true; more; {
+		var comp string
+		comp, rest, more = cutUnescaped(rest, ',')
 		comp = trimDNSpace(comp)
 		if comp == "" {
 			return nil, fmt.Errorf("%w: empty RDN in %q", ErrBadDN, s)
 		}
-		var rdn RDN
-		for _, avaStr := range splitUnescaped(comp, '+') {
+		first := len(all)
+		for r, more := comp, true; more; {
+			var avaStr string
+			avaStr, r, more = cutUnescaped(r, '+')
 			avaStr = trimDNSpace(avaStr)
 			eq := indexUnescaped(avaStr, '=')
 			if eq <= 0 {
@@ -63,9 +83,11 @@ func ParseDN(s string) (DN, error) {
 			if attr == "" || val == "" {
 				return nil, fmt.Errorf("%w: empty attribute or value in %q", ErrBadDN, avaStr)
 			}
-			rdn = append(rdn, AVA{Attr: unescape(attr), Value: unescape(val)})
+			all = append(all, AVA{Attr: unescape(attr), Value: unescape(val)})
 		}
-		dn = append(dn, rdn)
+		// Capacity stops at the RDN's own end, so appending to one RDN never
+		// writes into its neighbour.
+		dn = append(dn, RDN(all[first:len(all):len(all)]))
 	}
 	return dn, nil
 }
@@ -104,19 +126,13 @@ func trimDNSpace(s string) string {
 	return s[:end]
 }
 
-func splitUnescaped(s string, sep byte) []string {
-	var parts []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			i++ // skip escaped char
-		case sep:
-			parts = append(parts, s[start:i])
-			start = i + 1
-		}
+// cutUnescaped slices s around the first unescaped sep: the text before
+// it, the text after it, and whether sep occurred at all.
+func cutUnescaped(s string, sep byte) (before, after string, found bool) {
+	if i := indexUnescaped(s, sep); i >= 0 {
+		return s[:i], s[i+1:], true
 	}
-	return append(parts, s[start:])
+	return s, "", false
 }
 
 func indexUnescaped(s string, c byte) int {
@@ -199,21 +215,44 @@ func (d DN) String() string {
 // Normalize returns the case-folded, whitespace-canonical comparison key of
 // the DN. Two DNs name the same entry iff their Normalize outputs are equal.
 func (d DN) Normalize() string {
-	var b strings.Builder
+	var buf [96]byte
+	return string(d.appendNormalized(buf[:0]))
+}
+
+// appendNormalized appends d's Normalize key to dst.
+func (d DN) appendNormalized(dst []byte) []byte {
 	for i, rdn := range d {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
 		for j, ava := range rdn {
 			if j > 0 {
-				b.WriteByte('+')
+				dst = append(dst, '+')
 			}
-			b.WriteString(strings.ToLower(escapeDNValue(ava.Attr)))
-			b.WriteByte('=')
-			b.WriteString(strings.ToLower(escapeDNValue(ava.Value)))
+			dst = appendLower(dst, escapeDNValue(ava.Attr))
+			dst = append(dst, '=')
+			dst = appendLower(dst, escapeDNValue(ava.Value))
 		}
 	}
-	return b.String()
+	return dst
+}
+
+// appendLower appends strings.ToLower(s) to dst, without the intermediate
+// string when s is ASCII.
+func appendLower(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return append(dst, strings.ToLower(s)...)
+		}
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }
 
 // Equal reports whether d and o name the same entry. Normalize is the

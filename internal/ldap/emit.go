@@ -178,7 +178,14 @@ func (s *SearchRequest) appendOp(b *ber.Builder) {
 func (s *SearchResultEntry) appendOp(b *ber.Builder) {
 	b.Begin(ber.ClassApplication, appSearchEntry)
 	appendDN(b, s.Entry.DN)
-	appendAttrList(b, s.Entry.Attrs)
+	if raw := s.Entry.raw; raw != nil {
+		// A wire-backed entry goes out as it came in: the attribute list is
+		// one copy of bytes scanSearchEntry already validated.
+		s.Entry.verifySeal()
+		b.RawBytes(raw)
+	} else {
+		appendAttrList(b, s.Entry.Attrs)
+	}
 	b.End()
 }
 
@@ -198,7 +205,7 @@ func (s *SearchResultDone) appendOp(b *ber.Builder) {
 func (a *AddRequest) appendOp(b *ber.Builder) {
 	b.Begin(ber.ClassApplication, appAddRequest)
 	appendDN(b, a.Entry.DN)
-	appendAttrList(b, a.Entry.Attrs)
+	appendAttrList(b, a.Entry.Attributes())
 	b.End()
 }
 

@@ -1,9 +1,14 @@
 package ldap
 
 import (
+	"bytes"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
+
+	"mds2/internal/ber"
 )
 
 // Attribute is a named, multi-valued attribute binding. Names compare
@@ -15,9 +20,25 @@ type Attribute struct {
 
 // Entry is one object in the hierarchical namespace: a distinguished name
 // plus a set of typed attribute bindings (Figure 3 of the paper).
+//
+// An entry comes in two forms. A decoded entry keeps its bindings in Attrs.
+// A wire-backed entry — what Client.SearchWire hands a relay — keeps the BER
+// PartialAttributeList of the frame it arrived in, validated but not parsed,
+// and leaves Attrs nil: SearchResultEntry re-emits those bytes as they are,
+// and they are decoded only if something asks for an attribute. Read
+// attributes through Attributes (or Values, First, …), never the field. A
+// wire-backed entry is an immutable snapshot from birth: its bytes and the
+// attributes decoded from them are shared by everyone holding it.
 type Entry struct {
-	DN    DN
+	DN DN
+	// Attrs holds a decoded entry's attributes; nil on a wire-backed entry.
 	Attrs []Attribute
+	// raw is a wire-backed entry's attribute list exactly as received (the
+	// SEQUENCE OF element, header included), nil on a decoded entry. Nothing
+	// writes these bytes after scanSearchEntry accepted them.
+	raw []byte
+	// decoded memoizes raw's attributes once something asked for them.
+	decoded atomic.Pointer[[]Attribute]
 	// san is the snapshot seal: set when the store publishes this entry as
 	// an immutable snapshot; zero-sized outside -tags mdsdebug builds.
 	san entrySan
@@ -26,9 +47,56 @@ type Entry struct {
 // NewEntry returns an entry with the given DN and no attributes.
 func NewEntry(dn DN) *Entry { return &Entry{DN: dn} }
 
+// Attributes returns the entry's attribute bindings, decoding a wire-backed
+// entry's frame on first use. Concurrent first uses may each decode; one
+// result is published and every caller returns that one. The slice is the
+// entry's own — shared with every other holder when the entry is a snapshot.
+func (e *Entry) Attributes() []Attribute {
+	if e.raw == nil {
+		return e.Attrs
+	}
+	if p := e.decoded.Load(); p != nil {
+		return *p
+	}
+	return e.materialize()
+}
+
+func (e *Entry) materialize() []Attribute {
+	e.verifySeal()
+	// scanSearchEntry accepted raw, so it decodes; names and values are
+	// views into raw, which stays alive and unwritten as long as they do.
+	var attrs []Attribute
+	if p, err := ber.DecodeOwned(e.raw); err == nil {
+		attrs, _ = decodeAttrList(p)
+	}
+	e.decoded.CompareAndSwap(nil, &attrs)
+	return *e.decoded.Load()
+}
+
+// own turns a wire-backed entry into a decoded one holding private copies
+// of its attributes, which is what the mutating methods then work on. Only
+// an entry nobody else holds may be mutated at all.
+func (e *Entry) own() {
+	if e.raw == nil {
+		return
+	}
+	e.Attrs = cloneAttrs(e.Attributes())
+	e.raw = nil
+	e.decoded.Store(nil)
+}
+
+func cloneAttrs(attrs []Attribute) []Attribute {
+	out := make([]Attribute, len(attrs))
+	for i, a := range attrs {
+		out[i] = Attribute{Name: a.Name, Values: append([]string(nil), a.Values...)}
+	}
+	return out
+}
+
 // Add appends values to the named attribute, creating it if needed.
 func (e *Entry) Add(name string, values ...string) *Entry {
 	e.checkMutable()
+	e.own()
 	for i := range e.Attrs {
 		if strings.EqualFold(e.Attrs[i].Name, name) {
 			e.Attrs[i].Values = append(e.Attrs[i].Values, values...)
@@ -42,6 +110,7 @@ func (e *Entry) Add(name string, values ...string) *Entry {
 // Set replaces the named attribute's values.
 func (e *Entry) Set(name string, values ...string) *Entry {
 	e.checkMutable()
+	e.own()
 	for i := range e.Attrs {
 		if strings.EqualFold(e.Attrs[i].Name, name) {
 			e.Attrs[i].Values = append([]string(nil), values...)
@@ -54,6 +123,7 @@ func (e *Entry) Set(name string, values ...string) *Entry {
 // Delete removes the named attribute entirely; it is a no-op if absent.
 func (e *Entry) Delete(name string) {
 	e.checkMutable()
+	e.own()
 	for i := range e.Attrs {
 		if strings.EqualFold(e.Attrs[i].Name, name) {
 			e.Attrs = append(e.Attrs[:i], e.Attrs[i+1:]...)
@@ -64,9 +134,10 @@ func (e *Entry) Delete(name string) {
 
 // Values returns the values bound to the named attribute (nil if absent).
 func (e *Entry) Values(name string) []string {
-	for i := range e.Attrs {
-		if strings.EqualFold(e.Attrs[i].Name, name) {
-			return e.Attrs[i].Values
+	attrs := e.Attributes()
+	for i := range attrs {
+		if strings.EqualFold(attrs[i].Name, name) {
+			return attrs[i].Values
 		}
 	}
 	return nil
@@ -130,11 +201,7 @@ func (e *Entry) IsA(class string) bool { return e.HasValue("objectclass", class)
 
 // Clone returns a deep copy of the entry.
 func (e *Entry) Clone() *Entry {
-	out := &Entry{DN: append(DN(nil), e.DN...), Attrs: make([]Attribute, len(e.Attrs))}
-	for i, a := range e.Attrs {
-		out.Attrs[i] = Attribute{Name: a.Name, Values: append([]string(nil), a.Values...)}
-	}
-	return out
+	return &Entry{DN: append(DN(nil), e.DN...), Attrs: cloneAttrs(e.Attributes())}
 }
 
 // Select returns a copy of the entry restricted to the requested attribute
@@ -156,8 +223,8 @@ func (e *Entry) Select(requested []string) *Entry {
 
 // Project is Select without the copy, for handing a store's immutable
 // snapshot to a SearchWriter: the result shares e's DN and value slices —
-// it is e itself when every attribute is selected — so it is as read-only
-// as e.
+// it is e itself when every attribute is selected, which is what lets a
+// wire-backed entry through unparsed — so it is as read-only as e.
 func (e *Entry) Project(requested []string) *Entry {
 	if selectsAll(requested) {
 		return e
@@ -180,10 +247,24 @@ func selectsAll(requested []string) bool {
 	return len(requested) == 0
 }
 
+// WithDN returns an entry named dn that shares e's attributes — the frame
+// of a wire-backed entry, the attribute slice of a decoded one — and so is
+// as read-only as e. A chaining directory grafts a child's entries into its
+// own view with it.
+func (e *Entry) WithDN(dn DN) *Entry {
+	out := &Entry{DN: dn, Attrs: e.Attrs, raw: e.raw}
+	if out.raw != nil {
+		out.decoded.Store(e.decoded.Load())
+		out.seal()
+	}
+	return out
+}
+
 // SortAttrs orders the entry's attributes by case-folded name, for
 // deterministic serialization and golden tests.
 func (e *Entry) SortAttrs() {
 	e.checkMutable()
+	e.own()
 	sort.Slice(e.Attrs, func(i, j int) bool {
 		return strings.ToLower(e.Attrs[i].Name) < strings.ToLower(e.Attrs[j].Name)
 	})
@@ -194,7 +275,7 @@ func (e *Entry) String() string {
 	var b strings.Builder
 	b.WriteString("dn: ")
 	b.WriteString(e.DN.String())
-	for _, a := range e.Attrs {
+	for _, a := range e.Attributes() {
 		for _, v := range a.Values {
 			b.WriteString("; ")
 			b.WriteString(a.Name)
@@ -206,28 +287,64 @@ func (e *Entry) String() string {
 }
 
 // SortEntries orders entries by normalized DN, parents before children,
-// giving deterministic search-result ordering. Comparison keys are computed
-// once per entry: Normalize allocates, and result sets can be large.
+// giving deterministic search-result ordering. Comparison keys are rendered
+// once per entry, back to back into one buffer: a chained result set is
+// sorted at every hop it crosses.
 func SortEntries(entries []*Entry) {
 	if len(entries) < 2 {
 		return
 	}
 	type keyed struct {
-		depth int
-		key   string
-		e     *Entry
+		depth  int
+		lo, hi int // the entry's Normalize key is keys[lo:hi]
+		e      *Entry
 	}
 	ks := make([]keyed, len(entries))
+	keys := make([]byte, 0, 48*len(entries))
 	for i, e := range entries {
-		ks[i] = keyed{depth: len(e.DN), key: e.DN.Normalize(), e: e}
+		lo := len(keys)
+		keys = e.DN.appendNormalized(keys)
+		ks[i] = keyed{depth: len(e.DN), lo: lo, hi: len(keys), e: e}
 	}
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].depth != ks[j].depth {
-			return ks[i].depth < ks[j].depth
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if a.depth != b.depth {
+			return a.depth - b.depth
 		}
-		return ks[i].key < ks[j].key
+		return bytes.Compare(keys[a.lo:a.hi], keys[b.lo:b.hi])
 	})
 	for i := range ks {
 		entries[i] = ks[i].e
+	}
+}
+
+// CompactSnapshots gives the wire-backed entries among entries bytes of
+// their own: each is replaced in the slice by a copy whose frame sits in one
+// buffer sized for the lot, so a cache that keeps the result keeps the
+// result — not every read chunk a frame of it happened to arrive in. Decoded
+// entries stay as they are. The caller must own the slice.
+func CompactSnapshots(entries []*Entry) {
+	n, size := 0, 0
+	for _, e := range entries {
+		if e.raw != nil {
+			n++
+			size += len(e.raw)
+		}
+	}
+	if n == 0 {
+		return
+	}
+	buf := make([]byte, 0, size)
+	own := make([]Entry, n)
+	for i, e := range entries {
+		if e.raw == nil {
+			continue
+		}
+		c := &own[0]
+		own = own[1:]
+		lo := len(buf)
+		buf = append(buf, e.raw...)
+		c.DN, c.raw = e.DN, buf[lo:len(buf):len(buf)]
+		c.seal()
+		entries[i] = c
 	}
 }

@@ -1,6 +1,8 @@
 package ldap
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -10,6 +12,53 @@ import (
 // checks the totality property the ber fuzzers established for the binary
 // layer — parse or error, never panic — plus round-trip stability: any
 // accepted input must re-render and re-parse to the same normal form.
+
+// parseDNReference is ParseDN as it was before it sized its result in one
+// counting pass: split into components, split each into AVAs, append as it
+// goes. Kept as the oracle FuzzParseDN holds the one-pass parser to.
+func parseDNReference(s string) (DN, error) {
+	split := func(s string, sep byte) []string {
+		var parts []string
+		start := 0
+		for i := 0; i < len(s); i++ {
+			switch s[i] {
+			case '\\':
+				i++ // skip escaped char
+			case sep:
+				parts = append(parts, s[start:i])
+				start = i + 1
+			}
+		}
+		return append(parts, s[start:])
+	}
+	s = trimDNSpace(s)
+	if s == "" {
+		return DN{}, nil
+	}
+	var dn DN
+	for _, comp := range split(s, ',') {
+		comp = trimDNSpace(comp)
+		if comp == "" {
+			return nil, fmt.Errorf("%w: empty RDN in %q", ErrBadDN, s)
+		}
+		var rdn RDN
+		for _, avaStr := range split(comp, '+') {
+			avaStr = trimDNSpace(avaStr)
+			eq := indexUnescaped(avaStr, '=')
+			if eq <= 0 {
+				return nil, fmt.Errorf("%w: %q lacks '='", ErrBadDN, avaStr)
+			}
+			attr := trimDNSpace(avaStr[:eq])
+			val := trimDNSpace(avaStr[eq+1:])
+			if attr == "" || val == "" {
+				return nil, fmt.Errorf("%w: empty attribute or value in %q", ErrBadDN, avaStr)
+			}
+			rdn = append(rdn, AVA{Attr: unescape(attr), Value: unescape(val)})
+		}
+		dn = append(dn, rdn)
+	}
+	return dn, nil
+}
 
 func FuzzParseDN(f *testing.F) {
 	for _, seed := range []string{
@@ -28,8 +77,20 @@ func FuzzParseDN(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		dn, err := ParseDN(s)
+		want, wantErr := parseDNReference(s)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("ParseDN(%q) error %v, reference %v", s, err, wantErr)
+		}
+		if !reflect.DeepEqual(dn, want) {
+			t.Fatalf("ParseDN(%q) = %#v, reference %#v", s, dn, want)
+		}
 		if err != nil {
 			return
+		}
+		for i, rdn := range dn {
+			if cap(rdn) != len(rdn) {
+				t.Fatalf("ParseDN(%q): RDN %d can be appended into its neighbour", s, i)
+			}
 		}
 		// The printed form must parse back to the same normal form:
 		// String/Normalize are the on-wire names GIIS indices key by.

@@ -29,7 +29,7 @@ func Marshal(entries []*ldap.Entry) string {
 		writeLine(&b, "dn", e.DN.String())
 		cp := e.Clone()
 		cp.SortAttrs()
-		for _, a := range cp.Attrs {
+		for _, a := range cp.Attributes() {
 			for _, v := range a.Values {
 				writeLine(&b, a.Name, v)
 			}

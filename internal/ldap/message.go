@@ -353,7 +353,7 @@ func (s *SearchRequest) encodeOp() *ber.Packet {
 
 func (s *SearchResultEntry) encodeOp() *ber.Packet {
 	attrs := ber.NewSequence()
-	for _, a := range s.Entry.Attrs {
+	for _, a := range s.Entry.Attributes() {
 		vals := ber.NewSet()
 		for _, v := range a.Values {
 			vals.Append(ber.NewOctetString(v))
@@ -376,7 +376,7 @@ func (s *SearchResultDone) encodeOp() *ber.Packet { return encodeResult(appSearc
 
 func (a *AddRequest) encodeOp() *ber.Packet {
 	attrs := ber.NewSequence()
-	for _, at := range a.Entry.Attrs {
+	for _, at := range a.Entry.Attributes() {
 		vals := ber.NewSet()
 		for _, v := range at.Values {
 			vals.Append(ber.NewOctetString(v))

@@ -115,7 +115,7 @@ func (s *Schema) Validate(e *Entry) error {
 	if openWorld {
 		return nil
 	}
-	for _, attr := range e.Attrs {
+	for _, attr := range e.Attributes() {
 		key := strings.ToLower(attr.Name)
 		if !must[key] && !may[key] {
 			return fmt.Errorf("ldap: entry %q: attribute %q not allowed by classes %v", e.DN, attr.Name, classes)

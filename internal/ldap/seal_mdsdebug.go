@@ -18,8 +18,15 @@ package ldap
 //
 // Clone and Select build fresh keyed literals, so their results carry a
 // zero (unsealed) seal and stay freely mutable — exactly the laundering
-// contract the snapshotcheck analyzer enforces statically. The release
-// twin (seal_release.go) compiles all of this to nothing.
+// contract the snapshotcheck analyzer enforces statically.
+//
+// A wire-backed entry (Client.SearchWire) is sealed at birth, and its
+// checksum is taken over the raw frame bytes rather than decoded
+// attributes: the frame aliases a client read chunk, and the one way that
+// goes wrong — the chunk being reused while an entry still points into it —
+// is made loud by poisonChunk scribbling over every recycled chunk, so the
+// next materialise, re-emit or cache fill of such an entry fails its seal.
+// The release twin (seal_release.go) compiles all of this to nothing.
 
 // entrySan is the per-entry seal: zero value means unsealed (mutable).
 type entrySan struct {
@@ -41,6 +48,12 @@ func (e *Entry) checksum() uint64 {
 		h = (h ^ 0xff) * prime // terminator so "ab","c" ≠ "a","bc"
 	}
 	mix(e.DN.Normalize())
+	if e.raw != nil {
+		for _, c := range e.raw {
+			h = (h ^ uint64(c)) * prime
+		}
+		return h
+	}
 	for _, a := range e.Attrs {
 		mix(a.Name)
 		for _, v := range a.Values {
@@ -71,14 +84,14 @@ func (e *Entry) sealOrVerify() {
 // verifySeal panics if a sealed entry's contents changed after publication.
 func (e *Entry) verifySeal() {
 	if e.san.sealed && e.san.sum != e.checksum() {
-		panic("ldap: store snapshot mutated after publication (mdsdebug); Clone or Select before modifying entries from Find or ChangeEvents: " + e.DN.String())
+		panic("ldap: snapshot mutated after publication (mdsdebug); Clone or Select before modifying entries from Find, ChangeEvents or SearchWire — or a wire-backed entry outlived its read chunk: " + e.DN.String())
 	}
 }
 
 // checkMutable panics when a mutating method is invoked on a sealed entry.
 func (e *Entry) checkMutable() {
 	if e.san.sealed {
-		panic("ldap: mutating method called on a sealed store snapshot (mdsdebug); Clone or Select a private copy first: " + e.DN.String())
+		panic("ldap: mutating method called on a sealed snapshot (mdsdebug); Clone or Select a private copy first: " + e.DN.String())
 	}
 }
 
@@ -100,5 +113,14 @@ func verifyEntries(es []*Entry) []*Entry {
 func SealSnapshots(es []*Entry) {
 	for _, e := range es {
 		e.sealOrVerify()
+	}
+}
+
+// poisonChunk scribbles over a client read chunk that is about to be reused,
+// so a wire-backed entry that wrongly still aliases it fails its seal
+// instead of relaying another message's bytes.
+func poisonChunk(b []byte) {
+	for i := range b {
+		b[i] = 0xDB
 	}
 }

@@ -74,3 +74,42 @@ func TestSealClonedEntriesStayMutable(t *testing.T) {
 	}
 	mine.Add("hn", "hostC")
 }
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// TestSealCoversWireEntries: a wire-backed entry is sealed at birth, its
+// checksum taken over the raw frame — so a mutating method panics at the
+// call, and an entry whose read chunk was recycled under it (poisonChunk
+// scribbles over every chunk the client rewinds) fails loudly at the next
+// decode, re-emit or cache fill instead of relaying another message's bytes.
+func TestSealCoversWireEntries(t *testing.T) {
+	scan := func(chunk []byte) *Entry {
+		var w wireEntries
+		_, e, ok, err := scanFrame(&w, chunk)
+		if !ok || err != nil {
+			t.Fatal(ok, err)
+		}
+		return e
+	}
+	e := scan(entryFrame(1, sevenAttrEntry(1)))
+	mustPanic(t, "Add on a wire-backed entry", func() { e.Add("seen", "1") })
+	if e.First("hn") != "h1" {
+		t.Fatalf("live entry: %s", e)
+	}
+	SealSnapshots([]*Entry{e}) // re-verifies: still intact
+
+	chunk := entryFrame(2, sevenAttrEntry(2))
+	stale, grafted := scan(chunk), scan(chunk).WithDN(MustParseDN("hn=h2, o=view"))
+	poisonChunk(chunk) // what the read loop does before reusing a chunk
+	mustPanic(t, "decoding an entry whose chunk was recycled", func() { stale.Attributes() })
+	mustPanic(t, "re-emitting an entry whose chunk was recycled", func() { entryFrame(2, grafted) })
+	mustPanic(t, "caching an entry whose chunk was recycled", func() { SealSnapshots([]*Entry{stale}) })
+}

@@ -57,8 +57,10 @@ func (c *ConnState) Identity() any {
 // lifetime and feeds it from change notifications.
 type SearchWriter interface {
 	// SendEntry transmits one result entry with optional per-entry controls.
-	// The entry may be a shared immutable snapshot (Entry.Project): a writer
-	// reads it and never modifies it.
+	// The entry may be a shared immutable snapshot — a store's or cache's
+	// (Entry.Project), or a wire-backed one a directory is relaying, whose
+	// Attrs field is nil: a writer reads it through Attributes (or just
+	// encodes it) and never modifies it; Clone or Select to keep a copy.
 	SendEntry(e *Entry, controls ...Control) error
 	// SendReferral transmits a continuation reference (LDAP URLs).
 	SendReferral(urls ...string) error

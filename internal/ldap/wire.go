@@ -1,0 +1,109 @@
+package ldap
+
+import "mds2/internal/ber"
+
+// This file is the relay half of the wire path. A directory that chains a
+// search needs one thing from each result entry a child sends back — its
+// name, to graft, order and dedup it — and otherwise passes the entry on.
+// So instead of tree-decoding every SearchResultEntry into Packets and an
+// Entry (DecodeMessage) and re-encoding it attribute by attribute, the
+// client's read loop scans the frame in place: one pass, no allocation,
+// validating every length and tag on the way, and yielding the name plus the
+// attribute list as the bytes it arrived in (see Entry).
+//
+// The scanner accepts exactly the canonical shape this package's encoder
+// emits — one-octet identifiers, universal INTEGER / OCTET STRING / SEQUENCE
+// / SET where RFC 4511 says so, no controls, nothing trailing. Anything else
+// is not refused but handed to the tree decoder, which alone decides whether
+// a frame is LDAP; so a frame is accepted by a connection iff DecodeMessage
+// accepts it, and bytes are relayed only if every one of them was checked
+// here. FuzzWireEntry pins both.
+
+// One-octet BER identifiers of the canonical SearchResultEntry frame.
+const (
+	idInteger     = 0x02
+	idOctetString = 0x04
+	idSequence    = 0x30
+	idSet         = 0x31
+	idSearchEntry = 0x40 | 0x20 | byte(appSearchEntry) // [APPLICATION 4], constructed
+)
+
+// scanEnvelope splits a complete LDAPMessage frame that carries no controls
+// into its message ID and its operation element. ok is false for any frame
+// outside the canonical shape, which the caller then tree-decodes.
+func scanEnvelope(frame []byte) (id int64, op []byte, ok bool) {
+	tag, body, rest, err := ber.Element(frame)
+	if err != nil || tag != idSequence || len(rest) != 0 {
+		return 0, nil, false
+	}
+	tag, idBytes, op, err := ber.Element(body)
+	if err != nil || tag != idInteger {
+		return 0, nil, false
+	}
+	if id, err = ber.ParseInt64(idBytes); err != nil {
+		return 0, nil, false
+	}
+	if _, _, rest, err = ber.Element(op); err != nil || len(rest) != 0 {
+		return 0, nil, false
+	}
+	return id, op, true
+}
+
+// scanSearchEntry validates a SearchResultEntry operation element (as
+// scanEnvelope returns it) down to its last value and yields the entry name
+// and the PartialAttributeList element, header included, both aliasing op.
+func scanSearchEntry(op []byte) (dn, attrs []byte, ok bool) {
+	tag, body, _, err := ber.Element(op)
+	if err != nil || tag != idSearchEntry {
+		return nil, nil, false
+	}
+	tag, dn, attrs, err = ber.Element(body)
+	if err != nil || tag != idOctetString {
+		return nil, nil, false
+	}
+	tag, list, rest, err := ber.Element(attrs)
+	if err != nil || tag != idSequence || len(rest) != 0 {
+		return nil, nil, false
+	}
+	for len(list) > 0 {
+		var attr, vals, set []byte
+		if tag, attr, list, err = ber.Element(list); err != nil || tag != idSequence {
+			return nil, nil, false
+		}
+		if tag, _, vals, err = ber.Element(attr); err != nil || tag != idOctetString {
+			return nil, nil, false
+		}
+		if tag, set, rest, err = ber.Element(vals); err != nil || tag != idSet || len(rest) != 0 {
+			return nil, nil, false
+		}
+		for len(set) > 0 {
+			if tag, _, set, err = ber.Element(set); err != nil || tag != idOctetString {
+				return nil, nil, false
+			}
+		}
+	}
+	return dn, attrs, true
+}
+
+// wireEntries builds the wire-backed entries of one connection. Entries are
+// cut from small slabs rather than allocated one by one: a relayed entry
+// lives for a single search, and a cached one is copied out by
+// CompactSnapshots before it is kept.
+type wireEntries struct{ slab []Entry }
+
+// next returns the wire-backed entry for a scanned frame. The name is
+// copied out of the frame and parsed; attrs is kept as it is.
+func (w *wireEntries) next(dn, attrs []byte) (*Entry, error) {
+	d, err := ParseDN(string(dn))
+	if err != nil {
+		return nil, err
+	}
+	if len(w.slab) == 0 {
+		w.slab = make([]Entry, 32)
+	}
+	e := &w.slab[0]
+	w.slab = w.slab[1:]
+	e.DN, e.raw = d, attrs
+	e.seal()
+	return e, nil
+}

@@ -72,7 +72,7 @@ func (a *Ad) Get(name string) Value {
 func FromEntry(e *ldap.Entry) *Ad {
 	ad := NewAd()
 	ad.Set("dn", e.DN.String())
-	for _, attr := range e.Attrs {
+	for _, attr := range e.Attributes() {
 		if len(attr.Values) == 0 {
 			continue
 		}

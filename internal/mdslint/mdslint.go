@@ -86,7 +86,7 @@ type Analyzer struct {
 // Analyzers returns the full suite in a stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{ClockCheck, LockCheck, ErrCheckLite, GoroutineCheck,
-		SnapshotCheck, PoolCheck, BerBalance}
+		SnapshotCheck, PoolCheck, BerBalance, AttrsCheck}
 }
 
 // IgnoreDirective is the parsed form of //mdslint:ignore <rule> <reason>.

@@ -12,6 +12,10 @@ package mdslint
 // Delete, SortAttrs — anything with a mutates fact), and mutating builtins
 // (copy/delete/clear) on tainted values. Clone and Select launder: their
 // results are private copies and may be mutated freely.
+//
+// Client.SearchWire is a source too: the wire-backed entries it returns
+// share one raw frame (and one lazily decoded attribute slice) among every
+// holder, so they are snapshots before any store or cache sees them.
 
 import (
 	"go/ast"
@@ -22,7 +26,7 @@ const ruleSnapshot = "snapshotcheck"
 
 var SnapshotCheck = &Analyzer{
 	Name:       ruleSnapshot,
-	Doc:        "entries from Store.Find/FindLimit/ChangeEvent are immutable snapshots; Clone/Select before mutating",
+	Doc:        "entries from Store.Find/FindLimit/ChangeEvent, qcache and Client.SearchWire are immutable snapshots; Clone/Select before mutating",
 	NeedsTypes: true,
 	Run:        runSnapshotCheck,
 }
@@ -33,11 +37,15 @@ const (
 )
 
 // isSnapshotSource reports whether fn is one of the snapshot hand-out
-// entry points: the store's Find family, and the qcache result cache,
-// whose hits share the same sealed entries with every caller.
+// entry points: the store's Find family, the qcache result cache, whose
+// hits share the same sealed entries with every caller, and the client's
+// wire search, whose entries are immutable from birth — their attributes
+// are the frame they arrived in, shared with everything that entry (or a
+// Project / WithDN of it) is ever handed to.
 func isSnapshotSource(fn *types.Func) bool {
 	switch {
-	case isMethod(fn, pkgLdap, "Store", "Find"),
+	case isMethod(fn, pkgLdap, "Client", "SearchWire"),
+		isMethod(fn, pkgLdap, "Store", "Find"),
 		isMethod(fn, pkgLdap, "Store", "FindLimit"),
 		isMethod(fn, pkgLdap, "Store", "FindCompiled"),
 		isMethod(fn, pkgLdap, "Store", "All"),

@@ -105,6 +105,20 @@ func (e *Entry) Set(name string, vals ...string) {
 	e.Add(name, vals...)
 }
 
+func (e *Entry) WithDN(dn string) *Entry { return &Entry{DN: dn, Attrs: e.Attrs} }
+
+func (e *Entry) Attributes() []Attribute { return e.Attrs }
+
+type SearchResult struct{ Entries []*Entry }
+
+type Client struct{ last *SearchResult }
+
+func (c *Client) SearchWire(base string) (*SearchResult, error) { return c.last, nil }
+
+func (c *Client) SearchWith(base string) (*SearchResult, error) {
+	return &SearchResult{Entries: []*Entry{{DN: base}}}, nil
+}
+
 type ChangeEvent struct {
 	Type  int
 	Entry *Entry
@@ -427,6 +441,125 @@ func f(c *qcache.Cache) {
 				"internal/app/app.go":       tc.src,
 			}
 			checkWants(t, files, runTyped(t, SnapshotCheck, files))
+		})
+	}
+}
+
+// TestSnapshotCheckWireFixtures pins the relay contract: entries from
+// Client.SearchWire are immutable from birth — their attributes are one
+// shared frame — so renaming one in place (what the hop's view graft used to
+// do to decoded entries) is a finding, as is a write through the WithDN
+// shell that shares the frame; building a fresh result slice, or cloning,
+// is fine. SearchWith's decoded entries stay the caller's own.
+func TestSnapshotCheckWireFixtures(t *testing.T) {
+	cases := []struct {
+		name string
+		src  string
+	}{
+		{"grafting a wire entry in place", `package app
+
+import "mds2/internal/ldap"
+
+func f(c *ldap.Client) []*ldap.Entry {
+	res, _ := c.SearchWire("o=grid")
+	for _, e := range res.Entries {
+		e.DN = "hn=x, o=view" // want
+	}
+	res.Entries[0].Add("seen", "1") // want
+	return res.Entries
+}
+`},
+		{"WithDN shares the frame", `package app
+
+import "mds2/internal/ldap"
+
+func f(c *ldap.Client) {
+	res, _ := c.SearchWire("o=grid")
+	g := res.Entries[0].WithDN("hn=x, o=view")
+	g.Attributes()[0].Values[0] = "x" // want
+}
+`},
+		{"fresh slice of renamed shells is fine", `package app
+
+import "mds2/internal/ldap"
+
+func f(c *ldap.Client) []*ldap.Entry {
+	res, _ := c.SearchWire("o=grid")
+	grafted := make([]*ldap.Entry, len(res.Entries))
+	for i, e := range res.Entries {
+		grafted[i] = e.WithDN("hn=x, o=view")
+	}
+	own := res.Entries[0].Clone()
+	own.DN = "o=mine"
+	return append(grafted, own)
+}
+`},
+		{"decoded search results are the caller's own", `package app
+
+import "mds2/internal/ldap"
+
+func f(c *ldap.Client) {
+	res, _ := c.SearchWith("o=grid")
+	res.Entries[0].DN = "hn=x, o=view"
+	res.Entries[0].Add("seen", "1")
+}
+`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			files := map[string]string{
+				"internal/ldap/ldap.go": ldapStub,
+				"internal/app/app.go":   tc.src,
+			}
+			checkWants(t, files, runTyped(t, SnapshotCheck, files))
+		})
+	}
+}
+
+// TestAttrsCheckFixtures: selecting ldap.Entry's Attrs field is a finding
+// everywhere but inside internal/ldap — it is nil on a wire-backed entry —
+// while the accessors, a composite literal building a decoded entry, and
+// another type's field of the same name are not.
+func TestAttrsCheckFixtures(t *testing.T) {
+	cases := []struct {
+		name string
+		src  string
+	}{
+		{"reads and writes of the field", `package app
+
+import "mds2/internal/ldap"
+
+func f(e *ldap.Entry, es []*ldap.Entry) int {
+	n := len(e.Attrs) // want
+	for _, a := range es[0].Attrs { // want
+		n += len(a.Values)
+	}
+	e.Attrs = nil // want
+	return n
+}
+`},
+		{"accessors, literals and namesakes", `package app
+
+import "mds2/internal/ldap"
+
+type ad struct{ Attrs map[string]string }
+
+func f(e *ldap.Entry, a *ad) *ldap.Entry {
+	n := len(e.Attributes()) + len(e.Values("hn")) + len(a.Attrs)
+	if n == 0 {
+		return nil
+	}
+	return &ldap.Entry{DN: e.DN, Attrs: e.Attributes()}
+}
+`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			files := map[string]string{
+				"internal/ldap/ldap.go": ldapStub, // selects the field throughout, legally
+				"internal/app/app.go":   tc.src,
+			}
+			checkWants(t, files, runTyped(t, AttrsCheck, files))
 		})
 	}
 }

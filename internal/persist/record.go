@@ -206,8 +206,9 @@ func encodeEntries(buf []byte, entries []*ldap.Entry) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(entries)))
 	for _, e := range entries {
 		buf = appendString(buf, e.DN.String())
-		buf = binary.AppendUvarint(buf, uint64(len(e.Attrs)))
-		for _, a := range e.Attrs {
+		attrs := e.Attributes()
+		buf = binary.AppendUvarint(buf, uint64(len(attrs)))
+		for _, a := range attrs {
 			buf = appendString(buf, a.Name)
 			buf = binary.AppendUvarint(buf, uint64(len(a.Values)))
 			for _, v := range a.Values {

@@ -19,7 +19,12 @@
 // mdsdebug exactly like store hand-outs: hits return a fresh []*ldap.Entry
 // container (a pointer copy, never an entry clone) whose elements must be
 // laundered with Clone or Select before mutation — the contract the
-// snapshotcheck analyzer enforces statically.
+// snapshotcheck analyzer enforces statically. Wire-backed entries (a chained
+// reply kept as the frames it arrived in, see ldap.Entry) are cached as
+// such, so a hit re-emits bytes instead of re-encoding attributes; the fill
+// first copies their frames into one buffer the result owns
+// (ldap.CompactSnapshots), so a cached result pins what it holds and not
+// the connection read chunks it came through.
 package qcache
 
 import (
@@ -101,23 +106,25 @@ func (r Region) Key(attrs []string, sizeLimit int64) string {
 		b.WriteString(strings.ToLower(r.Filter.String()))
 	}
 	b.WriteByte(0x1f)
-	b.WriteString(normalizeAttrs(attrs))
+	b.WriteString(strings.Join(NormalizeAttrs(attrs), ","))
 	b.WriteByte(0x1f)
 	b.WriteString(strconv.FormatInt(sizeLimit, 10))
 	return b.String()
 }
 
-// normalizeAttrs folds the attribute selection to its semantic form: empty
-// and "*" both select everything, names compare case-insensitively, and
-// order is irrelevant.
-func normalizeAttrs(attrs []string) string {
+// NormalizeAttrs folds an attribute selection to its semantic form: empty
+// and "*" both select everything (nil), names compare case-insensitively,
+// and order is irrelevant. Key keys by this form, so a directory that chains
+// the normalized selection downstream gets a cached reply that is the same
+// whichever spelling of the selection filled it.
+func NormalizeAttrs(attrs []string) []string {
 	if len(attrs) == 0 {
-		return ""
+		return nil
 	}
 	folded := make([]string, 0, len(attrs))
 	for _, a := range attrs {
 		if a == "*" || a == "" {
-			return "" // selects all attributes, like an empty request
+			return nil // selects all attributes, like an empty request
 		}
 		folded = append(folded, strings.ToLower(a))
 	}
@@ -128,7 +135,7 @@ func normalizeAttrs(attrs []string) string {
 			out = append(out, a)
 		}
 	}
-	return strings.Join(out, ",")
+	return out
 }
 
 // Outcome reports how GetOrFill satisfied a lookup.
@@ -272,8 +279,9 @@ func copyEntries(entries []*ldap.Entry) []*ldap.Entry {
 
 // Get returns the cached result for key when fresh. The returned slice is
 // a fresh container of shared immutable snapshot entries; Clone or Select
-// an entry before mutating it. A cached negative result returns (nil,
-// true).
+// an entry before mutating it (a wire-backed one included: Project and
+// WithDN share its frame, only Clone and Select copy out of it). A cached
+// negative result returns (nil, true).
 func (c *Cache) Get(key string) ([]*ldap.Entry, bool) {
 	entries, ok := c.lookup(key, c.clock.Now())
 	if !ok {
@@ -317,7 +325,9 @@ func (c *Cache) stale(key string) ([]*ldap.Entry, bool) {
 // non-zero, caps the result's freshness at that instant regardless of TTL
 // — pass the contributing source's soft-state deadline so a cached result
 // never outlives the registration it came from. The returned slice is a
-// fresh container of shared immutable snapshot entries (see Get).
+// fresh container of shared immutable snapshot entries (see Get). The slice
+// fill returns becomes the cache's: wire-backed entries in it are replaced
+// by copies that own their bytes before it is kept.
 func (c *Cache) GetOrFill(key string, region Region, bound time.Time,
 	fill func() ([]*ldap.Entry, error)) ([]*ldap.Entry, Outcome, error) {
 
@@ -356,8 +366,9 @@ func (c *Cache) GetOrFill(key string, region Region, bound time.Time,
 }
 
 // Put caches a result directly (GetOrFill is the usual path). See
-// GetOrFill for bound semantics.
+// GetOrFill for bound semantics and for what becomes of entries.
 func (c *Cache) Put(key string, region Region, bound time.Time, entries []*ldap.Entry) {
+	ldap.CompactSnapshots(entries)
 	ldap.SealSnapshots(entries)
 	c.put(key, region, bound, entries)
 }
