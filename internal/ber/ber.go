@@ -188,10 +188,21 @@ func (p *Packet) Int64() (int64, error) {
 // buffer; otherwise it is a copy.
 func (p *Packet) Str() string {
 	p.san.check()
-	if p.viewOK && len(p.Value) > 0 {
-		return unsafe.String(&p.Value[0], len(p.Value))
+	if p.viewOK {
+		return View(p.Value)
 	}
 	return string(p.Value)
+}
+
+// View returns b as a string without copying it, on DecodeOwned's terms: the
+// caller has given b up, and nothing writes it again while the string, or
+// anything cut from it, is alive. It is for a decoder that walks such a
+// buffer with Element instead of building Packets.
+func View(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
 }
 
 // String renders a compact diagnostic form of the element tree.

@@ -75,6 +75,8 @@ func inRegion(ctx *SearchContext, children []Child) []Child {
 }
 
 type hopReply struct {
+	// entries are in SortEntries order: a reply is sorted once, where it is
+	// fetched (chainOnce), so a query-cache hit is sent as it lies.
 	entries []*ldap.Entry
 	// partial: the child is a directory that answered but flagged its own
 	// answer incomplete — it could not reach one of its providers.
@@ -123,8 +125,8 @@ func (f Fanout) run(ctx *SearchContext, hops []hop, dups *obs.Counter) ldap.Resu
 	}
 	// A size limit imposes a global order on which entries are kept, so
 	// replies buffer and sort before streaming; otherwise each hop's reply
-	// streams to the client the moment it arrives (sorted within the hop
-	// for determinism).
+	// streams to the client the moment it arrives (in the hop's own sorted
+	// order, for determinism).
 	ordered := ctx.Op.SizeLimit > 0
 	var buffered []*ldap.Entry
 	var seen map[string]struct{}
@@ -152,7 +154,7 @@ collect:
 				buffered = append(buffered, entries...)
 				continue
 			}
-			if err := ctx.sendSorted(entries); err != nil {
+			if err := ctx.sendAll(entries); err != nil {
 				return sizeOrUnavailable(err)
 			}
 		case <-hedge:
@@ -218,6 +220,11 @@ func dropSeen(seen map[string]struct{}, entries []*ldap.Entry, dups *obs.Counter
 // sendSorted streams entries in DN order, honouring the size limit.
 func (c *SearchContext) sendSorted(entries []*ldap.Entry) error {
 	ldap.SortEntries(entries)
+	return c.sendAll(entries)
+}
+
+// sendAll streams entries as they lie, honouring the size limit.
+func (c *SearchContext) sendAll(entries []*ldap.Entry) error {
 	for _, e := range entries {
 		if err := c.send(e); err != nil {
 			return err

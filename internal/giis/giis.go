@@ -478,17 +478,16 @@ func (s *Server) evict(pe *poolEntry) {
 }
 
 // chainUncached is chain with the query cache deliberately bypassed —
-// strategies that maintain their own result cache (CachedIndex) fill
-// through here so an entry set is never cached twice at different TTLs. The
-// child's own partial-results flag is not reported.
+// strategies that maintain their own result cache (CachedIndex, the Bloom
+// summaries) fill through here so an entry set is never cached twice at
+// different TTLs.
 func (s *Server) chainUncached(req *ldap.Request, child Child, base ldap.DN, scope ldap.Scope,
-	filter *ldap.Filter, attrs []string, sizeLimit int64) ([]*ldap.Entry, error) {
+	filter *ldap.Filter, attrs []string, sizeLimit int64) hopReply {
 	childBase, childScope, ok := translateRegion(base, scope, child)
 	if !ok {
-		return nil, nil
+		return hopReply{}
 	}
-	r := s.chainTranslated(req, child, childBase, childScope, filter, attrs, sizeLimit, nil)
-	return r.entries, r.err
+	return s.chainTranslated(req, child, childBase, childScope, filter, attrs, sizeLimit, nil)
 }
 
 // partialReply carries a hop reply out of a query-cache fill without letting
@@ -499,6 +498,26 @@ func (s *Server) chainUncached(req *ldap.Request, child Child, base ldap.DN, sco
 type partialReply struct{ entries []*ldap.Entry }
 
 func (*partialReply) Error() string { return "giis: child reported partial results" }
+
+// cacheable is a hop reply as a query-cache fill returns it: a partial one
+// leaves as a partialReply error so the cache declines it.
+func (r hopReply) cacheable() ([]*ldap.Entry, error) {
+	if r.err == nil && r.partial {
+		return nil, &partialReply{r.entries}
+	}
+	return r.entries, r.err
+}
+
+// uncached is the inverse of cacheable, for what GetOrFill handed back to
+// the flight's leader, a joiner or a hit alike: entries is a container of
+// the caller's own either way.
+func uncached(entries []*ldap.Entry, err error) hopReply {
+	var pr *partialReply
+	if errors.As(err, &pr) {
+		return hopReply{entries: append([]*ldap.Entry(nil), pr.entries...), partial: true}
+	}
+	return hopReply{entries: entries, err: err}
+}
 
 // chain translates a view-namespace region into the child's namespace,
 // runs the search there, and translates result DNs back into the view.
@@ -536,11 +555,7 @@ func (s *Server) chain(req *ldap.Request, child Child, base ldap.DN, scope ldap.
 	// The child's soft-state deadline caps freshness: a cached result never
 	// outlives the registration that produced it (two-tier expiry).
 	entries, how, err := s.qc.GetOrFill(key, region, child.ExpiresAt, func() ([]*ldap.Entry, error) {
-		r := s.chainTranslated(req, child, childBase, childScope, filter, attrs, sizeLimit, extra)
-		if r.err == nil && r.partial {
-			return nil, &partialReply{r.entries}
-		}
-		return r.entries, r.err
+		return s.chainTranslated(req, child, childBase, childScope, filter, attrs, sizeLimit, extra).cacheable()
 	})
 	if how != qcache.OutcomeMiss && req != nil && req.TraceID != "" {
 		// The miss path records a real chain span inside chainTranslated;
@@ -550,12 +565,7 @@ func (s *Server) chain(req *ldap.Request, child Child, base ldap.DN, scope ldap.
 		sp.SetNote("cache " + how.String())
 		sp.End()
 	}
-	var pr *partialReply
-	if errors.As(err, &pr) {
-		// Leader and joiners each sort their own container.
-		return hopReply{entries: append([]*ldap.Entry(nil), pr.entries...), partial: true}
-	}
-	return hopReply{entries: entries, err: err}
+	return uncached(entries, err)
 }
 
 // chainOwner renders the cache-key owner for a hop: the child's service
@@ -622,7 +632,7 @@ func (s *Server) chainTranslated(req *ldap.Request, child Child, childBase ldap.
 
 // chainOnce runs the translated search against the child, retrying once on
 // connection-level failure, and grafts result DNs back into the view. The
-// entries stay wire-backed (ldap.Client.SearchWire): all this directory
+// entries stay wire-backed, as the client delivered them: all this directory
 // reads of them is their names. It also returns the controls from the
 // child's final done message (the traced child's span tree rides there).
 func (s *Server) chainOnce(sreq *ldap.SearchRequest, child Child, ctls []ldap.Control) (hopReply, []ldap.Control) {
@@ -638,7 +648,7 @@ func (s *Server) chainOnce(sreq *ldap.SearchRequest, child Child, ctls []ldap.Co
 			return hopReply{err: err}, nil
 		}
 		s.ChainedOps.Inc()
-		res, err = pe.c.SearchWire(sreq, ctls)
+		res, err = pe.c.SearchWith(sreq, ctls)
 		if err == nil || (ldap.IsCode(err, ldap.ResultSizeLimitExceeded) && res != nil) {
 			// Success, or the child truncated at its size limit — partial
 			// entries still count.
@@ -656,25 +666,28 @@ func (s *Server) chainOnce(sreq *ldap.SearchRequest, child Child, ctls []ldap.Co
 	if err != nil {
 		return hopReply{err: err}, nil
 	}
+	entries := res.Entries
+	if child.grafted() {
+		// The child's entries are immutable snapshots, so each one that
+		// changes name gets a shell of its own around the same attributes.
+		entries = make([]*ldap.Entry, len(res.Entries))
+		for i, e := range res.Entries {
+			if rel, ok := e.DN.RelativeTo(child.Suffix); ok {
+				e = e.WithDN(rel.Under(child.ViewSuffix))
+			}
+			entries[i] = e
+		}
+	}
+	// Sorted here, once, in the view's names: a reply the query cache keeps
+	// is sent by every later hit as it lies.
+	ldap.SortEntries(entries)
 	// Only a directory's flag is taken up. It means a provider that could
 	// not be reached this time, which asking again can cure. A GRIS flags a
 	// backend that declines the query's scope — a fixed property of the
 	// query, and refusing to cache those replies would switch the query
 	// cache off for every wide search over a parametric provider.
-	r := hopReply{entries: res.Entries, partial: child.MDSType == "giis" && isPartial(res.Result)}
-	if child.grafted() {
-		// The child's entries are immutable snapshots, so each one that
-		// changes name gets a shell of its own around the same attributes.
-		grafted := make([]*ldap.Entry, len(res.Entries))
-		for i, e := range res.Entries {
-			if rel, ok := e.DN.RelativeTo(child.Suffix); ok {
-				e = e.WithDN(rel.Under(child.ViewSuffix))
-			}
-			grafted[i] = e
-		}
-		r.entries = grafted
-	}
-	return r, res.DoneControls
+	partial := child.MDSType == "giis" && isPartial(res.Result)
+	return hopReply{entries: entries, partial: partial}, res.DoneControls
 }
 
 // grafted reports whether the child's namespace appears somewhere else in

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,10 +15,11 @@ import (
 )
 
 // The reference oracle: the hop loop as it was before child result entries
-// were relayed as wire bytes. Every hop's reply is tree-decoded into
-// entries (Client.SearchWith), the view graft rewrites each entry's name in
-// place, and Select deep-clones it on the way out. A relaying directory must
-// show a client exactly what this shows.
+// were relayed as wire bytes. Every hop's reply is turned into decoded
+// entries of the oracle's own (Clone — a search result is a snapshot), the
+// view graft rewrites each entry's name in place, and Select deep-clones it
+// on the way out. A relaying directory must show a client exactly what this
+// shows.
 
 // decodeSearch answers op over every registered child in the region.
 func (s *Server) decodeSearch(op *ldap.SearchRequest) (entries []*ldap.Entry, code ldap.ResultCode, partial bool) {
@@ -50,6 +52,7 @@ func (s *Server) decodeSearch(op *ldap.SearchRequest) (entries []*ldap.Entry, co
 		}
 		s.release(pe)
 		for _, e := range res.Entries {
+			e = e.Clone()
 			if rel, ok := e.DN.RelativeTo(child.Suffix); ok {
 				e.DN = rel.Under(child.ViewSuffix)
 			}
@@ -179,7 +182,7 @@ func TestRelayEqualsDecode(t *testing.T) {
 								continue
 							}
 							for i := range got {
-								if !reflect.DeepEqual(got[i].DN, want[i].DN) || !reflect.DeepEqual(got[i].Attrs, want[i].Attrs) {
+								if !reflect.DeepEqual(got[i].DN, want[i].DN) || !reflect.DeepEqual(got[i].Attributes(), want[i].Attributes()) {
 									t.Errorf("%s %s: entry %d\n got %s\nwant %s", v.name, label, i, got[i], want[i])
 								}
 							}
@@ -198,6 +201,7 @@ func TestRelayEqualsDecode(t *testing.T) {
 // each, split evenly under mids chaining GIIS, under one top GIIS.
 type hierarchy struct {
 	top    *Server
+	addr   string // of top
 	mids   []*Server
 	client *ldap.Client
 	leaves []net.Listener
@@ -257,7 +261,8 @@ func newHierarchy(tb testing.TB, mids, leaves, hostsPerLeaf int, topMods ...func
 			register(mid, l, "gris", ou)
 		}
 	}
-	c, err := ldap.Dial(topL.Addr().String())
+	h.addr = topL.Addr().String()
+	c, err := ldap.Dial(h.addr)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -286,37 +291,138 @@ func rackQuery(n int) *ldap.SearchRequest {
 // TestPartialFlagCrossesLevels: a child's own "partial results" flag used to
 // be dropped by the hop that read it, so a top directory over a mid
 // directory with a dead leaf answered a clean success. The flag now rides up
-// every level, and a hop reply carrying it is not admitted to the query
-// cache: the next identical query chains again.
+// every level, and a hop reply carrying it is kept by nothing that would
+// serve it again as if it were whole: not the query cache (the next
+// identical query chains again), not the cached index (the subtree is
+// fetched again), not a Bloom summary (a filter built without the dead
+// leaf's hosts would rule them out for its TTL).
 func TestPartialFlagCrossesLevels(t *testing.T) {
-	h := newHierarchy(t, 2, 4, 5, withQueryCache(time.Hour))
-	res, err := h.client.SearchWith(rackQuery(0), nil)
-	if err != nil || res.Result.Message != "" || len(res.Entries) != 20 {
-		t.Fatalf("healthy tree: %d entries, %+v, %v", len(res.Entries), res, err)
-	}
-	if n := h.top.QueryCache().Len(); n != 2 {
-		t.Fatalf("query cache holds %d keys after a complete answer, want one per mid", n)
-	}
+	t.Run("query cache", func(t *testing.T) {
+		h := newHierarchy(t, 2, 4, 5, withQueryCache(time.Hour))
+		res, err := h.client.SearchWith(rackQuery(0), nil)
+		if err != nil || res.Result.Message != "" || len(res.Entries) != 20 {
+			t.Fatalf("healthy tree: %d entries, %+v, %v", len(res.Entries), res, err)
+		}
+		if n := h.top.QueryCache().Len(); n != 2 {
+			t.Fatalf("query cache holds %d keys after a complete answer, want one per mid", n)
+		}
 
-	h.leaves[0].Close() // mid0 can no longer dial its first leaf
-	h.mids[0].evictAll()
-	for i := 1; i <= 2; i++ {
-		chained := h.top.ChainedOps.Value()
-		res, err := h.client.SearchWith(rackQuery(1), nil)
-		if err != nil || len(res.Entries) != 15 {
-			t.Fatalf("query %d with a dead leaf: %d entries, %v", i, len(res.Entries), err)
-		}
-		if !isPartial(res.Result) {
-			t.Errorf("query %d: top answered %+v, want the mid's partial flag passed up", i, res.Result)
-		}
+		h.killLeaf(0)
 		// mid1's complete reply is cached by the first query; mid0's partial
 		// one never is, so every query chains to mid0 again.
-		if got, want := h.top.ChainedOps.Value()-chained, int64(3-i); got != want {
-			t.Errorf("query %d: top chained %d hops, want %d", i, got, want)
+		h.wantPartial(t, rackQuery(1), 15, 2)
+		h.wantPartial(t, rackQuery(1), 15, 1)
+		if n := h.top.QueryCache().Len(); n != 3 {
+			t.Errorf("query cache holds %d keys, want 3 (the partial reply not among them)", n)
+		}
+	})
+	t.Run("cached index", func(t *testing.T) {
+		h := newHierarchy(t, 2, 4, 5, func(c *Config) { c.Strategy = NewCachedIndex(time.Hour) })
+		h.killLeaf(0)
+		// mid1's whole subtree becomes the index on the first query; mid0's,
+		// missing a leaf, is answered but fetched again by the second.
+		h.wantPartial(t, rackQuery(0), 15, 2)
+		h.wantPartial(t, rackQuery(1), 15, 1)
+	})
+	t.Run("bloom summary", func(t *testing.T) {
+		bloom := NewBloomRouted(time.Hour, 1<<14)
+		h := newHierarchy(t, 2, 4, 5, func(c *Config) { c.Strategy = bloom })
+		h.killLeaf(0)
+		// h0 lives on the dead leaf. mid1's summary rules mid1 out; mid0 has
+		// no summary to be ruled out by, is asked, and says what it cannot see.
+		hostQuery := func(name string) *ldap.SearchRequest {
+			return &ldap.SearchRequest{BaseDN: "o=grid", Scope: ldap.ScopeWholeSubtree,
+				Filter: ldap.MustParseFilter("(&(objectclass=computer)(hn=" + name + "))")}
+		}
+		h.wantPartial(t, hostQuery("h0"), 0, 3) // two summary fetches, one search
+		h.wantPartial(t, hostQuery("h7"), 1, 1) // mid0's other leaf still answers
+		if got := bloom.SkippedChildren.Value(); got != 2 {
+			t.Errorf("summaries ruled out %d hops, want 2 (mid1, twice)", got)
+		}
+	})
+}
+
+// killLeaf makes leaf i unreachable from the mid above it.
+func (h *hierarchy) killLeaf(i int) {
+	h.leaves[i].Close()
+	for _, mid := range h.mids {
+		mid.evictAll()
+	}
+}
+
+// wantPartial runs op at the top and requires entries entries, the partial
+// flag, and chained hops chained by the top itself.
+func (h *hierarchy) wantPartial(t *testing.T, op *ldap.SearchRequest, entries int, chained int64) {
+	t.Helper()
+	before := h.top.ChainedOps.Value()
+	res, err := h.client.SearchWith(op, nil)
+	if err != nil || len(res.Entries) != entries {
+		t.Fatalf("%s with a dead leaf: %d entries, %v", op.Filter, len(res.Entries), err)
+	}
+	if !isPartial(res.Result) {
+		t.Errorf("%s: top answered %+v, want the mid's partial flag passed up", op.Filter, res.Result)
+	}
+	if got := h.top.ChainedOps.Value() - before; got != chained {
+		t.Errorf("%s: top chained %d hops, want %d", op.Filter, got, chained)
+	}
+}
+
+// TestCachedReplyIsSentInSortedOrder: a query-cache reply is sorted once,
+// when it is filled, and sent as it lies from then on. The miss that fills
+// it, a joiner coalesced onto that fill and a later hit all emit the order a
+// per-send SortEntries gave — over a mid whose own reply arrives grouped by
+// leaf, which is not that order.
+func TestCachedReplyIsSentInSortedOrder(t *testing.T) {
+	gate := make(chan struct{})
+	h := newHierarchy(t, 1, 2, 12, withQueryCache(time.Hour), func(c *Config) {
+		c.Dial = func(url ldap.URL) (*ldap.Client, error) {
+			<-gate // holds the first fill open until the joiner has parked
+			return TCPDialer(url)
+		}
+	})
+	search := func() []*ldap.Entry {
+		c, err := ldap.Dial(h.addr)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		defer c.Close()
+		res, err := c.SearchWith(rackQuery(0), nil)
+		if err != nil || res.Result.Message != "" {
+			t.Errorf("search: %+v, %v", res, err)
+			return nil
+		}
+		return res.Entries
+	}
+	replies := make(chan []*ldap.Entry, 2)
+	go func() { replies <- search() }() // the miss
+	for h.top.QueryCache().Misses.Value() == 0 {
+		runtime.Gosched()
+	}
+	go func() { replies <- search() }() // the joiner
+	for h.top.QueryCache().Coalesced.Value() == 0 {
+		runtime.Gosched()
+	}
+	close(gate)
+	results := [][]*ldap.Entry{<-replies, <-replies, search()} // and the hit
+	if s := h.top.QueryCache().Stats(); s.Misses != 1 || s.Coalesced != 1 || s.Hits != 1 {
+		t.Fatalf("cache saw %+v, want one miss, one coalesced joiner, one hit", s)
+	}
+	for i, got := range results {
+		if len(got) != 24 {
+			t.Fatalf("reply %d: %d entries", i, len(got))
+		}
+		want := append([]*ldap.Entry(nil), got...)
+		ldap.SortEntries(want)
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("reply %d is not in sorted order: entry %d is %s, want %s", i, k, got[k].DN, want[k].DN)
+			}
 		}
 	}
-	if n := h.top.QueryCache().Len(); n != 3 {
-		t.Errorf("query cache holds %d keys, want 3 (the partial reply not among them)", n)
+	// The fixture must be able to tell: hosts of both leaves interleave.
+	if a, b := results[0][2].DN.String(), results[0][3].DN.String(); a[:6] != "hn=h10" || b[:6] != "hn=h11" {
+		t.Fatalf("sorted order starts %s, %s, ...: fixture does not interleave leaves", a, b)
 	}
 }
 

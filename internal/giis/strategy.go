@@ -130,7 +130,7 @@ func (c *CachedIndex) attach(s *Server) {
 
 // Search implements Strategy.
 func (c *CachedIndex) Search(ctx *SearchContext) ldap.Result {
-	partial := false
+	unreachable, incomplete := false, false
 	// Filter before sorting: the index holds every child's full subtree,
 	// and sorting the (usually small) matching subset is far cheaper than
 	// sorting the corpus. The filter compiles once per search so the
@@ -138,12 +138,13 @@ func (c *CachedIndex) Search(ctx *SearchContext) ldap.Result {
 	cf := ctx.Op.Filter.Compile()
 	var matched []*ldap.Entry
 	for _, child := range inRegion(ctx, ctx.Children) {
-		entries, err := c.childEntries(ctx.Req, child)
-		if err != nil {
-			partial = true
+		r := c.childEntries(ctx.Req, child)
+		if r.err != nil {
+			unreachable = true
 			continue
 		}
-		for _, e := range entries {
+		incomplete = incomplete || r.partial
+		for _, e := range r.entries {
 			if !e.DN.WithinScope(ctx.Base, ctx.Op.Scope) {
 				continue
 			}
@@ -156,11 +157,13 @@ func (c *CachedIndex) Search(ctx *SearchContext) ldap.Result {
 	if err := ctx.sendSorted(matched); err != nil {
 		return sizeOrUnavailable(err)
 	}
-	res := ldap.Result{Code: ldap.ResultSuccess}
-	if partial {
-		res = partialResult("some providers unreachable")
+	switch {
+	case unreachable:
+		return partialResult("some providers unreachable")
+	case incomplete:
+		return partialResult("some providers answered incompletely")
 	}
-	return res
+	return ldap.Result{Code: ldap.ResultSuccess}
 }
 
 // childEntries returns the indexed entry set for one child, re-fetching
@@ -169,8 +172,10 @@ func (c *CachedIndex) Search(ctx *SearchContext) ldap.Result {
 // never cached twice at different TTLs; ServeStale on the index cache
 // keeps serving stale data when the authoritative source is unreachable:
 // "users should have as much partial or even inconsistent information as
-// is available" (§2.2).
-func (c *CachedIndex) childEntries(req *ldap.Request, child Child) ([]*ldap.Entry, error) {
+// is available" (§2.2). A subtree the child itself flags incomplete is
+// answered as such — or from the stale copy, if there is one — and never
+// becomes the index.
+func (c *CachedIndex) childEntries(req *ldap.Request, child Child) hopReply {
 	reg := qcache.Region{
 		Owner: child.URL.ServiceKey(),
 		Base:  child.ViewSuffix,
@@ -178,9 +183,9 @@ func (c *CachedIndex) childEntries(req *ldap.Request, child Child) ([]*ldap.Entr
 	}
 	entries, _, err := c.qc.GetOrFill(reg.Key(nil, 0), reg, child.ExpiresAt,
 		func() ([]*ldap.Entry, error) {
-			return c.s.chainUncached(req, child, child.ViewSuffix, ldap.ScopeWholeSubtree, nil, nil, 0)
+			return c.s.chainUncached(req, child, child.ViewSuffix, ldap.ScopeWholeSubtree, nil, nil, 0).cacheable()
 		})
-	return entries, err
+	return uncached(entries, err)
 }
 
 // Flush drops the index (tests and failover drills).
@@ -273,12 +278,14 @@ func (b *BloomRouted) Search(ctx *SearchContext) ldap.Result {
 // bypasses the query cache: a summary is its own cache, and the subtree
 // under a key no client asks for would only push real results out.
 func (b *BloomRouted) summarize(s *Server, child Child) *bloom.Filter {
-	entries, err := s.chainUncached(nil, child, child.ViewSuffix, ldap.ScopeWholeSubtree, nil, nil, 0)
-	if err != nil {
+	r := s.chainUncached(nil, child, child.ViewSuffix, ldap.ScopeWholeSubtree, nil, nil, 0)
+	if r.err != nil || r.partial {
+		// No summary fails open. One built from a subtree that is missing a
+		// provider would rule that provider out.
 		return nil
 	}
 	f := bloom.New(b.Bits, 4)
-	for _, e := range entries {
+	for _, e := range r.entries {
 		for _, a := range e.Attributes() {
 			for _, v := range a.Values {
 				f.Add(shard.Key(a.Name, v))

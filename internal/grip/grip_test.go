@@ -61,8 +61,8 @@ func TestLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e.Attrs) != 1 {
-		t.Fatalf("selected = %v", e.Attrs)
+	if len(e.Attributes()) != 1 {
+		t.Fatalf("selected = %v", e.Attributes())
 	}
 	// Missing entries are noSuchObject.
 	if _, err := c.Lookup(ldap.MustParseDN("hn=ghost, o=g")); !ldap.IsCode(err, ldap.ResultNoSuchObject) {

@@ -53,11 +53,12 @@ type Client struct {
 type pendingOp struct {
 	ch   chan *Message
 	gone chan struct{}
-	// wire marks a SearchWire: the read loop keeps the operation's result
-	// entries wire-backed and collects them in entries instead of sending
-	// each one down ch. The caller reads entries only after the done message
-	// arrives on ch, which orders its reads after the read loop's appends.
-	wire    bool
+	// collect marks a search run to completion (Search, SearchWith): the
+	// read loop appends the operation's result entries to entries instead of
+	// sending each one down ch. The caller reads entries only after the done
+	// message arrives on ch, which orders its reads after the read loop's
+	// appends.
+	collect bool
 	entries []*Entry
 }
 
@@ -92,11 +93,11 @@ const (
 )
 
 // readLoop frames the connection's responses out of its own read chunk and
-// routes them. A SearchResultEntry for a SearchWire is scanned where it
-// lies and kept wire-backed, aliasing the chunk; everything else is copied
-// out and tree-decoded. A chunk is reused until an entry aliases it; from
-// then on it is only ever filled further, then left to the entries that
-// hold it.
+// routes them. A SearchResultEntry is scanned where it lies and becomes a
+// wire-backed entry: aliasing the chunk when its search collects its result,
+// over a copy of its own when it is streamed. Everything else is copied out
+// and tree-decoded. A chunk is reused until an entry aliases it; from then
+// on it is only ever filled further, then left to the entries that hold it.
 func (c *Client) readLoop() {
 	var (
 		buf    = make([]byte, minReadChunk)
@@ -154,22 +155,24 @@ func (c *Client) route(frame []byte, wire *wireEntries) (aliased bool, err error
 	id, opElem, canonical := scanEnvelope(frame)
 	if canonical {
 		op = c.pendingFor(id)
-		if op != nil && op.wire && opElem[0] == idSearchEntry {
+		if op != nil && opElem[0] == idSearchEntry {
 			if dn, attrs, ok := scanSearchEntry(opElem); ok {
-				e, err := wire.next(dn, attrs)
+				e, err := wire.next(dn, attrs, !op.collect)
 				if err != nil {
 					return false, err
 				}
-				op.entries = append(op.entries, e)
-				return true, nil
+				if op.collect {
+					op.entries = append(op.entries, e)
+				} else {
+					c.deliver(op, &Message{ID: id, Op: &SearchResultEntry{Entry: e}})
+				}
+				return op.collect, nil
 			}
 		}
 	}
 	// The decoded message keeps views into its frame, so it gets a copy of
 	// its own at exact size and the chunk stays free to be rewound.
-	own := make([]byte, len(frame))
-	copy(own, frame)
-	pkt, err := ber.DecodeOwned(own)
+	pkt, err := ber.DecodeOwned(cloneBytes(frame))
 	if err != nil {
 		return false, err
 	}
@@ -184,18 +187,23 @@ func (c *Client) route(frame []byte, wire *wireEntries) (aliased bool, err error
 		c.noteUnknown(msg.ID)
 		return false, nil
 	}
-	if e, ok := msg.Op.(*SearchResultEntry); ok && op.wire {
-		// A frame outside the scanner's canonical shape is relayed decoded.
+	if e, ok := msg.Op.(*SearchResultEntry); ok && op.collect {
+		// A frame outside the scanner's canonical shape, decoded.
 		op.entries = append(op.entries, e.Entry)
 		return false, nil
 	}
+	c.deliver(op, msg)
+	return false, nil
+}
+
+// deliver hands msg to the caller waiting on op, unless it has left.
+func (c *Client) deliver(op *pendingOp, msg *Message) {
 	select {
 	case op.ch <- msg:
 	case <-op.gone:
 		// The caller left between the map lookup and the send.
 		c.noteUnknown(msg.ID)
 	}
-	return false, nil
 }
 
 func (c *Client) pendingFor(id int64) *pendingOp {
@@ -257,7 +265,7 @@ func (c *Client) allocID() int64 {
 	return id
 }
 
-func (c *Client) register(id int64, buffer int, wire bool) (*pendingOp, error) {
+func (c *Client) register(id int64, buffer int, collect bool) (*pendingOp, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
@@ -266,7 +274,7 @@ func (c *Client) register(id int64, buffer int, wire bool) (*pendingOp, error) {
 	if c.closed {
 		return nil, ErrClientClosed
 	}
-	op := &pendingOp{ch: make(chan *Message, buffer), gone: make(chan struct{}), wire: wire}
+	op := &pendingOp{ch: make(chan *Message, buffer), gone: make(chan struct{}), collect: collect}
 	c.pending[id] = op
 	return op, nil
 }
@@ -388,21 +396,13 @@ func (c *Client) Search(req *SearchRequest) (*SearchResult, error) {
 }
 
 // SearchWith is Search with request controls attached (e.g. the trace
-// control). Every result entry comes back fully decoded.
+// control). Result entries come back wire-backed (see Entry): named, but
+// with their attributes left in the bytes they arrived in, to be re-emitted
+// as they are or decoded on first use. They are immutable snapshots; WithDN
+// renames one, Clone or Select copies one. They alias the connection's read
+// chunks (at most 64 KiB each): a caller that keeps a few entries of a large
+// result for long keeps Clones, or CompactSnapshots the slice.
 func (c *Client) SearchWith(req *SearchRequest, controls []Control) (*SearchResult, error) {
-	return c.search(req, controls, false)
-}
-
-// SearchWire is SearchWith for a caller that relays what it gets — the
-// chained-search path of a GIIS. Result entries come back wire-backed (see
-// Entry): named, but with their attributes left in the bytes they arrived
-// in, to be re-emitted as they are or decoded on first use. They are
-// immutable snapshots; WithDN renames one, Clone or Select copies one.
-func (c *Client) SearchWire(req *SearchRequest, controls []Control) (*SearchResult, error) {
-	return c.search(req, controls, true)
-}
-
-func (c *Client) search(req *SearchRequest, controls []Control, wire bool) (*SearchResult, error) {
 	ctx := context.Background()
 	if c.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -410,10 +410,7 @@ func (c *Client) search(req *SearchRequest, controls []Control, wire bool) (*Sea
 		defer cancel()
 	}
 	res := &SearchResult{}
-	err := c.searchFunc(ctx, req, controls, wire, func(e *Entry, _ []Control) error {
-		res.Entries = append(res.Entries, e)
-		return nil
-	}, func(urls []string) error {
+	err := c.searchFunc(ctx, req, controls, nil, func(urls []string) error {
 		res.Referrals = append(res.Referrals, urls...)
 		return nil
 	}, res)
@@ -429,7 +426,9 @@ func (c *Client) search(req *SearchRequest, controls []Control, wire bool) (*Sea
 // SearchFunc streams search results through callbacks until the search
 // completes, ctx is cancelled (which abandons the operation server-side),
 // or a callback returns an error. refFn may be nil to ignore referrals;
-// done, when non-nil, receives the final LDAPResult.
+// done, when non-nil, receives the final LDAPResult. The entries are the
+// immutable wire-backed snapshots SearchWith returns, except that each owns
+// its bytes: keeping one keeps that entry and nothing else.
 //
 // With a persistent-search control attached, the server never sends a
 // final done message and SearchFunc runs until ctx is cancelled: this is
@@ -437,21 +436,22 @@ func (c *Client) search(req *SearchRequest, controls []Control, wire bool) (*Sea
 func (c *Client) SearchFunc(ctx context.Context, req *SearchRequest, controls []Control,
 	entryFn func(*Entry, []Control) error, refFn func([]string) error, done *Result) error {
 	var end SearchResult
-	err := c.searchFunc(ctx, req, controls, false, entryFn, refFn, &end)
+	err := c.searchFunc(ctx, req, controls, entryFn, refFn, &end)
 	if done != nil && err == nil {
 		*done = end.Result
 	}
 	return err
 }
 
-// searchFunc runs one search. On the done message it fills end's Result and
-// DoneControls — and, for a wire search, whose entries the read loop
-// collected instead of passing them to entryFn, its Entries.
-func (c *Client) searchFunc(ctx context.Context, req *SearchRequest, controls []Control, wire bool,
+// searchFunc runs one search. A nil entryFn collects: the read loop gathers
+// the result entries and the done message hands them over in end.Entries —
+// no channel send per entry. On the done message it also fills end's Result
+// and DoneControls.
+func (c *Client) searchFunc(ctx context.Context, req *SearchRequest, controls []Control,
 	entryFn func(*Entry, []Control) error, refFn func([]string) error, end *SearchResult) error {
 
 	id := c.allocID()
-	pop, err := c.register(id, 64, wire)
+	pop, err := c.register(id, 64, entryFn == nil)
 	if err != nil {
 		return err
 	}
@@ -484,10 +484,7 @@ func (c *Client) searchFunc(ctx context.Context, req *SearchRequest, controls []
 					}
 				}
 			case *SearchResultDone:
-				end.Result, end.DoneControls = op.Result, msg.Controls
-				if wire {
-					end.Entries = pop.entries
-				}
+				end.Result, end.DoneControls, end.Entries = op.Result, msg.Controls, pop.entries
 				return nil
 			default:
 				return fmt.Errorf("ldap: unexpected search reply %T", msg.Op)

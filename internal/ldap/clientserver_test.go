@@ -11,21 +11,21 @@ import (
 
 // startTestServer serves a Store over loopback TCP and returns a connected
 // client plus the store.
-func startTestServer(t *testing.T) (*Client, *Store) {
-	t.Helper()
+func startTestServer(tb testing.TB) (*Client, *Store) {
+	tb.Helper()
 	store := NewStore()
 	srv := NewServer(store)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	go srv.Serve(l)
-	t.Cleanup(func() { srv.Close() })
+	tb.Cleanup(func() { srv.Close() })
 	c, err := Dial(l.Addr().String())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
+	tb.Cleanup(func() { c.Close() })
 	return c, store
 }
 
@@ -63,7 +63,7 @@ func TestClientServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Entries) != 1 || len(res.Entries[0].Attrs) != 1 {
+	if len(res.Entries) != 1 || len(res.Entries[0].Attributes()) != 1 {
 		t.Fatalf("selected search = %v", res.Entries[0])
 	}
 	if err := c.Modify("hn=hostX, o=grid", []ModifyChange{
@@ -303,6 +303,48 @@ func BenchmarkWireSearchRoundTrip(b *testing.B) {
 		if _, err := c.Search(req); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkClientSearch200 is the user side of a discovery: one connection,
+// 200 six-attribute entries back per search. names-only reads what a broker
+// that only ranks or counts hosts reads; read-all decodes every attribute.
+func BenchmarkClientSearch200(b *testing.B) {
+	c, store := startTestServer(b)
+	for i := 0; i < 200; i++ {
+		err := store.Put(NewEntry(MustParseDN(fmt.Sprintf("hn=h%d, ou=s%d, o=grid", i, i%8))).
+			Add("objectclass", "computer").Add("hn", fmt.Sprintf("h%d", i)).
+			Add("system", "linux redhat").Add("cpucount", "4").Add("memsize", "2048").Add("load5", "1.7"))
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	req := &SearchRequest{BaseDN: "o=grid", Scope: ScopeWholeSubtree,
+		Filter: MustParseFilter("(objectclass=computer)")}
+	for _, readAll := range []bool{false, true} {
+		name := "names-only"
+		if readAll {
+			name = "read-all"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			read := 0
+			for i := 0; i < b.N; i++ {
+				res, err := c.Search(req)
+				if err != nil || len(res.Entries) != 200 {
+					b.Fatalf("search: %v, %v", res, err)
+				}
+				for _, e := range res.Entries {
+					read += len(e.DN)
+					if readAll {
+						read += len(e.Attributes())
+					}
+				}
+			}
+			if read == 0 {
+				b.Fatal("nothing read")
+			}
+		})
 	}
 }
 

@@ -101,17 +101,23 @@ func MustParseDN(s string) DN {
 	return dn
 }
 
-// dnSpace is the byte set treated as insignificant whitespace around DN
+// isDNSpace reports the bytes treated as insignificant whitespace around DN
 // separators. Kept ASCII so backslash escapes stay byte-oriented.
-const dnSpace = " \t\r\n"
-
-func isDNSpace(c byte) bool { return strings.IndexByte(dnSpace, c) >= 0 }
+func isDNSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
 
 // trimDNSpace strips insignificant whitespace from both ends, leaving
 // escaped whitespace (e.g. "cn=a\ ") intact: an escaped boundary space is
 // part of the value, and a naive TrimSpace would strand its backslash.
 func trimDNSpace(s string) string {
-	s = strings.TrimLeft(s, dnSpace)
+	for s != "" && isDNSpace(s[0]) {
+		s = s[1:]
+	}
+	// A string that ends in a non-space keeps its end whatever precedes it,
+	// so the common case never looks inside; only a trailing space needs the
+	// scan that tells whether it is escaped.
+	if s == "" || !isDNSpace(s[len(s)-1]) {
+		return s
+	}
 	end := 0 // bytes to keep
 	for i := 0; i < len(s); i++ {
 		if s[i] == '\\' && i+1 < len(s) {
@@ -165,7 +171,11 @@ func escapeDNValue(s string) string {
 	if s == "" {
 		return s
 	}
-	if !strings.ContainsAny(s, `,+=\`) && !isDNSpace(s[0]) && !isDNSpace(s[len(s)-1]) {
+	special := isDNSpace(s[0]) || isDNSpace(s[len(s)-1])
+	for i := 0; i < len(s) && !special; i++ {
+		special = s[i] == ',' || s[i] == '+' || s[i] == '=' || s[i] == '\\'
+	}
+	if !special {
 		return s
 	}
 	// Boundary whitespace must be escaped or the parser's trim would eat

@@ -92,6 +92,15 @@ func FuzzDNCompare(f *testing.F) {
 		{"cn\x02 a ", "cn\x02a"},
 		{"cn\x02a\t", "cn\x02A\t"},
 		{"cn \x02a", "cn\x02a"},
+		{"cn\x02 ", "cn\x02\t"},
+		{"cn\x02 a", "cn\x02\\ a"},
+		{"cn\x02a ", `cn` + "\x02" + `a\ `},
+		{"cn\x02a\r\n", "cn\x02a\n\r"},
+		// Specials at a value's boundary, where the escape scan starts and ends.
+		{"cn\x02,", "cn\x02+"},
+		{"cn\x02=a", "cn\x02a="},
+		{`cn` + "\x02" + `\a`, `cn` + "\x02" + `a\`},
+		{"cn\x02,a+b=c\\", "CN\x02,A+B=C\\"},
 		// Multi-AVA RDNs compare in order.
 		{"cn\x02alice\x01uid\x0242\x00o\x02grid", "CN\x02Alice\x01UID\x0242\x00o\x02grid"},
 		{"cn\x02alice\x01uid\x0242", "uid\x0242\x01cn\x02alice"},

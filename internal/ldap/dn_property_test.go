@@ -92,3 +92,36 @@ func TestNormalizeEqualConsistency(t *testing.T) {
 		}
 	}
 }
+
+// TestStringParseRoundTrip: rendering a structural DN and parsing it back
+// names the same entry, for values that carry boundary whitespace and every
+// special the renderer must escape — the inputs trimDNSpace's and
+// escapeDNValue's early-outs decide on.
+func TestStringParseRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	alphabet := []byte(" \t\r\n,+=\\aB7é")
+	word := func() string {
+		b := make([]byte, 1+r.Intn(5))
+		for i := range b {
+			b[i] = alphabet[r.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	for i := 0; i < 5000; i++ {
+		var d DN
+		for n := 1 + r.Intn(3); n > 0; n-- {
+			rdn := RDN{{Attr: word(), Value: word()}}
+			if r.Intn(4) == 0 {
+				rdn = append(rdn, AVA{Attr: word(), Value: word()})
+			}
+			d = append(d, rdn)
+		}
+		back, err := ParseDN(d.String())
+		if err != nil {
+			t.Fatalf("ParseDN(%q) of %#v: %v", d.String(), d, err)
+		}
+		if !back.Equal(d) || back.Normalize() != d.Normalize() {
+			t.Fatalf("%#v rendered %q parsed back as %#v", d, d.String(), back)
+		}
+	}
+}

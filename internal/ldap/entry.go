@@ -22,10 +22,11 @@ type Attribute struct {
 // plus a set of typed attribute bindings (Figure 3 of the paper).
 //
 // An entry comes in two forms. A decoded entry keeps its bindings in Attrs.
-// A wire-backed entry — what Client.SearchWire hands a relay — keeps the BER
-// PartialAttributeList of the frame it arrived in, validated but not parsed,
-// and leaves Attrs nil: SearchResultEntry re-emits those bytes as they are,
-// and they are decoded only if something asks for an attribute. Read
+// A wire-backed entry — every result of Client.Search, SearchWith and
+// SearchFunc — keeps the BER PartialAttributeList of the frame it arrived
+// in, validated but not parsed, and leaves Attrs nil: SearchResultEntry
+// re-emits those bytes as they are (a relay never looks inside), and they
+// are decoded only if something asks for an attribute. Read
 // attributes through Attributes (or Values, First, …), never the field. A
 // wire-backed entry is an immutable snapshot from birth: its bytes and the
 // attributes decoded from them are shared by everyone holding it.
@@ -63,14 +64,53 @@ func (e *Entry) Attributes() []Attribute {
 
 func (e *Entry) materialize() []Attribute {
 	e.verifySeal()
-	// scanSearchEntry accepted raw, so it decodes; names and values are
-	// views into raw, which stays alive and unwritten as long as they do.
-	var attrs []Attribute
-	if p, err := ber.DecodeOwned(e.raw); err == nil {
-		attrs, _ = decodeAttrList(p)
-	}
+	attrs := decodeRawAttrs(e.raw)
 	e.decoded.CompareAndSwap(nil, &attrs)
 	return *e.decoded.Load()
+}
+
+// decodeRawAttrs decodes a PartialAttributeList element that
+// scanSearchEntry accepted, straight off its bytes: one pass counts the
+// attributes and their values, a second cuts every attribute's values out of
+// one shared array. Names and values are views into a copy of the list made
+// here, never into raw: a value a caller keeps (a Clone keeps them all) holds
+// on to that entry's few hundred bytes, not to the read chunk raw may alias.
+func decodeRawAttrs(raw []byte) []Attribute {
+	_, list, _, _ := ber.Element(cloneBytes(raw))
+	nAttrs, nValues := 0, 0
+	for rest := list; len(rest) > 0; nAttrs++ {
+		var attr []byte
+		_, attr, rest, _ = ber.Element(rest)
+		_, _, attr, _ = ber.Element(attr) // past the name
+		_, set, _, _ := ber.Element(attr)
+		for ; len(set) > 0; nValues++ {
+			_, _, set, _ = ber.Element(set)
+		}
+	}
+	if nAttrs == 0 {
+		return nil
+	}
+	attrs := make([]Attribute, 0, nAttrs)
+	values := make([]string, 0, nValues)
+	for rest := list; len(rest) > 0; {
+		var attr, name, v []byte
+		_, attr, rest, _ = ber.Element(rest)
+		_, name, attr, _ = ber.Element(attr)
+		_, set, _, _ := ber.Element(attr)
+		first := len(values)
+		for len(set) > 0 {
+			_, v, set, _ = ber.Element(set)
+			values = append(values, ber.View(v))
+		}
+		a := Attribute{Name: ber.View(name)}
+		if len(values) > first {
+			// Capacity stops at the attribute's own last value, so appending
+			// to one attribute never writes into its neighbour.
+			a.Values = values[first:len(values):len(values)]
+		}
+		attrs = append(attrs, a)
+	}
+	return attrs
 }
 
 // own turns a wire-backed entry into a decoded one holding private copies

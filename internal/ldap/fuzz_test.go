@@ -3,6 +3,7 @@ package ldap
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -12,6 +13,40 @@ import (
 // checks the totality property the ber fuzzers established for the binary
 // layer — parse or error, never panic — plus round-trip stability: any
 // accepted input must re-render and re-parse to the same normal form.
+
+// trimDNSpaceReference and escapeDNValueReference are the DN text helpers as
+// they were before they became byte loops with early-outs, spelled with the
+// strings package; FuzzParseDN holds the fast ones to them.
+const dnSpace = " \t\r\n"
+
+func trimDNSpaceReference(s string) string {
+	s = strings.TrimLeft(s, dnSpace)
+	end := 0
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\\' && i+1 < len(s) {
+			i++
+			end = i + 1
+			continue
+		}
+		if !strings.ContainsRune(dnSpace, rune(s[i])) {
+			end = i + 1
+		}
+	}
+	return s[:end]
+}
+
+func escapeDNValueReference(s string) string {
+	lead := len(s) - len(strings.TrimLeft(s, dnSpace))
+	trail := max(lead, len(strings.TrimRight(s, dnSpace)))
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		if strings.IndexByte(`,+=\`, s[i]) >= 0 || i < lead || i >= trail {
+			b.WriteByte('\\')
+		}
+		b.WriteByte(s[i])
+	}
+	return b.String()
+}
 
 // parseDNReference is ParseDN as it was before it sized its result in one
 // counting pass: split into components, split each into AVAs, append as it
@@ -31,25 +66,25 @@ func parseDNReference(s string) (DN, error) {
 		}
 		return append(parts, s[start:])
 	}
-	s = trimDNSpace(s)
+	s = trimDNSpaceReference(s)
 	if s == "" {
 		return DN{}, nil
 	}
 	var dn DN
 	for _, comp := range split(s, ',') {
-		comp = trimDNSpace(comp)
+		comp = trimDNSpaceReference(comp)
 		if comp == "" {
 			return nil, fmt.Errorf("%w: empty RDN in %q", ErrBadDN, s)
 		}
 		var rdn RDN
 		for _, avaStr := range split(comp, '+') {
-			avaStr = trimDNSpace(avaStr)
+			avaStr = trimDNSpaceReference(avaStr)
 			eq := indexUnescaped(avaStr, '=')
 			if eq <= 0 {
 				return nil, fmt.Errorf("%w: %q lacks '='", ErrBadDN, avaStr)
 			}
-			attr := trimDNSpace(avaStr[:eq])
-			val := trimDNSpace(avaStr[eq+1:])
+			attr := trimDNSpaceReference(avaStr[:eq])
+			val := trimDNSpaceReference(avaStr[eq+1:])
 			if attr == "" || val == "" {
 				return nil, fmt.Errorf("%w: empty attribute or value in %q", ErrBadDN, avaStr)
 			}
@@ -72,10 +107,24 @@ func FuzzParseDN(f *testing.F) {
 		"cn=", "=v", "cn==v", ",", "+", `cn=a\`,
 		"vo=demo",
 		"perf=load5, hn=hostX, o=grid",
+		// What the trim and escape early-outs must not get wrong: boundary
+		// space that is escaped, escaped away, or only on one side, and every
+		// special at a boundary.
+		" hn=hostX", "hn=hostX ", "\thn=hostX\r\n", " ", " \\ ",
+		`cn=a\ `, `cn=a\  `, `cn=\ a`, `cn= \ a \ `, `cn=a\\ `, `cn=a\\\ `, `cn=a \`,
+		`cn=a\ ,o=g`, `cn=a\ + uid=1 , o=g`, `cn\ =a`, `\ cn=a`,
+		`cn=\,`, `cn=\+`, `cn=\=`, `cn=\\`, `cn=\,a\+b\=c\\`, `cn=a\,`, `cn=a\\,o=g`,
+		`c\,n=v`, `c\=n=v`, `cn=a=b`,
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := trimDNSpace(s), trimDNSpaceReference(s); got != want {
+			t.Fatalf("trimDNSpace(%q) = %q, reference %q", s, got, want)
+		}
+		if got, want := escapeDNValue(s), escapeDNValueReference(s); got != want {
+			t.Fatalf("escapeDNValue(%q) = %q, reference %q", s, got, want)
+		}
 		dn, err := ParseDN(s)
 		want, wantErr := parseDNReference(s)
 		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {

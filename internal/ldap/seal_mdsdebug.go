@@ -20,12 +20,13 @@ package ldap
 // zero (unsealed) seal and stay freely mutable — exactly the laundering
 // contract the snapshotcheck analyzer enforces statically.
 //
-// A wire-backed entry (Client.SearchWire) is sealed at birth, and its
-// checksum is taken over the raw frame bytes rather than decoded
-// attributes: the frame aliases a client read chunk, and the one way that
-// goes wrong — the chunk being reused while an entry still points into it —
-// is made loud by poisonChunk scribbling over every recycled chunk, so the
-// next materialise, re-emit or cache fill of such an entry fails its seal.
+// A wire-backed entry (every result of Client.Search, SearchWith and
+// SearchFunc) is sealed at birth, and its checksum is taken over the raw
+// frame bytes rather than decoded attributes: a collected result's frames
+// alias a client read chunk, and the one way that goes wrong — the chunk
+// being reused while an entry still points into it — is made loud by
+// poisonChunk scribbling over every recycled chunk, so the next materialise,
+// re-emit or cache fill of such an entry fails its seal.
 // The release twin (seal_release.go) compiles all of this to nothing.
 
 // entrySan is the per-entry seal: zero value means unsealed (mutable).
@@ -84,7 +85,7 @@ func (e *Entry) sealOrVerify() {
 // verifySeal panics if a sealed entry's contents changed after publication.
 func (e *Entry) verifySeal() {
 	if e.san.sealed && e.san.sum != e.checksum() {
-		panic("ldap: snapshot mutated after publication (mdsdebug); Clone or Select before modifying entries from Find, ChangeEvents or SearchWire — or a wire-backed entry outlived its read chunk: " + e.DN.String())
+		panic("ldap: snapshot mutated after publication (mdsdebug); Clone or Select before modifying entries from Find, ChangeEvents or Client.Search* — or a wire-backed entry outlived its read chunk: " + e.DN.String())
 	}
 }
 

@@ -2,14 +2,15 @@ package ldap
 
 import "mds2/internal/ber"
 
-// This file is the relay half of the wire path. A directory that chains a
+// This file is the result half of the wire path. A directory that chains a
 // search needs one thing from each result entry a child sends back — its
-// name, to graft, order and dedup it — and otherwise passes the entry on.
-// So instead of tree-decoding every SearchResultEntry into Packets and an
-// Entry (DecodeMessage) and re-encoding it attribute by attribute, the
-// client's read loop scans the frame in place: one pass, no allocation,
-// validating every length and tag on the way, and yielding the name plus the
-// attribute list as the bytes it arrived in (see Entry).
+// name, to graft, order and dedup it — and otherwise passes the entry on; a
+// broker often reads little more. So instead of tree-decoding every
+// SearchResultEntry into Packets and an Entry (DecodeMessage), the client's
+// read loop scans the frame in place, for every search: one pass, no
+// allocation, validating every length and tag on the way, and yielding the
+// name plus the attribute list as the bytes it arrived in (see Entry), to be
+// re-emitted as they are or decoded when something asks.
 //
 // The scanner accepts exactly the canonical shape this package's encoder
 // emits — one-octet identifiers, universal INTEGER / OCTET STRING / SEQUENCE
@@ -85,24 +86,32 @@ func scanSearchEntry(op []byte) (dn, attrs []byte, ok bool) {
 	return dn, attrs, true
 }
 
-// wireEntries builds the wire-backed entries of one connection. Entries are
-// cut from small slabs rather than allocated one by one: a relayed entry
-// lives for a single search, and a cached one is copied out by
-// CompactSnapshots before it is kept.
+// wireEntries builds the wire-backed entries of one connection. Entries of
+// a collected result are cut from small slabs rather than allocated one by
+// one: a relayed entry lives for a single search, and a cached one is copied
+// out by CompactSnapshots before it is kept.
 type wireEntries struct{ slab []Entry }
 
 // next returns the wire-backed entry for a scanned frame. The name is
-// copied out of the frame and parsed; attrs is kept as it is.
-func (w *wireEntries) next(dn, attrs []byte) (*Entry, error) {
+// copied out of the frame and parsed. attrs is kept as it is, aliasing the
+// frame — unless the entry is to own its bytes: a streamed entry is kept for
+// as long as its receiver likes (a subscriber holds one per notification),
+// so it gets an exact-size copy of its attribute list and an allocation of
+// its own, and pins neither a read chunk nor a slab.
+func (w *wireEntries) next(dn, attrs []byte, own bool) (*Entry, error) {
 	d, err := ParseDN(string(dn))
 	if err != nil {
 		return nil, err
 	}
-	if len(w.slab) == 0 {
-		w.slab = make([]Entry, 32)
+	var e *Entry
+	if own {
+		e, attrs = new(Entry), cloneBytes(attrs)
+	} else {
+		if len(w.slab) == 0 {
+			w.slab = make([]Entry, 32)
+		}
+		e, w.slab = &w.slab[0], w.slab[1:]
 	}
-	e := &w.slab[0]
-	w.slab = w.slab[1:]
 	e.DN, e.raw = d, attrs
 	e.seal()
 	return e, nil

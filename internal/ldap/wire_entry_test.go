@@ -1,10 +1,13 @@
 package ldap
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -24,12 +27,12 @@ func scanFrame(w *wireEntries, frame []byte) (id int64, e *Entry, ok bool, err e
 	if !ok {
 		return 0, nil, false, nil
 	}
-	e, err = w.next(dn, attrs)
+	e, err = w.next(dn, attrs, false)
 	return id, e, true, err
 }
 
-// treeDecode is the reference: the Packet-tree decoder every frame went
-// through before entries were relayed as wire bytes.
+// treeDecode is the reference: the Packet-tree decoder every result frame
+// went through before the client scanned entries in place.
 func treeDecode(frame []byte) *Message {
 	p, err := ber.DecodeFull(frame)
 	if err != nil {
@@ -87,7 +90,8 @@ func hostileFrames() map[string][]byte {
 }
 
 // FuzzWireEntry pins the scanner to the tree decoder. What it accepts, the
-// tree decoder accepts, as the same entry; what our encoder emits, it
+// tree decoder accepts, as the same entry — the attributes Entry.materialize
+// cuts straight out of the kept bytes included; what our encoder emits, it
 // accepts (no silent fall-back off the fast path); and the frame a relay
 // emits for an accepted entry decodes to the entry that came in. Anything
 // else is left to the tree decoder, which alone refuses frames.
@@ -141,6 +145,14 @@ func FuzzWireEntry(f *testing.F) {
 		if !reflect.DeepEqual(e.Attributes(), sre.Entry.Attrs) {
 			t.Fatalf("attributes %v, tree decoder %v", e.Attributes(), sre.Entry.Attrs)
 		}
+		// The tree-less decode of the kept bytes is the tree decode of them.
+		list, err := ber.DecodeOwned(e.raw)
+		if err != nil {
+			t.Fatalf("kept attribute list does not decode: %v", err)
+		}
+		if viaTree, err := decodeAttrList(list); err != nil || !reflect.DeepEqual(decodeRawAttrs(e.raw), viaTree) {
+			t.Fatalf("materialize %v, decodeAttrList %v (%v)", decodeRawAttrs(e.raw), viaTree, err)
+		}
 		back := treeDecode(relayed)
 		if back == nil || !reflect.DeepEqual(back.Op, want.Op) || back.ID != id {
 			t.Fatalf("relayed frame does not decode to the entry that came in:\n in  % x\n out % x", frame, relayed)
@@ -176,7 +188,7 @@ func TestWireScannerRefuses(t *testing.T) {
 			server.Write(frame)
 			server.Close()
 		}()
-		res, err := c.SearchWire(&SearchRequest{BaseDN: "o=grid", Scope: ScopeWholeSubtree}, nil)
+		res, err := c.SearchWith(&SearchRequest{BaseDN: "o=grid", Scope: ScopeWholeSubtree}, nil)
 		if err == nil {
 			t.Errorf("%s: search succeeded with %d entries", name, len(res.Entries))
 		}
@@ -316,27 +328,79 @@ func startWireServer(t *testing.T, n int, big bool) *Client {
 	return c
 }
 
-// TestSearchWireEqualsSearchWith: over a real connection the wire-backed
-// result is the decoded result, entry for entry — across read-chunk
-// turnover (600 entries ≫ the 4 KiB first chunk), with a frame larger than
-// any chunk in the stream, and with both kinds of search interleaved on the
-// one connection.
-func TestSearchWireEqualsSearchWith(t *testing.T) {
+// treeSearch is the reference client: one search over a connection of its
+// own, every frame read whole and tree-decoded, as Client did before it
+// scanned result entries in place.
+func treeSearch(t *testing.T, addr string, req *SearchRequest) []*Entry {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write((&Message{ID: 1, Op: req}).Encode()); err != nil {
+		t.Fatal(err)
+	}
+	var entries []*Entry
+	for r := bufio.NewReader(conn); ; {
+		p, err := ber.ReadPacket(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := DecodeMessage(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch op := m.Op.(type) {
+		case *SearchResultEntry:
+			entries = append(entries, op.Entry)
+		case *SearchResultDone:
+			if err := op.Result.Err(); err != nil {
+				t.Fatal(err)
+			}
+			return entries
+		}
+	}
+}
+
+// TestSearchEqualsTreeDecode: over a real connection, every client entry
+// point returns what the tree decoder makes of the same reply, entry for
+// entry — across read-chunk turnover (600 entries ≫ the 4 KiB first chunk),
+// with a frame larger than any chunk in the stream, and with collected and
+// streamed searches interleaved on the one connection. Collected entries
+// alias the read chunks; a streamed entry owns its bytes at exact size.
+func TestSearchEqualsTreeDecode(t *testing.T) {
 	c := startWireServer(t, 600, true)
 	for _, attrs := range [][]string{nil, {"hn", "rack"}, {"nosuch"}} {
 		req := &SearchRequest{BaseDN: "o=grid", Scope: ScopeWholeSubtree,
 			Filter: MustParseFilter("(objectclass=computer)"), Attributes: attrs}
+		want := treeSearch(t, c.conn.RemoteAddr().String(), req)
+		if len(want) != 601 {
+			t.Fatalf("attrs %v: tree-decoded search returned %d entries", attrs, len(want))
+		}
 		var wg sync.WaitGroup
-		results := make([]*SearchResult, 6)
+		results := make([][]*Entry, 6)
 		for i := range results {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				var err error
-				if i%2 == 0 {
-					results[i], err = c.SearchWire(req, nil)
-				} else {
-					results[i], err = c.SearchWith(req, nil)
+				switch i % 3 {
+				case 0:
+					var res *SearchResult
+					if res, err = c.Search(req); err == nil {
+						results[i] = res.Entries
+					}
+				case 1:
+					var res *SearchResult
+					if res, err = c.SearchWith(req, nil); err == nil {
+						results[i] = res.Entries
+					}
+				case 2:
+					err = c.SearchFunc(context.Background(), req, nil, func(e *Entry, _ []Control) error {
+						results[i] = append(results[i], e)
+						return nil
+					}, nil, nil)
 				}
 				if err != nil {
 					t.Errorf("search %d: %v", i, err)
@@ -347,22 +411,146 @@ func TestSearchWireEqualsSearchWith(t *testing.T) {
 		if t.Failed() {
 			t.FailNow()
 		}
-		want := results[1].Entries
-		if len(want) != 601 {
-			t.Fatalf("attrs %v: decoded search returned %d entries", attrs, len(want))
-		}
-		for i, res := range results {
-			if len(res.Entries) != len(want) {
-				t.Fatalf("attrs %v search %d: %d entries, want %d", attrs, i, len(res.Entries), len(want))
+		for i, got := range results {
+			if len(got) != len(want) {
+				t.Fatalf("attrs %v search %d: %d entries, want %d", attrs, i, len(got), len(want))
 			}
-			for k, e := range res.Entries {
-				if wire := i%2 == 0; (e.raw != nil) != wire {
-					t.Fatalf("attrs %v search %d entry %d: wire-backed = %v", attrs, i, k, !wire)
+			for k, e := range got {
+				if e.raw == nil || e.Attrs != nil {
+					t.Fatalf("attrs %v search %d entry %d is not wire-backed", attrs, i, k)
 				}
-				if !reflect.DeepEqual(e.DN, want[k].DN) || !reflect.DeepEqual(e.Attributes(), want[k].Attrs) {
+				if streamed := i%3 == 2; streamed && cap(e.raw) != len(e.raw) {
+					t.Fatalf("attrs %v search %d entry %d: streamed entry holds %d bytes for a %d-byte list",
+						attrs, i, k, cap(e.raw), len(e.raw))
+				}
+				if !reflect.DeepEqual(e.DN, want[k].DN) || !reflect.DeepEqual(e.Attributes(), want[k].Attributes()) {
 					t.Fatalf("attrs %v search %d entry %d:\n got %s\nwant %s", attrs, i, k, e, want[k])
 				}
 			}
 		}
+	}
+}
+
+// searchAllocs reports the allocations of one SearchWith per result entry,
+// on the calling side of the connection only: the server is a canned reply
+// written by a goroutine that allocates nothing.
+func searchAllocs(t *testing.T, n int, use func([]*Entry)) float64 {
+	t.Helper()
+	var reply []byte
+	for i := 0; i < n; i++ {
+		reply = append(reply, entryFrame(0, sevenAttrEntry(i))...)
+	}
+	client, server := net.Pipe()
+	c := NewClient(client)
+	defer c.Close()
+	defer server.Close()
+	go func() {
+		// Message IDs are patched into the canned frames: they stay below
+		// 128 here, so the INTEGER keeps its one content octet.
+		buf := make([]byte, 4096)
+		done := (&Message{ID: 0, Op: &SearchResultDone{}}).Encode()
+		for id := byte(1); ; id++ {
+			if _, err := server.Read(buf); err != nil {
+				return
+			}
+			for off := 0; off < len(reply); {
+				k, _ := ber.FrameLen(reply[off:])
+				_, body, _, _ := ber.Element(reply[off : off+k])
+				body[2] = id
+				off += k
+			}
+			done[4] = id
+			server.Write(reply)
+			server.Write(done)
+		}
+	}()
+	req := &SearchRequest{BaseDN: "o=grid", Scope: ScopeWholeSubtree}
+	perSearch := testing.AllocsPerRun(20, func() {
+		res, err := c.SearchWith(req, nil)
+		if err != nil || len(res.Entries) != n {
+			t.Fatalf("canned search: %v, %v", res, err)
+		}
+		use(res.Entries)
+	})
+	return perSearch / float64(n)
+}
+
+// TestClientSearchAllocationBudget: a collected search costs its caller at
+// most 4 allocations per result entry when it reads names only (the parsed
+// DN and its text), at most 8 when it reads every attribute (the decode adds
+// the attribute slice, the one value array, and the published pointer). The
+// copy → Packet tree → Entry path took about 70.
+func TestClientSearchAllocationBudget(t *testing.T) {
+	const n = 200
+	names := searchAllocs(t, n, func([]*Entry) {})
+	all := searchAllocs(t, n, func(entries []*Entry) {
+		for _, e := range entries {
+			if len(e.Attributes()) != 7 {
+				t.Fatalf("decoded %s", e)
+			}
+		}
+	})
+	tree := testing.AllocsPerRun(50, func() { treeDecode(entryFrame(9, sevenAttrEntry(1))) })
+	t.Logf("allocations per result entry: names only %.1f, every attribute read %.1f, tree decode %.0f", names, all, tree)
+	if names > 4 {
+		t.Errorf("a result entry costs %.1f allocations with no attribute read, budget 4", names)
+	}
+	if all > 8 {
+		t.Errorf("a result entry costs %.1f allocations with every attribute read, budget 8", all)
+	}
+}
+
+// TestKeptEntriesDoNotPinReadChunks: a subscriber that keeps one streamed
+// entry per notification keeps those entries, and a caller that keeps Clones
+// out of collected results keeps those clones — neither keeps the read
+// chunks the entries arrived in. Each half keeps every tenth entry of ten
+// 1,000-entry replies: 1,000 entries of ~200 bytes, well under 1 MiB, where
+// entries (or decoded values) that aliased their chunks would pin all ten
+// replies, ≈ 2 MiB.
+func TestKeptEntriesDoNotPinReadChunks(t *testing.T) {
+	c := startWireServer(t, 1000, false)
+	req := &SearchRequest{BaseDN: "o=grid", Scope: ScopeWholeSubtree}
+	keep := map[string]func(held []*Entry) []*Entry{
+		"streamed": func(held []*Entry) []*Entry {
+			k := 0
+			err := c.SearchFunc(context.Background(), req, nil, func(e *Entry, _ []Control) error {
+				if k++; k%10 == 0 {
+					held = append(held, e)
+				}
+				return nil
+			}, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return held
+		},
+		"cloned": func(held []*Entry) []*Entry {
+			res, err := c.Search(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 9; k < len(res.Entries); k += 10 {
+				held = append(held, res.Entries[k].Clone())
+			}
+			return held
+		},
+	}
+	for name, pass := range keep {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		held := make([]*Entry, 0, 1000)
+		for i := 0; i < 10; i++ {
+			held = pass(held)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if len(held) != 1000 || held[999].First("objectclass") != "computer" {
+			t.Fatalf("%s: held %d entries, last %s", name, len(held), held[len(held)-1])
+		}
+		if live := int64(after.HeapAlloc) - int64(before.HeapAlloc); live > 1<<20 {
+			t.Errorf("%s: 1,000 kept entries keep %d KiB live, want < 1 MiB", name, live>>10)
+		}
+		runtime.KeepAlive(held)
 	}
 }

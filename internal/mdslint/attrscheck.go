@@ -1,10 +1,11 @@
 package mdslint
 
 // AttrsCheck keeps ldap.Entry's two forms behind its accessor. A
-// wire-backed entry (ldap.Client.SearchWire — what every chained hop and
-// every query-cache hit now hands around) leaves the Attrs field nil and
-// holds its attributes as the BER frame they arrived in; Entry.Attributes
-// (and Values, First, Has, …) decode that frame on first use. Code outside
+// wire-backed entry (what ldap.Client's searches return, and so what every
+// chained hop and every query-cache hit hands around) leaves the Attrs
+// field nil and holds its attributes as the BER frame they arrived in;
+// Entry.Attributes (and Values, First, Has, …) decode that frame on first
+// use. Code outside
 // internal/ldap that selects the field directly therefore reads "no
 // attributes" off a perfectly good entry — silently — or, writing it, leaves
 // the frame and the field disagreeing. Every selector that resolves to the

@@ -13,9 +13,12 @@ package mdslint
 // (copy/delete/clear) on tainted values. Clone and Select launder: their
 // results are private copies and may be mutated freely.
 //
-// Client.SearchWire is a source too: the wire-backed entries it returns
-// share one raw frame (and one lazily decoded attribute slice) among every
-// holder, so they are snapshots before any store or cache sees them.
+// Client.Search, SearchWith and SearchFunc are sources too: the wire-backed
+// entries they deliver share one raw frame, and one lazily decoded attribute
+// slice, among every holder, so they are snapshots before any store or cache
+// sees them. Search and SearchWith deliver in SearchResult.Entries — a slice
+// of the caller's own (it may be sorted or compacted) over shared entries,
+// which is how that field is seeded; SearchFunc delivers to its callback.
 
 import (
 	"go/ast"
@@ -26,7 +29,7 @@ const ruleSnapshot = "snapshotcheck"
 
 var SnapshotCheck = &Analyzer{
 	Name:       ruleSnapshot,
-	Doc:        "entries from Store.Find/FindLimit/ChangeEvent, qcache and Client.SearchWire are immutable snapshots; Clone/Select before mutating",
+	Doc:        "entries from Store.Find/FindLimit/ChangeEvent, qcache and Client.Search/SearchWith/SearchFunc are immutable snapshots; Clone/Select before mutating",
 	NeedsTypes: true,
 	Run:        runSnapshotCheck,
 }
@@ -38,14 +41,12 @@ const (
 
 // isSnapshotSource reports whether fn is one of the snapshot hand-out
 // entry points: the store's Find family, the qcache result cache, whose
-// hits share the same sealed entries with every caller, and the client's
-// wire search, whose entries are immutable from birth — their attributes
-// are the frame they arrived in, shared with everything that entry (or a
-// Project / WithDN of it) is ever handed to.
+// hits share the same sealed entries with every caller. (The client's
+// searches hand out snapshots too, but not as a result of their own: see
+// seedSnapshotFields and snapshotCallback.)
 func isSnapshotSource(fn *types.Func) bool {
 	switch {
-	case isMethod(fn, pkgLdap, "Client", "SearchWire"),
-		isMethod(fn, pkgLdap, "Store", "Find"),
+	case isMethod(fn, pkgLdap, "Store", "Find"),
 		isMethod(fn, pkgLdap, "Store", "FindLimit"),
 		isMethod(fn, pkgLdap, "Store", "FindCompiled"),
 		isMethod(fn, pkgLdap, "Store", "All"),
@@ -55,6 +56,15 @@ func isSnapshotSource(fn *types.Func) bool {
 		return true
 	}
 	return false
+}
+
+// snapshotCallback is the callback form of a source: Client.SearchFunc
+// passes each result entry as the first parameter of its entry callback.
+func snapshotCallback(callee *types.Func, param int) taintBits {
+	if param == 0 && isMethod(callee, pkgLdap, "Client", "SearchFunc") {
+		return taintPrimary
+	}
+	return 0
 }
 
 // sourceLevel maps a snapshot source to the lattice level of its first
@@ -69,24 +79,34 @@ func sourceLevel(fn *types.Func) taintBits {
 	return taintPrimary
 }
 
-// seedSnapshotFields marks ldap.ChangeEvent.Entry as snapshot-holding: the
-// delivery path shares the store's snapshot without cloning.
+// seedSnapshotFields marks the ldap fields that hold snapshots wherever the
+// struct came from: ChangeEvent.Entry — the delivery path shares the store's
+// snapshot without cloning — and SearchResult.Entries, the result of
+// Client.Search and SearchWith: a fresh container of entries that are
+// immutable from birth, their attributes being the frame they arrived in,
+// shared with everything that entry (or a Project / WithDN of it) is ever
+// handed to.
 func seedSnapshotFields(p *Pass) {
 	for _, pkg := range p.Pkgs {
 		if pkg.Path != pkgLdap {
 			continue
 		}
-		obj := pkg.Types.Scope().Lookup("ChangeEvent")
-		if obj == nil {
-			continue
-		}
-		st, ok := obj.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := range st.NumFields() {
-			if f := st.Field(i); f.Name() == "Entry" {
-				p.SetFact(f, factHoldsSnapshot, taintPrimary)
+		for _, seed := range []struct {
+			typ, field string
+			level      taintBits
+		}{{"ChangeEvent", "Entry", taintPrimary}, {"SearchResult", "Entries", taintElem}} {
+			obj := pkg.Types.Scope().Lookup(seed.typ)
+			if obj == nil {
+				continue
+			}
+			st, ok := obj.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := range st.NumFields() {
+				if f := st.Field(i); f.Name() == seed.field {
+					p.SetFact(f, factHoldsSnapshot, seed.level)
+				}
 			}
 		}
 	}
@@ -94,7 +114,8 @@ func seedSnapshotFields(p *Pass) {
 
 func snapshotTaintConfig(p *Pass, pkg *Package, changed *bool) *taintConfig {
 	return &taintConfig{
-		info: pkg.Info,
+		info:          pkg.Info,
+		callbackTaint: snapshotCallback,
 		callTaint: func(call *ast.CallExpr, callee *types.Func, recv taintBits, args []taintBits, nres int) []taintBits {
 			if callee == nil || isCloneLaunder(callee) {
 				return nil

@@ -114,6 +114,10 @@ type taintConfig struct {
 	onFieldStore func(field *types.Var, bits taintBits)
 	// seed taints objects (receiver/parameters) before the first sweep.
 	seed map[types.Object]taintBits
+	// callbackTaint returns the taint callee confers on parameter param of a
+	// function literal passed to it — a callee that hands its resource to a
+	// callback instead of returning it. Nil means no callee does.
+	callbackTaint func(callee *types.Func, param int) taintBits
 }
 
 type tengine struct {
@@ -198,9 +202,39 @@ func (e *tengine) sweep(body *ast.BlockStmt) {
 			}
 		case *ast.TypeSwitchStmt:
 			e.typeSwitch(v)
+		case *ast.CallExpr:
+			e.callbacks(v)
 		}
 		return true
 	})
+}
+
+// callbacks taints the parameters of function literals passed to a callee
+// that delivers its resource through them.
+func (e *tengine) callbacks(call *ast.CallExpr) {
+	if e.cfg.callbackTaint == nil {
+		return
+	}
+	callee := calleeOf(e.cfg.info, call)
+	if callee == nil {
+		return
+	}
+	for _, arg := range call.Args {
+		lit, ok := ast.Unparen(arg).(*ast.FuncLit)
+		if !ok {
+			continue
+		}
+		i := 0
+		for _, field := range lit.Type.Params.List {
+			for _, name := range field.Names {
+				e.addTaint(e.objOf(name), e.cfg.callbackTaint(callee, i))
+				i++
+			}
+			if len(field.Names) == 0 {
+				i++
+			}
+		}
+	}
 }
 
 func (e *tengine) assignStmt(a *ast.AssignStmt) {

@@ -113,10 +113,17 @@ type SearchResult struct{ Entries []*Entry }
 
 type Client struct{ last *SearchResult }
 
-func (c *Client) SearchWire(base string) (*SearchResult, error) { return c.last, nil }
+func (c *Client) Search(base string) (*SearchResult, error) { return c.last, nil }
 
-func (c *Client) SearchWith(base string) (*SearchResult, error) {
-	return &SearchResult{Entries: []*Entry{{DN: base}}}, nil
+func (c *Client) SearchWith(base string) (*SearchResult, error) { return c.last, nil }
+
+func (c *Client) SearchFunc(base string, entryFn func(*Entry, []string) error) error {
+	for _, e := range c.last.Entries {
+		if err := entryFn(e, nil); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 type ChangeEvent struct {
@@ -445,28 +452,34 @@ func f(c *qcache.Cache) {
 	}
 }
 
-// TestSnapshotCheckWireFixtures pins the relay contract: entries from
-// Client.SearchWire are immutable from birth — their attributes are one
-// shared frame — so renaming one in place (what the hop's view graft used to
-// do to decoded entries) is a finding, as is a write through the WithDN
-// shell that shares the frame; building a fresh result slice, or cloning,
-// is fine. SearchWith's decoded entries stay the caller's own.
+// TestSnapshotCheckWireFixtures pins the client's one immutability rule:
+// entries from Client.Search, SearchWith and SearchFunc are immutable from
+// birth — their attributes are one shared frame — so renaming one in place
+// (what the hop's view graft used to do to decoded entries) is a finding,
+// as is a write through the WithDN shell that shares the frame, whether the
+// entry was returned or handed to SearchFunc's callback; building a fresh
+// result slice, or cloning, is fine.
 func TestSnapshotCheckWireFixtures(t *testing.T) {
 	cases := []struct {
 		name string
 		src  string
 	}{
-		{"grafting a wire entry in place", `package app
+		{"grafting a result entry in place", `package app
 
 import "mds2/internal/ldap"
 
 func f(c *ldap.Client) []*ldap.Entry {
-	res, _ := c.SearchWire("o=grid")
+	res, _ := c.SearchWith("o=grid")
 	for _, e := range res.Entries {
 		e.DN = "hn=x, o=view" // want
 	}
 	res.Entries[0].Add("seen", "1") // want
 	return res.Entries
+}
+
+func g(c *ldap.Client) {
+	res, _ := c.Search("o=grid")
+	res.Entries[0].Set("seen", "1") // want
 }
 `},
 		{"WithDN shares the frame", `package app
@@ -474,7 +487,7 @@ func f(c *ldap.Client) []*ldap.Entry {
 import "mds2/internal/ldap"
 
 func f(c *ldap.Client) {
-	res, _ := c.SearchWire("o=grid")
+	res, _ := c.Search("o=grid")
 	g := res.Entries[0].WithDN("hn=x, o=view")
 	g.Attributes()[0].Values[0] = "x" // want
 }
@@ -484,7 +497,7 @@ func f(c *ldap.Client) {
 import "mds2/internal/ldap"
 
 func f(c *ldap.Client) []*ldap.Entry {
-	res, _ := c.SearchWire("o=grid")
+	res, _ := c.SearchWith("o=grid")
 	grafted := make([]*ldap.Entry, len(res.Entries))
 	for i, e := range res.Entries {
 		grafted[i] = e.WithDN("hn=x, o=view")
@@ -494,14 +507,22 @@ func f(c *ldap.Client) []*ldap.Entry {
 	return append(grafted, own)
 }
 `},
-		{"decoded search results are the caller's own", `package app
+		{"a streamed entry is one too", `package app
 
 import "mds2/internal/ldap"
 
-func f(c *ldap.Client) {
-	res, _ := c.SearchWith("o=grid")
-	res.Entries[0].DN = "hn=x, o=view"
-	res.Entries[0].Add("seen", "1")
+func f(c *ldap.Client) []*ldap.Entry {
+	var kept []*ldap.Entry
+	c.SearchFunc("o=grid", func(e *ldap.Entry, ctls []string) error {
+		e.Add("seen", "1") // want
+		e.DN = "hn=x, o=view" // want
+		ctls[0] = "mine"
+		own := e.Clone()
+		own.Add("seen", "1")
+		kept = append(kept, e, own)
+		return nil
+	})
+	return kept
 }
 `},
 	}

@@ -351,10 +351,7 @@ func (c *Cache) GetOrFill(key string, region Region, bound time.Time,
 			}
 			return filled{}, err
 		}
-		// The fill result becomes the shared snapshot: seal it (mdsdebug) so
-		// any later in-place mutation of a cached entry panics at the write.
-		ldap.SealSnapshots(entries)
-		c.put(key, region, bound, entries)
+		c.Put(key, region, bound, entries)
 		return filled{entries, OutcomeMiss}, nil
 	})
 	if shared {
@@ -365,15 +362,14 @@ func (c *Cache) GetOrFill(key string, region Region, bound time.Time,
 	return copyEntries(res.entries), res.how, err
 }
 
-// Put caches a result directly (GetOrFill is the usual path). See
-// GetOrFill for bound semantics and for what becomes of entries.
+// Put caches a result directly (GetOrFill is the usual path; see it for
+// bound semantics). entries becomes the shared snapshot: it gets bytes of
+// its own (ldap.CompactSnapshots), so what the cache keeps is the result and
+// not the read chunks it arrived in, and is sealed (mdsdebug) so any later
+// in-place mutation of a cached entry panics at the write.
 func (c *Cache) Put(key string, region Region, bound time.Time, entries []*ldap.Entry) {
 	ldap.CompactSnapshots(entries)
 	ldap.SealSnapshots(entries)
-	c.put(key, region, bound, entries)
-}
-
-func (c *Cache) put(key string, region Region, bound time.Time, entries []*ldap.Entry) {
 	now := c.clock.Now()
 	negative := len(entries) == 0
 	ttl := c.cfg.TTL

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -445,5 +446,50 @@ func TestDebugSnapshot(t *testing.T) {
 	}
 	if !sawNeg || !sawPos {
 		t.Fatalf("snapshot keys missing negative/positive rows: %+v", d.Keys)
+	}
+}
+
+// TestFillOwnsItsBytes: a chained hop's reply reaches the cache wire-backed,
+// its entries aliasing the client's read chunks. What the cache keeps — and
+// hands the fill's own caller — are copies over one buffer sized for the
+// result (ldap.CompactSnapshots), so a cached result never pins a chunk.
+func TestFillOwnsItsBytes(t *testing.T) {
+	client, server := net.Pipe()
+	c := ldap.NewClient(client)
+	defer c.Close()
+	defer server.Close()
+	go func() {
+		buf := make([]byte, 4096)
+		n, _ := server.Read(buf)
+		req, err := ldap.ParseMessageBytes(buf[:n])
+		if err != nil {
+			return
+		}
+		for _, e := range testEntries(5) {
+			server.Write((&ldap.Message{ID: req.ID, Op: &ldap.SearchResultEntry{Entry: e}}).Encode())
+		}
+		server.Write((&ldap.Message{ID: req.ID, Op: &ldap.SearchResultDone{}}).Encode())
+	}()
+	var fetched []*ldap.Entry
+	qc := New(Config{Clock: softstate.NewFakeClock(), TTL: time.Minute})
+	reg := region("ou=test, o=grid", "")
+	got, how, err := qc.GetOrFill(reg.Key(nil, 0), reg, time.Time{}, func() ([]*ldap.Entry, error) {
+		res, err := c.Search(&ldap.SearchRequest{BaseDN: "ou=test, o=grid", Scope: ldap.ScopeWholeSubtree})
+		if err != nil {
+			return nil, err
+		}
+		fetched = append(fetched, res.Entries...)
+		return res.Entries, nil
+	})
+	if err != nil || how != OutcomeMiss || len(got) != 5 || len(fetched) != 5 {
+		t.Fatalf("fill: %d of %d entries, %v, %v", len(got), len(fetched), how, err)
+	}
+	for i, e := range got {
+		if e == fetched[i] {
+			t.Errorf("entry %d is cached as it was fetched, still aliasing its read chunk", i)
+		}
+		if e.String() != fetched[i].String() {
+			t.Errorf("entry %d: cached %s, fetched %s", i, e, fetched[i])
+		}
 	}
 }
