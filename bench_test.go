@@ -1,8 +1,6 @@
-// Top-level benchmark harness: one benchmark per experiment in DESIGN.md §4
-// (figures F1–F5, claims E1–E10). Each measures the dominant operation of
-// its experiment; `go test -bench=. -benchmem` regenerates the performance
-// side of EXPERIMENTS.md, and the full scenario tables come from
-// cmd/mdsbench.
+// Top-level micro-benchmarks: one per figure or claim in DESIGN.md §4 that
+// has a dominant operation worth timing. The invariants themselves are
+// asserted by the tests that index names; the acceptance benchmark is bench/.
 package mds2_test
 
 import (
@@ -15,7 +13,6 @@ import (
 	"mds2/internal/bloom"
 	"mds2/internal/core"
 	"mds2/internal/detect"
-	"mds2/internal/experiments"
 	"mds2/internal/giis"
 	"mds2/internal/grip"
 	"mds2/internal/gris"
@@ -541,20 +538,6 @@ func BenchmarkBERCodec(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkExperimentSuite regenerates every mdsbench scenario once per
-// iteration — the cost of reproducing the whole paper.
-func BenchmarkExperimentSuite(b *testing.B) {
-	for _, name := range experiments.Names() {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := experiments.Run(name, io.Discard); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // Helpers.

@@ -18,7 +18,7 @@ import (
 func buildTools(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	for _, tool := range []string{"gris", "giis", "gridsearch", "gridsim", "mdsbench", "gridproxy"} {
+	for _, tool := range []string{"gris", "giis", "gridsearch", "gridsim", "gridproxy"} {
 		out := filepath.Join(dir, tool)
 		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+tool)
 		cmd.Env = os.Environ()
@@ -193,28 +193,5 @@ func TestCLIGridsimDemo(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("gridsim output missing %q:\n%s", want, s)
 		}
-	}
-}
-
-func TestCLIMdsbenchList(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
-	bins := buildTools(t)
-	out, err := exec.Command(filepath.Join(bins, "mdsbench"), "-list").CombinedOutput()
-	if err != nil {
-		t.Fatalf("mdsbench -list: %v\n%s", err, out)
-	}
-	for _, want := range []string{"fig1", "fig2", "fig3", "fig4", "fig5",
-		"detector", "cache", "scope", "mds1", "bloom", "pushpull", "security", "nws", "matchmake",
-		"recover"} {
-		if !strings.Contains(string(out), want) {
-			t.Fatalf("mdsbench list missing %q:\n%s", want, out)
-		}
-	}
-	// And one experiment runs from the CLI.
-	out, err = exec.Command(filepath.Join(bins, "mdsbench"), "-exp", "fig3").CombinedOutput()
-	if err != nil || !strings.Contains(string(out), "wire round-trip: ok") {
-		t.Fatalf("mdsbench -exp fig3: %v\n%s", err, out)
 	}
 }

@@ -112,13 +112,3 @@ func (f *Filter) FillRatio() float64 {
 	}
 	return float64(set) / float64(f.m)
 }
-
-// EstimatedFPR returns the expected false positive rate given the current
-// fill: (fill)^k.
-func (f *Filter) EstimatedFPR() float64 {
-	return math.Pow(f.FillRatio(), float64(f.k))
-}
-
-// SizeBytes returns the summary's transfer size, the quantity experiment E5
-// trades against accuracy.
-func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }

@@ -4,8 +4,8 @@
 // wide-area network (deterministic clock, controllable partitions and
 // loss) or real loopback TCP.
 //
-// It is the library's top-level public API: examples and the experiment
-// harness build Figure 2 and Figure 5 topologies with a few calls.
+// It is the library's top-level public API: examples and the figure tests
+// build Figure 2 and Figure 5 topologies with a few calls.
 package core
 
 import (

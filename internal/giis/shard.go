@@ -83,8 +83,8 @@ func NewSharded(ring *shard.Ring, self string, replicas int) *Sharded {
 // Name implements Strategy.
 func (sh *Sharded) Name() string { return "sharded" }
 
-// Planner exposes the routing decisions (registrars and experiments place
-// registrations with it).
+// Planner exposes the routing decisions (registrars and the shard tests
+// place registrations with it).
 func (sh *Sharded) Planner() *shard.Planner { return sh.planner }
 
 func (sh *Sharded) attach(s *Server) {

@@ -41,9 +41,6 @@ func NewClient(conn net.Conn) *Client { return &Client{c: ldap.NewClient(conn)} 
 // Close releases the connection.
 func (g *Client) Close() error { return g.c.Close() }
 
-// SetTimeout bounds each synchronous operation.
-func (g *Client) SetTimeout(d time.Duration) { g.c.Timeout = d }
-
 // SetClock injects the time source used for GSI credential-expiry checks
 // and operation timeouts, so FakeClock tests drive the same code paths
 // production runs (DESIGN.md "Static analysis & invariants").
@@ -128,29 +125,6 @@ func (g *Client) Search(base ldap.DN, filter string, attrs ...string) ([]*ldap.E
 		return nil, err
 	}
 	return res.Entries, nil
-}
-
-// SearchStream is GRIP discovery without result buffering: each matching
-// entry is handed to fn as it arrives off the wire, so arbitrarily large
-// result sets stream in constant client memory. fn runs on the receive
-// goroutine; returning an error abandons the search and propagates.
-func (g *Client) SearchStream(base ldap.DN, filter string, fn func(*ldap.Entry) error) error {
-	f, err := ldap.ParseFilter(filter)
-	if err != nil {
-		return err
-	}
-	var done ldap.Result
-	err = g.c.SearchFunc(context.Background(), &ldap.SearchRequest{
-		BaseDN: base.String(),
-		Scope:  ldap.ScopeWholeSubtree,
-		Filter: f,
-	}, nil, func(e *ldap.Entry, _ []ldap.Control) error {
-		return fn(e)
-	}, nil, &done)
-	if err != nil {
-		return err
-	}
-	return done.Err()
 }
 
 // SearchLimited is Search with a server-side size limit; it returns

@@ -146,11 +146,12 @@ func TestAuthenticateAgainstGRIS(t *testing.T) {
 	}
 }
 
-func TestSetTimeoutAndRaw(t *testing.T) {
-	c, _ := startStore(t)
-	c.SetTimeout(123 * time.Millisecond)
-	if c.Raw().Timeout != 123*time.Millisecond {
-		t.Fatal("timeout not applied")
+func TestRawSharesTheConnection(t *testing.T) {
+	c, store := startStore(t)
+	seedEntries(t, store)
+	res, err := c.Raw().Search(&ldap.SearchRequest{BaseDN: "hn=b, o=g", Scope: ldap.ScopeBaseObject})
+	if err != nil || len(res.Entries) != 1 {
+		t.Fatalf("raw search: %v, %v", err, res)
 	}
 }
 

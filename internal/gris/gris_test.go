@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
@@ -183,6 +184,71 @@ func TestCacheServesRepeatQueries(t *testing.T) {
 	s.Search(anonReq(), req, &sink{})
 	if static.calls != 3 {
 		t.Fatalf("static invoked %d times after flush, want 3", static.calls)
+	}
+}
+
+// stampBackend answers one entry stamped with the time it was produced, so
+// a reader can tell how old the data it was served is.
+type stampBackend struct{ fakeBackend }
+
+func (b *stampBackend) Entries(q *Query) ([]*ldap.Entry, error) {
+	b.calls++
+	return []*ldap.Entry{ldap.NewEntry(hostDN().ChildAVA("perf", "load")).
+		Add("objectclass", "perf", "loadaverage").
+		Add("perf", "load").
+		Add("fetched", strconv.FormatInt(q.Now.Unix(), 10))}, nil
+}
+
+// TestCacheTTLBoundsIntrusivenessAndStaleness checks E2 (§10.3): a
+// provider's cache TTL trades invocations for data age. Of 2,000 queries at
+// one per second, every one invokes the provider with caching off; with it
+// on, ⌈2000 / TTL⌉ ± 1 do, and the mean age of what the queries are served
+// is within 15 % of TTL/2 — (TTL − 1 s)/2 less the last partial window, as
+// ages are whole query gaps.
+func TestCacheTTLBoundsIntrusivenessAndStaleness(t *testing.T) {
+	const queries, gap = 2000, time.Second
+	for _, ttl := range []time.Duration{0, 10 * time.Second, time.Minute, 5 * time.Minute} {
+		name := ttl.String()
+		if ttl == 0 {
+			name = "off"
+		}
+		t.Run(name, func(t *testing.T) {
+			clock := softstate.NewFakeClock()
+			s := New(Config{Suffix: hostDN(), Clock: clock})
+			b := &stampBackend{fakeBackend{name: "load", suffix: hostDN(),
+				attrs: []string{"perf", "fetched"}, ttl: ttl}}
+			s.Register(b)
+			req := &ldap.SearchRequest{BaseDN: hostDN().String(), Scope: ldap.ScopeWholeSubtree,
+				Filter: ldap.MustParseFilter("(objectclass=loadaverage)")}
+			var age time.Duration
+			for i := 0; i < queries; i++ {
+				clock.Advance(gap)
+				w := &sink{}
+				s.Search(anonReq(), req, w)
+				if len(w.entries) != 1 {
+					t.Fatalf("query %d: %d entries", i, len(w.entries))
+				}
+				fetched, err := strconv.ParseInt(w.entries[0].First("fetched"), 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				age += clock.Now().Sub(time.Unix(fetched, 0))
+			}
+			mean := age / queries
+			if ttl == 0 {
+				if b.calls != queries || mean != 0 {
+					t.Fatalf("caching off: %d invocations, mean age %v; want %d, 0s", b.calls, mean, queries)
+				}
+				return
+			}
+			want := int((queries*gap + ttl - 1) / ttl)
+			if b.calls < want-1 || b.calls > want+1 {
+				t.Errorf("%d invocations, want %d ± 1", b.calls, want)
+			}
+			if d := mean - ttl/2; d.Abs() > ttl/2*15/100 {
+				t.Errorf("mean data age %v, want within 15%% of %v", mean, ttl/2)
+			}
+		})
 	}
 }
 

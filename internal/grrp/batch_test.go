@@ -93,8 +93,8 @@ func TestStartFanoutReplicates(t *testing.T) {
 	}
 }
 
-// The before/after numbers for BENCH_shard.json: one-at-a-time Ingest pays
-// a registry transaction (version bump, cache invalidation, sweep
+// BenchmarkIngestStorm compares the two ingest paths: one-at-a-time Ingest
+// pays a registry transaction (version bump, cache invalidation, sweep
 // reschedule) per message; IngestBatch pays one per storm.
 func BenchmarkIngestStorm(b *testing.B) {
 	const storm = 1000

@@ -8,7 +8,6 @@
 package hostinfo
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -198,34 +197,4 @@ func (s Snapshot) FreeCPUs() int {
 		return 0
 	}
 	return free
-}
-
-// Fleet is a convenience collection of hosts stepped together.
-type Fleet struct {
-	Hosts []*Host
-}
-
-// NewFleet builds n hosts named prefixN with varied specs, deterministic
-// in seed.
-func NewFleet(prefix string, n int, seed int64) *Fleet {
-	specs := []Spec{
-		{OS: "linux redhat", OSVer: "6.2", CPUType: "ia32", CPUCount: 2, MemoryMB: 1024},
-		{OS: "linux redhat", OSVer: "7.0", CPUType: "ia32", CPUCount: 4, MemoryMB: 2048},
-		{OS: "mips irix", OSVer: "6.5", CPUType: "mips", CPUCount: 64, MemoryMB: 16384},
-		{OS: "sunos", OSVer: "5.8", CPUType: "sparc", CPUCount: 8, MemoryMB: 4096},
-	}
-	f := &Fleet{}
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < n; i++ {
-		spec := specs[rng.Intn(len(specs))]
-		f.Hosts = append(f.Hosts, New(fmt.Sprintf("%s%03d", prefix, i), spec, rng.Int63()))
-	}
-	return f
-}
-
-// Step advances every host.
-func (f *Fleet) Step(dt time.Duration) {
-	for _, h := range f.Hosts {
-		h.Step(dt)
-	}
 }

@@ -107,29 +107,6 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-func TestFleet(t *testing.T) {
-	f := NewFleet("node", 20, 9)
-	if len(f.Hosts) != 20 {
-		t.Fatalf("hosts = %d", len(f.Hosts))
-	}
-	names := map[string]bool{}
-	for _, h := range f.Hosts {
-		if names[h.Name] {
-			t.Fatalf("duplicate host name %q", h.Name)
-		}
-		names[h.Name] = true
-	}
-	f.Step(10 * time.Minute)
-	// Deterministic reconstruction.
-	g := NewFleet("node", 20, 9)
-	g.Step(10 * time.Minute)
-	for i := range f.Hosts {
-		if f.Hosts[i].Snapshot().Load1 != g.Hosts[i].Snapshot().Load1 {
-			t.Fatal("fleet not deterministic")
-		}
-	}
-}
-
 func TestDiurnalCycle(t *testing.T) {
 	// Mean load mid-afternoon should exceed mean load pre-dawn.
 	h := New("h", linuxSpec(), 11)

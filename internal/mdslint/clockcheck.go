@@ -13,7 +13,6 @@ import (
 //
 // Exempt by construction:
 //   - internal/softstate/clock.go — the one place RealClock touches time
-//   - internal/experiments/ — wall-clock benchmark harnesses
 //   - cmd/ and examples/ — process mains wire RealClock at the edge
 //   - *_test.go — tests may use the wall clock for timeouts
 const ruleClock = "clockcheck"
@@ -42,7 +41,6 @@ var wallClockFuncs = map[string]bool{
 func clockCheckExempt(path string) bool {
 	return isTestFile(path) ||
 		pathIsFile(path, "internal/softstate/clock.go") ||
-		pathHasDir(path, "internal/experiments") ||
 		pathHasDir(path, "cmd") ||
 		pathHasDir(path, "examples")
 }

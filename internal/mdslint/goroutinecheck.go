@@ -24,9 +24,8 @@ import (
 //     ReadFrom, ReadMessage, ReadFull, Recv, Scan — the idiomatic exit
 //     path for connection readers and accept loops.
 //
-// cmd/, examples/, internal/experiments/, and tests are exempt: mains own
-// process-lifetime goroutines, and harnesses are fire-and-forget by
-// design.
+// cmd/, examples/ and tests are exempt: mains own process-lifetime
+// goroutines, and tests are torn down with the test binary.
 const ruleGoroutine = "goroutinecheck"
 
 var GoroutineCheck = &Analyzer{
@@ -37,7 +36,6 @@ var GoroutineCheck = &Analyzer{
 
 func goroutineCheckExempt(path string) bool {
 	return isTestFile(path) ||
-		pathHasDir(path, "internal/experiments") ||
 		pathHasDir(path, "cmd") ||
 		pathHasDir(path, "examples")
 }

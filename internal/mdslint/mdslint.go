@@ -273,8 +273,7 @@ func ParseSource(fset *token.FileSet, path, src string) (*File, error) {
 func isTestFile(path string) bool { return strings.HasSuffix(path, "_test.go") }
 
 // pathHasDir reports whether the slash path contains dir as a complete
-// path segment sequence (e.g. pathHasDir("a/internal/experiments/x.go",
-// "internal/experiments")).
+// path segment sequence (e.g. pathHasDir("a/cmd/gris/main.go", "cmd")).
 func pathHasDir(path, dir string) bool {
 	p := "/" + strings.Trim(filepath.ToSlash(path), "/") + "/"
 	return strings.Contains(p, "/"+strings.Trim(dir, "/")+"/")

@@ -264,17 +264,6 @@ func (b *Battery) Predict() (float64, string, bool) {
 	return b.pending[best], b.members[best].Name(), true
 }
 
-// MSE returns the per-member mean squared errors (for the E8 report).
-func (b *Battery) MSE() map[string]float64 {
-	out := map[string]float64{}
-	for i, m := range b.members {
-		if b.n[i] > 0 {
-			out[m.Name()] = b.sqErr[i] / float64(b.n[i])
-		}
-	}
-	return out
-}
-
 // Service is the NWS facade the GRIS network backend queries: measurements
 // and forecasts for links between arbitrary named endpoints, generated
 // lazily per request.

@@ -167,22 +167,6 @@ func TestBatteryBeatsWorstMember(t *testing.T) {
 	}
 }
 
-func TestBatteryMSEReport(t *testing.T) {
-	b := NewBattery()
-	for i := 0; i < 30; i++ {
-		b.Update(float64(i % 5))
-	}
-	mse := b.MSE()
-	if len(mse) == 0 {
-		t.Fatal("no MSE entries")
-	}
-	for name, v := range mse {
-		if v < 0 || math.IsNaN(v) {
-			t.Errorf("%s MSE = %f", name, v)
-		}
-	}
-}
-
 func TestBatteryEmpty(t *testing.T) {
 	b := NewBattery()
 	if _, _, ok := b.Predict(); ok {
