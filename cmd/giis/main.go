@@ -60,9 +60,7 @@ func main() {
 		snapEvery = flag.Duration("snapshot-every", 5*time.Minute, "durability: background snapshot cadence (0 disables)")
 		recGrace  = flag.Duration("recovery-grace", 2*time.Minute, "durability: grace window granted to recovered registrations before soft state purges them")
 
-		healthProbe = flag.String("health-probe", "anonymous", "healthz probe mode(s), comma-separated: anonymous | simple-bind | scoped-search")
-		healthBind  = flag.String("health-bind-dn", "", "simple-bind probe: bind DN")
-		healthPW    = flag.String("health-bind-pw", "", "simple-bind probe: bind password")
+		healthProbe = flag.String("health-probe", "anonymous", "healthz probe mode(s), comma-separated: anonymous | scoped-search")
 		healthBase  = flag.String("health-base", "", "scoped-search probe: base DN (default: the served suffix)")
 		healthFilt  = flag.String("health-filter", "(objectclass=*)", "scoped-search probe: filter")
 		healthMin   = flag.Int("health-min-entries", 1, "scoped-search probe: minimum entries required")
@@ -248,14 +246,12 @@ func main() {
 				log.Fatalf("giis: %v", err)
 			}
 			hc := ldap.HealthCheck{
-				Addr:         advertised(*listen),
-				Mode:         mode,
-				BindDN:       *healthBind,
-				BindPassword: *healthPW,
-				Base:         *healthBase,
-				Scope:        ldap.ScopeWholeSubtree,
-				Filter:       *healthFilt,
-				MinEntries:   *healthMin,
+				Addr:       advertised(*listen),
+				Mode:       mode,
+				Base:       *healthBase,
+				Scope:      ldap.ScopeWholeSubtree,
+				Filter:     *healthFilt,
+				MinEntries: *healthMin,
 			}
 			if mode == ldap.ProbeScopedSearch && hc.Base == "" {
 				hc.Base = dn.String()

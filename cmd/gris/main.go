@@ -54,9 +54,7 @@ func main() {
 		snapEvery = flag.Duration("snapshot-every", 5*time.Minute, "durability: background snapshot cadence (0 disables)")
 		warmGrace = flag.Duration("warm-grace", 30*time.Second, "durability: how long restored provider results may serve before a live invocation is forced")
 
-		healthProbe = flag.String("health-probe", "anonymous", "healthz probe mode(s), comma-separated: anonymous | simple-bind | scoped-search")
-		healthBind  = flag.String("health-bind-dn", "", "simple-bind probe: bind DN")
-		healthPW    = flag.String("health-bind-pw", "", "simple-bind probe: bind password")
+		healthProbe = flag.String("health-probe", "anonymous", "healthz probe mode(s), comma-separated: anonymous | scoped-search")
 		healthBase  = flag.String("health-base", "", "scoped-search probe: base DN (default: the served suffix)")
 		healthFilt  = flag.String("health-filter", "(objectclass=*)", "scoped-search probe: filter")
 		healthMin   = flag.Int("health-min-entries", 1, "scoped-search probe: minimum entries required")
@@ -211,14 +209,12 @@ func main() {
 				log.Fatalf("gris: %v", err)
 			}
 			hc := ldap.HealthCheck{
-				Addr:         listenAddr(*listen),
-				Mode:         mode,
-				BindDN:       *healthBind,
-				BindPassword: *healthPW,
-				Base:         *healthBase,
-				Scope:        ldap.ScopeWholeSubtree,
-				Filter:       *healthFilt,
-				MinEntries:   *healthMin,
+				Addr:       listenAddr(*listen),
+				Mode:       mode,
+				Base:       *healthBase,
+				Scope:      ldap.ScopeWholeSubtree,
+				Filter:     *healthFilt,
+				MinEntries: *healthMin,
 			}
 			if mode == ldap.ProbeScopedSearch && hc.Base == "" {
 				hc.Base = suffix.String()

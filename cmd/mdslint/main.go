@@ -3,19 +3,16 @@
 // invariant is violated (see internal/mdslint and DESIGN.md "Static
 // analysis & invariants" / "Invariant catalog").
 //
-// By default the whole module is type-checked (stdlib go/types, packages
-// loaded in parallel) so the type-aware analyzers — snapshotcheck,
-// poolcheck, berbalance, attrscheck — run alongside the syntax-only ones. Pass
-// -syntax to skip type checking (fast, syntax-only rules), or explicit
-// file/directory patterns to lint a subset syntax-only.
+// The whole module is type-checked (stdlib go/types, packages loaded in
+// parallel) so the type-aware analyzers — snapshotcheck, poolcheck,
+// berbalance, attrscheck — run alongside the syntax-only ones over one load.
 //
 // Usage:
 //
-//	go run ./cmd/mdslint               # whole module, typed
-//	go run ./cmd/mdslint -rules       # list analyzers
-//	go run ./cmd/mdslint -json        # machine-readable findings
-//	go run ./cmd/mdslint -github     # GitHub Actions ::error annotations
-//	go run ./cmd/mdslint -syntax ./...  # syntax-only, pattern walk
+//	go run ./cmd/mdslint          # whole module
+//	go run ./cmd/mdslint -rules   # list analyzers
+//	go run ./cmd/mdslint -json    # machine-readable findings
+//	go run ./cmd/mdslint -github  # GitHub Actions ::error annotations
 //
 // Suppress a finding, with a reason, on the offending line or the line
 // above:
@@ -47,14 +44,11 @@ func main() {
 	rules := flag.Bool("rules", false, "list analyzers and exit")
 	asJSON := flag.Bool("json", false, "emit findings as a JSON array")
 	github := flag.Bool("github", false, "emit findings as GitHub Actions ::error annotations")
-	syntax := flag.Bool("syntax", false, "skip type checking; run syntax-only analyzers")
-	seq := flag.Bool("seq", false, "type-check packages sequentially (for timing comparison)")
 	timing := flag.Bool("time", false, "report load+analysis wall clock to stderr")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: mdslint [-rules] [-json|-github] [-syntax] [-seq] [-time] [pattern ...]\n\n"+
-				"with no patterns the whole module is loaded and type-checked;\n"+
-				"patterns (directories, .go files, dir/... walks) imply -syntax\n\n")
+			"usage: mdslint [-rules] [-json|-github] [-time]\n\n"+
+				"the whole module is loaded and type-checked\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -62,41 +56,30 @@ func main() {
 	analyzers := mdslint.Analyzers()
 	if *rules {
 		for _, a := range analyzers {
-			kind := "syntax"
-			if a.NeedsTypes {
-				kind = "typed"
-			}
-			fmt.Printf("%-16s %-6s %s\n", a.Name, kind, a.Doc)
+			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
 
+	if flag.NArg() > 0 {
+		flag.Usage()
+		os.Exit(2)
+	}
+
 	fset := token.NewFileSet()
-	var pass *mdslint.Pass
 	start := time.Now()
-	if patterns := flag.Args(); len(patterns) > 0 || *syntax {
-		if len(patterns) == 0 {
-			patterns = []string{"./..."}
-		}
-		files, err := mdslint.Load(fset, patterns)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mdslint:", err)
-			os.Exit(2)
-		}
-		pass = &mdslint.Pass{Fset: fset, Files: files}
-	} else {
-		wd, err := os.Getwd()
+	var pass *mdslint.Pass
+	wd, err := os.Getwd()
+	if err == nil {
+		var root string
+		root, err = mdslint.FindModuleRoot(wd)
 		if err == nil {
-			var root string
-			root, err = mdslint.FindModuleRoot(wd)
-			if err == nil {
-				pass, err = mdslint.LoadModule(fset, root, !*seq)
-			}
+			pass, err = mdslint.LoadModule(fset, root)
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mdslint:", err)
-			os.Exit(2)
-		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mdslint:", err)
+		os.Exit(2)
 	}
 	loaded := time.Since(start)
 

@@ -47,19 +47,9 @@ func main() {
 	waitFor(func() bool { return len(dir.GIIS.Children()) == 3 })
 
 	// The failure detector consumes the same registration stream the
-	// directory indexes from: tap the directory's registry events.
+	// directory indexes from: tap the directory registry's transition feed.
 	detector := detect.New(ttl, clock)
-	events, cancelEvents := dir.GIIS.Receiver().Registry.Subscribe()
-	defer cancelEvents()
-	go func() {
-		for ev := range events {
-			// Only arrivals count as life signs; expiry events are the
-			// registry's own conclusion, not evidence.
-			if ev.Type == softstate.EventJoined || ev.Type == softstate.EventRefreshed {
-				detector.Observe(ev.Key)
-			}
-		}
-	}()
+	dir.GIIS.Receiver().Registry.Observe(lifeSigns{detector})
 
 	// Subscribe to every worker's load average (push mode).
 	var mu sync.Mutex
@@ -135,6 +125,19 @@ func main() {
 	s := detector.Stats()
 	fmt.Printf("\ndetector stats: %d observations, %d suspicions, %d recoveries\n",
 		s.Observations, s.Suspicions, s.Recoveries)
+}
+
+// lifeSigns feeds registry refreshes to a failure detector. Only arrivals
+// count as life signs; expiries are the registry's own conclusion, not
+// evidence.
+type lifeSigns struct{ d *detect.Detector }
+
+func (l lifeSigns) JournalRegistry(recs []softstate.JournalRecord) {
+	for _, rec := range recs {
+		if rec.Op == softstate.JournalRefresh {
+			l.d.Observe(rec.Item.Key)
+		}
+	}
 }
 
 func waitFor(cond func() bool) {

@@ -111,14 +111,14 @@ func TestReferralFollowWithReauthentication(t *testing.T) {
 	}
 	defer user.Close()
 
-	entries, err := user.SearchFollowing(ldap.MustParseDN("vo=v"), "(objectclass=loadaverage)",
+	entries, err := user.SearchFollowingReferrals(ldap.MustParseDN("vo=v"), "(objectclass=loadaverage)",
 		func(url ldap.URL) (*grip.Client, error) {
 			return g.Connect("sched", url)
 		},
 		func(c *grip.Client) error {
 			_, err := c.Authenticate(schedKeys, g.Trust)
 			return err
-		})
+		}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +128,10 @@ func TestReferralFollowWithReauthentication(t *testing.T) {
 	// Without authentication the follow-up filter is refused at the
 	// provider, so only public data (none matching the load filter) comes
 	// back.
-	entries, err = user.SearchFollowing(ldap.MustParseDN("vo=v"), "(objectclass=loadaverage)",
+	entries, err = user.SearchFollowingReferrals(ldap.MustParseDN("vo=v"), "(objectclass=loadaverage)",
 		func(url ldap.URL) (*grip.Client, error) {
 			return g.Connect("anon", url)
-		}, nil)
+		}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,8 +137,7 @@ func TestQueryCacheBoundedByChildSoftState(t *testing.T) {
 // path: when a child's registration is withdrawn or expires, its cached
 // results drop with it instead of lingering until their TTL — inside the
 // registry pass that applied the change, so a storm of other registrations
-// around it cannot crowd it out (the event channel this used to ride was
-// drained by a goroutine and dropped events past 256 per pass).
+// around it cannot crowd it out.
 func TestRegistryExpiryInvalidatesQueryCache(t *testing.T) {
 	r := newRig(t, NewChaining(), withQueryCache(24*time.Hour))
 	r.addHost("hostA", 1) // registrations valid for one hour

@@ -8,6 +8,7 @@ import (
 
 	"mds2/internal/grrp"
 	"mds2/internal/ldap"
+	"mds2/internal/obs"
 	"mds2/internal/persist"
 	"mds2/internal/softstate"
 )
@@ -17,18 +18,22 @@ import (
 // receiver's registry) ingests 200 registrations, draws a durability line
 // and crashes. Reopened over the same directory, it lists the same children,
 // each marked Recovered, and its name index answers with all of them before
-// any provider has refreshed.
+// any provider has refreshed — and the log, attached after the recovery,
+// has not been fed the recovered registrations back.
 func TestRestartFromWAL(t *testing.T) {
 	const n = 200
 	dir := t.TempDir()
 	clock := softstate.NewFakeClock()
+	var walRecords *obs.Counter // this boot's persist_wal_records_total
 	boot := func() (*Server, *persist.Manager) {
 		t.Helper()
+		o := obs.NewRegistry()
+		walRecords = o.Counter("persist_wal_records_total")
 		s := New(Config{Name: "giis.recover", Suffix: ldap.MustParseDN("o=grid"),
 			SelfURL: ldap.MustParseURL("sim://giis-node:389"), Clock: clock, Strategy: NewReferral()})
 		pm, err := persist.Open(persist.Options{Dir: dir, Clock: clock, Sync: persist.SyncAlways,
-			RecoveryGrace: 2 * time.Minute,
-			Codec:         persist.PayloadCodec{Encode: grrp.EncodePayload, Decode: grrp.DecodePayload}})
+			RecoveryGrace: 2 * time.Minute, Obs: o,
+			Codec: persist.PayloadCodec{Encode: grrp.EncodePayload, Decode: grrp.DecodePayload}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,5 +109,14 @@ func TestRestartFromWAL(t *testing.T) {
 	}
 	if recovered != n {
 		t.Fatalf("%d index entries marked recovered, want %d", recovered, n)
+	}
+	if got := walRecords.Value(); got != 0 {
+		t.Fatalf("Recover → Attach wrote %d WAL records before any refresh, want 0", got)
+	}
+	s.Ingest(&grrp.Message{Type: grrp.TypeRegister, MDSType: "gris", VO: "grid",
+		ServiceURL: "ldap://provider-000.invalid:2135", SuffixDN: "hn=p000, o=grid",
+		IssuedAt: clock.Now(), ValidUntil: clock.Now().Add(2 * time.Minute)})
+	if got := walRecords.Value(); got != 1 {
+		t.Fatalf("first refresh after restart wrote %d WAL records, want 1", got)
 	}
 }

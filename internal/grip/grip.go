@@ -206,61 +206,24 @@ func (g *Client) Subscribe(ctx context.Context, base ldap.DN, filter string,
 	return err
 }
 
-// SearchFollowing runs a discovery at a directory and, when the directory
-// answers with continuation references instead of data (a referral-mode
-// GIIS protecting restricted data, §10.4), follows each referral to the
-// authoritative provider using dial — re-authentication happens there, at
-// the source, exactly as the paper's two-step flow requires. authenticate
-// may be nil for anonymous follow-up.
-func (g *Client) SearchFollowing(base ldap.DN, filter string,
-	dial func(url ldap.URL) (*Client, error),
-	authenticate func(*Client) error) ([]*ldap.Entry, error) {
-
-	entries, referrals, err := g.SearchReferrals(base, filter)
-	if err != nil {
-		return nil, err
-	}
-	for _, ref := range referrals {
-		url, err := ldap.ParseURL(ref)
-		if err != nil {
-			continue // malformed referral: skip, keep what we have
-		}
-		child, err := dial(url)
-		if err != nil {
-			continue // unreachable provider: partial results (§2.2)
-		}
-		if authenticate != nil {
-			if err := authenticate(child); err != nil {
-				child.Close()
-				continue
-			}
-		}
-		got, err := child.Search(url.DN, filter)
-		child.Close()
-		if err != nil {
-			continue
-		}
-		entries = append(entries, got...)
-	}
-	ldap.SortEntries(entries)
-	return entries, nil
-}
-
 // DefaultReferralHops bounds SearchFollowingReferrals when maxHops <= 0.
 const DefaultReferralHops = 32
 
-// SearchFollowingReferrals is the multi-hop generalization of
-// SearchFollowing for a sharded or hierarchical referral-mode directory
-// tier: a referral target may itself answer with further referrals (a
-// coordinator shard referring to owner shards, an owner referring on), so
-// the client walks the referral graph breadth-first. Each distinct
-// (service, DN) target is visited at most once — a referral loop between
-// shards terminates instead of hanging — and result entries are
-// deduplicated by DN, because K-way replication means two shards can both
-// authoritatively return the same provider's entries. maxHops bounds the
-// total number of referral targets followed (DefaultReferralHops when
-// <= 0). Unreachable or failing targets are skipped: partial results over
-// no results (§2.2).
+// SearchFollowingReferrals runs a discovery at a directory and, when the
+// directory answers with continuation references instead of data (a
+// referral-mode GIIS protecting restricted data, §10.4), follows each
+// referral to the authoritative provider using dial — re-authentication
+// happens there, at the source, exactly as the paper's two-step flow
+// requires; authenticate may be nil for anonymous follow-up. A referral
+// target may itself answer with further referrals (a coordinator shard
+// referring to owner shards, an owner referring on), so the client walks
+// the referral graph breadth-first. Each distinct (service, DN) target is
+// visited at most once — a referral loop between shards terminates instead
+// of hanging — and result entries are deduplicated by DN, because K-way
+// replication means two shards can both authoritatively return the same
+// provider's entries. maxHops bounds the total number of referral targets
+// followed (DefaultReferralHops when <= 0). Unreachable or failing targets
+// are skipped: partial results over no results (§2.2).
 func (g *Client) SearchFollowingReferrals(base ldap.DN, filter string,
 	dial func(url ldap.URL) (*Client, error),
 	authenticate func(*Client) error, maxHops int) ([]*ldap.Entry, error) {

@@ -120,8 +120,8 @@ func TestSearchFollowingReferrals(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	entries, err := c.SearchFollowing(ldap.MustParseDN("vo=v"), "(objectclass=computer)",
-		func(url ldap.URL) (*grip.Client, error) { return grip.Dial(url.Address()) }, nil)
+	entries, err := c.SearchFollowingReferrals(ldap.MustParseDN("vo=v"), "(objectclass=computer)",
+		func(url ldap.URL) (*grip.Client, error) { return grip.Dial(url.Address()) }, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +130,8 @@ func TestSearchFollowingReferrals(t *testing.T) {
 	}
 	// With an unreachable provider the follow degrades to partial results.
 	dir.Ingest(testRegistration("127.0.0.1:1", ldap.MustParseDN("hn=dead, o=g"), now))
-	entries, err = c.SearchFollowing(ldap.MustParseDN("vo=v"), "(objectclass=computer)",
-		func(url ldap.URL) (*grip.Client, error) { return grip.Dial(url.Address()) }, nil)
+	entries, err = c.SearchFollowingReferrals(ldap.MustParseDN("vo=v"), "(objectclass=computer)",
+		func(url ldap.URL) (*grip.Client, error) { return grip.Dial(url.Address()) }, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

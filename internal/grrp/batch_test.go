@@ -94,8 +94,8 @@ func TestStartFanoutReplicates(t *testing.T) {
 }
 
 // BenchmarkIngestStorm compares the two ingest paths: one-at-a-time Ingest
-// pays a registry transaction (version bump, cache invalidation, sweep
-// reschedule) per message; IngestBatch pays one per storm.
+// pays a registry transaction (lock, feed call, sweep reschedule) per
+// message; IngestBatch pays one per storm.
 func BenchmarkIngestStorm(b *testing.B) {
 	const storm = 1000
 	run := func(b *testing.B, batched bool) {

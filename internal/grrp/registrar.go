@@ -259,10 +259,9 @@ func (r *Receiver) Ingest(msg *Message) bool {
 
 // IngestBatch validates a refresh storm's worth of messages and applies the
 // accepted ones through one softstate.RefreshBatch — one lock acquisition,
-// one expiry pass, one version bump and one feed batch for the whole storm,
-// so views derived from the registry (a directory's child table, its shard
-// routing table) move once instead of once per message. It returns the
-// number accepted.
+// one expiry pass and one feed batch for the whole storm, so views derived
+// from the registry (a directory's child table, its shard routing table)
+// move once instead of once per message. It returns the number accepted.
 func (r *Receiver) IngestBatch(msgs []*Message) int {
 	now := r.clock.Now()
 	batch := make([]softstate.Refreshment, 0, len(msgs))

@@ -17,14 +17,6 @@ const (
 	// ProbeAnonymous is the default: dial, anonymous bind, RootDSE base
 	// search — proves the accept loop, bind path, and search dispatch.
 	ProbeAnonymous ProbeMode = iota
-	// ProbeSimpleBind performs a credentialed simple bind (BindDN /
-	// BindPassword) instead of an anonymous one, exercising the credential
-	// path. Note that GRIS and GIIS servers refuse credentialed simple
-	// binds by design (anonymous or SASL/GSI only), so this mode targets
-	// deployments fronted by an authenticating proxy or future password
-	// backends — its failure against a stock server is itself a signal the
-	// policy is still enforced.
-	ProbeSimpleBind
 	// ProbeScopedSearch follows the bind with a real data search (Base /
 	// Scope / Filter) and, when MinEntries > 0, requires that many entries
 	// back — proving not just liveness but that the server actually holds
@@ -36,8 +28,6 @@ func (m ProbeMode) String() string {
 	switch m {
 	case ProbeAnonymous:
 		return "anonymous"
-	case ProbeSimpleBind:
-		return "simple-bind"
 	case ProbeScopedSearch:
 		return "scoped-search"
 	}
@@ -49,12 +39,10 @@ func ParseProbeMode(s string) (ProbeMode, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "anonymous", "anon":
 		return ProbeAnonymous, nil
-	case "simple-bind", "simple", "bind":
-		return ProbeSimpleBind, nil
 	case "scoped-search", "search", "scoped":
 		return ProbeScopedSearch, nil
 	}
-	return 0, fmt.Errorf("ldap: unknown probe mode %q (anonymous, simple-bind, scoped-search)", s)
+	return 0, fmt.Errorf("ldap: unknown probe mode %q (anonymous, scoped-search)", s)
 }
 
 // HealthCheck probes an LDAP server the way a client would: dial, bind,
@@ -72,9 +60,6 @@ type HealthCheck struct {
 
 	// Mode selects the probe depth (default ProbeAnonymous).
 	Mode ProbeMode
-	// BindDN and BindPassword are the ProbeSimpleBind credentials.
-	BindDN       string
-	BindPassword string
 	// Base, Scope, and Filter define the ProbeScopedSearch region; an empty
 	// Filter means (objectclass=*).
 	Base   string
@@ -113,14 +98,8 @@ func (hc HealthCheck) Probe() (time.Duration, error) {
 	c.Timeout = timeout
 	c.Clock = clock
 
-	if hc.Mode == ProbeSimpleBind {
-		if err := c.Bind(hc.BindDN, hc.BindPassword); err != nil {
-			return elapsed(), fmt.Errorf("simple bind as %q: %w", hc.BindDN, err)
-		}
-	} else {
-		if err := c.Bind("", ""); err != nil {
-			return elapsed(), fmt.Errorf("anonymous bind: %w", err)
-		}
+	if err := c.Bind("", ""); err != nil {
+		return elapsed(), fmt.Errorf("anonymous bind: %w", err)
 	}
 
 	if hc.Mode == ProbeScopedSearch {

@@ -64,9 +64,6 @@ func TestParseProbeMode(t *testing.T) {
 		"":                ProbeAnonymous,
 		"anonymous":       ProbeAnonymous,
 		"Anon":            ProbeAnonymous,
-		"simple-bind":     ProbeSimpleBind,
-		"simple":          ProbeSimpleBind,
-		"bind":            ProbeSimpleBind,
 		" scoped-search ": ProbeScopedSearch,
 		"search":          ProbeScopedSearch,
 		"SCOPED":          ProbeScopedSearch,
@@ -76,22 +73,23 @@ func TestParseProbeMode(t *testing.T) {
 			t.Errorf("ParseProbeMode(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseProbeMode("deep"); err == nil {
-		t.Fatal("unknown probe mode parsed")
+	for _, unknown := range []string{"deep", "simple-bind"} {
+		if _, err := ParseProbeMode(unknown); err == nil {
+			t.Fatalf("unknown probe mode %q parsed", unknown)
+		}
 	}
 	// Every real mode's String round-trips through the parser, so the flag
 	// vocabulary and the health-check names stay in sync.
-	for _, m := range []ProbeMode{ProbeAnonymous, ProbeSimpleBind, ProbeScopedSearch} {
+	for _, m := range []ProbeMode{ProbeAnonymous, ProbeScopedSearch} {
 		if got, err := ParseProbeMode(m.String()); err != nil || got != m {
 			t.Errorf("round trip %v: got %v, %v", m, got, err)
 		}
 	}
 }
 
-// TestHealthCheckProbeModes: the simple-bind and scoped-search modes against
-// a store-backed server (which accepts any non-SASL bind): scoped search
-// passes when the MinEntries floor is met, fails when it is not, and fails
-// on an unparsable filter.
+// TestHealthCheckProbeModes: the scoped-search mode against a store-backed
+// server passes when the MinEntries floor is met, fails when it is not, and
+// fails on an unparsable filter.
 func TestHealthCheckProbeModes(t *testing.T) {
 	store := NewStore()
 	base := MustParseDN("o=grid")
@@ -111,11 +109,6 @@ func TestHealthCheckProbeModes(t *testing.T) {
 	defer srv.Close()
 	go srv.Serve(l)
 	addr := l.Addr().String()
-
-	if d, err := (HealthCheck{Addr: addr, Mode: ProbeSimpleBind,
-		BindDN: "cn=probe", BindPassword: "s3kr1t"}).Probe(); err != nil {
-		t.Fatalf("simple-bind probe: %v (after %v)", err, d)
-	}
 
 	scoped := HealthCheck{Addr: addr, Mode: ProbeScopedSearch,
 		Base: "o=grid", Scope: ScopeWholeSubtree, MinEntries: 2}

@@ -20,10 +20,9 @@ import (
 const ruleAttrs = "attrscheck"
 
 var AttrsCheck = &Analyzer{
-	Name:       ruleAttrs,
-	Doc:        "ldap.Entry.Attrs is nil on a wire-backed entry: outside internal/ldap, go through Attributes()/Values()",
-	NeedsTypes: true,
-	Run:        runAttrsCheck,
+	Name: ruleAttrs,
+	Doc:  "ldap.Entry.Attrs is nil on a wire-backed entry: outside internal/ldap, go through Attributes()/Values()",
+	Run:  runAttrsCheck,
 }
 
 func runAttrsCheck(p *Pass) []Finding {

@@ -31,10 +31,9 @@ import (
 const ruleBerBalance = "berbalance"
 
 var BerBalance = &Analyzer{
-	Name:       ruleBerBalance,
-	Doc:        "every ber.Builder.Begin/BeginPrimitive is matched by End on all control-flow paths, early returns included",
-	NeedsTypes: true,
-	Run:        runBerBalance,
+	Name: ruleBerBalance,
+	Doc:  "every ber.Builder.Begin/BeginPrimitive is matched by End on all control-flow paths, early returns included",
+	Run:  runBerBalance,
 }
 
 const factBerDelta = "berDelta" // on *types.Func: map[int]int input source → net delta

@@ -15,10 +15,12 @@
 //     (context, done channel, Clock.After, or a blocking call that fails
 //     when its resource closes).
 //
-// The driver is deliberately dependency-free: stdlib go/parser + go/ast
-// over a plain file walk, no go/packages or x/tools. Analysis is purely
-// syntactic; each analyzer documents the heuristics it uses and the
-// exemptions it grants. Findings are suppressed, one line at a time, with
+// The type-aware analyzers (snapshotcheck, poolcheck, berbalance,
+// attrscheck) run over the same load. The driver is deliberately
+// dependency-free: stdlib go/parser + go/types over one walk of the module
+// (LoadModule), no go/packages or x/tools. Each analyzer documents the
+// heuristics it uses and the exemptions it grants. Findings are suppressed,
+// one line at a time, with
 //
 //	//mdslint:ignore <rule> <reason>
 //
@@ -31,8 +33,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -51,11 +51,12 @@ type File struct {
 // (like which ber/ldap functions return errors) are available. A Pass built
 // by LoadModule additionally carries the type-checked packages (Pkgs, in
 // dependency order) and the fact store the typed analyzers share; a
-// syntax-only Pass leaves Pkgs nil and typed analyzers are skipped.
+// fixture Pass of parsed files only leaves Pkgs nil, which gives the typed
+// analyzers nothing to visit.
 type Pass struct {
 	Fset  *token.FileSet
 	Files []*File
-	Pkgs  []*Package // typed packages in dependency order; nil = syntax-only
+	Pkgs  []*Package // typed packages in dependency order; nil for fixtures
 
 	index  *declIndex // lazily built by Index()
 	facts  map[factKey]any
@@ -77,10 +78,7 @@ func (f Finding) String() string {
 type Analyzer struct {
 	Name string
 	Doc  string
-	// NeedsTypes marks analyzers that require a type-checked Pass (built
-	// by LoadModule); they are skipped on syntax-only passes.
-	NeedsTypes bool
-	Run        func(p *Pass) []Finding
+	Run  func(p *Pass) []Finding
 }
 
 // Analyzers returns the full suite in a stable order.
@@ -168,9 +166,6 @@ func RunAll(p *Pass, analyzers []*Analyzer) []Finding {
 		all = append(all, bad...)
 	}
 	for _, a := range analyzers {
-		if a.NeedsTypes && p.Pkgs == nil {
-			continue
-		}
 		for _, fd := range a.Run(p) {
 			dirs := dirsByPath[fd.Pos.Filename]
 			if suppressed(dirs, fd.Rule, fd.Pos.Line) {
@@ -190,72 +185,6 @@ func RunAll(p *Pass, analyzers []*Analyzer) []Finding {
 		return a.Rule < b.Rule
 	})
 	return all
-}
-
-// Load parses the Go files named by patterns. A pattern is either a
-// directory, a single .go file, or a dir suffixed with /... for a
-// recursive walk. Vendored, hidden, and testdata directories are skipped.
-func Load(fset *token.FileSet, patterns []string) ([]*File, error) {
-	var paths []string
-	seen := map[string]bool{}
-	add := func(p string) {
-		p = filepath.ToSlash(filepath.Clean(p))
-		if !seen[p] {
-			seen[p] = true
-			paths = append(paths, p)
-		}
-	}
-	for _, pat := range patterns {
-		switch {
-		case strings.HasSuffix(pat, "/..."):
-			root := filepath.Clean(strings.TrimSuffix(pat, "/..."))
-			err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if d.IsDir() {
-					name := d.Name()
-					if path != root && (strings.HasPrefix(name, ".") || name == "testdata" || name == "vendor") {
-						return filepath.SkipDir
-					}
-					return nil
-				}
-				if strings.HasSuffix(path, ".go") {
-					add(path)
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-		case strings.HasSuffix(pat, ".go"):
-			add(pat)
-		default:
-			entries, err := os.ReadDir(pat)
-			if err != nil {
-				return nil, err
-			}
-			for _, e := range entries {
-				if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-					add(filepath.Join(pat, e.Name()))
-				}
-			}
-		}
-	}
-	sort.Strings(paths)
-	var files []*File
-	for _, p := range paths {
-		src, err := os.ReadFile(p)
-		if err != nil {
-			return nil, err
-		}
-		af, err := parser.ParseFile(fset, p, src, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("parse %s: %w", p, err)
-		}
-		files = append(files, &File{Path: p, AST: af, Src: src})
-	}
-	return files, nil
 }
 
 // ParseSource builds a File from in-memory source — the test fixture path.

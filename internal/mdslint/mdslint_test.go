@@ -666,30 +666,6 @@ func f() (time.Time, time.Time) {
 	})
 }
 
-// --- whole-repo gate --------------------------------------------------------
-
-// TestRepoIsClean runs the full suite over the actual tree, mirroring the
-// CI gate: the repo must stay free of findings (annotated exceptions
-// aside). If this fails, either fix the code or add an
-// //mdslint:ignore <rule> <reason> with a real justification.
-func TestRepoIsClean(t *testing.T) {
-	fset := token.NewFileSet()
-	files, err := Load(fset, []string{"../../..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) < 50 {
-		t.Fatalf("suspiciously few files loaded: %d", len(files))
-	}
-	findings := RunAll(&Pass{Fset: fset, Files: files}, Analyzers())
-	for _, f := range findings {
-		t.Errorf("%s", f)
-	}
-	if len(findings) > 0 {
-		t.Logf("fix the code or annotate with //mdslint:ignore <rule> <reason>")
-	}
-}
-
 func TestFindingString(t *testing.T) {
 	f := Finding{Pos: token.Position{Filename: "a/b.go", Line: 3, Column: 7}, Rule: "clockcheck", Msg: "m"}
 	if got := f.String(); !strings.Contains(got, "a/b.go:3:7") || !strings.Contains(got, "[clockcheck]") {

@@ -29,10 +29,9 @@ import (
 const rulePool = "poolcheck"
 
 var PoolCheck = &Analyzer{
-	Name:       rulePool,
-	Doc:        "sync.Pool.Get and ber.ReadPacketBuf values must not outlive their frame: no field/global stores, channel sends, or goroutine capture without a clone",
-	NeedsTypes: true,
-	Run:        runPoolCheck,
+	Name: rulePool,
+	Doc:  "sync.Pool.Get and ber.ReadPacketBuf values must not outlive their frame: no field/global stores, channel sends, or goroutine capture without a clone",
+	Run:  runPoolCheck,
 }
 
 const factFrameResults = "frameResults" // on *types.Func: map[int]taintBits result → resource level

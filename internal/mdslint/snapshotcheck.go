@@ -28,10 +28,9 @@ import (
 const ruleSnapshot = "snapshotcheck"
 
 var SnapshotCheck = &Analyzer{
-	Name:       ruleSnapshot,
-	Doc:        "entries from Store.Find/FindLimit/ChangeEvent, qcache and Client.Search/SearchWith/SearchFunc are immutable snapshots; Clone/Select before mutating",
-	NeedsTypes: true,
-	Run:        runSnapshotCheck,
+	Name: ruleSnapshot,
+	Doc:  "entries from Store.Find/FindLimit/ChangeEvent, qcache and Client.Search/SearchWith/SearchFunc are immutable snapshots; Clone/Select before mutating",
+	Run:  runSnapshotCheck,
 }
 
 const (

@@ -78,11 +78,10 @@ type pkgGroup struct {
 }
 
 type moduleLoader struct {
-	fset     *token.FileSet
-	groups   map[string]*pkgGroup
-	std      types.Importer
-	stdMu    sync.Mutex // the source importer is not safe for concurrent use
-	parallel bool
+	fset   *token.FileSet
+	groups map[string]*pkgGroup
+	std    types.Importer
+	stdMu  sync.Mutex // the source importer is not safe for concurrent use
 }
 
 func newInfo() *types.Info {
@@ -109,29 +108,21 @@ func (l *moduleLoader) importPkg(p string) (*types.Package, error) {
 }
 
 // check type-checks g exactly once, after its module-local dependencies.
-// In parallel mode the dependencies are kicked off concurrently; the
-// per-group once makes racing ensure calls converge on a single check, and
-// because the Go import graph is acyclic the recursion cannot deadlock.
+// The dependencies are kicked off concurrently; the per-group once makes
+// racing ensure calls converge on a single check, and because the Go import
+// graph is acyclic the recursion cannot deadlock.
 func (l *moduleLoader) check(g *pkgGroup) {
 	g.once.Do(func() {
-		if l.parallel {
-			var wg sync.WaitGroup
-			for _, dep := range g.deps {
-				dg := l.groups[dep]
-				if dg == nil {
-					continue
-				}
-				wg.Add(1)
-				go func() { defer wg.Done(); l.check(dg) }()
+		var wg sync.WaitGroup
+		for _, dep := range g.deps {
+			dg := l.groups[dep]
+			if dg == nil {
+				continue
 			}
-			wg.Wait()
-		} else {
-			for _, dep := range g.deps {
-				if dg := l.groups[dep]; dg != nil {
-					l.check(dg)
-				}
-			}
+			wg.Add(1)
+			go func() { defer wg.Done(); l.check(dg) }()
 		}
+		wg.Wait()
 		for _, dep := range g.deps {
 			if dg := l.groups[dep]; dg != nil && dg.err != nil {
 				g.err = fmt.Errorf("import %s: %w", dep, dg.err)
@@ -157,19 +148,13 @@ func (l *moduleLoader) checkAll() ([]*Package, error) {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
-	if l.parallel {
-		var wg sync.WaitGroup
-		for _, p := range paths {
-			g := l.groups[p]
-			wg.Add(1)
-			go func() { defer wg.Done(); l.check(g) }()
-		}
-		wg.Wait()
-	} else {
-		for _, p := range paths {
-			l.check(l.groups[p])
-		}
+	var wg sync.WaitGroup
+	for _, p := range paths {
+		g := l.groups[p]
+		wg.Add(1)
+		go func() { defer wg.Done(); l.check(g) }()
 	}
+	wg.Wait()
 	var firstErr error
 	for _, p := range paths {
 		if err := l.groups[p].err; err != nil && firstErr == nil {
@@ -210,7 +195,7 @@ func (l *moduleLoader) checkAll() ([]*Package, error) {
 // the build cache) one export file per package, and a gc-importer lookup
 // reads those directly. That is orders of magnitude cheaper than
 // re-type-checking the standard library from source, and it shrinks the
-// mutex-guarded (serial) portion of a parallel load from seconds to
+// mutex-guarded (serial) portion of a load from seconds to
 // milliseconds. If the go tool is unavailable or export data is
 // incomplete, the source importer remains as the fallback.
 func stdImporter(fset *token.FileSet, paths []string) types.Importer {
@@ -328,9 +313,9 @@ func FindModuleRoot(dir string) (string, error) {
 // type-checks all buildable non-test packages, returning a Pass that
 // carries both the full syntax-only file set (tests included, for the
 // AST analyzers) and the typed packages in dependency order. File paths
-// are reported relative to root. parallel enables concurrent package
-// checking; sequential mode exists for benchmarking the difference.
-func LoadModule(fset *token.FileSet, root string, parallel bool) (*Pass, error) {
+// are reported relative to root. Files are parsed and packages checked
+// concurrently.
+func LoadModule(fset *token.FileSet, root string) (*Pass, error) {
 	disableCgo()
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -366,8 +351,8 @@ func LoadModule(fset *token.FileSet, root string, parallel bool) (*Pass, error) 
 	}
 	sort.Strings(rels)
 
-	// Parse everything up front (concurrently in parallel mode): the same
-	// ASTs serve the syntax analyzers and, where buildable, the checker.
+	// Parse everything up front, concurrently: the same ASTs serve the
+	// syntax analyzers and, where buildable, the checker.
 	files := make([]*File, len(rels))
 	errs := make([]error, len(rels))
 	parseOne := func(i int) {
@@ -384,18 +369,12 @@ func LoadModule(fset *token.FileSet, root string, parallel bool) (*Pass, error) 
 		}
 		files[i] = &File{Path: rel, AST: af, Src: src}
 	}
-	if parallel {
-		var wg sync.WaitGroup
-		for i := range rels {
-			wg.Add(1)
-			go func() { defer wg.Done(); parseOne(i) }()
-		}
-		wg.Wait()
-	} else {
-		for i := range rels {
-			parseOne(i)
-		}
+	var wg sync.WaitGroup
+	for i := range rels {
+		wg.Add(1)
+		go func() { defer wg.Done(); parseOne(i) }()
 	}
+	wg.Wait()
 	for _, e := range errs {
 		if e != nil {
 			return nil, e
@@ -438,10 +417,9 @@ func LoadModule(fset *token.FileSet, root string, parallel bool) (*Pass, error) 
 	}
 
 	ld := &moduleLoader{
-		fset:     fset,
-		groups:   groups,
-		std:      stdImporter(fset, stdDeps(groups, module)),
-		parallel: parallel,
+		fset:   fset,
+		groups: groups,
+		std:    stdImporter(fset, stdDeps(groups, module)),
 	}
 	pkgs, err := ld.checkAll()
 	if err != nil {

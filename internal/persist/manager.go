@@ -315,8 +315,10 @@ func segmentDataLen(path string) int64 {
 }
 
 // Attach opens a fresh WAL segment after the recovered history, installs
-// the Manager as the store's Persister and the registry's Journal, and
-// starts the background snapshotter. Either target may be nil.
+// the Manager as the store's Persister and a consumer of the registry's
+// transition feed, and starts the background snapshotter. Either target may
+// be nil. Attach runs after Recover, so the feed does not replay the
+// restored registrations into the log they came from.
 func (m *Manager) Attach(store *ldap.Store, reg *softstate.Registry) error {
 	m.stateMu.Lock()
 	defer m.stateMu.Unlock()
@@ -355,7 +357,7 @@ func (m *Manager) Attach(store *ldap.Store, reg *softstate.Registry) error {
 		store.SetPersister(m)
 	}
 	if reg != nil {
-		reg.SetJournal(m)
+		reg.Observe(m)
 	}
 	if m.opts.SnapshotEvery > 0 {
 		m.stop = make(chan struct{})

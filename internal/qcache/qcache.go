@@ -9,11 +9,11 @@
 // Freshness is two-tier: a cached result expires at
 // min(now+TTL, contributing source's soft-state deadline), so a directory
 // never serves a result that has outlived the registration that produced
-// it. An invalidation path (Invalidate*, WatchStore) drops affected keys
-// early when membership or store contents change, instead of waiting out
-// the TTL. Concurrent identical misses collapse through singleflight, so a
-// query stampede costs one upstream fan-out; empty results are cached
-// negatively with a short TTL; eviction is size-bounded CLOCK.
+// it. InvalidateOwner drops a source's keys early when its registration
+// expires or is removed, instead of waiting out the TTL. Concurrent
+// identical misses collapse through singleflight, so a query stampede costs
+// one upstream fan-out; empty results are cached negatively with a short
+// TTL; eviction is size-bounded CLOCK.
 //
 // Cached entries are shared immutable snapshots, sealed under -tags
 // mdsdebug exactly like store hand-outs: hits return a fresh []*ldap.Entry
@@ -77,11 +77,10 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// Region describes what a cached result answers, for keying and for
-// invalidation matching. Base and Scope are the query region in whatever
-// namespace the caller resolves invalidation DNs against; Owner groups
-// keys by their upstream source (e.g. a child's service key) so the whole
-// group can be dropped when that source disappears.
+// Region describes what a cached result answers, for keying. Base, Scope
+// and Filter are the query; Owner groups keys by their upstream source
+// (e.g. a child's service key) so the whole group can be dropped when that
+// source disappears.
 type Region struct {
 	Owner  string
 	Base   ldap.DN
@@ -173,9 +172,6 @@ func (o Outcome) String() string {
 type item struct {
 	key      string
 	owner    string
-	base     ldap.DN
-	scope    ldap.Scope
-	cf       *ldap.Compiled
 	entries  []*ldap.Entry
 	expires  time.Time
 	negative bool
@@ -386,8 +382,7 @@ func (c *Cache) Put(key string, region Region, bound time.Time, entries []*ldap.
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if it := c.items[key]; it != nil {
-		it.owner, it.base, it.scope = region.Owner, region.Base, region.Scope
-		it.cf = region.Filter.Compile()
+		it.owner = region.Owner
 		it.entries, it.expires, it.negative, it.ref = entries, expires, negative, true
 		return
 	}
@@ -395,9 +390,7 @@ func (c *Cache) Put(key string, region Region, bound time.Time, entries []*ldap.
 		c.evictLocked()
 	}
 	it := &item{
-		key:   key,
-		owner: region.Owner, base: region.Base, scope: region.Scope,
-		cf:      region.Filter.Compile(),
+		key: key, owner: region.Owner,
 		entries: entries, expires: expires, negative: negative, ref: true,
 	}
 	c.items[key] = it
@@ -449,53 +442,6 @@ func (c *Cache) removeLocked(it *item) {
 	delete(c.items, it.key)
 	c.ring[it.slot] = nil
 	c.free = append(c.free, it.slot)
-}
-
-// InvalidateDN drops every key whose region contains dn. Returns the
-// number of keys dropped.
-func (c *Cache) InvalidateDN(dn ldap.DN) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, it := range c.items {
-		if dn.WithinScope(it.base, it.scope) {
-			c.removeLocked(it)
-			n++
-		}
-	}
-	c.Invalidated.Add(int64(n))
-	return n
-}
-
-// InvalidateEvent drops the keys a store change affects. Adds and deletes
-// are precise: a cached result changes only if the event's entry — for
-// deletes, the pre-delete snapshot the store attaches — falls in the key's
-// region and matches its filter (this is also what flushes negative
-// results when the missing entry appears). Modifies drop every in-region
-// key, because the filter may have matched the pre-modify state the event
-// no longer carries.
-func (c *Cache) InvalidateEvent(ev ldap.ChangeEvent) int {
-	if ev.Entry == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, it := range c.items {
-		if !ev.Entry.DN.WithinScope(it.base, it.scope) {
-			continue
-		}
-		switch ev.Type {
-		case ldap.ChangeAdd, ldap.ChangeDelete:
-			if !it.cf.Matches(ev.Entry) {
-				continue
-			}
-		}
-		c.removeLocked(it)
-		n++
-	}
-	c.Invalidated.Add(int64(n))
-	return n
 }
 
 // InvalidateOwner drops every key belonging to owner (or to an owner

@@ -1,7 +1,6 @@
 package qcache
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -265,62 +264,6 @@ func TestClockEviction(t *testing.T) {
 	}
 }
 
-func TestInvalidateDN(t *testing.T) {
-	clk := softstate.NewFakeClock()
-	c := New(Config{Clock: clk, TTL: time.Minute})
-	in := region("ou=test, o=grid", "")
-	out := region("ou=other, o=grid", "")
-	c.Put(in.Key(nil, 0), in, time.Time{}, testEntries(1))
-	c.Put(out.Key(nil, 0), out, time.Time{}, testEntries(1))
-
-	if n := c.InvalidateDN(ldap.MustParseDN("hn=h9, ou=test, o=grid")); n != 1 {
-		t.Fatalf("invalidated %d keys, want 1", n)
-	}
-	if _, ok := c.Get(in.Key(nil, 0)); ok {
-		t.Fatal("in-region key survived invalidation")
-	}
-	if _, ok := c.Get(out.Key(nil, 0)); !ok {
-		t.Fatal("out-of-region key was dropped")
-	}
-}
-
-// TestInvalidateEventDeleteUsesPreDeleteSnapshot is the regression test
-// for delete-event invalidation: the store delivers ChangeDelete with the
-// pre-delete entry snapshot, and the cache must match it against each
-// key's filter so deletes of matching entries drop the cached result.
-func TestInvalidateEventDeleteUsesPreDeleteSnapshot(t *testing.T) {
-	clk := softstate.NewFakeClock()
-	c := New(Config{Clock: clk, TTL: time.Minute})
-	computers := region("ou=test, o=grid", "(objectclass=computer)")
-	people := region("ou=test, o=grid", "(objectclass=person)")
-	c.Put(computers.Key(nil, 0), computers, time.Time{}, testEntries(2))
-	c.Put(people.Key(nil, 0), people, time.Time{}, testEntries(1))
-
-	// The deleted entry matches only the computer filter: precise
-	// invalidation drops that key and keeps the person key.
-	deleted := ldap.NewEntry(ldap.MustParseDN("hn=h0, ou=test, o=grid")).
-		Add("objectclass", "computer")
-	n := c.InvalidateEvent(ldap.ChangeEvent{Type: ldap.ChangeDelete, Entry: deleted})
-	if n != 1 {
-		t.Fatalf("delete event invalidated %d keys, want 1", n)
-	}
-	if _, ok := c.Get(computers.Key(nil, 0)); ok {
-		t.Fatal("delete of a matching entry did not invalidate the cached result")
-	}
-	if _, ok := c.Get(people.Key(nil, 0)); !ok {
-		t.Fatal("delete of a non-matching entry invalidated an unrelated key")
-	}
-
-	// Modify events no longer carry the pre-modify state, so every
-	// in-region key drops regardless of filter match.
-	c.Put(computers.Key(nil, 0), computers, time.Time{}, testEntries(2))
-	mod := ldap.NewEntry(ldap.MustParseDN("hn=h0, ou=test, o=grid")).
-		Add("objectclass", "person")
-	if n := c.InvalidateEvent(ldap.ChangeEvent{Type: ldap.ChangeModify, Entry: mod}); n != 2 {
-		t.Fatalf("modify event invalidated %d keys, want 2 (conservative)", n)
-	}
-}
-
 func TestInvalidateOwner(t *testing.T) {
 	clk := softstate.NewFakeClock()
 	c := New(Config{Clock: clk, TTL: time.Minute})
@@ -388,35 +331,6 @@ func TestFlushAndEntries(t *testing.T) {
 	c.Put(a.Key(nil, 0), a, time.Time{}, testEntries(1))
 	if c.Len() != 1 {
 		t.Fatal("insert after flush failed")
-	}
-}
-
-func TestWatchStoreInvalidates(t *testing.T) {
-	st := ldap.NewStore()
-	clk := softstate.NewFakeClock()
-	c := New(Config{Clock: clk, TTL: time.Minute})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	WatchStore(ctx, st, c)
-
-	reg := region("ou=test, o=grid", "(objectclass=computer)")
-	key := reg.Key(nil, 0)
-	c.Put(key, reg, time.Time{}, testEntries(1))
-
-	e := ldap.NewEntry(ldap.MustParseDN("hn=h5, ou=test, o=grid")).
-		Add("objectclass", "computer")
-	if err := st.Put(e); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, ok := c.Get(key); !ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("store add never invalidated the cached result")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

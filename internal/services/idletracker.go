@@ -1,8 +1,8 @@
-// Package services implements the specialized higher-level services of
-// §5.2 and §6 as library components over GRIP/GRRP: a directory "designed
-// to locate idle multicomputers" that keeps careful track of changing load
-// to maximize accuracy while minimizing query traffic, and a troubleshooter
-// that watches resources for anomalous behaviour.
+// Package services implements a specialized higher-level service of §5.2
+// and §6 as a library component over GRIP/GRRP: a directory "designed to
+// locate idle multicomputers" that keeps careful track of changing load to
+// maximize accuracy while minimizing query traffic. (The §1 troubleshooter
+// is examples/monitor.)
 package services
 
 import (

@@ -1,7 +1,6 @@
 package services
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -9,7 +8,6 @@ import (
 	"mds2/internal/grip"
 	"mds2/internal/hostinfo"
 	"mds2/internal/ldap"
-	"mds2/internal/softstate"
 )
 
 func TestIdleTrackerEndToEnd(t *testing.T) {
@@ -194,102 +192,4 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("condition never settled")
-}
-
-func TestTroubleshooterOverload(t *testing.T) {
-	clock := softstate.NewFakeClock()
-	ts := NewTroubleshooter(TroubleshooterConfig{Clock: clock, OverloadFactor: 1.5})
-
-	host := "hostX"
-	ts.ObserveEntry(host, ldap.NewEntry(ldap.MustParseDN("hn=hostX")).
-		Add("objectclass", "computer").Add("hn", host).Add("cpucount", "4"))
-	load := func(v string) *ldap.Entry {
-		return ldap.NewEntry(ldap.MustParseDN("perf=load, hn=hostX")).
-			Add("objectclass", "loadaverage").Add("perf", "load").Add("load5", v)
-	}
-	ts.ObserveEntry(host, load("2.0")) // fine: 2.0 < 1.5*4
-	if got := ts.Alerts(); len(got) != 0 {
-		t.Fatalf("unexpected alerts %+v", got)
-	}
-	ts.ObserveEntry(host, load("9.0")) // overload
-	got := ts.Alerts()
-	if len(got) != 1 || got[0].Kind != AlertOverload || got[0].Subject != host {
-		t.Fatalf("alerts = %+v", got)
-	}
-	// Repeated overload does not re-alert.
-	ts.ObserveEntry(host, load("10.0"))
-	if got := ts.Alerts(); len(got) != 0 {
-		t.Fatalf("flapping alerts %+v", got)
-	}
-	if ts.Outstanding() != 1 {
-		t.Fatalf("outstanding = %d", ts.Outstanding())
-	}
-	// Recovery clears.
-	ts.ObserveEntry(host, load("1.0"))
-	got = ts.Alerts()
-	if len(got) != 1 || got[0].Kind != AlertRecovered {
-		t.Fatalf("recovery alerts = %+v", got)
-	}
-	if ts.Outstanding() != 0 {
-		t.Fatalf("outstanding = %d", ts.Outstanding())
-	}
-}
-
-func TestTroubleshooterSilence(t *testing.T) {
-	clock := softstate.NewFakeClock()
-	ts := NewTroubleshooter(TroubleshooterConfig{Clock: clock, SilenceTimeout: 30 * time.Second})
-	ts.ObserveRegistration("gris://a")
-	ts.ObserveRegistration("gris://b")
-	clock.Advance(10 * time.Second)
-	ts.ObserveRegistration("gris://b") // b stays chatty
-	clock.Advance(25 * time.Second)    // a silent 35s, b silent 25s
-	ts.Check()
-	got := ts.Alerts()
-	if len(got) != 1 || got[0].Kind != AlertSilent || got[0].Subject != "gris://a" {
-		t.Fatalf("alerts = %+v", got)
-	}
-	// a comes back.
-	ts.ObserveRegistration("gris://a")
-	got = ts.Alerts()
-	if len(got) != 1 || got[0].Kind != AlertRecovered {
-		t.Fatalf("recovery = %+v", got)
-	}
-}
-
-func TestTroubleshooterDisk(t *testing.T) {
-	ts := NewTroubleshooter(TroubleshooterConfig{Clock: softstate.NewFakeClock(), DiskFloorMB: 512})
-	fs := func(free int) *ldap.Entry {
-		return ldap.NewEntry(ldap.MustParseDN("store=scratch, hn=h")).
-			Add("objectclass", "filesystem").Add("store", "scratch").
-			Add("path", "/scratch").Add("free", fmt.Sprintf("%d", free))
-	}
-	ts.ObserveEntry("h", fs(100))
-	got := ts.Alerts()
-	if len(got) != 1 || got[0].Kind != AlertDiskFull || got[0].Subject != "h:scratch" {
-		t.Fatalf("alerts = %+v", got)
-	}
-	ts.ObserveEntry("h", fs(4096))
-	if got := ts.Alerts(); len(got) != 1 || got[0].Kind != AlertRecovered {
-		t.Fatalf("recovery = %+v", got)
-	}
-}
-
-func TestTroubleshooterIgnoresMalformed(t *testing.T) {
-	ts := NewTroubleshooter(TroubleshooterConfig{Clock: softstate.NewFakeClock()})
-	// Entries without parsable numbers are skipped, not alerted.
-	ts.ObserveEntry("h", ldap.NewEntry(ldap.MustParseDN("perf=l, hn=h")).
-		Add("objectclass", "loadaverage").Add("load5", "not-a-number"))
-	ts.ObserveEntry("h", ldap.NewEntry(ldap.MustParseDN("store=s, hn=h")).
-		Add("objectclass", "filesystem").Add("store", "s").Add("free", "???"))
-	if got := ts.Alerts(); len(got) != 0 {
-		t.Fatalf("alerts = %+v", got)
-	}
-}
-
-func TestAlertKindStrings(t *testing.T) {
-	for k := AlertOverload; k <= AlertDiskFull; k++ {
-		if k.String() == "unknown" {
-			t.Errorf("kind %d has no name", k)
-		}
-	}
 }

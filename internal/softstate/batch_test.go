@@ -2,6 +2,7 @@ package softstate
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,10 +13,9 @@ func TestRefreshBatch(t *testing.T) {
 	r := NewRegistry(clock)
 	defer r.Close()
 
-	events, cancel := r.Subscribe()
-	defer cancel()
+	feed := &feedLog{}
+	r.Observe(feed)
 
-	v0 := r.Version()
 	batch := []Refreshment{
 		{Key: "a", Payload: 1, TTL: time.Minute},
 		{Key: "b", Payload: 2, TTL: time.Minute},
@@ -28,20 +28,9 @@ func TestRefreshBatch(t *testing.T) {
 	if r.Len() != 3 {
 		t.Fatalf("live %d, want 3", r.Len())
 	}
-	// One version bump for the whole batch: derived caches rebuild once.
-	if v1 := r.Version(); v1 != v0+1 {
-		t.Fatalf("version moved %d times, want 1", v1-v0)
-	}
-	// Per-item events still fire.
-	joined := 0
-	for i := 0; i < 3; i++ {
-		ev := <-events
-		if ev.Type == EventJoined {
-			joined++
-		}
-	}
-	if joined != 3 {
-		t.Fatalf("joined events %d, want 3", joined)
+	// One feed call for the whole batch, one record per accepted item.
+	if want := []string{"refresh a", "refresh b", "refresh c"}; feed.calls != 1 || !reflect.DeepEqual(feed.seen, want) {
+		t.Fatalf("feed got %d calls carrying %v, want 1 carrying %v", feed.calls, feed.seen, want)
 	}
 
 	// TTLs are honoured per item.

@@ -37,19 +37,12 @@ type Journal interface {
 	JournalRegistry(recs []JournalRecord)
 }
 
-// SetJournal installs j as the registry's durability consumer. Install at
-// boot, after Restore and before traffic: it is not told about restored
-// items, which came out of its own log.
-func (r *Registry) SetJournal(j Journal) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.journal = j
-}
-
-// Observe adds a consumer that keeps a view derived from the registry (a
-// directory's child table). Unlike the durability consumer it also receives
-// Restore, as refresh records whose items are marked Recovered. Install
-// before the registry holds anything.
+// Observe adds a consumer of the transition feed: a view derived from the
+// registry (a directory's child table) or the durability log. A consumer
+// sees transitions from the point it is installed — a view installed before
+// Restore receives the restored items, as refresh records marked Recovered;
+// the durability log, attached after the recovery that called Restore, does
+// not see the items that came out of it.
 func (r *Registry) Observe(j Journal) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -58,20 +51,13 @@ func (r *Registry) Observe(j Journal) {
 
 // fedLocked reports whether anything consumes the feed, so the transition
 // paths skip building records nobody reads.
-func (r *Registry) fedLocked() bool { return r.journal != nil || len(r.observers) > 0 }
+func (r *Registry) fedLocked() bool { return len(r.observers) > 0 }
 
 // journalLocked forwards a batch to every consumer. Caller holds r.mu.
 func (r *Registry) journalLocked(recs []JournalRecord) {
 	if len(recs) == 0 {
 		return
 	}
-	if r.journal != nil {
-		r.journal.JournalRegistry(recs)
-	}
-	r.observeLocked(recs)
-}
-
-func (r *Registry) observeLocked(recs []JournalRecord) {
 	for _, o := range r.observers {
 		o.JournalRegistry(recs)
 	}
@@ -83,15 +69,16 @@ func (r *Registry) journalOneLocked(op JournalOp, it Item) {
 	r.journalLocked(r.one[:])
 }
 
-// Restore installs recovered items in bulk: no events, no durability
-// journaling (observers do see them), no per-item locking — boot time only,
-// before traffic. Each item keeps its persisted state but its deadline is
-// raised to at least now+grace, giving the provider one refresh interval to
-// confirm liveness before soft state purges it (the recovery grace window);
-// items already lapsed past both bounds are dropped. Restored items are
-// marked Recovered until their first post-boot refresh. Keys already present
-// (a refresh beat the restore) are left alone. Returns the number of items
-// restored live.
+// Restore installs recovered items in bulk, without per-item locking — boot
+// time only, before traffic. Consumers installed so far see each restored
+// item as a refresh record marked Recovered; the durability log is attached
+// afterwards, so it is never fed the items its own replay produced. Each
+// item keeps its persisted state but its deadline is raised to at least
+// now+grace, giving the provider one refresh interval to confirm liveness
+// before soft state purges it (the recovery grace window); items already
+// lapsed past both bounds are dropped. Restored items are marked Recovered
+// until their first post-boot refresh. Keys already present (a refresh beat
+// the restore) are left alone. Returns the number of items restored live.
 func (r *Registry) Restore(items []Item, grace time.Duration) int {
 	now := r.clock.Now()
 	r.mu.Lock()
@@ -120,13 +107,12 @@ func (r *Registry) Restore(items []Item, grace time.Duration) int {
 			r.earliest = deadline
 		}
 		restored++
-		if len(r.observers) > 0 {
+		if r.fedLocked() {
 			seen = append(seen, JournalRecord{Op: JournalRefresh, Item: cp})
 		}
 	}
 	if restored > 0 {
-		r.observeLocked(seen)
-		r.bumpLocked()
+		r.journalLocked(seen)
 		r.scheduleSweepLocked()
 	}
 	return restored

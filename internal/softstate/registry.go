@@ -6,43 +6,6 @@ import (
 	"time"
 )
 
-// Event describes a registry membership change.
-type Event struct {
-	Key     string
-	Type    EventType
-	Payload any
-	At      time.Time
-}
-
-// EventType enumerates registry transitions.
-type EventType int
-
-// Registry transitions.
-const (
-	// EventJoined fires when a key first appears (or reappears after expiry).
-	EventJoined EventType = iota
-	// EventRefreshed fires on every refresh of a live key.
-	EventRefreshed
-	// EventExpired fires when a key's TTL elapses without refresh.
-	EventExpired
-	// EventRemoved fires on explicit removal.
-	EventRemoved
-)
-
-func (t EventType) String() string {
-	switch t {
-	case EventJoined:
-		return "joined"
-	case EventRefreshed:
-		return "refreshed"
-	case EventExpired:
-		return "expired"
-	case EventRemoved:
-		return "removed"
-	}
-	return "unknown"
-}
-
 // Item is a live registry entry.
 type Item struct {
 	Key       string
@@ -61,20 +24,15 @@ type Item struct {
 
 // Registry is a TTL-keyed soft-state table. Entries are established and kept
 // alive solely by Refresh calls; once a TTL elapses without refresh the
-// entry expires and observers are notified. This is exactly the directory
-// behaviour of §4.3: "after some time without a refresh, the directory can
-// assume the provider has become unavailable, and purge knowledge of it".
+// entry expires and the transition feed (Journal) is told. This is exactly
+// the directory behaviour of §4.3: "after some time without a refresh, the
+// directory can assume the provider has become unavailable, and purge
+// knowledge of it".
 type Registry struct {
 	clock Clock
 
-	mu      sync.Mutex
-	items   map[string]*Item
-	subs    map[int]chan Event
-	nextSub int
-	// version counts membership/content mutations; live caches the sorted
-	// Live() snapshot until the next mutation invalidates it.
-	version uint64
-	live    []Item
+	mu    sync.Mutex
+	items map[string]*Item
 	// sweepGen invalidates scheduled sweeps that have been superseded;
 	// sweepAt is when the currently scheduled sweep fires (zero: none).
 	sweepGen uint64
@@ -94,10 +52,8 @@ type Registry struct {
 	// keys this node does not own are refused and counted in notOwned.
 	owns     func(key string, payload any) bool
 	notOwned uint64
-	// journal (durability) and observers (derived views) consume the
-	// transition feed — see Journal; invoked under mu. one is the scratch
-	// batch for a single-record transition.
-	journal   Journal
+	// observers consume the transition feed — see Journal; invoked under
+	// mu. one is the scratch batch for a single-record transition.
 	observers []Journal
 	one       [1]JournalRecord
 }
@@ -107,7 +63,7 @@ func NewRegistry(clock Clock) *Registry {
 	if clock == nil {
 		clock = RealClock{}
 	}
-	return &Registry{clock: clock, items: map[string]*Item{}, subs: map[int]chan Event{}}
+	return &Registry{clock: clock, items: map[string]*Item{}}
 }
 
 // SetOwns installs a shard-ownership admission check: Refresh and
@@ -151,14 +107,13 @@ func (r *Registry) Refresh(key string, payload any, ttl time.Duration) bool {
 	if r.fedLocked() {
 		r.journalOneLocked(JournalRefresh, *r.items[key])
 	}
-	r.bumpLocked()
 	r.scheduleSweepLocked()
 	r.mu.Unlock()
 	return joined
 }
 
-// refreshLocked applies one refresh and emits its event; the caller bumps
-// the version and schedules the sweep (batched across a RefreshBatch).
+// refreshLocked applies one refresh; the caller feeds the journal and
+// schedules the sweep (batched across a RefreshBatch).
 func (r *Registry) refreshLocked(key string, payload any, ttl time.Duration, now time.Time) bool {
 	it, exists := r.items[key]
 	joined := !exists
@@ -174,11 +129,6 @@ func (r *Registry) refreshLocked(key string, payload any, ttl time.Duration, now
 	if r.earliest.IsZero() || it.ExpiresAt.Before(r.earliest) {
 		r.earliest = it.ExpiresAt
 	}
-	typ := EventRefreshed
-	if joined {
-		typ = EventJoined
-	}
-	r.notifyLocked(Event{Key: key, Type: typ, Payload: payload, At: now})
 	return joined
 }
 
@@ -190,11 +140,11 @@ type Refreshment struct {
 }
 
 // RefreshBatch applies a batch of refreshes under one lock acquisition,
-// one expiry pass, one version bump, and one sweep reschedule — the
-// amortization that keeps a registration storm from invalidating derived
-// caches (and rescanning the table) once per message. It returns the
-// number of accepted refreshes. Per-item events still fire so observers
-// see every membership change.
+// one expiry pass, one journal call and one sweep reschedule — the
+// amortization that keeps a registration storm from rescanning the table
+// once per message. It returns the number of accepted refreshes. The
+// journal call carries one record per accepted item, so consumers see every
+// membership change.
 func (r *Registry) RefreshBatch(batch []Refreshment) int {
 	now := r.clock.Now()
 	r.mu.Lock()
@@ -225,7 +175,6 @@ func (r *Registry) RefreshBatch(batch []Refreshment) int {
 	}
 	r.journalLocked(journaled)
 	if accepted > 0 {
-		r.bumpLocked()
 		r.scheduleSweepLocked()
 	}
 	r.mu.Unlock()
@@ -236,11 +185,9 @@ func (r *Registry) RefreshBatch(batch []Refreshment) int {
 // this — expiry handles the common case — but invitation revocation and
 // administrative removal use it).
 func (r *Registry) Remove(key string) bool {
-	now := r.clock.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	it, ok := r.items[key]
-	if !ok {
+	if _, ok := r.items[key]; !ok {
 		return false
 	}
 	delete(r.items, key)
@@ -252,8 +199,6 @@ func (r *Registry) Remove(key string) bool {
 	if r.fedLocked() {
 		r.journalOneLocked(JournalRemove, Item{Key: key})
 	}
-	r.bumpLocked()
-	r.notifyLocked(Event{Key: key, Type: EventRemoved, Payload: it.Payload, At: now})
 	return true
 }
 
@@ -270,42 +215,18 @@ func (r *Registry) Get(key string) (Item, bool) {
 	return *it, true
 }
 
-// Live returns a snapshot of all unexpired items, sorted by key. The slice
-// is cached and shared between calls until the next mutation; callers must
-// treat it as read-only.
+// Live returns a copy of all unexpired items, sorted by key.
 func (r *Registry) Live() []Item {
 	now := r.clock.Now()
 	r.mu.Lock()
 	r.expireLocked(now)
-	if r.live == nil {
-		out := make([]Item, 0, len(r.items))
-		for _, it := range r.items {
-			out = append(out, *it)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-		r.live = out
+	out := make([]Item, 0, len(r.items))
+	for _, it := range r.items {
+		out = append(out, *it)
 	}
-	out := r.live
 	r.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
-}
-
-// Version returns a counter that advances on every membership or payload
-// mutation (refresh, removal, expiry). Callers deriving data structures
-// from Live() can use it as a cheap cache-invalidation key.
-func (r *Registry) Version() uint64 {
-	now := r.clock.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.expireLocked(now)
-	return r.version
-}
-
-// bumpLocked records a mutation: it advances the version and drops the
-// cached Live snapshot.
-func (r *Registry) bumpLocked() {
-	r.version++
-	r.live = nil
 }
 
 // Len returns the number of live entries.
@@ -326,49 +247,12 @@ func (r *Registry) Sweep() []string {
 	return r.expireLocked(now)
 }
 
-// Subscribe returns a channel of registry events and a cancel function.
-// Delivery is best-effort: a full subscriber buffer drops events, because
-// soft-state observers recover current truth from Live() at any time.
-func (r *Registry) Subscribe() (<-chan Event, func()) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id := r.nextSub
-	r.nextSub++
-	ch := make(chan Event, 256)
-	r.subs[id] = ch
-	cancel := func() {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if c, ok := r.subs[id]; ok {
-			delete(r.subs, id)
-			close(c)
-		}
-	}
-	return ch, cancel
-}
-
-// Close expires nothing further and closes all subscriptions.
+// Close cancels the background sweep and refuses later refreshes.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
-		return
-	}
 	r.closed = true
 	r.sweepGen++
-	for id, ch := range r.subs {
-		delete(r.subs, id)
-		close(ch)
-	}
-}
-
-func (r *Registry) notifyLocked(ev Event) {
-	for _, ch := range r.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
 }
 
 func (r *Registry) expireLocked(now time.Time) []string {
@@ -399,12 +283,9 @@ func (r *Registry) expireLocked(now time.Time) []string {
 		r.journalLocked(recs)
 	}
 	for _, key := range expired {
-		it := r.items[key]
 		delete(r.items, key)
-		r.expiredTotal++
-		r.bumpLocked()
-		r.notifyLocked(Event{Key: key, Type: EventExpired, Payload: it.Payload, At: now})
 	}
+	r.expiredTotal += uint64(len(expired))
 	return expired
 }
 
@@ -418,7 +299,7 @@ func (r *Registry) ExpiredTotal() uint64 {
 }
 
 // scheduleSweepLocked arranges a background sweep at the earliest expiry so
-// that expiry events fire promptly even when nobody polls. Each call
+// that expiries reach the feed promptly even when nobody polls. Each call
 // supersedes prior schedules. The cached earliest bound replaces the old
 // full-table scan: it may be conservative (earlier than the true minimum
 // after an item's expiry was extended), in which case the sweep fires,

@@ -2,6 +2,7 @@ package softstate
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -97,12 +98,14 @@ func TestLiveSnapshotSorted(t *testing.T) {
 	}
 }
 
+// TestEvents: the feed carries refresh, expire and remove in the order the
+// registry applied them.
 func TestEvents(t *testing.T) {
 	clock := NewFakeClock()
 	r := NewRegistry(clock)
 	defer r.Close()
-	events, cancel := r.Subscribe()
-	defer cancel()
+	feed := &feedLog{}
+	r.Observe(feed)
 
 	r.Refresh("p", 1, time.Second)
 	r.Refresh("p", 2, time.Second)
@@ -111,40 +114,20 @@ func TestEvents(t *testing.T) {
 	r.Refresh("q", 3, time.Minute)
 	r.Remove("q")
 
-	want := []struct {
-		key string
-		typ EventType
-	}{
-		{"p", EventJoined}, {"p", EventRefreshed}, {"p", EventExpired},
-		{"q", EventJoined}, {"q", EventRemoved},
-	}
-	for i, w := range want {
-		select {
-		case ev := <-events:
-			if ev.Key != w.key || ev.Type != w.typ {
-				t.Fatalf("event %d = %s/%s, want %s/%s", i, ev.Key, ev.Type, w.key, w.typ)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("missing event %d (%s/%s)", i, w.key, w.typ)
-		}
+	want := []string{"refresh p", "refresh p", "expire p", "refresh q", "remove q"}
+	if !reflect.DeepEqual(feed.seen, want) {
+		t.Fatalf("feed saw %v, want %v", feed.seen, want)
 	}
 }
 
-func TestBackgroundSweepWithFakeClock(t *testing.T) {
-	clock := NewFakeClock()
-	r := NewRegistry(clock)
-	defer r.Close()
-	events, cancel := r.Subscribe()
-	defer cancel()
-	r.Refresh("p", nil, 5*time.Second)
-	// Advance past expiry; the scheduled background sweep should fire the
-	// expiry event without anyone calling Get/Sweep.
-	clock.Advance(6 * time.Second)
+// awaitExpiry waits for the background sweep to feed p's expiry.
+func awaitExpiry(t *testing.T, feed feedChan) {
+	t.Helper()
 	deadline := time.After(2 * time.Second)
 	for {
 		select {
-		case ev := <-events:
-			if ev.Type == EventExpired && ev.Key == "p" {
+		case rec := <-feed:
+			if rec == "expire p" {
 				return
 			}
 		case <-deadline:
@@ -153,23 +136,26 @@ func TestBackgroundSweepWithFakeClock(t *testing.T) {
 	}
 }
 
+func TestBackgroundSweepWithFakeClock(t *testing.T) {
+	clock := NewFakeClock()
+	r := NewRegistry(clock)
+	defer r.Close()
+	feed := make(feedChan, 2) // p's refresh and its expiry
+	r.Observe(feed)
+	r.Refresh("p", nil, 5*time.Second)
+	// Advance past expiry; the scheduled background sweep should feed the
+	// expiry without anyone calling Get/Sweep.
+	clock.Advance(6 * time.Second)
+	awaitExpiry(t, feed)
+}
+
 func TestBackgroundSweepRealClock(t *testing.T) {
 	r := NewRegistry(RealClock{})
 	defer r.Close()
-	events, cancel := r.Subscribe()
-	defer cancel()
+	feed := make(feedChan, 2) // p's refresh and its expiry
+	r.Observe(feed)
 	r.Refresh("p", nil, 30*time.Millisecond)
-	deadline := time.After(2 * time.Second)
-	for {
-		select {
-		case ev := <-events:
-			if ev.Type == EventExpired && ev.Key == "p" {
-				return
-			}
-		case <-deadline:
-			t.Fatal("real-clock sweep did not fire")
-		}
-	}
+	awaitExpiry(t, feed)
 }
 
 func TestConcurrentRefreshers(t *testing.T) {
@@ -196,19 +182,19 @@ func TestConcurrentRefreshers(t *testing.T) {
 
 func TestCloseStopsEverything(t *testing.T) {
 	r := NewRegistry(NewFakeClock())
-	events, cancel := r.Subscribe()
-	defer cancel()
+	feed := &feedLog{}
+	r.Observe(feed)
 	r.Refresh("p", nil, time.Minute)
 	r.Close()
 	r.Close() // idempotent
 	if r.Refresh("q", nil, time.Minute) {
 		t.Error("refresh after close should fail")
 	}
-	// Subscription channel closes.
-	for {
-		if _, ok := <-events; !ok {
-			break
-		}
+	if n := r.RefreshBatch([]Refreshment{{Key: "q", TTL: time.Minute}}); n != 0 {
+		t.Errorf("batch after close accepted %d", n)
+	}
+	if want := []string{"refresh p"}; !reflect.DeepEqual(feed.seen, want) {
+		t.Errorf("feed saw %v, want %v", feed.seen, want)
 	}
 }
 
