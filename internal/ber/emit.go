@@ -60,7 +60,10 @@ func (b *Builder) End() {
 	for m := n; m > 0; m >>= 8 {
 		k++
 	}
-	b.buf = append(b.buf, make([]byte, k)...)
+	// Grow from a stack array: append of a make is optimised into a plain
+	// grow only in builds without -race instrumentation.
+	var room [8]byte
+	b.buf = append(b.buf, room[:k]...)
 	copy(b.buf[pos+1+k:], b.buf[pos+1:len(b.buf)-k])
 	b.buf[pos] = 0x80 | byte(k)
 	for i := 0; i < k; i++ {

@@ -41,33 +41,53 @@ var ErrBadDN = errors.New("ldap: malformed DN")
 // joined by '+', backslash escapes for the special characters ',', '+', '=',
 // and '\', and insignificant whitespace around separators.
 func ParseDN(s string) (DN, error) {
-	s = trimDNSpace(s)
-	if s == "" {
-		return DN{}, nil
+	dn, _, err := parseDN(s, nil)
+	return dn, err
+}
+
+// parseDN is ParseDN with the name's arrays cut from slab (made for this
+// name alone when slab is nil). canonical reports that s is byte for byte
+// dn.String(), so a relay may send s instead of rendering dn, by rules the
+// counting pass checks on the way: no whitespace at either end or beside '='
+// and '+', exactly ", " between RDNs, one '=' per AVA (a second would be
+// escaped on the way out), and no escape. An escape defeats the byte rules
+// (an escaped space may sit beside a separator), so a name with one reports
+// false even when it is canonical; a caller that cares compares renderings.
+func parseDN(s string, slab *dnSlab) (dn DN, canonical bool, err error) {
+	trimmed := trimDNSpace(s)
+	canonical = len(trimmed) == len(s)
+	if s = trimmed; s == "" {
+		return DN{}, canonical, nil
 	}
 	// One counting pass sizes the DN and the single AVA array its RDNs are
 	// cut from: every entry crossing a directory has its name parsed, and a
 	// four-component name used to cost a dozen small allocations.
-	rdns, avas := 1, 1
+	rdns, avas, eqs := 1, 1, 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '\\':
+			canonical = false
 			i++ // skip escaped char
 		case ',':
 			rdns++
 			avas++
+			canonical = canonical && i+1 < len(s) && s[i+1] == ' ' && tight(s, i-1, i+2)
 		case '+':
 			avas++
+			canonical = canonical && tight(s, i-1, i+1)
+		case '=':
+			eqs++
+			canonical = canonical && tight(s, i-1, i+1)
 		}
 	}
-	dn := make(DN, 0, rdns)
-	all := make([]AVA, 0, avas)
+	canonical = canonical && eqs == avas
+	dn, all := slab.cut(rdns, avas)
 	for rest, more := s, true; more; {
 		var comp string
 		comp, rest, more = cutUnescaped(rest, ',')
 		comp = trimDNSpace(comp)
 		if comp == "" {
-			return nil, fmt.Errorf("%w: empty RDN in %q", ErrBadDN, s)
+			return nil, false, fmt.Errorf("%w: empty RDN in %q", ErrBadDN, s)
 		}
 		first := len(all)
 		for r, more := comp, true; more; {
@@ -76,12 +96,12 @@ func ParseDN(s string) (DN, error) {
 			avaStr = trimDNSpace(avaStr)
 			eq := indexUnescaped(avaStr, '=')
 			if eq <= 0 {
-				return nil, fmt.Errorf("%w: %q lacks '='", ErrBadDN, avaStr)
+				return nil, false, fmt.Errorf("%w: %q lacks '='", ErrBadDN, avaStr)
 			}
 			attr := trimDNSpace(avaStr[:eq])
 			val := trimDNSpace(avaStr[eq+1:])
 			if attr == "" || val == "" {
-				return nil, fmt.Errorf("%w: empty attribute or value in %q", ErrBadDN, avaStr)
+				return nil, false, fmt.Errorf("%w: empty attribute or value in %q", ErrBadDN, avaStr)
 			}
 			all = append(all, AVA{Attr: unescape(attr), Value: unescape(val)})
 		}
@@ -89,7 +109,63 @@ func ParseDN(s string) (DN, error) {
 		// writes into its neighbour.
 		dn = append(dn, RDN(all[first:len(all):len(all)]))
 	}
-	return dn, nil
+	return dn, canonical, nil
+}
+
+// tight reports that s has a byte at before and at after, and that neither
+// is DN whitespace.
+func tight(s string, before, after int) bool {
+	return before >= 0 && after < len(s) && !isDNSpace(s[before]) && !isDNSpace(s[after])
+}
+
+// dnSlab hands out the arrays parsed or copied names are cut from, so a
+// connection's result names share a few arrays instead of costing two
+// allocations each. A nil *dnSlab makes each name arrays of its own.
+type dnSlab struct {
+	rdns []RDN
+	avas []AVA
+}
+
+// dnSlabLen is the RDN and AVA count of one slab: room for a few dozen
+// typical result names.
+const dnSlabLen = 128
+
+// cut returns an empty DN with room for rdns RDNs and an empty AVA array
+// with room for avas AVAs. Both capacities are exact, so appending to one
+// name never writes into its neighbour.
+func (s *dnSlab) cut(rdns, avas int) (DN, []AVA) {
+	if s == nil {
+		return make(DN, 0, rdns), make([]AVA, 0, avas)
+	}
+	if len(s.rdns) < rdns {
+		s.rdns = make([]RDN, max(rdns, dnSlabLen))
+	}
+	if len(s.avas) < avas {
+		s.avas = make([]AVA, max(avas, dnSlabLen))
+	}
+	dn, all := DN(s.rdns[:0:rdns]), s.avas[:0:avas]
+	s.rdns, s.avas = s.rdns[rdns:], s.avas[avas:]
+	return dn, all
+}
+
+// copyInto returns a deep copy of d cut from slab (nil: arrays of its own,
+// one for the RDNs and one for every AVA of the name). The AVA strings are
+// immutable and shared.
+func (d DN) copyInto(slab *dnSlab) DN {
+	if len(d) == 0 {
+		return d[:0:0]
+	}
+	n := 0
+	for _, rdn := range d {
+		n += len(rdn)
+	}
+	dn, all := slab.cut(len(d), n)
+	for _, rdn := range d {
+		first := len(all)
+		all = append(all, rdn...)
+		dn = append(dn, RDN(all[first:len(all):len(all)]))
+	}
+	return dn
 }
 
 // MustParseDN parses s and panics on error; for tests and static tables.

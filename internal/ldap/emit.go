@@ -2,24 +2,50 @@ package ldap
 
 import "mds2/internal/ber"
 
-// This file is the direct-emit encode path: every Op serializes itself into
-// a ber.Builder, so a full LDAPMessage reaches wire bytes without the
-// intermediate Packet tree the encodeOp methods construct. The tree path is
-// retained as the reference implementation (Message.EncodeTree) and
-// TestEncodeDifferential pins the two byte-for-byte.
+// This file is the encode path: every Op serializes itself into a
+// ber.Builder, so a full LDAPMessage reaches wire bytes without an
+// intermediate Packet tree. The tree encoder survives only in wire_test.go,
+// as the reference TestEncodeDifferential and FuzzEncodeDecode hold this
+// path to, byte for byte.
 
 // AppendTo serializes the message envelope onto dst and returns the
-// extended slice, letting the client and server write paths reuse pooled
-// buffers instead of allocating per message.
+// extended slice. The connections' own writers encode with a builder of
+// their own (connWriter); this is for everything else.
 func (m *Message) AppendTo(dst []byte) []byte {
 	var b ber.Builder
 	b.Reset(dst)
+	m.appendTo(&b)
+	return b.Bytes()
+}
+
+// appendTo emits the whole message onto b.
+func (m *Message) appendTo(b *ber.Builder) {
+	beginMessage(b, m.ID)
+	m.Op.appendOp(b)
+	endMessage(b, m.Controls)
+}
+
+// appendEntryMessage emits the message carrying e as a SearchResultEntry —
+// what appendTo emits for it, without building the Message and the Op: a
+// search writer sends one per result entry.
+func appendEntryMessage(b *ber.Builder, id int64, e *Entry, controls []Control) {
+	beginMessage(b, id)
+	appendEntry(b, e)
+	endMessage(b, controls)
+}
+
+// beginMessage opens the LDAPMessage envelope and emits its ID; the caller
+// appends the operation and closes it with endMessage.
+func beginMessage(b *ber.Builder, id int64) {
 	b.Begin(ber.ClassUniversal, ber.TagSequence)
-	b.Int(m.ID)
-	m.Op.appendOp(&b)
-	if len(m.Controls) > 0 {
+	b.Int(id)
+}
+
+// endMessage emits the envelope's controls and closes it.
+func endMessage(b *ber.Builder, controls []Control) {
+	if len(controls) > 0 {
 		b.Begin(ber.ClassContext, 0)
-		for _, c := range m.Controls {
+		for _, c := range controls {
 			b.Begin(ber.ClassUniversal, ber.TagSequence)
 			b.OctetString(c.OID)
 			if c.Criticality {
@@ -33,7 +59,6 @@ func (m *Message) AppendTo(dst []byte) []byte {
 		b.End()
 	}
 	b.End()
-	return b.Bytes()
 }
 
 // appendDN emits d's canonical text rendering (identical to DN.String) as
@@ -175,16 +200,26 @@ func (s *SearchRequest) appendOp(b *ber.Builder) {
 	b.End()
 }
 
-func (s *SearchResultEntry) appendOp(b *ber.Builder) {
+func (s *SearchResultEntry) appendOp(b *ber.Builder) { appendEntry(b, s.Entry) }
+
+// appendEntry emits e as a SearchResultEntry operation. A wire-backed entry
+// goes out as it came in: its attribute list is one copy of bytes
+// scanSearchEntry already validated, and so is its name when the received
+// text was the canonical one appendDN would render.
+func appendEntry(b *ber.Builder, e *Entry) {
 	b.Begin(ber.ClassApplication, appSearchEntry)
-	appendDN(b, s.Entry.DN)
-	if raw := s.Entry.raw; raw != nil {
-		// A wire-backed entry goes out as it came in: the attribute list is
-		// one copy of bytes scanSearchEntry already validated.
-		s.Entry.verifySeal()
-		b.RawBytes(raw)
+	if e.raw != nil || e.name != nil {
+		e.verifySeal()
+	}
+	if e.name != nil {
+		b.OctetStringBytes(e.name)
 	} else {
-		appendAttrList(b, s.Entry.Attrs)
+		appendDN(b, e.DN)
+	}
+	if e.raw != nil {
+		b.RawBytes(e.raw)
+	} else {
+		appendAttrList(b, e.Attrs)
 	}
 	b.End()
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"mds2/internal/ber"
 	"mds2/internal/obs"
 	"mds2/internal/softstate"
 )
@@ -47,10 +48,11 @@ type connWriter struct {
 	batch *obs.Histogram
 
 	mu      sync.Mutex
-	buf     []byte // encoded frames awaiting the wire
-	spare   []byte // recycled drain buffer
-	writing bool   // a goroutine is draining buf
-	err     error  // sticky first write error
+	b       ber.Builder // encodes each message onto buf
+	buf     []byte      // encoded frames awaiting the wire
+	spare   []byte      // recycled drain buffer
+	writing bool        // a goroutine is draining buf
+	err     error       // sticky first write error
 
 	wake chan struct{} // cap 1: tells the idle goroutine frames are pending
 	done chan struct{} // closed by close: stops the idle goroutine
@@ -79,13 +81,34 @@ func newConnWriter(conn net.Conn, clock softstate.Clock, batch *obs.Histogram) *
 // surface on the current or a later call.
 func (w *connWriter) enqueue(m *Message, flushNow bool) error {
 	w.mu.Lock()
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return err
+	if w.err == nil {
+		w.b.Reset(w.buf)
+		m.appendTo(&w.b)
+		w.buf = w.b.Bytes()
 	}
-	w.buf = m.AppendTo(w.buf)
-	if !flushNow && len(w.buf) < flushThreshold {
+	return w.queuedLocked(flushNow)
+}
+
+// enqueueEntry is enqueue for the message carrying e as a SearchResultEntry,
+// encoded straight from the entry: a search writer makes no Message, no Op
+// and no interface call for each result entry.
+func (w *connWriter) enqueueEntry(id int64, e *Entry, controls []Control, flushNow bool) error {
+	w.mu.Lock()
+	if w.err == nil {
+		w.b.Reset(w.buf)
+		appendEntryMessage(&w.b, id, e, controls)
+		w.buf = w.b.Bytes()
+	}
+	return w.queuedLocked(flushNow)
+}
+
+// queuedLocked ends an enqueue: it drains the pending buffer when asked to
+// or once it has passed flushThreshold, and otherwise leaves the frames to
+// the idle tick. A sticky write error is returned as it is. Caller holds mu;
+// queuedLocked releases it.
+func (w *connWriter) queuedLocked(flushNow bool) error {
+	w.b.Reset(nil) // between messages the builder holds no buffer alive
+	if w.err == nil && !flushNow && len(w.buf) < flushThreshold {
 		w.mu.Unlock()
 		w.signalIdle()
 		return nil

@@ -38,6 +38,12 @@ type Entry struct {
 	// SEQUENCE OF element, header included), nil on a decoded entry. Nothing
 	// writes these bytes after scanSearchEntry accepted them.
 	raw []byte
+	// name is the LDAPDN text the entry arrived under, kept only when it is
+	// byte for byte DN.String() (see parseDN), so a relay sends it as it is
+	// instead of rendering DN again; nil otherwise. Like raw it is received
+	// bytes nothing writes, and only an entry whose DN is exactly the one
+	// parsed from them — the entry itself, or a Project of it — has it.
+	name []byte
 	// decoded memoizes raw's attributes once something asked for them.
 	decoded atomic.Pointer[[]Attribute]
 	// san is the snapshot seal: set when the store publishes this entry as
@@ -121,7 +127,7 @@ func (e *Entry) own() {
 		return
 	}
 	e.Attrs = cloneAttrs(e.Attributes())
-	e.raw = nil
+	e.raw, e.name = nil, nil
 	e.decoded.Store(nil)
 }
 
@@ -239,9 +245,11 @@ func (e *Entry) ObjectClasses() []string { return e.Values("objectclass") }
 // IsA reports whether the entry carries the named object class.
 func (e *Entry) IsA(class string) bool { return e.HasValue("objectclass", class) }
 
-// Clone returns a deep copy of the entry.
+// Clone returns a deep copy of the entry, name included: writing an AVA of
+// the copy's DN leaves the source alone, and the copy keeps none of the
+// arrays (a connection's name slab among them) the source's DN was cut from.
 func (e *Entry) Clone() *Entry {
-	return &Entry{DN: append(DN(nil), e.DN...), Attrs: cloneAttrs(e.Attributes())}
+	return &Entry{DN: e.DN.copyInto(nil), Attrs: cloneAttrs(e.Attributes())}
 }
 
 // Select returns a copy of the entry restricted to the requested attribute
@@ -252,7 +260,7 @@ func (e *Entry) Select(requested []string) *Entry {
 	if selectsAll(requested) {
 		return e.Clone()
 	}
-	out := &Entry{DN: append(DN(nil), e.DN...)}
+	out := &Entry{DN: e.DN.copyInto(nil)}
 	for _, r := range requested {
 		if vs := e.Values(r); vs != nil {
 			out.Attrs = append(out.Attrs, Attribute{Name: r, Values: append([]string(nil), vs...)})
@@ -264,12 +272,13 @@ func (e *Entry) Select(requested []string) *Entry {
 // Project is Select without the copy, for handing a store's immutable
 // snapshot to a SearchWriter: the result shares e's DN and value slices —
 // it is e itself when every attribute is selected, which is what lets a
-// wire-backed entry through unparsed — so it is as read-only as e.
+// wire-backed entry through unparsed — so it is as read-only as e. Its name
+// is e's, so it keeps e's received name bytes too.
 func (e *Entry) Project(requested []string) *Entry {
 	if selectsAll(requested) {
 		return e
 	}
-	out := &Entry{DN: e.DN}
+	out := &Entry{DN: e.DN, name: e.name}
 	for _, r := range requested {
 		if vs := e.Values(r); vs != nil {
 			out.Attrs = append(out.Attrs, Attribute{Name: r, Values: vs})
@@ -290,7 +299,7 @@ func selectsAll(requested []string) bool {
 // WithDN returns an entry named dn that shares e's attributes — the frame
 // of a wire-backed entry, the attribute slice of a decoded one — and so is
 // as read-only as e. A chaining directory grafts a child's entries into its
-// own view with it.
+// own view with it. The received name bytes stay behind: they name e.
 func (e *Entry) WithDN(dn DN) *Entry {
 	out := &Entry{DN: dn, Attrs: e.Attrs, raw: e.raw}
 	if out.raw != nil {
@@ -358,16 +367,23 @@ func SortEntries(entries []*Entry) {
 }
 
 // CompactSnapshots gives the wire-backed entries among entries bytes of
-// their own: each is replaced in the slice by a copy whose frame sits in one
-// buffer sized for the lot, so a cache that keeps the result keeps the
-// result — not every read chunk a frame of it happened to arrive in. Decoded
-// entries stay as they are. The caller must own the slice.
+// their own: each is replaced in the slice by a copy whose name bytes and
+// frame sit in one buffer sized for the lot, and whose DN is cut from one
+// RDN array and one AVA array for the lot, so a cache that keeps the result
+// keeps the result — not every read chunk a frame of it happened to arrive
+// in, nor the connection's name slabs. Decoded entries stay as they are.
+// The caller must own the slice.
 func CompactSnapshots(entries []*Entry) {
-	n, size := 0, 0
+	n, size, rdns, avas := 0, 0, 0, 0
 	for _, e := range entries {
-		if e.raw != nil {
-			n++
-			size += len(e.raw)
+		if e.raw == nil {
+			continue
+		}
+		n++
+		size += len(e.name) + len(e.raw)
+		rdns += len(e.DN)
+		for _, rdn := range e.DN {
+			avas += len(rdn)
 		}
 	}
 	if n == 0 {
@@ -375,15 +391,22 @@ func CompactSnapshots(entries []*Entry) {
 	}
 	buf := make([]byte, 0, size)
 	own := make([]Entry, n)
+	names := dnSlab{rdns: make([]RDN, rdns), avas: make([]AVA, avas)}
+	keep := func(b []byte) []byte {
+		lo := len(buf)
+		buf = append(buf, b...)
+		return buf[lo:len(buf):len(buf)]
+	}
 	for i, e := range entries {
 		if e.raw == nil {
 			continue
 		}
 		c := &own[0]
 		own = own[1:]
-		lo := len(buf)
-		buf = append(buf, e.raw...)
-		c.DN, c.raw = e.DN, buf[lo:len(buf):len(buf)]
+		c.DN, c.raw = e.DN.copyInto(&names), keep(e.raw)
+		if e.name != nil {
+			c.name = keep(e.name)
+		}
 		c.seal()
 		entries[i] = c
 	}

@@ -1,6 +1,7 @@
 package ldap
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -384,6 +385,36 @@ func TestEntryCloneIndependence(t *testing.T) {
 	c.DN = MustParseDN("hn=other")
 	if e.First("hn") != "hostX" || e.DN.String() != "hn=hostX, o=grid" {
 		t.Error("clone mutated original")
+	}
+}
+
+// TestCloneDeepCopiesDN: Clone and Select copy the name down to its AVAs.
+// Writing an AVA of the copy's DN leaves the source's name alone — a store
+// snapshot still passes its seal (which checksums the name, under mdsdebug)
+// and a wire-backed entry still relays the name it arrived under.
+func TestCloneDeepCopiesDN(t *testing.T) {
+	s := NewStore()
+	if err := s.Put(testEntry()); err != nil {
+		t.Fatal(err)
+	}
+	stored := s.Find(MustParseDN("o=grid"), ScopeWholeSubtree, nil)[0]
+	var w wireEntries
+	_, relayed, ok, err := scanFrame(&w, entryFrame(1, testEntry()))
+	if !ok || err != nil {
+		t.Fatal(ok, err)
+	}
+	for name, src := range map[string]*Entry{"store snapshot": stored, "wire-backed": relayed} {
+		for how, c := range map[string]*Entry{"Clone": src.Clone(), "Select": src.Select([]string{"hn"})} {
+			c.DN[0][0].Value = "changed"
+			c.DN[1] = append(c.DN[1], AVA{Attr: "x", Value: "y"})
+			if got := src.DN.String(); got != "hn=hostX, o=grid" {
+				t.Errorf("%s of a %s: writing the copy's name renamed the source to %q", how, name, got)
+			}
+			src.verifySeal()
+		}
+	}
+	if got := entryFrame(1, relayed); !bytes.Equal(got, entryFrame(1, testEntry())) {
+		t.Errorf("the wire-backed source relays\n% x\nwant\n% x", got, entryFrame(1, testEntry()))
 	}
 }
 

@@ -141,6 +141,19 @@ func FuzzParseDN(f *testing.F) {
 				t.Fatalf("ParseDN(%q): RDN %d can be appended into its neighbour", s, i)
 			}
 		}
+		// Cut from a slab shared with a neighbour, the name is the same and
+		// still cannot be appended into it; the byte rules call a name
+		// canonical iff it is its own rendering (those with escapes aside,
+		// which they leave to the caller).
+		var slab dnSlab
+		neighbour, _, _ := parseDN("cn=n, o=g", &slab)
+		cut, canonical, err := parseDN(s, &slab)
+		if err != nil || !reflect.DeepEqual(cut, dn) || cap(cut) != len(cut) || neighbour.String() != "cn=n, o=g" {
+			t.Fatalf("parseDN(%q) from a slab = %#v, %v; ParseDN %#v", s, cut, err, dn)
+		}
+		if rendered := dn.String() == s; canonical != rendered && (canonical || !strings.Contains(s, `\`)) {
+			t.Fatalf("parseDN(%q): canonical %v, but String() is %q", s, canonical, dn.String())
+		}
 		// The printed form must parse back to the same normal form:
 		// String/Normalize are the on-wire names GIIS indices key by.
 		back, err := ParseDN(dn.String())

@@ -133,13 +133,10 @@ const (
 	appExtendedResp    uint32 = 24
 )
 
-// Op is one LDAP protocol operation carried inside a Message envelope.
-// Each operation encodes itself two ways: appendOp is the direct-emit hot
-// path (see emit.go), encodeOp the Packet-tree reference implementation the
-// differential test pins it against.
+// Op is one LDAP protocol operation carried inside a Message envelope; it
+// encodes itself into a ber.Builder (see emit.go).
 type Op interface {
 	appendOp(*ber.Builder)
-	encodeOp() *ber.Packet
 }
 
 // Message is the LDAPMessage envelope: an ID, an operation, and optional
@@ -261,181 +258,6 @@ type ExtendedResponse struct {
 // Encode serializes the message envelope to wire bytes.
 func (m *Message) Encode() []byte {
 	return m.AppendTo(nil)
-}
-
-// EncodeTree serializes the message envelope through the Packet-tree
-// reference path. The hot paths use AppendTo (direct emit, emit.go); this
-// is kept as executable documentation of the wire form and as the oracle
-// for the encode differential test.
-func (m *Message) EncodeTree() []byte {
-	env := ber.NewSequence().Append(ber.NewInteger(m.ID), m.Op.encodeOp())
-	if len(m.Controls) > 0 {
-		ctl := ber.NewConstructed(ber.ClassContext, 0)
-		for _, c := range m.Controls {
-			seq := ber.NewSequence().Append(ber.NewOctetString(c.OID))
-			if c.Criticality {
-				seq.Append(ber.NewBoolean(true))
-			}
-			if c.Value != nil {
-				seq.Append(ber.NewOctetStringBytes(c.Value))
-			}
-			ctl.Append(seq)
-		}
-		env.Append(ctl)
-	}
-	return ber.Marshal(env)
-}
-
-func encodeResult(tag uint32, r Result, extra ...*ber.Packet) *ber.Packet {
-	p := ber.NewConstructed(ber.ClassApplication, tag).Append(
-		ber.NewEnumerated(int64(r.Code)),
-		ber.NewOctetString(r.MatchedDN),
-		ber.NewOctetString(r.Message),
-	)
-	if len(r.Referrals) > 0 {
-		ref := ber.NewConstructed(ber.ClassContext, 3)
-		for _, u := range r.Referrals {
-			ref.Append(ber.NewOctetString(u))
-		}
-		p.Append(ref)
-	}
-	return p.Append(extra...)
-}
-
-func (b *BindRequest) encodeOp() *ber.Packet {
-	p := ber.NewConstructed(ber.ClassApplication, appBindRequest).Append(
-		ber.NewInteger(b.Version),
-		ber.NewOctetString(b.Name),
-	)
-	if b.SASLMech == "" {
-		p.Append(ber.NewContextString(0, b.Password))
-	} else {
-		p.Append(ber.NewConstructed(ber.ClassContext, 3).Append(
-			ber.NewOctetString(b.SASLMech),
-			ber.NewOctetStringBytes(b.SASLCreds),
-		))
-	}
-	return p
-}
-
-func (b *BindResponse) encodeOp() *ber.Packet {
-	var extra []*ber.Packet
-	if b.ServerCreds != nil {
-		extra = append(extra, &ber.Packet{Class: ber.ClassContext, Tag: 7, Value: b.ServerCreds})
-	}
-	return encodeResult(appBindResponse, b.Result, extra...)
-}
-
-func (*UnbindRequest) encodeOp() *ber.Packet {
-	return &ber.Packet{Class: ber.ClassApplication, Tag: appUnbindRequest}
-}
-
-func (s *SearchRequest) encodeOp() *ber.Packet {
-	attrs := ber.NewSequence()
-	for _, a := range s.Attributes {
-		attrs.Append(ber.NewOctetString(a))
-	}
-	filter := s.Filter
-	if filter == nil {
-		filter = Present("objectclass")
-	}
-	return ber.NewConstructed(ber.ClassApplication, appSearchRequest).Append(
-		ber.NewOctetString(s.BaseDN),
-		ber.NewEnumerated(int64(s.Scope)),
-		ber.NewEnumerated(s.DerefAlias),
-		ber.NewInteger(s.SizeLimit),
-		ber.NewInteger(s.TimeLimit),
-		ber.NewBoolean(s.TypesOnly),
-		filter.ToBER(),
-		attrs,
-	)
-}
-
-func (s *SearchResultEntry) encodeOp() *ber.Packet {
-	attrs := ber.NewSequence()
-	for _, a := range s.Entry.Attributes() {
-		vals := ber.NewSet()
-		for _, v := range a.Values {
-			vals.Append(ber.NewOctetString(v))
-		}
-		attrs.Append(ber.NewSequence().Append(ber.NewOctetString(a.Name), vals))
-	}
-	return ber.NewConstructed(ber.ClassApplication, appSearchEntry).Append(
-		ber.NewOctetString(s.Entry.DN.String()), attrs)
-}
-
-func (s *SearchResultReference) encodeOp() *ber.Packet {
-	p := ber.NewConstructed(ber.ClassApplication, appSearchReference)
-	for _, u := range s.URLs {
-		p.Append(ber.NewOctetString(u))
-	}
-	return p
-}
-
-func (s *SearchResultDone) encodeOp() *ber.Packet { return encodeResult(appSearchDone, s.Result) }
-
-func (a *AddRequest) encodeOp() *ber.Packet {
-	attrs := ber.NewSequence()
-	for _, at := range a.Entry.Attributes() {
-		vals := ber.NewSet()
-		for _, v := range at.Values {
-			vals.Append(ber.NewOctetString(v))
-		}
-		attrs.Append(ber.NewSequence().Append(ber.NewOctetString(at.Name), vals))
-	}
-	return ber.NewConstructed(ber.ClassApplication, appAddRequest).Append(
-		ber.NewOctetString(a.Entry.DN.String()), attrs)
-}
-
-func (a *AddResponse) encodeOp() *ber.Packet { return encodeResult(appAddResponse, a.Result) }
-
-func (d *DelRequest) encodeOp() *ber.Packet {
-	return &ber.Packet{Class: ber.ClassApplication, Tag: appDelRequest, Value: []byte(d.DN)}
-}
-
-func (d *DelResponse) encodeOp() *ber.Packet { return encodeResult(appDelResponse, d.Result) }
-
-func (m *ModifyRequest) encodeOp() *ber.Packet {
-	changes := ber.NewSequence()
-	for _, ch := range m.Changes {
-		vals := ber.NewSet()
-		for _, v := range ch.Attr.Values {
-			vals.Append(ber.NewOctetString(v))
-		}
-		changes.Append(ber.NewSequence().Append(
-			ber.NewEnumerated(ch.Op),
-			ber.NewSequence().Append(ber.NewOctetString(ch.Attr.Name), vals),
-		))
-	}
-	return ber.NewConstructed(ber.ClassApplication, appModifyRequest).Append(
-		ber.NewOctetString(m.DN), changes)
-}
-
-func (m *ModifyResponse) encodeOp() *ber.Packet { return encodeResult(appModifyResponse, m.Result) }
-
-func (a *AbandonRequest) encodeOp() *ber.Packet {
-	return &ber.Packet{Class: ber.ClassApplication, Tag: appAbandonRequest,
-		Value: ber.AppendInt64(nil, a.IDToAbandon)}
-}
-
-func (e *ExtendedRequest) encodeOp() *ber.Packet {
-	p := ber.NewConstructed(ber.ClassApplication, appExtendedRequest).Append(
-		&ber.Packet{Class: ber.ClassContext, Tag: 0, Value: []byte(e.OID)})
-	if e.Value != nil {
-		p.Append(&ber.Packet{Class: ber.ClassContext, Tag: 1, Value: e.Value})
-	}
-	return p
-}
-
-func (e *ExtendedResponse) encodeOp() *ber.Packet {
-	var extra []*ber.Packet
-	if e.OID != "" {
-		extra = append(extra, &ber.Packet{Class: ber.ClassContext, Tag: 10, Value: []byte(e.OID)})
-	}
-	if e.Value != nil {
-		extra = append(extra, &ber.Packet{Class: ber.ClassContext, Tag: 11, Value: e.Value})
-	}
-	return encodeResult(appExtendedResp, e.Result, extra...)
 }
 
 // ErrBadMessage reports a wire message that does not parse as LDAP.

@@ -22,8 +22,9 @@ package ldap
 //
 // A wire-backed entry (every result of Client.Search, SearchWith and
 // SearchFunc) is sealed at birth, and its checksum is taken over the raw
-// frame bytes rather than decoded attributes: a collected result's frames
-// alias a client read chunk, and the one way that goes wrong — the chunk
+// frame bytes (and the kept name bytes, when it has them) rather than
+// decoded attributes: a collected result's frames alias a client read
+// chunk, and the one way that goes wrong — the chunk
 // being reused while an entry still points into it — is made loud by
 // poisonChunk scribbling over every recycled chunk, so the next materialise,
 // re-emit or cache fill of such an entry fails its seal.
@@ -49,6 +50,13 @@ func (e *Entry) checksum() uint64 {
 		h = (h ^ 0xff) * prime // terminator so "ab","c" ≠ "a","bc"
 	}
 	mix(e.DN.Normalize())
+	if e.name != nil {
+		// A kept name aliases the read chunk like raw does.
+		for _, c := range e.name {
+			h = (h ^ uint64(c)) * prime
+		}
+		h = (h ^ 0xff) * prime
+	}
 	if e.raw != nil {
 		for _, c := range e.raw {
 			h = (h ^ uint64(c)) * prime

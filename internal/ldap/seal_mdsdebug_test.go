@@ -3,6 +3,7 @@
 package ldap
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -112,4 +113,24 @@ func TestSealCoversWireEntries(t *testing.T) {
 	mustPanic(t, "decoding an entry whose chunk was recycled", func() { stale.Attributes() })
 	mustPanic(t, "re-emitting an entry whose chunk was recycled", func() { entryFrame(2, grafted) })
 	mustPanic(t, "caching an entry whose chunk was recycled", func() { SealSnapshots([]*Entry{stale}) })
+}
+
+// TestSealCoversKeptNames: a relayed entry's kept name bytes alias its read
+// chunk just as its attribute list does, and the seal covers them too —
+// poisoning only the part of the chunk the name sits in makes the re-emit
+// fail its seal instead of sending another message's bytes as the name.
+func TestSealCoversKeptNames(t *testing.T) {
+	chunk := entryFrame(4, sevenAttrEntry(4))
+	var w wireEntries
+	_, e, ok, err := scanFrame(&w, chunk)
+	if !ok || err != nil || e.name == nil {
+		t.Fatalf("scan: ok=%v err=%v, name kept %v", ok, err, e != nil && e.name != nil)
+	}
+	entryFrame(4, e) // intact: re-emits
+	at := bytes.Index(chunk, []byte(e.DN.String()))
+	if at < 0 || !bytes.Equal(chunk[at:at+len(e.name)], e.name) {
+		t.Fatalf("kept name %q not found in its chunk", e.name)
+	}
+	poisonChunk(chunk[at : at+len(e.name)])
+	mustPanic(t, "re-emitting an entry whose name outlived its chunk", func() { entryFrame(4, e) })
 }

@@ -638,16 +638,15 @@ type connSearchWriter struct {
 // connection's coalescing writer (the done message or the size threshold
 // flushes the batch); entries carrying per-entry controls are
 // persistent-search notifications, which must reach the subscriber now —
-// there may be no further traffic on this search for hours.
+// there may be no further traffic on this search for hours. The entry is
+// encoded straight into the connection's pending buffer.
 func (w *connSearchWriter) SendEntry(e *Entry, controls ...Control) error {
 	flush := len(controls) > 0
 	if !w.track {
-		return w.conn.w.enqueue(&Message{ID: w.id,
-			Op: &SearchResultEntry{Entry: e}, Controls: controls}, flush)
+		return w.conn.w.enqueueEntry(w.id, e, controls, flush)
 	}
 	start := w.conn.clock.Now()
-	err := w.conn.w.enqueue(&Message{ID: w.id,
-		Op: &SearchResultEntry{Entry: e}, Controls: controls}, flush)
+	err := w.conn.w.enqueueEntry(w.id, e, controls, flush)
 	w.encodeNs.Add(int64(w.conn.clock.Now().Sub(start)))
 	w.entries.Add(1)
 	return err

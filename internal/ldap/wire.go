@@ -1,6 +1,10 @@
 package ldap
 
-import "mds2/internal/ber"
+import (
+	"bytes"
+
+	"mds2/internal/ber"
+)
 
 // This file is the result half of the wire path. A directory that chains a
 // search needs one thing from each result entry a child sends back — its
@@ -87,32 +91,56 @@ func scanSearchEntry(op []byte) (dn, attrs []byte, ok bool) {
 }
 
 // wireEntries builds the wire-backed entries of one connection. Entries of
-// a collected result are cut from small slabs rather than allocated one by
-// one: a relayed entry lives for a single search, and a cached one is copied
-// out by CompactSnapshots before it is kept.
-type wireEntries struct{ slab []Entry }
+// a collected result, and the RDN and AVA arrays of their names, are cut
+// from small slabs rather than allocated one by one: a relayed entry lives
+// for a single search, and a cached one is copied out by CompactSnapshots
+// (a kept one by Clone) before it is kept.
+type wireEntries struct {
+	slab  []Entry
+	names dnSlab
+}
 
 // next returns the wire-backed entry for a scanned frame. The name is
-// copied out of the frame and parsed. attrs is kept as it is, aliasing the
-// frame — unless the entry is to own its bytes: a streamed entry is kept for
-// as long as its receiver likes (a subscriber holds one per notification),
-// so it gets an exact-size copy of its attribute list and an allocation of
-// its own, and pins neither a read chunk nor a slab.
+// copied out of the frame as one string and parsed; when the received text
+// is the canonical rendering of what it parses to, the entry also keeps
+// those bytes to be sent again as they are. The name bytes and attrs are
+// kept as they are, aliasing the frame — unless the entry is to own its
+// bytes: a streamed entry is kept for as long as its receiver likes (a
+// subscriber holds one per notification), so it gets one exact-size copy of
+// its name and attribute list, DN arrays and an allocation of its own, and
+// pins neither a read chunk nor a slab.
 func (w *wireEntries) next(dn, attrs []byte, own bool) (*Entry, error) {
-	d, err := ParseDN(string(dn))
+	names := &w.names
+	if own {
+		names = nil
+	}
+	d, canonical, err := parseDN(string(dn), names)
 	if err != nil {
 		return nil, err
 	}
+	if !canonical && bytes.IndexByte(dn, '\\') >= 0 {
+		// Names with escapes are rare: the rendering decides for them.
+		canonical = d.String() == string(dn)
+	}
+	if !canonical {
+		dn = nil
+	}
 	var e *Entry
 	if own {
-		e, attrs = new(Entry), cloneBytes(attrs)
+		buf := make([]byte, 0, len(dn)+len(attrs))
+		buf = append(append(buf, dn...), attrs...)
+		e = new(Entry)
+		if dn != nil {
+			dn = buf[:len(dn):len(dn)]
+		}
+		attrs = buf[len(dn):]
 	} else {
 		if len(w.slab) == 0 {
 			w.slab = make([]Entry, 32)
 		}
 		e, w.slab = &w.slab[0], w.slab[1:]
 	}
-	e.DN, e.raw = d, attrs
+	e.DN, e.name, e.raw = d, dn, attrs
 	e.seal()
 	return e, nil
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"mds2/internal/ber"
+	"mds2/internal/softstate"
 )
 
 // scanFrame is the read loop's wire path on one frame, without the pending
@@ -92,15 +94,26 @@ func hostileFrames() map[string][]byte {
 // FuzzWireEntry pins the scanner to the tree decoder. What it accepts, the
 // tree decoder accepts, as the same entry — the attributes Entry.materialize
 // cuts straight out of the kept bytes included; what our encoder emits, it
-// accepts (no silent fall-back off the fast path); and the frame a relay
-// emits for an accepted entry decodes to the entry that came in. Anything
-// else is left to the tree decoder, which alone refuses frames.
+// accepts (no silent fall-back off the fast path); the name bytes are kept
+// iff they are the canonical text DN.String renders, so the frame a relay
+// emits is byte for byte the one rendering the name would give; and that
+// frame decodes to the entry that came in. Anything else is left to the tree
+// decoder, which alone refuses frames.
 func FuzzWireEntry(f *testing.F) {
 	for _, m := range wireCorpus() {
 		f.Add(m.Encode())
 	}
 	for i := 0; i < 4; i++ {
 		f.Add(entryFrame(int64(i), sevenAttrEntry(i)))
+	}
+	// Names that parse but are not in canonical form, and three that are —
+	// one of them escaped, which the byte rules leave to the rendering.
+	for _, dn := range []string{"hn=h1,o=grid", "hn=h1 , o=grid", "hn=h1,  o=grid", " hn=h1, o=grid",
+		"hn=h1, o=grid\t", "hn = h1, o=grid", "cn=a +uid=1", "cn=a\\,b, o=grid", "cn=a=b, o=grid",
+		"cn=a\tb, o=grid", "cn=a+uid=1, o=grid", ""} {
+		f.Add(ber.Marshal(ber.NewSequence().Append(ber.NewInteger(7),
+			ber.NewConstructed(ber.ClassApplication, appSearchEntry).Append(
+				ber.NewOctetString(dn), ber.NewSequence()))))
 	}
 	for _, frame := range hostileFrames() {
 		f.Add(frame)
@@ -141,7 +154,19 @@ func FuzzWireEntry(f *testing.F) {
 		if !reflect.DeepEqual(e.DN, sre.Entry.DN) {
 			t.Fatalf("name %q, tree decoder %q", e.DN, sre.Entry.DN)
 		}
+		// The name bytes are kept exactly when they are the text the encoder
+		// renders, and re-sending them changes no byte of the relayed frame.
+		_, op, _ := scanEnvelope(frame)
+		received, _, _ := scanSearchEntry(op)
+		if rendered := e.DN.String(); e.name != nil && string(e.name) != rendered {
+			t.Fatalf("kept name %q, rendered %q", e.name, rendered)
+		} else if e.name == nil && string(received) == rendered {
+			t.Fatalf("canonical name %q not kept", received)
+		}
 		relayed := entryFrame(id, e) // before anything decoded it
+		if rendered := entryFrame(id, e.WithDN(e.DN)); !bytes.Equal(relayed, rendered) {
+			t.Fatalf("relayed frame with the kept name\n % x\ndiffers from the rendered one\n % x", relayed, rendered)
+		}
 		if !reflect.DeepEqual(e.Attributes(), sre.Entry.Attrs) {
 			t.Fatalf("attributes %v, tree decoder %v", e.Attributes(), sre.Entry.Attrs)
 		}
@@ -197,10 +222,25 @@ func TestWireScannerRefuses(t *testing.T) {
 	}
 }
 
+// discardSearchWriter is the server's search writer over a connection whose
+// far end discards what it is sent. Its connWriter runs no idle-flush
+// goroutine, whose timers would count against an allocation budget: pending
+// frames drain once they pass flushThreshold, as they do mid-search.
+func discardSearchWriter(t *testing.T, id int64) *connSearchWriter {
+	near, far := net.Pipe()
+	t.Cleanup(func() { near.Close() })
+	go io.Copy(io.Discard, far)
+	w := &connWriter{conn: near, clock: softstate.RealClock{},
+		wake: make(chan struct{}, 1), done: make(chan struct{})}
+	return &connSearchWriter{conn: &serverConn{w: w}, id: id}
+}
+
 // TestWireRelayAllocationBudget: what a chaining directory does per relayed
 // entry — scan the frame, build the wire-backed entry, render its sort key,
-// re-emit it — stays within 8 allocations for a 7-attribute entry (the
-// decode → Entry → clone → re-encode path it replaces took about 57).
+// send it through the server's search writer — stays within 2 allocations
+// for a 7-attribute entry (the name's one string copy, plus its shares of
+// the entry and name slabs and the sort; the decode → Entry → clone →
+// re-encode path it replaces took about 57).
 func TestWireRelayAllocationBudget(t *testing.T) {
 	const batch = 64
 	frames := make([][]byte, batch)
@@ -209,7 +249,7 @@ func TestWireRelayAllocationBudget(t *testing.T) {
 	}
 	var w wireEntries
 	entries := make([]*Entry, batch)
-	out := make([]byte, 0, 1024)
+	sw := discardSearchWriter(t, 9)
 	perBatch := testing.AllocsPerRun(50, func() {
 		for i, frame := range frames {
 			_, e, ok, err := scanFrame(&w, frame)
@@ -220,14 +260,17 @@ func TestWireRelayAllocationBudget(t *testing.T) {
 		}
 		SortEntries(entries)
 		for _, e := range entries {
-			// What connSearchWriter.SendEntry builds per entry.
-			out = (&Message{ID: 9, Op: &SearchResultEntry{Entry: e.Project(nil)}}).AppendTo(out[:0])
+			// What SearchContext.send does per entry.
+			if err := sw.SendEntry(e.Project(nil)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
-	if per := perBatch / batch; per > 8 {
-		t.Errorf("relaying one 7-attribute entry costs %.1f allocations, budget 8", per)
+	if per := perBatch / batch; per > 2 {
+		t.Errorf("relaying one 7-attribute entry costs %.1f allocations, budget 2", per)
 	}
 	// The tree path, for scale.
+	out := make([]byte, 0, 1024)
 	tree := testing.AllocsPerRun(50, func() {
 		m := treeDecode(frames[0])
 		e := m.Op.(*SearchResultEntry).Entry
@@ -235,6 +278,37 @@ func TestWireRelayAllocationBudget(t *testing.T) {
 		out = (&Message{ID: 9, Op: &SearchResultEntry{Entry: e.Select(nil)}}).AppendTo(out[:0])
 	})
 	t.Logf("allocations per relayed entry: wire %.1f, decode → clone → re-encode %.1f", perBatch/batch, tree)
+}
+
+// TestSendEntryZeroAllocs: the server's search writer encodes a result
+// entry — relayed wire bytes or a store's decoded entry — straight into the
+// connection's pending buffer, allocating nothing, and sends the same bytes
+// the Message encoder does.
+func TestSendEntryZeroAllocs(t *testing.T) {
+	var w wireEntries
+	_, relayed, ok, err := scanFrame(&w, entryFrame(9, sevenAttrEntry(3)))
+	if !ok || err != nil || relayed.name == nil {
+		t.Fatalf("scan: ok=%v err=%v, name kept %v", ok, err, relayed != nil && relayed.name != nil)
+	}
+	for name, e := range map[string]*Entry{"wire-backed": relayed, "decoded": sevenAttrEntry(3)} {
+		sw := discardSearchWriter(t, 9)
+		send := func() {
+			if err := sw.SendEntry(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 1000; i++ { // grow the writer's two drain buffers
+			send()
+		}
+		if n := testing.AllocsPerRun(1000, send); n != 0 {
+			t.Errorf("%s entry: %.0f allocations per SendEntry, want 0", name, n)
+		}
+		ww := sw.conn.w
+		ww.buf = ww.buf[:0]
+		if send(); !bytes.Equal(ww.buf, entryFrame(9, sevenAttrEntry(3))) {
+			t.Errorf("%s entry: writer sent\n% x\nwant\n% x", name, ww.buf, entryFrame(9, sevenAttrEntry(3)))
+		}
+	}
 }
 
 // TestWireEntryConcurrentMaterialise: readers racing to look inside one
@@ -304,6 +378,34 @@ func TestCompactSnapshotsOwnsItsBytes(t *testing.T) {
 		}
 		if !bytes.Equal(entryFrame(int64(i), e), entryFrame(int64(i), sevenAttrEntry(i))) {
 			t.Fatalf("entry %d changed with the chunk it came from: %s", i, e)
+		}
+	}
+}
+
+// TestCompactSnapshotsCopiesNames: a compacted result keeps its names, kept
+// name bytes included, in arrays of its own — not in the connection's name
+// slabs its entries were parsed into.
+func TestCompactSnapshotsCopiesNames(t *testing.T) {
+	var w wireEntries
+	var entries, before []*Entry
+	for i := 0; i < 3; i++ {
+		_, e, ok, err := scanFrame(&w, entryFrame(int64(i), sevenAttrEntry(i)))
+		if !ok || err != nil {
+			t.Fatal(i, ok, err)
+		}
+		entries, before = append(entries, e), append(before, e)
+	}
+	CompactSnapshots(entries)
+	for i, e := range entries {
+		was := before[i]
+		if &e.DN[0] == &was.DN[0] || &e.DN[0][0] == &was.DN[0][0] {
+			t.Errorf("entry %d: compacted DN shares the slab arrays it was parsed into", i)
+		}
+		if e.name == nil || string(e.name) != was.DN.String() || &e.name[0] == &was.name[0] {
+			t.Errorf("entry %d: kept name %q not copied out", i, e.name)
+		}
+		if cap(e.DN) != len(e.DN) || cap(e.DN[0]) != len(e.DN[0]) {
+			t.Errorf("entry %d: compacted name can be appended into its neighbour", i)
 		}
 	}
 }
@@ -476,10 +578,11 @@ func searchAllocs(t *testing.T, n int, use func([]*Entry)) float64 {
 }
 
 // TestClientSearchAllocationBudget: a collected search costs its caller at
-// most 4 allocations per result entry when it reads names only (the parsed
-// DN and its text), at most 8 when it reads every attribute (the decode adds
-// the attribute slice, the one value array, and the published pointer). The
-// copy → Packet tree → Entry path took about 70.
+// most 2 allocations per result entry when it reads names only (the name's
+// text, plus its shares of the entry and name slabs), at most 6 when it
+// reads every attribute (the decode adds a copy of the list, the attribute
+// slice, the one value array, and the published pointer). The copy → Packet
+// tree → Entry path took about 70.
 func TestClientSearchAllocationBudget(t *testing.T) {
 	const n = 200
 	names := searchAllocs(t, n, func([]*Entry) {})
@@ -492,11 +595,11 @@ func TestClientSearchAllocationBudget(t *testing.T) {
 	})
 	tree := testing.AllocsPerRun(50, func() { treeDecode(entryFrame(9, sevenAttrEntry(1))) })
 	t.Logf("allocations per result entry: names only %.1f, every attribute read %.1f, tree decode %.0f", names, all, tree)
-	if names > 4 {
-		t.Errorf("a result entry costs %.1f allocations with no attribute read, budget 4", names)
+	if names > 2 {
+		t.Errorf("a result entry costs %.1f allocations with no attribute read, budget 2", names)
 	}
-	if all > 8 {
-		t.Errorf("a result entry costs %.1f allocations with every attribute read, budget 8", all)
+	if all > 6 {
+		t.Errorf("a result entry costs %.1f allocations with every attribute read, budget 6", all)
 	}
 }
 
