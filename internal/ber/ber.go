@@ -631,18 +631,25 @@ func Element(b []byte) (id byte, contents, rest []byte, err error) {
 	return id, rest[:length], rest[length:], nil
 }
 
-// ReadPacketBuf is ReadPacket with a caller-reused frame buffer: the
-// element is framed into buf (grown as needed) and the possibly-grown
-// buffer is returned for the next call. The returned Packet and everything
-// reachable from it alias buf, so the caller must be completely done with
-// the previous Packet — including copying out any []byte or Str values it
-// intends to keep — before calling again. Server read loops use this to
-// decode a long request stream with no per-message frame allocation.
-func ReadPacketBuf(r io.Reader, buf []byte) (*Packet, []byte, error) {
+// ReadFrame reads exactly one BER element from r, with ReadPacket's framing
+// checks, into buf (grown as needed) and returns the frame: buf resliced to
+// the element, to be passed back as buf on the next call. The frame aliases
+// buf, so the caller must be completely done with it — having copied out
+// whatever it keeps — before calling again. A server read loop frames a long
+// request stream this way with no per-message buffer, and hands each frame
+// to a scanner or a decoder that copies what it keeps.
+func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
+	frame, _, err := readFrame(r, buf)
+	return frame, err
+}
+
+// readFrame is ReadFrame, also returning the reuse generation the frame was
+// read in (see sanRecycle) for packets decoded from it.
+func readFrame(r io.Reader, buf []byte) ([]byte, packetSan, error) {
 	var hdrArr [12]byte
 	hdr, length, err := readFrameHeader(r, hdrArr[:0])
 	if err != nil {
-		return nil, buf, err
+		return buf, packetSan{}, err
 	}
 	total := len(hdr) + length
 	if cap(buf) < total {
@@ -652,10 +659,21 @@ func ReadPacketBuf(r io.Reader, buf []byte) (*Packet, []byte, error) {
 	}
 	san := sanRecycle(buf)
 	copy(buf, hdr)
-	if _, err := io.ReadFull(r, buf[len(hdr):]); err != nil {
-		return nil, buf, err
+	_, err = io.ReadFull(r, buf[len(hdr):])
+	return buf, san, err
+}
+
+// ReadPacketBuf is ReadFrame plus a decode of the frame: the returned Packet
+// and everything reachable from it alias buf, and the possibly-grown buffer
+// is returned for the next call. The caller must be completely done with the
+// previous Packet — including copying out any []byte or Str values it
+// intends to keep — before calling again.
+func ReadPacketBuf(r io.Reader, buf []byte) (*Packet, []byte, error) {
+	frame, san, err := readFrame(r, buf)
+	if err != nil {
+		return nil, frame, err
 	}
 	d := decoder{san: san}
-	p, err := d.decodeFull(buf)
-	return p, buf, err
+	p, err := d.decodeFull(frame)
+	return p, frame, err
 }

@@ -2,12 +2,13 @@
 
 package ber
 
-// Use-after-recycle sanitizer, debug flavor. ReadPacketBuf hands out
-// Packets that alias a caller-reused frame buffer; the contract is that the
-// previous Packet (and every []byte/view derived from it) is dead the
-// moment the next frame is read into the same buffer. Violations are
-// normally silent data corruption — the old Packet's Value slices suddenly
-// contain the new message's bytes. Under -tags mdsdebug every recycle
+// Use-after-recycle sanitizer, debug flavor. ReadFrame hands out frames, and
+// ReadPacketBuf Packets, that alias a caller-reused frame buffer; the
+// contract is that the previous frame (and every Packet, []byte or view
+// derived from it) is dead the moment the next frame is read into the same
+// buffer. Violations are normally silent data corruption — the old values
+// suddenly contain the new message's bytes. Under -tags mdsdebug each
+// recycle
 //
 //   - retires the previous frame's generation, so accessors on a stale
 //     Packet panic deterministically at the use site, and
@@ -41,8 +42,8 @@ type packetSan struct {
 var frameReg sync.Map // *byte → *frameState
 
 // sanRecycle marks the previous generation of buf dead, poisons the bytes,
-// and arms a new generation. Called by ReadPacketBuf after sizing the
-// buffer and before framing the new element into it.
+// and arms a new generation. Called by ReadFrame after sizing the buffer
+// and before framing the new element into it.
 func sanRecycle(buf []byte) packetSan {
 	if cap(buf) == 0 {
 		return packetSan{}
@@ -63,6 +64,6 @@ func sanRecycle(buf []byte) packetSan {
 // check panics if the packet's frame has been recycled since it was decoded.
 func (s packetSan) check() {
 	if s.f != nil && s.f.retired.Load() {
-		panic("ber: use of Packet after its frame buffer was recycled (mdsdebug); clone values before the next ReadPacketBuf")
+		panic("ber: use of Packet after its frame buffer was recycled (mdsdebug); clone values before the next ReadFrame or ReadPacketBuf")
 	}
 }

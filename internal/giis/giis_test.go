@@ -163,6 +163,43 @@ func TestScopedSearchChainsOnlyRelevantChild(t *testing.T) {
 	}
 }
 
+// TestSearchOutOfRangeNotChained: a directory used to chain a search of
+// scope 5 or -1 unchanged to every child in view. A scope outside RFC 4511's
+// {0, 1, 2}, or a negative limit, is a protocol error at the directory,
+// before anything is chained.
+func TestSearchOutOfRangeNotChained(t *testing.T) {
+	h := newHierarchy(t, 1, 2, 2)
+	for scope := ldap.Scope(-1); scope <= 5; scope++ {
+		before := h.top.ChainedOps.Value()
+		res, err := h.client.Search(&ldap.SearchRequest{BaseDN: "o=grid", Scope: scope,
+			Filter: ldap.MustParseFilter("(objectclass=computer)")})
+		chained := h.top.ChainedOps.Value() - before
+		switch scope {
+		case ldap.ScopeWholeSubtree:
+			if err != nil || len(res.Entries) != 4 || chained == 0 {
+				t.Errorf("scope %v: %d entries, %d chained, %v", scope, len(res.Entries), chained, err)
+			}
+		case ldap.ScopeBaseObject, ldap.ScopeSingleLevel:
+			if err != nil {
+				t.Errorf("scope %v: %v", scope, err)
+			}
+		default:
+			if !ldap.IsCode(err, ldap.ResultProtocolError) || chained != 0 {
+				t.Errorf("scope %v: %v after %d chained operations, want protocolError and none", scope, err, chained)
+			}
+		}
+	}
+	for _, req := range []*ldap.SearchRequest{
+		{BaseDN: "o=grid", Scope: ldap.ScopeWholeSubtree, SizeLimit: -1},
+		{BaseDN: "o=grid", Scope: ldap.ScopeWholeSubtree, TimeLimit: -1},
+	} {
+		before := h.top.ChainedOps.Value()
+		if _, err := h.client.Search(req); !ldap.IsCode(err, ldap.ResultProtocolError) || h.top.ChainedOps.Value() != before {
+			t.Errorf("size limit %d, time limit %d: %v, want protocolError and nothing chained", req.SizeLimit, req.TimeLimit, err)
+		}
+	}
+}
+
 func TestNameIndexServedLocally(t *testing.T) {
 	r := newRig(t, NewChaining())
 	r.addHost("hostA", 1)

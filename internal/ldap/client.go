@@ -95,9 +95,10 @@ const (
 // readLoop frames the connection's responses out of its own read chunk and
 // routes them. A SearchResultEntry is scanned where it lies and becomes a
 // wire-backed entry: aliasing the chunk when its search collects its result,
-// over a copy of its own when it is streamed. Everything else is copied out
-// and tree-decoded. A chunk is reused until an entry aliases it; from then
-// on it is only ever filled further, then left to the entries that hold it.
+// over a copy of its own when it is streamed. A SearchResultDone is scanned
+// too; everything else is copied out and tree-decoded (see route). A chunk
+// is reused until an entry aliases it; from then on it is only ever filled
+// further, then left to the entries that hold it.
 func (c *Client) readLoop() {
 	var (
 		buf    = make([]byte, minReadChunk)
@@ -149,13 +150,17 @@ func (c *Client) readLoop() {
 
 // route delivers one complete response frame to the operation waiting for
 // it. aliased reports that the frame's bytes are now referenced by a
-// wire-backed entry and must never be overwritten.
+// wire-backed entry and must never be overwritten. Result entries and done
+// messages without controls are scanned; anything else is tree-decoded.
 func (c *Client) route(frame []byte, wire *wireEntries) (aliased bool, err error) {
 	var op *pendingOp
-	id, opElem, canonical := scanEnvelope(frame)
-	if canonical {
+	id, opElem, controls, scanned := scanEnvelope(frame)
+	if scanned {
 		op = c.pendingFor(id)
-		if op != nil && opElem[0] == idSearchEntry {
+	}
+	if op != nil && controls == nil {
+		switch opElem[0] {
+		case idSearchEntry:
 			if dn, attrs, ok := scanSearchEntry(opElem); ok {
 				e, err := wire.next(dn, attrs, !op.collect)
 				if err != nil {
@@ -167,6 +172,11 @@ func (c *Client) route(frame []byte, wire *wireEntries) (aliased bool, err error
 					c.deliver(op, &Message{ID: id, Op: &SearchResultEntry{Entry: e}})
 				}
 				return op.collect, nil
+			}
+		case idSearchDone:
+			if msg, ok := scanSearchDone(id, opElem); ok {
+				c.deliver(op, msg)
+				return false, nil
 			}
 		}
 	}
@@ -180,7 +190,7 @@ func (c *Client) route(frame []byte, wire *wireEntries) (aliased bool, err error
 	if err != nil {
 		return false, err
 	}
-	if !canonical {
+	if !scanned {
 		op = c.pendingFor(msg.ID)
 	}
 	if op == nil {

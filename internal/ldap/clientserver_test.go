@@ -79,6 +79,40 @@ func TestClientServerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSearchOutOfRange: RFC 4511 §4.5.1 makes scope ENUMERATED {0, 1, 2} and
+// the size and time limits INTEGER (0..maxInt). The server answers a search
+// outside that with protocolError whatever its handler; a Store used to
+// answer scope 5 or -1 with an empty success.
+func TestSearchOutOfRange(t *testing.T) {
+	c, store := startTestServer(t)
+	for _, e := range []*Entry{
+		NewEntry(MustParseDN("o=grid")).Add("objectclass", "organization"),
+		NewEntry(MustParseDN("hn=h1, o=grid")).Add("objectclass", "computer"),
+	} {
+		if err := store.Put(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for scope := Scope(-1); scope <= 5; scope++ {
+		res, err := c.Search(&SearchRequest{BaseDN: "o=grid", Scope: scope})
+		if valid := scope >= ScopeBaseObject && scope <= ScopeWholeSubtree; valid {
+			if err != nil || len(res.Entries) != 1+int(scope)/2 {
+				t.Errorf("scope %v: %v, %v", scope, res, err)
+			}
+		} else if !IsCode(err, ResultProtocolError) {
+			t.Errorf("scope %v: %v, want protocolError", scope, err)
+		}
+	}
+	for _, req := range []*SearchRequest{
+		{BaseDN: "o=grid", SizeLimit: -1},
+		{BaseDN: "o=grid", TimeLimit: -1},
+	} {
+		if _, err := c.Search(req); !IsCode(err, ResultProtocolError) {
+			t.Errorf("size limit %d, time limit %d: %v, want protocolError", req.SizeLimit, req.TimeLimit, err)
+		}
+	}
+}
+
 func TestClientConcurrentSearches(t *testing.T) {
 	c, store := startTestServer(t)
 	for i := 0; i < 50; i++ {

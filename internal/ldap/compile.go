@@ -29,16 +29,59 @@ type Compiled struct {
 // Compile builds the evaluation plan for f. Compiling a nil filter returns
 // nil, which Matches treats as match-all, so callers can compile
 // unconditionally. The source filter must not be mutated afterwards.
+//
+// A plan is laid out in one array of nodes and one of subplan pointers, cut
+// with capped capacities: two allocations for any filter, one for a leaf.
 func (f *Filter) Compile() *Compiled {
 	if f == nil {
 		return nil
 	}
-	c := &Compiled{kind: f.Kind, src: f}
+	nodes, subs := f.planSize()
+	p := planner{nodes: make([]Compiled, nodes)}
+	if subs > 0 {
+		p.subs = make([]*Compiled, subs)
+	}
+	return p.compile(f)
+}
+
+// planSize counts the plan nodes and subplan pointers f compiles to. A nil
+// subfilter takes a pointer and no node: its plan is nil, matching all.
+func (f *Filter) planSize() (nodes, subs int) {
+	if f == nil {
+		return 0, 0
+	}
+	nodes = 1
 	switch f.Kind {
 	case FilterAnd, FilterOr, FilterNot:
-		c.subs = make([]*Compiled, len(f.Subs))
+		subs = len(f.Subs)
+		for _, sub := range f.Subs {
+			n, s := sub.planSize()
+			nodes, subs = nodes+n, subs+s
+		}
+	}
+	return nodes, subs
+}
+
+// planner hands out the arrays planSize sized, in the order compile takes
+// them.
+type planner struct {
+	nodes []Compiled
+	subs  []*Compiled
+}
+
+func (p *planner) compile(f *Filter) *Compiled {
+	if f == nil {
+		return nil
+	}
+	c := &p.nodes[0]
+	p.nodes = p.nodes[1:]
+	c.kind, c.src = f.Kind, f
+	switch f.Kind {
+	case FilterAnd, FilterOr, FilterNot:
+		k := len(f.Subs)
+		c.subs, p.subs = p.subs[:k:k], p.subs[k:]
 		for i, sub := range f.Subs {
-			c.subs[i] = sub.Compile()
+			c.subs[i] = p.compile(sub)
 		}
 	case FilterGE, FilterLE:
 		c.attrFold = FoldKey(f.Attr)

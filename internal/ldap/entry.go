@@ -273,7 +273,9 @@ func (e *Entry) Select(requested []string) *Entry {
 // snapshot to a SearchWriter: the result shares e's DN and value slices —
 // it is e itself when every attribute is selected, which is what lets a
 // wire-backed entry through unparsed — so it is as read-only as e. Its name
-// is e's, so it keeps e's received name bytes too.
+// is e's, so it keeps e's received name bytes too. Its attribute slice is
+// sized for the whole request at the first match, and stays nil if nothing
+// matches.
 func (e *Entry) Project(requested []string) *Entry {
 	if selectsAll(requested) {
 		return e
@@ -281,6 +283,9 @@ func (e *Entry) Project(requested []string) *Entry {
 	out := &Entry{DN: e.DN, name: e.name}
 	for _, r := range requested {
 		if vs := e.Values(r); vs != nil {
+			if out.Attrs == nil {
+				out.Attrs = make([]Attribute, 0, len(requested))
+			}
 			out.Attrs = append(out.Attrs, Attribute{Name: r, Values: vs})
 		}
 	}

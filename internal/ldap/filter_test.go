@@ -295,6 +295,25 @@ func TestFilterDeMorganProperty(t *testing.T) {
 	}
 }
 
+// TestCompileAllocationBudget: a plan is one array of nodes plus, unless it
+// is a single leaf, one array of subplan pointers, whatever the filter's
+// shape. Every GRIS evaluation, name-index lookup and Store.Find compiles
+// one; a node and a pointer slice each per operator used to cost 4
+// allocations for (&(a=b)(c=d)).
+func TestCompileAllocationBudget(t *testing.T) {
+	for filter, budget := range map[string]float64{
+		"(hn=h1)":                          1,
+		"(&(objectclass=computer)(hn=h1))": 2,
+		"(&(objectclass=computer)(rack=r3)(!(jobid=17)))":      2,
+		"(|(&(a=1)(b>=2))(!(c=x*y*z))(d~=e)(f<=g)(!(!(h=*))))": 2,
+	} {
+		f := MustParseFilter(filter)
+		if n := testing.AllocsPerRun(100, func() { f.Compile() }); n != budget {
+			t.Errorf("compiling %s: %.0f allocations, want %.0f", filter, n, budget)
+		}
+	}
+}
+
 func BenchmarkFilterEval(b *testing.B) {
 	f := MustParseFilter("(&(objectclass=computer)(system=mips*)(freecpus>=8)(!(load5>=5.0)))")
 	e := testEntry()
@@ -340,8 +359,16 @@ func TestEntrySelect(t *testing.T) {
 	if e.Project(nil) != e || e.Project([]string{"hn", "*"}) != e {
 		t.Error("projecting every attribute should return the entry itself")
 	}
-	if allocs := testing.AllocsPerRun(100, func() { e.Project([]string{"hn"}) }); allocs > 2 {
-		t.Errorf("Project allocated %.0f objects, want the entry and its attribute list only", allocs)
+	// The attribute list is sized once for the whole request, so however many
+	// attributes match, a projection is the entry and its list; when none
+	// does, it is the entry alone.
+	for _, requested := range [][]string{{"hn"}, {"hn", "cpucount", "load5"}, {"missing", "hn", "cpucount", "osversion"}} {
+		if allocs := testing.AllocsPerRun(100, func() { e.Project(requested) }); allocs > 2 {
+			t.Errorf("Project(%v) allocated %.0f objects, want the entry and its attribute list only", requested, allocs)
+		}
+	}
+	if p := e.Project([]string{"missing"}); p.Attrs != nil {
+		t.Errorf("Project with no match has attributes %v, want nil", p.Attrs)
 	}
 }
 

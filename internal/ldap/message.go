@@ -263,10 +263,8 @@ func (m *Message) Encode() []byte {
 // ErrBadMessage reports a wire message that does not parse as LDAP.
 var ErrBadMessage = errors.New("ldap: malformed message")
 
-// cloneBytes copies a decoded []byte field out of the frame buffer, so a
-// Message survives the decoder reusing that buffer for the next frame
-// (ber.ReadPacketBuf). String fields are already copies or views of an
-// owned buffer; raw byte fields are the only aliases.
+// cloneBytes copies b at its exact size: a frame a read loop is about to
+// reuse, or a decoded []byte field, so that what is kept survives the reuse.
 func cloneBytes(b []byte) []byte {
 	if b == nil {
 		return nil

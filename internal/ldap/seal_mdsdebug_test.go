@@ -4,8 +4,11 @@ package ldap
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+
+	"mds2/internal/ber"
 )
 
 func sealTestStore(t *testing.T) *Store {
@@ -113,6 +116,47 @@ func TestSealCoversWireEntries(t *testing.T) {
 	mustPanic(t, "decoding an entry whose chunk was recycled", func() { stale.Attributes() })
 	mustPanic(t, "re-emitting an entry whose chunk was recycled", func() { entryFrame(2, grafted) })
 	mustPanic(t, "caching an entry whose chunk was recycled", func() { SealSnapshots([]*Entry{stale}) })
+}
+
+// TestReadFramePoisonsRecycledRequests: a server reads every request of a
+// connection into one frame buffer, and nothing that leaves its read loop
+// aliases it — a scanned search lives in a copy of its frame, a tree-decoded
+// request copies what it keeps. A string planted on purpose to alias the
+// buffer reads poison after the next ReadFrame, while the message built from
+// the same frame reads on intact.
+func TestReadFramePoisonsRecycledRequests(t *testing.T) {
+	short := (&Message{ID: 9, Op: &DelRequest{DN: "o=g"}}).Encode()
+	for name, long := range map[string][]byte{
+		"scanned search": (&Message{ID: 1, Op: &SearchRequest{BaseDN: "ou=s0, o=grid", Scope: ScopeWholeSubtree,
+			Filter:     MustParseFilter("(&(objectclass=computer)(hn=h1))"),
+			Attributes: []string{"hn", "load5"}}}).Encode(),
+		"tree-decoded delete": (&Message{ID: 2, Op: &DelRequest{DN: "hn=h1, ou=s0, o=grid"},
+			Controls: []Control{{OID: "1.2.3", Value: []byte("kept")}}}).Encode(),
+	} {
+		want := treeDecode(long)
+		r := bytes.NewReader(append(append([]byte(nil), long...), short...))
+		frame, err := ber.ReadFrame(r, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// What the server's read loop does with a frame.
+		msg, ok := scanSearchRequest(frame)
+		if !ok {
+			if msg, err = ParseMessageBytes(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		planted := ber.View(frame[len(short):]) // past where the next frame lands
+		if _, err := ber.ReadFrame(r, frame); err != nil {
+			t.Fatal(err)
+		}
+		if poison := strings.Repeat("\xdb", len(planted)); planted != poison {
+			t.Errorf("%s: a string aliasing the recycled frame reads %q, want poison", name, planted)
+		}
+		if !reflect.DeepEqual(msg, want) {
+			t.Errorf("%s: message changed with the frame it was read from:\n %#v\nwant\n %#v", name, msg, want)
+		}
+	}
 }
 
 // TestSealCoversKeptNames: a relayed entry's kept name bytes alias its read

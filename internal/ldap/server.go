@@ -391,21 +391,25 @@ func (c *serverConn) serve() {
 		opWG.Wait()
 		c.w.close()
 	}()
-	// Requests frame into one reused buffer: DecodeMessage copies what it
-	// keeps, so each ReadPacketBuf may recycle the previous frame.
+	// Requests frame into one reused buffer, and nothing that leaves the loop
+	// aliases it, so each ReadFrame may recycle the previous frame. A scanned
+	// search lives in an exact-size copy of its frame. Anything else is
+	// tree-decoded with a copy of each string it keeps: a GRRP Add's values
+	// are kept for as long as the registration lives, and views would pin
+	// its whole frame.
 	r := bufio.NewReaderSize(c.conn, 4<<10)
 	var frame []byte
 	for {
-		var pkt *ber.Packet
 		var err error
-		pkt, frame, err = ber.ReadPacketBuf(r, frame)
-		if err != nil {
+		if frame, err = ber.ReadFrame(r, frame); err != nil {
 			return // EOF or connection failure
 		}
-		msg, err := DecodeMessage(pkt)
-		if err != nil {
-			c.srv.logf("ldap: %s: %v", c.state.RemoteAddr, err)
-			return
+		msg, ok := scanSearchRequest(frame)
+		if !ok {
+			if msg, err = ParseMessageBytes(frame); err != nil {
+				c.srv.logf("ldap: %s: %v", c.state.RemoteAddr, err)
+				return
+			}
 		}
 		adm := c.srv.admission()
 		switch op := msg.Op.(type) {
@@ -569,7 +573,11 @@ func (c *serverConn) dispatch(ctx context.Context, msg *Message, tr *obs.Trace) 
 	switch op := msg.Op.(type) {
 	case *SearchRequest:
 		w = &connSearchWriter{conn: c, id: msg.ID, track: tr != nil}
-		reply = &SearchResultDone{Result: c.srv.Handler.Search(req, op, w)}
+		if why := searchRangeError(op); why != "" {
+			reply = &SearchResultDone{Result: Result{Code: ResultProtocolError, Message: why}}
+		} else {
+			reply = &SearchResultDone{Result: c.srv.Handler.Search(req, op, w)}
+		}
 	case *AddRequest:
 		kind = opAdd
 		reply = &AddResponse{Result: c.srv.Handler.Add(req, op)}
@@ -606,6 +614,23 @@ func (c *serverConn) dispatch(ctx context.Context, msg *Message, tr *obs.Trace) 
 		}
 	}
 	c.send(msg.ID, reply, ctls...)
+}
+
+// searchRangeError names what RFC 4511 §4.5.1 puts out of range in a search
+// — scope is ENUMERATED {0, 1, 2}, the size and time limits INTEGER
+// (0..maxInt) — or returns "". Neither decoder checks values, so the
+// dispatch does, for every handler: a store would answer such a search with
+// an empty success, and a directory would chain it to every child.
+func searchRangeError(op *SearchRequest) string {
+	switch {
+	case op.Scope < ScopeBaseObject || op.Scope > ScopeWholeSubtree:
+		return "search scope " + strconv.FormatInt(int64(op.Scope), 10) + " out of range"
+	case op.SizeLimit < 0:
+		return "negative search size limit"
+	case op.TimeLimit < 0:
+		return "negative search time limit"
+	}
+	return ""
 }
 
 func (c *serverConn) abandon(id int64) {

@@ -21,8 +21,8 @@ import (
 // operation lookup between its two steps: ok reports a frame of the
 // scanner's canonical shape, err a name the DN parser refuses.
 func scanFrame(w *wireEntries, frame []byte) (id int64, e *Entry, ok bool, err error) {
-	id, op, ok := scanEnvelope(frame)
-	if !ok || op[0] != idSearchEntry {
+	id, op, controls, ok := scanEnvelope(frame)
+	if !ok || controls != nil || op[0] != idSearchEntry {
 		return 0, nil, false, nil
 	}
 	dn, attrs, ok := scanSearchEntry(op)
@@ -156,7 +156,7 @@ func FuzzWireEntry(f *testing.F) {
 		}
 		// The name bytes are kept exactly when they are the text the encoder
 		// renders, and re-sending them changes no byte of the relayed frame.
-		_, op, _ := scanEnvelope(frame)
+		_, op, _, _ := scanEnvelope(frame)
 		received, _, _ := scanSearchEntry(op)
 		if rendered := e.DN.String(); e.name != nil && string(e.name) != rendered {
 			t.Fatalf("kept name %q, rendered %q", e.name, rendered)

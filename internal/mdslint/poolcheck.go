@@ -1,21 +1,22 @@
 package mdslint
 
 // PoolCheck enforces the pooled-buffer lifetime contract (internal/ber):
-// values obtained from sync.Pool.Get and packets decoded by
-// ber.ReadPacketBuf alias a frame buffer that will be recycled — they are
-// only valid until the next Get/ReadPacketBuf on the same buffer. Such
-// values (and everything reachable from them: Value slices, Children,
-// Child(i) results, helpers that pass them through — discovered via
-// funcShape alias facts) must not escape the frame: the analyzer flags
-// storing them into struct fields or package-level variables, sending them
-// on channels, and capturing them in go-launched goroutines.
+// values obtained from sync.Pool.Get, frames read by ber.ReadFrame and
+// packets decoded by ber.ReadPacketBuf alias a buffer that will be recycled
+// — they are only valid until the next Get/ReadFrame/ReadPacketBuf on the
+// same buffer. Such values (and everything reachable from them: Value
+// slices, Children, Child(i) results, helpers that pass them through —
+// discovered via funcShape alias facts) must not escape the frame: the
+// analyzer flags storing them into struct fields or package-level
+// variables, sending them on channels, and capturing them in go-launched
+// goroutines.
 //
 // Laundering is explicit cloning, and the engine understands the idioms:
 // string(b) and Packet.Str() produce immutable strings, []byte(nil)-append
 // and copy produce fresh bytes, Clone-named helpers copy by convention.
-// Returning a frame-aliased value is NOT an escape — that is how
-// ReadPacketBuf's contract propagates — and instead gives the function a
-// frameResults fact so its callers inherit the taint.
+// Returning a frame-aliased value is NOT an escape — that is how the
+// ReadFrame and ReadPacketBuf contract propagates — and instead gives the
+// function a frameResults fact so its callers inherit the taint.
 //
 // A second discipline rides along: zero-copy view minting via
 // unsafe.String/unsafe.Slice is internal/ber's privilege (the viewOK
@@ -30,7 +31,7 @@ const rulePool = "poolcheck"
 
 var PoolCheck = &Analyzer{
 	Name: rulePool,
-	Doc:  "sync.Pool.Get and ber.ReadPacketBuf values must not outlive their frame: no field/global stores, channel sends, or goroutine capture without a clone",
+	Doc:  "sync.Pool.Get, ber.ReadFrame and ber.ReadPacketBuf values must not outlive their frame: no field/global stores, channel sends, or goroutine capture without a clone",
 	Run:  runPoolCheck,
 }
 
@@ -38,7 +39,8 @@ const factFrameResults = "frameResults" // on *types.Func: map[int]taintBits res
 
 // isFrameSource reports whether fn hands out frame-aliased memory.
 func isFrameSource(fn *types.Func) bool {
-	return isFunc(fn, pkgBer, "ReadPacketBuf") ||
+	return isFunc(fn, pkgBer, "ReadFrame") ||
+		isFunc(fn, pkgBer, "ReadPacketBuf") ||
 		isMethod(fn, "sync", "Pool", "Get")
 }
 

@@ -35,6 +35,8 @@ func (p *Packet) Clone() *Packet {
 
 func ReadPacketBuf(buf []byte) (*Packet, error) { return &Packet{Value: buf}, nil }
 
+func ReadFrame(buf []byte) ([]byte, error) { return buf, nil }
+
 type Builder struct {
 	buf   []byte
 	stack []int
@@ -662,6 +664,40 @@ func decode(buf []byte) *ber.Packet {
 
 func (c *conn) read(buf []byte) {
 	c.last = decode(buf) // want
+}
+`},
+		{"read frame escapes", `package app
+
+import "mds2/internal/ber"
+
+type conn struct {
+	last []byte
+	ops  chan []byte
+}
+
+func (c *conn) read(buf []byte) {
+	frame, _ := ber.ReadFrame(buf)
+	op := frame[2:]
+	c.ops <- op // want
+	c.last = frame // want
+	go func() { // want
+		_ = op
+	}()
+}
+`},
+		{"read frame copied out", `package app
+
+import "mds2/internal/ber"
+
+type conn struct {
+	last []byte
+	name string
+}
+
+func (c *conn) read(buf []byte) {
+	frame, _ := ber.ReadFrame(buf)
+	c.last = append([]byte(nil), frame...)
+	c.name = string(frame[2:])
 }
 `},
 		{"sync.Pool value escapes", `package app
