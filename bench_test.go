@@ -533,7 +533,7 @@ func BenchmarkBERCodec(b *testing.B) {
 	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := ldap.ParseMessageBytes(enc); err != nil {
+			if _, err := ldap.ScanMessage(enc); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -4,9 +4,14 @@
 // The standard library's encoding/asn1 package implements DER marshaling of
 // Go structs, which is both too strict (LDAP peers may emit non-minimal BER
 // lengths) and too rigid (LDAP messages are deeply tagged unions that do not
-// map onto static struct types). This package instead models a BER element
-// as an explicit tree of Packets that callers construct and inspect by hand,
-// mirroring how the OpenLDAP codec that MDS-2 builds on works.
+// map onto static struct types). This package instead works on bytes: a
+// Builder emits elements straight into a buffer (emit.go), and FrameLen,
+// ReadFrame and Element frame and split them where they lie, for a scanner
+// that walks a message in place (internal/ldap's wire.go).
+//
+// The explicit tree of Packets — Marshal, Decode*, ReadPacket* — is the
+// reference codec: slow and obviously right, it is what tests hold the
+// Builder and the scanners to, byte for byte and message for message.
 //
 // Only definite-length encodings are supported; LDAP never uses the
 // indefinite form.
@@ -194,10 +199,10 @@ func (p *Packet) Str() string {
 	return string(p.Value)
 }
 
-// View returns b as a string without copying it, on DecodeOwned's terms: the
-// caller has given b up, and nothing writes it again while the string, or
-// anything cut from it, is alive. It is for a decoder that walks such a
-// buffer with Element instead of building Packets.
+// View returns b as a string without copying it. The caller has given b up:
+// nothing writes it again while the string, or anything cut from it, is
+// alive. It is for a decoder that walks such a buffer with Element instead
+// of building Packets.
 func View(b []byte) string {
 	if len(b) == 0 {
 		return ""

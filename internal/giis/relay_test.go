@@ -75,7 +75,7 @@ func (s *Server) decodeSearch(op *ldap.SearchRequest) (entries []*ldap.Entry, co
 // overTheWire is what a client decodes of e.
 func overTheWire(t *testing.T, e *ldap.Entry) *ldap.Entry {
 	t.Helper()
-	m, err := ldap.ParseMessageBytes((&ldap.Message{ID: 1, Op: &ldap.SearchResultEntry{Entry: e}}).Encode())
+	m, err := ldap.ScanMessage((&ldap.Message{ID: 1, Op: &ldap.SearchResultEntry{Entry: e}}).Encode())
 	if err != nil {
 		t.Fatal(err)
 	}

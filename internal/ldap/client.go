@@ -93,12 +93,11 @@ const (
 )
 
 // readLoop frames the connection's responses out of its own read chunk and
-// routes them. A SearchResultEntry is scanned where it lies and becomes a
-// wire-backed entry: aliasing the chunk when its search collects its result,
-// over a copy of its own when it is streamed. A SearchResultDone is scanned
-// too; everything else is copied out and tree-decoded (see route). A chunk
-// is reused until an entry aliases it; from then on it is only ever filled
-// further, then left to the entries that hold it.
+// routes them. Every frame is scanned where it lies (see route). A
+// SearchResultEntry becomes a wire-backed entry: aliasing the chunk when its
+// search collects its result, over a copy of its own when it is streamed.
+// A chunk is reused until an entry aliases it; from then on it is only ever
+// filled further, then left to the entries that hold it.
 func (c *Client) readLoop() {
 	var (
 		buf    = make([]byte, minReadChunk)
@@ -150,64 +149,53 @@ func (c *Client) readLoop() {
 
 // route delivers one complete response frame to the operation waiting for
 // it. aliased reports that the frame's bytes are now referenced by a
-// wire-backed entry and must never be overwritten. Result entries and done
-// messages without controls are scanned; anything else is tree-decoded.
+// wire-backed entry and must never be overwritten. A result entry becomes a
+// wire-backed entry; any other response is scanned into a message that
+// views an exact-size copy of its frame, so the chunk stays free to be
+// rewound.
 func (c *Client) route(frame []byte, wire *wireEntries) (aliased bool, err error) {
-	var op *pendingOp
-	id, opElem, controls, scanned := scanEnvelope(frame)
-	if scanned {
-		op = c.pendingFor(id)
+	var s scanner
+	id, op, controls := s.envelope(frame)
+	if s.err != nil {
+		return false, s.err
 	}
-	if op != nil && controls == nil {
-		switch opElem[0] {
-		case idSearchEntry:
-			if dn, attrs, ok := scanSearchEntry(opElem); ok {
-				e, err := wire.next(dn, attrs, !op.collect)
-				if err != nil {
-					return false, err
-				}
-				if op.collect {
-					op.entries = append(op.entries, e)
-				} else {
-					c.deliver(op, &Message{ID: id, Op: &SearchResultEntry{Entry: e}})
-				}
-				return op.collect, nil
-			}
-		case idSearchDone:
-			if msg, ok := scanSearchDone(id, opElem); ok {
-				c.deliver(op, msg)
-				return false, nil
-			}
+	if op[0] != idSearchEntry {
+		msg, err := ScanMessage(frame)
+		if err != nil {
+			return false, err
 		}
+		c.deliver(c.pendingFor(id), msg)
+		return false, nil
 	}
-	// The decoded message keeps views into its frame, so it gets a copy of
-	// its own at exact size and the chunk stays free to be rewound.
-	pkt, err := ber.DecodeOwned(cloneBytes(frame))
+	dn, attrs := s.searchEntry(op)
+	if s.err != nil {
+		return false, s.err
+	}
+	ctls, err := scanControls(controls)
 	if err != nil {
 		return false, err
 	}
-	msg, err := DecodeMessage(pkt)
+	pop := c.pendingFor(id)
+	collect := pop != nil && pop.collect
+	e, err := wire.next(dn, attrs, !collect)
 	if err != nil {
 		return false, err
 	}
-	if !scanned {
-		op = c.pendingFor(msg.ID)
+	if collect {
+		pop.entries = append(pop.entries, e)
+		return true, nil
 	}
-	if op == nil {
-		c.noteUnknown(msg.ID)
-		return false, nil
-	}
-	if e, ok := msg.Op.(*SearchResultEntry); ok && op.collect {
-		// A frame outside the scanner's canonical shape, decoded.
-		op.entries = append(op.entries, e.Entry)
-		return false, nil
-	}
-	c.deliver(op, msg)
+	c.deliver(pop, &Message{ID: id, Op: &SearchResultEntry{Entry: e}, Controls: ctls})
 	return false, nil
 }
 
-// deliver hands msg to the caller waiting on op, unless it has left.
+// deliver hands msg to the caller waiting on op, unless there is none or it
+// has left.
 func (c *Client) deliver(op *pendingOp, msg *Message) {
+	if op == nil {
+		c.noteUnknown(msg.ID)
+		return
+	}
 	select {
 	case op.ch <- msg:
 	case <-op.gone:

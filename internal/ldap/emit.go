@@ -6,7 +6,7 @@ import "mds2/internal/ber"
 // ber.Builder, so a full LDAPMessage reaches wire bytes without an
 // intermediate Packet tree. The tree encoder survives only in wire_test.go,
 // as the reference TestEncodeDifferential and FuzzEncodeDecode hold this
-// path to, byte for byte.
+// path to, byte for byte; its decoding twin is oracle_test.go.
 
 // AppendTo serializes the message envelope onto dst and returns the
 // extended slice. The connections' own writers encode with a builder of
@@ -114,7 +114,7 @@ func beginResult(b *ber.Builder, tag uint32, r Result) {
 	}
 }
 
-// appendFilter emits f in the RFC 4511 wire form (mirrors Filter.ToBER).
+// appendFilter emits f in the RFC 4511 wire form.
 func appendFilter(b *ber.Builder, f *Filter) {
 	switch f.Kind {
 	case FilterAnd, FilterOr:
@@ -152,16 +152,21 @@ func appendFilter(b *ber.Builder, f *Filter) {
 	}
 }
 
+// appendOp emits a simple bind unless the request names a SASL mechanism
+// or carries SASL credentials; absent credentials (nil) are left out, as
+// RFC 4511 has them OPTIONAL.
 func (r *BindRequest) appendOp(b *ber.Builder) {
 	b.Begin(ber.ClassApplication, appBindRequest)
 	b.Int(r.Version)
 	b.OctetString(r.Name)
-	if r.SASLMech == "" {
+	if r.SASLMech == "" && r.SASLCreds == nil {
 		b.ContextString(0, r.Password)
 	} else {
 		b.Begin(ber.ClassContext, 3)
 		b.OctetString(r.SASLMech)
-		b.OctetStringBytes(r.SASLCreds)
+		if r.SASLCreds != nil {
+			b.OctetStringBytes(r.SASLCreds)
+		}
 		b.End()
 	}
 	b.End()
@@ -204,7 +209,7 @@ func (s *SearchResultEntry) appendOp(b *ber.Builder) { appendEntry(b, s.Entry) }
 
 // appendEntry emits e as a SearchResultEntry operation. A wire-backed entry
 // goes out as it came in: its attribute list is one copy of bytes
-// scanSearchEntry already validated, and so is its name when the received
+// scanner.searchEntry already validated, and so is its name when the received
 // text was the canonical one appendDN would render.
 func appendEntry(b *ber.Builder, e *Entry) {
 	b.Begin(ber.ClassApplication, appSearchEntry)

@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-
-	"mds2/internal/ber"
 )
 
 // Attribute is a named, multi-valued attribute binding. Names compare
@@ -36,7 +34,7 @@ type Entry struct {
 	Attrs []Attribute
 	// raw is a wire-backed entry's attribute list exactly as received (the
 	// SEQUENCE OF element, header included), nil on a decoded entry. Nothing
-	// writes these bytes after scanSearchEntry accepted them.
+	// writes these bytes after scanner.searchEntry accepted them.
 	raw []byte
 	// name is the LDAPDN text the entry arrived under, kept only when it is
 	// byte for byte DN.String() (see parseDN), so a relay sends it as it is
@@ -76,47 +74,17 @@ func (e *Entry) materialize() []Attribute {
 }
 
 // decodeRawAttrs decodes a PartialAttributeList element that
-// scanSearchEntry accepted, straight off its bytes: one pass counts the
-// attributes and their values, a second cuts every attribute's values out of
-// one shared array. Names and values are views into a copy of the list made
-// here, never into raw: a value a caller keeps (a Clone keeps them all) holds
-// on to that entry's few hundred bytes, not to the read chunk raw may alias.
+// scanner.searchEntry accepted, with the scanner's two passes: the first counts
+// the attributes and their values, the second cuts every attribute's values
+// out of one shared array. Names and values view a copy of the list made
+// here, never raw: a value a caller keeps (a Clone keeps them all) holds on
+// to that entry's few hundred bytes, not to the read chunk raw may alias.
 func decodeRawAttrs(raw []byte) []Attribute {
-	_, list, _, _ := ber.Element(cloneBytes(raw))
-	nAttrs, nValues := 0, 0
-	for rest := list; len(rest) > 0; nAttrs++ {
-		var attr []byte
-		_, attr, rest, _ = ber.Element(rest)
-		_, _, attr, _ = ber.Element(attr) // past the name
-		_, set, _, _ := ber.Element(attr)
-		for ; len(set) > 0; nValues++ {
-			_, _, set, _ = ber.Element(set)
-		}
-	}
-	if nAttrs == 0 {
-		return nil
-	}
-	attrs := make([]Attribute, 0, nAttrs)
-	values := make([]string, 0, nValues)
-	for rest := list; len(rest) > 0; {
-		var attr, name, v []byte
-		_, attr, rest, _ = ber.Element(rest)
-		_, name, attr, _ = ber.Element(attr)
-		_, set, _, _ := ber.Element(attr)
-		first := len(values)
-		for len(set) > 0 {
-			_, v, set, _ = ber.Element(set)
-			values = append(values, ber.View(v))
-		}
-		a := Attribute{Name: ber.View(name)}
-		if len(values) > first {
-			// Capacity stops at the attribute's own last value, so appending
-			// to one attribute never writes into its neighbour.
-			a.Values = values[first:len(values):len(values)]
-		}
-		attrs = append(attrs, a)
-	}
-	return attrs
+	var s scanner
+	list, _ := s.next(cloneBytes(raw), idSequence)
+	s.attributes(list)
+	s.second()
+	return s.attributes(list)
 }
 
 // own turns a wire-backed entry into a decoded one holding private copies

@@ -84,7 +84,7 @@ func TestFigure3WireRoundTrip(t *testing.T) {
 	// Every Figure 3 entry survives the SearchResultEntry wire encoding.
 	for _, e := range figure3Entries() {
 		m := &Message{ID: 1, Op: &SearchResultEntry{Entry: e}}
-		back, err := ParseMessageBytes(m.Encode())
+		back, err := ScanMessage(m.Encode())
 		if err != nil {
 			t.Fatalf("%q: %v", e.DN, err)
 		}

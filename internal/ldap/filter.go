@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"mds2/internal/ber"
 )
 
 // FilterKind enumerates the RFC 4511 filter choices this implementation
@@ -470,100 +468,4 @@ func (f *Filter) Attributes() []string {
 	}
 	walk(f)
 	return out
-}
-
-// ToBER encodes the filter in the RFC 4511 wire form.
-func (f *Filter) ToBER() *ber.Packet {
-	switch f.Kind {
-	case FilterAnd, FilterOr:
-		p := ber.NewConstructed(ber.ClassContext, uint32(f.Kind))
-		for _, sub := range f.Subs {
-			p.Append(sub.ToBER())
-		}
-		return p
-	case FilterNot:
-		return ber.NewConstructed(ber.ClassContext, uint32(FilterNot)).Append(f.Subs[0].ToBER())
-	case FilterPresent:
-		return &ber.Packet{Class: ber.ClassContext, Tag: uint32(FilterPresent), Value: []byte(f.Attr)}
-	case FilterSubstrings:
-		subs := ber.NewSequence()
-		if f.Initial != "" {
-			subs.Append(ber.NewContextString(0, f.Initial))
-		}
-		for _, a := range f.Any {
-			subs.Append(ber.NewContextString(1, a))
-		}
-		if f.Final != "" {
-			subs.Append(ber.NewContextString(2, f.Final))
-		}
-		return ber.NewConstructed(ber.ClassContext, uint32(FilterSubstrings)).Append(
-			ber.NewOctetString(f.Attr), subs)
-	default: // Equality, GE, LE, Approx: AttributeValueAssertion
-		return ber.NewConstructed(ber.ClassContext, uint32(f.Kind)).Append(
-			ber.NewOctetString(f.Attr), ber.NewOctetString(f.Value))
-	}
-}
-
-// FilterFromBER decodes the RFC 4511 wire form of a filter.
-func FilterFromBER(p *ber.Packet) (*Filter, error) {
-	if p == nil || p.Class != ber.ClassContext {
-		return nil, fmt.Errorf("%w: not a context-tagged filter: %s", ErrBadFilter, p)
-	}
-	kind := FilterKind(p.Tag)
-	switch kind {
-	case FilterAnd, FilterOr:
-		if len(p.Children) == 0 {
-			return nil, fmt.Errorf("%w: empty set filter", ErrBadFilter)
-		}
-		f := &Filter{Kind: kind}
-		for _, c := range p.Children {
-			sub, err := FilterFromBER(c)
-			if err != nil {
-				return nil, err
-			}
-			f.Subs = append(f.Subs, sub)
-		}
-		return f, nil
-	case FilterNot:
-		if len(p.Children) != 1 {
-			return nil, fmt.Errorf("%w: NOT arity %d", ErrBadFilter, len(p.Children))
-		}
-		sub, err := FilterFromBER(p.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return Not(sub), nil
-	case FilterPresent:
-		if p.Constructed {
-			return nil, fmt.Errorf("%w: constructed presence filter", ErrBadFilter)
-		}
-		return Present(p.Str()), nil
-	case FilterSubstrings:
-		if len(p.Children) != 2 || p.Children[1].Tag != ber.TagSequence {
-			return nil, fmt.Errorf("%w: bad substrings shape", ErrBadFilter)
-		}
-		f := &Filter{Kind: kind, Attr: p.Children[0].Str()}
-		for _, c := range p.Children[1].Children {
-			switch c.Tag {
-			case 0:
-				f.Initial = c.Str()
-			case 1:
-				f.Any = append(f.Any, c.Str())
-			case 2:
-				f.Final = c.Str()
-			default:
-				return nil, fmt.Errorf("%w: substring tag %d", ErrBadFilter, c.Tag)
-			}
-		}
-		if f.Initial == "" && f.Final == "" && len(f.Any) == 0 {
-			return nil, fmt.Errorf("%w: empty substrings", ErrBadFilter)
-		}
-		return f, nil
-	case FilterEquality, FilterGE, FilterLE, FilterApprox:
-		if len(p.Children) != 2 {
-			return nil, fmt.Errorf("%w: AVA arity %d", ErrBadFilter, len(p.Children))
-		}
-		return &Filter{Kind: kind, Attr: p.Children[0].Str(), Value: p.Children[1].Str()}, nil
-	}
-	return nil, fmt.Errorf("%w: unknown filter tag %d", ErrBadFilter, p.Tag)
 }

@@ -263,8 +263,9 @@ func (m *Message) Encode() []byte {
 // ErrBadMessage reports a wire message that does not parse as LDAP.
 var ErrBadMessage = errors.New("ldap: malformed message")
 
-// cloneBytes copies b at its exact size: a frame a read loop is about to
-// reuse, or a decoded []byte field, so that what is kept survives the reuse.
+// cloneBytes copies b at its exact size: a frame whose strings a message
+// views, or a byte field a message keeps, so that it survives the frame's
+// reuse.
 func cloneBytes(b []byte) []byte {
 	if b == nil {
 		return nil
@@ -272,290 +273,6 @@ func cloneBytes(b []byte) []byte {
 	out := make([]byte, len(b))
 	copy(out, b)
 	return out
-}
-
-// DecodeMessage parses one LDAPMessage from its BER element.
-func DecodeMessage(p *ber.Packet) (*Message, error) {
-	if p == nil || !p.Constructed || p.Tag != ber.TagSequence || len(p.Children) < 2 {
-		return nil, fmt.Errorf("%w: bad envelope %s", ErrBadMessage, p)
-	}
-	id, err := p.Child(0).Int64()
-	if err != nil {
-		return nil, fmt.Errorf("%w: message ID: %v", ErrBadMessage, err)
-	}
-	op, err := decodeOp(p.Child(1))
-	if err != nil {
-		return nil, err
-	}
-	m := &Message{ID: id, Op: op}
-	if c := p.Child(2); c != nil && c.Class == ber.ClassContext && c.Tag == 0 {
-		for _, cseq := range c.Children {
-			ctl, err := decodeControl(cseq)
-			if err != nil {
-				return nil, err
-			}
-			m.Controls = append(m.Controls, ctl)
-		}
-	}
-	return m, nil
-}
-
-// ParseMessageBytes decodes an LDAPMessage from raw wire bytes.
-func ParseMessageBytes(b []byte) (*Message, error) {
-	p, err := ber.DecodeFull(b)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeMessage(p)
-}
-
-func decodeControl(p *ber.Packet) (Control, error) {
-	if !p.Constructed || len(p.Children) == 0 {
-		return Control{}, fmt.Errorf("%w: bad control", ErrBadMessage)
-	}
-	ctl := Control{OID: p.Child(0).Str()}
-	for _, c := range p.Children[1:] {
-		switch {
-		case c.Tag == ber.TagBoolean && c.Class == ber.ClassUniversal:
-			v, err := c.Bool()
-			if err != nil {
-				return Control{}, err
-			}
-			ctl.Criticality = v
-		case c.Tag == ber.TagOctetString && c.Class == ber.ClassUniversal:
-			ctl.Value = cloneBytes(c.Value)
-		}
-	}
-	return ctl, nil
-}
-
-func decodeResult(p *ber.Packet) (Result, int, error) {
-	if len(p.Children) < 3 {
-		return Result{}, 0, fmt.Errorf("%w: short result", ErrBadMessage)
-	}
-	code, err := p.Child(0).Int64()
-	if err != nil {
-		return Result{}, 0, err
-	}
-	r := Result{Code: ResultCode(code), MatchedDN: p.Child(1).Str(), Message: p.Child(2).Str()}
-	next := 3
-	if c := p.Child(3); c != nil && c.Class == ber.ClassContext && c.Tag == 3 && c.Constructed {
-		for _, u := range c.Children {
-			r.Referrals = append(r.Referrals, u.Str())
-		}
-		next = 4
-	}
-	return r, next, nil
-}
-
-func decodeAttrList(p *ber.Packet) ([]Attribute, error) {
-	if p == nil || !p.Constructed {
-		return nil, fmt.Errorf("%w: bad attribute list", ErrBadMessage)
-	}
-	var attrs []Attribute
-	for _, aseq := range p.Children {
-		if len(aseq.Children) != 2 {
-			return nil, fmt.Errorf("%w: bad attribute", ErrBadMessage)
-		}
-		a := Attribute{Name: aseq.Child(0).Str()}
-		for _, v := range aseq.Child(1).Children {
-			a.Values = append(a.Values, v.Str())
-		}
-		attrs = append(attrs, a)
-	}
-	return attrs, nil
-}
-
-func decodeOp(p *ber.Packet) (Op, error) {
-	if p.Class != ber.ClassApplication {
-		return nil, fmt.Errorf("%w: op not application-tagged: %s", ErrBadMessage, p)
-	}
-	switch p.Tag {
-	case appBindRequest:
-		if len(p.Children) < 3 {
-			return nil, fmt.Errorf("%w: short bind", ErrBadMessage)
-		}
-		ver, err := p.Child(0).Int64()
-		if err != nil {
-			return nil, err
-		}
-		br := &BindRequest{Version: ver, Name: p.Child(1).Str()}
-		auth := p.Child(2)
-		switch auth.Tag {
-		case 0:
-			br.Password = auth.Str()
-		case 3:
-			if len(auth.Children) < 1 {
-				return nil, fmt.Errorf("%w: bad sasl", ErrBadMessage)
-			}
-			br.SASLMech = auth.Child(0).Str()
-			if c := auth.Child(1); c != nil {
-				br.SASLCreds = cloneBytes(c.Value)
-			}
-		default:
-			return nil, fmt.Errorf("%w: auth choice %d", ErrBadMessage, auth.Tag)
-		}
-		return br, nil
-	case appBindResponse:
-		r, next, err := decodeResult(p)
-		if err != nil {
-			return nil, err
-		}
-		br := &BindResponse{Result: r}
-		if c := p.Child(next); c != nil && c.Class == ber.ClassContext && c.Tag == 7 {
-			br.ServerCreds = cloneBytes(c.Value)
-		}
-		return br, nil
-	case appUnbindRequest:
-		return &UnbindRequest{}, nil
-	case appSearchRequest:
-		if len(p.Children) < 8 {
-			return nil, fmt.Errorf("%w: short search", ErrBadMessage)
-		}
-		scope, err1 := p.Child(1).Int64()
-		deref, err2 := p.Child(2).Int64()
-		size, err3 := p.Child(3).Int64()
-		tl, err4 := p.Child(4).Int64()
-		typesOnly, err5 := p.Child(5).Bool()
-		if err := firstErr(err1, err2, err3, err4, err5); err != nil {
-			return nil, err
-		}
-		filter, err := FilterFromBER(p.Child(6))
-		if err != nil {
-			return nil, err
-		}
-		sr := &SearchRequest{
-			BaseDN: p.Child(0).Str(), Scope: Scope(scope), DerefAlias: deref,
-			SizeLimit: size, TimeLimit: tl, TypesOnly: typesOnly, Filter: filter,
-		}
-		for _, a := range p.Child(7).Children {
-			sr.Attributes = append(sr.Attributes, a.Str())
-		}
-		return sr, nil
-	case appSearchEntry:
-		if len(p.Children) != 2 {
-			return nil, fmt.Errorf("%w: bad search entry", ErrBadMessage)
-		}
-		dn, err := ParseDN(p.Child(0).Str())
-		if err != nil {
-			return nil, err
-		}
-		attrs, err := decodeAttrList(p.Child(1))
-		if err != nil {
-			return nil, err
-		}
-		return &SearchResultEntry{Entry: &Entry{DN: dn, Attrs: attrs}}, nil
-	case appSearchReference:
-		ref := &SearchResultReference{}
-		for _, c := range p.Children {
-			ref.URLs = append(ref.URLs, c.Str())
-		}
-		return ref, nil
-	case appSearchDone:
-		r, _, err := decodeResult(p)
-		if err != nil {
-			return nil, err
-		}
-		return &SearchResultDone{Result: r}, nil
-	case appAddRequest:
-		if len(p.Children) != 2 {
-			return nil, fmt.Errorf("%w: bad add", ErrBadMessage)
-		}
-		dn, err := ParseDN(p.Child(0).Str())
-		if err != nil {
-			return nil, err
-		}
-		attrs, err := decodeAttrList(p.Child(1))
-		if err != nil {
-			return nil, err
-		}
-		return &AddRequest{Entry: &Entry{DN: dn, Attrs: attrs}}, nil
-	case appAddResponse:
-		r, _, err := decodeResult(p)
-		if err != nil {
-			return nil, err
-		}
-		return &AddResponse{Result: r}, nil
-	case appDelRequest:
-		return &DelRequest{DN: p.Str()}, nil
-	case appDelResponse:
-		r, _, err := decodeResult(p)
-		if err != nil {
-			return nil, err
-		}
-		return &DelResponse{Result: r}, nil
-	case appModifyRequest:
-		if len(p.Children) != 2 {
-			return nil, fmt.Errorf("%w: bad modify", ErrBadMessage)
-		}
-		mr := &ModifyRequest{DN: p.Child(0).Str()}
-		for _, chSeq := range p.Child(1).Children {
-			if len(chSeq.Children) != 2 || len(chSeq.Child(1).Children) != 2 {
-				return nil, fmt.Errorf("%w: bad change", ErrBadMessage)
-			}
-			op, err := chSeq.Child(0).Int64()
-			if err != nil {
-				return nil, err
-			}
-			ch := ModifyChange{Op: op, Attr: Attribute{Name: chSeq.Child(1).Child(0).Str()}}
-			for _, v := range chSeq.Child(1).Child(1).Children {
-				ch.Attr.Values = append(ch.Attr.Values, v.Str())
-			}
-			mr.Changes = append(mr.Changes, ch)
-		}
-		return mr, nil
-	case appModifyResponse:
-		r, _, err := decodeResult(p)
-		if err != nil {
-			return nil, err
-		}
-		return &ModifyResponse{Result: r}, nil
-	case appAbandonRequest:
-		id, err := ber.ParseInt64(p.Value)
-		if err != nil {
-			return nil, err
-		}
-		return &AbandonRequest{IDToAbandon: id}, nil
-	case appExtendedRequest:
-		er := &ExtendedRequest{}
-		for _, c := range p.Children {
-			switch c.Tag {
-			case 0:
-				er.OID = c.Str()
-			case 1:
-				er.Value = cloneBytes(c.Value)
-			}
-		}
-		if er.OID == "" {
-			return nil, fmt.Errorf("%w: extended request without OID", ErrBadMessage)
-		}
-		return er, nil
-	case appExtendedResp:
-		r, next, err := decodeResult(p)
-		if err != nil {
-			return nil, err
-		}
-		er := &ExtendedResponse{Result: r}
-		for _, c := range p.Children[next:] {
-			switch c.Tag {
-			case 10:
-				er.OID = c.Str()
-			case 11:
-				er.Value = cloneBytes(c.Value)
-			}
-		}
-		return er, nil
-	}
-	return nil, fmt.Errorf("%w: unknown operation tag %d", ErrBadMessage, p.Tag)
-}
-
-func firstErr(errs ...error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
 }
 
 // Persistent search (draft-ietf-ldapext-psearch, cited as [32] in the paper)
@@ -585,14 +302,16 @@ type PersistentSearch struct {
 	ReturnECs   bool
 }
 
-// NewPersistentSearchControl builds the subscription control.
+// NewPersistentSearchControl builds the subscription control. Its value is
+// SEQUENCE { changeTypes INTEGER, changesOnly BOOLEAN, returnECs BOOLEAN }.
 func NewPersistentSearchControl(ps PersistentSearch) Control {
-	val := ber.Marshal(ber.NewSequence().Append(
-		ber.NewInteger(ps.ChangeTypes),
-		ber.NewBoolean(ps.ChangesOnly),
-		ber.NewBoolean(ps.ReturnECs),
-	))
-	return Control{OID: OIDPersistentSearch, Criticality: true, Value: val}
+	var b ber.Builder
+	b.Begin(ber.ClassUniversal, ber.TagSequence)
+	b.Int(ps.ChangeTypes)
+	b.Bool(ps.ChangesOnly)
+	b.Bool(ps.ReturnECs)
+	b.End()
+	return Control{OID: OIDPersistentSearch, Criticality: true, Value: b.Bytes()}
 }
 
 // ParsePersistentSearch decodes a persistent-search control value.
@@ -600,42 +319,51 @@ func ParsePersistentSearch(c Control) (PersistentSearch, error) {
 	if c.OID != OIDPersistentSearch {
 		return PersistentSearch{}, fmt.Errorf("%w: not a persistent search control", ErrBadMessage)
 	}
-	p, err := ber.DecodeFull(c.Value)
-	if err != nil {
-		return PersistentSearch{}, err
+	var s scanner
+	seq, rest := s.next(c.Value, idSequence)
+	s.end(rest, "persistent search value")
+	changeTypes, seq := s.int(seq, idInteger)
+	changesOnly, seq := s.bool(seq)
+	returnECs, seq := s.bool(seq)
+	s.end(seq, "persistent search value")
+	if s.err != nil {
+		return PersistentSearch{}, s.err
 	}
-	if len(p.Children) != 3 {
-		return PersistentSearch{}, fmt.Errorf("%w: bad psearch value", ErrBadMessage)
-	}
-	ct, err1 := p.Child(0).Int64()
-	co, err2 := p.Child(1).Bool()
-	re, err3 := p.Child(2).Bool()
-	if err := firstErr(err1, err2, err3); err != nil {
-		return PersistentSearch{}, err
-	}
-	return PersistentSearch{ChangeTypes: ct, ChangesOnly: co, ReturnECs: re}, nil
+	return PersistentSearch{ChangeTypes: changeTypes, ChangesOnly: changesOnly, ReturnECs: returnECs}, nil
 }
 
 // NewEntryChangeControl builds the notification control attached to each
-// streamed persistent-search entry.
+// streamed persistent-search entry. Its value is SEQUENCE { changeType
+// ENUMERATED }.
 func NewEntryChangeControl(changeType int64) Control {
-	val := ber.Marshal(ber.NewSequence().Append(ber.NewEnumerated(changeType)))
-	return Control{OID: OIDEntryChangeNotification, Value: val}
+	var b ber.Builder
+	b.Begin(ber.ClassUniversal, ber.TagSequence)
+	b.Enum(changeType)
+	b.End()
+	return Control{OID: OIDEntryChangeNotification, Value: b.Bytes()}
 }
 
-// ParseEntryChange extracts the change type from an entry-change control.
+// ParseEntryChange extracts the change type from an entry-change control,
+// whose value may also carry the draft's OPTIONAL previousDN and
+// changeNumber: SEQUENCE { changeType ENUMERATED, previousDN LDAPDN
+// OPTIONAL, changeNumber INTEGER OPTIONAL }.
 func ParseEntryChange(c Control) (int64, error) {
 	if c.OID != OIDEntryChangeNotification {
 		return 0, fmt.Errorf("%w: not an entry change control", ErrBadMessage)
 	}
-	p, err := ber.DecodeFull(c.Value)
-	if err != nil {
-		return 0, err
+	var s scanner
+	seq, rest := s.next(c.Value, idSequence)
+	s.end(rest, "entry change value")
+	changeType, seq := s.int(seq, idEnumerated)
+	_, seq, _ = s.optional(seq, idOctetString)
+	if len(seq) > 0 {
+		_, seq = s.int(seq, idInteger)
 	}
-	if len(p.Children) < 1 {
-		return 0, fmt.Errorf("%w: bad entry change value", ErrBadMessage)
+	s.end(seq, "entry change value")
+	if s.err != nil {
+		return 0, s.err
 	}
-	return p.Child(0).Int64()
+	return changeType, nil
 }
 
 // FindControl returns the first control with the given OID.

@@ -1,13 +1,16 @@
 package ldap
 
 import (
+	"errors"
 	"reflect"
 	"testing"
+
+	"mds2/internal/ber"
 )
 
 func roundTripMessage(t *testing.T, m *Message) *Message {
 	t.Helper()
-	back, err := ParseMessageBytes(m.Encode())
+	back, err := ScanMessage(m.Encode())
 	if err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
@@ -213,10 +216,15 @@ func TestDecodeMessageErrors(t *testing.T) {
 	for _, bad := range [][]byte{
 		{0x04, 0x00},                   // not a sequence
 		{0x30, 0x03, 0x02, 0x01, 0x01}, // missing op
+		{0x30, 0x05, 0x02, 0x01, 0x01, 0x42, 0x00, 0x00}, // trailing byte after the envelope
+		{0x30, 0x05, 0x02, 0x01, 0x01, 0x5f, 0x00},       // unknown operation
 	} {
-		if _, err := ParseMessageBytes(bad); err == nil {
-			t.Errorf("% x: expected error", bad)
+		if _, err := ScanMessage(bad); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("% x: error %v, want ErrBadMessage", bad, err)
 		}
+	}
+	if _, err := DecodeMessage(ber.NewSequence().Append(ber.NewInteger(1))); !errors.Is(err, ErrBadMessage) {
+		t.Errorf("DecodeMessage of an envelope without an operation: %v", err)
 	}
 }
 
@@ -240,7 +248,7 @@ func BenchmarkMessageDecodeSearch(b *testing.B) {
 	}}).Encode()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ParseMessageBytes(enc); err != nil {
+		if _, err := ScanMessage(enc); err != nil {
 			b.Fatal(err)
 		}
 	}

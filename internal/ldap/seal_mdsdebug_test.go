@@ -120,17 +120,17 @@ func TestSealCoversWireEntries(t *testing.T) {
 
 // TestReadFramePoisonsRecycledRequests: a server reads every request of a
 // connection into one frame buffer, and nothing that leaves its read loop
-// aliases it — a scanned search lives in a copy of its frame, a tree-decoded
-// request copies what it keeps. A string planted on purpose to alias the
-// buffer reads poison after the next ReadFrame, while the message built from
-// the same frame reads on intact.
+// aliases it — a search lives in a copy of its frame, any other request
+// copies what it keeps. A string planted on purpose to alias the buffer
+// reads poison after the next ReadFrame, while the message built from the
+// same frame reads on intact.
 func TestReadFramePoisonsRecycledRequests(t *testing.T) {
 	short := (&Message{ID: 9, Op: &DelRequest{DN: "o=g"}}).Encode()
 	for name, long := range map[string][]byte{
 		"scanned search": (&Message{ID: 1, Op: &SearchRequest{BaseDN: "ou=s0, o=grid", Scope: ScopeWholeSubtree,
 			Filter:     MustParseFilter("(&(objectclass=computer)(hn=h1))"),
 			Attributes: []string{"hn", "load5"}}}).Encode(),
-		"tree-decoded delete": (&Message{ID: 2, Op: &DelRequest{DN: "hn=h1, ou=s0, o=grid"},
+		"copied delete": (&Message{ID: 2, Op: &DelRequest{DN: "hn=h1, ou=s0, o=grid"},
 			Controls: []Control{{OID: "1.2.3", Value: []byte("kept")}}}).Encode(),
 	} {
 		want := treeDecode(long)
@@ -140,11 +140,9 @@ func TestReadFramePoisonsRecycledRequests(t *testing.T) {
 			t.Fatal(err)
 		}
 		// What the server's read loop does with a frame.
-		msg, ok := scanSearchRequest(frame)
-		if !ok {
-			if msg, err = ParseMessageBytes(frame); err != nil {
-				t.Fatal(err)
-			}
+		msg, err := scanMessage(frame, true)
+		if err != nil {
+			t.Fatal(err)
 		}
 		planted := ber.View(frame[len(short):]) // past where the next frame lands
 		if _, err := ber.ReadFrame(r, frame); err != nil {

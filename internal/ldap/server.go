@@ -392,11 +392,10 @@ func (c *serverConn) serve() {
 		c.w.close()
 	}()
 	// Requests frame into one reused buffer, and nothing that leaves the loop
-	// aliases it, so each ReadFrame may recycle the previous frame. A scanned
-	// search lives in an exact-size copy of its frame. Anything else is
-	// tree-decoded with a copy of each string it keeps: a GRRP Add's values
-	// are kept for as long as the registration lives, and views would pin
-	// its whole frame.
+	// aliases it, so each ReadFrame may recycle the previous frame. A search
+	// lives in an exact-size copy of its frame. Any other request copies each
+	// string it keeps: a GRRP Add's values are kept for as long as the
+	// registration lives, and views would pin its whole frame.
 	r := bufio.NewReaderSize(c.conn, 4<<10)
 	var frame []byte
 	for {
@@ -404,12 +403,10 @@ func (c *serverConn) serve() {
 		if frame, err = ber.ReadFrame(r, frame); err != nil {
 			return // EOF or connection failure
 		}
-		msg, ok := scanSearchRequest(frame)
-		if !ok {
-			if msg, err = ParseMessageBytes(frame); err != nil {
-				c.srv.logf("ldap: %s: %v", c.state.RemoteAddr, err)
-				return
-			}
+		msg, err := scanMessage(frame, true)
+		if err != nil {
+			c.srv.logf("ldap: %s: %v", c.state.RemoteAddr, err)
+			return
 		}
 		adm := c.srv.admission()
 		switch op := msg.Op.(type) {
@@ -618,9 +615,10 @@ func (c *serverConn) dispatch(ctx context.Context, msg *Message, tr *obs.Trace) 
 
 // searchRangeError names what RFC 4511 §4.5.1 puts out of range in a search
 // — scope is ENUMERATED {0, 1, 2}, the size and time limits INTEGER
-// (0..maxInt) — or returns "". Neither decoder checks values, so the
-// dispatch does, for every handler: a store would answer such a search with
-// an empty success, and a directory would chain it to every child.
+// (0..maxInt) — or returns "". The scanner checks the language, not
+// values, so the dispatch does, for every handler: a store would answer such
+// a search with an empty success, and a directory would chain it to every
+// child.
 func searchRangeError(op *SearchRequest) string {
 	switch {
 	case op.Scope < ScopeBaseObject || op.Scope > ScopeWholeSubtree:

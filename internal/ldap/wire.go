@@ -2,52 +2,82 @@ package ldap
 
 import (
 	"bytes"
+	"fmt"
 
 	"mds2/internal/ber"
 )
 
-// This file is the wire path's read side: scanners that build the messages a
-// search moves — the request a server reads, the result entries and the
-// done message a client reads — straight off the frame, without the
-// Packet tree DecodeMessage walks.
+// This file is the wire path's read side: one scanner that decodes every
+// LDAPMessage either read loop receives straight off its frame, with no
+// ber.Packet tree in between.
+//
+// A message is scanned in two passes. The first walks the frame where it
+// lies, checks every tag and length down to the last leaf, and counts what
+// the message holds; the second cuts the message out of arrays of exactly
+// those sizes — one for all its strings, one for its filter's nodes, and so
+// on. Its strings and byte fields view one exact-size copy of the frame,
+// made only when some of them are non-empty: a successful done message is
+// its Message and nothing else. A server's read loop reuses its frame
+// buffer, and keeps a GRRP Add's values for as long as the registration
+// lives, where views would pin the whole Add frame; so on a server every
+// request but a search copies each string it keeps instead.
 //
 // A directory that chains a search needs one thing from each result entry a
 // child sends back — its name, to graft, order and dedup it — and otherwise
-// passes the entry on; a broker often reads little more. So instead of
-// tree-decoding every SearchResultEntry into Packets and an Entry, the
-// client's read loop scans the frame in place, for every search: one pass, no
-// allocation, validating every length and tag on the way, and yielding the
-// name plus the attribute list as the bytes it arrived in (see Entry), to be
-// re-emitted as they are or decoded when something asks. The done message
-// that ends the search is scanned too.
+// passes the entry on; a broker often reads little more. So the client's
+// read loop validates a SearchResultEntry with the same walk and builds no
+// attributes: the entry keeps its name and its attribute list as the bytes
+// they arrived in (see Entry), to be re-emitted as they are or decoded when
+// something asks.
 //
-// Every server on a discovery's path reads the request before it answers or
-// forwards it. A scanned SearchRequest is one validating counting pass over
-// the frame where it lies, then one exact-size copy of the frame that all
-// its strings view, one allocation for the Message and its SearchRequest,
-// and one array each for the filter's nodes and the request's strings.
-//
-// The scanners accept exactly the canonical shape this package's encoder
-// emits — one-octet identifiers, universal INTEGER / ENUMERATED / BOOLEAN /
-// OCTET STRING / SEQUENCE / SET where RFC 4511 says so, nothing trailing.
-// Anything else is not refused but handed to the tree decoder, which alone
-// decides whether a frame is LDAP; so a frame is accepted by a connection iff
-// DecodeMessage accepts it, and bytes are relayed only if every one of them
-// was checked here. FuzzWireEntry and FuzzScanSearchRequest pin both.
+// The scanner accepts the language DESIGN §9 settles: RFC 4511's BER with
+// one-octet identifiers and definite lengths (long forms, minimal or not),
+// primitive OCTET STRINGs, and universal INTEGER, ENUMERATED, BOOLEAN,
+// SEQUENCE and SET exactly where RFC 4511 puts them, every field in its
+// place and nothing after the last. Anything else is refused, and the
+// connection that sent it is closed; so every byte a directory relays was
+// checked. FuzzScanMessage holds the scanner to the Packet-tree decoder the
+// tests keep as their oracle: what the scanner accepts, the oracle accepts
+// as the same message, and whatever the oracle accepts, the scanner accepts
+// in this package's own encoding.
 
-// One-octet BER identifiers of the canonical frames.
+// One-octet BER identifiers of LDAP messages.
 const (
-	idBoolean       = 0x01
-	idInteger       = 0x02
-	idOctetString   = 0x04
-	idEnumerated    = 0x0a
-	idSequence      = 0x30
-	idSet           = 0x31
-	idSearchRequest = 0x40 | 0x20 | byte(appSearchRequest) // [APPLICATION 3], constructed
-	idSearchEntry   = 0x40 | 0x20 | byte(appSearchEntry)   // [APPLICATION 4], constructed
-	idSearchDone    = 0x40 | 0x20 | byte(appSearchDone)    // [APPLICATION 5], constructed
-	idControls      = 0x80 | 0x20                          // [0], constructed
-	idReferrals     = 0x80 | 0x20 | 3                      // [3], constructed
+	idBoolean     = 0x01
+	idInteger     = 0x02
+	idOctetString = 0x04
+	idEnumerated  = 0x0a
+	idSequence    = 0x30
+	idSet         = 0x31
+	idControls    = 0x80 | 0x20     // [0], constructed, after the operation
+	idReferrals   = 0x80 | 0x20 | 3 // [3], constructed, in an LDAPResult
+
+	// Operations: [APPLICATION n], constructed but for three.
+	idBindRequest     = 0x60 | byte(appBindRequest)
+	idBindResponse    = 0x60 | byte(appBindResponse)
+	idUnbindRequest   = 0x40 | byte(appUnbindRequest) // NULL
+	idSearchRequest   = 0x60 | byte(appSearchRequest)
+	idSearchEntry     = 0x60 | byte(appSearchEntry)
+	idSearchDone      = 0x60 | byte(appSearchDone)
+	idModifyRequest   = 0x60 | byte(appModifyRequest)
+	idModifyResponse  = 0x60 | byte(appModifyResponse)
+	idAddRequest      = 0x60 | byte(appAddRequest)
+	idAddResponse     = 0x60 | byte(appAddResponse)
+	idDelRequest      = 0x40 | byte(appDelRequest) // LDAPDN
+	idDelResponse     = 0x60 | byte(appDelResponse)
+	idAbandonRequest  = 0x40 | byte(appAbandonRequest) // MessageID
+	idSearchReference = 0x60 | byte(appSearchReference)
+	idExtendedRequest = 0x60 | byte(appExtendedRequest)
+	idExtendedResp    = 0x60 | byte(appExtendedResp)
+
+	// Context-tagged fields of operations, primitive but for SASL's.
+	idSimpleAuth   = 0x80 | 0        // BindRequest: simple password
+	idSASLAuth     = 0x80 | 0x20 | 3 // BindRequest: SaslCredentials
+	idServerCreds  = 0x80 | 7        // BindResponse: serverSaslCreds
+	idExtName      = 0x80 | 0        // ExtendedRequest: requestName
+	idExtValue     = 0x80 | 1        // ExtendedRequest: requestValue
+	idExtRespName  = 0x80 | 10       // ExtendedResponse: responseName
+	idExtRespValue = 0x80 | 11       // ExtendedResponse: responseValue
 
 	// Filter choices (RFC 4511 §4.5.1.7): context-tagged by kind, all
 	// constructed but present.
@@ -65,212 +95,488 @@ const (
 	idSubFinal         = 0x80 | 2
 )
 
-// scanEnvelope splits a complete LDAPMessage frame into its message ID, its
-// operation element and its control list — the whole [0] element, nil when
-// the frame carries none. ok is false for any frame outside the canonical
-// shape, which the caller then tree-decodes.
-func scanEnvelope(frame []byte) (id int64, op, controls []byte, ok bool) {
-	tag, body, rest, err := ber.Element(frame)
-	if err != nil || tag != idSequence || len(rest) != 0 {
-		return 0, nil, nil, false
-	}
-	tag, idBytes, body, err := ber.Element(body)
-	if err != nil || tag != idInteger {
-		return 0, nil, nil, false
-	}
-	if id, err = ber.ParseInt64(idBytes); err != nil {
-		return 0, nil, nil, false
-	}
-	if _, _, rest, err = ber.Element(body); err != nil {
-		return 0, nil, nil, false
-	}
-	op = body[:len(body)-len(rest)]
-	if len(rest) == 0 {
-		return id, op, nil, true
-	}
-	var after []byte
-	if tag, _, after, err = ber.Element(rest); err != nil || tag != idControls || len(after) != 0 {
-		return 0, nil, nil, false
-	}
-	return id, op, rest, true
+// ScanMessage decodes one complete LDAPMessage frame. The message keeps
+// nothing of frame: its strings and byte fields view one exact-size copy of
+// it. A frame outside the language is refused with an error wrapping
+// ErrBadMessage.
+func ScanMessage(frame []byte) (*Message, error) {
+	return scanMessage(frame, false)
 }
 
-// field cuts the contents of the element at the front of b off it. It is
-// for elements a scanner has already validated, and ignores errors.
-func field(b []byte) (contents, rest []byte) {
-	_, contents, rest, _ = ber.Element(b)
+// DecodeMessage decodes one LDAPMessage from its BER element, by scanning
+// the element marshaled back to bytes. It is an adapter for the one caller
+// left holding a Packet, bench's layer pass (bench/cmd/bench/layers.go), and
+// goes when ROADMAP item 1(g) times the scanner there instead.
+func DecodeMessage(p *ber.Packet) (*Message, error) {
+	return ScanMessage(ber.Marshal(p))
+}
+
+// scanMessage is ScanMessage with the server's choice of copies: with
+// copyRequests, every message but a search request gets strings and byte
+// fields of their own instead of views.
+func scanMessage(frame []byte, copyRequests bool) (*Message, error) {
+	var s scanner
+	s.message(frame)
+	if s.err != nil {
+		return nil, s.err
+	}
+	s.copy = copyRequests && s.op != idSearchRequest
+	s.second()
+	m := s.message(s.owned(frame))
+	if s.err != nil {
+		return nil, s.err // a name ParseDN refuses
+	}
+	return m, nil
+}
+
+// scanControls decodes a control list, as envelope returns it, into
+// controls that view one exact-size copy of it.
+func scanControls(list []byte) ([]Control, error) {
+	if len(list) == 0 {
+		return nil, nil
+	}
+	var s scanner
+	s.controls(list)
+	if s.err != nil {
+		return nil, s.err
+	}
+	s.second()
+	return s.controls(s.owned(list)), nil
+}
+
+// scanner is the state of one scan. Its zero value is a first pass, which
+// allocates nothing: on its own it is a validating reader for anything laid
+// out in a message's elements (an entry to relay, a control's value).
+//
+// Its readers take the bytes a field starts at and return what they read
+// and the bytes after it. Once the message is refused, every reader returns
+// nothing, so every walk of a list ends.
+type scanner struct {
+	build bool  // the second pass
+	copy  bool  // strings and byte fields are copies of their own, not views
+	err   error // why the message is refused
+	op    byte  // the operation's identifier
+	keep  int   // bytes of strings and byte fields, counted by the first pass
+	n     struct{ strs, attrs, nodes, subs, ctls, mods int }
+
+	// The arrays of the second pass, at the sizes n counted. Each list a
+	// message holds is a run of one of them, capped at its own end, so that
+	// appending to one list never writes into the next.
+	strs  []string
+	attrs []Attribute
+	nodes []Filter
+	subs  []*Filter
+	ctls  []Control
+	mods  []ModifyChange
+}
+
+// second turns s into the second pass: it makes the arrays the first pass
+// counted (a search request makes its own subfilter pointers).
+func (s *scanner) second() {
+	s.build = true
+	s.strs = makeRun[string](s.n.strs)
+	s.attrs = makeRun[Attribute](s.n.attrs)
+	s.nodes = makeRun[Filter](s.n.nodes)
+	s.ctls = makeRun[Control](s.n.ctls)
+	s.mods = makeRun[ModifyChange](s.n.mods)
+}
+
+// owned returns what the second pass walks: b itself, or, when some string
+// or byte field is to view it, a copy of it.
+func (s *scanner) owned(b []byte) []byte {
+	if s.copy || s.keep == 0 {
+		return b
+	}
+	return cloneBytes(b)
+}
+
+func makeRun[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
+}
+
+// run returns the items of a from first on, capped at their end; nil when
+// there are none.
+func run[T any](a []T, first int) []T {
+	if len(a) == first {
+		return nil
+	}
+	return a[first:len(a):len(a)]
+}
+
+// fail refuses the message, unless it already is.
+func (s *scanner) fail(why string) {
+	if s.err == nil {
+		s.err = fmt.Errorf("%w: %s", ErrBadMessage, why)
+	}
+}
+
+// elem cuts the element at the front of b, whatever its identifier.
+func (s *scanner) elem(b []byte) (id byte, contents, rest []byte) {
+	if s.err != nil {
+		return 0, nil, nil
+	}
+	id, contents, rest, err := ber.Element(b)
+	if err != nil {
+		s.err = fmt.Errorf("%w: %w", ErrBadMessage, err)
+	}
+	return id, contents, rest
+}
+
+// next is elem for an element that must have identifier want. It cuts an
+// element of the short form — nearly every one a message has — itself.
+func (s *scanner) next(b []byte, want byte) (contents, rest []byte) {
+	if len(b) >= 2 && b[0] == want && b[1] < 0x80 && int(b[1]) <= len(b)-2 && s.err == nil {
+		n := 2 + int(b[1])
+		return b[2:n], b[n:]
+	}
+	id, contents, rest := s.elem(b)
+	if s.err == nil && id != want {
+		s.fail(fmt.Sprintf("element %#02x where %#02x belongs", id, want))
+		return nil, nil
+	}
 	return contents, rest
 }
 
-// intField is field for a validated INTEGER or ENUMERATED.
-func intField(b []byte) (int64, []byte) {
-	v, rest := field(b)
-	n, _ := ber.ParseInt64(v)
+// optional is next for an OPTIONAL field, which is there iff b starts with
+// identifier id.
+func (s *scanner) optional(b []byte, id byte) (contents, rest []byte, present bool) {
+	if len(b) == 0 || b[0] != id {
+		return nil, b, false
+	}
+	contents, rest = s.next(b, id)
+	return contents, rest, true
+}
+
+// end refuses the message unless b, the rest of a constructed element, is
+// empty: nothing follows a last field.
+func (s *scanner) end(b []byte, what string) {
+	if len(b) > 0 {
+		s.trailing(what)
+	}
+}
+
+// trailing is end's failure path, kept out of line so that end inlines.
+//
+//go:noinline
+func (s *scanner) trailing(what string) { s.fail("trailing data after " + what) }
+
+// int reads an INTEGER or ENUMERATED of 1 to 8 octets.
+func (s *scanner) int(b []byte, id byte) (int64, []byte) {
+	v, rest := s.next(b, id)
+	if s.err != nil {
+		return 0, nil
+	}
+	n, err := ber.ParseInt64(v)
+	if err != nil {
+		s.err = fmt.Errorf("%w: %w", ErrBadMessage, err)
+	}
 	return n, rest
 }
 
-// searchCounts sizes the arrays a scanned SearchRequest is cut into.
-type searchCounts struct {
-	nodes    int // filter nodes
-	subs     int // subfilter pointers of And, Or and Not
-	attrs    int // requested attribute names
-	anys     int // middle substring fragments
-	controls int
+// bool reads a BOOLEAN of one octet, TRUE unless it is 0x00.
+func (s *scanner) bool(b []byte) (bool, []byte) {
+	v, rest := s.next(b, idBoolean)
+	if s.err == nil && len(v) != 1 {
+		s.fail("BOOLEAN not of one octet")
+	}
+	return s.err == nil && v[0] != 0, rest
 }
 
-// scanSearchRequest builds the Message of a complete LDAPMessage frame that
-// carries a SearchRequest in the canonical shape: the eight RFC 4511 fields
-// with OCTET STRING leaves and a one-octet BOOLEAN, filter kinds and arities
-// as FilterFromBER takes them, and controls, if any, each SEQUENCE { oid,
-// BOOLEAN?, OCTET STRING? } in that order. ok is false for any other frame,
-// which the caller hands to the tree decoder. The Message keeps nothing of
-// frame: its strings view, and its control values are cut from, one
-// exact-size copy that nothing writes, as with DecodeOwned.
-func scanSearchRequest(frame []byte) (*Message, bool) {
-	_, op, controls, ok := scanEnvelope(frame)
-	if !ok || op[0] != idSearchRequest {
-		return nil, false
+// str returns the contents of a string field.
+func (s *scanner) str(v []byte) string {
+	switch {
+	case !s.build:
+		s.keep += len(v)
+		return ""
+	case s.copy:
+		return string(v)
 	}
-	n, ok := countSearchRequest(op, controls)
-	if !ok {
-		return nil, false
-	}
-	return buildSearchRequest(cloneBytes(frame), n), true
+	return ber.View(v)
 }
 
-// countSearchRequest validates a SearchRequest operation element and its
-// control list, as scanEnvelope returns them, down to the last leaf, and
-// counts what the request holds.
-func countSearchRequest(op, controls []byte) (n searchCounts, ok bool) {
-	_, body, _, _ := ber.Element(op) // scanEnvelope checked the element
-	for _, want := range [...]byte{idOctetString, idEnumerated, idEnumerated, idInteger, idInteger, idBoolean} {
-		tag, v, rest, err := ber.Element(body)
-		if err != nil || tag != want {
-			return n, false
-		}
-		switch want {
-		case idEnumerated, idInteger:
-			if _, err := ber.ParseInt64(v); err != nil {
-				return n, false
-			}
-		case idBoolean:
-			if len(v) != 1 {
-				return n, false
-			}
-		}
-		body = rest
+// bytes returns the contents of a byte field that is there, so never nil.
+func (s *scanner) bytes(v []byte) []byte {
+	switch {
+	case !s.build:
+		s.keep += len(v)
+		return nil
+	case len(v) == 0:
+		return []byte{}
+	case s.copy:
+		return cloneBytes(v)
 	}
-	// The filter is at depth 2 of the frame: envelope, operation, filter.
-	tag, filter, body, err := ber.Element(body)
-	if err != nil || !countFilter(tag, filter, 2, &n) {
-		return n, false
-	}
-	tag, attrs, body, err := ber.Element(body)
-	if err != nil || tag != idSequence || len(body) != 0 {
-		return n, false
-	}
-	for ; len(attrs) > 0; n.attrs++ {
-		if tag, _, attrs, err = ber.Element(attrs); err != nil || tag != idOctetString {
-			return n, false
-		}
-	}
-	if controls != nil {
-		_, list, _, _ := ber.Element(controls)
-		for ; len(list) > 0; n.controls++ {
-			var ctl []byte
-			if tag, ctl, list, err = ber.Element(list); err != nil || tag != idSequence {
-				return n, false
-			}
-			if _, _, _, ok := scanControl(ctl); !ok {
-				return n, false
-			}
-		}
-	}
-	return n, true
+	return v[:len(v):len(v)]
 }
 
-// countFilter validates the filter element with identifier id and contents
-// body, at the given depth of its frame, and adds what it holds to n. The
-// depth of every element, leaves included, is bounded as the tree decoder
-// bounds it, so a filter too deep for that decoder is not accepted here
-// either.
-func countFilter(id byte, body []byte, depth int, n *searchCounts) bool {
-	if depth > ber.MaxDepth {
-		return false
+// strList reads the contents of a SEQUENCE OF or SET OF OCTET STRING.
+func (s *scanner) strList(list []byte) []string {
+	first := len(s.strs)
+	for len(list) > 0 {
+		var v []byte
+		v, list = s.next(list, idOctetString)
+		if v := s.str(v); s.build {
+			s.strs = append(s.strs, v)
+		} else {
+			s.n.strs++
+		}
 	}
-	n.nodes++
-	switch id {
-	case idFilterAnd, idFilterOr, idFilterNot:
-		k := 0
-		for ; len(body) > 0; k++ {
-			tag, sub, rest, err := ber.Element(body)
-			if err != nil || !countFilter(tag, sub, depth+1, n) {
-				return false
-			}
-			body = rest
-		}
-		n.subs += k
-		return k > 0 && (id != idFilterNot || k == 1)
-	case idFilterPresent:
-		return true
-	case idFilterEquality, idFilterGE, idFilterLE, idFilterApprox:
-		tag, _, rest, err := ber.Element(body)
-		if err != nil || tag != idOctetString || depth+1 > ber.MaxDepth {
-			return false
-		}
-		tag, _, rest, err = ber.Element(rest)
-		return err == nil && tag == idOctetString && len(rest) == 0
-	case idFilterSubstrings:
-		tag, _, rest, err := ber.Element(body)
-		if err != nil || tag != idOctetString {
-			return false
-		}
-		tag, parts, rest, err := ber.Element(rest)
-		if err != nil || tag != idSequence || len(rest) != 0 || depth+2 > ber.MaxDepth {
-			return false
-		}
-		// initial? any* final?, in that order, and not all of it empty.
-		prev, text := byte(0), false
-		for len(parts) > 0 {
-			var v []byte
-			if tag, v, parts, err = ber.Element(parts); err != nil || tag < idSubInitial || tag > idSubFinal ||
-				tag < prev || tag == prev && tag != idSubAny {
-				return false
-			}
-			if tag == idSubAny {
-				n.anys++
-				text = true
-			} else if len(v) > 0 {
-				text = true
-			}
-			prev = tag
-		}
-		return text
-	}
-	return false
+	return run(s.strs, first)
 }
 
-// scanControl splits the contents of one Control: SEQUENCE { controlType,
-// criticality BOOLEAN of one octet OPTIONAL, controlValue OCTET STRING
-// OPTIONAL }, in that order. value is nil when absent.
-func scanControl(ctl []byte) (oid []byte, critical bool, value []byte, ok bool) {
-	tag, oid, ctl, err := ber.Element(ctl)
-	if err != nil || tag != idOctetString {
-		return nil, false, nil, false
+// envelope splits a complete LDAPMessage frame — SEQUENCE { messageID
+// INTEGER, protocolOp, controls [0] OPTIONAL }, and nothing after it — into
+// its message ID, its operation element and the contents of its control
+// list, nil when it has none. It checks the operation's header, not its
+// contents.
+func (s *scanner) envelope(frame []byte) (id int64, op, controls []byte) {
+	env, rest := s.next(frame, idSequence)
+	s.end(rest, "message")
+	id, env = s.int(env, idInteger)
+	_, _, rest = s.elem(env)
+	op = env[:len(env)-len(rest)]
+	controls, rest, _ = s.optional(rest, idControls)
+	s.end(rest, "controls")
+	return id, op, controls
+}
+
+// message reads a whole LDAPMessage frame.
+func (s *scanner) message(frame []byte) *Message {
+	id, op, list := s.envelope(frame)
+	if s.err != nil {
+		return nil
 	}
-	if len(ctl) > 0 && ctl[0] == idBoolean {
-		var b []byte
-		if _, b, ctl, err = ber.Element(ctl); err != nil || len(b) != 1 {
-			return nil, false, nil, false
+	s.op = op[0]
+	m := s.operation(id, op)
+	if ctls := s.controls(list); m != nil {
+		m.Controls = ctls
+	}
+	return m
+}
+
+// newOp returns a Message with the given ID carrying op, the two in one
+// allocation; nil in the first pass, or once the message is refused.
+func newOp[T any, P interface {
+	*T
+	Op
+}](s *scanner, id int64, op T) *Message {
+	if !s.build || s.err != nil {
+		return nil
+	}
+	m := &struct {
+		msg Message
+		op  T
+	}{op: op}
+	m.msg = Message{ID: id, Op: P(&m.op)}
+	return &m.msg
+}
+
+// operation reads the protocolOp element op of the message with the given ID.
+func (s *scanner) operation(id int64, op []byte) *Message {
+	tag, body, _ := s.elem(op)
+	switch tag {
+	case idBindRequest:
+		version, body := s.int(body, idInteger)
+		name, body := s.next(body, idOctetString)
+		auth, v, body := s.elem(body)
+		s.end(body, "bind request")
+		r := BindRequest{Version: version, Name: s.str(name)}
+		switch auth {
+		case idSimpleAuth:
+			r.Password = s.str(v)
+		case idSASLAuth:
+			mech, v := s.next(v, idOctetString)
+			creds, v, present := s.optional(v, idOctetString)
+			s.end(v, "SASL credentials")
+			if r.SASLMech = s.str(mech); present {
+				r.SASLCreds = s.bytes(creds)
+			}
+		default:
+			s.fail(fmt.Sprintf("bind authentication choice %#02x", auth))
 		}
-		critical = b[0] != 0
+		return newOp(s, id, r)
+	case idBindResponse:
+		res, body := s.result(body)
+		creds, body, present := s.optional(body, idServerCreds)
+		s.end(body, "bind response")
+		r := BindResponse{Result: res}
+		if present {
+			r.ServerCreds = s.bytes(creds)
+		}
+		return newOp(s, id, r)
+	case idUnbindRequest:
+		s.end(body, "unbind request")
+		return newOp(s, id, UnbindRequest{})
+	case idSearchRequest:
+		return s.searchRequest(id, body)
+	case idSearchEntry:
+		return newOp(s, id, SearchResultEntry{Entry: s.entry(body)})
+	case idSearchReference:
+		return newOp(s, id, SearchResultReference{URLs: s.strList(body)})
+	case idSearchDone, idAddResponse, idDelResponse, idModifyResponse:
+		r, body := s.result(body)
+		s.end(body, "result")
+		switch tag {
+		case idSearchDone:
+			return newOp(s, id, SearchResultDone{r})
+		case idAddResponse:
+			return newOp(s, id, AddResponse{r})
+		case idDelResponse:
+			return newOp(s, id, DelResponse{r})
+		}
+		return newOp(s, id, ModifyResponse{r})
+	case idModifyRequest:
+		dn, body := s.next(body, idOctetString)
+		changes, body := s.next(body, idSequence)
+		s.end(body, "modify request")
+		return newOp(s, id, ModifyRequest{DN: s.str(dn), Changes: s.modifications(changes)})
+	case idAddRequest:
+		return newOp(s, id, AddRequest{Entry: s.entry(body)})
+	case idDelRequest:
+		return newOp(s, id, DelRequest{DN: s.str(body)})
+	case idAbandonRequest:
+		n, err := ber.ParseInt64(body)
+		if err != nil {
+			s.fail("abandon request: " + err.Error())
+		}
+		return newOp(s, id, AbandonRequest{IDToAbandon: n})
+	case idExtendedRequest:
+		name, body := s.next(body, idExtName)
+		if s.err == nil && len(name) == 0 {
+			s.fail("extended request without a name")
+		}
+		value, body, present := s.optional(body, idExtValue)
+		s.end(body, "extended request")
+		r := ExtendedRequest{OID: s.str(name)}
+		if present {
+			r.Value = s.bytes(value)
+		}
+		return newOp(s, id, r)
+	case idExtendedResp:
+		res, body := s.result(body)
+		name, body, _ := s.optional(body, idExtRespName)
+		value, body, present := s.optional(body, idExtRespValue)
+		s.end(body, "extended response")
+		r := ExtendedResponse{Result: res, OID: s.str(name)}
+		if present {
+			r.Value = s.bytes(value)
+		}
+		return newOp(s, id, r)
 	}
-	if len(ctl) > 0 {
-		if tag, value, ctl, err = ber.Element(ctl); err != nil || tag != idOctetString || len(ctl) != 0 {
-			return nil, false, nil, false
+	s.fail(fmt.Sprintf("operation %#02x", tag))
+	return nil
+}
+
+// result reads the LDAPResult fields a response opens with: resultCode
+// ENUMERATED, matchedDN, diagnosticMessage, referral [3] OPTIONAL.
+func (s *scanner) result(b []byte) (Result, []byte) {
+	code, b := s.int(b, idEnumerated)
+	matched, b := s.next(b, idOctetString)
+	message, b := s.next(b, idOctetString)
+	referrals, b, _ := s.optional(b, idReferrals)
+	return Result{Code: ResultCode(code), MatchedDN: s.str(matched), Message: s.str(message),
+		Referrals: s.strList(referrals)}, b
+}
+
+// searchEntry validates a SearchResultEntry operation element, as envelope
+// returns it, down to its last value, and yields the entry name and the
+// attribute list element, header included, both aliasing op.
+func (s *scanner) searchEntry(op []byte) (dn, attrs []byte) {
+	body, _ := s.next(op, idSearchEntry)
+	dn, attrs = s.next(body, idOctetString)
+	list, rest := s.next(attrs, idSequence)
+	s.attributes(list)
+	s.end(rest, "entry")
+	return dn, attrs
+}
+
+// entry reads the contents of a SearchResultEntry or an AddRequest — LDAPDN,
+// then the attribute list — into a decoded entry. The name is parsed in the
+// second pass only.
+func (s *scanner) entry(body []byte) *Entry {
+	name, body := s.next(body, idOctetString)
+	list, body := s.next(body, idSequence)
+	s.end(body, "entry")
+	dnText, attrs := s.str(name), s.attributes(list)
+	if !s.build || s.err != nil {
+		return nil
+	}
+	dn, err := ParseDN(dnText)
+	if err != nil {
+		s.err = err
+		return nil
+	}
+	return &Entry{DN: dn, Attrs: attrs}
+}
+
+// attributes reads the contents of an attribute list: SEQUENCE OF SEQUENCE
+// { type OCTET STRING, vals SET OF OCTET STRING }.
+func (s *scanner) attributes(list []byte) []Attribute {
+	first := len(s.attrs)
+	for len(list) > 0 {
+		var attr []byte
+		attr, list = s.next(list, idSequence)
+		name, attr := s.next(attr, idOctetString)
+		values, attr := s.next(attr, idSet)
+		s.end(attr, "attribute")
+		if a := (Attribute{Name: s.str(name), Values: s.strList(values)}); s.build {
+			s.attrs = append(s.attrs, a)
+		} else {
+			s.n.attrs++
 		}
 	}
-	return oid, critical, value, true
+	return run(s.attrs, first)
+}
+
+// modifications reads the changes of a ModifyRequest: SEQUENCE OF SEQUENCE
+// { operation ENUMERATED, modification SEQUENCE { type, SET OF value } }.
+func (s *scanner) modifications(list []byte) []ModifyChange {
+	first := len(s.mods)
+	for len(list) > 0 {
+		var change []byte
+		change, list = s.next(list, idSequence)
+		op, change := s.int(change, idEnumerated)
+		mod, change := s.next(change, idSequence)
+		s.end(change, "change")
+		name, mod := s.next(mod, idOctetString)
+		values, mod := s.next(mod, idSet)
+		s.end(mod, "modification")
+		if c := (ModifyChange{Op: op, Attr: Attribute{Name: s.str(name), Values: s.strList(values)}}); s.build {
+			s.mods = append(s.mods, c)
+		} else {
+			s.n.mods++
+		}
+	}
+	return run(s.mods, first)
+}
+
+// controls reads the contents of a control list: each Control a SEQUENCE
+// { controlType OCTET STRING, criticality BOOLEAN OPTIONAL, controlValue
+// OCTET STRING OPTIONAL }, in that order.
+func (s *scanner) controls(list []byte) []Control {
+	first := len(s.ctls)
+	for len(list) > 0 {
+		var ctl []byte
+		ctl, list = s.next(list, idSequence)
+		oid, ctl := s.next(ctl, idOctetString)
+		c := Control{OID: s.str(oid)}
+		if len(ctl) > 0 && ctl[0] == idBoolean {
+			c.Criticality, ctl = s.bool(ctl)
+		}
+		value, ctl, present := s.optional(ctl, idOctetString)
+		s.end(ctl, "control")
+		if present {
+			c.Value = s.bytes(value)
+		}
+		if s.build {
+			s.ctls = append(s.ctls, c)
+		} else {
+			s.n.ctls++
+		}
+	}
+	return run(s.ctls, first)
 }
 
 // scannedSearch is the one allocation behind a scanned search request's
@@ -282,215 +588,141 @@ type scannedSearch struct {
 	subs [4]*Filter
 }
 
-// buildSearchRequest cuts the request countSearchRequest accepted out of
-// own, the frame's copy, into arrays of the sizes it counted. Every slice it
-// hands out is capped at its own length, so appending to one never writes
-// into a neighbour.
-func buildSearchRequest(own []byte, n searchCounts) *Message {
-	id, op, controls, _ := scanEnvelope(own)
-	s := new(scannedSearch)
-	s.msg = Message{ID: id, Op: &s.op}
-	a := filterArena{nodes: make([]Filter, n.nodes), subs: s.subs[:]}
-	if n.subs > len(s.subs) {
-		a.subs = make([]*Filter, n.subs)
-	}
-	if n.anys > 0 {
-		a.strs = make([]string, n.anys)
-	}
-	body, _ := field(op)
-	base, body := field(body)
-	scope, body := intField(body)
-	deref, body := intField(body)
-	size, body := intField(body)
-	limit, body := intField(body)
-	typesOnly, body := field(body)
-	filterID := body[0]
-	filter, body := field(body)
-	attrs, _ := field(body)
-	s.op = SearchRequest{BaseDN: ber.View(base), Scope: Scope(scope), DerefAlias: deref,
-		SizeLimit: size, TimeLimit: limit, TypesOnly: typesOnly[0] != 0, Filter: a.filter(filterID, filter)}
-	if n.attrs > 0 {
-		s.op.Attributes = make([]string, n.attrs)
-		for i := range s.op.Attributes {
-			var v []byte
-			v, attrs = field(attrs)
-			s.op.Attributes[i] = ber.View(v)
+// searchRequest reads the eight fields of a SearchRequest.
+func (s *scanner) searchRequest(id int64, body []byte) *Message {
+	var ss *scannedSearch
+	if s.build {
+		ss = new(scannedSearch)
+		s.subs = ss.subs[:0]
+		if s.n.subs > len(ss.subs) {
+			s.subs = make([]*Filter, 0, s.n.subs)
 		}
 	}
-	if n.controls > 0 {
-		s.msg.Controls = make([]Control, n.controls)
-		list, _ := field(controls)
-		for i := range s.msg.Controls {
-			var ctl []byte
-			ctl, list = field(list)
-			oid, critical, value, _ := scanControl(ctl)
-			s.msg.Controls[i] = Control{OID: ber.View(oid), Criticality: critical, Value: value[:len(value):len(value)]}
-		}
+	base, body := s.next(body, idOctetString)
+	scope, body := s.int(body, idEnumerated)
+	deref, body := s.int(body, idEnumerated)
+	size, body := s.int(body, idInteger)
+	limit, body := s.int(body, idInteger)
+	typesOnly, body := s.bool(body)
+	// The filter is at depth 2 of its frame: envelope, operation, filter.
+	filter, body := s.subfilter(body, 2)
+	attrs, body := s.next(body, idSequence)
+	s.end(body, "search request")
+	r := SearchRequest{BaseDN: s.str(base), Scope: Scope(scope), DerefAlias: deref, SizeLimit: size,
+		TimeLimit: limit, TypesOnly: typesOnly, Filter: filter, Attributes: s.strList(attrs)}
+	if ss == nil || s.err != nil {
+		return nil
 	}
-	return &s.msg
+	ss.op = r
+	ss.msg = Message{ID: id, Op: &ss.op}
+	return &ss.msg
 }
 
-// filterArena hands out the nodes, subfilter pointers and middle substring
-// fragments of one scanned filter, in the order filter takes them.
-type filterArena struct {
-	nodes []Filter
-	subs  []*Filter
-	strs  []string
+// subfilter reads the filter element at the front of b, at the given depth
+// of its frame, into the next node; in the first pass into a scratch node,
+// which it does not return.
+func (s *scanner) subfilter(b []byte, depth int) (*Filter, []byte) {
+	if !s.build {
+		s.n.nodes++
+		var scratch Filter
+		return nil, s.filter(b, depth, &scratch)
+	}
+	s.nodes = s.nodes[:len(s.nodes)+1]
+	f := &s.nodes[len(s.nodes)-1]
+	return f, s.filter(b, depth, f)
 }
 
-// filter builds the filter countFilter accepted from its identifier and
-// contents.
-func (a *filterArena) filter(id byte, body []byte) *Filter {
-	f := &a.nodes[0]
-	a.nodes = a.nodes[1:]
+// filter reads the filter element at the front of b into f. The depth of
+// every element, leaves included, is bounded as ber bounds a Packet tree's.
+func (s *scanner) filter(b []byte, depth int, f *Filter) (rest []byte) {
+	id, body, rest := s.elem(b)
+	if depth > ber.MaxDepth {
+		s.fail("filter nested too deep")
+		return nil
+	}
 	f.Kind = FilterKind(id & 0x1f)
 	switch id {
 	case idFilterAnd, idFilterOr, idFilterNot:
 		k := 0
-		for rest := body; len(rest) > 0; k++ {
-			_, rest = field(rest)
+		for r := body; len(r) > 0; k++ {
+			_, _, r, _ = ber.Element(r)
 		}
-		f.Subs, a.subs = a.subs[:k:k], a.subs[k:]
-		for i := range f.Subs {
-			sid := body[0]
-			var sub []byte
-			sub, body = field(body)
-			f.Subs[i] = a.filter(sid, sub)
+		if k == 0 || id == idFilterNot && k != 1 {
+			s.fail(fmt.Sprintf("filter %#02x of %d", id, k))
+			return nil
 		}
+		if s.build {
+			first := len(s.subs)
+			s.subs = s.subs[:first+k]
+			f.Subs = s.subs[first : first+k : first+k]
+		} else {
+			s.n.subs += k
+		}
+		for i := 0; i < k; i++ {
+			var sub *Filter
+			if sub, body = s.subfilter(body, depth+1); s.build {
+				f.Subs[i] = sub
+			}
+		}
+		s.end(body, "filter")
 	case idFilterPresent:
-		f.Attr = ber.View(body)
+		f.Attr = s.str(body)
+	case idFilterEquality, idFilterGE, idFilterLE, idFilterApprox:
+		if depth+1 > ber.MaxDepth {
+			s.fail("filter nested too deep")
+		}
+		attr, body := s.next(body, idOctetString)
+		value, body := s.next(body, idOctetString)
+		s.end(body, "attribute value assertion")
+		f.Attr, f.Value = s.str(attr), s.str(value)
 	case idFilterSubstrings:
-		attr, rest := field(body)
-		parts, _ := field(rest)
-		f.Attr = ber.View(attr)
-		k := 0
-		for rest := parts; len(rest) > 0; {
-			if rest[0] == idSubAny {
-				k++
-			}
-			_, rest = field(rest)
+		attr, body := s.next(body, idOctetString)
+		parts, body := s.next(body, idSequence)
+		s.end(body, "substrings filter")
+		if depth+2 > ber.MaxDepth {
+			s.fail("filter nested too deep")
 		}
-		if k > 0 {
-			f.Any, a.strs = a.strs[:k:k], a.strs[k:]
-		}
-		for i := 0; len(parts) > 0; {
-			part := parts[0]
-			var v []byte
-			v, parts = field(parts)
-			switch part {
-			case idSubInitial:
-				f.Initial = ber.View(v)
-			case idSubAny:
-				f.Any[i] = ber.View(v)
-				i++
-			case idSubFinal:
-				f.Final = ber.View(v)
-			}
-		}
-	default: // Equality, GE, LE, Approx: AttributeValueAssertion
-		attr, rest := field(body)
-		value, _ := field(rest)
-		f.Attr, f.Value = ber.View(attr), ber.View(value)
+		f.Attr = s.str(attr)
+		s.substrings(parts, f)
+	default:
+		s.fail(fmt.Sprintf("filter choice %#02x", id))
 	}
-	return f
+	return rest
 }
 
-// scannedDone is the one allocation behind a scanned SearchResultDone.
-type scannedDone struct {
-	msg  Message
-	done SearchResultDone
-}
-
-// scanSearchDone builds the Message of a SearchResultDone operation element,
-// as scanEnvelope returns it from a frame without controls: ENUMERATED
-// resultCode, matchedDN, diagnosticMessage and an optional [3] referral list
-// of OCTET STRINGs, nothing else. Its strings view one copy of the
-// operation's contents, made only when it has some: a success is the Message
-// alone.
-func scanSearchDone(id int64, op []byte) (*Message, bool) {
-	_, body, _, _ := ber.Element(op) // scanEnvelope checked the element
-	tag, v, rest, err := ber.Element(body)
-	if err != nil || tag != idEnumerated {
-		return nil, false
-	}
-	code, err := ber.ParseInt64(v)
-	if err != nil {
-		return nil, false
-	}
-	var matched, message []byte
-	if tag, matched, rest, err = ber.Element(rest); err != nil || tag != idOctetString {
-		return nil, false
-	}
-	if tag, message, rest, err = ber.Element(rest); err != nil || tag != idOctetString {
-		return nil, false
-	}
-	refs := 0
-	if len(rest) > 0 {
-		var list []byte
-		if tag, list, rest, err = ber.Element(rest); err != nil || tag != idReferrals || len(rest) != 0 {
-			return nil, false
+// substrings reads the components of a substrings filter into f: initial
+// [0], any [1] and final [2], in that order, initial and final at most once,
+// and not all of them empty.
+func (s *scanner) substrings(parts []byte, f *Filter) {
+	first, prev, text := len(s.strs), byte(0), false
+	for len(parts) > 0 {
+		var id byte
+		var v []byte
+		if id, v, parts = s.elem(parts); s.err != nil {
+			return
 		}
-		for ; len(list) > 0; refs++ {
-			if tag, _, list, err = ber.Element(list); err != nil || tag != idOctetString {
-				return nil, false
+		if id < idSubInitial || id > idSubFinal || id < prev || id == prev && id != idSubAny {
+			s.fail(fmt.Sprintf("substring component %#02x", id))
+			return
+		}
+		prev, text = id, text || id == idSubAny || len(v) > 0
+		switch id {
+		case idSubInitial:
+			f.Initial = s.str(v)
+		case idSubAny:
+			if v := s.str(v); s.build {
+				s.strs = append(s.strs, v)
+			} else {
+				s.n.strs++
 			}
+		case idSubFinal:
+			f.Final = s.str(v)
 		}
 	}
-	d := new(scannedDone)
-	d.msg = Message{ID: id, Op: &d.done}
-	d.done.Code = ResultCode(code)
-	if len(matched) == 0 && len(message) == 0 && refs == 0 {
-		return &d.msg, true
+	if !text {
+		s.fail("substrings filter without a component")
 	}
-	_, rest = field(cloneBytes(body)) // past the code
-	matched, rest = field(rest)
-	message, rest = field(rest)
-	d.done.MatchedDN, d.done.Message = ber.View(matched), ber.View(message)
-	if refs > 0 {
-		list, _ := field(rest)
-		d.done.Referrals = make([]string, refs)
-		for i := range d.done.Referrals {
-			v, list = field(list)
-			d.done.Referrals[i] = ber.View(v)
-		}
-	}
-	return &d.msg, true
-}
-
-// scanSearchEntry validates a SearchResultEntry operation element (as
-// scanEnvelope returns it) down to its last value and yields the entry name
-// and the PartialAttributeList element, header included, both aliasing op.
-func scanSearchEntry(op []byte) (dn, attrs []byte, ok bool) {
-	tag, body, _, err := ber.Element(op)
-	if err != nil || tag != idSearchEntry {
-		return nil, nil, false
-	}
-	tag, dn, attrs, err = ber.Element(body)
-	if err != nil || tag != idOctetString {
-		return nil, nil, false
-	}
-	tag, list, rest, err := ber.Element(attrs)
-	if err != nil || tag != idSequence || len(rest) != 0 {
-		return nil, nil, false
-	}
-	for len(list) > 0 {
-		var attr, vals, set []byte
-		if tag, attr, list, err = ber.Element(list); err != nil || tag != idSequence {
-			return nil, nil, false
-		}
-		if tag, _, vals, err = ber.Element(attr); err != nil || tag != idOctetString {
-			return nil, nil, false
-		}
-		if tag, set, rest, err = ber.Element(vals); err != nil || tag != idSet || len(rest) != 0 {
-			return nil, nil, false
-		}
-		for len(set) > 0 {
-			if tag, _, set, err = ber.Element(set); err != nil || tag != idOctetString {
-				return nil, nil, false
-			}
-		}
-	}
-	return dn, attrs, true
+	f.Any = run(s.strs, first)
 }
 
 // wireEntries builds the wire-backed entries of one connection. Entries of

@@ -17,34 +17,22 @@ import (
 	"mds2/internal/softstate"
 )
 
-// scanFrame is the read loop's wire path on one frame, without the pending
-// operation lookup between its two steps: ok reports a frame of the
-// scanner's canonical shape, err a name the DN parser refuses.
-func scanFrame(w *wireEntries, frame []byte) (id int64, e *Entry, ok bool, err error) {
-	id, op, controls, ok := scanEnvelope(frame)
-	if !ok || controls != nil || op[0] != idSearchEntry {
-		return 0, nil, false, nil
+// scanFrame is the read loop's wire path on one result-entry frame, without
+// the pending operation lookup: isEntry reports a frame whose operation is a
+// SearchResultEntry, err one the scanner refuses or a name the DN parser
+// does.
+func scanFrame(w *wireEntries, frame []byte) (id int64, e *Entry, isEntry bool, err error) {
+	var s scanner
+	id, op, controls := s.envelope(frame)
+	if s.err != nil || op[0] != idSearchEntry {
+		return 0, nil, false, s.err
 	}
-	dn, attrs, ok := scanSearchEntry(op)
-	if !ok {
-		return 0, nil, false, nil
+	if dn, attrs := s.searchEntry(op); s.err != nil {
+		err = s.err
+	} else if _, err = scanControls(controls); err == nil {
+		e, err = w.next(dn, attrs, false)
 	}
-	e, err = w.next(dn, attrs, false)
 	return id, e, true, err
-}
-
-// treeDecode is the reference: the Packet-tree decoder every result frame
-// went through before the client scanned entries in place.
-func treeDecode(frame []byte) *Message {
-	p, err := ber.DecodeFull(frame)
-	if err != nil {
-		return nil
-	}
-	m, err := DecodeMessage(p)
-	if err != nil {
-		return nil
-	}
-	return m
 }
 
 func sevenAttrEntry(i int) *Entry {
@@ -91,112 +79,57 @@ func hostileFrames() map[string][]byte {
 	}
 }
 
-// FuzzWireEntry pins the scanner to the tree decoder. What it accepts, the
-// tree decoder accepts, as the same entry — the attributes Entry.materialize
-// cuts straight out of the kept bytes included; what our encoder emits, it
-// accepts (no silent fall-back off the fast path); the name bytes are kept
-// iff they are the canonical text DN.String renders, so the frame a relay
-// emits is byte for byte the one rendering the name would give; and that
-// frame decodes to the entry that came in. Anything else is left to the tree
-// decoder, which alone refuses frames.
-func FuzzWireEntry(f *testing.F) {
+// entrySeeds are result entry frames: every corpus message, entries with
+// names in and out of canonical form, hostile frames, and long-form lengths.
+func entrySeeds() [][]byte {
+	var seeds [][]byte
 	for _, m := range wireCorpus() {
-		f.Add(m.Encode())
+		seeds = append(seeds, m.Encode())
 	}
 	for i := 0; i < 4; i++ {
-		f.Add(entryFrame(int64(i), sevenAttrEntry(i)))
+		seeds = append(seeds, entryFrame(int64(i), sevenAttrEntry(i)))
 	}
 	// Names that parse but are not in canonical form, and three that are —
 	// one of them escaped, which the byte rules leave to the rendering.
 	for _, dn := range []string{"hn=h1,o=grid", "hn=h1 , o=grid", "hn=h1,  o=grid", " hn=h1, o=grid",
 		"hn=h1, o=grid\t", "hn = h1, o=grid", "cn=a +uid=1", "cn=a\\,b, o=grid", "cn=a=b, o=grid",
 		"cn=a\tb, o=grid", "cn=a+uid=1, o=grid", ""} {
-		f.Add(ber.Marshal(ber.NewSequence().Append(ber.NewInteger(7),
+		seeds = append(seeds, ber.Marshal(ber.NewSequence().Append(ber.NewInteger(7),
 			ber.NewConstructed(ber.ClassApplication, appSearchEntry).Append(
 				ber.NewOctetString(dn), ber.NewSequence()))))
 	}
 	for _, frame := range hostileFrames() {
-		f.Add(frame)
+		seeds = append(seeds, frame)
 	}
 	// Valid BER, not canonical: long-form lengths where short would do.
-	f.Add([]byte{idSequence, 0x81, 16, idInteger, 1, 1, idSearchEntry, 0x81, 10,
+	return append(seeds, []byte{idSequence, 0x81, 16, idInteger, 1, 1, idSearchEntry, 0x81, 10,
 		idOctetString, 3, 'o', '=', 'g', idSequence, 0x82, 0, 0})
-	f.Fuzz(func(t *testing.T, frame []byte) {
-		want := treeDecode(frame)
-		if n, err := ber.FrameLen(frame); want != nil && (err != nil || n != len(frame)) {
-			t.Fatalf("FrameLen = %d, %v for a %d-byte frame the tree decoder accepts", n, err, len(frame))
-		}
-		var w wireEntries
-		id, e, ok, err := scanFrame(&w, frame)
-		if !ok {
-			if want == nil {
-				return
-			}
-			if sre, isEntry := want.Op.(*SearchResultEntry); isEntry && want.Controls == nil &&
-				bytes.Equal(entryFrame(want.ID, sre.Entry), frame) {
-				t.Fatalf("scanner fell back on a frame in our own encoder's form: % x", frame)
-			}
-			return
-		}
-		if err != nil {
-			if want != nil {
-				t.Fatalf("scanner refused name (%v) in a frame the tree decoder accepts", err)
-			}
-			return
-		}
-		if want == nil {
-			t.Fatalf("scanner accepted a frame the tree decoder refuses: % x", frame)
-		}
-		sre, isEntry := want.Op.(*SearchResultEntry)
-		if !isEntry || want.Controls != nil || want.ID != id {
-			t.Fatalf("scanner saw entry %d, tree decoder %T id %d controls %v", id, want.Op, want.ID, want.Controls)
-		}
-		if !reflect.DeepEqual(e.DN, sre.Entry.DN) {
-			t.Fatalf("name %q, tree decoder %q", e.DN, sre.Entry.DN)
-		}
-		// The name bytes are kept exactly when they are the text the encoder
-		// renders, and re-sending them changes no byte of the relayed frame.
-		_, op, _, _ := scanEnvelope(frame)
-		received, _, _ := scanSearchEntry(op)
-		if rendered := e.DN.String(); e.name != nil && string(e.name) != rendered {
-			t.Fatalf("kept name %q, rendered %q", e.name, rendered)
-		} else if e.name == nil && string(received) == rendered {
-			t.Fatalf("canonical name %q not kept", received)
-		}
-		relayed := entryFrame(id, e) // before anything decoded it
-		if rendered := entryFrame(id, e.WithDN(e.DN)); !bytes.Equal(relayed, rendered) {
-			t.Fatalf("relayed frame with the kept name\n % x\ndiffers from the rendered one\n % x", relayed, rendered)
-		}
-		if !reflect.DeepEqual(e.Attributes(), sre.Entry.Attrs) {
-			t.Fatalf("attributes %v, tree decoder %v", e.Attributes(), sre.Entry.Attrs)
-		}
-		// The tree-less decode of the kept bytes is the tree decode of them.
-		list, err := ber.DecodeOwned(e.raw)
-		if err != nil {
-			t.Fatalf("kept attribute list does not decode: %v", err)
-		}
-		if viaTree, err := decodeAttrList(list); err != nil || !reflect.DeepEqual(decodeRawAttrs(e.raw), viaTree) {
-			t.Fatalf("materialize %v, decodeAttrList %v (%v)", decodeRawAttrs(e.raw), viaTree, err)
-		}
-		back := treeDecode(relayed)
-		if back == nil || !reflect.DeepEqual(back.Op, want.Op) || back.ID != id {
-			t.Fatalf("relayed frame does not decode to the entry that came in:\n in  % x\n out % x", frame, relayed)
-		}
-	})
+}
+
+// FuzzWireEntry replays the result entry seeds through FuzzScanMessage's
+// property.
+func FuzzWireEntry(f *testing.F) {
+	for _, frame := range entrySeeds() {
+		f.Add(frame)
+	}
+	f.Fuzz(checkScan)
 }
 
 // TestWireScannerRefuses: a GIIS must not forward bytes it did not validate.
-// Each hostile frame is turned away by the scanner and then refused by the
-// tree decoder behind it — and end to end, a connection that receives one
-// fails the search instead of relaying anything.
+// Each hostile frame is refused by the scanner, and by the oracle too — and
+// end to end, a connection that receives one fails the search instead of
+// relaying anything.
 func TestWireScannerRefuses(t *testing.T) {
 	for name, frame := range hostileFrames() {
 		var w wireEntries
-		if _, _, ok, err := scanFrame(&w, frame); ok && err == nil {
+		if _, _, isEntry, err := scanFrame(&w, frame); isEntry && err == nil {
+			t.Errorf("%s: wire path accepted % x", name, frame)
+		}
+		if _, err := ScanMessage(frame); err == nil {
 			t.Errorf("%s: scanner accepted % x", name, frame)
 		}
 		if treeDecode(frame) != nil {
-			t.Errorf("%s: tree decoder accepted % x", name, frame)
+			t.Errorf("%s: oracle accepted % x", name, frame)
 		}
 		client, server := net.Pipe()
 		c := NewClient(client)
@@ -430,10 +363,9 @@ func startWireServer(t *testing.T, n int, big bool) *Client {
 	return c
 }
 
-// treeSearch is the reference client: one search over a connection of its
-// own, every frame read whole and tree-decoded, as Client did before it
-// scanned result entries in place.
-func treeSearch(t *testing.T, addr string, req *SearchRequest) []*Entry {
+// oracleSearch is the reference client: one search over a connection of its
+// own, every frame read whole and decoded by the oracle.
+func oracleSearch(t *testing.T, addr string, req *SearchRequest) []*Entry {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -449,7 +381,7 @@ func treeSearch(t *testing.T, addr string, req *SearchRequest) []*Entry {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := DecodeMessage(p)
+		m, err := treeMessage(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -476,7 +408,7 @@ func TestSearchEqualsTreeDecode(t *testing.T) {
 	for _, attrs := range [][]string{nil, {"hn", "rack"}, {"nosuch"}} {
 		req := &SearchRequest{BaseDN: "o=grid", Scope: ScopeWholeSubtree,
 			Filter: MustParseFilter("(objectclass=computer)"), Attributes: attrs}
-		want := treeSearch(t, c.conn.RemoteAddr().String(), req)
+		want := oracleSearch(t, c.conn.RemoteAddr().String(), req)
 		if len(want) != 601 {
 			t.Fatalf("attrs %v: tree-decoded search returned %d entries", attrs, len(want))
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mds2/internal/ber"
+	"mds2/internal/obs"
 )
 
 // envelope wraps an operation tree, and any trailing elements, into an
@@ -18,9 +19,10 @@ func envelope(id int64, op *ber.Packet, extra ...*ber.Packet) []byte {
 	return ber.Marshal(ber.NewSequence().Append(ber.NewInteger(id), op).Append(extra...))
 }
 
-// longForm re-encodes every length in b in the two-octet long form: valid
-// BER that no minimal encoder emits.
-func longForm(b []byte) []byte {
+// longForm re-encodes every length in b in the long form with k length
+// octets: valid BER that no minimal encoder emits (OpenLDAP's liblber
+// writes k = 4).
+func longForm(b []byte, k int) []byte {
 	var out []byte
 	for len(b) > 0 {
 		id, contents, rest, err := ber.Element(b)
@@ -28,9 +30,12 @@ func longForm(b []byte) []byte {
 			panic(err)
 		}
 		if id&0x20 != 0 {
-			contents = longForm(contents)
+			contents = longForm(contents, k)
 		}
-		out = append(out, id, 0x82, byte(len(contents)>>8), byte(len(contents)))
+		out = append(out, id, 0x80|byte(k))
+		for i := k - 1; i >= 0; i-- {
+			out = append(out, byte(len(contents)>>(8*i)))
+		}
 		out = append(out, contents...)
 		b = rest
 	}
@@ -38,8 +43,7 @@ func longForm(b []byte) []byte {
 }
 
 // withTrailing appends extra, raw, to the contents of a frame's operation:
-// a field after the last one RFC 4511 defines, which the tree decoder
-// ignores if it decodes.
+// a field after the last one RFC 4511 defines.
 func withTrailing(frame, extra []byte) []byte {
 	_, body, _, _ := ber.Element(frame)
 	_, _, rest, _ := ber.Element(body)
@@ -64,14 +68,31 @@ func notDeep(n int, leaf *Filter) *Filter {
 	return leaf
 }
 
-// requestSeeds are search request frames of every filter kind, with and
-// without controls, in our encoder's canonical form and in forms only the
-// tree decoder takes or nobody does.
-func requestSeeds() map[string][]byte {
-	req := func() *SearchRequest {
-		return &SearchRequest{BaseDN: "ou=s0, o=grid", Scope: ScopeWholeSubtree, SizeLimit: 10, TimeLimit: 5,
-			Filter: MustParseFilter("(&(objectclass=computer)(hn=h1))"), Attributes: []string{"hn", "load5"}}
+// poison overwrites b, as a read loop that reuses its buffer does.
+func poison(b []byte) {
+	for i := range b {
+		b[i] = 0xDB
 	}
+}
+
+// seedRequest is the search request the seeds and the language table vary.
+func seedRequest() *SearchRequest {
+	return &SearchRequest{BaseDN: "ou=s0, o=grid", Scope: ScopeWholeSubtree, SizeLimit: 10, TimeLimit: 5,
+		Filter: MustParseFilter("(&(objectclass=computer)(hn=h1))"), Attributes: []string{"hn", "load5"}}
+}
+
+// treeSearch builds seedRequest's operation tree after mod changes it.
+func treeSearch(mod func(op *ber.Packet)) *ber.Packet {
+	op := treeOp(seedRequest())
+	mod(op)
+	return op
+}
+
+// requestSeeds are search request frames of every filter kind, with and
+// without controls, in our encoder's form, and frames that neither the
+// scanner nor the oracle accepts. The leniencies of the oracle are
+// languageRows'.
+func requestSeeds() map[string][]byte {
 	seeds := map[string][]byte{}
 	for i, m := range wireCorpus() {
 		if _, ok := m.Op.(*SearchRequest); ok {
@@ -82,7 +103,7 @@ func requestSeeds() map[string][]byte {
 		"(|(hn=a)(hn=b)(!(hn=c)))", "(cn=ho*st*X)", "(cn=*mid*)", "(cn=a**b)", "(cn>=a)", "(cn<=z)",
 		"(cn~=x)", "(hn=*)", "(&(a=1)(|(b=2)(!(c=3*)))(d>=4)(e<=5)(f~=6)(g=*))",
 	} {
-		r := req()
+		r := seedRequest()
 		r.Filter = MustParseFilter(f)
 		seeds["filter "+f] = (&Message{ID: 3, Op: r}).Encode()
 	}
@@ -95,7 +116,7 @@ func requestSeeds() map[string][]byte {
 		"presence at the depth limit":   notDeep(62, Present("hn")),
 		"presence past the depth limit": notDeep(63, Present("hn")),
 	} {
-		r := req()
+		r := seedRequest()
 		r.Filter = f
 		seeds[name] = (&Message{ID: 3, Op: r}).Encode()
 	}
@@ -103,157 +124,345 @@ func requestSeeds() map[string][]byte {
 		Filter: Present("objectclass")}}).Encode()
 	seeds["out-of-range scope"] = (&Message{ID: 4, Op: &SearchRequest{BaseDN: "o=grid", Scope: 5}}).Encode()
 	seeds["negative limits"] = (&Message{ID: 4, Op: &SearchRequest{BaseDN: "o=grid", SizeLimit: -1, TimeLimit: -7}}).Encode()
-	seeds["controls"] = (&Message{ID: 5, Op: req(), Controls: []Control{
+	seeds["controls"] = (&Message{ID: 5, Op: seedRequest(), Controls: []Control{
 		{OID: "1.2.3", Criticality: true, Value: []byte("v")}, {OID: "1.2.4"}, {OID: "1.2.5", Value: []byte{}},
 		{OID: "1.2.6", Criticality: true}}}).Encode()
-	seeds["long-form lengths"] = longForm((&Message{ID: 6, Op: req(), Controls: []Control{{OID: "1.2.3", Value: []byte("v")}}}).Encode())
-	seeds["trailing bytes"] = append((&Message{ID: 7, Op: req()}).Encode(), 0)
+	seeds["long-form lengths"] = longForm((&Message{ID: 6, Op: seedRequest(), Controls: []Control{{OID: "1.2.3", Value: []byte("v")}}}).Encode(), 2)
+	seeds["trailing bytes"] = append((&Message{ID: 7, Op: seedRequest()}).Encode(), 0)
 
-	tree := func(mod func(op *ber.Packet)) *ber.Packet {
-		op := treeOp(req())
-		mod(op)
-		return op
-	}
-	seeds["constructed base"] = envelope(8, tree(func(op *ber.Packet) {
-		op.Children[0] = ber.NewConstructed(ber.ClassUniversal, ber.TagOctetString).Append(ber.NewOctetString("o=grid"))
-	}))
-	seeds["constructed attribute"] = envelope(8, tree(func(op *ber.Packet) {
-		op.Children[7].Children[0] = ber.NewConstructed(ber.ClassUniversal, ber.TagOctetString).Append(ber.NewOctetString("hn"))
-	}))
-	seeds["integer scope"] = envelope(8, tree(func(op *ber.Packet) { op.Children[1] = ber.NewInteger(2) }))
-	seeds["9 fields"] = envelope(8, tree(func(op *ber.Packet) { op.Append(ber.NewNull()) }))
 	// A SEQUENCE whose one OCTET STRING claims 5 octets and has none.
-	seeds["malformed 9th field"] = withTrailing((&Message{ID: 8, Op: req()}).Encode(), []byte{idSequence, 2, idOctetString, 5})
-	seeds["7 fields"] = envelope(8, tree(func(op *ber.Packet) { op.Children = op.Children[:7] }))
-	seeds["2-octet boolean"] = envelope(8, tree(func(op *ber.Packet) {
+	seeds["malformed 9th field"] = withTrailing((&Message{ID: 8, Op: seedRequest()}).Encode(), []byte{idSequence, 2, idOctetString, 5})
+	seeds["7 fields"] = envelope(8, treeSearch(func(op *ber.Packet) { op.Children = op.Children[:7] }))
+	seeds["2-octet boolean"] = envelope(8, treeSearch(func(op *ber.Packet) {
 		op.Children[5] = &ber.Packet{Tag: ber.TagBoolean, Value: []byte{0, 0xff}}
 	}))
-	seeds["empty integer"] = envelope(8, tree(func(op *ber.Packet) { op.Children[3] = &ber.Packet{Tag: ber.TagInteger} }))
-	seeds["substrings out of order"] = envelope(8, tree(func(op *ber.Packet) {
-		op.Children[6] = ber.NewConstructed(ber.ClassContext, uint32(FilterSubstrings)).Append(ber.NewOctetString("cn"),
-			ber.NewSequence().Append(ber.NewContextString(2, "z"), ber.NewContextString(0, "a")))
+	seeds["empty integer"] = envelope(8, treeSearch(func(op *ber.Packet) { op.Children[3] = &ber.Packet{Tag: ber.TagInteger} }))
+	substrings := func(parts ...*ber.Packet) *ber.Packet {
+		return ber.NewConstructed(ber.ClassContext, uint32(FilterSubstrings)).Append(ber.NewOctetString("cn"),
+			ber.NewSequence().Append(parts...))
+	}
+	seeds["substrings empty initial"] = envelope(8, treeSearch(func(op *ber.Packet) {
+		op.Children[6] = substrings(ber.NewContextString(0, ""))
 	}))
-	seeds["substrings empty initial"] = envelope(8, tree(func(op *ber.Packet) {
-		op.Children[6] = ber.NewConstructed(ber.ClassContext, uint32(FilterSubstrings)).Append(ber.NewOctetString("cn"),
-			ber.NewSequence().Append(ber.NewContextString(0, "")))
+	seeds["substrings initial twice"] = envelope(8, treeSearch(func(op *ber.Packet) {
+		op.Children[6] = substrings(ber.NewContextString(0, "a"), ber.NewContextString(0, ""))
 	}))
-	seeds["substrings initial twice"] = envelope(8, tree(func(op *ber.Packet) {
-		op.Children[6] = ber.NewConstructed(ber.ClassContext, uint32(FilterSubstrings)).Append(ber.NewOctetString("cn"),
-			ber.NewSequence().Append(ber.NewContextString(0, "a"), ber.NewContextString(0, "")))
-	}))
-	seeds["not of two"] = envelope(8, tree(func(op *ber.Packet) {
+	seeds["not of two"] = envelope(8, treeSearch(func(op *ber.Packet) {
 		op.Children[6] = ber.NewConstructed(ber.ClassContext, uint32(FilterNot)).Append(Present("a").ToBER(), Present("b").ToBER())
 	}))
-	seeds["empty and"] = envelope(8, tree(func(op *ber.Packet) { op.Children[6] = ber.NewConstructed(ber.ClassContext, 0) }))
-	seeds["extensible match"] = envelope(8, tree(func(op *ber.Packet) {
+	seeds["empty and"] = envelope(8, treeSearch(func(op *ber.Packet) { op.Children[6] = ber.NewConstructed(ber.ClassContext, 0) }))
+	seeds["extensible match"] = envelope(8, treeSearch(func(op *ber.Packet) {
 		op.Children[6] = ber.NewConstructed(ber.ClassContext, 9).Append(ber.NewContextString(2, "hn"), ber.NewContextString(3, "x"))
 	}))
-	seeds["primitive control list"] = envelope(9, treeOp(req()), &ber.Packet{Class: ber.ClassContext, Tag: 0})
-	seeds["element after controls"] = envelope(9, treeOp(req()), ber.NewConstructed(ber.ClassContext, 0), ber.NewNull())
 	control := func(fields ...*ber.Packet) *ber.Packet {
 		return ber.NewConstructed(ber.ClassContext, 0).Append(ber.NewSequence().Append(fields...))
 	}
-	seeds["reordered control fields"] = envelope(9, treeOp(req()),
-		control(ber.NewOctetString("1.2.3"), ber.NewOctetString("v"), ber.NewBoolean(true)))
-	seeds["integer criticality"] = envelope(9, treeOp(req()), control(ber.NewOctetString("1.2.3"), ber.NewInteger(1)))
-	seeds["2-octet criticality"] = envelope(9, treeOp(req()),
+	seeds["2-octet criticality"] = envelope(9, treeOp(seedRequest()),
 		control(ber.NewOctetString("1.2.3"), &ber.Packet{Tag: ber.TagBoolean, Value: []byte{0, 1}}))
-	seeds["control without oid"] = envelope(9, treeOp(req()), control())
-	seeds["control of four fields"] = envelope(9, treeOp(req()),
-		control(ber.NewOctetString("1.2.3"), ber.NewBoolean(false), ber.NewOctetString("v"), ber.NewNull()))
+	seeds["control without oid"] = envelope(9, treeOp(seedRequest()), control())
 	return seeds
 }
 
-// doneSeeds are SearchResultDone frames the client's scanner must build as
-// the tree decoder does, or leave to it.
+// doneSeeds are SearchResultDone frames the client reads: in our encoder's
+// form, and malformed.
 func doneSeeds() map[string][]byte {
 	done := func(r Result) *ber.Packet { return treeOp(&SearchResultDone{Result: r}) }
 	refused := Result{Code: ResultNoSuchObject, MatchedDN: "o=grid", Message: "no such object",
 		Referrals: []string{"ldap://a.example/o=grid", "ldap://b.example"}}
 	return map[string][]byte{
-		"success":        (&Message{ID: 3, Op: &SearchResultDone{}}).Encode(),
-		"partial":        (&Message{ID: 3, Op: &SearchResultDone{Result{Message: "partial results: x"}}}).Encode(),
-		"referrals":      (&Message{ID: 3, Op: &SearchResultDone{refused}}).Encode(),
-		"long-form":      longForm((&Message{ID: 3, Op: &SearchResultDone{refused}}).Encode()),
-		"trace spans":    (&Message{ID: 3, Op: &SearchResultDone{}, Controls: []Control{{OID: "1.2.3", Value: []byte("spans")}}}).Encode(),
-		"integer code":   envelope(3, ber.NewConstructed(ber.ClassApplication, appSearchDone).Append(ber.NewInteger(0), ber.NewOctetString(""), ber.NewOctetString(""))),
-		"trailing field": envelope(3, done(refused).Append(ber.NewNull())),
+		"success":     (&Message{ID: 3, Op: &SearchResultDone{}}).Encode(),
+		"partial":     (&Message{ID: 3, Op: &SearchResultDone{Result{Message: "partial results: x"}}}).Encode(),
+		"referrals":   (&Message{ID: 3, Op: &SearchResultDone{refused}}).Encode(),
+		"long-form":   longForm((&Message{ID: 3, Op: &SearchResultDone{refused}}).Encode(), 2),
+		"trace spans": (&Message{ID: 3, Op: &SearchResultDone{}, Controls: []Control{{OID: "1.2.3", Value: []byte("spans")}}}).Encode(),
 		"malformed trailing": withTrailing((&Message{ID: 3, Op: &SearchResultDone{refused}}).Encode(),
 			[]byte{idSequence, 2, idOctetString, 5}),
-		"empty referrals":   envelope(3, done(Result{}).Append(ber.NewConstructed(ber.ClassContext, 3))),
-		"primitive [3]":     envelope(3, done(Result{}).Append(&ber.Packet{Class: ber.ClassContext, Tag: 3, Value: []byte("x")})),
-		"short result":      envelope(3, ber.NewConstructed(ber.ClassApplication, appSearchDone).Append(ber.NewEnumerated(0))),
-		"constructed match": envelope(3, ber.NewConstructed(ber.ClassApplication, appSearchDone).Append(ber.NewEnumerated(0), ber.NewSequence(), ber.NewOctetString(""))),
+		"empty referrals": envelope(3, done(Result{}).Append(ber.NewConstructed(ber.ClassContext, 3))),
+		"short result":    envelope(3, ber.NewConstructed(ber.ClassApplication, appSearchDone).Append(ber.NewEnumerated(0))),
 	}
 }
 
-// FuzzScanSearchRequest pins the request scanner, and the client's done
-// scanner, to the tree decoder. Whatever a scanner accepts, DecodeMessage
-// accepts too, as a reflect.DeepEqual message — one that keeps nothing of the
-// frame it was scanned from; what our own encoder emits, the scanners accept.
-// Anything else is left to the tree decoder, which alone refuses frames.
-func FuzzScanSearchRequest(f *testing.F) {
+// languageRow is one leniency of the oracle (DESIGN §9's table), a frame the
+// oracle accepts only by it, and whether the scanner keeps it.
+type languageRow struct {
+	leniency string
+	kept     bool
+	frame    []byte
+}
+
+// languageRows is DESIGN §9's table of the oracle's leniencies, each with one
+// or more frames that need it.
+func languageRows() []languageRow {
+	const (
+		kept    = true
+		dropped = false
+	)
+	control := func(fields ...*ber.Packet) *ber.Packet {
+		return ber.NewConstructed(ber.ClassContext, 0).Append(ber.NewSequence().Append(fields...))
+	}
+	constructed := func(s string) *ber.Packet {
+		return ber.NewConstructed(ber.ClassUniversal, ber.TagOctetString).Append(ber.NewOctetString(s))
+	}
+	substrings := func(parts ...*ber.Packet) func(op *ber.Packet) {
+		return func(op *ber.Packet) {
+			op.Children[6] = ber.NewConstructed(ber.ClassContext, uint32(FilterSubstrings)).Append(
+				ber.NewOctetString("cn"), ber.NewSequence().Append(parts...))
+		}
+	}
+	done := treeOp(&SearchResultDone{Result: Result{Code: ResultNoSuchObject, MatchedDN: "o=grid"}})
+	entryChange := NewEntryChangeControl(ChangeModify)
+	entryChange.Value = ber.Marshal(ber.NewSequence().Append(ber.NewEnumerated(ChangeModify),
+		ber.NewOctetString("hn=old, o=grid"), ber.NewInteger(42)))
+	entry := NewEntry(MustParseDN("hn=h1, o=grid")).Add("objectclass", "computer")
+	return []languageRow{
+		{"non-minimal long-form lengths", kept,
+			longForm((&Message{ID: 6, Op: seedRequest(), Controls: []Control{{OID: "1.2.3", Value: []byte("v")}}}).Encode(), 4)},
+		{"non-minimal long-form lengths", kept, longForm((&Message{ID: 3, Op: &SearchResultDone{}}).Encode(), 1)},
+		{"a BOOLEAN TRUE other than 0xFF", kept, envelope(8, treeSearch(func(op *ber.Packet) {
+			op.Children[5] = &ber.Packet{Tag: ber.TagBoolean, Value: []byte{0x01}}
+		}))},
+		{"EntryChangeNotification's OPTIONAL previousDN and changeNumber", kept,
+			(&Message{ID: 15, Op: &SearchResultEntry{Entry: entry}, Controls: []Control{entryChange}}).Encode()},
+
+		{"a constructed OCTET STRING", dropped, envelope(8, treeSearch(func(op *ber.Packet) { op.Children[0] = constructed("o=grid") }))},
+		{"a constructed OCTET STRING", dropped, envelope(8, treeSearch(func(op *ber.Packet) { op.Children[7].Children[0] = constructed("hn") }))},
+		{"a constructed OCTET STRING", dropped, envelope(10, ber.NewConstructed(ber.ClassApplication, appDelRequest).Append(ber.NewOctetString("hn=h1, o=grid")))},
+		{"a constructed OCTET STRING", dropped, envelope(3, ber.NewConstructed(ber.ClassApplication, appSearchDone).Append(
+			ber.NewEnumerated(0), ber.NewSequence(), ber.NewOctetString("")))},
+
+		{"a primitive where RFC 4511 has a SEQUENCE or a SET", dropped, envelope(9, treeOp(seedRequest()), &ber.Packet{Class: ber.ClassContext, Tag: 0})},
+		{"a primitive where RFC 4511 has a SEQUENCE or a SET", dropped, envelope(3, treeOp(&SearchResultDone{}).Append(&ber.Packet{Class: ber.ClassContext, Tag: 3, Value: []byte("x")}))},
+		{"a primitive where RFC 4511 has a SEQUENCE or a SET", dropped, envelope(8, treeSearch(func(op *ber.Packet) { op.Children[7] = &ber.Packet{Tag: ber.TagSequence} }))},
+
+		{"INTEGER for ENUMERATED or the reverse, or a number of another type", dropped, envelope(8, treeSearch(func(op *ber.Packet) { op.Children[1] = ber.NewInteger(2) }))},
+		{"INTEGER for ENUMERATED or the reverse, or a number of another type", dropped, envelope(3, ber.NewConstructed(ber.ClassApplication, appSearchDone).Append(
+			ber.NewInteger(0), ber.NewOctetString(""), ber.NewOctetString("")))},
+		{"INTEGER for ENUMERATED or the reverse, or a number of another type", dropped, ber.Marshal(ber.NewSequence().Append(ber.NewEnumerated(8), treeOp(seedRequest())))},
+
+		{"a SearchRequest with fields after the eighth", dropped, envelope(8, treeSearch(func(op *ber.Packet) { op.Append(ber.NewNull()) }))},
+
+		{"control fields out of order, an INTEGER criticality, or a field after the value", dropped,
+			envelope(9, treeOp(seedRequest()), control(ber.NewOctetString("1.2.3"), ber.NewOctetString("v"), ber.NewBoolean(true)))},
+		{"control fields out of order, an INTEGER criticality, or a field after the value", dropped,
+			envelope(9, treeOp(seedRequest()), control(ber.NewOctetString("1.2.3"), ber.NewInteger(1)))},
+		{"control fields out of order, an INTEGER criticality, or a field after the value", dropped,
+			envelope(9, treeOp(seedRequest()), control(ber.NewOctetString("1.2.3"), ber.NewBoolean(false), ber.NewOctetString("v"), ber.NewNull()))},
+
+		{"an element after the operation or its controls", dropped, envelope(9, treeOp(seedRequest()), ber.NewConstructed(ber.ClassContext, 0), ber.NewNull())},
+		{"an element after the operation or its controls", dropped, envelope(9, treeOp(seedRequest()), ber.NewNull())},
+
+		{"a field after an operation's last", dropped, envelope(3, done.Append(ber.NewNull()))},
+		{"a field after an operation's last", dropped, envelope(1, treeOp(&BindRequest{Version: 3}).Append(ber.NewNull()))},
+
+		{"ExtendedRequest and ExtendedResponse fields matched by tag number whatever their class", dropped,
+			envelope(13, ber.NewConstructed(ber.ClassApplication, appExtendedRequest).Append(
+				&ber.Packet{Class: ber.ClassApplication, Tag: 0, Value: []byte("1.2.3")}))},
+		{"ExtendedRequest and ExtendedResponse fields matched by tag number whatever their class", dropped,
+			envelope(14, treeOp(&ExtendedResponse{}).Append(&ber.Packet{Tag: 10, Value: []byte("1.2.3")}))},
+
+		{"bind authentication and substring components matched by tag number whatever their class", dropped,
+			envelope(1, ber.NewConstructed(ber.ClassApplication, appBindRequest).Append(ber.NewInteger(3), ber.NewOctetString(""),
+				&ber.Packet{Class: ber.ClassApplication, Tag: 0, Value: []byte("pw")}))},
+		{"bind authentication and substring components matched by tag number whatever their class", dropped,
+			envelope(8, treeSearch(substrings(&ber.Packet{Tag: 1, Value: []byte("mid")})))},
+
+		{"substring components out of order or repeated", dropped, envelope(8, treeSearch(substrings(ber.NewContextString(2, "z"), ber.NewContextString(0, "a"))))},
+		{"substring components out of order or repeated", dropped, envelope(8, treeSearch(substrings(ber.NewContextString(2, "y"), ber.NewContextString(2, "z"))))},
+
+		{"contents in an UnbindRequest", dropped, envelope(4, &ber.Packet{Class: ber.ClassApplication, Tag: appUnbindRequest, Value: []byte("x")})},
+
+		{"high-tag-number identifiers", dropped, envelope(8, treeSearch(func(op *ber.Packet) {
+			op.Children[7].Children[0] = &ber.Packet{Tag: 40, Value: []byte("hn")}
+		}))},
+	}
+}
+
+// controlValuesParse reports whether m's persistent-search and entry-change
+// control values parse.
+func controlValuesParse(m *Message) bool {
+	for _, c := range m.Controls {
+		var err error
+		switch c.OID {
+		case OIDPersistentSearch:
+			_, err = ParsePersistentSearch(c)
+		case OIDEntryChangeNotification:
+			_, err = ParseEntryChange(c)
+		}
+		if err != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// TestScanLanguage pins the language DESIGN §9 settles: the oracle accepts
+// every row's frame, and the scanner accepts it iff the table keeps the
+// leniency — as the message the oracle makes of it.
+func TestScanLanguage(t *testing.T) {
+	for _, row := range languageRows() {
+		want := treeDecode(row.frame)
+		if want == nil {
+			t.Errorf("%s: the oracle refuses % x, so it shows no leniency", row.leniency, row.frame)
+			continue
+		}
+		got, err := ScanMessage(row.frame)
+		if accepted := err == nil && controlValuesParse(got); accepted != row.kept {
+			t.Errorf("%s: scanner accepts %v (%v), the table says %v: % x", row.leniency, accepted, err, row.kept, row.frame)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: scanned\n %#v\noracle\n %#v", row.leniency, got, want)
+		}
+	}
+}
+
+// scanSeeds adds frames of every kind to f: every corpus message with and
+// without controls, and every seed set.
+func scanSeeds(f *testing.F) {
+	ctls := []Control{{OID: obs.OIDTraceRequest, Value: obs.EncodeTraceRequest("t1", 1)}, {OID: "1.2.3", Criticality: true}}
+	for _, m := range wireCorpus() {
+		f.Add(m.Encode())
+		if m.Controls == nil {
+			m.Controls = ctls
+			f.Add(m.Encode())
+		}
+	}
+	for _, frame := range entrySeeds() {
+		f.Add(frame)
+	}
+	requestDoneSeeds(f)
+}
+
+// requestDoneSeeds adds the request and done seeds and the language table's
+// frames to f.
+func requestDoneSeeds(f *testing.F) {
 	for _, frame := range requestSeeds() {
 		f.Add(frame)
 	}
 	for _, frame := range doneSeeds() {
 		f.Add(frame)
 	}
-	f.Fuzz(func(t *testing.T, frame []byte) {
-		want := treeDecode(frame)
-		canonical := want != nil && bytes.Equal(want.Encode(), frame)
+	for _, row := range languageRows() {
+		f.Add(row.frame)
+	}
+}
+
+// FuzzScanMessage holds the scanner to the oracle (oracle_test.go):
+//
+//   - whatever the scanner accepts, in the client's mode and the server's,
+//     the oracle accepts, as a reflect.DeepEqual message that keeps nothing
+//     of the frame it was scanned from;
+//   - whatever the oracle accepts, the scanner accepts in this package's own
+//     encoding, as the message the oracle made;
+//   - a result entry's wire path accepts what ScanMessage does, keeps the
+//     name bytes iff they are DN.String(), materializes the attributes the
+//     oracle decodes (decodeRawAttrs ≡ decodeAttrList), and relays a frame
+//     that decodes to the entry that came in.
+func FuzzScanMessage(f *testing.F) {
+	scanSeeds(f)
+	f.Fuzz(checkScan)
+}
+
+// FuzzScanSearchRequest replays the request and done seeds and the language
+// table through FuzzScanMessage's property.
+func FuzzScanSearchRequest(f *testing.F) {
+	requestDoneSeeds(f)
+	f.Fuzz(checkScan)
+}
+
+// checkScan is FuzzScanMessage's property on one frame.
+func checkScan(t *testing.T, frame []byte) {
+	want := treeDecode(frame)
+	if n, err := ber.FrameLen(frame); want != nil && (err != nil || n != len(frame)) {
+		t.Fatalf("FrameLen = %d, %v for a %d-byte frame the oracle accepts", n, err, len(frame))
+	}
+	for _, server := range []bool{false, true} {
 		in := bytes.Clone(frame)
-		got, ok := scanSearchRequest(in)
-		if ok {
-			if want == nil {
-				t.Fatalf("scanner accepted a request the tree decoder refuses: % x", frame)
-			}
-			for i := range in {
-				in[i] = 0xDB // the read loop reuses the buffer
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("scanned request\n %#v\ntree decoder\n %#v", got, want)
-			}
-		} else if canonical {
-			if _, isSearch := want.Op.(*SearchRequest); isSearch {
-				t.Fatalf("request scanner fell back on a frame in our own encoder's form: % x", frame)
-			}
+		got, err := scanMessage(in, server)
+		if err != nil {
+			continue
 		}
-		in = bytes.Clone(frame)
-		id, op, controls, ok := scanEnvelope(in)
-		if !ok || controls != nil || op[0] != idSearchDone {
-			return
+		if want == nil {
+			t.Fatalf("scanner accepted a frame the oracle refuses: % x", frame)
 		}
-		if got, ok := scanSearchDone(id, op); ok {
-			for i := range in {
-				in[i] = 0xDB // the read loop rewinds the chunk
-			}
-			if want == nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("scanned done %#v, tree decoder %#v", got, want)
-			}
-		} else if canonical {
-			if _, isDone := want.Op.(*SearchResultDone); isDone {
-				t.Fatalf("done scanner fell back on a frame in our own encoder's form: % x", frame)
-			}
+		poison(in)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("scanned (server %v)\n %#v\noracle\n %#v", server, got, want)
 		}
-	})
+	}
+	if want != nil {
+		canon := want.Encode()
+		got, err := ScanMessage(canon)
+		if err != nil {
+			t.Fatalf("scanner refused our own encoding (%v) of a message the oracle accepts: % x", err, canon)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("scanned our own encoding\n %#v\noracle\n %#v", got, want)
+		}
+	}
+	checkWireEntry(t, frame, want)
+}
+
+// checkWireEntry is checkScan's property of a result entry's wire path.
+func checkWireEntry(t *testing.T, frame []byte, want *Message) {
+	var w wireEntries
+	id, e, isEntry, err := scanFrame(&w, frame)
+	if !isEntry {
+		return
+	}
+	if _, scanErr := ScanMessage(frame); (err == nil) != (scanErr == nil) {
+		t.Fatalf("wire path refuses %v, ScanMessage %v: % x", err, scanErr, frame)
+	}
+	if err != nil {
+		return
+	}
+	sre := want.Op.(*SearchResultEntry)
+	if !reflect.DeepEqual(e.DN, sre.Entry.DN) || id != want.ID {
+		t.Fatalf("entry %d %q, oracle %d %q", id, e.DN, want.ID, sre.Entry.DN)
+	}
+	// The name bytes are kept exactly when they are the text the encoder
+	// renders, and re-sending them changes no byte of the relayed frame.
+	var s scanner
+	_, op, _ := s.envelope(frame)
+	received, _ := s.searchEntry(op)
+	if rendered := e.DN.String(); e.name != nil && string(e.name) != rendered {
+		t.Fatalf("kept name %q, rendered %q", e.name, rendered)
+	} else if e.name == nil && string(received) == rendered {
+		t.Fatalf("canonical name %q not kept", received)
+	}
+	relayed := entryFrame(id, e) // before anything decoded it
+	if rendered := entryFrame(id, e.WithDN(e.DN)); !bytes.Equal(relayed, rendered) {
+		t.Fatalf("relayed frame with the kept name\n % x\ndiffers from the rendered one\n % x", relayed, rendered)
+	}
+	if !reflect.DeepEqual(e.Attributes(), sre.Entry.Attrs) {
+		t.Fatalf("attributes %v, oracle %v", e.Attributes(), sre.Entry.Attrs)
+	}
+	list, err := ber.DecodeOwned(bytes.Clone(e.raw))
+	if err != nil {
+		t.Fatalf("kept attribute list does not decode: %v", err)
+	}
+	if viaTree, err := decodeAttrList(list); err != nil || !reflect.DeepEqual(decodeRawAttrs(e.raw), viaTree) {
+		t.Fatalf("materialize %v, decodeAttrList %v (%v)", decodeRawAttrs(e.raw), viaTree, err)
+	}
+	if back := treeDecode(relayed); back == nil || !reflect.DeepEqual(back.Op, want.Op) || back.ID != id {
+		t.Fatalf("relayed frame does not decode to the entry that came in:\n in  % x\n out % x", frame, relayed)
+	}
 }
 
 // TestSearchRequestAllocationBudget: a scanned request is the frame's one
 // copy, the Message and SearchRequest together, the filter's nodes and the
 // attribute list — at most 4 allocations for (&(objectclass=…)(hn=…)) and
-// two attributes, where the tree decoder makes about 25.
+// two attributes, where the oracle makes about 30.
 func TestSearchRequestAllocationBudget(t *testing.T) {
 	frame := (&Message{ID: 7, Op: &SearchRequest{BaseDN: "ou=s0, o=grid", Scope: ScopeWholeSubtree,
 		Filter:     MustParseFilter("(&(objectclass=computer)(hn=h1))"),
 		Attributes: []string{"hn", "load5"}}}).Encode()
 	n := testing.AllocsPerRun(100, func() {
-		if _, ok := scanSearchRequest(frame); !ok {
-			t.Fatal("scanner refused a canonical request")
+		if _, err := scanMessage(frame, true); err != nil {
+			t.Fatal(err)
 		}
 	})
 	tree := testing.AllocsPerRun(100, func() { ParseMessageBytes(frame) })
-	t.Logf("allocations per search request: scanned %.0f, tree-decoded %.0f", n, tree)
+	t.Logf("allocations per search request: scanned %.0f, oracle %.0f", n, tree)
 	if n > 4 {
 		t.Errorf("scanning a search request costs %.0f allocations, budget 4", n)
 	}
@@ -263,14 +472,43 @@ func TestSearchRequestAllocationBudget(t *testing.T) {
 // search builds the Message and nothing else — no copy, no strings.
 func TestResultDoneZeroAlloc(t *testing.T) {
 	frame := (&Message{ID: 7, Op: &SearchResultDone{}}).Encode()
-	id, op, _, _ := scanEnvelope(frame)
 	n := testing.AllocsPerRun(100, func() {
-		if _, ok := scanSearchDone(id, op); !ok {
-			t.Fatal("scanner refused a canonical done")
+		if _, err := ScanMessage(frame); err != nil {
+			t.Fatal(err)
 		}
 	})
 	if n != 1 {
 		t.Errorf("scanning a successful done makes %.0f allocations, want only its Message's", n)
+	}
+}
+
+// TestAddRequestAllocationBudget: a server scanning a GRRP registration Add
+// copies the strings it keeps out of the frame one by one (unescaping the
+// URL in the name builds one more) and cuts the rest from arrays — the
+// Message and AddRequest together, the entry and its name's two arrays, one
+// attribute array, one value array: 27 allocations, where the oracle makes
+// 72.
+func TestAddRequestAllocationBudget(t *testing.T) {
+	const url = "ldap://gris7.example.org:2135/hn=h7, o=grid"
+	e := NewEntry(MustParseDN("mds-vo-op=register").ChildAVA("grrp", url)).
+		Add("objectclass", "mdsregistration").
+		Add("grrp", url).
+		Add("grrptype", "register").
+		Add("issuedat", "2026-10-15T09:00:00.123456789Z").
+		Add("validuntil", "2026-10-15T09:02:00.123456789Z").
+		Add("mdstype", "gris").
+		Add("vo", "alliance").
+		Add("suffixdn", "hn=h7, o=grid")
+	frame := (&Message{ID: 9, Op: &AddRequest{Entry: e}}).Encode()
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := scanMessage(frame, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	tree := testing.AllocsPerRun(100, func() { ParseMessageBytes(frame) })
+	t.Logf("allocations per registration Add: scanned %.0f, oracle %.0f", n, tree)
+	if n > 27 || n > tree {
+		t.Errorf("scanning a registration Add costs %.0f allocations, budget 27 (oracle %.0f)", n, tree)
 	}
 }
 
@@ -285,7 +523,7 @@ func readReplies(t *testing.T, conn net.Conn, r *bufio.Reader) (replies [][]byte
 		if err != nil {
 			return replies, false
 		}
-		m, err := DecodeMessage(p)
+		m, err := treeMessage(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,38 +534,56 @@ func readReplies(t *testing.T, conn net.Conn, r *bufio.Reader) (replies [][]byte
 	}
 }
 
-// TestServerAcceptsIffTreeDecodes: a server answers a search frame iff the
-// tree decoder takes it, and a frame the scanner leaves to the tree decoder
-// gets the answer its canonical form — which the scanner takes — gets.
-func TestServerAcceptsIffTreeDecodes(t *testing.T) {
+// TestServerAnswersIffAccepted: through a real connection, a server answers
+// a search frame of the language table iff the table keeps its leniency, and
+// a seed iff the oracle accepts it (the two agree on every seed) — with the
+// replies its canonical form gets.
+func TestServerAnswersIffAccepted(t *testing.T) {
 	c, store := startTestServer(t)
 	if err := store.Put(NewEntry(MustParseDN("hn=h1, ou=s0, o=grid")).Add("objectclass", "computer").
 		Add("hn", "h1").Add("load5", "0.5")); err != nil {
 		t.Fatal(err)
 	}
 	addr := c.conn.RemoteAddr().String()
-	answered, refused := 0, 0
+	type search struct {
+		frame  []byte
+		answer bool
+	}
+	searches := map[string]search{}
+	for i, row := range languageRows() {
+		if m := treeDecode(row.frame); m != nil {
+			if _, ok := m.Op.(*SearchRequest); ok {
+				searches[fmt.Sprintf("%s (%d)", row.leniency, i)] = search{row.frame, row.kept}
+			}
+		}
+	}
 	for name, frame := range requestSeeds() {
-		if n, err := ber.FrameLen(frame); err != nil || n != len(frame) {
+		want := treeDecode(frame)
+		if _, err := ScanMessage(frame); (err == nil) != (want != nil) {
+			t.Errorf("%s: scanner accepts %v, oracle %v: a leniency outside the table", name, err == nil, want != nil)
+		}
+		searches[name] = search{frame, want != nil}
+	}
+	answered, refused := 0, 0
+	for name, s := range searches {
+		if n, err := ber.FrameLen(s.frame); err != nil || n != len(s.frame) {
 			continue // the stream would frame it differently
 		}
-		want := treeDecode(frame)
-		if want != nil {
-			if _, isSearch := want.Op.(*SearchRequest); !isSearch || isPersistentSearch(want) {
-				continue
-			}
+		want := treeDecode(s.frame)
+		if want != nil && isPersistentSearch(want) {
+			continue
 		}
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := bufio.NewReader(conn)
-		if _, err := conn.Write(frame); err != nil {
+		if _, err := conn.Write(s.frame); err != nil {
 			t.Fatal(err)
 		}
 		got, ok := readReplies(t, conn, r)
-		if ok != (want != nil) {
-			t.Errorf("%s: answered %v, tree decoder accepts %v", name, ok, want != nil)
+		if ok != s.answer {
+			t.Errorf("%s: answered %v, want %v", name, ok, s.answer)
 		}
 		if ok {
 			answered++
@@ -343,7 +599,7 @@ func TestServerAcceptsIffTreeDecodes(t *testing.T) {
 		conn.Close()
 	}
 	t.Logf("%d search frames answered, %d refused", answered, refused)
-	if answered < 10 || refused < 5 {
-		t.Errorf("only %d frames answered and %d refused: the seeds no longer exercise both sides", answered, refused)
+	if answered < 10 || refused < 10 {
+		t.Errorf("only %d frames answered and %d refused: the frames no longer exercise both sides", answered, refused)
 	}
 }

@@ -2,8 +2,7 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
-	"strings"
+	"errors"
 
 	"mds2/internal/ber"
 )
@@ -19,31 +18,46 @@ const (
 	OIDTraceSpans = "1.3.6.1.4.1.57846.1.2"
 )
 
+// One-octet BER identifiers of a trace-request value's elements.
+const (
+	idSequence    = 0x30
+	idOctetString = 0x04
+	idInteger     = 0x02
+)
+
+var errBadTraceRequest = errors.New("obs: bad trace request control")
+
 // EncodeTraceRequest encodes a trace-request control value.
 func EncodeTraceRequest(id string, depth int) []byte {
-	return ber.Marshal(ber.NewSequence().Append(
-		ber.NewOctetString(id),
-		ber.NewInteger(int64(depth)),
-	))
+	var b ber.Builder
+	b.Begin(ber.ClassUniversal, ber.TagSequence)
+	b.OctetString(id)
+	b.Int(int64(depth))
+	b.End()
+	return b.Bytes()
 }
 
 // DecodeTraceRequest decodes a trace-request control value.
 func DecodeTraceRequest(value []byte) (id string, depth int, err error) {
-	p, err := ber.DecodeFull(value)
+	tag, seq, rest, err := ber.Element(value)
+	if err != nil || tag != idSequence || len(rest) != 0 {
+		return "", 0, errBadTraceRequest
+	}
+	tag, idBytes, seq, err := ber.Element(seq)
+	if err != nil || tag != idOctetString {
+		return "", 0, errBadTraceRequest
+	}
+	tag, d, rest, err := ber.Element(seq)
+	if err != nil || tag != idInteger || len(rest) != 0 {
+		return "", 0, errBadTraceRequest
+	}
+	n, err := ber.ParseInt64(d)
 	if err != nil {
-		return "", 0, err
+		return "", 0, errBadTraceRequest
 	}
-	if len(p.Children) != 2 {
-		return "", 0, fmt.Errorf("obs: bad trace request control")
-	}
-	// Clone: Str may view the caller's frame buffer, and the trace ID
-	// outlives the request frame.
-	id = strings.Clone(p.Child(0).Str())
-	d, err := p.Child(1).Int64()
-	if err != nil {
-		return "", 0, err
-	}
-	return id, int(d), nil
+	// A copy: the value may view a request frame, and the trace ID outlives
+	// the request.
+	return string(idBytes), int(n), nil
 }
 
 // EncodeSpans encodes a trace-spans control value.

@@ -375,7 +375,7 @@ func TestFillOwnsItsBytes(t *testing.T) {
 	go func() {
 		buf := make([]byte, 4096)
 		n, _ := server.Read(buf)
-		req, err := ldap.ParseMessageBytes(buf[:n])
+		req, err := ldap.ScanMessage(buf[:n])
 		if err != nil {
 			return
 		}
