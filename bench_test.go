@@ -200,11 +200,22 @@ func BenchmarkGIISStrategies(b *testing.B) {
 }
 
 // BenchmarkGIISIndexUnderChurn is the register-storm workload in process:
-// a directory holding 1,000 registrations answers a one-level name-index
-// search (50 of them match) after every refresh. A refresh must cost the
-// next search neither a re-parse nor a rebuild of the registrations.
+// a directory holding n registrations answers a one-level name-index search
+// (50 of them match, at every n) after every refresh. A refresh must cost
+// the next search neither a re-parse nor a rebuild of the registrations, and
+// the search must cost what it returns: the provider-count axis of the MDS2
+// performance studies, which should stay flat.
 func BenchmarkGIISIndexUnderChurn(b *testing.B) {
-	const providers, vos = 1000, 20
+	for _, providers := range []int{1000, 10000, 50000} {
+		b.Run(fmt.Sprintf("providers=%dk", providers/1000), func(b *testing.B) {
+			benchIndexUnderChurn(b, providers)
+		})
+	}
+}
+
+func benchIndexUnderChurn(b *testing.B, providers int) {
+	const perVO = 50
+	vos := providers / perVO
 	s := giis.New(giis.Config{Name: "d", Suffix: ldap.MustParseDN("o=grid"),
 		SelfURL: ldap.MustParseURL("sim://d:389"),
 		Dial:    func(ldap.URL) (*ldap.Client, error) { return nil, io.EOF }})
@@ -241,8 +252,8 @@ func BenchmarkGIISIndexUnderChurn(b *testing.B) {
 			b.Fatal(res)
 		}
 	}
-	if w.n != b.N*providers/vos {
-		b.Fatalf("%d searches returned %d entries, want %d each", b.N, w.n, providers/vos)
+	if w.n != b.N*perVO {
+		b.Fatalf("%d searches returned %d entries, want %d each", b.N, w.n, perVO)
 	}
 }
 

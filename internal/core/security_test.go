@@ -111,7 +111,7 @@ func TestReferralFollowWithReauthentication(t *testing.T) {
 	}
 	defer user.Close()
 
-	entries, err := user.SearchFollowingReferrals(ldap.MustParseDN("vo=v"), "(objectclass=loadaverage)",
+	entries, err := user.SearchFollowingReferrals(ldap.MustParseDN("vo=v"), ldap.ScopeWholeSubtree, "(objectclass=loadaverage)",
 		func(url ldap.URL) (*grip.Client, error) {
 			return g.Connect("sched", url)
 		},
@@ -128,7 +128,7 @@ func TestReferralFollowWithReauthentication(t *testing.T) {
 	// Without authentication the follow-up filter is refused at the
 	// provider, so only public data (none matching the load filter) comes
 	// back.
-	entries, err = user.SearchFollowingReferrals(ldap.MustParseDN("vo=v"), "(objectclass=loadaverage)",
+	entries, err = user.SearchFollowingReferrals(ldap.MustParseDN("vo=v"), ldap.ScopeWholeSubtree, "(objectclass=loadaverage)",
 		func(url ldap.URL) (*grip.Client, error) {
 			return g.Connect("anon", url)
 		}, nil, 0)

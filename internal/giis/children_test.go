@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -119,13 +121,26 @@ type tableRig struct {
 	clock *softstate.FakeClock
 	s     *Server
 	next  int // next unused provider number
+	// members and gen are the membership and table generation at the last
+	// check.
+	members []Child
+	gen     uint64
 }
 
 func (r *tableRig) message(id int, ttl time.Duration) *grrp.Message {
 	now := r.clock.Now()
-	suffix := fmt.Sprintf("hn=p%d, ou=site%d, vo=alliance, o=grid", id, r.rng.Intn(3))
-	if r.rng.Intn(3) == 0 {
-		suffix = fmt.Sprintf("hn=p%d, o=elsewhere%d", id, r.rng.Intn(2)) // grafted under the suffix
+	// Sites are spelled in two cases, which name one view position.
+	site := fmt.Sprintf([]string{"ou=site%d", "OU=Site%d"}[r.rng.Intn(2)], r.rng.Intn(3))
+	suffix := fmt.Sprintf("hn=p%d, %s, vo=alliance, o=grid", id, site)
+	switch r.rng.Intn(9) {
+	case 0, 1, 2: // grafted under the suffix
+		suffix = fmt.Sprintf("hn=p%d, o=elsewhere%d", id, r.rng.Intn(2))
+	case 3: // a whole site: the views of the hosts above nest inside it
+		suffix = site + ", vo=alliance, o=grid"
+	case 4: // a multi-AVA RDN
+		suffix = fmt.Sprintf("hn=p%d+cn=c%d, %s, vo=alliance, o=grid", id, id%2, site)
+	case 5: // the directory's own suffix (a replica of it)
+		suffix = "vo=alliance, o=grid"
 	}
 	return &grrp.Message{Type: grrp.TypeRegister, MDSType: []string{"gris", "giis"}[r.rng.Intn(2)],
 		ServiceURL: fmt.Sprintf("sim://p%d-node:389", id), VO: fmt.Sprintf("vo%d", r.rng.Intn(3)),
@@ -218,13 +233,67 @@ func (r *tableRig) step() string {
 	}
 }
 
-// check compares Children() and every name-index search with the oracle.
+// sameChildren is reflect.DeepEqual with no child set and an empty one equal.
+func sameChildren(a, b []Child) bool {
+	return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b)
+}
+
+// membership is a child set without its liveness: what a join, a leave or
+// a re-description changes and a plain refresh does not.
+func membership(children []Child) []Child {
+	out := slices.Clone(children)
+	for i := range out {
+		out[i].ExpiresAt, out[i].LastRefresh = time.Time{}, time.Time{}
+	}
+	return out
+}
+
+// regionProbes are the (base, scope) pairs the view tree is checked on: the
+// root, the suffix and its parent, sites and grafted views in both spellings,
+// a multi-AVA view in both AVA orders (which name different entries), and a
+// random child's view, its parent and an entry below it.
+func (r *tableRig) regionProbes(children []Child) []string {
+	probes := []string{"", "o=grid", "vo=alliance, o=grid", "VO=Alliance, O=Grid",
+		"ou=site1, vo=alliance, o=grid", "OU=SITE2, vo=alliance, o=grid", "ou=nowhere, o=grid",
+		"o=elsewhere0, vo=alliance, o=grid", "O=ELSEWHERE1, vo=alliance, o=grid", "o=elsewhere1",
+		"hn=p3+cn=c1, ou=site0, vo=alliance, o=grid", "CN=c1+HN=p3, ou=site0, vo=alliance, o=grid"}
+	if len(children) > 0 {
+		v := children[r.rng.Intn(len(children))].ViewSuffix
+		probes = append(probes, v.String(), strings.ToUpper(v.Parent().String()),
+			v.ChildAVA("cn", "leaf").String())
+	}
+	return probes
+}
+
+// check compares Children(), the view tree's regions, the table generation
+// and every name-index search with the oracle. Region children carry the
+// deadline a chained hop caps its query-cache entry at, so comparing them
+// with the registry's checks the cap sees every refresh too.
 func (r *tableRig) check(after string) {
 	r.t.Helper()
 	s := r.s
 	want := s.buildChildren()
-	if got := s.Children(); !reflect.DeepEqual(got, want) {
+	if got := s.Children(); !sameChildren(got, want) {
 		r.t.Fatalf("after %s: Children()\n got %+v\nwant %+v", after, got, want)
+	}
+	_, gen := s.table.records()
+	if moved := !sameChildren(membership(want), r.members); moved != (gen != r.gen) {
+		r.t.Fatalf("after %s: membership changed %v, but the generation went %d → %d", after, moved, r.gen, gen)
+	}
+	r.members, r.gen = membership(want), gen
+	for _, probe := range r.regionProbes(want) {
+		base := ldap.MustParseDN(probe)
+		for _, scope := range []ldap.Scope{ldap.ScopeBaseObject, ldap.ScopeSingleLevel, ldap.ScopeWholeSubtree} {
+			var inRegion []Child
+			for _, c := range want {
+				if _, _, ok := translateRegion(base, scope, &c); ok {
+					inRegion = append(inRegion, c)
+				}
+			}
+			if got := s.table.region(base, scope); !sameChildren(got, inRegion) {
+				r.t.Fatalf("after %s: region base=%q scope=%d\n got %+v\nwant %+v", after, probe, scope, got, inRegion)
+			}
+		}
 	}
 	local := s.localEntries(want)
 	child := "mds-child=sim://nobody:389, vo=alliance, o=grid"
@@ -261,7 +330,8 @@ func (r *tableRig) check(after string) {
 
 // TestChildTableEqualsRebuild drives seeded random sequences of every
 // registry transition and checks, after each one, that the incrementally
-// maintained child table and name index equal a rebuild from the registry.
+// maintained child table, view tree and name index equal a rebuild from the
+// registry, and that only membership changes moved the generation.
 func TestChildTableEqualsRebuild(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -271,7 +341,7 @@ func TestChildTableEqualsRebuild(t *testing.T) {
 			s := New(Config{Name: "giis.vo", Suffix: ldap.MustParseDN("vo=alliance, o=grid"),
 				SelfURL: ldap.MustParseURL("sim://giis-node:389"), Clock: clock, Strategy: NewReferral()})
 			defer s.Close()
-			r := &tableRig{t: t, rng: rand.New(rand.NewSource(seed)), clock: clock, s: s}
+			r := &tableRig{t: t, rng: rand.New(rand.NewSource(seed)), clock: clock, s: s, gen: 1}
 			if seed%2 == 0 {
 				// Ownership refusals: the table must never see a refused key.
 				s.receiver.Registry.SetOwns(func(key string, _ any) bool { return len(key)%3 != 0 })
@@ -444,8 +514,8 @@ func TestAckedAddVisibleExpiredInvisible(t *testing.T) {
 }
 
 // TestRefreshDoesNotReparse pins the cost of a plain refresh beside searches
-// at 1,000 children: the refresh, the Children() snapshot and a name-index
-// search after it allocate a few dozen objects, where re-parsing and
+// at 1,000 children: the refresh, the Children() copy and a name-index
+// search after it allocate about a dozen objects, where re-parsing and
 // re-materialising the registrations took about 41,000 — so no ParseURL or
 // ParseDN of a registration can be hiding in there.
 func TestRefreshDoesNotReparse(t *testing.T) {
@@ -484,8 +554,95 @@ func TestRefreshDoesNotReparse(t *testing.T) {
 		w.entries = w.entries[:0]
 		s.Search(req, op, w)
 	})
-	// About 17; the mdsdebug seal check adds two per entry handed out.
+	// About 10: Children() is one copy of the set now, built on request.
 	if allocs > 200 {
 		t.Fatalf("refresh + Children() + index search allocated %.0f objects, want at most 200", allocs)
+	}
+}
+
+// TestRegionAtTheRoot: on a directory whose suffix is the root DN, a child
+// serving the root itself hangs at the tree's root, and every region holds it.
+func TestRegionAtTheRoot(t *testing.T) {
+	clock := softstate.NewFakeClock()
+	s := New(Config{Name: "d", Suffix: ldap.DN{}, Clock: clock, Strategy: NewReferral()})
+	defer s.Close()
+	now := clock.Now()
+	for i, suffix := range []string{"", "o=grid", "hn=h, o=grid"} {
+		s.Ingest(&grrp.Message{Type: grrp.TypeRegister, MDSType: "gris", ServiceURL: fmt.Sprintf("sim://c%d:389", i),
+			SuffixDN: suffix, IssuedAt: now, ValidUntil: now.Add(time.Hour)})
+	}
+	children := s.Children()
+	if len(children) != 3 {
+		t.Fatalf("%d children, want 3", len(children))
+	}
+	for _, probe := range []string{"", "o=grid", "hn=h, o=grid", "cn=x, hn=h, o=grid", "o=other"} {
+		base := ldap.MustParseDN(probe)
+		for _, scope := range []ldap.Scope{ldap.ScopeBaseObject, ldap.ScopeSingleLevel, ldap.ScopeWholeSubtree} {
+			var want []Child
+			for _, c := range children {
+				if _, _, ok := translateRegion(base, scope, &c); ok {
+					want = append(want, c)
+				}
+			}
+			if got := s.table.region(base, scope); !sameChildren(got, want) || len(got) == 0 {
+				t.Fatalf("region base=%q scope=%d\n got %+v\nwant %+v", probe, scope, got, want)
+			}
+		}
+	}
+}
+
+// indexDirectory is a directory holding providers registrations, 50 to a
+// VO, with its name index built.
+func indexDirectory(t *testing.T, providers int) (*Server, []*grrp.Message) {
+	t.Helper()
+	s := New(Config{Name: "d", Suffix: ldap.MustParseDN("o=grid"), Strategy: NewReferral()})
+	t.Cleanup(s.Close)
+	now := time.Now()
+	msgs := make([]*grrp.Message, providers)
+	for i := range msgs {
+		msgs[i] = &grrp.Message{Type: grrp.TypeRegister, MDSType: "gris", VO: fmt.Sprintf("vo%d", i%(providers/50)),
+			ServiceURL: fmt.Sprintf("ldap://p%d.grid.example:2135", i),
+			SuffixDN:   fmt.Sprintf("hn=p%d, ou=providers, o=grid", i),
+			IssuedAt:   now, ValidUntil: now.Add(time.Hour)}
+	}
+	if n := s.IngestBatch(msgs); n != providers {
+		t.Fatalf("accepted %d of %d", n, providers)
+	}
+	return s, msgs
+}
+
+// TestIndexSearchAllocationBudget: a refresh and the one-level VO search
+// after it allocate the same at 1,000 and at 10,000 providers — no part of
+// the child set is copied or scanned per search — and stay within a fixed
+// budget. The region walk finds no child to chain to (their views sit two
+// levels down) and allocates nothing for that.
+func TestIndexSearchAllocationBudget(t *testing.T) {
+	const budget = 12
+	op := &ldap.SearchRequest{BaseDN: "o=grid", Scope: ldap.ScopeSingleLevel,
+		Filter: ldap.MustParseFilter("(&(objectclass=mdsservice)(vo=vo7))")}
+	req := &ldap.Request{Ctx: context.Background()}
+	var per [2]float64
+	for i, providers := range []int{1000, 10000} {
+		s, msgs := indexDirectory(t, providers)
+		w := &sink{}
+		s.Search(req, op, w) // builds the index
+		if len(w.entries) != 50 {
+			t.Fatalf("%d providers: index search returned %d entries, want 50", providers, len(w.entries))
+		}
+		k := 0
+		per[i] = testing.AllocsPerRun(100, func() {
+			if !s.Ingest(msgs[k%providers]) {
+				t.Fatal("refresh refused")
+			}
+			k++
+			w.entries = w.entries[:0]
+			s.Search(req, op, w)
+		})
+	}
+	t.Logf("refresh + one-level VO search: %.0f allocations at 1k providers, %.0f at 10k (budget %d)",
+		per[0], per[1], budget)
+	if per[0] != per[1] || per[1] > budget {
+		t.Fatalf("allocations grew with the provider count or passed the budget: %.0f at 1k, %.0f at 10k, budget %d",
+			per[0], per[1], budget)
 	}
 }

@@ -61,19 +61,6 @@ func childHops(children []Child) []hop {
 	return hops
 }
 
-// inRegion keeps the children whose namespace the search region can touch.
-// A shard scatters over its whole partition to find the few a narrow region
-// names, so the result is not sized to the input.
-func inRegion(ctx *SearchContext, children []Child) []Child {
-	relevant := make([]Child, 0, min(len(children), DefaultMaxFanout))
-	for _, child := range children {
-		if _, _, ok := translateRegion(ctx.Base, ctx.Op.Scope, child); ok {
-			relevant = append(relevant, child)
-		}
-	}
-	return relevant
-}
-
 type hopReply struct {
 	// entries are in SortEntries order: a reply is sorted once, where it is
 	// fetched (chainOnce), so a query-cache hit is sent as it lies.

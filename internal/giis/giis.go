@@ -346,21 +346,16 @@ func (s *Server) HandleDatagram(_ string, payload []byte) {
 }
 
 // Children returns the live child set, sorted by service URL, with every
-// child's deadline and refresh time current. The slice is shared and must be
-// treated as read-only.
+// child's deadline and refresh time current. The slice is the caller's.
 func (s *Server) Children() []Child {
-	children, _ := s.childSet()
-	return children
+	s.sweep()
+	recs, _ := s.table.records()
+	return children(recs)
 }
 
-// childSet is Children plus the child-table generation the set was taken at
-// (what a value derived from the set is memoized against).
-func (s *Server) childSet() ([]Child, uint64) {
-	// The registry applies due expiries to the table before the table is
-	// read, so nothing is listed at or past its deadline.
-	s.receiver.Registry.Sweep()
-	return s.table.snapshot()
-}
+// sweep lets the registry apply due expiries to the child table, so what
+// is read from the table next lists nothing at or past its deadline.
+func (s *Server) sweep() { s.receiver.Registry.Sweep() }
 
 // poolEntry is one pooled child connection plus a reference count. Fan-out
 // goroutines borrow entries with acquire and return them with release;
@@ -483,7 +478,7 @@ func (s *Server) evict(pe *poolEntry) {
 // different TTLs.
 func (s *Server) chainUncached(req *ldap.Request, child Child, base ldap.DN, scope ldap.Scope,
 	filter *ldap.Filter, attrs []string, sizeLimit int64) hopReply {
-	childBase, childScope, ok := translateRegion(base, scope, child)
+	childBase, childScope, ok := translateRegion(base, scope, &child)
 	if !ok {
 		return hopReply{}
 	}
@@ -538,7 +533,7 @@ func uncached(entries []*ldap.Entry, err error) hopReply {
 func (s *Server) chain(req *ldap.Request, child Child, base ldap.DN, scope ldap.Scope,
 	filter *ldap.Filter, attrs []string, sizeLimit int64, extra []ldap.Control) hopReply {
 
-	childBase, childScope, ok := translateRegion(base, scope, child)
+	childBase, childScope, ok := translateRegion(base, scope, &child)
 	if !ok {
 		return hopReply{}
 	}
@@ -553,7 +548,8 @@ func (s *Server) chain(req *ldap.Request, child Child, base ldap.DN, scope ldap.
 	}
 	key := region.Key(attrs, sizeLimit)
 	// The child's soft-state deadline caps freshness: a cached result never
-	// outlives the registration that produced it (two-tier expiry).
+	// outlives the registration that produced it (two-tier expiry). The
+	// deadline is the one current when the search selected the child.
 	entries, how, err := s.qc.GetOrFill(key, region, child.ExpiresAt, func() ([]*ldap.Entry, error) {
 		return s.chainTranslated(req, child, childBase, childScope, filter, attrs, sizeLimit, extra).cacheable()
 	})
@@ -710,7 +706,7 @@ func isPartial(r ldap.Result) bool { return strings.HasPrefix(r.Message, partial
 // translateRegion maps a search region in the GIIS view into the child's
 // namespace, returning ok=false when the region cannot contain the child's
 // entries.
-func translateRegion(base ldap.DN, scope ldap.Scope, child Child) (ldap.DN, ldap.Scope, bool) {
+func translateRegion(base ldap.DN, scope ldap.Scope, child *Child) (ldap.DN, ldap.Scope, bool) {
 	v := child.ViewSuffix
 	// Region rooted at or below the child's view subtree: translate base.
 	if base.Equal(v) || base.IsDescendantOf(v) {
@@ -806,7 +802,7 @@ func (s *Server) Search(req *ldap.Request, op *ldap.SearchRequest, w ldap.Search
 		}
 		return ldap.Result{Code: ldap.ResultSuccess}
 	}
-	children, gen := s.childSet()
+	s.sweep()
 
 	// Serve the local entries (self + name index) that fall in the region:
 	// one indexed lookup, and the stored entries go out as they are — the
@@ -827,8 +823,7 @@ func (s *Server) Search(req *ldap.Request, op *ldap.SearchRequest, w ldap.Search
 
 	// Hand data queries to the strategy.
 	return s.strategy.Search(&SearchContext{
-		Server: s, Req: req, Op: op, W: w,
-		Base: base, Children: children, gen: gen, sent: &sent,
+		Server: s, Req: req, Op: op, W: w, Base: base, sent: &sent,
 		chainAttrs: qcache.NormalizeAttrs(op.Attributes),
 	})
 }

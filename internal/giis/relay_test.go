@@ -31,7 +31,7 @@ func (s *Server) decodeSearch(op *ldap.SearchRequest) (entries []*ldap.Entry, co
 	var all []*ldap.Entry
 	seen := map[string]bool{}
 	for _, child := range s.Children() {
-		childBase, childScope, ok := translateRegion(base, op.Scope, child)
+		childBase, childScope, ok := translateRegion(base, op.Scope, &child)
 		if !ok {
 			continue
 		}

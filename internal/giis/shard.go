@@ -162,22 +162,37 @@ func (m *memo[V]) get(gen uint64, build func() V) V {
 	return v
 }
 
-// shardRoutes is the key-routed view of the local child set.
+// shardRoutes is the key-routed view of the local child set. It holds the
+// records, so a route read after a refresh still sees the new deadline.
 type shardRoutes struct {
-	byKey    map[string][]Child
-	wildcard []Child // children whose suffix carries no partition key
+	byKey    map[string][]*childRec
+	wildcard []*childRec // records whose suffix carries no partition key
 }
 
-func (sh *Sharded) buildRoutes(children []Child) shardRoutes {
-	r := shardRoutes{byKey: map[string][]Child{}}
-	for _, c := range children {
-		if key, keyed := sh.planner.RegistrationKeyDN(c.Suffix); keyed {
-			r.byKey[key] = append(r.byKey[key], c)
+func (sh *Sharded) buildRoutes(recs []*childRec) shardRoutes {
+	r := shardRoutes{byKey: map[string][]*childRec{}}
+	for _, rec := range recs {
+		if key, keyed := sh.planner.RegistrationKeyDN(rec.Suffix); keyed {
+			r.byKey[key] = append(r.byKey[key], rec)
 		} else {
-			r.wildcard = append(r.wildcard, c)
+			r.wildcard = append(r.wildcard, rec)
 		}
 	}
 	return r
+}
+
+// inRegionOf keeps the routed records whose namespace the search region can
+// touch, as children with current deadlines. The candidates are few; the
+// whole child set is searched through the view tree instead
+// (SearchContext.inRegion).
+func inRegionOf(ctx *SearchContext, recs []*childRec) []Child {
+	var relevant []Child
+	for _, rec := range recs {
+		if _, _, ok := translateRegion(ctx.Base, ctx.Op.Scope, &rec.Child); ok {
+			relevant = append(relevant, rec.child())
+		}
+	}
+	return relevant
 }
 
 // peerChild wraps a ring member as a chain target. Peers share this
@@ -220,20 +235,20 @@ func (sh *Sharded) Search(ctx *SearchContext) ldap.Result {
 
 	// Select the local children the region can touch. Routable regions —
 	// whether the query arrived from a client or as a peer's sub-query —
-	// read the key index instead of scanning the whole partition: an
-	// owner holding hundreds of thousands of residents must not pay a
-	// per-child region check for a lookup that names one key.
+	// read the key index, and check only the children it names; the rest
+	// walk the view tree. Either way an owner holding hundreds of thousands
+	// of residents pays for what the region holds, not for its partition.
 	var local []Child
 	if plan.Routable {
-		routes := sh.routes.get(ctx.gen, func() shardRoutes { return sh.buildRoutes(ctx.Children) })
+		recs, gen := sh.s.table.records()
+		routes := sh.routes.get(gen, func() shardRoutes { return sh.buildRoutes(recs) })
+		var cands []*childRec
 		for _, k := range plan.Keys {
-			local = append(local, routes.byKey[k]...)
+			cands = append(cands, routes.byKey[k]...)
 		}
-		local = append(local, routes.wildcard...)
+		local = inRegionOf(ctx, append(cands, routes.wildcard...))
 	} else {
-		// Scatter consults the whole local partition; translateRegion
-		// below still prunes children outside the region.
-		local = ctx.Children
+		local = ctx.inRegion()
 	}
 
 	if localOnly {
@@ -250,15 +265,15 @@ func (sh *Sharded) Search(ctx *SearchContext) ldap.Result {
 	return sh.searchProxy(ctx, local, &plan)
 }
 
-// searchLocal answers entirely from the local partition (peer sub-queries
-// and the local half of every mode).
+// searchLocal answers entirely from the local partition's in-region
+// children (peer sub-queries and the local half of every mode).
 func (sh *Sharded) searchLocal(ctx *SearchContext, local []Child) ldap.Result {
-	return sh.run(ctx, childHops(inRegion(ctx, local)), &sh.DupDropped)
+	return sh.run(ctx, childHops(local), &sh.DupDropped)
 }
 
 // searchProxy merges the local partition with chained peer sub-queries.
 func (sh *Sharded) searchProxy(ctx *SearchContext, local []Child, plan *shard.Plan) ldap.Result {
-	hops := childHops(inRegion(ctx, local))
+	hops := childHops(local)
 	if plan.Routable {
 		// One hop per key, failing over through the key's owners.
 		for _, key := range plan.Keys {
@@ -328,11 +343,12 @@ func dedupSorted(in []string) []string {
 // localSummaryBytes renders this shard's Bloom summary of its children's
 // namespace terms.
 func (sh *Sharded) localSummaryBytes() []byte {
-	children, gen := sh.s.childSet()
+	sh.s.sweep()
+	recs, gen := sh.s.table.records()
 	return sh.localSummary.get(gen, func() []byte {
 		var terms []string
-		for _, c := range children {
-			terms = append(terms, shard.SuffixTerms(c.Suffix)...)
+		for _, rec := range recs {
+			terms = append(terms, shard.SuffixTerms(rec.Suffix)...)
 		}
 		f := bloom.NewForCapacity(len(terms), 0.01)
 		for _, t := range terms {

@@ -298,7 +298,7 @@ func TestShardedReferralModeFollowedByClient(t *testing.T) {
 
 	// Routable: the coordinator serves its partition and refers to the
 	// key's owners.
-	entries, err := co.SearchFollowingReferrals(ldap.MustParseDN("o=grid"),
+	entries, err := co.SearchFollowingReferrals(ldap.MustParseDN("o=grid"), ldap.ScopeWholeSubtree,
 		"(&(objectclass=computer)(hn=h004))", dial, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +308,7 @@ func TestShardedReferralModeFollowedByClient(t *testing.T) {
 	}
 
 	// Scatter: referrals to the whole ring; entries still deduped.
-	entries, err = co.SearchFollowingReferrals(ldap.MustParseDN("o=grid"),
+	entries, err = co.SearchFollowingReferrals(ldap.MustParseDN("o=grid"), ldap.ScopeWholeSubtree,
 		"(objectclass=computer)", dial, nil, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -12,14 +12,12 @@ import (
 
 // SearchContext carries one data search through a strategy.
 type SearchContext struct {
-	Server   *Server
-	Req      *ldap.Request
-	Op       *ldap.SearchRequest
-	W        ldap.SearchWriter
-	Base     ldap.DN
-	Children []Child
+	Server *Server
+	Req    *ldap.Request
+	Op     *ldap.SearchRequest
+	W      ldap.SearchWriter
+	Base   ldap.DN
 
-	gen  uint64 // child-table generation Children was taken at
 	sent *int64 // starts at the number of local entries already sent
 
 	// chainAttrs is the attribute selection a hop chains downstream: the
@@ -46,6 +44,13 @@ func (c *SearchContext) send(e *ldap.Entry) error {
 		e = e.Project(c.Op.Attributes)
 	}
 	return c.W.SendEntry(e)
+}
+
+// inRegion returns the children the search region can touch, in Children()
+// order, with current deadlines: a walk of the view tree, which costs what
+// it returns.
+func (c *SearchContext) inRegion() []Child {
+	return c.Server.table.region(c.Base, c.Op.Scope)
 }
 
 // Strategy is the pluggable search handling of §10.4.
@@ -83,7 +88,7 @@ func (c *Chaining) attach(*Server) {}
 
 // Search implements Strategy.
 func (c *Chaining) Search(ctx *SearchContext) ldap.Result {
-	return c.run(ctx, childHops(inRegion(ctx, ctx.Children)), nil)
+	return c.run(ctx, childHops(ctx.inRegion()), nil)
 }
 
 // CachedIndex maintains a local copy of each child's entries, refreshed
@@ -137,7 +142,7 @@ func (c *CachedIndex) Search(ctx *SearchContext) ldap.Result {
 	// per-entry match over the whole corpus stays allocation-free.
 	cf := ctx.Op.Filter.Compile()
 	var matched []*ldap.Entry
-	for _, child := range inRegion(ctx, ctx.Children) {
+	for _, child := range ctx.inRegion() {
 		r := c.childEntries(ctx.Req, child)
 		if r.err != nil {
 			unreachable = true
@@ -215,13 +220,20 @@ func (r *Referral) Name() string { return "referral" }
 
 func (r *Referral) attach(*Server) {}
 
-// Search implements Strategy.
+// Search implements Strategy. Each referral names the region in the child's
+// namespace, and carries its scope when translation changed it: a one-level
+// search from above narrows to a base search at the child's suffix, and a
+// client re-issuing it one-level there would get the child's children
+// instead (RFC 4511 §4.5.3).
 func (r *Referral) Search(ctx *SearchContext) ldap.Result {
 	var urls []string
-	for _, child := range ctx.Children {
-		if base, _, ok := translateRegion(ctx.Base, ctx.Op.Scope, child); ok {
-			urls = append(urls, child.URL.WithDN(base).String())
+	for _, child := range ctx.inRegion() {
+		base, scope, _ := translateRegion(ctx.Base, ctx.Op.Scope, &child)
+		url := child.URL.WithDN(base)
+		if scope != ctx.Op.Scope {
+			url = url.WithScope(scope)
 		}
+		urls = append(urls, url.String())
 	}
 	return ctx.refer(ldap.Result{Code: ldap.ResultSuccess}, urls)
 }
@@ -262,7 +274,7 @@ func (b *BloomRouted) attach(s *Server) {
 
 // Search implements Strategy.
 func (b *BloomRouted) Search(ctx *SearchContext) ldap.Result {
-	hops := childHops(inRegion(ctx, ctx.Children))
+	hops := childHops(ctx.inRegion())
 	terms := shard.QueryTerms(ctx.Op.Filter, nil)
 	for i := range hops {
 		child := &hops[i].targets[0]

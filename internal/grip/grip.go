@@ -149,13 +149,17 @@ func (g *Client) SearchLimited(base ldap.DN, filter string, limit int64) ([]*lda
 // SearchReferrals runs a discovery and also returns any continuation
 // references (a referral-mode GIIS answers this way).
 func (g *Client) SearchReferrals(base ldap.DN, filter string) ([]*ldap.Entry, []string, error) {
+	return g.searchReferrals(base, ldap.ScopeWholeSubtree, filter)
+}
+
+func (g *Client) searchReferrals(base ldap.DN, scope ldap.Scope, filter string) ([]*ldap.Entry, []string, error) {
 	f, err := ldap.ParseFilter(filter)
 	if err != nil {
 		return nil, nil, err
 	}
 	res, err := g.c.Search(&ldap.SearchRequest{
 		BaseDN: base.String(),
-		Scope:  ldap.ScopeWholeSubtree,
+		Scope:  scope,
 		Filter: f,
 	})
 	if err != nil {
@@ -209,12 +213,14 @@ func (g *Client) Subscribe(ctx context.Context, base ldap.DN, filter string,
 // DefaultReferralHops bounds SearchFollowingReferrals when maxHops <= 0.
 const DefaultReferralHops = 32
 
-// SearchFollowingReferrals runs a discovery at a directory and, when the
-// directory answers with continuation references instead of data (a
-// referral-mode GIIS protecting restricted data, §10.4), follows each
-// referral to the authoritative provider using dial — re-authentication
-// happens there, at the source, exactly as the paper's two-step flow
-// requires; authenticate may be nil for anonymous follow-up. A referral
+// SearchFollowingReferrals runs a discovery over the region (base, scope)
+// at a directory and, when the directory answers with continuation
+// references instead of data (a referral-mode GIIS protecting restricted
+// data, §10.4), follows each referral to the authoritative provider using
+// dial. A referral is searched with its own scope when it names one (RFC
+// 4511 §4.5.3: a one-level search continues as a base search at a child's
+// suffix) and with scope otherwise. Re-authentication happens there, at
+// the source, exactly as the paper's two-step flow requires; authenticate may be nil for anonymous follow-up. A referral
 // target may itself answer with further referrals (a coordinator shard
 // referring to owner shards, an owner referring on), so the client walks
 // the referral graph breadth-first. Each distinct (service, DN) target is
@@ -224,14 +230,14 @@ const DefaultReferralHops = 32
 // provider's entries. maxHops bounds the total number of referral targets
 // followed (DefaultReferralHops when <= 0). Unreachable or failing targets
 // are skipped: partial results over no results (§2.2).
-func (g *Client) SearchFollowingReferrals(base ldap.DN, filter string,
+func (g *Client) SearchFollowingReferrals(base ldap.DN, scope ldap.Scope, filter string,
 	dial func(url ldap.URL) (*Client, error),
 	authenticate func(*Client) error, maxHops int) ([]*ldap.Entry, error) {
 
 	if maxHops <= 0 {
 		maxHops = DefaultReferralHops
 	}
-	entries, referrals, err := g.SearchReferrals(base, filter)
+	entries, referrals, err := g.searchReferrals(base, scope, filter)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +267,7 @@ func (g *Client) SearchFollowingReferrals(base ldap.DN, filter string,
 			if url.DN.IsZero() {
 				url = url.WithDN(base)
 			}
-			k := url.ServiceKey() + "|" + url.DN.Normalize()
+			k := url.ServiceKey() + "|" + url.DN.Normalize() + "|" + url.Scope(scope).String()
 			if visited[k] {
 				continue
 			}
@@ -284,7 +290,7 @@ func (g *Client) SearchFollowingReferrals(base ldap.DN, filter string,
 				continue
 			}
 		}
-		got, refs, err := next.SearchReferrals(url.DN, filter)
+		got, refs, err := next.searchReferrals(url.DN, url.Scope(scope), filter)
 		next.Close()
 		if err != nil {
 			continue

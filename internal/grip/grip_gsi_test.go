@@ -120,7 +120,7 @@ func TestSearchFollowingReferrals(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	entries, err := c.SearchFollowingReferrals(ldap.MustParseDN("vo=v"), "(objectclass=computer)",
+	entries, err := c.SearchFollowingReferrals(ldap.MustParseDN("vo=v"), ldap.ScopeWholeSubtree, "(objectclass=computer)",
 		func(url ldap.URL) (*grip.Client, error) { return grip.Dial(url.Address()) }, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestSearchFollowingReferrals(t *testing.T) {
 	}
 	// With an unreachable provider the follow degrades to partial results.
 	dir.Ingest(testRegistration("127.0.0.1:1", ldap.MustParseDN("hn=dead, o=g"), now))
-	entries, err = c.SearchFollowingReferrals(ldap.MustParseDN("vo=v"), "(objectclass=computer)",
+	entries, err = c.SearchFollowingReferrals(ldap.MustParseDN("vo=v"), ldap.ScopeWholeSubtree, "(objectclass=computer)",
 		func(url ldap.URL) (*grip.Client, error) { return grip.Dial(url.Address()) }, nil, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -87,7 +87,7 @@ func TestReferralChainAcrossHops(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	entries, err := c.SearchFollowingReferrals(ldap.MustParseDN("o=grid"),
+	entries, err := c.SearchFollowingReferrals(ldap.MustParseDN("o=grid"), ldap.ScopeWholeSubtree,
 		"(objectclass=computer)", dial, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestReferralDedupsReplicatedEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	entries, err := c.SearchFollowingReferrals(ldap.MustParseDN("o=grid"),
+	entries, err := c.SearchFollowingReferrals(ldap.MustParseDN("o=grid"), ldap.ScopeWholeSubtree,
 		"(objectclass=computer)", dial, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestReferralLoopTerminates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	entries, err := c.SearchFollowingReferrals(ldap.MustParseDN("o=grid"),
+	entries, err := c.SearchFollowingReferrals(ldap.MustParseDN("o=grid"), ldap.ScopeWholeSubtree,
 		"(objectclass=computer)", dial, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestReferralHopBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	entries, err := c.SearchFollowingReferrals(ldap.MustParseDN("o=grid"),
+	entries, err := c.SearchFollowingReferrals(ldap.MustParseDN("o=grid"), ldap.ScopeWholeSubtree,
 		"(objectclass=computer)", dial, nil, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestReferralSkipsDeadTargets(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	entries, err := c.SearchFollowingReferrals(ldap.MustParseDN("o=grid"),
+	entries, err := c.SearchFollowingReferrals(ldap.MustParseDN("o=grid"), ldap.ScopeWholeSubtree,
 		"(objectclass=computer)", dial, nil, 0)
 	if err != nil {
 		t.Fatal(err)

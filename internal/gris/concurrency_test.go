@@ -1,6 +1,7 @@
 package gris
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -132,4 +133,62 @@ func BenchmarkCacheStampede(b *testing.B) {
 		}
 	})
 	b.ReportMetric(float64(backend.calls.Load()), "invocations")
+}
+
+// sharedBackend returns one result set — the same pointers — every round,
+// as a producer that keeps its corpus does.
+type sharedBackend struct {
+	suffix  ldap.DN
+	entries []*ldap.Entry
+}
+
+func (b *sharedBackend) Name() string                          { return "shared" }
+func (b *sharedBackend) Suffix() ldap.DN                       { return b.suffix }
+func (b *sharedBackend) Attributes() []string                  { return nil }
+func (b *sharedBackend) CacheTTL() time.Duration               { return time.Second }
+func (b *sharedBackend) Entries(*Query) ([]*ldap.Entry, error) { return b.entries, nil }
+
+// encodeSink encodes every entry it is sent, as a connection writer does.
+type encodeSink struct{ buf []byte }
+
+func (w *encodeSink) SendEntry(e *ldap.Entry, _ ...ldap.Control) error {
+	w.buf = (&ldap.Message{ID: 1, Op: &ldap.SearchResultEntry{Entry: e}}).AppendTo(w.buf[:0])
+	return nil
+}
+func (*encodeSink) SendReferral(...string) error { return nil }
+
+// TestSharedBackendAdoptedConcurrently: two GRIS servers over one backend
+// that hands both the same entries adopt them into their snapshots at once,
+// round after round, while their enquiries encode them. Each snapshot store
+// publishes the entries' wire form as it adopts them; under -race (and
+// -tags mdsdebug, which seals them too) that must be clean.
+func TestSharedBackendAdoptedConcurrently(t *testing.T) {
+	backend := &sharedBackend{suffix: hostDN()}
+	for i := 0; i < 32; i++ {
+		backend.entries = append(backend.entries, ldap.NewEntry(hostDN().ChildAVA("cpu", fmt.Sprint(i))).
+			Add("objectclass", "device").Add("load", "0.5", "0.7"))
+	}
+	clock := softstate.NewFakeClock()
+	servers := []*Server{New(Config{Suffix: hostDN(), Clock: clock}), New(Config{Suffix: hostDN(), Clock: clock})}
+	req := &ldap.SearchRequest{BaseDN: hostDN().String(), Scope: ldap.ScopeSingleLevel}
+	for round := 0; round < 20; round++ {
+		var wg sync.WaitGroup
+		for _, s := range servers {
+			if round == 0 {
+				s.Register(backend)
+			}
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func(s *Server) {
+					defer wg.Done()
+					w := &encodeSink{}
+					if res := s.Search(anonReq(), req, w); res.Code != ldap.ResultSuccess || len(w.buf) == 0 {
+						t.Errorf("round %d: %+v", round, res)
+					}
+				}(s)
+			}
+		}
+		wg.Wait()
+		clock.Advance(2 * time.Second) // the next round re-adopts the same pointers
+	}
 }

@@ -10,8 +10,10 @@ package gris
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mds2/internal/flight"
@@ -111,8 +113,10 @@ type Server struct {
 	cfg   Config
 	clock softstate.Clock
 
+	// backends is copy-on-write: Register installs a new slice under mu, and
+	// a query reads whichever one is current without a lock or a copy.
 	mu       sync.Mutex
-	backends []Backend
+	backends atomic.Pointer[[]Backend]
 
 	// cache maps backend name -> *snapshot. Written once per refresh and
 	// read by every query: hits — the hot path — take no lock at all.
@@ -182,15 +186,23 @@ func (s *Server) Suffix() ldap.DN { return s.cfg.Suffix }
 func (s *Server) Register(b Backend) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.backends = append(s.backends, b)
+	next := append(slices.Clip(s.registered()), b)
+	s.backends.Store(&next)
+}
+
+// registered returns the current backend set; it is never written.
+func (s *Server) registered() []Backend {
+	if p := s.backends.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Backends returns the registered backend names.
 func (s *Server) Backends() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, len(s.backends))
-	for i, b := range s.backends {
+	backends := s.registered()
+	out := make([]string, len(backends))
+	for i, b := range backends {
 		out[i] = b.Name()
 	}
 	return out
@@ -215,11 +227,8 @@ func (s *Server) WarmRestore() int {
 		return 0
 	}
 	now := s.clock.Now()
-	s.mu.Lock()
-	backends := append([]Backend(nil), s.backends...)
-	s.mu.Unlock()
 	total := 0
-	for _, b := range backends {
+	for _, b := range s.registered() {
 		ttl := b.CacheTTL()
 		if ttl <= 0 {
 			continue // uncacheable backends are always invoked live
@@ -416,22 +425,21 @@ func (s *Server) redact(p *gsi.Principal, e *ldap.Entry, op *ldap.SearchRequest)
 // stop after its first limit matches. It reports whether any backend
 // declined or failed.
 func (s *Server) evaluate(q *Query, limit int64) ([]*ldap.Entry, bool) {
-	s.mu.Lock()
-	backends := append([]Backend(nil), s.backends...)
-	s.mu.Unlock()
-
 	var out []*ldap.Entry
 	ordered := true // out is in SortEntries order
 	partial := false
 	cf := q.Filter.Compile() // once per query, not per backend or entry
-	for _, b := range backends {
+	for _, b := range s.registered() {
 		if !regionsIntersect(q.Base, q.Scope, b.Suffix()) {
 			continue
 		}
 		if pruneByAttributes(q.Filter, b.Attributes()) {
 			continue
 		}
-		sp := q.Span.Child("backend:" + b.Name())
+		var sp *obs.Span // nil unless traced: the span name is built only then
+		if q.Span != nil {
+			sp = q.Span.Child("backend:" + b.Name())
+		}
 		entries, sorted, err := s.fetch(b, q, cf, limit, sp)
 		sp.End()
 		if err != nil {

@@ -302,11 +302,12 @@ func (d DN) String() string {
 // the DN. Two DNs name the same entry iff their Normalize outputs are equal.
 func (d DN) Normalize() string {
 	var buf [96]byte
-	return string(d.appendNormalized(buf[:0]))
+	return string(d.AppendNormalized(buf[:0]))
 }
 
-// appendNormalized appends d's Normalize key to dst.
-func (d DN) appendNormalized(dst []byte) []byte {
+// AppendNormalized appends d's Normalize key to dst, so a caller can key
+// a lookup by it from a buffer of its own without building the string.
+func (d DN) AppendNormalized(dst []byte) []byte {
 	for i, rdn := range d {
 		if i > 0 {
 			dst = append(dst, ',')

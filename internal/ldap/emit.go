@@ -210,9 +210,16 @@ func (s *SearchResultEntry) appendOp(b *ber.Builder) { appendEntry(b, s.Entry) }
 // appendEntry emits e as a SearchResultEntry operation. A wire-backed entry
 // goes out as it came in: its attribute list is one copy of bytes
 // scanner.searchEntry already validated, and so is its name when the received
-// text was the canonical one appendDN would render.
+// text was the canonical one appendDN would render. A stored snapshot goes
+// out as the form its store recorded, also one copy.
 func appendEntry(b *ber.Builder, e *Entry) {
 	b.Begin(ber.ClassApplication, appSearchEntry)
+	if form := e.form.Load(); form != nil {
+		e.verifySeal()
+		b.RawBytes(*form)
+		b.End()
+		return
+	}
 	if e.raw != nil || e.name != nil {
 		e.verifySeal()
 	}

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+
+	"mds2/internal/ber"
 )
 
 // Attribute is a named, multi-valued attribute binding. Names compare
@@ -44,6 +46,11 @@ type Entry struct {
 	name []byte
 	// decoded memoizes raw's attributes once something asked for them.
 	decoded atomic.Pointer[[]Attribute]
+	// form is a decoded entry's SearchResultEntry body — its LDAPDN and its
+	// PartialAttributeList, as appendEntry would encode them — recorded when
+	// a Store first publishes the entry, so every send of a stored snapshot
+	// is a copy. nil until then, and on a wire-backed entry, which has raw.
+	form atomic.Pointer[[]byte]
 	// san is the snapshot seal: set when the store publishes this entry as
 	// an immutable snapshot; zero-sized outside -tags mdsdebug builds.
 	san entrySan
@@ -85,6 +92,26 @@ func decodeRawAttrs(raw []byte) []Attribute {
 	s.attributes(list)
 	s.second()
 	return s.attributes(list)
+}
+
+// publish readies e to be a store's immutable snapshot: a decoded entry
+// gets its wire form, and e is sealed — or, adopted from another store,
+// re-verified. Stores adopting one entry at once (a producer may hand the
+// same pointers to several) each get here; the form goes in by CAS, so they
+// all keep the first one, and it is encoded from attributes nobody writes.
+// An entry sealed without a form (a cache's snapshot) is left without one:
+// its seal does not cover a form.
+func (e *Entry) publish() {
+	if e.raw == nil && e.form.Load() == nil && !e.sealed() {
+		var scratch [512]byte
+		var b ber.Builder
+		b.Reset(scratch[:0])
+		appendDN(&b, e.DN)
+		appendAttrList(&b, e.Attrs)
+		form := bytes.Clone(b.Bytes())
+		e.form.CompareAndSwap(nil, &form)
+	}
+	e.sealOrVerify()
 }
 
 // own turns a wire-backed entry into a decoded one holding private copies
@@ -325,7 +352,7 @@ func SortEntries(entries []*Entry) {
 	keys := make([]byte, 0, 48*len(entries))
 	for i, e := range entries {
 		lo := len(keys)
-		keys = e.DN.appendNormalized(keys)
+		keys = e.DN.AppendNormalized(keys)
 		ks[i] = keyed{depth: len(e.DN), lo: lo, hi: len(keys), e: e}
 	}
 	slices.SortFunc(ks, func(a, b keyed) int {

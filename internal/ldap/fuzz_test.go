@@ -204,6 +204,7 @@ func FuzzParseURL(f *testing.F) {
 		"ldap://127.0.0.1:2136",
 		"ldap://h/", "://x", "ldap://", "ldap:///o=g",
 		"ldap://[::1]:2135/o=g",
+		"ldap://h/hn=a, o=g??base", "ldap://h/cn=a%3Fb??one", "ldap://h/??sub?",
 	} {
 		f.Add(seed)
 	}

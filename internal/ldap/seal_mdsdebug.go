@@ -2,6 +2,8 @@
 
 package ldap
 
+import "sync/atomic"
+
 // Snapshot-seal sanitizer, debug flavor. The store's copy-on-write
 // contract says entries handed out by Find/FindLimit/All and delivered in
 // ChangeEvents are shared immutable snapshots; mutating one corrupts every
@@ -20,6 +22,9 @@ package ldap
 // zero (unsealed) seal and stay freely mutable — exactly the laundering
 // contract the snapshotcheck analyzer enforces statically.
 //
+// A stored decoded entry's checksum also covers the wire form the store
+// recorded for it (Entry.publish), which every send copies as it is.
+//
 // A wire-backed entry (every result of Client.Search, SearchWith and
 // SearchFunc) is sealed at birth, and its checksum is taken over the raw
 // frame bytes (and the kept name bytes, when it has them) rather than
@@ -30,10 +35,11 @@ package ldap
 // re-emit or cache fill of such an entry fails its seal.
 // The release twin (seal_release.go) compiles all of this to nothing.
 
-// entrySan is the per-entry seal: zero value means unsealed (mutable).
+// entrySan is the per-entry seal: the checksum taken at sealing, forced
+// nonzero; zero means unsealed (mutable). It is atomic because stores that
+// adopt one fresh entry at once each seal it, with the same sum.
 type entrySan struct {
-	sealed bool
-	sum    uint64
+	sum atomic.Uint64
 }
 
 // checksum is FNV-1a over the entry's logical contents.
@@ -49,10 +55,21 @@ func (e *Entry) checksum() uint64 {
 		}
 		h = (h ^ 0xff) * prime // terminator so "ab","c" ≠ "a","bc"
 	}
-	mix(e.DN.Normalize())
+	var key [128]byte // the name's key, built without a string of its own
+	for _, c := range e.DN.AppendNormalized(key[:0]) {
+		h = (h ^ uint64(c)) * prime
+	}
+	h = (h ^ 0xff) * prime
 	if e.name != nil {
 		// A kept name aliases the read chunk like raw does.
 		for _, c := range e.name {
+			h = (h ^ uint64(c)) * prime
+		}
+		h = (h ^ 0xff) * prime
+	}
+	if form := e.form.Load(); form != nil {
+		// A stored snapshot's recorded wire form is what a send copies.
+		for _, c := range *form {
 			h = (h ^ uint64(c)) * prime
 		}
 		h = (h ^ 0xff) * prime
@@ -61,7 +78,7 @@ func (e *Entry) checksum() uint64 {
 		for _, c := range e.raw {
 			h = (h ^ uint64(c)) * prime
 		}
-		return h
+		return max(h, 1)
 	}
 	for _, a := range e.Attrs {
 		mix(a.Name)
@@ -69,21 +86,22 @@ func (e *Entry) checksum() uint64 {
 			mix(v)
 		}
 	}
-	return h
+	return max(h, 1) // zero means unsealed
 }
 
-// seal freezes the entry: called exactly once, before publication, while
-// the store's write lock is held.
+// seal freezes the entry before publication.
 func (e *Entry) seal() {
-	e.san = entrySan{sealed: true, sum: e.checksum()}
+	e.san.sum.Store(e.checksum())
 }
+
+// sealed reports whether the entry has been sealed.
+func (e *Entry) sealed() bool { return e.san.sum.Load() != 0 }
 
 // sealOrVerify seals an entry on its first publication and re-verifies one
 // that arrives already sealed — an adopted entry another store still serves
-// (Store.Adopt), which concurrent readers may be checking, so it is only
-// read here.
+// (Store.Adopt), which concurrent readers may be checking.
 func (e *Entry) sealOrVerify() {
-	if e.san.sealed {
+	if e.sealed() {
 		e.verifySeal()
 		return
 	}
@@ -92,14 +110,14 @@ func (e *Entry) sealOrVerify() {
 
 // verifySeal panics if a sealed entry's contents changed after publication.
 func (e *Entry) verifySeal() {
-	if e.san.sealed && e.san.sum != e.checksum() {
+	if sum := e.san.sum.Load(); sum != 0 && sum != e.checksum() {
 		panic("ldap: snapshot mutated after publication (mdsdebug); Clone or Select before modifying entries from Find, ChangeEvents or Client.Search* — or a wire-backed entry outlived its read chunk: " + e.DN.String())
 	}
 }
 
 // checkMutable panics when a mutating method is invoked on a sealed entry.
 func (e *Entry) checkMutable() {
-	if e.san.sealed {
+	if e.sealed() {
 		panic("ldap: mutating method called on a sealed snapshot (mdsdebug); Clone or Select a private copy first: " + e.DN.String())
 	}
 }

@@ -3,7 +3,7 @@ package ldap
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -260,7 +260,7 @@ func (s *Store) unindexLocked(n *node) {
 // putLocked installs cp (never mutated afterwards) at its node, maintaining
 // the indexes, and reports whether a prior entry existed.
 func (s *Store) putLocked(cp *Entry) bool {
-	cp.sealOrVerify()
+	cp.publish()
 	n := s.ensureNodeLocked(cp.DN)
 	existed := n.entry != nil
 	if existed {
@@ -581,11 +581,11 @@ func sortedChildren(n *node) []*node {
 // sortNodes orders nodes by (depth, normalized DN) — the SortEntries
 // ordering, computed from precomputed node keys without re-normalizing.
 func sortNodes(ns []*node) {
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].depth != ns[j].depth {
-			return ns[i].depth < ns[j].depth
+	slices.SortFunc(ns, func(a, b *node) int {
+		if a.depth != b.depth {
+			return a.depth - b.depth
 		}
-		return ns[i].key < ns[j].key
+		return strings.Compare(a.key, b.key)
 	})
 }
 
@@ -759,7 +759,7 @@ func (s *Store) Modify(_ *Request, op *ModifyRequest) Result {
 			return Result{Code: ResultProtocolError, Message: fmt.Sprintf("bad modify op %d", ch.Op)}
 		}
 	}
-	e.seal()
+	e.publish()
 	s.unindexLocked(n)
 	n.entry = e
 	s.indexLocked(n)

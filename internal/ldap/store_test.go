@@ -1,7 +1,9 @@
 package ldap
 
 import (
+	"bytes"
 	"context"
+	"sync"
 	"testing"
 	"time"
 )
@@ -277,4 +279,100 @@ func TestStoreBindPolicy(t *testing.T) {
 	if r := s.Extended(nil, &ExtendedRequest{OID: "1.2.3"}); r.Code != ResultProtocolError {
 		t.Errorf("extended: %+v", r)
 	}
+}
+
+// TestStoreSnapshotWireForm: a stored decoded entry — adopted, put or
+// modified — goes out as the wire form its store recorded when it published
+// the entry, byte for byte what the reference tree encoder makes of it,
+// escaped names and multi-valued attributes included, while Attributes
+// still hands back the entry's own attributes. Stores that adopt one
+// producer's entries at once, and serve them as they go, agree on one form
+// (the race detector checks the publication).
+func TestStoreSnapshotWireForm(t *testing.T) {
+	fresh := func() []*Entry {
+		return []*Entry{
+			NewEntry(MustParseDN(`cn=a\,b+uid=x\=y, ou=\ lead, o=grid`)).
+				Add("objectclass", "person", "top").Add("cn", "a,b", " padded ", "ünï"),
+			NewEntry(MustParseDN("hn=h1, o=grid")).Add("objectclass", "computer").Add("load5", "0.5", "0.7", "0.9"),
+			NewEntry(MustParseDN("hn=bare, o=grid")),
+			sevenAttrEntry(4),
+		}
+	}
+	sent := func(e *Entry) []byte { return (&Message{ID: 7, Op: &SearchResultEntry{Entry: e}}).AppendTo(nil) }
+	check := func(how string, e *Entry) {
+		t.Helper()
+		if e.form.Load() == nil {
+			t.Fatalf("%s: %s has no wire form", how, e.DN)
+		}
+		if got, want := sent(e), encodeTree(&Message{ID: 7, Op: &SearchResultEntry{Entry: e}}); !bytes.Equal(got, want) {
+			t.Fatalf("%s: %s sent as\n% x\nwant\n% x", how, e.DN, got, want)
+		}
+		if attrs := e.Attributes(); len(attrs) > 0 && &attrs[0] != &e.Attrs[0] {
+			t.Fatalf("%s: Attributes() of %s is not the entry's own", how, e.DN)
+		}
+	}
+
+	adopted := NewStore()
+	if err := adopted.Adopt(fresh()); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range adopted.All() {
+		check("adopted", e)
+	}
+	put := NewStore()
+	for _, e := range fresh() {
+		if err := put.Put(e); err != nil {
+			t.Fatal(err)
+		}
+		if e.form.Load() != nil {
+			t.Fatalf("Put recorded a form on the caller's entry %s", e.DN)
+		}
+	}
+	for _, e := range put.All() {
+		check("put", e)
+	}
+	mod := &ModifyRequest{DN: "hn=h1, o=grid", Changes: []ModifyChange{
+		{Op: ModReplace, Attr: Attribute{Name: "load5", Values: []string{"2.5", "2,6"}}}}}
+	if res := put.Modify(nil, mod); res.Code != ResultSuccess {
+		t.Fatalf("modify: %+v", res)
+	}
+	modified := put.Find(MustParseDN("hn=h1, o=grid"), ScopeBaseObject, nil)[0]
+	if modified.First("load5") != "2.5" {
+		t.Fatalf("modify not applied: %s", modified)
+	}
+	check("modified", modified)
+
+	// What goes out is the recorded form itself, copied, not a re-encoding.
+	marked := NewEntry(MustParseDN("hn=m, o=grid")).Add("objectclass", "computer")
+	form := []byte{0x04, 0x01, 'x', 0x30, 0x00}
+	marked.form.Store(&form)
+	if got := sent(marked); !bytes.Contains(got, form) {
+		t.Fatalf("an entry with a recorded form was sent as % x, not as its form % x", got, form)
+	}
+
+	// One producer's round, adopted by two stores at once while each serves
+	// what it holds.
+	shared := fresh()
+	want := make([][]byte, len(shared))
+	for i, e := range shared {
+		want[i] = encodeTree(&Message{ID: 7, Op: &SearchResultEntry{Entry: e}})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := NewStore()
+			if err := s.Adopt(shared); err != nil {
+				t.Error(err)
+				return
+			}
+			for i, e := range shared {
+				if got := sent(s.Find(e.DN, ScopeBaseObject, nil)[0]); !bytes.Equal(got, want[i]) {
+					t.Errorf("store %d sent %s as\n% x\nwant\n% x", g, e.DN, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

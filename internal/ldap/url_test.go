@@ -57,8 +57,38 @@ func TestURLStringRoundTrip(t *testing.T) {
 	}
 }
 
+// TestURLScope: the RFC 4516 scope part parses in any case, renders in
+// lower case after an empty attributes part, and survives a DN that needs
+// percent escapes; a URL without one leaves the caller's scope in force.
+func TestURLScope(t *testing.T) {
+	for s, want := range map[string]Scope{
+		"ldap://h:1/o=g??base": ScopeBaseObject,
+		"ldap://h:1/o=g??ONE":  ScopeSingleLevel,
+		"ldap://h:1/??sub":     ScopeWholeSubtree,
+	} {
+		u := MustParseURL(s)
+		if got := u.Scope(-1); got != want {
+			t.Errorf("%s: scope %d, want %d", s, got, want)
+		}
+		if back := MustParseURL(u.String()); back.String() != u.String() || back.Scope(-1) != want {
+			t.Errorf("%s: round trip %q -> %q", s, u, back)
+		}
+	}
+	if got := MustParseURL("ldap://h:1/o=g?").Scope(ScopeSingleLevel); got != ScopeSingleLevel {
+		t.Errorf("no scope part: got %d, want the default", got)
+	}
+	u := MustParseURL("ldap://h:1").WithDN(MustParseDN(`cn=a?b%c, o=g`)).WithScope(ScopeBaseObject)
+	if got, want := u.String(), "ldap://h:1/cn=a%3Fb%25c, o=g??base"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+	if back := MustParseURL(u.String()); !back.DN.Equal(u.DN) || back.Scope(-1) != ScopeBaseObject {
+		t.Errorf("re-parse of %q: %q", u, back)
+	}
+}
+
 func TestURLErrors(t *testing.T) {
-	for _, bad := range []string{"", "nohost", "://x", "ldap:///o=g", "ldap://h/==bad"} {
+	for _, bad := range []string{"", "nohost", "://x", "ldap:///o=g", "ldap://h/==bad",
+		"ldap://h/o=g?cn", "ldap://h/o=g??subtree", "ldap://h/o=g???(cn=a)", "ldap://h/o=g%zz"} {
 		if _, err := ParseURL(bad); err == nil {
 			t.Errorf("ParseURL(%q): expected error", bad)
 		}
