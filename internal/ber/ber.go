@@ -472,11 +472,11 @@ func parseLength(b []byte) (int, []byte, error) {
 // scan of the body.
 func readFrameHeader(r io.Reader, hdr []byte) ([]byte, int, error) {
 	hdr = hdr[:0]
-	var one [1]byte
 	readByte := func() (byte, error) {
 		if br, ok := r.(io.ByteReader); ok {
 			return br.ReadByte()
 		}
+		var one [1]byte // escapes into ReadFull: made only off the buffered path
 		_, err := io.ReadFull(r, one[:])
 		return one[0], err
 	}

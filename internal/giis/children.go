@@ -222,7 +222,7 @@ func (t *childTable) JournalRegistry(recs []softstate.JournalRecord) {
 			t.drop(rec)
 			moved = true
 			if t.qc != nil {
-				gone = append(gone, rec.URL.ServiceKey())
+				gone = append(gone, rec.service())
 			}
 		}
 	}
@@ -280,7 +280,7 @@ func (t *childTable) upsert(it *softstate.Item) bool {
 	}
 	rec = &childRec{key: it.Key, order: url.String(), msg: m, Child: Child{
 		URL: url, Suffix: suffix, ViewSuffix: view, MDSType: m.MDSType, VO: m.VO,
-		Recovered: it.Recovered,
+		Recovered: it.Recovered, serviceKey: url.ServiceKey(),
 	}}
 	rec.refresh(it)
 	t.byKey[it.Key] = rec

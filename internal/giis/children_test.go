@@ -44,7 +44,8 @@ func (s *Server) buildChildren() []Child {
 			view = suffix.Under(s.cfg.Suffix)
 		}
 		out = append(out, Child{URL: url, Suffix: suffix, ViewSuffix: view, MDSType: m.MDSType,
-			VO: m.VO, ExpiresAt: it.ExpiresAt, LastRefresh: it.LastRefresh, Recovered: it.Recovered})
+			VO: m.VO, ExpiresAt: it.ExpiresAt, LastRefresh: it.LastRefresh, Recovered: it.Recovered,
+			serviceKey: url.ServiceKey()})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].URL.String() < out[j].URL.String() })
 	return out

@@ -74,6 +74,13 @@ type hopReply struct {
 // run chains the search to every hop and merges the replies to the client.
 // A non-nil dups turns DN dedup on (replicated partitions answer twice),
 // counting what it drops.
+//
+// Hops the query cache can answer are answered first, on the search's own
+// goroutine: a hit never blocks, so it is sent (or buffered, under a size
+// limit) inline with its trace marker span, and only the misses get workers,
+// channels and the hedge deadline. A hop with a skip check or an attempt
+// hook (failover targets, peer accounting), and every hop of a persistent
+// search, goes to a worker as it is.
 func (f Fanout) run(ctx *SearchContext, hops []hop, dups *obs.Counter) ldap.Result {
 	if len(hops) == 0 {
 		return ldap.Result{Code: ldap.ResultSuccess}
@@ -82,34 +89,6 @@ func (f Fanout) run(ctx *SearchContext, hops []hop, dups *obs.Counter) ldap.Resu
 	s.hFanout.ObserveValue(int64(len(hops)))
 	ctx.projected = slices.Equal(ctx.Op.Attributes, ctx.chainAttrs)
 
-	// Both channels are buffered for the full fan-out so workers never
-	// block: after a hedge cutoff the search returns immediately and any
-	// straggling worker finishes into the buffer and exits.
-	jobs := make(chan int, len(hops))
-	for i := range hops {
-		jobs <- i
-	}
-	close(jobs)
-	replies := make(chan hopReply, len(hops))
-	workers := f.MaxFanout
-	if workers <= 0 {
-		workers = DefaultMaxFanout
-	}
-	if workers > len(hops) {
-		workers = len(hops)
-	}
-	for i := 0; i < workers; i++ {
-		go func() {
-			for i := range jobs {
-				replies <- s.runHop(ctx, &hops[i])
-			}
-		}()
-	}
-
-	var hedge <-chan time.Time
-	if f.HedgeDeadline > 0 {
-		hedge = s.clock.After(f.HedgeDeadline)
-	}
 	// A size limit imposes a global order on which entries are kept, so
 	// replies buffer and sort before streaming; otherwise each hop's reply
 	// streams to the client the moment it arrives (in the hop's own sorted
@@ -121,33 +100,82 @@ func (f Fanout) run(ctx *SearchContext, hops []hop, dups *obs.Counter) ldap.Resu
 		seen = map[string]struct{}{}
 	}
 	unreachable, hedged, incomplete := false, false, false
+	take := func(r hopReply) error {
+		if r.err != nil {
+			// A failed or partitioned child must not block the others
+			// (§2.2); we return what is reachable.
+			unreachable = true
+			return nil
+		}
+		incomplete = incomplete || r.partial
+		entries := r.entries
+		if seen != nil {
+			entries = dropSeen(seen, entries, dups)
+		}
+		if ordered {
+			buffered = append(buffered, entries...)
+			return nil
+		}
+		return ctx.sendAll(entries)
+	}
 
-collect:
-	for done := 0; done < len(hops); done++ {
-		select {
-		case r := <-replies:
-			if r.err != nil {
-				// A failed or partitioned child must not block the others
-				// (§2.2); we return what is reachable.
-				unreachable = true
+	var stack [16]int
+	misses := stack[:0] // the hops left to the workers, by index
+	probe := s.qc != nil && !isPersistentSearch(ctx.Req)
+	for i := range hops {
+		h := &hops[i]
+		if probe && h.skip == nil && h.attempt == nil && len(h.targets) == 1 {
+			if r, ok := s.cached(ctx, &h.targets[0], h.extra); ok {
+				if err := take(r); err != nil {
+					return sizeOrUnavailable(err)
+				}
 				continue
 			}
-			incomplete = incomplete || r.partial
-			entries := r.entries
-			if seen != nil {
-				entries = dropSeen(seen, entries, dups)
+		}
+		misses = append(misses, i)
+	}
+
+	if len(misses) > 0 {
+		// Both channels are buffered for the full fan-out so workers never
+		// block: after a hedge cutoff the search returns immediately and any
+		// straggling worker finishes into the buffer and exits.
+		jobs := make(chan int, len(misses))
+		for _, i := range misses {
+			jobs <- i
+		}
+		close(jobs)
+		replies := make(chan hopReply, len(misses))
+		workers := f.MaxFanout
+		if workers <= 0 {
+			workers = DefaultMaxFanout
+		}
+		if workers > len(misses) {
+			workers = len(misses)
+		}
+		for i := 0; i < workers; i++ {
+			go func() {
+				for i := range jobs {
+					replies <- s.runHop(ctx, &hops[i])
+				}
+			}()
+		}
+
+		var hedge <-chan time.Time
+		if f.HedgeDeadline > 0 {
+			hedge = s.clock.After(f.HedgeDeadline)
+		}
+	collect:
+		for done := 0; done < len(misses); done++ {
+			select {
+			case r := <-replies:
+				if err := take(r); err != nil {
+					return sizeOrUnavailable(err)
+				}
+			case <-hedge:
+				hedged = true
+				s.HedgeFired.Inc()
+				break collect
 			}
-			if ordered {
-				buffered = append(buffered, entries...)
-				continue
-			}
-			if err := ctx.sendAll(entries); err != nil {
-				return sizeOrUnavailable(err)
-			}
-		case <-hedge:
-			hedged = true
-			s.HedgeFired.Inc()
-			break collect
 		}
 	}
 	if err := ctx.sendSorted(buffered); err != nil {
@@ -169,13 +197,7 @@ func (s *Server) runHop(ctx *SearchContext, h *hop) (r hopReply) {
 	if h.skip != nil && h.skip() {
 		return hopReply{}
 	}
-	// A child that truncates at the limit reports sizeLimitExceeded to the
-	// directory, which keeps the entries and loses the code; asking for one
-	// entry more lets the ordered sender see the overflow itself.
-	limit := ctx.Op.SizeLimit
-	if limit > 0 {
-		limit++
-	}
+	limit := hopLimit(ctx.Op)
 	for n, target := range h.targets {
 		if h.attempt != nil {
 			h.attempt(n)
@@ -187,6 +209,17 @@ func (s *Server) runHop(ctx *SearchContext, h *hop) (r hopReply) {
 		}
 	}
 	return r
+}
+
+// hopLimit is the size limit a hop chains downstream. A child that truncates
+// at the limit reports sizeLimitExceeded to the directory, which keeps the
+// entries and loses the code; asking for one entry more lets the ordered
+// sender see the overflow itself.
+func hopLimit(op *ldap.SearchRequest) int64 {
+	if op.SizeLimit > 0 {
+		return op.SizeLimit + 1
+	}
+	return op.SizeLimit
 }
 
 // dropSeen compacts entries in place to those whose DN is new to seen.

@@ -66,6 +66,19 @@ type Child struct {
 	// serves it within the recovery grace window, but operators can
 	// distinguish recovered-but-unconfirmed children on the metrics surface.
 	Recovered bool
+
+	// serviceKey is URL.ServiceKey(), rendered once when the child table
+	// built the record; empty on a Child made anywhere else (service).
+	serviceKey string
+}
+
+// service returns the child's URL.ServiceKey(): the owner of its query-cache
+// keys and the name of its pooled connection.
+func (c *Child) service() string {
+	if c.serviceKey != "" {
+		return c.serviceKey
+	}
+	return c.URL.ServiceKey()
 }
 
 // Config assembles a GIIS.
@@ -530,6 +543,9 @@ func uncached(entries []*ldap.Entry, err error) hopReply {
 // Persistent-search subscriptions bypass the cache entirely: a subscriber
 // wants the live change stream, and a cached snapshot answered in its
 // place would silently go stale for the subscription's whole lifetime.
+// A fan-out answers the hits it can from cached (on the search's own
+// goroutine) before it hands a hop to a worker, so what reaches chain with
+// the cache on is mostly a miss.
 func (s *Server) chain(req *ldap.Request, child Child, base ldap.DN, scope ldap.Scope,
 	filter *ldap.Filter, attrs []string, sizeLimit int64, extra []ldap.Control) hopReply {
 
@@ -540,39 +556,66 @@ func (s *Server) chain(req *ldap.Request, child Child, base ldap.DN, scope ldap.
 	if s.qc == nil || isPersistentSearch(req) {
 		return s.chainTranslated(req, child, childBase, childScope, filter, attrs, sizeLimit, extra)
 	}
-	region := qcache.Region{
-		Owner:  chainOwner(child, extra),
-		Base:   childBase,
-		Scope:  childScope,
-		Filter: filter,
-	}
-	key := region.Key(attrs, sizeLimit)
+	region := hopRegion(&child, childBase, childScope, filter, extra)
+	var kb [256]byte
+	key := string(region.AppendKey(kb[:0], attrs, sizeLimit))
 	// The child's soft-state deadline caps freshness: a cached result never
 	// outlives the registration that produced it (two-tier expiry). The
 	// deadline is the one current when the search selected the child.
 	entries, how, err := s.qc.GetOrFill(key, region, child.ExpiresAt, func() ([]*ldap.Entry, error) {
 		return s.chainTranslated(req, child, childBase, childScope, filter, attrs, sizeLimit, extra).cacheable()
 	})
-	if how != qcache.OutcomeMiss && req != nil && req.TraceID != "" {
-		// The miss path records a real chain span inside chainTranslated;
-		// hits record a zero-fan-out marker span so traces show where the
-		// cache cut the chain short.
-		sp := req.Span.Child("chain:" + child.URL.String())
-		sp.SetNote("cache " + how.String())
-		sp.End()
+	if how != qcache.OutcomeMiss {
+		markHop(req, &child, how)
 	}
 	return uncached(entries, err)
 }
 
-// chainOwner renders the cache-key owner for a hop: the child's service
-// key, plus any extra control OIDs (a shard-local probe and a full chain to
-// the same peer are different questions and must not share results).
-func chainOwner(child Child, extra []ldap.Control) string {
-	owner := child.URL.ServiceKey()
+// cached answers a hop to one child from the query cache, or reports that
+// it cannot (ok false: a miss, which a worker chains). It is chain's hit
+// path, run before anything is spawned: the key is rendered into a buffer on
+// the stack and probed without a string, and a region that cannot reach the
+// child is the empty reply chain would give. The caller has checked that the
+// cache is on and the search is not persistent.
+func (s *Server) cached(ctx *SearchContext, child *Child, extra []ldap.Control) (r hopReply, ok bool) {
+	childBase, childScope, reaches := translateRegion(ctx.Base, ctx.Op.Scope, child)
+	if !reaches {
+		return hopReply{}, true
+	}
+	region := hopRegion(child, childBase, childScope, ctx.Op.Filter, extra)
+	var kb [256]byte
+	entries, hit := s.qc.Lookup(region.AppendKey(kb[:0], ctx.chainAttrs, hopLimit(ctx.Op)))
+	if !hit {
+		return hopReply{}, false
+	}
+	markHop(ctx.Req, child, qcache.OutcomeHit)
+	return hopReply{entries: entries}, true
+}
+
+// markHop records a hop the query cache answered. The miss path records a
+// real chain span inside chainTranslated; hits (and joined or stale fills)
+// record a zero-fan-out marker span so traces show where the cache cut the
+// chain short.
+func markHop(req *ldap.Request, child *Child, how qcache.Outcome) {
+	if req == nil || req.TraceID == "" {
+		return
+	}
+	sp := req.Span.Child("chain:" + child.URL.String())
+	sp.SetNote("cache " + how.String())
+	sp.End()
+}
+
+// hopRegion is what a hop's cached reply answers: the region in the child's
+// namespace, owned by the child's service key plus any extra control OIDs
+// (a shard-local probe and a full chain to the same peer are different
+// questions and must not share results).
+func hopRegion(child *Child, childBase ldap.DN, childScope ldap.Scope, filter *ldap.Filter,
+	extra []ldap.Control) qcache.Region {
+	owner := child.service()
 	for _, c := range extra {
 		owner += "|" + c.OID
 	}
-	return owner
+	return qcache.Region{Owner: owner, Base: childBase, Scope: childScope, Filter: filter}
 }
 
 // isPersistentSearch reports whether the client request carries the
@@ -709,7 +752,10 @@ func isPartial(r ldap.Result) bool { return strings.HasPrefix(r.Message, partial
 func translateRegion(base ldap.DN, scope ldap.Scope, child *Child) (ldap.DN, ldap.Scope, bool) {
 	v := child.ViewSuffix
 	// Region rooted at or below the child's view subtree: translate base.
-	if base.Equal(v) || base.IsDescendantOf(v) {
+	if base.Equal(v) {
+		return child.Suffix, scope, true
+	}
+	if base.IsDescendantOf(v) {
 		rel, _ := base.RelativeTo(v)
 		return rel.Under(child.Suffix), scope, true
 	}
@@ -811,7 +857,7 @@ func (s *Server) Search(req *ldap.Request, op *ldap.SearchRequest, w ldap.Search
 	if mayContainLocal(s.cfg.Suffix, base, op.Scope) {
 		local, more := s.table.nameIndex().FindCompiled(base, op.Scope, op.Filter.Compile(), op.SizeLimit)
 		for _, e := range local {
-			if err := w.SendEntry(e.Project(op.Attributes)); err != nil {
+			if err := ldap.SendProjected(w, e, op.Attributes); err != nil {
 				return ldap.Result{Code: ldap.ResultUnavailable, Message: err.Error()}
 			}
 		}

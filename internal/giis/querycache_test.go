@@ -59,6 +59,32 @@ func TestQueryCacheHitSkipsChain(t *testing.T) {
 	}
 }
 
+// TestQueryCacheKeepsSelectionsApart is the regression test for a key
+// collision: one attribute named "hn,objectclass" (a selector may be any
+// string) and the two attributes hn and objectclass used to render one key,
+// so a query for the two was answered with the entries cached for the one —
+// which carry no attributes at all.
+func TestQueryCacheKeepsSelectionsApart(t *testing.T) {
+	r := newRig(t, NewChaining(), withQueryCache(time.Minute))
+	r.addHost("hostA", 1)
+
+	odd := computerQuery()
+	odd.Attributes = []string{"hn,objectclass"}
+	entries, res := r.search(odd)
+	if res.Code != ldap.ResultSuccess || len(entries) != 1 || len(entries[0].Attributes()) != 0 {
+		t.Fatalf("prime: %v, res %+v", entries, res)
+	}
+	two := computerQuery()
+	two.Attributes = []string{"hn", "objectclass"}
+	entries, res = r.search(two)
+	if res.Code != ldap.ResultSuccess || len(entries) != 1 {
+		t.Fatalf("second selection: %d entries, res %+v", len(entries), res)
+	}
+	if hn := entries[0].First("hn"); hn != "hostA" || !entries[0].IsA("computer") {
+		t.Fatalf("second selection answered from the first one's cached entries: %v", entries[0])
+	}
+}
+
 // TestPersistentSearchBypassesQueryCache is the regression test for the
 // subscriber bug: a persistent-search request answered from the result
 // cache would silently freeze the subscription at the cached snapshot, so

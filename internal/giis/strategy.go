@@ -32,18 +32,18 @@ type SearchContext struct {
 
 // send streams one translated entry, honouring the size limit. The entry is
 // a shared snapshot — wire-backed when it was chained — and leaves as one:
-// unless the children already applied the client's selection, it is
-// projected, which shares its values and is the one thing on the relay path
-// that decodes a wire-backed entry.
+// unless the children already applied the client's selection, the writer
+// projects it (ldap.SendProjected), which is the one thing on the relay
+// path that decodes a wire-backed entry.
 func (c *SearchContext) send(e *ldap.Entry) error {
 	if c.Op.SizeLimit > 0 && *c.sent >= c.Op.SizeLimit {
 		return errSizeLimit
 	}
 	*c.sent++
-	if !c.projected {
-		e = e.Project(c.Op.Attributes)
+	if c.projected {
+		return c.W.SendEntry(e)
 	}
-	return c.W.SendEntry(e)
+	return ldap.SendProjected(c.W, e, c.Op.Attributes)
 }
 
 // inRegion returns the children the search region can touch, in Children()
@@ -182,7 +182,7 @@ func (c *CachedIndex) Search(ctx *SearchContext) ldap.Result {
 // becomes the index.
 func (c *CachedIndex) childEntries(req *ldap.Request, child Child) hopReply {
 	reg := qcache.Region{
-		Owner: child.URL.ServiceKey(),
+		Owner: child.service(),
 		Base:  child.ViewSuffix,
 		Scope: ldap.ScopeWholeSubtree,
 	}
@@ -279,7 +279,7 @@ func (b *BloomRouted) Search(ctx *SearchContext) ldap.Result {
 	for i := range hops {
 		child := &hops[i].targets[0]
 		hops[i].skip = func() bool {
-			return b.summaries.rulesOut(child.URL.ServiceKey(), terms,
+			return b.summaries.rulesOut(child.service(), terms,
 				func() *bloom.Filter { return b.summarize(ctx.Server, *child) })
 		}
 	}

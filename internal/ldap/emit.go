@@ -25,12 +25,13 @@ func (m *Message) appendTo(b *ber.Builder) {
 	endMessage(b, m.Controls)
 }
 
-// appendEntryMessage emits the message carrying e as a SearchResultEntry —
-// what appendTo emits for it, without building the Message and the Op: a
-// search writer sends one per result entry.
-func appendEntryMessage(b *ber.Builder, id int64, e *Entry, controls []Control) {
+// appendEntryMessage emits the message carrying e restricted to attrs as a
+// SearchResultEntry — what appendTo emits for e.Project(attrs), without
+// building the Message, the Op or the projection: a search writer sends one
+// per result entry.
+func appendEntryMessage(b *ber.Builder, id int64, e *Entry, attrs []string, controls []Control) {
 	beginMessage(b, id)
-	appendEntry(b, e)
+	appendProjectedEntry(b, e, attrs)
 	endMessage(b, controls)
 }
 
@@ -233,6 +234,41 @@ func appendEntry(b *ber.Builder, e *Entry) {
 	} else {
 		appendAttrList(b, e.Attrs)
 	}
+	b.End()
+}
+
+// appendProjectedEntry emits e restricted to attrs as a SearchResultEntry:
+// byte for byte appendEntry(b, e.Project(attrs)) — e's name, then each
+// requested name e has values for, in the requested spelling, with e's
+// values — encoded from e itself. Selecting everything is e as it lies.
+func appendProjectedEntry(b *ber.Builder, e *Entry, attrs []string) {
+	if selectsAll(attrs) {
+		appendEntry(b, e)
+		return
+	}
+	e.verifySeal()
+	b.Begin(ber.ClassApplication, appSearchEntry)
+	if e.name != nil {
+		b.OctetStringBytes(e.name)
+	} else {
+		appendDN(b, e.DN)
+	}
+	b.Begin(ber.ClassUniversal, ber.TagSequence)
+	for _, r := range attrs {
+		vs := e.Values(r)
+		if vs == nil {
+			continue
+		}
+		b.Begin(ber.ClassUniversal, ber.TagSequence)
+		b.OctetString(r)
+		b.Begin(ber.ClassUniversal, ber.TagSet)
+		for _, v := range vs {
+			b.OctetString(v)
+		}
+		b.End()
+		b.End()
+	}
+	b.End()
 	b.End()
 }
 

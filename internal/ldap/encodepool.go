@@ -89,14 +89,15 @@ func (w *connWriter) enqueue(m *Message, flushNow bool) error {
 	return w.queuedLocked(flushNow)
 }
 
-// enqueueEntry is enqueue for the message carrying e as a SearchResultEntry,
-// encoded straight from the entry: a search writer makes no Message, no Op
-// and no interface call for each result entry.
-func (w *connWriter) enqueueEntry(id int64, e *Entry, controls []Control, flushNow bool) error {
+// enqueueEntry is enqueue for the message carrying e restricted to attrs as
+// a SearchResultEntry, encoded straight from the entry: a search writer
+// makes no Message, no Op, no projection and no interface call for each
+// result entry.
+func (w *connWriter) enqueueEntry(id int64, e *Entry, attrs []string, controls []Control, flushNow bool) error {
 	w.mu.Lock()
 	if w.err == nil {
 		w.b.Reset(w.buf)
-		appendEntryMessage(&w.b, id, e, controls)
+		appendEntryMessage(&w.b, id, e, attrs, controls)
 		w.buf = w.b.Bytes()
 	}
 	return w.queuedLocked(flushNow)

@@ -281,61 +281,60 @@ func isHex(c byte) bool {
 	return c >= '0' && c <= '9' || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F'
 }
 
-func escapeFilterValue(v string) string {
-	if !strings.ContainsAny(v, `*()\`) {
-		return v
-	}
-	var b strings.Builder
+// appendFilterValue appends v with the bytes RFC 4515 reserves escaped.
+func appendFilterValue(dst []byte, v string) []byte {
 	for i := 0; i < len(v); i++ {
 		switch v[i] {
 		case '*', '(', ')', '\\':
-			b.WriteByte('\\')
+			dst = append(dst, '\\')
 		}
-		b.WriteByte(v[i])
+		dst = append(dst, v[i])
 	}
-	return b.String()
+	return dst
 }
 
 // String renders the filter back in RFC 4515 notation.
 func (f *Filter) String() string {
-	var b strings.Builder
-	f.write(&b)
-	return b.String()
+	var buf [128]byte
+	return string(f.AppendString(buf[:0]))
 }
 
-func (f *Filter) write(b *strings.Builder) {
-	b.WriteByte('(')
+// AppendString appends String's rendering of the filter to dst, in one pass
+// and without a string of its own: a query-cache key renders the filter of
+// every chained hop.
+func (f *Filter) AppendString(dst []byte) []byte {
+	dst = append(dst, '(')
 	switch f.Kind {
 	case FilterAnd, FilterOr:
 		if f.Kind == FilterAnd {
-			b.WriteByte('&')
+			dst = append(dst, '&')
 		} else {
-			b.WriteByte('|')
+			dst = append(dst, '|')
 		}
 		for _, sub := range f.Subs {
-			sub.write(b)
+			dst = sub.AppendString(dst)
 		}
 	case FilterNot:
-		b.WriteByte('!')
-		f.Subs[0].write(b)
+		dst = append(dst, '!')
+		dst = f.Subs[0].AppendString(dst)
 	case FilterEquality:
-		b.WriteString(f.Attr + "=" + escapeFilterValue(f.Value))
+		dst = appendFilterValue(append(append(dst, f.Attr...), '='), f.Value)
 	case FilterApprox:
-		b.WriteString(f.Attr + "~=" + escapeFilterValue(f.Value))
+		dst = appendFilterValue(append(append(dst, f.Attr...), "~="...), f.Value)
 	case FilterGE:
-		b.WriteString(f.Attr + ">=" + escapeFilterValue(f.Value))
+		dst = appendFilterValue(append(append(dst, f.Attr...), ">="...), f.Value)
 	case FilterLE:
-		b.WriteString(f.Attr + "<=" + escapeFilterValue(f.Value))
+		dst = appendFilterValue(append(append(dst, f.Attr...), "<="...), f.Value)
 	case FilterPresent:
-		b.WriteString(f.Attr + "=*")
+		dst = append(append(dst, f.Attr...), "=*"...)
 	case FilterSubstrings:
-		b.WriteString(f.Attr + "=" + escapeFilterValue(f.Initial) + "*")
+		dst = append(appendFilterValue(append(append(dst, f.Attr...), '='), f.Initial), '*')
 		for _, a := range f.Any {
-			b.WriteString(escapeFilterValue(a) + "*")
+			dst = append(appendFilterValue(dst, a), '*')
 		}
-		b.WriteString(escapeFilterValue(f.Final))
+		dst = appendFilterValue(dst, f.Final)
 	}
-	b.WriteByte(')')
+	return append(dst, ')')
 }
 
 // Matches evaluates the filter against an entry. Ordering comparisons

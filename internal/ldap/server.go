@@ -355,6 +355,11 @@ type serverConn struct {
 
 	opMu sync.Mutex
 	ops  map[int64]context.CancelFunc // in-flight, abandonable operations
+
+	// idle hands an operation to the connection's parked dispatch worker,
+	// if it has one; parked says a worker is (about to be) parked on it.
+	idle   chan admittedOp
+	parked atomic.Bool
 }
 
 func (s *Server) newConn(conn net.Conn) *serverConn {
@@ -375,6 +380,7 @@ func (s *Server) newConn(conn net.Conn) *serverConn {
 		inst:  inst,
 		w:     newConnWriter(conn, s.Clock, inst.batch),
 		ops:   map[int64]context.CancelFunc{},
+		idle:  make(chan admittedOp),
 	}
 }
 
@@ -383,9 +389,9 @@ func (c *serverConn) serve() {
 	var opWG sync.WaitGroup
 	defer func() {
 		// Order matters: close the transport, cancel every in-flight
-		// operation (persistent searches block on their context), and only
-		// then wait for the operation goroutines to drain, then stop the
-		// write coalescer.
+		// operation (persistent searches block on their context) and the
+		// idle worker's wait, and only then wait for the dispatch workers to
+		// drain, then stop the write coalescer.
 		c.conn.Close()
 		cancelAll()
 		opWG.Wait()
@@ -471,36 +477,84 @@ func (c *serverConn) serve() {
 			c.opMu.Lock()
 			c.ops[msg.ID] = cancel
 			c.opMu.Unlock()
-			opWG.Add(1)
-			go func(msg *Message) {
-				defer opWG.Done()
-				defer func() {
-					cancel()
-					c.opMu.Lock()
-					delete(c.ops, msg.ID)
-					c.opMu.Unlock()
-				}()
-				if ticket != nil {
-					// Queued behind the worker set: wait for a slot off the
-					// read loop. Cancellation (abandon, connection close,
-					// server shutdown) drops the op without a response —
-					// the requester is gone or going.
-					if err := ticket.wait(adm, ctx.Done()); err != nil {
-						queued.End()
-						return
-					}
-				}
-				if holdsSlot {
-					admitted := c.clock.Now()
-					defer func() {
-						adm.release(c.clock.Now().Sub(admitted))
-					}()
-				}
-				queued.End()
-				c.dispatch(ctx, msg, tr)
-			}(msg)
+			c.hand(admittedOp{msg: msg, ctx: ctx, cancel: cancel, ticket: ticket, holdsSlot: holdsSlot,
+				tr: tr, queued: queued}, root, &opWG)
 		}
 	}
+}
+
+// admittedOp is one admitted operation on its way to a dispatch worker.
+type admittedOp struct {
+	msg       *Message
+	ctx       context.Context // cancelled by abandon, connection close or completion
+	cancel    context.CancelFunc
+	ticket    *admitTicket // non-nil: queued for a worker slot
+	holdsSlot bool         // release the admission slot when done
+	tr        *obs.Trace
+	queued    *obs.Span
+}
+
+// hand gives op to the connection's idle dispatch worker, or to a new one
+// when every worker is busy — so a connection keeps as many dispatch
+// goroutines as it has operations in flight (pipelined searches, parked
+// persistent searches, ops waiting in the admission queue) and no more,
+// without starting one per operation.
+func (c *serverConn) hand(op admittedOp, root context.Context, wg *sync.WaitGroup) {
+	select {
+	case c.idle <- op:
+	default:
+		wg.Add(1)
+		go c.worker(op, root, wg)
+	}
+}
+
+// worker runs operations until it finds another worker idle or the
+// connection closes: between operations it parks as the connection's one
+// idle worker, so at most one per connection waits and a burst's extra
+// workers exit as they finish.
+func (c *serverConn) worker(op admittedOp, root context.Context, wg *sync.WaitGroup) {
+	defer wg.Done()
+	for {
+		c.run(op)
+		if root.Err() != nil || !c.parked.CompareAndSwap(false, true) {
+			return
+		}
+		select {
+		case op = <-c.idle:
+			c.parked.Store(false)
+		case <-root.Done():
+			return
+		}
+	}
+}
+
+// run carries one operation from the admission queue through dispatch, and
+// retires it.
+func (c *serverConn) run(op admittedOp) {
+	defer func() {
+		op.cancel()
+		c.opMu.Lock()
+		delete(c.ops, op.msg.ID)
+		c.opMu.Unlock()
+	}()
+	adm := c.srv.admission()
+	if op.ticket != nil {
+		// Queued behind the worker set: wait for a slot off the read loop.
+		// Cancellation (abandon, connection close, server shutdown) drops the
+		// op without a response — the requester is gone or going.
+		if err := op.ticket.wait(adm, op.ctx.Done()); err != nil {
+			op.queued.End()
+			return
+		}
+	}
+	if op.holdsSlot {
+		admitted := c.clock.Now()
+		defer func() {
+			adm.release(c.clock.Now().Sub(admitted))
+		}()
+	}
+	op.queued.End()
+	c.dispatch(op.ctx, op.msg, op.tr)
 }
 
 // beginTrace starts (or joins) a trace for one dispatched operation.
@@ -664,15 +718,33 @@ type connSearchWriter struct {
 // there may be no further traffic on this search for hours. The entry is
 // encoded straight into the connection's pending buffer.
 func (w *connSearchWriter) SendEntry(e *Entry, controls ...Control) error {
+	return w.sendProjected(e, nil, controls)
+}
+
+// sendProjected is SendEntry(e.Project(attrs), controls...), with the
+// projection made by the encoder (appendProjectedEntry) instead of an Entry.
+func (w *connSearchWriter) sendProjected(e *Entry, attrs []string, controls []Control) error {
 	flush := len(controls) > 0
 	if !w.track {
-		return w.conn.w.enqueueEntry(w.id, e, controls, flush)
+		return w.conn.w.enqueueEntry(w.id, e, attrs, controls, flush)
 	}
 	start := w.conn.clock.Now()
-	err := w.conn.w.enqueueEntry(w.id, e, controls, flush)
+	err := w.conn.w.enqueueEntry(w.id, e, attrs, controls, flush)
 	w.encodeNs.Add(int64(w.conn.clock.Now().Sub(start)))
 	w.entries.Add(1)
 	return err
+}
+
+// SendProjected sends e restricted to the requested attributes on w — what
+// w.SendEntry(e.Project(attrs), controls...) sends. A connection's own
+// writer encodes the projection straight from e, which costs no Entry and no
+// attribute slice per result; any other SearchWriter gets e.Project(attrs).
+// e may be a shared snapshot: neither path writes it.
+func SendProjected(w SearchWriter, e *Entry, attrs []string, controls ...Control) error {
+	if cw, ok := w.(*connSearchWriter); ok {
+		return cw.sendProjected(e, attrs, controls)
+	}
+	return w.SendEntry(e.Project(attrs), controls...)
 }
 
 func (w *connSearchWriter) SendReferral(urls ...string) error {

@@ -638,7 +638,7 @@ func (s *Store) Search(req *Request, op *SearchRequest, w SearchWriter) Result {
 	if !isPS {
 		entries, truncated := s.FindLimit(base, op.Scope, op.Filter, op.SizeLimit)
 		for _, e := range entries {
-			if err := w.SendEntry(e.Project(op.Attributes)); err != nil {
+			if err := SendProjected(w, e, op.Attributes); err != nil {
 				return Result{Code: ResultUnavailable, Message: err.Error()}
 			}
 		}
@@ -656,7 +656,7 @@ func (s *Store) Search(req *Request, op *SearchRequest, w SearchWriter) Result {
 	events := s.Subscribe(req.Ctx, base, op.Scope, op.Filter)
 	if !ps.ChangesOnly {
 		for _, e := range s.Find(base, op.Scope, op.Filter) {
-			if err := w.SendEntry(e.Project(op.Attributes)); err != nil {
+			if err := SendProjected(w, e, op.Attributes); err != nil {
 				return Result{Code: ResultUnavailable, Message: err.Error()}
 			}
 		}
@@ -676,7 +676,7 @@ func (s *Store) Search(req *Request, op *SearchRequest, w SearchWriter) Result {
 			if ps.ReturnECs {
 				controls = append(controls, NewEntryChangeControl(ev.Type))
 			}
-			if err := w.SendEntry(ev.Entry.Project(op.Attributes), controls...); err != nil {
+			if err := SendProjected(w, ev.Entry, op.Attributes, controls...); err != nil {
 				return Result{Code: ResultUnavailable, Message: err.Error()}
 			}
 		}

@@ -50,6 +50,7 @@ func isSnapshotSource(fn *types.Func) bool {
 		isMethod(fn, pkgLdap, "Store", "FindCompiled"),
 		isMethod(fn, pkgLdap, "Store", "All"),
 		isMethod(fn, pkgQcache, "Cache", "Get"),
+		isMethod(fn, pkgQcache, "Cache", "Lookup"),
 		isMethod(fn, pkgQcache, "Cache", "GetOrFill"),
 		isMethod(fn, pkgQcache, "Cache", "Entries"):
 		return true

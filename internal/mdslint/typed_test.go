@@ -168,6 +168,10 @@ func (c *Cache) Get(key string) ([]*ldap.Entry, bool) {
 	return append([]*ldap.Entry(nil), c.entries...), len(c.entries) > 0
 }
 
+func (c *Cache) Lookup(key []byte) ([]*ldap.Entry, bool) {
+	return append([]*ldap.Entry(nil), c.entries...), len(c.entries) > 0
+}
+
 func (c *Cache) GetOrFill(key string, region Region, bound time.Time,
 	fill func() ([]*ldap.Entry, error)) ([]*ldap.Entry, Outcome, error) {
 	return append([]*ldap.Entry(nil), c.entries...), 0, nil
@@ -409,6 +413,31 @@ func f(c *qcache.Cache) {
 	for _, e := range es {
 		e.Set("hn", "x") // want
 	}
+}
+`},
+		{"writing through a Lookup hit", `package app
+
+import "mds2/internal/qcache"
+
+func f(c *qcache.Cache, key []byte) {
+	if es, ok := c.Lookup(key); ok {
+		es[0].Attrs[0].Values[0] = "x" // want
+	}
+}
+`},
+		{"sorting a Lookup hit's container is fine", `package app
+
+import (
+	"slices"
+
+	"mds2/internal/ldap"
+	"mds2/internal/qcache"
+)
+
+func f(c *qcache.Cache, key []byte) {
+	es, _ := c.Lookup(key)
+	slices.SortFunc(es, func(a, b *ldap.Entry) int { return len(a.DN) - len(b.DN) })
+	es[0], es[1] = es[1], es[0]
 }
 `},
 		{"deep write through Entries", `package app

@@ -33,6 +33,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"mds2/internal/flight"
 	"mds2/internal/ldap"
@@ -92,23 +94,106 @@ type Region struct {
 // attribute set and size limit: DNs normalize per ldap.DN.Normalize, the
 // filter renders case-folded (attribute names and values carry
 // caseIgnoreMatch semantics), and attributes fold, sort and dedup — so
-// `(CN=Foo)` and `(cn=foo)` share one key.
+// `(CN=Foo)` and `(cn=foo)` share one key. Two regions share a key exactly
+// when those normalized components are equal: every component that can hold
+// any byte goes in length-prefixed, so no value can pass for a separator.
 func (r Region) Key(attrs []string, sizeLimit int64) string {
-	var b strings.Builder
-	b.WriteString(r.Owner)
-	b.WriteByte(0x1f)
-	b.WriteString(r.Base.Normalize())
-	b.WriteByte(0x1f)
-	b.WriteString(strconv.Itoa(int(r.Scope)))
-	b.WriteByte(0x1f)
-	if r.Filter != nil {
-		b.WriteString(strings.ToLower(r.Filter.String()))
+	var buf [256]byte
+	return string(r.AppendKey(buf[:0], attrs, sizeLimit))
+}
+
+// AppendKey appends Key's bytes to dst, for a lookup (Cache.Lookup) keyed
+// from a buffer of the caller's: with attrs already in NormalizeAttrs form
+// — what a chaining directory sends downstream — rendering a key into a
+// buffer with room for it allocates nothing.
+//
+// The layout is owner, normalized base, scope, case-folded filter (empty
+// for none), attribute count and names, size limit. Strings go in as
+// "<len>:<bytes>" and integers as decimal text ended by ';' (the limit,
+// last, by the end of the key).
+func (r Region) AppendKey(dst []byte, attrs []string, sizeLimit int64) []byte {
+	if !normalized(attrs) {
+		attrs = NormalizeAttrs(attrs)
 	}
-	b.WriteByte(0x1f)
-	b.WriteString(strings.Join(NormalizeAttrs(attrs), ","))
-	b.WriteByte(0x1f)
-	b.WriteString(strconv.FormatInt(sizeLimit, 10))
-	return b.String()
+	dst = appendField(dst, r.Owner)
+	at := len(dst)
+	dst = prefixLen(r.Base.AppendNormalized(dst), at)
+	dst = append(strconv.AppendInt(dst, int64(r.Scope), 10), ';')
+	at = len(dst)
+	if r.Filter != nil {
+		dst = lowerFrom(r.Filter.AppendString(dst), at)
+	}
+	dst = prefixLen(dst, at)
+	dst = append(strconv.AppendInt(dst, int64(len(attrs)), 10), ';')
+	for _, a := range attrs {
+		dst = appendField(dst, a)
+	}
+	return strconv.AppendInt(dst, sizeLimit, 10)
+}
+
+// appendField appends s as "<len>:<s>".
+func appendField(dst []byte, s string) []byte {
+	return append(append(strconv.AppendInt(dst, int64(len(s)), 10), ':'), s...)
+}
+
+// prefixLen turns dst[at:], just rendered, into a field: "<len>:" goes in
+// front of it.
+func prefixLen(dst []byte, at int) []byte {
+	var p [24]byte
+	prefix := append(strconv.AppendInt(p[:0], int64(len(dst)-at), 10), ':')
+	dst = append(dst, prefix...)
+	copy(dst[at+len(prefix):], dst[at:len(dst)-len(prefix)])
+	copy(dst[at:], prefix)
+	return dst
+}
+
+// lowerFrom case-folds dst[at:] the way strings.ToLower folds valid UTF-8,
+// in place when it is ASCII. A byte that is not UTF-8 stays as it is, where
+// strings.ToLower would turn every such byte into U+FFFD and two different
+// filters into one key.
+func lowerFrom(dst []byte, at int) []byte {
+	for i := at; i < len(dst); i++ {
+		c := dst[i]
+		if c >= utf8.RuneSelf {
+			return append(dst[:i], lowerRunes(string(dst[i:]))...)
+		}
+		if 'A' <= c && c <= 'Z' {
+			dst[i] = c + 'a' - 'A'
+		}
+	}
+	return dst
+}
+
+// lowerRunes is strings.ToLower that keeps bytes that are not UTF-8.
+func lowerRunes(s string) []byte {
+	out := make([]byte, 0, len(s))
+	for i := 0; i < len(s); {
+		r, n := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && n == 1 {
+			out = append(out, s[i])
+		} else {
+			out = utf8.AppendRune(out, unicode.ToLower(r))
+		}
+		i += n
+	}
+	return out
+}
+
+// normalized reports whether attrs is already in NormalizeAttrs form, judged
+// without allocating: ASCII, lower case, strictly ascending and no "*" or
+// empty name. Anything else (non-ASCII names included) is normalized again.
+func normalized(attrs []string) bool {
+	for i, a := range attrs {
+		if a == "" || a == "*" || i > 0 && attrs[i-1] >= a {
+			return false
+		}
+		for j := 0; j < len(a); j++ {
+			if c := a[j]; c >= utf8.RuneSelf || 'A' <= c && c <= 'Z' {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // NormalizeAttrs folds an attribute selection to its semantic form: empty
@@ -286,6 +371,20 @@ func (c *Cache) Get(key string) ([]*ldap.Entry, bool) {
 	return entries, ok
 }
 
+// Lookup is Get for a key rendered by Region.AppendKey: the probe makes no
+// string of the key, so a hit costs its container and nothing else. Only a
+// hit is counted — a caller that misses goes on to GetOrFill with the key,
+// which counts the miss (or the stale result passed over) once.
+func (c *Cache) Lookup(key []byte) ([]*ldap.Entry, bool) {
+	now := c.clock.Now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if it := c.items[string(key)]; it != nil && now.Before(it.expires) {
+		return c.hitLocked(it), true
+	}
+	return nil, false
+}
+
 // lookup is the fresh-hit path; it counts hits and stale skips but leaves
 // miss accounting to the caller (GetOrFill counts one miss per fill, not
 // per probe).
@@ -300,9 +399,14 @@ func (c *Cache) lookup(key string, now time.Time) ([]*ldap.Entry, bool) {
 		c.StaleSkips.Inc()
 		return nil, false
 	}
+	return c.hitLocked(it), true
+}
+
+// hitLocked serves a fresh item. Caller holds mu.
+func (c *Cache) hitLocked(it *item) []*ldap.Entry {
 	it.ref = true
 	c.Hits.Inc()
-	return copyEntries(it.entries), true
+	return copyEntries(it.entries)
 }
 
 // stale returns the expired result for key, if one is still resident.
