@@ -1,7 +1,7 @@
-// Package flight is the repo's one singleflight: concurrent callers with
-// the same key share a single execution of an expensive fill (a provider
-// invocation, a chained fan-out, a Bloom-summary fetch) instead of
-// stampeding the source behind it.
+// Package flight is the repo's one singleflight, under qcache.Table's fills:
+// concurrent callers with the same key share a single execution of an
+// expensive fill (a provider invocation, a chained fan-out, a Bloom-summary
+// fetch) instead of stampeding the source behind it.
 package flight
 
 import (

@@ -10,7 +10,6 @@ import (
 
 	"mds2/internal/grrp"
 	"mds2/internal/ldap"
-	"mds2/internal/qcache"
 	"mds2/internal/softstate"
 )
 
@@ -36,7 +35,10 @@ type childTable struct {
 	suffix  ldap.DN
 	name    string
 	selfURL string
-	qc      *qcache.Cache // nil without a query cache
+	// caches are keyed by child service key (the query cache, a strategy's
+	// per-child state): a departed child leaves them all. Filled while the
+	// server is assembled, read-only after.
+	caches []interface{ InvalidateOwner(owner string) int }
 
 	mu    sync.Mutex
 	byKey map[string]*childRec // registry key → record
@@ -203,9 +205,9 @@ func children(recs []*childRec) []Child {
 	return out
 }
 
-func newChildTable(cfg *Config, qc *qcache.Cache) *childTable {
+func newChildTable(cfg *Config) *childTable {
 	return &childTable{suffix: cfg.Suffix, name: cfg.Name, selfURL: cfg.SelfURL.String(),
-		qc: qc, byKey: map[string]*childRec{}, gen: 1}
+		byKey: map[string]*childRec{}, gen: 1}
 }
 
 // JournalRegistry implements softstate.Journal.
@@ -221,9 +223,7 @@ func (t *childTable) JournalRegistry(recs []softstate.JournalRecord) {
 		} else if rec := t.byKey[it.Key]; rec != nil {
 			t.drop(rec)
 			moved = true
-			if t.qc != nil {
-				gone = append(gone, rec.service())
-			}
+			gone = append(gone, rec.service())
 		}
 	}
 	if moved {
@@ -237,11 +237,13 @@ func (t *childTable) JournalRegistry(recs []softstate.JournalRecord) {
 		t.merge()
 	}
 	t.mu.Unlock()
-	// A lapsed or withdrawn child's cached hops drop now instead of waiting
-	// out their TTL. Joins and refreshes need nothing: keys are per child, so
-	// a new child is simply a future miss.
+	// A lapsed or withdrawn child leaves every cache now instead of waiting
+	// out a TTL. Joins and refreshes need nothing: keys are per child, so a
+	// new child is simply a future miss.
 	for _, owner := range gone {
-		t.qc.InvalidateOwner(owner)
+		for _, c := range t.caches {
+			c.InvalidateOwner(owner)
+		}
 	}
 }
 

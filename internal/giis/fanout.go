@@ -2,14 +2,12 @@ package giis
 
 import (
 	"slices"
-	"sync"
 	"time"
 
 	"mds2/internal/bloom"
-	"mds2/internal/flight"
 	"mds2/internal/ldap"
 	"mds2/internal/obs"
-	"mds2/internal/softstate"
+	"mds2/internal/qcache"
 )
 
 // Fanout is the directory's one chained fan-out, embedded by every chaining
@@ -265,65 +263,27 @@ func (c *SearchContext) refer(res ldap.Result, urls []string) ldap.Result {
 	return res
 }
 
-// summaryCache holds the Bloom summaries a pruning selector consults, one
-// per source (a child's service key, a ring member's ID), each for ttl.
-// Concurrent cold lookups of one source share a single fetch, and a failed
-// fetch is cached like a successful one, so a down source is not re-dialled
-// for its summary on every search.
-type summaryCache struct {
-	clock   softstate.Clock
-	ttl     time.Duration
-	skipped *obs.Counter // hops the summaries ruled out
-
-	mu    sync.Mutex
-	byKey map[string]cachedSummary
-	fills flight.Group[*bloom.Filter]
-}
-
-type cachedSummary struct {
-	filter    *bloom.Filter // nil: the fetch failed
-	fetchedAt time.Time
-}
-
-func newSummaryCache(clock softstate.Clock, ttl time.Duration, skipped *obs.Counter) *summaryCache {
-	return &summaryCache{clock: clock, ttl: ttl, skipped: skipped, byKey: map[string]cachedSummary{}}
-}
-
-func (c *summaryCache) fresh(key string) (*bloom.Filter, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cs, ok := c.byKey[key]
-	return cs.filter, ok && c.clock.Now().Sub(cs.fetchedAt) < c.ttl
-}
-
-// rulesOut reports (and counts) that the source behind key provably holds
-// no entry carrying every term — a conjunctive query can match only if each
-// equality term is (possibly) present. fetch fills a missing or expired
-// summary and returns nil when the source cannot supply one; no summary
-// fails open.
-func (c *summaryCache) rulesOut(key string, terms []string, fetch func() *bloom.Filter) bool {
+// rulesOut reports (and counts on skipped) that the source behind key
+// provably holds no entry carrying every term: a conjunctive query can match
+// only if each equality term is (possibly) present. fetch fills a missing or
+// expired summary, kept for ttl; it returns nil when the source cannot
+// supply one, which is kept like a summary, so a down source is not
+// re-dialled for its summary on every search. No summary fails open.
+func (s *Server) rulesOut(summaries *qcache.Table[*bloom.Filter], ttl time.Duration, key string,
+	terms []string, skipped *obs.Counter, fetch func() *bloom.Filter) bool {
 	if len(terms) == 0 {
 		return false
 	}
-	f, ok := c.fresh(key)
-	if !ok {
-		f, _, _ = c.fills.Do(key, func() (*bloom.Filter, error) {
-			if f, ok := c.fresh(key); ok {
-				return f, nil
-			}
-			f := fetch()
-			c.mu.Lock()
-			c.byKey[key] = cachedSummary{f, c.clock.Now()}
-			c.mu.Unlock()
-			return f, nil
-		})
-	}
+	f, _, _ := summaries.GetOrFill(key, key, func() (*bloom.Filter, time.Time, error) {
+		f := fetch()
+		return f, s.clock.Now().Add(ttl), nil
+	})
 	if f == nil {
 		return false
 	}
 	for _, t := range terms {
 		if !f.Test(t) {
-			c.skipped.Inc()
+			skipped.Inc()
 			return true
 		}
 	}

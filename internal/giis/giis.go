@@ -189,7 +189,7 @@ type Server struct {
 	hFanout     *obs.Histogram
 
 	// qc is the per-child-hop query-result cache (nil unless
-	// Config.QueryCache); the child table drops a departed child's keys.
+	// Config.QueryCache); a departed child's keys leave it with the child.
 	qc *qcache.Cache
 
 	sasl *gsi.SASLBinder
@@ -227,6 +227,7 @@ func New(cfg Config) *Server {
 		}
 		return true
 	}
+	s.table = newChildTable(&cfg)
 	if cfg.QueryCache {
 		s.qc = qcache.New(qcache.Config{
 			Name:  "giis_query",
@@ -235,8 +236,8 @@ func New(cfg Config) *Server {
 			Max:   cfg.QueryCacheMax,
 			Obs:   cfg.Obs,
 		})
+		s.table.caches = append(s.table.caches, s.qc)
 	}
-	s.table = newChildTable(&cfg, s.qc)
 	s.receiver.Registry.Observe(s.table)
 	if cfg.Strategy == nil {
 		cfg.Strategy = NewChaining()

@@ -8,6 +8,7 @@ import (
 	"mds2/internal/grrp"
 	"mds2/internal/ldap"
 	"mds2/internal/obs"
+	"mds2/internal/qcache"
 	"mds2/internal/shard"
 )
 
@@ -58,8 +59,9 @@ type Sharded struct {
 	// extended operation), each rebuilt when the child table has moved.
 	routes       memo[shardRoutes]
 	localSummary memo[[]byte]
-	// summaries caches peer summaries by member ID.
-	summaries *summaryCache
+	// summaries caches peer summaries by member ID, so it holds at most one
+	// per ring member.
+	summaries *qcache.Table[*bloom.Filter]
 
 	// Stats, registered under giis_shard_* when the server has an obs
 	// registry.
@@ -98,7 +100,7 @@ func (sh *Sharded) attach(s *Server) {
 	if len(sh.SummaryAttrs) == 0 {
 		sh.SummaryAttrs = shard.DefaultSummaryAttrs
 	}
-	sh.summaries = newSummaryCache(s.clock, sh.SummaryTTL, &sh.BloomSkipped)
+	sh.summaries = qcache.NewTable[*bloom.Filter](qcache.TableConfig{Clock: s.clock})
 	sh.planner = shard.NewPlanner(sh.Ring, sh.Self, sh.Replicas, s.cfg.Suffix, sh.KeyAttrs)
 
 	// Ownership enforcement: registrations hashing to other shards are
@@ -288,7 +290,8 @@ func (sh *Sharded) searchProxy(ctx *SearchContext, local []Child, plan *shard.Pl
 		for _, m := range plan.Remote {
 			h := sh.peerHop(m)
 			h.skip = func() bool {
-				return sh.summaries.rulesOut(m.ID, terms, func() *bloom.Filter { return sh.fetchSummary(m) })
+				return sh.s.rulesOut(sh.summaries, sh.SummaryTTL, m.ID, terms, &sh.BloomSkipped,
+					func() *bloom.Filter { return sh.fetchSummary(m) })
 			}
 			hops = append(hops, h)
 		}

@@ -103,10 +103,8 @@ type CachedIndex struct {
 	TTL time.Duration
 
 	s *Server
-	// qc is the per-child entry-set cache. The strategy predates the qcache
-	// core and used to carry its own TTL map; it now rides the shared
-	// implementation (one freshness/singleflight/eviction path in the tree)
-	// with ServeStale on, preserving the §2.2 partition behaviour.
+	// qc is the per-child entry-set cache, ServeStale for the §2.2
+	// partition behaviour.
 	qc *qcache.Cache
 }
 
@@ -131,6 +129,7 @@ func (c *CachedIndex) attach(s *Server) {
 		ServeStale: true,
 		Obs:        s.cfg.Obs,
 	})
+	s.table.caches = append(s.table.caches, c.qc)
 }
 
 // Search implements Strategy.
@@ -193,9 +192,6 @@ func (c *CachedIndex) childEntries(req *ldap.Request, child Child) hopReply {
 	return uncached(entries, err)
 }
 
-// Flush drops the index (tests and failover drills).
-func (c *CachedIndex) Flush() { c.qc.Flush() }
-
 // Entries returns a snapshot of every indexed entry across all children,
 // the corpus specialized services (e.g. the matchmaker extension) evaluate
 // against.
@@ -250,8 +246,9 @@ type BloomRouted struct {
 	// Bits sizes each summary (experiment E5 sweeps this).
 	Bits uint64
 
-	// summaries maps child service keys to their term filters.
-	summaries *summaryCache
+	// summaries maps child service keys to their term filters (nil: the
+	// child could not supply one).
+	summaries *qcache.Table[*bloom.Filter]
 
 	// SkippedChildren counts chains avoided by summary misses.
 	SkippedChildren obs.Counter
@@ -266,7 +263,8 @@ func NewBloomRouted(ttl time.Duration, bits uint64) *BloomRouted {
 func (b *BloomRouted) Name() string { return "bloom-routed" }
 
 func (b *BloomRouted) attach(s *Server) {
-	b.summaries = newSummaryCache(s.clock, b.TTL, &b.SkippedChildren)
+	b.summaries = qcache.NewTable[*bloom.Filter](qcache.TableConfig{Clock: s.clock})
+	s.table.caches = append(s.table.caches, b.summaries)
 	if s.cfg.Obs != nil {
 		s.cfg.Obs.RegisterCounter("giis_bloom_skipped_total", &b.SkippedChildren)
 	}
@@ -279,7 +277,7 @@ func (b *BloomRouted) Search(ctx *SearchContext) ldap.Result {
 	for i := range hops {
 		child := &hops[i].targets[0]
 		hops[i].skip = func() bool {
-			return b.summaries.rulesOut(child.service(), terms,
+			return ctx.Server.rulesOut(b.summaries, b.TTL, child.service(), terms, &b.SkippedChildren,
 				func() *bloom.Filter { return b.summarize(ctx.Server, *child) })
 		}
 	}

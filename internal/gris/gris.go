@@ -16,10 +16,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mds2/internal/flight"
 	"mds2/internal/gsi"
 	"mds2/internal/ldap"
 	"mds2/internal/obs"
+	"mds2/internal/qcache"
 	"mds2/internal/softstate"
 )
 
@@ -118,13 +118,11 @@ type Server struct {
 	mu       sync.Mutex
 	backends atomic.Pointer[[]Backend]
 
-	// cache maps backend name -> *snapshot. Written once per refresh and
-	// read by every query: hits — the hot path — take no lock at all.
-	cache sync.Map
-
-	// flights coalesces concurrent misses of one backend (keyed by name)
-	// into a single provider invocation.
-	flights flight.Group[*snapshot]
+	// rounds holds each cacheable backend's current round by backend name,
+	// fresh until fetch time plus the backend's CacheTTL. It is unbounded:
+	// a registered backend's round is never evicted. Concurrent misses of
+	// one backend share a single provider invocation.
+	rounds *qcache.Table[*ldap.Store]
 
 	// Stats
 	Queries     obs.Counter
@@ -138,21 +136,16 @@ type Server struct {
 	sasl *gsi.SASLBinder
 }
 
-// snapshot is one provider round, indexed: built once per refresh (or
-// WarmRestore), published by pointer swap and never written again, so an
-// enquiry reads the old round or the new one, never a blend. Entries are
-// keyed by DN — of two entries with one DN the later wins.
-type snapshot struct {
-	store     *ldap.Store
-	fetchedAt time.Time
-}
-
-func newSnapshot(entries []*ldap.Entry, fetchedAt time.Time) *snapshot {
-	snap := &snapshot{store: ldap.NewStore(), fetchedAt: fetchedAt}
+// newRound indexes one provider round: built once per refresh (or
+// WarmRestore), published whole and never written again, so an enquiry
+// reads the old round or the new one, never a blend. Entries are keyed by
+// DN — of two entries with one DN the later wins.
+func newRound(entries []*ldap.Entry) *ldap.Store {
+	round := ldap.NewStore()
 	// Backends never mutate what they returned, so it is adopted, not
 	// copied. No schema, no persister: cannot fail.
-	_ = snap.store.Adopt(entries)
-	return snap
+	_ = round.Adopt(entries)
+	return round
 }
 
 // New creates a GRIS.
@@ -164,7 +157,8 @@ func New(cfg Config) *Server {
 		cfg.PollInterval = 2 * time.Second
 	}
 	s := &Server{cfg: cfg, clock: cfg.Clock}
-	s.flights.Joined = &s.Coalesced
+	s.rounds = qcache.NewTable[*ldap.Store](qcache.TableConfig{Clock: cfg.Clock,
+		Counters: qcache.Counters{Coalesced: &s.Coalesced}})
 	if cfg.Keys != nil && cfg.Trust != nil {
 		s.sasl = gsi.NewSASLBinder(cfg.Keys, cfg.Trust, cfg.Clock.Now, cfg.TrustedDirectories)
 	}
@@ -218,9 +212,9 @@ func warmRoot(name string) ldap.DN {
 // WarmRestore prefills the per-provider cache from the warm store — call it
 // after persist.Manager.Recover has rebuilt the store and before serving.
 // Each cacheable backend whose warm namespace has entries starts with those
-// entries already cached; fetchedAt is back-dated so they stay fresh for
-// min(WarmGrace, TTL) and then roll over to a live invocation on the normal
-// expiry path. It returns the number of entries restored.
+// entries already cached, fresh for min(WarmGrace, TTL) before they roll
+// over to a live invocation on the normal expiry path. It returns the
+// number of entries restored.
 func (s *Server) WarmRestore() int {
 	ws := s.cfg.WarmStore
 	if ws == nil {
@@ -246,16 +240,14 @@ func (s *Server) WarmRestore() int {
 		if grace <= 0 || grace > ttl {
 			grace = ttl
 		}
-		s.cache.Store(b.Name(), newSnapshot(entries, now.Add(grace-ttl)))
+		s.rounds.Put(b.Name(), b.Name(), newRound(entries), now.Add(grace))
 		total += len(entries)
 	}
 	return total
 }
 
 // FlushCache drops all cached provider results.
-func (s *Server) FlushCache() {
-	s.cache.Range(func(name, _ any) bool { s.cache.Delete(name); return true })
-}
+func (s *Server) FlushCache() { s.rounds.Flush() }
 
 // principal extracts the policy principal recorded at bind time.
 func principal(req *ldap.Request) *gsi.Principal {
@@ -484,62 +476,35 @@ func (s *Server) fetch(b Backend, q *Query, cf *ldap.Compiled, limit int64, sp *
 		}
 		return out, false, err
 	}
-	snap := s.cached(b.Name(), q.Now, ttl)
-	if snap != nil {
-		s.CacheHits.Inc()
-		sp.SetNote("hit")
-	} else {
-		s.CacheMisses.Inc()
-		var err error
-		if snap, err = s.refresh(b, q.Now, ttl, sp); err != nil {
-			return nil, false, err
-		}
+	round, err := s.round(b, q.Now, ttl, sp)
+	if err != nil {
+		return nil, false, err
 	}
-	out, _ := snap.store.FindCompiled(q.Base, q.Scope, cf, limit)
+	out, _ := round.FindCompiled(q.Base, q.Scope, cf, limit)
 	return out, true, nil
 }
 
-// cached returns the fresh snapshot for a backend, or nil.
-func (s *Server) cached(name string, now time.Time, ttl time.Duration) *snapshot {
-	if v, ok := s.cache.Load(name); ok && now.Sub(v.(*snapshot).fetchedAt) < ttl {
-		return v.(*snapshot)
-	}
-	return nil
-}
-
-// refresh invokes the backend once per expiry, no matter how many queries
-// miss concurrently: the first miss becomes the flight leader and runs the
-// provider; the rest wait on the flight and share its result.
-func (s *Server) refresh(b Backend, now time.Time, ttl time.Duration, sp *obs.Span) (*snapshot, error) {
+// round returns the backend's fresh round, invoking the backend once per
+// expiry no matter how many queries miss concurrently: the first miss
+// becomes the flight leader and runs the provider; the rest wait on the
+// flight and share its result, counting as a miss and then a hit.
+func (s *Server) round(b Backend, now time.Time, ttl time.Duration, sp *obs.Span) (*ldap.Store, error) {
 	name := b.Name()
-	snap, shared, err := s.flights.Do(name, func() (*snapshot, error) {
-		// A previous leader may have refilled the cache between our miss and
-		// now (it publishes before retiring its flight); re-check before
-		// paying for an invocation.
-		if snap := s.cached(name, now, ttl); snap != nil {
-			s.CacheHits.Inc()
-			sp.SetNote("hit")
-			return snap, nil
-		}
+	round, how, err := s.rounds.GetOrFill(name, name, func() (*ldap.Store, time.Time, error) {
 		s.Invocations.Inc()
 		sp.SetNote("miss,invoke")
 		// Cacheable backends are queried for their full subtree so the cache
 		// is a superset serving any narrower query.
 		entries, err := b.Entries(&Query{Base: b.Suffix(), Scope: ldap.ScopeWholeSubtree, Now: now})
 		if err != nil {
-			return nil, err
+			return nil, time.Time{}, err
 		}
-		snap := newSnapshot(entries, now)
-		s.cache.Store(name, snap)
 		if ws := s.cfg.WarmStore; ws != nil {
-			// Write-through: replace the backend's warm subtree with the
-			// fresh superset so a post-crash WarmRestore sees the last
-			// completed invocation, never a blend of two rounds. Entries are
-			// re-rooted under a per-backend namespace so that backends
-			// sharing a suffix never wipe each other's warm state and
-			// restore attributes each entry to the backend that produced it.
-			// A warm-store write failure (sticky WAL error) must not fail
-			// the query — the live result is still correct; durability
+			// Write-through: the backend's warm subtree becomes this round,
+			// so a post-crash WarmRestore sees the last completed invocation
+			// and never a blend. It is re-rooted under the backend's own
+			// namespace, as backends may share a suffix. A failed write
+			// (sticky WAL error) does not fail the query: durability
 			// degrades to the previous round.
 			root := warmRoot(name)
 			ws.RemoveSubtree(root)
@@ -547,17 +512,24 @@ func (s *Server) refresh(b Backend, now time.Time, ttl time.Duration, sp *obs.Sp
 			for i, e := range entries {
 				warm[i] = e.WithDN(e.DN.Under(root))
 			}
-			_ = ws.PutAll(warm) // copies: the warm store shares nothing with the snapshot
+			_ = ws.PutAll(warm) // copies: the warm store shares nothing with the round
 		}
-		return snap, nil
+		return newRound(entries), now.Add(ttl), nil
 	})
-	if shared {
+	switch how {
+	case qcache.OutcomeHit:
+		s.CacheHits.Inc()
+		sp.SetNote("hit")
+	case qcache.OutcomeCoalesced:
+		s.CacheMisses.Inc()
 		sp.SetNote("miss,coalesced")
 		if err == nil {
 			s.CacheHits.Inc()
 		}
+	default:
+		s.CacheMisses.Inc()
 	}
-	return snap, err
+	return round, err
 }
 
 // persistentSearch implements push-mode GRIP on a GRIS by periodic

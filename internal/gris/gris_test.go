@@ -572,12 +572,10 @@ func BenchmarkSearchUncached(b *testing.B) {
 	}
 }
 
-// BenchmarkGRISEnquiry is the bench/ enquiry-point workload in process: one
-// host out of 2,000 cached entries by an equality filter. The answer comes
-// from the snapshot's index, so ns/op and allocs/op must not scale with the
-// cache size.
-func BenchmarkGRISEnquiry(b *testing.B) {
-	const hosts = 2000
+// enquiryRig is the bench/ enquiry-point workload in process: a GRIS
+// over one cacheable backend of hosts entries, its round already cached,
+// and one equality enquiry per host.
+func enquiryRig(hosts int) (*Server, []*ldap.SearchRequest) {
 	suffix := ldap.MustParseDN("ou=s0, o=grid")
 	entries := make([]*ldap.Entry, hosts)
 	reqs := make([]*ldap.SearchRequest, hosts)
@@ -591,9 +589,18 @@ func BenchmarkGRISEnquiry(b *testing.B) {
 	}
 	s := New(Config{Suffix: suffix, Clock: softstate.RealClock{}})
 	s.Register(&fakeBackend{name: "corpus", suffix: suffix, ttl: time.Hour, entries: entries})
+	s.Search(anonReq(), reqs[0], &sink{}) // fill the cache
+	return s, reqs
+}
+
+// BenchmarkGRISEnquiry: one host out of 2,000 cached entries by an equality
+// filter. The answer comes from the snapshot's index, so ns/op and allocs/op
+// must not scale with the cache size.
+func BenchmarkGRISEnquiry(b *testing.B) {
+	const hosts = 2000
+	s, reqs := enquiryRig(hosts)
 	r := anonReq()
 	w := &sink{}
-	s.Search(r, reqs[0], w) // fill the cache outside the timed loop
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -602,6 +609,35 @@ func BenchmarkGRISEnquiry(b *testing.B) {
 		if len(w.entries) != 1 {
 			b.Fatalf("enquiry %d answered with %d entries", i, len(w.entries))
 		}
+	}
+}
+
+// TestGRISCacheHitAllocationBudget: an enquiry answered from a cached
+// provider round makes at most 6 allocations, none of them the round
+// table's: a fresh round is found by its backend's name without one.
+func TestGRISCacheHitAllocationBudget(t *testing.T) {
+	if !allocsExact {
+		t.Skip("allocation counts are not the program's under -race or mdsdebug")
+	}
+	const hosts = 2000
+	s, reqs := enquiryRig(hosts)
+	r := anonReq()
+	w := &sink{}
+	i := 0
+	n := testing.AllocsPerRun(2000, func() {
+		w.entries, w.ctls = w.entries[:0], w.ctls[:0]
+		s.Search(r, reqs[i%hosts], w)
+		if len(w.entries) != 1 {
+			t.Fatalf("enquiry %d answered with %d entries", i, len(w.entries))
+		}
+		i++
+	})
+	t.Logf("allocations per cached enquiry: %.1f", n)
+	if n > 6 {
+		t.Errorf("a cached enquiry makes %.1f allocations, budget 6", n)
+	}
+	if inv := s.Invocations.Value(); inv != 1 {
+		t.Errorf("%d provider invocations, want 1: the enquiries were not cache hits", inv)
 	}
 }
 

@@ -1,4 +1,5 @@
-// Package qcache is the GIIS-tier query-result cache: a bounded,
+// Package qcache holds the repo's one TTL'd value table (Table) and, on top
+// of it, the GIIS-tier query-result cache (Cache): a bounded,
 // concurrency-safe map from normalized query regions to the immutable
 // entry snapshots that answered them. The paper's aggregate directories
 // exist precisely so discovery queries are answered from cached soft state
@@ -28,15 +29,14 @@
 package qcache
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 	"unicode"
 	"unicode/utf8"
 
-	"mds2/internal/flight"
 	"mds2/internal/ldap"
 	"mds2/internal/obs"
 	"mds2/internal/softstate"
@@ -222,71 +222,15 @@ func NormalizeAttrs(attrs []string) []string {
 	return out
 }
 
-// Outcome reports how GetOrFill satisfied a lookup.
-type Outcome int
-
-// GetOrFill outcomes.
-const (
-	// OutcomeMiss: the fill function ran for this caller.
-	OutcomeMiss Outcome = iota
-	// OutcomeHit: served from a fresh cached result.
-	OutcomeHit
-	// OutcomeCoalesced: joined another caller's in-flight fill.
-	OutcomeCoalesced
-	// OutcomeStale: the fill failed and the expired result was served
-	// (Config.ServeStale).
-	OutcomeStale
-)
-
-func (o Outcome) String() string {
-	switch o {
-	case OutcomeHit:
-		return "hit"
-	case OutcomeCoalesced:
-		return "coalesced"
-	case OutcomeStale:
-		return "stale"
-	default:
-		return "miss"
-	}
-}
-
-// item is one cached result. entries is the shared snapshot slice; every
-// hand-out copies the container so callers may reorder or compact their
-// copy without racing other readers.
-type item struct {
-	key      string
-	owner    string
-	entries  []*ldap.Entry
-	expires  time.Time
-	negative bool
-	ref      bool // CLOCK reference bit
-	slot     int  // position in the CLOCK ring
-}
-
-// filled is what one fill flight hands its leader and every joiner.
-type filled struct {
-	entries []*ldap.Entry
-	how     Outcome
-}
-
-// Cache is a bounded query-result cache. The zero value is not usable;
-// construct with New.
+// Cache is a bounded query-result cache, the entry-snapshot layer over a
+// Table: it turns TTL, NegTTL and a result's soft-state bound into the
+// table's expiry, makes every result it keeps own its bytes and seals it,
+// and hands each reader a container of its own. Construct with New.
 type Cache struct {
-	cfg   Config
-	clock softstate.Clock
+	cfg Config
+	t   *Table[[]*ldap.Entry]
 
-	mu    sync.Mutex
-	items map[string]*item
-	ring  []*item // CLOCK ring; nil holes are free slots
-	free  []int
-	hand  int
-
-	// flights collapses concurrent identical misses into one fill.
-	flights flight.Group[filled]
-
-	// Counters (registered under Config.Obs when present; nil-safe no-ops
-	// otherwise).
+	// Counters (registered under Config.Obs when present).
 	Hits        obs.Counter
 	Misses      obs.Counter
 	Coalesced   obs.Counter
@@ -316,12 +260,10 @@ func New(cfg Config) *Cache {
 	if cfg.Name == "" {
 		cfg.Name = "qcache"
 	}
-	c := &Cache{
-		cfg:   cfg,
-		clock: cfg.Clock,
-		items: map[string]*item{},
-	}
-	c.flights.Joined = &c.Coalesced
+	c := &Cache{cfg: cfg}
+	c.t = NewTable[[]*ldap.Entry](TableConfig{Clock: cfg.Clock, Max: cfg.Max, ServeStale: cfg.ServeStale,
+		Counters: Counters{Hits: &c.Hits, Misses: &c.Misses, Coalesced: &c.Coalesced, Evicted: &c.Evicted,
+			Invalidated: &c.Invalidated, StaleSkips: &c.StaleSkips, StaleServed: &c.StaleServed}})
 	if cfg.Obs != nil {
 		p := metricPrefix(cfg.Name)
 		cfg.Obs.RegisterCounter(p+"_hits_total", &c.Hits)
@@ -348,27 +290,18 @@ func metricPrefix(name string) string {
 	return string(b)
 }
 
-// copyEntries hands out a fresh container over the shared snapshots:
-// callers sort, compact and dedup their result sets in place, which must
-// never touch the slice other readers share.
-func copyEntries(entries []*ldap.Entry) []*ldap.Entry {
-	if entries == nil {
-		return nil
-	}
-	return append([]*ldap.Entry(nil), entries...)
-}
-
-// Get returns the cached result for key when fresh. The returned slice is
-// a fresh container of shared immutable snapshot entries; Clone or Select
-// an entry before mutating it (a wire-backed one included: Project and
-// WithDN share its frame, only Clone and Select copy out of it). A cached
-// negative result returns (nil, true).
+// Get returns the cached result for key when fresh, in a fresh container of
+// shared immutable snapshot entries: a caller may sort, compact or truncate
+// its container, but must Clone or Select an entry before mutating it (a
+// wire-backed one included: Project and WithDN share its frame, only Clone
+// and Select copy out of it). A cached negative result is a hit with no
+// entries.
 func (c *Cache) Get(key string) ([]*ldap.Entry, bool) {
-	entries, ok := c.lookup(key, c.clock.Now())
+	entries, ok := c.t.Get(key)
 	if !ok {
 		c.Misses.Inc()
 	}
-	return entries, ok
+	return slices.Clone(entries), ok
 }
 
 // Lookup is Get for a key rendered by Region.AppendKey: the probe makes no
@@ -376,224 +309,74 @@ func (c *Cache) Get(key string) ([]*ldap.Entry, bool) {
 // hit is counted — a caller that misses goes on to GetOrFill with the key,
 // which counts the miss (or the stale result passed over) once.
 func (c *Cache) Lookup(key []byte) ([]*ldap.Entry, bool) {
-	now := c.clock.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if it := c.items[string(key)]; it != nil && now.Before(it.expires) {
-		return c.hitLocked(it), true
-	}
-	return nil, false
+	entries, ok := c.t.Lookup(key)
+	return slices.Clone(entries), ok
 }
 
-// lookup is the fresh-hit path; it counts hits and stale skips but leaves
-// miss accounting to the caller (GetOrFill counts one miss per fill, not
-// per probe).
-func (c *Cache) lookup(key string, now time.Time) ([]*ldap.Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	it := c.items[key]
-	if it == nil {
-		return nil, false
-	}
-	if !now.Before(it.expires) {
-		c.StaleSkips.Inc()
-		return nil, false
-	}
-	return c.hitLocked(it), true
-}
-
-// hitLocked serves a fresh item. Caller holds mu.
-func (c *Cache) hitLocked(it *item) []*ldap.Entry {
-	it.ref = true
-	c.Hits.Inc()
-	return copyEntries(it.entries)
-}
-
-// stale returns the expired result for key, if one is still resident.
-func (c *Cache) stale(key string) ([]*ldap.Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if it := c.items[key]; it != nil {
-		return copyEntries(it.entries), true
-	}
-	return nil, false
-}
-
-// GetOrFill returns the cached result for key, running fill on a miss and
-// caching what it returns. Concurrent identical misses collapse: exactly
-// one caller runs fill, the rest wait and share its result. bound, when
-// non-zero, caps the result's freshness at that instant regardless of TTL
-// — pass the contributing source's soft-state deadline so a cached result
-// never outlives the registration it came from. The returned slice is a
-// fresh container of shared immutable snapshot entries (see Get). The slice
-// fill returns becomes the cache's: wire-backed entries in it are replaced
-// by copies that own their bytes before it is kept.
+// GetOrFill returns the cached result for key, running fill on a miss (once,
+// however many callers miss at once) and caching what it returns. bound,
+// when non-zero, caps the result's freshness at that instant regardless of
+// TTL — pass the contributing source's soft-state deadline so a cached
+// result never outlives the registration it came from. The result is a
+// fresh container (see Get); the slice fill returns becomes the cache's,
+// its wire-backed entries replaced by copies that own their bytes.
 func (c *Cache) GetOrFill(key string, region Region, bound time.Time,
 	fill func() ([]*ldap.Entry, error)) ([]*ldap.Entry, Outcome, error) {
 
-	if entries, ok := c.lookup(key, c.clock.Now()); ok {
-		return entries, OutcomeHit, nil
-	}
-	res, shared, err := c.flights.Do(key, func() (filled, error) {
-		// A previous leader may have refilled between our miss and taking
-		// flight leadership; re-check before paying for a fan-out.
-		if entries, ok := c.lookup(key, c.clock.Now()); ok {
-			return filled{entries, OutcomeHit}, nil
-		}
-		c.Misses.Inc()
+	entries, how, err := c.t.GetOrFill(key, region.Owner, func() ([]*ldap.Entry, time.Time, error) {
 		entries, err := fill()
 		if err != nil {
-			if c.cfg.ServeStale {
-				if stale, ok := c.stale(key); ok {
-					c.StaleServed.Inc()
-					return filled{stale, OutcomeStale}, nil
-				}
-			}
-			return filled{}, err
+			return nil, time.Time{}, err
 		}
-		c.Put(key, region, bound, entries)
-		return filled{entries, OutcomeMiss}, nil
+		return entries, c.keep(entries, bound), nil
 	})
-	if shared {
-		res.how = OutcomeCoalesced
-	}
 	// Leader and joiners each take their own container over the flight's
 	// entries: any of them may reorder theirs while the others still copy.
-	return copyEntries(res.entries), res.how, err
+	return slices.Clone(entries), how, err
 }
 
 // Put caches a result directly (GetOrFill is the usual path; see it for
-// bound semantics). entries becomes the shared snapshot: it gets bytes of
-// its own (ldap.CompactSnapshots), so what the cache keeps is the result and
-// not the read chunks it arrived in, and is sealed (mdsdebug) so any later
-// in-place mutation of a cached entry panics at the write.
+// bound semantics).
 func (c *Cache) Put(key string, region Region, bound time.Time, entries []*ldap.Entry) {
+	c.t.Put(key, region.Owner, entries, c.keep(entries, bound))
+}
+
+// keep readies entries to become a shared snapshot and returns when it
+// expires: min(now+TTL, bound), NegTTL for an empty result. The entries get
+// bytes of their own (ldap.CompactSnapshots), so what the cache keeps is the
+// result and not the read chunks it arrived in, and are sealed (mdsdebug)
+// so any later in-place mutation of a cached entry panics at the write.
+func (c *Cache) keep(entries []*ldap.Entry, bound time.Time) time.Time {
 	ldap.CompactSnapshots(entries)
 	ldap.SealSnapshots(entries)
-	now := c.clock.Now()
-	negative := len(entries) == 0
 	ttl := c.cfg.TTL
-	if negative {
+	if len(entries) == 0 {
 		ttl = c.cfg.NegTTL
 	}
-	expires := now.Add(ttl)
+	expires := c.cfg.Clock.Now().Add(ttl)
 	if !bound.IsZero() && bound.Before(expires) {
 		expires = bound
 	}
-	if !expires.After(now) {
-		return // the soft-state bound already lapsed: born stale
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if it := c.items[key]; it != nil {
-		it.owner = region.Owner
-		it.entries, it.expires, it.negative, it.ref = entries, expires, negative, true
-		return
-	}
-	for len(c.items) >= c.cfg.Max {
-		c.evictLocked()
-	}
-	it := &item{
-		key: key, owner: region.Owner,
-		entries: entries, expires: expires, negative: negative, ref: true,
-	}
-	c.items[key] = it
-	if n := len(c.free); n > 0 {
-		it.slot = c.free[n-1]
-		c.free = c.free[:n-1]
-		c.ring[it.slot] = it
-	} else {
-		it.slot = len(c.ring)
-		c.ring = append(c.ring, it)
-	}
-}
-
-// evictLocked runs one CLOCK sweep: referenced items get a second chance,
-// the first cold item goes.
-func (c *Cache) evictLocked() {
-	n := len(c.ring)
-	if n == 0 {
-		return
-	}
-	for scanned := 0; scanned < 2*n; scanned++ {
-		it := c.ring[c.hand]
-		c.hand = (c.hand + 1) % n
-		if it == nil {
-			continue
-		}
-		if it.ref {
-			it.ref = false
-			continue
-		}
-		c.removeLocked(it)
-		c.Evicted.Inc()
-		return
-	}
-	// Every resident item was referenced twice around (possible only under
-	// concurrent hit storms): evict the next resident regardless.
-	for {
-		it := c.ring[c.hand]
-		c.hand = (c.hand + 1) % n
-		if it != nil {
-			c.removeLocked(it)
-			c.Evicted.Inc()
-			return
-		}
-	}
-}
-
-func (c *Cache) removeLocked(it *item) {
-	delete(c.items, it.key)
-	c.ring[it.slot] = nil
-	c.free = append(c.free, it.slot)
+	return expires
 }
 
 // InvalidateOwner drops every key belonging to owner (or to an owner
 // variant "owner|…"), the early-drop path when a registered source
 // expires or is removed.
-func (c *Cache) InvalidateOwner(owner string) int {
-	if owner == "" {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	prefix := owner + "|"
-	for _, it := range c.items {
-		if it.owner == owner || strings.HasPrefix(it.owner, prefix) {
-			c.removeLocked(it)
-			n++
-		}
-	}
-	c.Invalidated.Add(int64(n))
-	return n
-}
+func (c *Cache) InvalidateOwner(owner string) int { return c.t.InvalidateOwner(owner) }
 
 // Flush drops everything (tests and failover drills).
-func (c *Cache) Flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.items = map[string]*item{}
-	c.ring, c.free, c.hand = nil, nil, 0
-}
+func (c *Cache) Flush() { c.t.Flush() }
 
 // Len returns the resident key count.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
-}
+func (c *Cache) Len() int { return c.t.Len() }
 
 // Entries returns every resident positive result concatenated — the corpus
 // view specialized services (e.g. the matchmaker extension) evaluate
 // against. The slice is a fresh container of shared immutable snapshots.
 func (c *Cache) Entries() []*ldap.Entry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var out []*ldap.Entry
-	for _, it := range c.items {
-		out = append(out, it.entries...)
-	}
+	c.t.each(func(it item[[]*ldap.Entry]) { out = append(out, it.Value...) })
 	return out
 }
 
@@ -647,20 +430,12 @@ type DebugSnapshot struct {
 // expired).
 func (c *Cache) Debug() DebugSnapshot {
 	stats := c.Stats()
-	now := c.clock.Now()
-	c.mu.Lock()
-	keys := make([]DebugKey, 0, len(c.items))
-	for _, it := range c.items {
-		keys = append(keys, DebugKey{
-			Key:         it.key,
-			Owner:       it.owner,
-			Entries:     len(it.entries),
-			Negative:    it.negative,
-			ExpiresInMs: it.expires.Sub(now).Milliseconds(),
-			Referenced:  it.ref,
-		})
-	}
-	c.mu.Unlock()
+	now := c.cfg.Clock.Now()
+	keys := []DebugKey{}
+	c.t.each(func(it item[[]*ldap.Entry]) {
+		keys = append(keys, DebugKey{Key: it.Key, Owner: it.Owner, Entries: len(it.Value),
+			Negative: len(it.Value) == 0, ExpiresInMs: it.Expires.Sub(now).Milliseconds(), Referenced: it.Referenced})
+	})
 	sort.Slice(keys, func(i, j int) bool { return keys[i].Key < keys[j].Key })
 	return DebugSnapshot{
 		Name:  c.cfg.Name,

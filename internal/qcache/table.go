@@ -1,0 +1,288 @@
+package qcache
+
+import (
+	"strings"
+	"sync"
+	"time"
+
+	"mds2/internal/flight"
+	"mds2/internal/obs"
+	"mds2/internal/softstate"
+)
+
+// Table is the repo's one TTL'd value table: the query cache's result sets,
+// a GRIS's provider rounds and a directory's Bloom summaries all live in
+// one. Each value carries an absolute expiry its caller computed and is
+// served only before it; concurrent misses of one key share one fill; the
+// keys of an owner (and of its "owner|…" variants) drop together; and a
+// positive Max bounds the resident keys by CLOCK eviction. Values are shared
+// by every reader and must not be written after they are put.
+type Table[V any] struct {
+	clock      softstate.Clock
+	max        int
+	serveStale bool
+	counts     Counters
+
+	mu    sync.Mutex
+	items map[string]*slot[V]
+	ring  []*slot[V] // CLOCK ring; nil holes are free positions
+	free  []int
+	hand  int
+
+	fills flight.Group[filled[V]]
+}
+
+// TableConfig assembles a Table.
+type TableConfig struct {
+	// Clock decides freshness.
+	Clock softstate.Clock
+	// Max bounds the resident keys by CLOCK eviction; zero is unbounded.
+	Max int
+	// ServeStale answers a failed fill with the expired value, when one is
+	// still resident.
+	ServeStale bool
+	Counters
+}
+
+// Counters are the events a table counts; a nil counter counts nothing.
+type Counters struct {
+	Hits        *obs.Counter // fresh values served
+	Misses      *obs.Counter // fills run
+	Coalesced   *obs.Counter // callers that joined another's fill, as they park
+	Evicted     *obs.Counter // keys the CLOCK bound pushed out
+	Invalidated *obs.Counter // keys dropped with their owner
+	StaleSkips  *obs.Counter // expired values passed over by Get and GetOrFill
+	StaleServed *obs.Counter // expired values served after a failed fill
+}
+
+// item is one resident value.
+type item[V any] struct {
+	Key, Owner string
+	Value      V
+	Expires    time.Time
+	Referenced bool // the CLOCK reference bit
+}
+
+type slot[V any] struct {
+	item[V]
+	pos int // position in the CLOCK ring
+}
+
+// filled is what one fill flight hands its leader and every joiner.
+type filled[V any] struct {
+	v   V
+	how Outcome
+}
+
+// Outcome reports how GetOrFill satisfied a lookup.
+type Outcome int
+
+// GetOrFill outcomes.
+const (
+	// OutcomeMiss: the fill function ran for this caller.
+	OutcomeMiss Outcome = iota
+	// OutcomeHit: served a fresh value.
+	OutcomeHit
+	// OutcomeCoalesced: joined another caller's in-flight fill.
+	OutcomeCoalesced
+	// OutcomeStale: the fill failed and the expired value was served
+	// (ServeStale).
+	OutcomeStale
+)
+
+func (o Outcome) String() string {
+	switch o {
+	case OutcomeHit:
+		return "hit"
+	case OutcomeCoalesced:
+		return "coalesced"
+	case OutcomeStale:
+		return "stale"
+	default:
+		return "miss"
+	}
+}
+
+// NewTable builds an empty table.
+func NewTable[V any](cfg TableConfig) *Table[V] {
+	t := &Table[V]{clock: cfg.Clock, max: cfg.Max, serveStale: cfg.ServeStale,
+		counts: cfg.Counters, items: map[string]*slot[V]{}}
+	t.fills.Joined = cfg.Coalesced
+	return t
+}
+
+// Get returns key's value when it is fresh.
+func (t *Table[V]) Get(key string) (V, bool) { return t.fresh(key, t.counts.StaleSkips) }
+
+// fresh is Get counting an expired value on stale.
+func (t *Table[V]) fresh(key string, stale *obs.Counter) (V, bool) {
+	now := t.clock.Now()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.hitLocked(t.items[key], now, stale)
+}
+
+// Lookup is Get for a key in a buffer of the caller's: the probe makes no
+// string of it, so it allocates nothing. It counts only a hit — a caller
+// that misses goes on to GetOrFill, which counts the miss once.
+func (t *Table[V]) Lookup(key []byte) (V, bool) {
+	now := t.clock.Now()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.hitLocked(t.items[string(key)], now, nil)
+}
+
+// hitLocked serves it if it is fresh at now, counting an expired one on
+// stale. Caller holds mu.
+func (t *Table[V]) hitLocked(it *slot[V], now time.Time, stale *obs.Counter) (v V, ok bool) {
+	if it == nil {
+		return v, false
+	}
+	if !now.Before(it.Expires) {
+		stale.Inc()
+		return v, false
+	}
+	it.Referenced = true
+	t.counts.Hits.Inc()
+	return it.Value, true
+}
+
+// GetOrFill returns key's fresh value, or runs fill and keeps what it
+// returns until the expiry it returns (a value whose expiry has already
+// passed is handed out but not kept). Concurrent misses of one key share one
+// fill: its leader re-checks the table after winning the flight and
+// publishes before the flight retires, so the next miss finds the value.
+// On a failed fill a ServeStale table serves the expired value if one is
+// still resident.
+func (t *Table[V]) GetOrFill(key, owner string, fill func() (V, time.Time, error)) (V, Outcome, error) {
+	if v, ok := t.Get(key); ok {
+		return v, OutcomeHit, nil
+	}
+	res, shared, err := t.fills.Do(key, func() (filled[V], error) {
+		if v, ok := t.fresh(key, nil); ok {
+			return filled[V]{v, OutcomeHit}, nil
+		}
+		t.counts.Misses.Inc()
+		v, expires, err := fill()
+		if err != nil {
+			if v, ok := t.stale(key); ok {
+				t.counts.StaleServed.Inc()
+				return filled[V]{v, OutcomeStale}, nil
+			}
+			return filled[V]{}, err
+		}
+		t.Put(key, owner, v, expires)
+		return filled[V]{v, OutcomeMiss}, nil
+	})
+	if shared {
+		res.how = OutcomeCoalesced
+	}
+	return res.v, res.how, err
+}
+
+// stale returns key's resident value, expired or not, on a ServeStale table.
+func (t *Table[V]) stale(key string) (v V, ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if it := t.items[key]; it != nil && t.serveStale {
+		return it.Value, true
+	}
+	return v, false
+}
+
+// Put keeps v under key, grouped under owner, until expires. A value already
+// expired is not kept (nor does it displace the resident one).
+func (t *Table[V]) Put(key, owner string, v V, expires time.Time) {
+	if !expires.After(t.clock.Now()) {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if it := t.items[key]; it != nil {
+		it.Owner, it.Value, it.Expires, it.Referenced = owner, v, expires, true
+		return
+	}
+	for t.max > 0 && len(t.items) >= t.max {
+		t.evictLocked()
+	}
+	it := &slot[V]{item: item[V]{Key: key, Owner: owner, Value: v, Expires: expires, Referenced: true}}
+	t.items[key] = it
+	if n := len(t.free); n > 0 {
+		it.pos = t.free[n-1]
+		t.free = t.free[:n-1]
+		t.ring[it.pos] = it
+	} else {
+		it.pos = len(t.ring)
+		t.ring = append(t.ring, it)
+	}
+}
+
+// evictLocked runs one CLOCK sweep: referenced keys get a second chance,
+// the first cold one goes. Hits set reference bits under mu too, so the
+// sweep ends within two turns of the ring.
+func (t *Table[V]) evictLocked() {
+	for {
+		it := t.ring[t.hand]
+		t.hand = (t.hand + 1) % len(t.ring)
+		switch {
+		case it == nil:
+		case it.Referenced:
+			it.Referenced = false
+		default:
+			t.removeLocked(it)
+			t.counts.Evicted.Inc()
+			return
+		}
+	}
+}
+
+func (t *Table[V]) removeLocked(it *slot[V]) {
+	delete(t.items, it.Key)
+	t.ring[it.pos] = nil
+	t.free = append(t.free, it.pos)
+}
+
+// InvalidateOwner drops every key belonging to owner or to an owner variant
+// "owner|…" and returns how many went.
+func (t *Table[V]) InvalidateOwner(owner string) int {
+	if owner == "" {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := 0
+	prefix := owner + "|"
+	for _, it := range t.items {
+		if it.Owner == owner || strings.HasPrefix(it.Owner, prefix) {
+			t.removeLocked(it)
+			n++
+		}
+	}
+	t.counts.Invalidated.Add(int64(n))
+	return n
+}
+
+// Flush drops everything.
+func (t *Table[V]) Flush() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.items = map[string]*slot[V]{}
+	t.ring, t.free, t.hand = nil, nil, 0
+}
+
+// Len returns the resident key count, fresh or not.
+func (t *Table[V]) Len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.items)
+}
+
+// each calls fn with every resident value, fresh or not, in no order, under
+// the table's lock.
+func (t *Table[V]) each(fn func(item[V])) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, it := range t.items {
+		fn(it.item)
+	}
+}

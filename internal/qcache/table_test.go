@@ -1,0 +1,377 @@
+package qcache
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"mds2/internal/obs"
+	"mds2/internal/softstate"
+)
+
+// modelVal is a table value that knows its own expiry, so whoever is served
+// it can tell whether it was still fresh.
+type modelVal struct {
+	id      int
+	expires time.Time
+}
+
+// modelRef is what a plain map says about one key: its last kept value and
+// owner, resident (expired or not) until invalidated, flushed or — in a
+// bounded table, found missing — evicted.
+type modelRef struct {
+	v     *modelVal
+	owner string
+}
+
+// tableModel drives one random sequence against a Table and the reference.
+type tableModel struct {
+	t     *testing.T
+	rng   *rand.Rand
+	clock *softstate.FakeClock
+	tab   *Table[*modelVal]
+	max   int
+	stale bool
+	ref   map[string]modelRef
+	next  int
+
+	coalesced obs.Counter
+	inflight  map[string]*atomic.Int32 // fills running per key
+}
+
+var (
+	modelKeys   = []string{"k0", "k1", "k2", "k3", "k4", "k5"}
+	modelOwners = []string{"a", "a|x", "b"}
+	errFill     = errors.New("fill failed")
+)
+
+func (m *tableModel) fresh(key string) (*modelVal, bool) {
+	r, ok := m.ref[key]
+	if !ok || !m.clock.Now().Before(r.v.expires) {
+		return nil, false
+	}
+	return r.v, true
+}
+
+// newVal mints a value that expires within a few seconds of now; one in
+// eight is already expired.
+func (m *tableModel) newVal() *modelVal {
+	m.next++
+	return &modelVal{id: m.next, expires: m.clock.Now().Add(time.Duration(m.rng.Intn(8)-1) * time.Second)}
+}
+
+// put records a value the table was asked to keep until its expiry.
+func (m *tableModel) put(key, owner string, v *modelVal) {
+	if v.expires.After(m.clock.Now()) {
+		m.ref[key] = modelRef{v, owner}
+	}
+}
+
+// served checks a value the table handed out against the reference: a
+// fresh key's one value, nothing for a key with none. A bounded table may
+// have evicted a key the reference still holds; that is learned here.
+func (m *tableModel) served(op, key string, v *modelVal, ok bool) {
+	m.t.Helper()
+	want, fresh := m.fresh(key)
+	switch {
+	case ok && !fresh:
+		m.t.Fatalf("%s %s: served %+v, which the reference says is absent or expired", op, key, v)
+	case ok && v != want:
+		m.t.Fatalf("%s %s: served %+v, want %+v", op, key, v, want)
+	case ok && !m.clock.Now().Before(v.expires):
+		m.t.Fatalf("%s %s: served %+v at or past its expiry", op, key, v)
+	case !ok && fresh && m.max == 0:
+		m.t.Fatalf("%s %s: missed a fresh key in an unbounded table", op, key)
+	case !ok && fresh:
+		delete(m.ref, key) // evicted
+	}
+}
+
+// fill returns a fill for key that checks it runs alone, waits on gate
+// (when non-nil), and then either fails or mints a value.
+func (m *tableModel) fill(key string, fail bool, gate chan struct{}, v *modelVal) func() (*modelVal, time.Time, error) {
+	n := m.inflight[key]
+	return func() (*modelVal, time.Time, error) {
+		if n.Add(1) != 1 {
+			m.t.Errorf("two fills of %s at once", key)
+		}
+		defer n.Add(-1)
+		if gate != nil {
+			<-gate
+		}
+		if fail {
+			return nil, time.Time{}, errFill
+		}
+		return v, v.expires, nil
+	}
+}
+
+// filled checks one GetOrFill result against the reference as it stood
+// when the call began (fresh, prior) and applies a kept fill.
+func (m *tableModel) filled(key, owner string, fresh bool, prior modelRef, hadPrior bool,
+	v *modelVal, minted *modelVal, how Outcome, err error) {
+	m.t.Helper()
+	switch how {
+	case OutcomeHit:
+		if !fresh || v != prior.v {
+			m.t.Fatalf("GetOrFill %s: hit %+v, reference fresh %v with %+v", key, v, fresh, prior.v)
+		}
+	case OutcomeStale:
+		if !m.stale || !hadPrior || v != prior.v || err != nil {
+			m.t.Fatalf("GetOrFill %s: stale %+v (err %v), reference %+v (resident %v, serve stale %v)",
+				key, v, err, prior.v, hadPrior, m.stale)
+		}
+	case OutcomeMiss, OutcomeCoalesced:
+		if fresh && m.max == 0 {
+			m.t.Fatalf("GetOrFill %s: filled a fresh key of an unbounded table", key)
+		}
+		if err != nil {
+			if !errors.Is(err, errFill) {
+				m.t.Fatalf("GetOrFill %s: err %v", key, err)
+			}
+			if m.stale && hadPrior && m.max == 0 {
+				m.t.Fatalf("GetOrFill %s: failed fill did not serve the resident value", key)
+			}
+			return
+		}
+		if v != minted {
+			m.t.Fatalf("GetOrFill %s: got %+v, the fill made %+v", key, v, minted)
+		}
+		m.put(key, owner, v)
+	}
+}
+
+func (m *tableModel) getOrFill(key string) {
+	m.t.Helper()
+	owner := modelOwners[m.rng.Intn(len(modelOwners))]
+	fail := m.rng.Intn(4) == 0
+	minted := m.newVal()
+	_, fresh := m.fresh(key)
+	prior, hadPrior := m.ref[key]
+	v, how, err := m.tab.GetOrFill(key, owner, m.fill(key, fail, nil, minted))
+	m.filled(key, owner, fresh, prior, hadPrior, v, minted, how, err)
+}
+
+// storm runs callers concurrent GetOrFills of one key whose fill is held
+// open while other operations run, then released.
+func (m *tableModel) storm(key string) {
+	m.t.Helper()
+	callers := 2 + m.rng.Intn(4)
+	owner := modelOwners[m.rng.Intn(len(modelOwners))]
+	fail := m.rng.Intn(4) == 0
+	minted := m.newVal()
+	_, fresh := m.fresh(key)
+	prior, hadPrior := m.ref[key]
+	gate := make(chan struct{})
+	fill := m.fill(key, fail, gate, minted)
+	type result struct {
+		v   *modelVal
+		how Outcome
+		err error
+	}
+	results := make(chan result, callers)
+	before := m.coalesced.Value()
+	for i := 0; i < callers; i++ {
+		go func() {
+			v, how, err := m.tab.GetOrFill(key, owner, fill)
+			results <- result{v, how, err}
+		}()
+	}
+	if !fresh {
+		// Wait until one caller is filling and the rest have parked on it.
+		for m.inflight[key].Load() != 1 || m.coalesced.Value() != before+int64(callers-1) {
+			if len(results) > 0 {
+				r := <-results
+				m.t.Fatalf("storm %s: a caller returned %+v (%v, %v) before the fill did", key, r.v, r.how, r.err)
+			}
+			runtime.Gosched()
+		}
+		// Others go on meanwhile: anything but a GetOrFill of this key,
+		// which would join the flight.
+		for i := m.rng.Intn(4); i > 0; i-- {
+			if k := modelKeys[m.rng.Intn(len(modelKeys))]; k != key {
+				m.step(k, false)
+			}
+		}
+		// A Put of the key or a clock step while the flight is open does
+		// not change what its callers get.
+	}
+	close(gate)
+	leaders := 0
+	for i := 0; i < callers; i++ {
+		r := <-results
+		if r.how == OutcomeMiss || r.how == OutcomeStale {
+			leaders++
+		}
+		if fresh {
+			// All hit — unless a bounded table had evicted the key, when the
+			// callers fill it once and those arriving after hit the fill's
+			// value.
+			if r.how != OutcomeHit || r.v != minted || m.max == 0 {
+				m.filled(key, owner, fresh, prior, hadPrior, r.v, minted, r.how, r.err)
+			}
+			continue
+		}
+		if r.how == OutcomeHit {
+			m.t.Fatalf("storm %s: a caller hit a key that was not fresh", key)
+		}
+		if fail && m.stale && hadPrior && r.err == nil && r.v != prior.v {
+			m.t.Fatalf("storm %s: stale serve handed out %+v, want %+v", key, r.v, prior.v)
+		}
+		if !fail && (r.err != nil || r.v != minted) {
+			m.t.Fatalf("storm %s: caller got %+v (%v), the fill made %+v", key, r.v, r.err, minted)
+		}
+	}
+	if !fresh {
+		if leaders != 1 {
+			m.t.Fatalf("storm %s: %d callers led the fill, want 1", key, leaders)
+		}
+		if !fail {
+			m.put(key, owner, minted)
+		}
+	}
+}
+
+// step runs one random operation on key; storms only when allowed (never
+// nested inside another storm).
+func (m *tableModel) step(key string, storms bool) {
+	m.t.Helper()
+	switch op := m.rng.Intn(20); {
+	case op < 4:
+		v, ok := m.tab.Get(key)
+		m.served("Get", key, v, ok)
+	case op < 7:
+		v, ok := m.tab.Lookup([]byte(key))
+		m.served("Lookup", key, v, ok)
+	case op < 10:
+		owner := modelOwners[m.rng.Intn(len(modelOwners))]
+		v := m.newVal()
+		m.tab.Put(key, owner, v, v.expires)
+		m.put(key, owner, v)
+	case op < 13:
+		m.getOrFill(key)
+	case op < 15 && storms:
+		m.storm(key)
+	case op < 16:
+		owner := modelOwners[m.rng.Intn(len(modelOwners))]
+		want := 0
+		for k, r := range m.ref {
+			if r.owner == owner || strings.HasPrefix(r.owner, owner+"|") {
+				delete(m.ref, k)
+				want++
+			}
+		}
+		if n := m.tab.InvalidateOwner(owner); n != want && m.max == 0 {
+			m.t.Fatalf("InvalidateOwner(%s) dropped %d keys, want %d", owner, n, want)
+		}
+		m.tab.each(func(it item[*modelVal]) {
+			if it.Owner == owner || strings.HasPrefix(it.Owner, owner+"|") {
+				m.t.Errorf("InvalidateOwner(%s) left %s behind", owner, it.Key)
+			}
+		})
+	case op < 17:
+		m.tab.Flush()
+		clear(m.ref)
+	default:
+		// Whole seconds land exactly on expiries (values live whole
+		// seconds); milliseconds fall between them.
+		unit := time.Second
+		if m.rng.Intn(2) == 0 {
+			unit = 250 * time.Millisecond
+		}
+		m.clock.Advance(time.Duration(m.rng.Intn(3)) * unit)
+	}
+	if n := m.tab.Len(); m.max > 0 && n > m.max {
+		m.t.Fatalf("%d keys resident, bound %d", n, m.max)
+	} else if m.max == 0 && n != len(m.ref) {
+		m.t.Fatalf("%d keys resident, the reference holds %d", n, len(m.ref))
+	}
+}
+
+// TestTableAgreesWithMapModel drives random sequences of Put, Get, Lookup,
+// GetOrFill (failing and slow fills among them, held open across other
+// operations), InvalidateOwner, Flush and clock steps through tables
+// bounded and not, serving stale and not, against a plain map. Nothing is
+// served at or past its expiry except a ServeStale answer to a failed fill;
+// a bounded table never holds more than Max keys; an invalidated owner
+// leaves no key behind; and one fill runs per key at a time.
+func TestTableAgreesWithMapModel(t *testing.T) {
+	for seed := int64(0); seed < 64; seed++ {
+		for _, max := range []int{0, 3} {
+			for _, stale := range []bool{false, true} {
+				t.Run(fmt.Sprintf("seed%d/max%d/stale%v", seed, max, stale), func(t *testing.T) {
+					m := &tableModel{t: t, rng: rand.New(rand.NewSource(seed)), clock: softstate.NewFakeClock(),
+						max: max, stale: stale, ref: map[string]modelRef{}, inflight: map[string]*atomic.Int32{}}
+					for _, k := range modelKeys {
+						m.inflight[k] = &atomic.Int32{}
+					}
+					m.tab = NewTable[*modelVal](TableConfig{Clock: m.clock, Max: max, ServeStale: stale,
+						Counters: Counters{Coalesced: &m.coalesced}})
+					for i := 0; i < 300; i++ {
+						m.step(modelKeys[m.rng.Intn(len(modelKeys))], true)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestTableConcurrentMixedOps hammers one small bounded table from several
+// goroutines at once (run it under -race): whatever interleaving, a hit is
+// never expired and the bound holds.
+func TestTableConcurrentMixedOps(t *testing.T) {
+	clock := softstate.NewFakeClock()
+	tab := NewTable[*modelVal](TableConfig{Clock: clock, Max: 4, ServeStale: true})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 2000; i++ {
+				key := modelKeys[rng.Intn(len(modelKeys))]
+				began := clock.Now()
+				var v *modelVal
+				var ok bool
+				switch rng.Intn(6) {
+				case 0:
+					v, ok = tab.Get(key)
+				case 1:
+					v, ok = tab.Lookup([]byte(key))
+				case 2:
+					var how Outcome
+					v, how, _ = tab.GetOrFill(key, "a", func() (*modelVal, time.Time, error) {
+						if rng.Intn(3) == 0 {
+							return nil, time.Time{}, errFill
+						}
+						e := clock.Now().Add(time.Second)
+						return &modelVal{expires: e}, e, nil
+					})
+					ok = how == OutcomeHit
+				case 3:
+					tab.InvalidateOwner(modelOwners[rng.Intn(len(modelOwners))])
+				case 4:
+					e := clock.Now().Add(time.Duration(rng.Intn(3)) * time.Second)
+					tab.Put(key, modelOwners[rng.Intn(len(modelOwners))], &modelVal{expires: e}, e)
+				default:
+					clock.Advance(100 * time.Millisecond)
+				}
+				// The clock only moves forward: a hit judged fresh at some
+				// instant after began expires after began too.
+				if ok && !v.expires.After(began) {
+					t.Errorf("hit on %s expired at %v, before the call began at %v", key, v.expires, began)
+				}
+				if n := tab.Len(); n > 4 {
+					t.Errorf("%d keys resident, bound 4", n)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
