@@ -195,3 +195,118 @@ func TestCLIGridsimDemo(t *testing.T) {
 		}
 	}
 }
+
+// searchUntil runs gridsearch against server until its output contains
+// want, and returns that output.
+func searchUntil(t *testing.T, bins, server, base, want string, args ...string) string {
+	t.Helper()
+	args = append([]string{"-server", server, "-base", base}, args...)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		out, err := exec.Command(filepath.Join(bins, "gridsearch"), args...).CombinedOutput()
+		if err == nil && strings.Contains(string(out), want) {
+			return string(out)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("gridsearch %v: want %q, got %v\n%s", args, want, err, out)
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+}
+
+func loopbackAddr(t *testing.T) string {
+	t.Helper()
+	return fmt.Sprintf("127.0.0.1:%d", freePort(t))
+}
+
+// TestCLIStrategies drives every giis -strategy through the binaries: a
+// gris registers with the directory, and a VO search through it finds the
+// host (or, for referral, the host's GRIS URL). The sharded case runs a
+// two-process ring with one owner per registration, so at least one of the
+// two answers comes from a peer.
+func TestCLIStrategies(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bins := buildTools(t)
+	startGRIS := func(t *testing.T, register string) string {
+		addr := loopbackAddr(t)
+		startTool(t, filepath.Join(bins, "gris"),
+			"-host", "clihost", "-org", "cliorg", "-listen", addr, "-register", register,
+			"-vo", "clitest", "-interval", "200ms", "-ttl", "5s")
+		waitPort(t, addr)
+		return addr
+	}
+	const hostDN = "hn=clihost, o=cliorg, vo=clitest"
+	for _, strategy := range []string{"chain", "cache", "bloom", "referral"} {
+		t.Run(strategy, func(t *testing.T) {
+			giisAddr := loopbackAddr(t)
+			startTool(t, filepath.Join(bins, "giis"),
+				"-name", "giis."+strategy, "-suffix", "vo=clitest", "-listen", giisAddr,
+				"-strategy", strategy, "-vo", "clitest")
+			waitPort(t, giisAddr)
+			grisAddr := startGRIS(t, giisAddr)
+			want := "dn: " + hostDN
+			if strategy == "referral" {
+				want = "# referral: ldap://" + grisAddr
+			}
+			searchUntil(t, bins, giisAddr, "vo=clitest", want, "(objectclass=computer)")
+		})
+	}
+	t.Run("sharded", func(t *testing.T) {
+		a, b := loopbackAddr(t), loopbackAddr(t)
+		ring := "a=ldap://" + a + ",b=ldap://" + b
+		for id, addr := range map[string]string{"a": a, "b": b} {
+			startTool(t, filepath.Join(bins, "giis"),
+				"-name", "giis."+id, "-suffix", "vo=clitest", "-listen", addr,
+				"-strategy", "sharded", "-shard-ring", ring, "-shard-id", id,
+				"-replicas", "1", "-vo", "clitest")
+			waitPort(t, addr)
+		}
+		startGRIS(t, a+","+b)
+		for _, addr := range []string{a, b} {
+			searchUntil(t, bins, addr, "vo=clitest", "dn: "+hostDN, "(objectclass=computer)")
+		}
+	})
+}
+
+// TestCLIDataDirSurvivesRestart kills a persisted giis with SIGKILL after
+// its only provider has stopped, restarts it on the same data directory,
+// and finds the child still listed: it can only have come from the log,
+// since nothing is left to refresh it.
+func TestCLIDataDirSurvivesRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bins := buildTools(t)
+	dataDir := t.TempDir()
+	giisAddr, grisAddr := loopbackAddr(t), loopbackAddr(t)
+	startGIIS := func() *exec.Cmd {
+		cmd := startTool(t, filepath.Join(bins, "giis"),
+			"-name", "giis.durable", "-suffix", "vo=clitest", "-listen", giisAddr,
+			"-strategy", "chain", "-vo", "clitest", "-data-dir", dataDir, "-wal-sync", "always")
+		waitPort(t, giisAddr)
+		return cmd
+	}
+	giisCmd := startGIIS()
+	grisCmd := startTool(t, filepath.Join(bins, "gris"),
+		"-host", "clihost", "-org", "cliorg", "-listen", grisAddr, "-register", giisAddr,
+		"-vo", "clitest", "-interval", "1h", "-ttl", "10m")
+	childURL := "url: ldap://" + grisAddr
+	searchUntil(t, bins, giisAddr, "vo=clitest", childURL, "-scope", "one", "(objectclass=mdsservice)")
+
+	grisCmd.Process.Kill()
+	grisCmd.Wait()
+	giisCmd.Process.Kill() // SIGKILL: no shutdown path runs
+	giisCmd.Wait()
+
+	startGIIS()
+	out, err := exec.Command(filepath.Join(bins, "gridsearch"), "-server", giisAddr,
+		"-base", "vo=clitest", "-scope", "one", "(objectclass=mdsservice)").CombinedOutput()
+	if err != nil {
+		t.Fatalf("gridsearch after restart: %v\n%s", err, out)
+	}
+	if s := string(out); !strings.Contains(s, childURL) || !strings.Contains(s, "recovered: TRUE") {
+		t.Fatalf("child not recovered from %s:\n%s", dataDir, s)
+	}
+}
