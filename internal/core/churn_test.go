@@ -54,10 +54,22 @@ func TestLargeGridChurn(t *testing.T) {
 		reg := h.RegisterWith(centers[i%2], "big", refresh, ttl)
 		members = append(members, member{h, reg})
 	}
-	settle := func(steps int) {
+	// settle advances the clock a refresh at a time. After each step it
+	// waits for every stream not in paused (the centers' and the hosts') to
+	// have refreshed within the last interval, so only paused streams age.
+	settle := func(steps int, paused map[int]bool) {
+		var live []stream
+		for _, c := range centers {
+			live = append(live, stream{vo, c.URL})
+		}
+		for i, m := range members {
+			if !paused[i] {
+				live = append(live, stream{centers[i%2], m.node.URL})
+			}
+		}
 		for i := 0; i < steps; i++ {
 			g.SimClock().Advance(refresh)
-			time.Sleep(3 * time.Millisecond)
+			awaitRefreshed(t, g, refresh, live)
 		}
 	}
 	waitUntil(t, "initial registration", func() bool {
@@ -86,13 +98,15 @@ func TestLargeGridChurn(t *testing.T) {
 	alive := 2 * hostsPerCenter
 	for wave := 0; wave < 3; wave++ {
 		var killed []member
+		paused := map[int]bool{}
 		for i, m := range members {
 			if i%4 == wave {
 				m.node.Registrar().Pause(m.reg)
 				killed = append(killed, m)
+				paused[i] = true
 			}
 		}
-		settle(int(ttl/refresh) + 2)
+		settle(int(ttl/refresh)+2, paused)
 		want := alive - len(killed)
 		if got := count(); got != want {
 			t.Fatalf("wave %d: visible = %d, want %d", wave, got, want)
@@ -100,7 +114,7 @@ func TestLargeGridChurn(t *testing.T) {
 		for _, m := range killed {
 			m.node.Registrar().Resume(m.reg)
 		}
-		settle(2)
+		settle(2, paused) // the revived streams are awaited below
 		waitUntil(t, "wave recovery", func() bool { return count() == alive })
 	}
 }
@@ -156,7 +170,15 @@ func TestConcurrentQueriesDuringChurn(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		nodes[round%8].Registrar().Pause(regs[round%8])
 		g.SimClock().Advance(5 * time.Second)
-		time.Sleep(3 * time.Millisecond)
+		// Wait for the streams that were live through this round and the
+		// last: the one paused now and the one paused last round are out.
+		var live []stream
+		for i, n := range nodes {
+			if i != round%8 && (round == 0 || i != (round-1)%8) {
+				live = append(live, stream{dir, n.URL})
+			}
+		}
+		awaitRefreshed(t, g, 5*time.Second, live)
 		nodes[round%8].Registrar().Resume(regs[round%8])
 	}
 	close(stop)
@@ -165,4 +187,37 @@ func TestConcurrentQueriesDuringChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// stream is one registration: a service URL registered at a directory.
+type stream struct {
+	dir *DirectoryNode
+	url ldap.URL
+}
+
+// awaitRefreshed waits until every stream's child record was refreshed no
+// more than one interval before the grid's now. A registrar arms its next
+// tick before it sends, and every tick due by now has fired, so a stream
+// that is behind catches up without the clock moving: a slow registrar
+// delays the test instead of letting its registration expire.
+func awaitRefreshed(t *testing.T, g *Grid, interval time.Duration, streams []stream) {
+	t.Helper()
+	waitUntil(t, "live streams refreshed", func() bool {
+		since := g.Clock.Now().Add(-interval)
+		children := map[*DirectoryNode]map[string]time.Time{}
+		for _, s := range streams {
+			byURL, ok := children[s.dir]
+			if !ok {
+				byURL = map[string]time.Time{}
+				for _, c := range s.dir.GIIS.Children() {
+					byURL[c.URL.String()] = c.LastRefresh
+				}
+				children[s.dir] = byURL
+			}
+			if last, ok := byURL[s.url.String()]; !ok || last.Before(since) {
+				return false
+			}
+		}
+		return true
+	})
 }

@@ -85,11 +85,14 @@ func (g *Registrar) Start(r Registration) {
 	go func() {
 		defer g.wg.Done()
 		for {
+			// The next tick is armed before the send, so a refresh that has
+			// been seen to land already has its successor scheduled.
+			tick := g.clock.After(r.Interval)
 			g.sendOnce(r, key)
 			select {
 			case <-stop:
 				return
-			case <-g.clock.After(r.Interval):
+			case <-tick:
 			}
 		}
 	}()

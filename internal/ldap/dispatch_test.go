@@ -25,6 +25,7 @@ type parkHandler struct {
 
 	barrier sync.WaitGroup // quick searches wait here when hold is set
 	hold    atomic.Bool
+	during  atomic.Pointer[func()] // runs inside every quick search when set
 }
 
 func newParkHandler() *parkHandler {
@@ -42,6 +43,9 @@ func (h *parkHandler) Search(req *Request, op *SearchRequest, w SearchWriter) Re
 	if h.hold.Load() {
 		h.barrier.Done()
 		h.barrier.Wait()
+	}
+	if f := h.during.Load(); f != nil {
+		(*f)()
 	}
 	if err := w.SendEntry(NewEntry(MustParseDN("hn=h1, o=grid")).Add("hn", "h1")); err != nil {
 		return Result{Code: ResultUnavailable}
@@ -156,7 +160,8 @@ func TestDispatchBurstLeavesOneIdleWorker(t *testing.T) {
 	const depth = 64
 	base := dispatchWorkers()
 	h := newParkHandler()
-	c := serveOnPipe(t, NewServer(h))
+	srv := NewServer(h)
+	c := serveOnPipe(t, srv)
 	h.hold.Store(true)
 	h.barrier.Add(depth)
 	errs := make(chan error, depth)
@@ -175,14 +180,33 @@ func TestDispatchBurstLeavesOneIdleWorker(t *testing.T) {
 		t.Errorf("%d dispatch workers left after the burst, want the one idle worker", n)
 	}
 	h.hold.Store(false)
-	for i := 0; i < 8; i++ { // sequential searches reuse it
+	// A search that arrives while the worker is parked runs on it: inside
+	// the handler there is still only the one worker. The wait for the park
+	// comes first because the worker writes a response before it parks, so
+	// the client can send its next search before there is anything to reuse.
+	sc := onlyConn(srv)
+	var workers atomic.Int64
+	count := func() { workers.Store(int64(dispatchWorkers() - base)) }
+	h.during.Store(&count)
+	for i := 0; i < 8; i++ {
+		eventually(t, "the idle worker parks", sc.parked.Load)
 		if err := quickSearch(c); err != nil {
 			t.Fatal(err)
 		}
-		if n := dispatchWorkers() - base; n > 1 {
-			t.Fatalf("sequential search %d: %d workers, want 1", i, n)
+		if n := workers.Load(); n != 1 {
+			t.Fatalf("sequential search %d ran with %d workers, want 1", i, n)
 		}
 	}
+}
+
+// onlyConn returns the server's one connection.
+func onlyConn(srv *Server) *serverConn {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for sc := range srv.conns {
+		return sc
+	}
+	return nil
 }
 
 // TestDispatchWorkersExitOnClose: closing the connection — with a worker
