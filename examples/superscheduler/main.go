@@ -26,7 +26,11 @@ func main() {
 	}
 	defer grid.Close()
 
-	index := giis.NewCachedIndex(30 * time.Second)
+	strategy, err := giis.NewStrategy("cache", giis.StrategyConfig{CacheTTL: 30 * time.Second})
+	if err != nil {
+		log.Fatal(err)
+	}
+	index := strategy.(*giis.CachedIndex)
 	dir, err := grid.AddDirectory("giis.vo", core.DirectoryOptions{
 		Suffix:   "vo=compute",
 		Strategy: index,

@@ -4,7 +4,8 @@
 // describing directories, hosts, and registration relationships, and a
 // builder that instantiates the topology on a core.Grid.
 //
-// Format (line-oriented; '#' comments):
+// Format (line-oriented; '#' comments; the values shown are the defaults
+// where a key has one):
 //
 //	seed 42
 //
@@ -15,19 +16,25 @@
 //	  accept-vo alliance        # admission policy
 //	  parent other-dir          # register upward
 //	  vo alliance               # VO named in upward registration
+//	  interval 30s              # upward registration
+//	  ttl 2m
 //	}
 //
 //	host r1 {
-//	  org o1
-//	  cpus 16
-//	  memory-mb 4096
+//	  org grid
+//	  cpus 4
+//	  memory-mb 2048            # 512 per CPU
 //	  os linux redhat
 //	  register vo-dir           # repeatable
 //	  vo alliance
-//	  interval 10s
-//	  ttl 60s
+//	  interval 30s
+//	  ttl 2m
 //	  nws                       # attach a network-weather provider
 //	}
+//
+// Strategy names resolve through the giis strategy table, as the giis
+// command's -strategy flag does; sharded needs a ring, which a topology
+// cannot describe yet. The defaults are the giis and gris commands' own.
 package config
 
 import (
@@ -175,19 +182,17 @@ func (t *Topology) finish(b *blockState, lineNo int) error {
 			return fmt.Errorf("config: line %d: directory %q needs a suffix", lineNo, b.name)
 		}
 		var err error
-		if d.CacheTTL, err = b.duration("cache-ttl", 30*time.Second); err != nil {
+		if d.CacheTTL, err = b.duration("cache-ttl", giis.DefaultCacheTTL); err != nil {
 			return fmt.Errorf("config: directory %q: %v", b.name, err)
 		}
-		if d.Interval, err = b.duration("interval", 30*time.Second); err != nil {
+		if d.Interval, err = b.duration("interval", core.DefaultInterval); err != nil {
 			return err
 		}
-		if d.TTL, err = b.duration("ttl", 2*time.Minute); err != nil {
+		if d.TTL, err = b.duration("ttl", core.DefaultTTL); err != nil {
 			return err
 		}
-		switch d.Strategy {
-		case "chain", "cache", "referral", "bloom":
-		default:
-			return fmt.Errorf("config: directory %q: unknown strategy %q", b.name, d.Strategy)
+		if _, err := d.strategy(); err != nil {
+			return fmt.Errorf("config: directory %q: %v", b.name, err)
 		}
 		t.Directories = append(t.Directories, d)
 	case "host":
@@ -203,13 +208,13 @@ func (t *Topology) finish(b *blockState, lineNo int) error {
 		if h.CPUs, err = b.intVal("cpus", 4); err != nil {
 			return fmt.Errorf("config: host %q: %v", b.name, err)
 		}
-		if h.MemoryMB, err = b.intVal("memory-mb", 256*h.CPUs); err != nil {
+		if h.MemoryMB, err = b.intVal("memory-mb", core.MemoryMBPerCPU*h.CPUs); err != nil {
 			return err
 		}
-		if h.Interval, err = b.duration("interval", 10*time.Second); err != nil {
+		if h.Interval, err = b.duration("interval", core.DefaultInterval); err != nil {
 			return err
 		}
-		if h.TTL, err = b.duration("ttl", time.Minute); err != nil {
+		if h.TTL, err = b.duration("ttl", core.DefaultTTL); err != nil {
 			return err
 		}
 		if seedStr := b.one("seed", ""); seedStr != "" {
@@ -222,6 +227,11 @@ func (t *Topology) finish(b *blockState, lineNo int) error {
 		return fmt.Errorf("config: unknown block kind %q", b.kind)
 	}
 	return nil
+}
+
+// strategy builds the directory's search strategy from the giis table.
+func (d DirectorySpec) strategy() (giis.Strategy, error) {
+	return giis.NewStrategy(d.Strategy, giis.StrategyConfig{CacheTTL: d.CacheTTL})
 }
 
 // Validate checks cross references before building.
@@ -284,16 +294,9 @@ func (t *Topology) Build() (*Built, error) {
 		return nil, err
 	}
 	for _, d := range t.Directories {
-		var strategy giis.Strategy
-		switch d.Strategy {
-		case "chain":
-			strategy = giis.NewChaining()
-		case "cache":
-			strategy = giis.NewCachedIndex(d.CacheTTL)
-		case "referral":
-			strategy = giis.NewReferral()
-		case "bloom":
-			strategy = giis.NewBloomRouted(d.CacheTTL, 1<<14)
+		strategy, err := d.strategy()
+		if err != nil {
+			return fail(fmt.Errorf("config: directory %q: %w", d.Name, err))
 		}
 		node, err := g.AddDirectory(d.Name, core.DirectoryOptions{
 			Suffix: d.Suffix, Strategy: strategy, AcceptVO: d.AcceptVO})

@@ -9,7 +9,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"log"
 	"net"
 	"sync"
 	"time"
@@ -23,6 +25,8 @@ import (
 	"mds2/internal/hostinfo"
 	"mds2/internal/ldap"
 	"mds2/internal/nws"
+	"mds2/internal/obs"
+	"mds2/internal/persist"
 	"mds2/internal/providers"
 	"mds2/internal/simnet"
 	"mds2/internal/softstate"
@@ -39,6 +43,11 @@ type Grid struct {
 	CA    *gsi.Authority
 	Trust *gsi.TrustStore
 
+	// daemon is set on a daemon's one-node grid (Daemon.Grid), and obs
+	// when it serves -obs-addr.
+	daemon *Daemon
+	obs    *obs.Registry
+
 	mu      sync.Mutex
 	servers []*ldap.Server
 	closers []func()
@@ -47,29 +56,22 @@ type Grid struct {
 // NewSimGrid creates a deterministic simulated grid: fake clock, simulated
 // network (seeded), one certificate authority.
 func NewSimGrid(seed int64) (*Grid, error) {
-	ca, err := gsi.NewAuthority("o=Grid CA")
-	if err != nil {
-		return nil, err
-	}
-	trust := gsi.NewTrustStore()
-	trust.TrustAuthority(ca)
-	return &Grid{
-		Clock: softstate.NewFakeClock(),
-		Net:   simnet.New(seed),
-		CA:    ca,
-		Trust: trust,
-	}, nil
+	return newCAGrid(softstate.NewFakeClock(), simnet.New(seed))
 }
 
 // NewLocalGrid creates a grid over real loopback TCP with the wall clock.
-func NewLocalGrid() (*Grid, error) {
+func NewLocalGrid() (*Grid, error) { return newCAGrid(softstate.RealClock{}, nil) }
+
+// newCAGrid creates a grid whose one certificate authority issues every
+// node's keys.
+func newCAGrid(clock softstate.Clock, net *simnet.Network) (*Grid, error) {
 	ca, err := gsi.NewAuthority("o=Grid CA")
 	if err != nil {
 		return nil, err
 	}
 	trust := gsi.NewTrustStore()
 	trust.TrustAuthority(ca)
-	return &Grid{Clock: softstate.RealClock{}, CA: ca, Trust: trust}, nil
+	return &Grid{Clock: clock, Net: net, CA: ca, Trust: trust}, nil
 }
 
 // SimClock returns the fake clock of a simulated grid (nil otherwise).
@@ -96,15 +98,12 @@ func (g *Grid) Close() {
 func (g *Grid) track(s *ldap.Server, closer func()) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if s != nil {
-		g.servers = append(g.servers, s)
-	}
-	if closer != nil {
-		g.closers = append(g.closers, closer)
-	}
+	g.servers = append(g.servers, s)
+	g.closers = append(g.closers, closer)
 }
 
-// listen opens the LDAP listener for a node.
+// listen opens the LDAP listener for a node: on the simulated network, at
+// the daemon's listen address, or on a free loopback port.
 func (g *Grid) listen(node string) (net.Listener, ldap.URL, error) {
 	if g.Net != nil {
 		l, err := g.Net.Listen(node, "389")
@@ -113,16 +112,62 @@ func (g *Grid) listen(node string) (net.Listener, ldap.URL, error) {
 		}
 		return l, ldap.MustParseURL("sim://" + node + ":389"), nil
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	addr := "127.0.0.1:0"
+	if g.daemon != nil {
+		addr = g.daemon.listen
+	}
+	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, ldap.URL{}, err
 	}
-	u, err := ldap.ParseURL("ldap://" + l.Addr().String())
+	if g.daemon == nil {
+		addr = l.Addr().String()
+	}
+	u, err := ldap.ParseURL("ldap://" + advertised(addr))
 	if err != nil {
 		l.Close()
 		return nil, ldap.URL{}, err
 	}
 	return l, u, nil
+}
+
+// serve starts a node's LDAP server on l.
+func (g *Grid) serve(h ldap.Handler, l net.Listener, url ldap.URL, suffix ldap.DN) *ldap.Server {
+	srv := ldap.NewServer(h)
+	srv.Obs = g.obs
+	if g.daemon != nil {
+		g.daemon.serve(srv, url, suffix)
+	}
+	go srv.Serve(l)
+	return srv
+}
+
+// identity returns a node's GSI keys: the given ones, or on a grid with a
+// CA a credential issued to subject.
+func (g *Grid) identity(subject string, given *gsi.KeyPair) (*gsi.KeyPair, error) {
+	if given != nil || g.CA == nil {
+		return given, nil
+	}
+	return g.CA.Issue(subject, 100*365*24*time.Hour, g.Clock.Now())
+}
+
+// openPersist opens a node's data directory, recovers what it holds into
+// store or reg, and attaches them so that every later change is logged.
+// stats is nil when the directory held nothing. A manager that failed
+// before Attach holds nothing to close.
+func (g *Grid) openPersist(o persist.Options, store *ldap.Store, reg *softstate.Registry) (pm *persist.Manager, stats *persist.RecoverStats, err error) {
+	o.Obs, o.ErrorLog = g.obs, log.Default()
+	if pm, err = persist.Open(o); err != nil {
+		return nil, nil, err
+	}
+	if pm.HasState() {
+		s, err := pm.Recover(store, reg)
+		if err != nil {
+			return nil, nil, fmt.Errorf("recovering %s: %w", o.Dir, err)
+		}
+		stats = &s
+	}
+	return pm, stats, pm.Attach(store, reg)
 }
 
 // dialer returns a GIIS dialer originating at the named node.
@@ -162,18 +207,7 @@ func (g *Grid) grrpTransport(fromNode string) grrp.Transport {
 			return nil
 		})
 	}
-	return grrp.TransportFunc(func(to string, payload []byte) error {
-		m, err := grrp.Unmarshal(payload)
-		if err != nil {
-			return err
-		}
-		c, err := ldap.Dial(to)
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		return c.Add(m.ToEntry())
-	})
+	return grrp.LDAPTransport
 }
 
 // HostNode is one grid resource: a simulated host, its GRIS, and its
@@ -225,6 +259,13 @@ type HostOptions struct {
 	HistoryInterval time.Duration
 	// ExtraBackends are registered on the GRIS alongside the standard set.
 	ExtraBackends []gris.Backend
+	// Keys is the GRIS's GSI identity; a grid with a CA issues one when it
+	// is nil.
+	Keys *gsi.KeyPair
+	// Persist, when Dir is set, keeps the GRIS's provider results in a
+	// durable warm cache that serves for up to WarmGrace after a restart.
+	Persist   persist.Options
+	WarmGrace time.Duration
 }
 
 // AddHost creates a host node, starts its GRIS server, and wires its
@@ -247,7 +288,7 @@ func (g *Grid) AddHost(name string, opts HostOptions) (*HostNode, error) {
 		return nil, err
 	}
 	host := hostinfo.New(name, opts.Spec, opts.Seed)
-	keys, err := g.CA.Issue("cn=gris."+name, 100*365*24*time.Hour, g.Clock.Now())
+	keys, err := g.identity("cn=gris."+name, opts.Keys)
 	if err != nil {
 		return nil, err
 	}
@@ -258,6 +299,21 @@ func (g *Grid) AddHost(name string, opts HostOptions) (*HostNode, error) {
 		Keys:               keys,
 		Trust:              g.Trust,
 		TrustedDirectories: opts.TrustedDirectories,
+		Obs:                g.obs,
+	}
+	closePersist := func() {}
+	if opts.Persist.Dir != "" {
+		warm := ldap.NewStore()
+		pm, stats, err := g.openPersist(opts.Persist, warm, nil)
+		if err != nil {
+			return nil, err
+		}
+		if stats != nil {
+			g.daemon.logf("recovered %d warm entries from %s in %v (replayed %d records)",
+				stats.Entries, opts.Persist.Dir, stats.Duration, stats.RecordsReplayed)
+		}
+		closePersist = func() { pm.Close() }
+		cfg.WarmStore, cfg.WarmGrace = warm, opts.WarmGrace
 	}
 	var archive *history.Archive
 	var recorder *history.Recorder
@@ -284,13 +340,18 @@ func (g *Grid) AddHost(name string, opts HostOptions) (*HostNode, error) {
 	for _, b := range opts.ExtraBackends {
 		gs.Register(b)
 	}
+	if cfg.WarmStore != nil {
+		if n := gs.WarmRestore(); n > 0 {
+			g.daemon.logf("warm cache restored with %d entries (grace %v)", n, opts.WarmGrace)
+		}
+	}
 
 	l, url, err := g.listen(name)
 	if err != nil {
+		closePersist()
 		return nil, err
 	}
-	srv := ldap.NewServer(gs)
-	go srv.Serve(l)
+	srv := g.serve(gs, l, url, suffix)
 
 	n := &HostNode{
 		Name: name, Host: host, GRIS: gs, URL: url, Suffix: suffix, Keys: keys,
@@ -300,16 +361,16 @@ func (g *Grid) AddHost(name string, opts HostOptions) (*HostNode, error) {
 	if g.Net != nil {
 		g.Net.HandleDatagrams(name, n.handleDatagram)
 	}
-	closer := n.registrar.StopAll
 	if recorder != nil {
 		recorder.Start()
-		stopReg := closer
-		closer = func() {
-			recorder.Stop()
-			stopReg()
-		}
 	}
-	g.track(srv, closer)
+	g.track(srv, func() {
+		if recorder != nil {
+			recorder.Stop()
+		}
+		n.registrar.StopAll()
+		closePersist()
+	})
 	return n, nil
 }
 
@@ -338,19 +399,7 @@ func (n *HostNode) handleDatagram(from string, payload []byte) {
 	if err != nil {
 		return
 	}
-	n.registrar.Start(grrp.Registration{
-		Target: url.Host,
-		Message: grrp.Message{
-			Type:       grrp.TypeRegister,
-			ServiceURL: n.URL.String(),
-			MDSType:    "gris",
-			VO:         m.VO,
-			SuffixDN:   n.Suffix.String(),
-		},
-		Interval: interval,
-		TTL:      ttl,
-		Keys:     n.Keys,
-	})
+	n.registrar.Start(n.registration(url.Host, m.VO, interval, ttl))
 }
 
 // AcceptInvitations arms the node's invitation policy: it will join
@@ -376,8 +425,22 @@ func (n *HostNode) RequireSignedInvitations() {
 
 // RegisterWith starts a sustained GRRP stream to a directory.
 func (n *HostNode) RegisterWith(d *DirectoryNode, vo string, interval, ttl time.Duration) grrp.Registration {
-	reg := grrp.Registration{
-		Target: d.GRRPTarget(),
+	reg := n.registration(d.GRRPTarget(), vo, interval, ttl)
+	n.registrar.Start(reg)
+	return reg
+}
+
+// RegisterAt starts a sustained GRRP stream to each directory address:
+// every owner, when the directories form a sharded ring.
+func (n *HostNode) RegisterAt(targets []string, vo string, interval, ttl time.Duration) {
+	n.registrar.StartFanout(n.registration("", vo, interval, ttl), targets)
+}
+
+// registration is the node's GRRP stream to target, signed with its keys
+// (unsigned without).
+func (n *HostNode) registration(target, vo string, interval, ttl time.Duration) grrp.Registration {
+	return grrp.Registration{
+		Target: target,
 		Message: grrp.Message{
 			Type:       grrp.TypeRegister,
 			ServiceURL: n.URL.String(),
@@ -389,8 +452,6 @@ func (n *HostNode) RegisterWith(d *DirectoryNode, vo string, interval, ttl time.
 		TTL:      ttl,
 		Keys:     n.Keys,
 	}
-	n.registrar.Start(reg)
-	return reg
 }
 
 // Registrar exposes the node's registration machinery (pause/resume in
@@ -405,7 +466,6 @@ type DirectoryNode struct {
 	Keys *gsi.KeyPair
 
 	grid      *Grid
-	node      string
 	registrar *grrp.Registrar
 }
 
@@ -425,6 +485,17 @@ type DirectoryOptions struct {
 	// Extensions maps extended-operation OIDs to handlers (§6 GRIP
 	// extension point).
 	Extensions map[string]giis.Extension
+	// Keys is the directory's GSI identity; a grid with a CA issues one
+	// when it is nil.
+	Keys *gsi.KeyPair
+	// QueryCache, QueryCacheTTL and QueryCacheMax configure the chained
+	// query-result cache (see giis.Config).
+	QueryCache    bool
+	QueryCacheTTL time.Duration
+	QueryCacheMax int
+	// Persist, when Dir is set, logs the directory's registrations and
+	// recovers them at start.
+	Persist persist.Options
 }
 
 // AddDirectory creates a directory node and starts its GIIS server.
@@ -433,36 +504,65 @@ func (g *Grid) AddDirectory(name string, opts DirectoryOptions) (*DirectoryNode,
 	if err != nil {
 		return nil, err
 	}
+	keys, err := g.identity("cn=giis."+name, opts.Keys)
+	if err != nil {
+		return nil, err
+	}
+	if (opts.AuthChildren || opts.RequireSigned) && (keys == nil || g.Trust == nil) {
+		return nil, errors.New("core: authenticated chaining and signed registrations need keys and a trust anchor")
+	}
 	l, url, err := g.listen(name)
 	if err != nil {
 		return nil, err
 	}
-	keys, err := g.CA.Issue("cn=giis."+name, 100*365*24*time.Hour, g.Clock.Now())
-	if err != nil {
-		l.Close()
-		return nil, err
+	gs := giis.New(giis.Config{
+		Name:                       name,
+		Suffix:                     suffix,
+		SelfURL:                    url,
+		Clock:                      g.Clock,
+		Dial:                       g.dialer(name),
+		Strategy:                   opts.Strategy,
+		AcceptVO:                   opts.AcceptVO,
+		Keys:                       keys,
+		Trust:                      g.Trust,
+		RequireSignedRegistrations: opts.RequireSigned,
+		AuthChildren:               opts.AuthChildren,
+		Extensions:                 opts.Extensions,
+		Obs:                        g.obs,
+		QueryCache:                 opts.QueryCache,
+		QueryCacheTTL:              opts.QueryCacheTTL,
+		QueryCacheMax:              opts.QueryCacheMax,
+	})
+	closeGIIS := gs.Close
+	if opts.Persist.Dir != "" {
+		o := opts.Persist
+		o.Codec = persist.PayloadCodec{Encode: grrp.EncodePayload, Decode: grrp.DecodePayload}
+		pm, stats, err := g.openPersist(o, nil, gs.Receiver().Registry)
+		if err != nil {
+			l.Close()
+			gs.Close()
+			return nil, err
+		}
+		if stats != nil {
+			g.daemon.logf("recovered %d registrations from %s in %v (replayed %d records, grace %v)",
+				stats.Registrations, o.Dir, stats.Duration, stats.RecordsReplayed, o.RecoveryGrace)
+		}
+		closeGIIS = func() {
+			pm.Close()
+			gs.Close()
+		}
 	}
-	cfg := giis.Config{
-		Name:         name,
-		Suffix:       suffix,
-		SelfURL:      url,
-		Clock:        g.Clock,
-		Dial:         g.dialer(name),
-		Strategy:     opts.Strategy,
-		AcceptVO:     opts.AcceptVO,
-		Keys:         keys,
-		AuthChildren: opts.AuthChildren,
-		Extensions:   opts.Extensions,
+	if d := g.daemon; d != nil && d.handler != nil {
+		d.handler.AddTable("children", gs.Receiver().Registry)
+		if qc := gs.QueryCache(); qc != nil {
+			d.handler.AddCache("query", func() any { return qc.Debug() })
+		}
 	}
-	cfg.Trust = g.Trust
-	cfg.RequireSignedRegistrations = opts.RequireSigned
-	gs := giis.New(cfg)
-	srv := ldap.NewServer(gs)
-	go srv.Serve(l)
+	srv := g.serve(gs, l, url, suffix)
 
 	d := &DirectoryNode{
 		Name: name, GIIS: gs, URL: url, Keys: keys,
-		grid: g, node: name,
+		grid:      g,
 		registrar: grrp.NewRegistrar(g.grrpTransport(name), g.Clock),
 	}
 	if g.Net != nil {
@@ -470,7 +570,7 @@ func (g *Grid) AddDirectory(name string, opts DirectoryOptions) (*DirectoryNode,
 	}
 	g.track(srv, func() {
 		d.registrar.StopAll()
-		gs.Close()
+		closeGIIS()
 	})
 	return d, nil
 }
@@ -480,7 +580,7 @@ func (g *Grid) AddDirectory(name string, opts DirectoryOptions) (*DirectoryNode,
 // (add-operation binding).
 func (d *DirectoryNode) GRRPTarget() string {
 	if d.grid.Net != nil {
-		return d.node
+		return d.Name
 	}
 	return d.URL.Address()
 }
@@ -494,7 +594,7 @@ func (d *DirectoryNode) RegisterWith(parent *DirectoryNode, vo string, interval,
 
 // Invite asks the service at a node/address to join this directory.
 func (d *DirectoryNode) Invite(targetNode, vo string, ttl time.Duration) error {
-	return d.GIIS.Invite(d.grid.grrpTransport(d.node), targetNode, vo, ttl)
+	return d.GIIS.Invite(d.grid.grrpTransport(d.Name), targetNode, vo, ttl)
 }
 
 // Registrar exposes the directory's own registration streams.

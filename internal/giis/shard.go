@@ -1,6 +1,7 @@
 package giis
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -80,6 +81,25 @@ const DefaultShardSummaryTTL = 30 * time.Second
 // NewSharded builds the sharded strategy for one ring member.
 func NewSharded(ring *shard.Ring, self string, replicas int) *Sharded {
 	return &Sharded{Ring: ring, Self: self, Replicas: replicas}
+}
+
+// newShardedStrategy is the strategy table's sharded entry.
+func newShardedStrategy(c StrategyConfig) (Strategy, error) {
+	members, err := shard.ParseRing(c.Ring)
+	if err != nil {
+		return nil, fmt.Errorf("giis: strategy sharded needs -shard-ring: %w", err)
+	}
+	ring := shard.NewRing(members, 0)
+	if _, ok := ring.Member(c.ShardID); !ok {
+		return nil, fmt.Errorf("giis: strategy sharded needs -shard-id naming a ring member, got %q", c.ShardID)
+	}
+	mode, ok := map[string]ShardMode{"proxy": ShardProxy, "referral": ShardReferral}[c.ShardMode]
+	if !ok {
+		return nil, fmt.Errorf("giis: unknown shard mode %q (want proxy | referral)", c.ShardMode)
+	}
+	sh := NewSharded(ring, c.ShardID, c.Replicas)
+	sh.Mode, sh.Fanout, sh.SummaryTTL = mode, c.Fanout, c.CacheTTL
+	return sh, nil
 }
 
 // Name implements Strategy.

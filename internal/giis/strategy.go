@@ -1,6 +1,8 @@
 package giis
 
 import (
+	"fmt"
+	"strings"
 	"time"
 
 	"mds2/internal/bloom"
@@ -61,6 +63,66 @@ type Strategy interface {
 	Search(ctx *SearchContext) ldap.Result
 	// attach gives the strategy its owning server before first use.
 	attach(s *Server)
+}
+
+// StrategyConfig is what the strategy table needs to build a strategy by
+// name. Each field mirrors a flag of the giis command.
+type StrategyConfig struct {
+	// CacheTTL bounds the cache strategy's index, the bloom strategy's
+	// summaries and the sharded strategy's peer summaries.
+	CacheTTL time.Duration
+	// Fanout bounds the chaining strategies: chain, bloom and sharded.
+	Fanout Fanout
+	// Ring ("id=url,id=url,..."), ShardID, Replicas and ShardMode ("proxy"
+	// or "referral") configure sharded.
+	Ring      string
+	ShardID   string
+	Replicas  int
+	ShardMode string
+}
+
+// DefaultCacheTTL is the CacheTTL the giis command and the topology format
+// start from.
+const DefaultCacheTTL = 30 * time.Second
+
+// BloomBits sizes each bloom-routed child summary.
+const BloomBits = 1 << 16
+
+// strategies is the one table from strategy names to strategies: the giis
+// command's -strategy flag and the topology format's strategy key both
+// resolve through it.
+var strategies = []struct {
+	name  string
+	build func(StrategyConfig) (Strategy, error)
+}{
+	{"chain", func(c StrategyConfig) (Strategy, error) { return &Chaining{Fanout: c.Fanout}, nil }},
+	{"cache", func(c StrategyConfig) (Strategy, error) { return NewCachedIndex(c.CacheTTL), nil }},
+	{"referral", func(StrategyConfig) (Strategy, error) { return NewReferral(), nil }},
+	{"bloom", func(c StrategyConfig) (Strategy, error) {
+		b := NewBloomRouted(c.CacheTTL, BloomBits)
+		b.Fanout = c.Fanout
+		return b, nil
+	}},
+	{"sharded", newShardedStrategy},
+}
+
+// StrategyNames lists the names NewStrategy accepts, joined by " | ".
+func StrategyNames() string {
+	names := make([]string, len(strategies))
+	for i, s := range strategies {
+		names[i] = s.name
+	}
+	return strings.Join(names, " | ")
+}
+
+// NewStrategy builds the strategy the table names.
+func NewStrategy(name string, c StrategyConfig) (Strategy, error) {
+	for _, s := range strategies {
+		if s.name == name {
+			return s.build(c)
+		}
+	}
+	return nil, fmt.Errorf("giis: unknown strategy %q (want %s)", name, StrategyNames())
 }
 
 // Chaining forwards requests to every live child whose namespace

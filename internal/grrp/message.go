@@ -208,6 +208,21 @@ func (m *Message) ToEntry() *ldap.Entry {
 	return e
 }
 
+// LDAPTransport carries each message to a directory at a host:port
+// address as one LDAP add on a fresh connection: the MDS-2.1 binding.
+var LDAPTransport Transport = TransportFunc(func(to string, payload []byte) error {
+	m, err := Unmarshal(payload)
+	if err != nil {
+		return err
+	}
+	c, err := ldap.Dial(to)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	return c.Add(m.ToEntry())
+})
+
 // FromEntry decodes an LDAP-carried registration; it reports ErrBadEncoding
 // for adds that are not GRRP messages.
 func FromEntry(e *ldap.Entry) (*Message, error) {
