@@ -179,6 +179,41 @@ func TestCLISingleSignOn(t *testing.T) {
 	}
 }
 
+// TestCLISignedParentRegistration stands a child giis with keys under a
+// parent that refuses unsigned registrations: the child's -parent stream
+// must be signed with its -keys for the parent to list it.
+func TestCLISignedParentRegistration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bins := buildTools(t)
+	dir := t.TempDir()
+	gp := filepath.Join(bins, "gridproxy")
+	run := func(args ...string) {
+		t.Helper()
+		if out, err := exec.Command(gp, args...).CombinedOutput(); err != nil {
+			t.Fatalf("gridproxy %v: %v\n%s", args, err, out)
+		}
+	}
+	caKey := filepath.Join(dir, "ca.key")
+	anchor := filepath.Join(dir, "ca.anchor")
+	run("init-ca", "-name", "o=CLI CA", "-ca", caKey, "-anchor", anchor)
+	topKey, midKey := filepath.Join(dir, "top.key"), filepath.Join(dir, "mid.key")
+	run("issue", "-ca", caKey, "-subject", "cn=giis.top", "-out", topKey)
+	run("issue", "-ca", caKey, "-subject", "cn=giis.mid", "-out", midKey)
+
+	topAddr, midAddr := loopbackAddr(t), loopbackAddr(t)
+	startTool(t, filepath.Join(bins, "giis"),
+		"-name", "giis.top", "-suffix", "vo=clitest", "-listen", topAddr, "-vo", "clitest",
+		"-keys", topKey, "-anchor", anchor, "-require-signed")
+	waitPort(t, topAddr)
+	startTool(t, filepath.Join(bins, "giis"),
+		"-name", "giis.mid", "-suffix", "vo=clitest", "-listen", midAddr, "-vo", "clitest",
+		"-keys", midKey, "-anchor", anchor, "-parent", topAddr, "-interval", "200ms", "-ttl", "5s")
+	waitPort(t, midAddr)
+	searchUntil(t, bins, topAddr, "vo=clitest", "url: ldap://"+midAddr, "-scope", "one", "(objectclass=mdsservice)")
+}
+
 func TestCLIGridsimDemo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")

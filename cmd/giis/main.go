@@ -73,7 +73,7 @@ func main() {
 		log.Fatalf("giis: %v", err)
 	}
 	if *parent != "" {
-		node.Registrar().Start(node.GIIS.SelfRegistration(*parent, d.VO, d.Interval, d.TTL))
+		node.RegisterAt(*parent, d.VO, d.Interval, d.TTL)
 		log.Printf("giis: registering with parent %s", *parent)
 	}
 	log.Printf("giis: %s serving %q on %s (strategy %s)", *name, node.GIIS.Suffix(), node.URL, strat.Name())

@@ -3,9 +3,10 @@
 // invariant is violated (see internal/mdslint and DESIGN.md "Static
 // analysis & invariants" / "Invariant catalog").
 //
-// The whole module is type-checked (stdlib go/types, packages loaded in
-// parallel) so the type-aware analyzers — snapshotcheck, poolcheck,
-// berbalance, attrscheck — run alongside the syntax-only ones over one load.
+// Every Go file of the module, tests included, is parsed once and every
+// analyzer reads that syntax; nothing is type-checked. The invariants that
+// would need types (sealed snapshots, frame lifetimes, balanced BER
+// elements) are checked at run time under -tags mdsdebug instead.
 //
 // Usage:
 //
@@ -44,11 +45,11 @@ func main() {
 	rules := flag.Bool("rules", false, "list analyzers and exit")
 	asJSON := flag.Bool("json", false, "emit findings as a JSON array")
 	github := flag.Bool("github", false, "emit findings as GitHub Actions ::error annotations")
-	timing := flag.Bool("time", false, "report load+analysis wall clock to stderr")
+	timing := flag.Bool("time", false, "report parse+analysis wall clock to stderr")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"usage: mdslint [-rules] [-json|-github] [-time]\n\n"+
-				"the whole module is loaded and type-checked\n\n")
+				"the whole module is parsed and linted\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

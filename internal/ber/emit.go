@@ -31,8 +31,12 @@ func (b *Builder) Reset(buf []byte) {
 }
 
 // Bytes returns the encoded buffer. All Begin calls must have been matched
-// by End, otherwise lengths are still placeholders.
-func (b *Builder) Bytes() []byte { return b.buf }
+// by End, otherwise lengths are still placeholders; under -tags mdsdebug an
+// element still open panics here.
+func (b *Builder) Bytes() []byte {
+	b.checkClosed()
+	return b.buf
+}
 
 // Len returns the current encoded size.
 func (b *Builder) Len() int { return len(b.buf) }

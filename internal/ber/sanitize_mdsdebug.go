@@ -16,6 +16,10 @@ package ber
 //     raw slice aliasing that bypasses the accessors shows up as garbage
 //     instead of plausible stale data.
 //
+// A second check rides along: Builder.Bytes panics while an element is still
+// open, so an encoder path that returns or falls off with a Begin unmatched
+// by End fails where it hands out the bytes, not in some peer's decoder.
+//
 // The release twin (sanitize_release.go) compiles all of this to nothing:
 // packetSan is zero-sized and the hooks are empty leaf calls.
 
@@ -65,5 +69,13 @@ func sanRecycle(buf []byte) packetSan {
 func (s packetSan) check() {
 	if s.f != nil && s.f.retired.Load() {
 		panic("ber: use of Packet after its frame buffer was recycled (mdsdebug); clone values before the next ReadFrame or ReadPacketBuf")
+	}
+}
+
+// checkClosed panics if b has a constructed element open: its length octet
+// is still a placeholder.
+func (b *Builder) checkClosed() {
+	if len(b.stack) != 0 {
+		panic("ber: Builder.Bytes with an element still open (mdsdebug); every Begin needs its End")
 	}
 }

@@ -72,3 +72,21 @@ func TestSanitizerAllowsLivePackets(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 }
+
+func TestSanitizerCatchesOpenBuilderElement(t *testing.T) {
+	var b Builder
+	b.Begin(ClassUniversal, TagSequence)
+	b.Int(1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Bytes with an open SEQUENCE did not panic")
+			}
+		}()
+		_ = b.Bytes()
+	}()
+	b.End()
+	if got := b.Bytes(); !bytes.Equal(got, []byte{0x30, 3, 0x02, 1, 1}) {
+		t.Fatalf("closed SEQUENCE: got % x", got)
+	}
+}

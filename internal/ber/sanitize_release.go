@@ -11,3 +11,5 @@ type packetSan struct{}
 func sanRecycle([]byte) packetSan { return packetSan{} }
 
 func (packetSan) check() {}
+
+func (*Builder) checkClosed() {}

@@ -587,7 +587,13 @@ func (d *DirectoryNode) GRRPTarget() string {
 
 // RegisterWith links directories into a hierarchy (Figure 5).
 func (d *DirectoryNode) RegisterWith(parent *DirectoryNode, vo string, interval, ttl time.Duration) {
-	reg := d.GIIS.SelfRegistration(parent.GRRPTarget(), vo, interval, ttl)
+	d.RegisterAt(parent.GRRPTarget(), vo, interval, ttl)
+}
+
+// RegisterAt starts a sustained GRRP stream to a parent directory's
+// address, signed with the node's keys (unsigned without).
+func (d *DirectoryNode) RegisterAt(target, vo string, interval, ttl time.Duration) {
+	reg := d.GIIS.SelfRegistration(target, vo, interval, ttl)
 	reg.Keys = d.Keys
 	d.registrar.Start(reg)
 }

@@ -19,8 +19,8 @@ import "sync/atomic"
 //     field/slice writes that bypass the methods.
 //
 // Clone and Select build fresh keyed literals, so their results carry a
-// zero (unsealed) seal and stay freely mutable — exactly the laundering
-// contract the snapshotcheck analyzer enforces statically.
+// zero (unsealed) seal and stay freely mutable: that is the laundering
+// contract, and this seal is what holds it (DESIGN.md "Invariant catalog").
 //
 // A stored decoded entry's checksum also covers the wire form the store
 // recorded for it (Entry.publish), which every send copies as it is.

@@ -14,13 +14,16 @@
 //   - goroutinecheck: no goroutine launched without a cancellation path
 //     (context, done channel, Clock.After, or a blocking call that fails
 //     when its resource closes).
+//   - unsafecheck: zero-copy view minting (unsafe.String, unsafe.Slice,
+//     unsafe.StringData, unsafe.SliceData) stays inside internal/ber.
 //
-// The type-aware analyzers (snapshotcheck, poolcheck, berbalance,
-// attrscheck) run over the same load. The driver is deliberately
-// dependency-free: stdlib go/parser + go/types over one walk of the module
-// (LoadModule), no go/packages or x/tools. Each analyzer documents the
-// heuristics it uses and the exemptions it grants. Findings are suppressed,
-// one line at a time, with
+// Every analyzer reads syntax only: stdlib go/parser over one walk of the
+// module (LoadModule), no type checker, no go/packages or x/tools. The
+// invariants a type checker would be needed for — sealed snapshots, frame
+// lifetimes, balanced Builder elements — are held at run time instead, by
+// the mdsdebug sanitizers and the oracle fuzzers (DESIGN.md "Invariant
+// catalog"). Each analyzer documents the heuristics it uses and the
+// exemptions it grants. Findings are suppressed, one line at a time, with
 //
 //	//mdslint:ignore <rule> <reason>
 //
@@ -48,19 +51,12 @@ type File struct {
 }
 
 // Pass hands every analyzer the full parsed file set so cross-file facts
-// (like which ber/ldap functions return errors) are available. A Pass built
-// by LoadModule additionally carries the type-checked packages (Pkgs, in
-// dependency order) and the fact store the typed analyzers share; a
-// fixture Pass of parsed files only leaves Pkgs nil, which gives the typed
-// analyzers nothing to visit.
+// (like which ber/ldap functions return errors) are available.
 type Pass struct {
 	Fset  *token.FileSet
 	Files []*File
-	Pkgs  []*Package // typed packages in dependency order; nil for fixtures
 
-	index  *declIndex // lazily built by Index()
-	facts  map[factKey]any
-	shapes bool // funcShape facts computed (see shapes.go)
+	index *declIndex // lazily built by Index()
 }
 
 // Finding is one diagnostic.
@@ -83,8 +79,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in a stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{ClockCheck, LockCheck, ErrCheckLite, GoroutineCheck,
-		SnapshotCheck, PoolCheck, BerBalance, AttrsCheck}
+	return []*Analyzer{ClockCheck, LockCheck, ErrCheckLite, GoroutineCheck, UnsafeCheck}
 }
 
 // IgnoreDirective is the parsed form of //mdslint:ignore <rule> <reason>.

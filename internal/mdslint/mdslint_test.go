@@ -598,6 +598,105 @@ func f() {
 	}
 }
 
+// --- unsafecheck ------------------------------------------------------------
+
+func TestUnsafeCheck(t *testing.T) {
+	cases := []struct {
+		name string
+		path string
+		src  string
+		want []string // line:rule within that file
+	}{
+		{
+			name: "unsafe view minting outside ber",
+			path: "internal/app/app.go",
+			src: `package app
+
+import "unsafe"
+
+func view(b []byte) string {
+	return unsafe.String(&b[0], len(b))
+}
+`,
+			want: []string{"6:unsafecheck"},
+		},
+		{
+			name: "every minter is flagged, under any import name",
+			path: "internal/app/app.go",
+			src: `package app
+
+import u "unsafe"
+
+func views(b []byte, s string) {
+	_ = u.Slice(&b[0], len(b))
+	_ = u.StringData(s)
+	_ = u.SliceData(b)
+}
+`,
+			want: []string{"6:unsafecheck", "7:unsafecheck", "8:unsafecheck"},
+		},
+		{
+			name: "the ber package mints views",
+			path: "internal/ber/view.go",
+			src: `package ber
+
+import "unsafe"
+
+func view(b []byte) string { return unsafe.String(&b[0], len(b)) }
+`,
+		},
+		{
+			name: "test files are exempt",
+			path: "internal/app/app_test.go",
+			src: `package app
+
+import "unsafe"
+
+func view(b []byte) string { return unsafe.String(&b[0], len(b)) }
+`,
+		},
+		{
+			name: "unsafe.Pointer and Sizeof are not view minting",
+			path: "internal/app/app.go",
+			src: `package app
+
+import "unsafe"
+
+func size(p *int) (uintptr, unsafe.Pointer) { return unsafe.Sizeof(*p), unsafe.Pointer(p) }
+`,
+		},
+		{
+			name: "a local named unsafe is not the package",
+			path: "internal/app/app.go",
+			src: `package app
+
+import "unsafe"
+
+type view struct{}
+
+func (view) String() string { return "" }
+
+func f() (string, uintptr) {
+	unsafe := view{}
+	return unsafe.String(), 0
+}
+
+var _ = unsafe.Sizeof(0)
+`,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := lint(t, []*Analyzer{UnsafeCheck}, map[string]string{tc.path: tc.src})
+			var want []string
+			for _, w := range tc.want {
+				want = append(want, tc.path+":"+w)
+			}
+			wantFindings(t, got, want)
+		})
+	}
+}
+
 // --- ignore directive -------------------------------------------------------
 
 func TestIgnoreDirective(t *testing.T) {
@@ -670,5 +769,22 @@ func TestFindingString(t *testing.T) {
 	f := Finding{Pos: token.Position{Filename: "a/b.go", Line: 3, Column: 7}, Rule: "clockcheck", Msg: "m"}
 	if got := f.String(); !strings.Contains(got, "a/b.go:3:7") || !strings.Contains(got, "[clockcheck]") {
 		t.Fatalf("String() = %q", got)
+	}
+}
+
+// TestRepoClean runs the whole suite over the whole module: the tree must
+// lint clean, with every exception carried by an ignore directive.
+func TestRepoClean(t *testing.T) {
+	fset := token.NewFileSet()
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass, err := LoadModule(fset, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range RunAll(pass, Analyzers()) {
+		t.Errorf("%s", f)
 	}
 }

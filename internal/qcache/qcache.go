@@ -20,7 +20,7 @@
 // mdsdebug exactly like store hand-outs: hits return a fresh []*ldap.Entry
 // container (a pointer copy, never an entry clone) whose elements must be
 // laundered with Clone or Select before mutation — the contract the
-// snapshotcheck analyzer enforces statically. Wire-backed entries (a chained
+// mdsdebug seal holds at run time. Wire-backed entries (a chained
 // reply kept as the frames it arrived in, see ldap.Entry) are cached as
 // such, so a hit re-emits bytes instead of re-encoding attributes; the fill
 // first copies their frames into one buffer the result owns

@@ -28,8 +28,10 @@ type Table[V any] struct {
 	ring  []*slot[V] // CLOCK ring; nil holes are free positions
 	free  []int
 	hand  int
+	gen   uint64 // bumped by InvalidateOwner and Flush
 
 	fills flight.Group[filled[V]]
+	raced func() // test seam: runs between GetOrFill's lookup and its flight
 }
 
 // TableConfig assembles a Table.
@@ -112,14 +114,19 @@ func NewTable[V any](cfg TableConfig) *Table[V] {
 }
 
 // Get returns key's value when it is fresh.
-func (t *Table[V]) Get(key string) (V, bool) { return t.fresh(key, t.counts.StaleSkips) }
+func (t *Table[V]) Get(key string) (V, bool) {
+	v, _, ok := t.fresh(key, t.counts.StaleSkips)
+	return v, ok
+}
 
-// fresh is Get counting an expired value on stale.
-func (t *Table[V]) fresh(key string, stale *obs.Counter) (V, bool) {
+// fresh is Get counting an expired value on stale; it also returns the
+// table generation it looked in.
+func (t *Table[V]) fresh(key string, stale *obs.Counter) (V, uint64, bool) {
 	now := t.clock.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.hitLocked(t.items[key], now, stale)
+	v, ok := t.hitLocked(t.items[key], now, stale)
+	return v, t.gen, ok
 }
 
 // Lookup is Get for a key in a buffer of the caller's: the probe makes no
@@ -152,14 +159,20 @@ func (t *Table[V]) hitLocked(it *slot[V], now time.Time, stale *obs.Counter) (v 
 // passed is handed out but not kept). Concurrent misses of one key share one
 // fill: its leader re-checks the table after winning the flight and
 // publishes before the flight retires, so the next miss finds the value.
-// On a failed fill a ServeStale table serves the expired value if one is
-// still resident.
+// A fill that an InvalidateOwner or Flush overtook is handed to its callers
+// but not kept: it may hold what the departed owner answered. On a failed
+// fill a ServeStale table serves the expired value if one is still
+// resident.
 func (t *Table[V]) GetOrFill(key, owner string, fill func() (V, time.Time, error)) (V, Outcome, error) {
 	if v, ok := t.Get(key); ok {
 		return v, OutcomeHit, nil
 	}
+	if t.raced != nil {
+		t.raced()
+	}
 	res, shared, err := t.fills.Do(key, func() (filled[V], error) {
-		if v, ok := t.fresh(key, nil); ok {
+		v, gen, ok := t.fresh(key, nil)
+		if ok {
 			return filled[V]{v, OutcomeHit}, nil
 		}
 		t.counts.Misses.Inc()
@@ -171,7 +184,7 @@ func (t *Table[V]) GetOrFill(key, owner string, fill func() (V, time.Time, error
 			}
 			return filled[V]{}, err
 		}
-		t.Put(key, owner, v, expires)
+		t.put(key, owner, v, expires, &gen)
 		return filled[V]{v, OutcomeMiss}, nil
 	})
 	if shared {
@@ -193,11 +206,20 @@ func (t *Table[V]) stale(key string) (v V, ok bool) {
 // Put keeps v under key, grouped under owner, until expires. A value already
 // expired is not kept (nor does it displace the resident one).
 func (t *Table[V]) Put(key, owner string, v V, expires time.Time) {
+	t.put(key, owner, v, expires, nil)
+}
+
+// put is Put that, given the generation a fill began in, keeps nothing once
+// an InvalidateOwner or Flush has run since.
+func (t *Table[V]) put(key, owner string, v V, expires time.Time, since *uint64) {
 	if !expires.After(t.clock.Now()) {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if since != nil && *since != t.gen {
+		return
+	}
 	if it := t.items[key]; it != nil {
 		it.Owner, it.Value, it.Expires, it.Referenced = owner, v, expires, true
 		return
@@ -250,6 +272,7 @@ func (t *Table[V]) InvalidateOwner(owner string) int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.gen++
 	n := 0
 	prefix := owner + "|"
 	for _, it := range t.items {
@@ -268,6 +291,7 @@ func (t *Table[V]) Flush() {
 	defer t.mu.Unlock()
 	t.items = map[string]*slot[V]{}
 	t.ring, t.free, t.hand = nil, nil, 0
+	t.gen++
 }
 
 // Len returns the resident key count, fresh or not.

@@ -40,6 +40,7 @@ type tableModel struct {
 	stale bool
 	ref   map[string]modelRef
 	next  int
+	drops int // InvalidateOwner and Flush calls so far
 
 	coalesced obs.Counter
 	inflight  map[string]*atomic.Int32 // fills running per key
@@ -177,6 +178,7 @@ func (m *tableModel) storm(key string) {
 	}
 	results := make(chan result, callers)
 	before := m.coalesced.Value()
+	drops := m.drops
 	for i := 0; i < callers; i++ {
 		go func() {
 			v, how, err := m.tab.GetOrFill(key, owner, fill)
@@ -200,7 +202,8 @@ func (m *tableModel) storm(key string) {
 			}
 		}
 		// A Put of the key or a clock step while the flight is open does
-		// not change what its callers get.
+		// not change what its callers get. An InvalidateOwner or Flush
+		// (of any owner) keeps the fill's value out of the table.
 	}
 	close(gate)
 	leaders := 0
@@ -232,7 +235,7 @@ func (m *tableModel) storm(key string) {
 		if leaders != 1 {
 			m.t.Fatalf("storm %s: %d callers led the fill, want 1", key, leaders)
 		}
-		if !fail {
+		if !fail && m.drops == drops {
 			m.put(key, owner, minted)
 		}
 	}
@@ -259,6 +262,7 @@ func (m *tableModel) step(key string, storms bool) {
 	case op < 15 && storms:
 		m.storm(key)
 	case op < 16:
+		m.drops++
 		owner := modelOwners[m.rng.Intn(len(modelOwners))]
 		want := 0
 		for k, r := range m.ref {
@@ -276,6 +280,7 @@ func (m *tableModel) step(key string, storms bool) {
 			}
 		})
 	case op < 17:
+		m.drops++
 		m.tab.Flush()
 		clear(m.ref)
 	default:
@@ -374,4 +379,89 @@ func TestTableConcurrentMixedOps(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestFillOvertakenByDepartureIsNotKept holds a fill open while its owner
+// departs (or the table is flushed): the fill's callers still get its value,
+// but the table does not keep it, so the departed owner's answer is not
+// served for up to a TTL after it left.
+func TestFillOvertakenByDepartureIsNotKept(t *testing.T) {
+	for _, drop := range []struct {
+		name string
+		fn   func(*Table[*modelVal])
+	}{
+		{"InvalidateOwner", func(tab *Table[*modelVal]) { tab.InvalidateOwner("a") }},
+		{"Flush", func(tab *Table[*modelVal]) { tab.Flush() }},
+	} {
+		t.Run(drop.name, func(t *testing.T) {
+			clock := softstate.NewFakeClock()
+			tab := NewTable[*modelVal](TableConfig{Clock: clock})
+			expires := clock.Now().Add(time.Minute)
+			minted := &modelVal{id: 1, expires: expires}
+			filling, release := make(chan struct{}), make(chan struct{})
+			type result struct {
+				v   *modelVal
+				how Outcome
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				v, how, err := tab.GetOrFill("k", "a|child", func() (*modelVal, time.Time, error) {
+					close(filling)
+					<-release
+					return minted, expires, nil
+				})
+				done <- result{v, how, err}
+			}()
+			<-filling
+			drop.fn(tab)
+			close(release)
+			r := <-done
+			if r.v != minted || r.how != OutcomeMiss || r.err != nil {
+				t.Fatalf("GetOrFill = %+v, %v, %v; want the fill's value as a miss", r.v, r.how, r.err)
+			}
+			if v, ok := tab.Get("k"); ok {
+				t.Fatalf("Get after the owner departed mid-fill served %+v", v)
+			}
+			if n := tab.Len(); n != 0 {
+				t.Fatalf("%d keys resident, want 0", n)
+			}
+			// The next fill, begun after the departure, is kept as usual.
+			if _, how, _ := tab.GetOrFill("k", "a|child", func() (*modelVal, time.Time, error) {
+				return minted, expires, nil
+			}); how != OutcomeMiss {
+				t.Fatalf("refill outcome %v, want miss", how)
+			}
+			if v, ok := tab.Get("k"); !ok || v != minted {
+				t.Fatalf("Get after a clean refill = %+v, %v", v, ok)
+			}
+		})
+	}
+}
+
+// TestLeaderRechecksAfterWinningFlight lands another caller's whole fill
+// between a GetOrFill's first lookup and its flight — the window in which
+// the caller has missed but the key has since been filled. The caller then
+// leads a new flight, and its re-check inside that flight must find the
+// value instead of filling again.
+func TestLeaderRechecksAfterWinningFlight(t *testing.T) {
+	clock := softstate.NewFakeClock()
+	tab := NewTable[*modelVal](TableConfig{Clock: clock})
+	expires := clock.Now().Add(time.Minute)
+	first := &modelVal{id: 1, expires: expires}
+	tab.raced = func() {
+		tab.raced = nil
+		if _, how, err := tab.GetOrFill("k", "a", func() (*modelVal, time.Time, error) {
+			return first, expires, nil
+		}); how != OutcomeMiss || err != nil {
+			t.Fatalf("racing fill: %v, %v", how, err)
+		}
+	}
+	v, how, err := tab.GetOrFill("k", "a", func() (*modelVal, time.Time, error) {
+		t.Error("the leader filled a key that another fill had just published")
+		return &modelVal{id: 2, expires: expires}, expires, nil
+	})
+	if v != first || how != OutcomeHit || err != nil {
+		t.Fatalf("GetOrFill = %+v, %v, %v; want the racing fill's value as a hit", v, how, err)
+	}
 }
