@@ -415,10 +415,11 @@ func (s *Server) closePooled(c *ldap.Client) {
 	c.Close()
 }
 
-// acquire borrows a pooled connection to a child, dialing on demand. Every
-// successful acquire must be paired with a release.
-func (s *Server) acquire(url ldap.URL) (*poolEntry, error) {
-	key := url.ServiceKey()
+// acquire borrows a pooled connection to a child, dialing url on demand.
+// The pool is keyed by key, url's ServiceKey (a chained op passes its
+// child's, rendered once). Every successful acquire must be paired with a
+// release.
+func (s *Server) acquire(key string, url ldap.URL) (*poolEntry, error) {
 	s.poolMu.Lock()
 	if s.closed {
 		s.poolMu.Unlock()
@@ -683,7 +684,7 @@ func (s *Server) chainOnce(sreq *ldap.SearchRequest, child Child, ctls []ldap.Co
 	// dial before the child is reported unreachable.
 	for attempt := 0; attempt < 2; attempt++ {
 		var pe *poolEntry
-		pe, err = s.acquire(child.URL)
+		pe, err = s.acquire(child.service(), child.URL)
 		if err != nil {
 			return hopReply{err: err}, nil
 		}

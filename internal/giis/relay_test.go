@@ -35,7 +35,7 @@ func (s *Server) decodeSearch(op *ldap.SearchRequest) (entries []*ldap.Entry, co
 		if !ok {
 			continue
 		}
-		pe, err := s.acquire(child.URL)
+		pe, err := s.acquire(child.service(), child.URL)
 		if err != nil {
 			partial = true
 			continue
@@ -441,15 +441,46 @@ func (s *Server) evictAll() {
 	}
 }
 
+// chainRelayTree is BenchmarkChainRelay's tree: a top GIIS with a query
+// cache over 2 mid GIIS over 8 GRIS of 25 hosts each.
+func chainRelayTree(tb testing.TB) *hierarchy {
+	return newHierarchy(tb, 2, 8, 25, func(c *Config) {
+		c.QueryCache, c.QueryCacheTTL, c.QueryCacheMax = true, time.Hour, 256
+	})
+}
+
+// TestChainRelayAllocationBudget: a 200-entry search through three hops,
+// every query new to the top's cache, costs the whole tree — client, three
+// directories, eight GRIS — at most 470 allocations (it took 1,171 while
+// every entry-hop copied its name, and each reply grew its slice entry by
+// entry).
+func TestChainRelayAllocationBudget(t *testing.T) {
+	if !allocsExact {
+		t.Skip("allocation counts are not the program's under -race or mdsdebug")
+	}
+	h := chainRelayTree(t)
+	i := 0
+	per := testing.AllocsPerRun(200, func() {
+		i++
+		res, err := h.client.SearchWith(rackQuery(i), nil)
+		if err != nil || len(res.Entries) != 200 {
+			t.Fatalf("search %d: %d entries, %v", i, len(res.Entries), err)
+		}
+	})
+	t.Logf("allocations per 3-hop search of 200 entries: %.0f", per)
+	if per > 470 {
+		t.Errorf("a 3-hop search of 200 entries makes %.0f allocations, budget 470", per)
+	}
+}
+
 // BenchmarkChainRelay is the discover-unique path in process: a top GIIS
 // over 2 mid GIIS over 8 GRIS on loopback TCP, 200 entries of 7 attributes
 // back per search through three hops, every query new to the top's cache.
-// allocs/op is the whole tree's (client included): the relay's share is
-// ≈ 5 per entry-hop where decode → Entry → clone → re-encode took ≈ 57.
+// allocs/op is the whole tree's (client included), almost all of it each
+// hop's fixed cost: an entry-hop takes ≈ 0.1 (TestWireRelayAllocationBudget)
+// where decode → Entry → clone → re-encode took ≈ 57.
 func BenchmarkChainRelay(b *testing.B) {
-	h := newHierarchy(b, 2, 8, 25, func(c *Config) {
-		c.QueryCache, c.QueryCacheTTL, c.QueryCacheMax = true, time.Hour, 256
-	})
+	h := chainRelayTree(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

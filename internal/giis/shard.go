@@ -388,7 +388,7 @@ func (sh *Sharded) localSummaryBytes() []byte {
 // fetchSummary asks a peer for its summary over the shard-summary extended
 // operation; nil means the peer cannot supply one right now.
 func (sh *Sharded) fetchSummary(m shard.Member) *bloom.Filter {
-	pe, err := sh.s.acquire(m.URL)
+	pe, err := sh.s.acquire(m.URL.ServiceKey(), m.URL)
 	if err != nil {
 		return nil
 	}

@@ -54,10 +54,11 @@ type pendingOp struct {
 	ch   chan *Message
 	gone chan struct{}
 	// collect marks a search run to completion (Search, SearchWith): the
-	// read loop appends the operation's result entries to entries instead of
-	// sending each one down ch. The caller reads entries only after the done
-	// message arrives on ch, which orders its reads after the read loop's
-	// appends.
+	// read loop gathers the operation's result entries in entries, a slice
+	// it borrowed from its own storage, instead of sending each one down ch,
+	// and at the done message swaps it for an exact-size copy the caller
+	// owns. The caller reads entries only after the done message arrives on
+	// ch, which orders its reads after the read loop's writes.
 	collect bool
 	entries []*Entry
 }
@@ -164,7 +165,11 @@ func (c *Client) route(frame []byte, wire *wireEntries) (aliased bool, err error
 		if err != nil {
 			return false, err
 		}
-		c.deliver(c.pendingFor(id), msg)
+		pop := c.pendingFor(id)
+		if pop != nil && pop.collect && op[0] == idSearchDone {
+			pop.entries = wire.handOver(pop.entries)
+		}
+		c.deliver(pop, msg)
 		return false, nil
 	}
 	dn, attrs := s.searchEntry(op)
@@ -182,6 +187,9 @@ func (c *Client) route(frame []byte, wire *wireEntries) (aliased bool, err error
 		return false, err
 	}
 	if collect {
+		if pop.entries == nil {
+			pop.entries = wire.borrow()
+		}
 		pop.entries = append(pop.entries, e)
 		return true, nil
 	}
@@ -321,22 +329,37 @@ func (c *Client) roundTrip(op Op, controls ...Control) (*Message, error) {
 }
 
 func (c *Client) await(op *pendingOp) (*Message, error) {
-	var timeout <-chan time.Time
-	if c.Timeout > 0 {
-		clock := c.Clock
-		if clock == nil {
-			clock = softstate.RealClock{}
-		}
-		timeout = clock.After(c.Timeout)
+	var expired <-chan time.Time
+	if t := c.deadline(); t != nil {
+		defer t.Stop()
+		expired = t.C()
 	}
 	select {
 	case msg := <-op.ch:
 		return msg, nil
 	case <-op.gone:
 		return nil, c.connErr()
-	case <-timeout:
-		return nil, fmt.Errorf("ldap: operation timed out after %v", c.Timeout)
+	case <-expired:
+		return nil, c.timedOut()
 	}
+}
+
+// deadline starts the Timeout of one synchronous operation on the injected
+// clock, or returns nil when there is no Timeout. The caller stops it when
+// the operation ends, so a timer does not outlive its operation.
+func (c *Client) deadline() softstate.Timer {
+	if c.Timeout <= 0 {
+		return nil
+	}
+	clock := c.Clock
+	if clock == nil {
+		clock = softstate.RealClock{}
+	}
+	return clock.NewTimer(c.Timeout)
+}
+
+func (c *Client) timedOut() error {
+	return fmt.Errorf("ldap: operation timed out after %v", c.Timeout)
 }
 
 func (c *Client) connErr() error {
@@ -398,17 +421,18 @@ func (c *Client) Search(req *SearchRequest) (*SearchResult, error) {
 // with their attributes left in the bytes they arrived in, to be re-emitted
 // as they are or decoded on first use. They are immutable snapshots; WithDN
 // renames one, Clone or Select copies one. They alias the connection's read
-// chunks (at most 64 KiB each): a caller that keeps a few entries of a large
-// result for long keeps Clones, or CompactSnapshots the slice.
+// chunks (at most 64 KiB each), names included: a caller that keeps a few
+// entries of a large result for long keeps Clones, or CompactSnapshots the
+// slice. The Timeout runs on the client's Clock; a search that outlives it
+// is abandoned.
 func (c *Client) SearchWith(req *SearchRequest, controls []Control) (*SearchResult, error) {
-	ctx := context.Background()
-	if c.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.Timeout)
-		defer cancel()
+	var expired <-chan time.Time
+	if t := c.deadline(); t != nil {
+		defer t.Stop()
+		expired = t.C()
 	}
 	res := &SearchResult{}
-	err := c.searchFunc(ctx, req, controls, nil, func(urls []string) error {
+	err := c.searchFunc(context.Background(), expired, req, controls, nil, func(urls []string) error {
 		res.Referrals = append(res.Referrals, urls...)
 		return nil
 	}, res)
@@ -434,18 +458,19 @@ func (c *Client) SearchWith(req *SearchRequest, controls []Control) (*SearchResu
 func (c *Client) SearchFunc(ctx context.Context, req *SearchRequest, controls []Control,
 	entryFn func(*Entry, []Control) error, refFn func([]string) error, done *Result) error {
 	var end SearchResult
-	err := c.searchFunc(ctx, req, controls, entryFn, refFn, &end)
+	err := c.searchFunc(ctx, nil, req, controls, entryFn, refFn, &end)
 	if done != nil && err == nil {
 		*done = end.Result
 	}
 	return err
 }
 
-// searchFunc runs one search. A nil entryFn collects: the read loop gathers
-// the result entries and the done message hands them over in end.Entries —
-// no channel send per entry. On the done message it also fills end's Result
-// and DoneControls.
-func (c *Client) searchFunc(ctx context.Context, req *SearchRequest, controls []Control,
+// searchFunc runs one search until it completes, ctx is cancelled or
+// expired fires; the last two abandon it. A nil entryFn collects: the read
+// loop gathers the result entries and the done message hands them over in
+// end.Entries — no channel send per entry. On the done message it also
+// fills end's Result and DoneControls.
+func (c *Client) searchFunc(ctx context.Context, expired <-chan time.Time, req *SearchRequest, controls []Control,
 	entryFn func(*Entry, []Control) error, refFn func([]string) error, end *SearchResult) error {
 
 	id := c.allocID()
@@ -465,6 +490,9 @@ func (c *Client) searchFunc(ctx context.Context, req *SearchRequest, controls []
 		case <-ctx.Done():
 			abandon()
 			return ctx.Err()
+		case <-expired:
+			abandon()
+			return c.timedOut()
 		case <-pop.gone:
 			return c.connErr()
 		case msg := <-pop.ch:

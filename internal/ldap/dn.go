@@ -17,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"mds2/internal/ber"
 )
 
 // AVA is a single attribute-value assertion within an RDN, e.g. hn=hostX.
@@ -82,6 +84,11 @@ func parseDN(s string, slab *dnSlab) (dn DN, canonical bool, err error) {
 	}
 	canonical = canonical && eqs == avas
 	dn, all := slab.cut(rdns, avas)
+	if canonical {
+		if cut, ok := cutCanonical(s, dn, all); ok {
+			return cut, true, nil
+		}
+	}
 	for rest, more := s, true; more; {
 		var comp string
 		comp, rest, more = cutUnescaped(rest, ',')
@@ -110,6 +117,36 @@ func parseDN(s string, slab *dnSlab) (dn DN, canonical bool, err error) {
 		dn = append(dn, RDN(all[first:len(all):len(all)]))
 	}
 	return dn, canonical, nil
+}
+
+// cutCanonical is parseDN's one pass over a name the counting pass proved
+// canonical. With no escape, no whitespace beside a separator and ", "
+// between RDNs, every ',' and '+' separates and the first '=' of an AVA
+// splits it, and nothing needs trimming or unescaping: the AVAs are cut
+// where the separators lie, into dn and all (empty, with room for the
+// name). ok is false for a name that is not valid after all (an empty
+// attribute or value, an AVA without '='); the general parse reports it.
+func cutCanonical(s string, dn DN, all []AVA) (_ DN, ok bool) {
+	first, start, eq := 0, 0, -1
+	for i := 0; i <= len(s); i++ {
+		if i < len(s) && s[i] != ',' && s[i] != '+' {
+			if s[i] == '=' && eq < 0 {
+				eq = i
+			}
+			continue
+		}
+		if eq <= start || eq == i-1 {
+			return nil, false
+		}
+		all = append(all, AVA{Attr: s[start:eq], Value: s[eq+1 : i]})
+		start, eq = i+1, -1
+		if i == len(s) || s[i] == ',' {
+			dn = append(dn, RDN(all[first:len(all):len(all)]))
+			first = len(all)
+			start++ // the space of ", "
+		}
+	}
+	return dn, true
 }
 
 // tight reports that s has a byte at before and at after, and that neither
@@ -148,12 +185,13 @@ func (s *dnSlab) cut(rdns, avas int) (DN, []AVA) {
 	return dn, all
 }
 
-// copyInto returns a deep copy of d cut from slab (nil: arrays of its own,
-// one for the RDNs and one for every AVA of the name). The AVA strings are
-// immutable and shared.
-func (d DN) copyInto(slab *dnSlab) DN {
+// copyInto returns a deep copy of d that shares nothing with it: the RDN
+// and AVA arrays are cut from slab (nil: arrays of its own), and every
+// attribute and value is appended to text, which has room for d.textLen()
+// more bytes, and views it there. It returns the copy and text extended.
+func (d DN) copyInto(slab *dnSlab, text []byte) (DN, []byte) {
 	if len(d) == 0 {
-		return d[:0:0]
+		return d[:0:0], text
 	}
 	n := 0
 	for _, rdn := range d {
@@ -162,10 +200,41 @@ func (d DN) copyInto(slab *dnSlab) DN {
 	dn, all := slab.cut(len(d), n)
 	for _, rdn := range d {
 		first := len(all)
-		all = append(all, rdn...)
+		for _, ava := range rdn {
+			var a AVA
+			a.Attr, text = appendView(text, ava.Attr)
+			a.Value, text = appendView(text, ava.Value)
+			all = append(all, a)
+		}
 		dn = append(dn, RDN(all[first:len(all):len(all)]))
 	}
+	return dn, text
+}
+
+// clone is copyInto with arrays and text of the name's own: three
+// allocations, and the copy keeps nothing d kept alive.
+func (d DN) clone() DN {
+	dn, _ := d.copyInto(nil, make([]byte, 0, d.textLen()))
 	return dn
+}
+
+// textLen is the byte length of d's attributes and values together.
+func (d DN) textLen() int {
+	n := 0
+	for _, rdn := range d {
+		for _, ava := range rdn {
+			n += len(ava.Attr) + len(ava.Value)
+		}
+	}
+	return n
+}
+
+// appendView appends s to buf and returns the appended bytes as a string
+// viewing them. Nothing writes them again: buf only ever grows past them.
+func appendView(buf []byte, s string) (string, []byte) {
+	lo := len(buf)
+	buf = append(buf, s...)
+	return ber.View(buf[lo:]), buf
 }
 
 // MustParseDN parses s and panics on error; for tests and static tables.

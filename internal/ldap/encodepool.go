@@ -82,9 +82,12 @@ func newConnWriter(conn net.Conn, clock softstate.Clock, batch *obs.Histogram) *
 func (w *connWriter) enqueue(m *Message, flushNow bool) error {
 	w.mu.Lock()
 	if w.err == nil {
+		encoding := true
+		defer w.unlockIfPanicked(&encoding)
 		w.b.Reset(w.buf)
 		m.appendTo(&w.b)
 		w.buf = w.b.Bytes()
+		encoding = false
 	}
 	return w.queuedLocked(flushNow)
 }
@@ -96,11 +99,27 @@ func (w *connWriter) enqueue(m *Message, flushNow bool) error {
 func (w *connWriter) enqueueEntry(id int64, e *Entry, attrs []string, controls []Control, flushNow bool) error {
 	w.mu.Lock()
 	if w.err == nil {
+		encoding := true
+		defer w.unlockIfPanicked(&encoding)
 		w.b.Reset(w.buf)
 		appendEntryMessage(&w.b, id, e, attrs, controls)
 		w.buf = w.b.Bytes()
+		encoding = false
 	}
 	return w.queuedLocked(flushNow)
+}
+
+// unlockIfPanicked is deferred by an enqueue while it encodes under mu:
+// when the encoder panics (an mdsdebug seal, Builder.Bytes' open-element
+// check), it drops the half-encoded message and releases mu as the panic
+// goes on up, so the owner's deferred close can still flush what was
+// queued before, instead of hanging on mu. The pending buffer is as it was:
+// the message was only ever written past its end.
+func (w *connWriter) unlockIfPanicked(encoding *bool) {
+	if *encoding {
+		w.b.Reset(nil)
+		w.mu.Unlock()
+	}
 }
 
 // queuedLocked ends an enqueue: it drains the pending buffer when asked to

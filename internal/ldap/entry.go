@@ -242,9 +242,10 @@ func (e *Entry) IsA(class string) bool { return e.HasValue("objectclass", class)
 
 // Clone returns a deep copy of the entry, name included: writing an AVA of
 // the copy's DN leaves the source alone, and the copy keeps none of the
-// arrays (a connection's name slab among them) the source's DN was cut from.
+// arrays (a connection's name slab among them) the source's DN was cut from,
+// nor the read chunk a received name's strings view.
 func (e *Entry) Clone() *Entry {
-	return &Entry{DN: e.DN.copyInto(nil), Attrs: cloneAttrs(e.Attributes())}
+	return &Entry{DN: e.DN.clone(), Attrs: cloneAttrs(e.Attributes())}
 }
 
 // Select returns a copy of the entry restricted to the requested attribute
@@ -255,7 +256,7 @@ func (e *Entry) Select(requested []string) *Entry {
 	if selectsAll(requested) {
 		return e.Clone()
 	}
-	out := &Entry{DN: e.DN.copyInto(nil)}
+	out := &Entry{DN: e.DN.clone()}
 	for _, r := range requested {
 		if vs := e.Values(r); vs != nil {
 			out.Attrs = append(out.Attrs, Attribute{Name: r, Values: append([]string(nil), vs...)})
@@ -367,12 +368,13 @@ func SortEntries(entries []*Entry) {
 }
 
 // CompactSnapshots gives the wire-backed entries among entries bytes of
-// their own: each is replaced in the slice by a copy whose name bytes and
-// frame sit in one buffer sized for the lot, and whose DN is cut from one
-// RDN array and one AVA array for the lot, so a cache that keeps the result
-// keeps the result — not every read chunk a frame of it happened to arrive
-// in, nor the connection's name slabs. Decoded entries stay as they are.
-// The caller must own the slice.
+// their own: each is replaced in the slice by a copy whose name bytes, name
+// text (every attribute and value of its DN) and frame sit in one buffer
+// sized for the lot, and whose DN is cut from one RDN array and one AVA
+// array for the lot, so a cache that keeps the result keeps the result —
+// not every read chunk a frame or a name of it happened to arrive in, nor
+// the connection's name slabs. Decoded entries stay as they are. The caller
+// must own the slice.
 func CompactSnapshots(entries []*Entry) {
 	n, size, rdns, avas := 0, 0, 0, 0
 	for _, e := range entries {
@@ -380,7 +382,7 @@ func CompactSnapshots(entries []*Entry) {
 			continue
 		}
 		n++
-		size += len(e.name) + len(e.raw)
+		size += len(e.name) + len(e.raw) + e.DN.textLen()
 		rdns += len(e.DN)
 		for _, rdn := range e.DN {
 			avas += len(rdn)
@@ -403,7 +405,8 @@ func CompactSnapshots(entries []*Entry) {
 		}
 		c := &own[0]
 		own = own[1:]
-		c.DN, c.raw = e.DN.copyInto(&names), keep(e.raw)
+		c.DN, buf = e.DN.copyInto(&names, buf)
+		c.raw = keep(e.raw)
 		if e.name != nil {
 			c.name = keep(e.name)
 		}

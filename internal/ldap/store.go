@@ -307,8 +307,18 @@ func (s *Store) PutAll(entries []*Entry) error {
 // result set it is done with (a GRIS provider round): the entries
 // themselves become the store's immutable snapshots, so the caller must
 // never mutate them again — it may keep reading them, and may adopt them
-// into a later store.
+// into a later store. A received (wire-backed) entry is the exception: the
+// store keeps a CompactSnapshots copy of it instead, as everything that
+// keeps an entry past its reply must, so the store pins no read chunk. The
+// caller's slice is left as it is.
 func (s *Store) Adopt(entries []*Entry) error {
+	for _, e := range entries {
+		if e.raw != nil {
+			entries = slices.Clone(entries)
+			CompactSnapshots(entries)
+			break
+		}
+	}
 	if s.Schema != nil {
 		for _, e := range entries {
 			if err := s.Schema.Validate(e); err != nil {

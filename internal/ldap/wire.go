@@ -725,31 +725,75 @@ func (s *scanner) substrings(parts []byte, f *Filter) {
 	f.Any = run(s.strs, first)
 }
 
-// wireEntries builds the wire-backed entries of one connection. Entries of
-// a collected result, and the RDN and AVA arrays of their names, are cut
-// from small slabs rather than allocated one by one: a relayed entry lives
-// for a single search, and a cached one is copied out by CompactSnapshots
-// (a kept one by Clone) before it is kept.
+// wireEntries builds the wire-backed entries of one connection, and holds
+// the slices its collected replies are gathered in. Entries of a collected
+// result, and the RDN and AVA arrays of their names, are cut from small
+// slabs rather than allocated one by one: a relayed entry lives for a
+// single search, and a cached one is copied out by CompactSnapshots (a kept
+// one by Clone) before it is kept.
 type wireEntries struct {
 	slab  []Entry
 	names dnSlab
+	// replies are emptied gather slices, ready for the next reply (borrow,
+	// handOver): a reply costs its caller one slice, not one grown entry by
+	// entry.
+	replies [][]*Entry
+}
+
+// Gathered replies: a slice is taken back after a reply while it holds at
+// most maxGathered entries, and at most maxSpareReplies wait to be reused.
+const (
+	maxGathered     = 4096
+	maxSpareReplies = 8
+)
+
+// borrow returns an empty slice to gather one collected reply in.
+func (w *wireEntries) borrow() []*Entry {
+	if n := len(w.replies); n > 0 {
+		r := w.replies[n-1]
+		w.replies = w.replies[:n-1]
+		return r
+	}
+	return make([]*Entry, 0, 64)
+}
+
+// handOver ends a collected reply gathered in a borrowed slice: it returns
+// an exact-size copy for the caller to own (nil for an empty reply), and
+// takes the slice back, emptied.
+func (w *wireEntries) handOver(gathered []*Entry) []*Entry {
+	if gathered == nil {
+		return nil
+	}
+	out := make([]*Entry, len(gathered))
+	copy(out, gathered)
+	clear(gathered)
+	if cap(gathered) <= maxGathered && len(w.replies) < maxSpareReplies {
+		w.replies = append(w.replies, gathered[:0])
+	}
+	return out
 }
 
 // next returns the wire-backed entry for a scanned frame. The name is
-// copied out of the frame as one string and parsed; when the received text
-// is the canonical rendering of what it parses to, the entry also keeps
-// those bytes to be sent again as they are. The name bytes and attrs are
-// kept as they are, aliasing the frame — unless the entry is to own its
-// bytes: a streamed entry is kept for as long as its receiver likes (a
-// subscriber holds one per notification), so it gets one exact-size copy of
-// its name and attribute list, DN arrays and an allocation of its own, and
-// pins neither a read chunk nor a slab.
+// parsed where it lies, its AVA strings viewing the name bytes; when the
+// received text is the canonical rendering of what it parses to, the entry
+// also keeps those bytes to be sent again as they are. The name bytes and
+// attrs are kept as they are, aliasing the frame, whose chunk the read loop
+// then never reuses — unless the entry is to own its bytes: a streamed
+// entry is kept for as long as its receiver likes (a subscriber holds one
+// per notification), so it gets one exact-size copy of its name and
+// attribute list, made before the name is parsed so that the name's strings
+// view the copy, DN arrays and an allocation of its own, and pins neither a
+// read chunk nor a slab.
 func (w *wireEntries) next(dn, attrs []byte, own bool) (*Entry, error) {
 	names := &w.names
+	var e *Entry
 	if own {
-		names = nil
+		buf := make([]byte, 0, len(dn)+len(attrs))
+		buf = append(append(buf, dn...), attrs...)
+		dn, attrs = buf[:len(dn):len(dn)], buf[len(dn):]
+		names, e = nil, new(Entry)
 	}
-	d, canonical, err := parseDN(string(dn), names)
+	d, canonical, err := parseDN(ber.View(dn), names)
 	if err != nil {
 		return nil, err
 	}
@@ -760,16 +804,7 @@ func (w *wireEntries) next(dn, attrs []byte, own bool) (*Entry, error) {
 	if !canonical {
 		dn = nil
 	}
-	var e *Entry
-	if own {
-		buf := make([]byte, 0, len(dn)+len(attrs))
-		buf = append(append(buf, dn...), attrs...)
-		e = new(Entry)
-		if dn != nil {
-			dn = buf[:len(dn):len(dn)]
-		}
-		attrs = buf[len(dn):]
-	} else {
+	if e == nil {
 		if len(w.slab) == 0 {
 			w.slab = make([]Entry, 32)
 		}

@@ -369,6 +369,87 @@ timedOut:
 	}
 }
 
+// stallSearchHandler holds every search until the client abandons it, and
+// reports the abandon.
+type stallSearchHandler struct {
+	BaseHandler
+	abandoned chan struct{}
+}
+
+func (h *stallSearchHandler) Search(req *Request, _ *SearchRequest, _ SearchWriter) Result {
+	<-req.Ctx.Done()
+	select {
+	case h.abandoned <- struct{}{}:
+	default:
+	}
+	return Result{Code: ResultSuccess}
+}
+
+// TestSearchTimeoutOnInjectedClock: a collected search's Timeout runs on
+// the client's Clock, like a round trip's. On a FakeClock an hour-long
+// Timeout passes when the clock is advanced by an hour, whatever the wall
+// clock says; the search fails with a timeout, leaves no pending entry
+// behind, and is abandoned at the server.
+func TestSearchTimeoutOnInjectedClock(t *testing.T) {
+	h := &stallSearchHandler{abandoned: make(chan struct{}, 1)}
+	srv := NewServer(h)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	t.Cleanup(func() { srv.Close() })
+	c, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	fc := softstate.NewFakeClock()
+	c.Clock, c.Timeout = fc, time.Hour
+
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := c.SearchWith(&SearchRequest{BaseDN: "o=grid", Scope: ScopeWholeSubtree}, nil)
+		errCh <- err
+	}()
+	for start := time.Now(); c.pendingCount() == 0; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("search never registered")
+		}
+	}
+	select {
+	case err := <-errCh:
+		t.Fatalf("search ended before the fake clock moved: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	// The search took its timer before it registered, so one step is
+	// enough; keep stepping in case a slow scheduler says otherwise.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		fc.Advance(c.Timeout)
+		select {
+		case err = <-errCh:
+		case <-time.After(time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatal("search never timed out on the fake clock")
+			}
+			continue
+		}
+		break
+	}
+	if err == nil || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("want a timeout, got %v", err)
+	}
+	if n := c.pendingCount(); n != 0 {
+		t.Fatalf("timed-out search leaked %d pending entries", n)
+	}
+	select {
+	case <-h.abandoned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the server never saw the timed-out search abandoned")
+	}
+}
+
 // BenchmarkMessageEncode compares the direct emitter against the
 // Packet-tree reference path on a representative streamed search entry.
 func BenchmarkMessageEncode(b *testing.B) {

@@ -11,6 +11,11 @@ import (
 // bypasses FakeClock tests — exactly what happened with the GSI handshake
 // in internal/grip before PR 2.
 //
+// A context bounded with context.WithTimeout or WithDeadline is the same
+// leak one step removed: it expires on the runtime clock whatever the
+// injected Clock says (a client's chained search was bounded that way, so
+// a FakeClock run could not time a hop out).
+//
 // Exempt by construction:
 //   - internal/softstate/clock.go — the one place RealClock touches time
 //   - cmd/ and examples/ — process mains wire RealClock at the edge
@@ -19,7 +24,7 @@ const ruleClock = "clockcheck"
 
 var ClockCheck = &Analyzer{
 	Name: ruleClock,
-	Doc:  "no raw time.Now/Sleep/After/Tick/NewTimer/NewTicker/Since/Until outside blessed files; inject softstate.Clock instead",
+	Doc:  "no raw time.Now/Sleep/After/Tick/NewTimer/NewTicker/Since/Until or context.WithTimeout/WithDeadline outside blessed files; inject softstate.Clock instead",
 	Run:  runClockCheck,
 }
 
@@ -38,6 +43,28 @@ var wallClockFuncs = map[string]bool{
 	"Until":     true,
 }
 
+// wallClockContext are the context constructors whose deadline runs on the
+// wall clock.
+var wallClockContext = map[string]bool{
+	"WithTimeout":       true,
+	"WithTimeoutCause":  true,
+	"WithDeadline":      true,
+	"WithDeadlineCause": true,
+}
+
+// wallClockPkg is a package whose funcs the rule bans, and what a finding
+// says of them.
+type wallClockPkg struct {
+	path  string
+	funcs map[string]bool
+	why   string
+}
+
+var wallClockPkgs = []wallClockPkg{
+	{"time", wallClockFuncs, "bypasses the injected softstate.Clock; thread a Clock or now func() through"},
+	{"context", wallClockContext, "expires on the runtime clock, not the injected softstate.Clock; select on a Clock timer instead"},
+}
+
 func clockCheckExempt(path string) bool {
 	return isTestFile(path) ||
 		pathIsFile(path, "internal/softstate/clock.go") ||
@@ -51,8 +78,13 @@ func runClockCheck(p *Pass) []Finding {
 		if clockCheckExempt(f.Path) {
 			continue
 		}
-		timeName, ok := importName(f.AST, "time")
-		if !ok {
+		banned := map[string]wallClockPkg{} // by the name the file imports it under
+		for _, pkg := range wallClockPkgs {
+			if name, ok := importName(f.AST, pkg.path); ok {
+				banned[name] = pkg
+			}
+		}
+		if len(banned) == 0 {
 			continue
 		}
 		ast.Inspect(f.AST, func(n ast.Node) bool {
@@ -61,15 +93,14 @@ func runClockCheck(p *Pass) []Finding {
 				return true
 			}
 			id, ok := sel.X.(*ast.Ident)
-			if !ok || id.Name != timeName || !isPkgIdent(id) {
+			if !ok || !isPkgIdent(id) {
 				return true
 			}
-			if wallClockFuncs[sel.Sel.Name] {
+			if pkg, ok := banned[id.Name]; ok && pkg.funcs[sel.Sel.Name] {
 				out = append(out, Finding{
 					Pos:  p.Fset.Position(sel.Pos()),
 					Rule: ruleClock,
-					Msg: "raw time." + sel.Sel.Name +
-						" bypasses the injected softstate.Clock; thread a Clock or now func() through",
+					Msg:  "raw " + pkg.path + "." + sel.Sel.Name + " " + pkg.why,
 				})
 			}
 			return true

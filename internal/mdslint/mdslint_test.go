@@ -87,6 +87,34 @@ func f() stdtime.Time { return stdtime.Now() }
 			want: []string{"3:clockcheck"},
 		},
 		{
+			name: "context deadlines run on the wall clock and are flagged",
+			path: "internal/foo/foo.go",
+			src: `package foo
+import (
+	"context"
+	"time"
+)
+func f(d time.Duration, at time.Time) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	_, stop := context.WithDeadline(ctx, at)
+	defer stop()
+	_, done := context.WithCancel(ctx)
+	done()
+}
+`,
+			want: []string{"7:clockcheck", "9:clockcheck"},
+		},
+		{
+			name: "context deadlines are fine in tests",
+			path: "internal/foo/foo_test.go",
+			src: `package foo
+import "context"
+func f() { _, cancel := context.WithTimeout(context.Background(), 1); cancel() }
+`,
+			want: nil,
+		},
+		{
 			name: "pure constructors and arithmetic are fine",
 			path: "internal/foo/foo.go",
 			src: `package foo

@@ -19,6 +19,18 @@ type Clock interface {
 	Now() time.Time
 	// After behaves like time.After.
 	After(d time.Duration) <-chan time.Time
+	// NewTimer is After for a wait that usually ends before its timer does:
+	// stopping the timer releases it then, where an After timer stays until
+	// it fires.
+	NewTimer(d time.Duration) Timer
+}
+
+// Timer is a Clock's stoppable timer.
+type Timer interface {
+	// C fires once, when the timer's duration has passed.
+	C() <-chan time.Time
+	// Stop releases the timer; it reports whether the timer had not fired.
+	Stop() bool
 }
 
 // RealClock adapts the wall clock.
@@ -29,6 +41,14 @@ func (RealClock) Now() time.Time { return time.Now() }
 
 // After defers to time.After.
 func (RealClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+
+// NewTimer defers to time.NewTimer.
+func (RealClock) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
+
+type realTimer struct{ t *time.Timer }
+
+func (r realTimer) C() <-chan time.Time { return r.t.C }
+func (r realTimer) Stop() bool          { return r.t.Stop() }
 
 // FakeClock is a manually advanced clock for deterministic tests and
 // discrete-time simulations.
@@ -67,6 +87,32 @@ func (c *FakeClock) After(d time.Duration) <-chan time.Time {
 	}
 	c.waiters = append(c.waiters, fakeWaiter{at: at, ch: ch})
 	return ch
+}
+
+// NewTimer is After with a Stop that drops the waiter, so a stopped timer
+// never fires and leaves nothing behind.
+func (c *FakeClock) NewTimer(d time.Duration) Timer {
+	return &fakeTimer{clock: c, ch: c.After(d)}
+}
+
+type fakeTimer struct {
+	clock *FakeClock
+	ch    <-chan time.Time
+}
+
+func (t *fakeTimer) C() <-chan time.Time { return t.ch }
+
+func (t *fakeTimer) Stop() bool {
+	c := t.clock
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, w := range c.waiters {
+		if w.ch == t.ch {
+			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+			return true
+		}
+	}
+	return false
 }
 
 // Advance moves the clock forward, firing any timers that come due.
