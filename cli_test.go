@@ -5,7 +5,9 @@ package mds2_test
 
 import (
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -343,5 +345,55 @@ func TestCLIDataDirSurvivesRestart(t *testing.T) {
 	}
 	if s := string(out); !strings.Contains(s, childURL) || !strings.Contains(s, "recovered: TRUE") {
 		t.Fatalf("child not recovered from %s:\n%s", dataDir, s)
+	}
+}
+
+// TestCLIGRISDataDirRestartsWarm stops a persisted gris with SIGINT after one
+// search has filled its provider rounds, restarts it on the same data
+// directory, and asks for the host entry again: the answer must come from
+// the recovered rounds, with no provider invoked since the restart. (The
+// net=links subtree is left alone: its backend has no cache and always runs
+// live.)
+func TestCLIGRISDataDirRestartsWarm(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bins := buildTools(t)
+	dataDir := t.TempDir()
+	grisAddr, obsAddr := loopbackAddr(t), loopbackAddr(t)
+	const hostDN = "hn=clihost, o=cliorg"
+	startGRIS := func() *exec.Cmd {
+		cmd := startTool(t, filepath.Join(bins, "gris"),
+			"-host", "clihost", "-org", "cliorg", "-listen", grisAddr,
+			"-data-dir", dataDir, "-wal-sync", "always", "-obs-addr", obsAddr)
+		waitPort(t, grisAddr)
+		waitPort(t, obsAddr)
+		return cmd
+	}
+	search := func() {
+		t.Helper()
+		searchUntil(t, bins, grisAddr, hostDN, "dn: "+hostDN, "-scope", "base", "(objectclass=*)")
+	}
+
+	cmd := startGRIS()
+	search()
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	cmd.Wait()
+
+	startGRIS()
+	search()
+	resp, err := http.Get("http://" + obsAddr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), "\ngris_provider_invocations_total 0\n") {
+		t.Fatalf("restarted gris invoked a provider to answer from %s:\n%s", dataDir, body)
 	}
 }
