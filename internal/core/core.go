@@ -152,22 +152,22 @@ func (g *Grid) identity(subject string, given *gsi.KeyPair) (*gsi.KeyPair, error
 }
 
 // openPersist opens a node's data directory, recovers what it holds into
-// store or reg, and attaches them so that every later change is logged.
+// rounds or reg, and attaches them so that every later change is logged.
 // stats is nil when the directory held nothing. A manager that failed
 // before Attach holds nothing to close.
-func (g *Grid) openPersist(o persist.Options, store *ldap.Store, reg *softstate.Registry) (pm *persist.Manager, stats *persist.RecoverStats, err error) {
+func (g *Grid) openPersist(o persist.Options, rounds persist.Rounds, reg *softstate.Registry) (pm *persist.Manager, stats *persist.RecoverStats, err error) {
 	o.Obs, o.ErrorLog = g.obs, log.Default()
 	if pm, err = persist.Open(o); err != nil {
 		return nil, nil, err
 	}
 	if pm.HasState() {
-		s, err := pm.Recover(store, reg)
+		s, err := pm.Recover(rounds, reg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("recovering %s: %w", o.Dir, err)
 		}
 		stats = &s
 	}
-	return pm, stats, pm.Attach(store, reg)
+	return pm, stats, pm.Attach(rounds, reg)
 }
 
 // dialer returns a GIIS dialer originating at the named node.
@@ -262,8 +262,8 @@ type HostOptions struct {
 	// Keys is the GRIS's GSI identity; a grid with a CA issues one when it
 	// is nil.
 	Keys *gsi.KeyPair
-	// Persist, when Dir is set, keeps the GRIS's provider results in a
-	// durable warm cache that serves for up to WarmGrace after a restart.
+	// Persist, when Dir is set, journals the GRIS's provider rounds, which
+	// serve for up to WarmGrace after a restart.
 	Persist   persist.Options
 	WarmGrace time.Duration
 }
@@ -300,20 +300,7 @@ func (g *Grid) AddHost(name string, opts HostOptions) (*HostNode, error) {
 		Trust:              g.Trust,
 		TrustedDirectories: opts.TrustedDirectories,
 		Obs:                g.obs,
-	}
-	closePersist := func() {}
-	if opts.Persist.Dir != "" {
-		warm := ldap.NewStore()
-		pm, stats, err := g.openPersist(opts.Persist, warm, nil)
-		if err != nil {
-			return nil, err
-		}
-		if stats != nil {
-			g.daemon.logf("recovered %d warm entries from %s in %v (replayed %d records)",
-				stats.Entries, opts.Persist.Dir, stats.Duration, stats.RecordsReplayed)
-		}
-		closePersist = func() { pm.Close() }
-		cfg.WarmStore, cfg.WarmGrace = warm, opts.WarmGrace
+		WarmGrace:          opts.WarmGrace,
 	}
 	var archive *history.Archive
 	var recorder *history.Recorder
@@ -340,10 +327,17 @@ func (g *Grid) AddHost(name string, opts HostOptions) (*HostNode, error) {
 	for _, b := range opts.ExtraBackends {
 		gs.Register(b)
 	}
-	if cfg.WarmStore != nil {
-		if n := gs.WarmRestore(); n > 0 {
-			g.daemon.logf("warm cache restored with %d entries (grace %v)", n, opts.WarmGrace)
+	closePersist := func() {}
+	if opts.Persist.Dir != "" {
+		pm, stats, err := g.openPersist(opts.Persist, gs, nil)
+		if err != nil {
+			return nil, err
 		}
+		if stats != nil {
+			g.daemon.logf("restored %d warm entries from %s in %v (replayed %d records, grace %v)",
+				stats.Entries, opts.Persist.Dir, stats.Duration, stats.RecordsReplayed, opts.WarmGrace)
+		}
+		closePersist = func() { pm.Close() }
 	}
 
 	l, url, err := g.listen(name)

@@ -70,7 +70,7 @@ func NewDaemon(fs *flag.FlagSet, role, listen string) *Daemon {
 	fs.StringVar(&d.anchor, "anchor", "", "trust anchor file (required with -keys)")
 	fs.StringVar(&d.obsAddr, "obs-addr", "", "HTTP introspection listen address (/metrics, /debug/traces, /healthz; a GIIS adds /debug/registry, /debug/qcache); empty disables observability")
 	fs.DurationVar(&d.obsSlow, "obs-slow", 100*time.Millisecond, "slow-query log threshold (0 disables the slow ring)")
-	fs.StringVar(&d.Persist.Dir, "data-dir", "", "durability: data directory for the WAL (a GIIS logs its registrations, a GRIS its warm cache); empty disables persistence")
+	fs.StringVar(&d.Persist.Dir, "data-dir", "", "durability: data directory for the WAL (a GIIS logs its registrations, a GRIS its provider rounds); empty disables persistence")
 	fs.StringVar(&d.walSync, "wal-sync", "interval", "durability: WAL fsync policy: always | interval | none")
 	fs.DurationVar(&d.Persist.SnapshotEvery, "snapshot-every", 5*time.Minute, "durability: background snapshot cadence (0 disables)")
 	fs.StringVar(&d.probes, "health-probe", "anonymous", "healthz probe mode(s), comma-separated: anonymous | scoped-search")

@@ -160,8 +160,9 @@ func (*encodeSink) SendReferral(...string) error { return nil }
 // TestSharedBackendAdoptedConcurrently: two GRIS servers over one backend
 // that hands both the same entries adopt them into their snapshots at once,
 // round after round, while their enquiries encode them. Each snapshot store
-// publishes the entries' wire form as it adopts them; under -race (and
-// -tags mdsdebug, which seals them too) that must be clean.
+// publishes the entries' wire form as it adopts them, and the first server
+// journals each round while a snapshot of the journal is being written;
+// under -race (and -tags mdsdebug, which seals them too) that must be clean.
 func TestSharedBackendAdoptedConcurrently(t *testing.T) {
 	backend := &sharedBackend{suffix: hostDN()}
 	for i := 0; i < 32; i++ {
@@ -170,13 +171,21 @@ func TestSharedBackendAdoptedConcurrently(t *testing.T) {
 	}
 	clock := softstate.NewFakeClock()
 	servers := []*Server{New(Config{Suffix: hostDN(), Clock: clock}), New(Config{Suffix: hostDN(), Clock: clock})}
+	for _, s := range servers {
+		s.Register(backend)
+	}
+	pm, _, _ := bootPersisted(t, servers[0], t.TempDir(), clock)
 	req := &ldap.SearchRequest{BaseDN: hostDN().String(), Scope: ldap.ScopeSingleLevel}
 	for round := 0; round < 20; round++ {
 		var wg sync.WaitGroup
-		for _, s := range servers {
-			if round == 0 {
-				s.Register(backend)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := pm.Snapshot(); err != nil {
+				t.Errorf("round %d: snapshot: %v", round, err)
 			}
+		}()
+		for _, s := range servers {
 			for g := 0; g < 2; g++ {
 				wg.Add(1)
 				go func(s *Server) {

@@ -10,6 +10,8 @@ import (
 
 	"mds2/internal/gsi"
 	"mds2/internal/ldap"
+	"mds2/internal/obs"
+	"mds2/internal/persist"
 	"mds2/internal/softstate"
 )
 
@@ -664,13 +666,39 @@ func TestManyBackendsScale(t *testing.T) {
 	}
 }
 
-// TestWarmRestoreRoundTrip: a query on one server writes through to the warm
-// store; a second server sharing that store answers from WarmRestore without
-// invoking any backend, and rolls over to a live invocation once the warm
-// grace expires.
+// bootPersisted wires s to a data directory the way core.AddHost does —
+// after New and Register, before serving: the rounds the directory holds
+// are restored into s, and every later round is journaled. It returns the
+// manager, the entries restored, and this boot's persist_wal_records_total.
+func bootPersisted(t *testing.T, s *Server, dir string, clock softstate.Clock) (*persist.Manager, int, *obs.Counter) {
+	t.Helper()
+	o := obs.NewRegistry()
+	pm, err := persist.Open(persist.Options{Dir: dir, Clock: clock, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := 0
+	if pm.HasState() {
+		stats, err := pm.Recover(s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored = stats.Entries
+	}
+	if err := pm.Attach(s, nil); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pm.Close() })
+	return pm, restored, o.Counter("persist_wal_records_total")
+}
+
+// TestWarmRestoreRoundTrip: a query on one server journals the provider
+// round; a second server recovering the same data directory after a crash
+// answers from the restored round without invoking any backend, and rolls
+// over to a live invocation once the warm grace expires.
 func TestWarmRestoreRoundTrip(t *testing.T) {
 	clock := softstate.NewFakeClock()
-	ws := ldap.NewStore()
+	dir := t.TempDir()
 	static := &fakeBackend{
 		name: "static", suffix: hostDN(),
 		attrs: []string{"hn", "system"},
@@ -680,25 +708,30 @@ func TestWarmRestoreRoundTrip(t *testing.T) {
 			Add("hn", "hostX").
 			Add("system", "linux")},
 	}
-	s1 := New(Config{Suffix: hostDN(), Clock: clock, WarmStore: ws, WarmGrace: 30 * time.Minute})
+	s1 := New(Config{Suffix: hostDN(), Clock: clock, WarmGrace: 30 * time.Minute})
 	s1.Register(static)
+	pm, _, records := bootPersisted(t, s1, dir, clock)
 	req := &ldap.SearchRequest{BaseDN: "hn=hostX, o=center1",
 		Scope: ldap.ScopeWholeSubtree, Filter: ldap.MustParseFilter("(objectclass=computer)")}
 	s1.Search(anonReq(), req, &sink{})
 	if static.calls != 1 {
 		t.Fatalf("static calls = %d, want 1", static.calls)
 	}
-	if len(ws.All()) == 0 {
-		t.Fatal("query did not write through to the warm store")
+	if records.Value() == 0 {
+		t.Fatal("query did not journal its round")
 	}
+	if err := pm.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	pm.Crash()
 
-	// "Restart": a second server over the same warm store, fresh backend.
+	// "Restart": a second server over the same data directory, fresh backend.
 	static2 := &fakeBackend{name: "static", suffix: hostDN(),
 		attrs: static.attrs, ttl: time.Hour, entries: static.entries}
-	s2 := New(Config{Suffix: hostDN(), Clock: clock, WarmStore: ws, WarmGrace: 30 * time.Minute})
+	s2 := New(Config{Suffix: hostDN(), Clock: clock, WarmGrace: 30 * time.Minute})
 	s2.Register(static2)
-	if n := s2.WarmRestore(); n == 0 {
-		t.Fatal("WarmRestore restored nothing")
+	if _, n, _ := bootPersisted(t, s2, dir, clock); n == 0 {
+		t.Fatal("recovery restored nothing")
 	}
 	w := &sink{}
 	s2.Search(anonReq(), req, w)
@@ -718,13 +751,13 @@ func TestWarmRestoreRoundTrip(t *testing.T) {
 }
 
 // TestWarmRestoreSharedSuffix: two backends on the same suffix keep separate
-// warm namespaces — a refresh of one never wipes the other's warm state, and
-// restore attributes each entry to the backend that produced it, so a wide
+// rounds in the journal — a refresh of one never replaces the other's, and
+// recovery hands each round back to the backend that produced it, so a wide
 // query after restart returns no duplicates.
 func TestWarmRestoreSharedSuffix(t *testing.T) {
 	clock := softstate.NewFakeClock()
-	ws := ldap.NewStore()
-	cfg := Config{Suffix: hostDN(), Clock: clock, WarmStore: ws, WarmGrace: time.Hour}
+	dir := t.TempDir()
+	cfg := Config{Suffix: hostDN(), Clock: clock, WarmGrace: time.Hour}
 	s1 := New(cfg)
 	static := &fakeBackend{name: "static", suffix: hostDN(),
 		attrs: []string{"hn", "system"}, ttl: time.Hour,
@@ -736,11 +769,13 @@ func TestWarmRestoreSharedSuffix(t *testing.T) {
 			Add("objectclass", "perf", "loadaverage").Add("perf", "load").Add("load5", "1.5")}}
 	s1.Register(static)
 	s1.Register(dynamic)
+	pm, _, _ := bootPersisted(t, s1, dir, clock)
 	wide := &ldap.SearchRequest{BaseDN: "hn=hostX, o=center1", Scope: ldap.ScopeWholeSubtree}
 	s1.Search(anonReq(), wide, &sink{})
 	if static.calls != 1 || dynamic.calls != 1 {
 		t.Fatalf("live calls = %d/%d, want 1/1", static.calls, dynamic.calls)
 	}
+	pm.Close()
 
 	s2 := New(cfg)
 	static2 := &fakeBackend{name: "static", suffix: hostDN(), attrs: static.attrs,
@@ -749,8 +784,8 @@ func TestWarmRestoreSharedSuffix(t *testing.T) {
 		ttl: time.Hour, entries: dynamic.entries}
 	s2.Register(static2)
 	s2.Register(dynamic2)
-	if n := s2.WarmRestore(); n != 2 {
-		t.Fatalf("WarmRestore = %d entries, want 2 (one per backend, no cross-assignment)", n)
+	if _, n, _ := bootPersisted(t, s2, dir, clock); n != 2 {
+		t.Fatalf("restored %d entries, want 2 (one per backend, no cross-assignment)", n)
 	}
 	w := &sink{}
 	s2.Search(anonReq(), wide, w)

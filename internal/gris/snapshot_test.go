@@ -199,12 +199,12 @@ func TestIndexedSearchEqualsReferenceScan(t *testing.T) {
 
 // TestDuplicateDNKeepsLast pins the snapshot's DN keying: a cached provider
 // that returns the same DN twice serves the later entry (the slice cache it
-// replaced served both), through the live cache, the warm store, and a
-// WarmRestore alike.
+// replaced served both), through the live cache, the journaled round, and
+// a restore from it alike.
 func TestDuplicateDNKeepsLast(t *testing.T) {
 	clock := softstate.NewFakeClock()
-	ws := ldap.NewStore()
-	cfg := Config{Suffix: hostDN(), Clock: clock, WarmStore: ws}
+	dir := t.TempDir()
+	cfg := Config{Suffix: hostDN(), Clock: clock}
 	entries := []*ldap.Entry{
 		ldap.NewEntry(hostDN().ChildAVA("perf", "load")).Add("objectclass", "perf").Add("round", "first"),
 		ldap.NewEntry(hostDN()).Add("objectclass", "computer"),
@@ -222,13 +222,15 @@ func TestDuplicateDNKeepsLast(t *testing.T) {
 	}
 	s1 := New(cfg)
 	s1.Register(&fakeBackend{name: "dup", suffix: hostDN(), ttl: time.Hour, entries: entries})
+	pm, _, _ := bootPersisted(t, s1, dir, clock)
 	check(s1, "live cache")
+	pm.Close()
 
 	s2 := New(cfg)
 	restarted := &fakeBackend{name: "dup", suffix: hostDN(), ttl: time.Hour}
 	s2.Register(restarted)
-	if n := s2.WarmRestore(); n != 2 {
-		t.Fatalf("WarmRestore = %d entries, want 2 (duplicate collapsed)", n)
+	if _, n, _ := bootPersisted(t, s2, dir, clock); n != 2 {
+		t.Fatalf("restored %d entries, want 2 (duplicate collapsed)", n)
 	}
 	check(s2, "warm restore")
 	if restarted.calls != 0 {

@@ -42,10 +42,6 @@ type Store struct {
 	pres map[string]nodeSet
 
 	watches map[*watch]struct{}
-
-	// persister, when set, receives every mutation for durability. Hook
-	// calls happen under mu (enqueue only); their acks run after unlock.
-	persister Persister
 }
 
 // node is one position in the DN tree. Interior positions whose DN has no
@@ -285,9 +281,8 @@ func (s *Store) Put(e *Entry) error {
 	s.mu.Lock()
 	existed := s.putLocked(cp)
 	s.notifyLocked(existed, cp)
-	ack := s.persistPutLocked([]*Entry{cp})
 	s.mu.Unlock()
-	return await(ack)
+	return nil
 }
 
 // PutAll inserts or replaces a batch of entries under a single lock
@@ -331,9 +326,8 @@ func (s *Store) Adopt(entries []*Entry) error {
 		existed := s.putLocked(e)
 		s.notifyLocked(existed, e)
 	}
-	ack := s.persistPutLocked(entries)
 	s.mu.Unlock()
-	return await(ack)
+	return nil
 }
 
 func (s *Store) notifyLocked(existed bool, e *Entry) {
@@ -391,11 +385,7 @@ func (s *Store) Remove(dn DN) bool {
 	for w := range s.watches {
 		s.deliverLocked(w, ChangeEvent{Type: ChangeDelete, Entry: e})
 	}
-	ack := s.persistRemoveLocked(dn, false)
 	s.mu.Unlock()
-	// The boolean contract predates persistence; a WAL failure surfaces as
-	// the sticky error on the next Put and on Close.
-	_ = await(ack)
 	return true
 }
 
@@ -426,12 +416,7 @@ func (s *Store) RemoveSubtree(dn DN) int {
 			s.deliverLocked(w, ChangeEvent{Type: ChangeDelete, Entry: e})
 		}
 	}
-	var ack func() error
-	if len(doomed) > 0 {
-		ack = s.persistRemoveLocked(dn, true)
-	}
 	s.mu.Unlock()
-	_ = await(ack)
 	return len(doomed)
 }
 
@@ -776,13 +761,7 @@ func (s *Store) Modify(_ *Request, op *ModifyRequest) Result {
 	for w := range s.watches {
 		s.deliverLocked(w, ChangeEvent{Type: ChangeModify, Entry: e})
 	}
-	// The modified entry persists as a full upsert — absolute state, so
-	// replay over any snapshot converges.
-	ack := s.persistPutLocked([]*Entry{e})
 	s.mu.Unlock()
-	if err := await(ack); err != nil {
-		return Result{Code: ResultUnavailable, Message: err.Error()}
-	}
 	return Result{Code: ResultSuccess}
 }
 

@@ -19,9 +19,8 @@ import (
 	"mds2/internal/softstate"
 )
 
-// Central is the single directory holding everyone's information. It
-// serves LDAP directly (its Store is an ldap.Handler) and accepts pushes
-// in-process or over the wire.
+// Central is the single directory holding everyone's information: pushers
+// upload into its Store, and Search answers every query from it.
 type Central struct {
 	Store *ldap.Store
 	clock softstate.Clock
@@ -39,9 +38,6 @@ func New(clock softstate.Clock) *Central {
 	}
 	return &Central{Store: ldap.NewStore(), clock: clock}
 }
-
-// Handler exposes the directory as an LDAP server handler.
-func (c *Central) Handler() ldap.Handler { return c.Store }
 
 // Apply replaces the subtree rooted at suffix with the pushed entries.
 // Each entry is stamped with its upload time so staleness is measurable.

@@ -23,11 +23,12 @@ var stringCodec = PayloadCodec{
 	Decode: func(b []byte) (any, error) { return string(b), nil },
 }
 
-// TestCrashConsistencyProperty drives randomized mutation storms against a
-// persisted store+registry, crashes without warning, recovers into fresh
-// instances, and requires replay(snapshot+WAL) ≡ the pre-crash state. Under
-// SyncAlways every store mutation was acknowledged durable, and a barrier
-// covers the asynchronous registry journal, so equality is exact.
+// TestCrashConsistencyProperty drives randomized storms of provider rounds
+// and registry operations against a persisted round table + registry,
+// crashes without warning, recovers into fresh instances, and requires
+// replay(snapshot+WAL) ≡ the pre-crash state. Neither journal is waited on;
+// a Barrier before the crash draws the durability line, so equality is
+// exact.
 func TestCrashConsistencyProperty(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
@@ -40,14 +41,14 @@ func TestCrashConsistencyProperty(t *testing.T) {
 func runCrashStorm(t *testing.T, rng *rand.Rand) {
 	dir := t.TempDir()
 	clock := softstate.NewFakeClock()
-	store := ldap.NewStore()
+	rounds := newRoundTable()
 	reg := softstate.NewRegistry(clock)
 	m, err := Open(Options{Dir: dir, Clock: clock, Sync: SyncAlways,
 		SegmentBytes: 4096, Codec: stringCodec})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if err := m.Attach(store, reg); err != nil {
+	if err := m.Attach(rounds, reg); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
 
@@ -55,6 +56,7 @@ func runCrashStorm(t *testing.T, rng *rand.Rand) {
 	for i := range dnPool {
 		dnPool[i] = fmt.Sprintf("hn=h%d, ou=res, o=grid", i)
 	}
+	backendPool := []string{"static", "dynamic", "storage", "queues", "extra"}
 	keyPool := make([]string, 16)
 	for i := range keyPool {
 		keyPool[i] = fmt.Sprintf("ldap://provider-%d:2135", i)
@@ -68,26 +70,28 @@ func runCrashStorm(t *testing.T, rng *rand.Rand) {
 		}
 		return e
 	}
+	randRound := func(max int) []*ldap.Entry {
+		round := make([]*ldap.Entry, rng.Intn(max+1))
+		for j := range round {
+			round[j] = randEntry()
+		}
+		return round
+	}
+	randBackend := func() string { return backendPool[rng.Intn(len(backendPool))] }
 
 	steps := 150 + rng.Intn(150)
 	for i := 0; i < steps; i++ {
 		switch rng.Intn(10) {
-		case 0, 1, 2: // single put (insert or overwrite)
-			if err := store.Put(randEntry()); err != nil {
-				t.Fatalf("Put: %v", err)
-			}
-		case 3: // batch put
-			batch := make([]*ldap.Entry, 1+rng.Intn(5))
-			for j := range batch {
-				batch[j] = randEntry()
-			}
-			if err := store.PutAll(batch); err != nil {
-				t.Fatalf("PutAll: %v", err)
-			}
-		case 4: // remove
-			store.Remove(mustDN(t, dnPool[rng.Intn(len(dnPool))]))
-		case 5: // subtree remove of a parent
-			store.RemoveSubtree(mustDN(t, "ou=res, o=grid"))
+		case 0, 1, 2: // small round (it may be empty, or repeat a DN)
+			rounds.fill(randBackend(), randRound(3)...)
+		case 3: // large round
+			rounds.fill(randBackend(), randRound(40)...)
+		case 4: // a backend's round shrinks to nothing
+			rounds.fill(randBackend())
+		case 5: // the same backend twice in a row: only the second counts
+			b := randBackend()
+			rounds.fill(b, randRound(5)...)
+			rounds.fill(b, randRound(5)...)
 		case 6, 7: // registration refreshes
 			if rng.Intn(2) == 0 {
 				key := keyPool[rng.Intn(len(keyPool))]
@@ -119,25 +123,25 @@ func runCrashStorm(t *testing.T, rng *rand.Rand) {
 	if err := m.Barrier(); err != nil {
 		t.Fatalf("Barrier: %v", err)
 	}
-	wantStore := storeImage(store)
+	wantRounds := rounds.image()
 	wantReg := reg.Live()
 	m.Crash()
 
-	freshStore := ldap.NewStore()
+	freshRounds := newRoundTable()
 	freshReg := softstate.NewRegistry(clock)
 	m2, err := Open(Options{Dir: dir, Clock: clock, Sync: SyncAlways, Codec: stringCodec})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if _, err := m2.Recover(freshStore, freshReg); err != nil {
+	if _, err := m2.Recover(freshRounds, freshReg); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	if err := m2.Attach(freshStore, freshReg); err != nil {
+	if err := m2.Attach(freshRounds, freshReg); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
 	defer m2.Close()
 
-	sameImage(t, wantStore, storeImage(freshStore))
+	sameImage(t, wantRounds, freshRounds.image())
 	gotReg := freshReg.Live()
 	if len(gotReg) != len(wantReg) {
 		t.Fatalf("registrations: want %d, got %d", len(wantReg), len(gotReg))

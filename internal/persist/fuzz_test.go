@@ -17,8 +17,8 @@ func FuzzWALDecode(f *testing.F) {
 	e.Add("objectclass", "computer")
 	e.Add("load5", "0.25")
 	var valid []byte
-	valid = appendRecord(valid, recPut, 1, 991234, encodeEntries(nil, []*ldap.Entry{e}))
-	valid = appendRecord(valid, recRemove, 2, 991235, encodeRemove(nil, "hn=h1, ou=res, o=grid", true))
+	valid = appendRecord(valid, recRound, 1, 991234, encodeRound(nil, "dynamic", []*ldap.Entry{e, e}))
+	valid = appendRecord(valid, recRound, 2, 991235, encodeRound(nil, "static", nil))
 	valid = appendRecord(valid, recRefresh, 3, 991236, encodeRegItems(nil, []regItem{{
 		key: "ldap://p1", expiresAt: 1e9, joinedAt: 2e9, lastRefresh: 3e9,
 		refreshes: 7, payload: []byte("x"),
@@ -35,10 +35,8 @@ func FuzzWALDecode(f *testing.F) {
 			// Whatever frames survive the CRC, the payload decoders must
 			// fail gracefully, not panic.
 			switch rec.typ {
-			case recPut:
-				_, _ = decodeEntries(rec.payload)
-			case recRemove:
-				_, _, _ = decodeRemove(rec.payload)
+			case recRound:
+				_, _, _ = decodeRound(rec.payload)
 			case recRefresh:
 				_, _ = decodeRegItems(rec.payload)
 			case recRegRemove, recRegExpire:

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"os"
 	"path/filepath"
 	"sync"
@@ -56,11 +57,21 @@ type Options struct {
 	ErrorLog *log.Logger
 }
 
+// Rounds is a GRIS round table (gris.Server) as the log sees it, mirroring
+// the registry's Restore + Observe: Recover hands Restore the last journaled
+// round of each backend (entries keyed by backend name) and gets back the
+// number of entries it installed; Attach hands Observe the journal that
+// every later completed round must go to.
+type Rounds interface {
+	Restore(rounds map[string][]*ldap.Entry) int
+	Observe(journal func(backend string, entries []*ldap.Entry))
+}
+
 // RecoverStats summarizes one recovery pass.
 type RecoverStats struct {
 	SnapshotPath     string // "" when booting from WAL alone
 	SnapshotLSN      uint64 // watermark of the loaded snapshot
-	Entries          int    // directory entries restored (snapshot + tail replay)
+	Entries          int    // provider-round entries restored (snapshot + tail replay)
 	Registrations    int    // registrations restored live
 	SegmentsReplayed int
 	RecordsReplayed  int   // tail records applied (LSN past the watermark)
@@ -69,21 +80,26 @@ type RecoverStats struct {
 }
 
 // Manager owns one data directory: the WAL, its snapshots, and the wiring
-// into a store and/or registry. Lifecycle: Open → (Recover) → Attach →
+// into a round table and/or registry. Lifecycle: Open → (Recover) → Attach →
 // traffic → Close. Recover is mandatory when the directory holds prior
 // state; Attach on a dirty directory without it fails rather than
 // silently forking history.
 //
-// Manager implements ldap.Persister and softstate.Journal. Both are
-// invoked under their caller's lock and only enqueue; fsync waiting
-// happens in the ack the store runs after unlocking.
+// Manager journals both owners (JournalRound, and softstate.Journal). Each
+// is invoked under its owner's lock and only encodes and enqueues; nothing
+// waits for a record to reach the disk.
 type Manager struct {
 	opts  Options
 	clock softstate.Clock
 	wal   *wal
 
-	store *ldap.Store
-	reg   *softstate.Registry
+	reg *softstate.Registry
+
+	// rounds is the last journaled (or recovered) round of each backend,
+	// what a snapshot writes. Its entries are the rounds' own immutable
+	// snapshots, shared, never copied.
+	roundsMu sync.Mutex
+	rounds   map[string][]*ldap.Entry
 
 	// Directory scan from Open, consumed by Recover/Attach.
 	scanSegs  []segInfo
@@ -143,6 +159,7 @@ func Open(opts Options) (*Manager, error) {
 		clock:     opts.Clock,
 		scanSegs:  segs,
 		scanSnaps: snaps,
+		rounds:    map[string][]*ldap.Entry{},
 	}, nil
 }
 
@@ -152,19 +169,19 @@ func (m *Manager) HasState() bool {
 	return len(m.scanSegs) > 0 || len(m.scanSnaps) > 0
 }
 
-// Recover rebuilds store and registry state from the newest valid snapshot
-// plus the WAL tail. Either target may be nil when this directory persists
-// only the other. Must run before Attach; the targets must be otherwise
-// idle (boot time).
-func (m *Manager) Recover(store *ldap.Store, reg *softstate.Registry) (RecoverStats, error) {
+// Recover rebuilds round-table and registry state from the newest valid
+// snapshot plus the WAL tail. Either target may be nil when this directory
+// persists only the other. Must run before Attach; the targets must be
+// otherwise idle (boot time).
+func (m *Manager) Recover(rounds Rounds, reg *softstate.Registry) (RecoverStats, error) {
 	start := m.clock.Now()
 	var stats RecoverStats
 
 	// Newest snapshot that validates wins; damaged ones fall back.
-	var snapEntries []*ldap.Entry
+	roundState := map[string][]*ldap.Entry{}
 	regState := map[string]regItem{}
 	for i := len(m.scanSnaps) - 1; i >= 0; i-- {
-		wm, entries, items, err := loadSnapshot(m.scanSnaps[i].path)
+		wm, snapRounds, items, err := loadSnapshot(m.scanSnaps[i].path)
 		if err != nil {
 			if m.opts.ErrorLog != nil {
 				m.opts.ErrorLog.Printf("persist: skipping snapshot: %v", err)
@@ -173,17 +190,11 @@ func (m *Manager) Recover(store *ldap.Store, reg *softstate.Registry) (RecoverSt
 		}
 		stats.SnapshotPath = m.scanSnaps[i].path
 		stats.SnapshotLSN = wm
-		snapEntries = entries
+		roundState = snapRounds
 		for _, it := range items {
 			regState[it.key] = it
 		}
 		break
-	}
-	if store != nil && len(snapEntries) > 0 {
-		if err := store.PutAll(snapEntries); err != nil {
-			return stats, fmt.Errorf("persist: restoring snapshot entries: %w", err)
-		}
-		stats.Entries = len(snapEntries)
 	}
 	maxLSN := stats.SnapshotLSN
 
@@ -215,7 +226,7 @@ func (m *Manager) Recover(store *ldap.Store, reg *softstate.Registry) (RecoverSt
 				return nil
 			}
 			stats.RecordsReplayed++
-			return m.applyRecord(rec, store, regState)
+			return applyRecord(rec, roundState, regState)
 		})
 		if err != nil {
 			return stats, err
@@ -226,13 +237,10 @@ func (m *Manager) Recover(store *ldap.Store, reg *softstate.Registry) (RecoverSt
 			stats.TornBytes += int64(len(body) - off)
 		}
 	}
-	if store != nil {
-		// Count what the store actually holds, not just the snapshot's
-		// share: before the first snapshot every entry arrives via tail
-		// replay and would otherwise report as zero.
-		stats.Entries = len(store.All())
-	}
 
+	if rounds != nil && len(roundState) > 0 {
+		stats.Entries = rounds.Restore(roundState)
+	}
 	stats.Registrations = len(regState)
 	if reg != nil && len(regState) > 0 {
 		items := make([]softstate.Item, 0, len(regState))
@@ -248,38 +256,23 @@ func (m *Manager) Recover(store *ldap.Store, reg *softstate.Registry) (RecoverSt
 	m.stats = stats
 	m.maxLSN = maxLSN
 	m.stateMu.Unlock()
+	// A snapshot taken before the first new round must still hold the
+	// recovered ones.
+	m.roundsMu.Lock()
+	m.rounds = roundState
+	m.roundsMu.Unlock()
 	return stats, nil
 }
 
-// applyRecord replays one tail record into the store / registry state map.
-func (m *Manager) applyRecord(rec record, store *ldap.Store, regState map[string]regItem) error {
+// applyRecord replays one tail record into the round / registry state maps.
+func applyRecord(rec record, rounds map[string][]*ldap.Entry, regState map[string]regItem) error {
 	switch rec.typ {
-	case recPut:
-		entries, err := decodeEntries(rec.payload)
+	case recRound:
+		backend, entries, err := decodeRound(rec.payload)
 		if err != nil {
 			return fmt.Errorf("persist: replay at LSN %d: %w", rec.lsn, err)
 		}
-		if store != nil {
-			if err := store.PutAll(entries); err != nil {
-				return fmt.Errorf("persist: replay at LSN %d: %w", rec.lsn, err)
-			}
-		}
-	case recRemove:
-		dnStr, subtree, err := decodeRemove(rec.payload)
-		if err != nil {
-			return fmt.Errorf("persist: replay at LSN %d: %w", rec.lsn, err)
-		}
-		if store != nil {
-			dn, err := ldap.ParseDN(dnStr)
-			if err != nil {
-				return fmt.Errorf("persist: replay at LSN %d: bad DN %q", rec.lsn, dnStr)
-			}
-			if subtree {
-				store.RemoveSubtree(dn)
-			} else {
-				store.Remove(dn)
-			}
-		}
+		rounds[backend] = entries
 	case recRefresh:
 		items, err := decodeRegItems(rec.payload)
 		if err != nil {
@@ -315,11 +308,11 @@ func segmentDataLen(path string) int64 {
 }
 
 // Attach opens a fresh WAL segment after the recovered history, installs
-// the Manager as the store's Persister and a consumer of the registry's
+// the Manager as the round table's journal and a consumer of the registry's
 // transition feed, and starts the background snapshotter. Either target may
-// be nil. Attach runs after Recover, so the feed does not replay the
-// restored registrations into the log they came from.
-func (m *Manager) Attach(store *ldap.Store, reg *softstate.Registry) error {
+// be nil. Attach runs after Recover, so neither feed replays the restored
+// state into the log it came from.
+func (m *Manager) Attach(rounds Rounds, reg *softstate.Registry) error {
 	m.stateMu.Lock()
 	defer m.stateMu.Unlock()
 	if m.attached {
@@ -338,7 +331,6 @@ func (m *Manager) Attach(store *ldap.Store, reg *softstate.Registry) error {
 		return err
 	}
 	m.wal = w
-	m.store = store
 	m.reg = reg
 	if o := m.opts.Obs; o != nil {
 		w.fsyncNs = o.Histogram("persist_fsync_ns")
@@ -353,8 +345,8 @@ func (m *Manager) Attach(store *ldap.Store, reg *softstate.Registry) error {
 		o.Gauge("persist_recovered_registrations").Set(int64(m.stats.Registrations))
 	}
 	w.start()
-	if store != nil {
-		store.SetPersister(m)
+	if rounds != nil {
+		rounds.Observe(m.JournalRound)
 	}
 	if reg != nil {
 		reg.Observe(m)
@@ -386,37 +378,19 @@ func (m *Manager) noteErr(err error) {
 	}
 }
 
-// ackFor wraps a WAL batch into the ack contract: nil when the caller need
-// not wait (non-SyncAlways modes ride the flusher), else a func that blocks
-// until the batch is on disk and reports the sticky error.
-func (m *Manager) ackFor(done <-chan struct{}, err error) func() error {
-	if err != nil {
-		m.noteErr(err)
-		return func() error { return err }
-	}
-	if m.opts.Sync != SyncAlways {
-		return nil
-	}
-	return func() error {
-		<-done
-		serr := m.wal.stickyErr()
-		m.noteErr(serr)
-		return serr
-	}
-}
-
-// PersistPut implements ldap.Persister. Runs under the store lock:
-// encode + enqueue only.
-func (m *Manager) PersistPut(entries []*ldap.Entry) func() error {
-	_, done, err := m.wal.append(recPut, m.clock.Now().UnixNano(), encodeEntries(nil, entries))
-	return m.ackFor(done, err)
-}
-
-// PersistRemove implements ldap.Persister.
-func (m *Manager) PersistRemove(dn ldap.DN, subtree bool) func() error {
-	_, done, err := m.wal.append(recRemove, m.clock.Now().UnixNano(),
-		encodeRemove(nil, dn.String(), subtree))
-	return m.ackFor(done, err)
+// JournalRound records one backend's completed provider round, which
+// replaces its previous one. It runs while the round's owner still holds
+// the backend (the GRIS fills one backend's rounds one at a time, so their
+// records are in fill order): encode + enqueue, never wait — like a
+// registration, a lost round is soft state the next fill recreates. The
+// entries are kept for the next snapshot, never mutated.
+func (m *Manager) JournalRound(backend string, entries []*ldap.Entry) {
+	payload := encodeRound(nil, backend, entries)
+	m.roundsMu.Lock()
+	defer m.roundsMu.Unlock()
+	m.rounds[backend] = entries
+	_, _, err := m.wal.append(recRound, m.clock.Now().UnixNano(), payload)
+	m.noteErr(err)
 }
 
 // JournalRegistry implements softstate.Journal. Runs under the registry
@@ -505,8 +479,9 @@ func (m *Manager) Barrier() error {
 	return m.wal.stickyErr()
 }
 
-// Snapshot captures the attached store and registry to a new snapshot file
-// and truncates the WAL segments it supersedes. Safe to call concurrently
+// Snapshot captures the last round of every backend and the attached
+// registry to a new snapshot file and truncates the WAL segments it
+// supersedes. Safe to call concurrently
 // with traffic: the watermark is read BEFORE state capture, so any
 // mutation racing the capture either made it into the captured state
 // (and replays idempotently from the tail) or has an LSN past the
@@ -522,10 +497,9 @@ func (m *Manager) Snapshot() error {
 	defer m.snapMu.Unlock()
 
 	watermark := m.wal.lastAssigned()
-	var entries []*ldap.Entry
-	if m.store != nil {
-		entries = m.store.All()
-	}
+	m.roundsMu.Lock()
+	rounds := maps.Clone(m.rounds)
+	m.roundsMu.Unlock()
 	var items []regItem
 	if m.reg != nil {
 		live := m.reg.Live()
@@ -534,7 +508,7 @@ func (m *Manager) Snapshot() error {
 			items[i] = m.toRegItem(it)
 		}
 	}
-	_, size, err := writeSnapshot(m.opts.Dir, watermark, entries, items)
+	_, size, err := writeSnapshot(m.opts.Dir, watermark, rounds, items)
 	if err != nil {
 		m.noteErr(err)
 		return err
@@ -592,8 +566,8 @@ func (m *Manager) Close() error {
 }
 
 // Crash abandons the WAL without flushing — the test hook standing in for
-// kill -9. State acknowledged under SyncAlways is on disk; everything
-// pending is lost, exactly as a real crash would lose it.
+// kill -9. What a Barrier covered is on disk; everything pending is lost,
+// exactly as a real crash would lose it.
 func (m *Manager) Crash() {
 	m.stateMu.Lock()
 	if m.closed || !m.attached {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,19 +31,64 @@ func testEntry(t *testing.T, dn string, attrs ...string) *ldap.Entry {
 	return e
 }
 
-// storeImage flattens a store for comparison: DN → rendered attributes.
-func storeImage(s *ldap.Store) map[string]string {
+// roundTable is a GRIS round table in miniature (the Rounds contract): the
+// last round of each backend, installed whole by fill, which then journals
+// it. Like a GRIS, it fills different backends concurrently, and each
+// backend's rounds one at a time.
+type roundTable struct {
+	mu      sync.Mutex
+	rounds  map[string][]*ldap.Entry
+	journal func(backend string, entries []*ldap.Entry)
+}
+
+func newRoundTable() *roundTable { return &roundTable{rounds: map[string][]*ldap.Entry{}} }
+
+func (r *roundTable) Restore(rounds map[string][]*ldap.Entry) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for backend, entries := range rounds {
+		r.rounds[backend] = entries
+		n += len(entries)
+	}
+	return n
+}
+
+func (r *roundTable) Observe(journal func(backend string, entries []*ldap.Entry)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.journal = journal
+}
+
+// fill completes one provider round for backend.
+func (r *roundTable) fill(backend string, entries ...*ldap.Entry) {
+	r.mu.Lock()
+	r.rounds[backend] = entries
+	journal := r.journal
+	r.mu.Unlock()
+	if journal != nil {
+		journal(backend, entries)
+	}
+}
+
+// image flattens the table for comparison: "backend#i DN" → rendered
+// attributes, so order within a round counts too.
+func (r *roundTable) image() map[string]string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := map[string]string{}
-	for _, e := range s.All() {
-		img := ""
-		for _, a := range e.Attrs {
-			img += a.Name + "="
-			for _, v := range a.Values {
-				img += v + ","
+	for backend, entries := range r.rounds {
+		for i, e := range entries {
+			img := ""
+			for _, a := range e.Attributes() {
+				img += a.Name + "="
+				for _, v := range a.Values {
+					img += v + ","
+				}
+				img += ";"
 			}
-			img += ";"
+			out[fmt.Sprintf("%s#%d %s", backend, i, e.DN.Normalize())] = img
 		}
-		out[e.DN.Normalize()] = img
 	}
 	return out
 }
@@ -60,47 +106,48 @@ func sameImage(t *testing.T, want, got map[string]string) {
 }
 
 func openAttached(t *testing.T, dir string, clock softstate.Clock, mode SyncMode,
-	store *ldap.Store, reg *softstate.Registry) *Manager {
+	rounds Rounds, reg *softstate.Registry) *Manager {
 	t.Helper()
 	m, err := Open(Options{Dir: dir, Clock: clock, Sync: mode})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	if m.HasState() {
-		if _, err := m.Recover(store, reg); err != nil {
+		if _, err := m.Recover(rounds, reg); err != nil {
 			t.Fatalf("Recover: %v", err)
 		}
 	}
-	if err := m.Attach(store, reg); err != nil {
+	if err := m.Attach(rounds, reg); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
 	return m
 }
 
-func TestStoreRecoversFromWAL(t *testing.T) {
+// hostEntry is the one entry of backend hN's round.
+func hostEntry(t *testing.T, i int, attrs ...string) *ldap.Entry {
+	return testEntry(t, fmt.Sprintf("hn=h%d, ou=res, o=grid", i), attrs...)
+}
+
+func TestRoundsRecoverFromWAL(t *testing.T) {
 	dir := t.TempDir()
 	clock := softstate.NewFakeClock()
 
-	store := ldap.NewStore()
-	m := openAttached(t, dir, clock, SyncAlways, store, nil)
+	rounds := newRoundTable()
+	m := openAttached(t, dir, clock, SyncAlways, rounds, nil)
 	for i := 0; i < 20; i++ {
-		dn := fmt.Sprintf("hn=h%d, ou=res, o=grid", i)
-		if err := store.Put(testEntry(t, dn, "load5", fmt.Sprintf("%d", i))); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
+		rounds.fill(fmt.Sprintf("b%d", i%4), hostEntry(t, i, "load5", fmt.Sprintf("%d", i)),
+			hostEntry(t, 100+i))
 	}
-	if !store.Remove(mustDN(t, "hn=h3, ou=res, o=grid")) {
-		t.Fatal("Remove: not found")
-	}
-	if err := store.Put(testEntry(t, "hn=h5, ou=res, o=grid", "load5", "99")); err != nil {
-		t.Fatalf("Put overwrite: %v", err)
-	}
-	want := storeImage(store)
+	// A later round replaces the earlier one whole: b3's second entry goes,
+	// b1's first changes.
+	rounds.fill("b3", hostEntry(t, 19, "load5", "19"))
+	rounds.fill("b1", hostEntry(t, 17, "load5", "99"), hostEntry(t, 117))
+	want := rounds.image()
 	if err := m.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
-	fresh := ldap.NewStore()
+	fresh := newRoundTable()
 	m2, err := Open(Options{Dir: dir, Clock: clock, Sync: SyncAlways})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -115,14 +162,12 @@ func TestStoreRecoversFromWAL(t *testing.T) {
 	if stats.RecordsReplayed == 0 {
 		t.Fatal("Recover replayed no records")
 	}
-	sameImage(t, want, storeImage(fresh))
+	sameImage(t, want, fresh.image())
 	if err := m2.Attach(fresh, nil); err != nil {
 		t.Fatalf("re-Attach: %v", err)
 	}
 	// The recovered instance keeps logging past the old history.
-	if err := fresh.Put(testEntry(t, "hn=h100, ou=res, o=grid")); err != nil {
-		t.Fatalf("post-recovery Put: %v", err)
-	}
+	fresh.fill("b0", hostEntry(t, 1000))
 	if err := m2.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -131,18 +176,20 @@ func TestStoreRecoversFromWAL(t *testing.T) {
 func TestSnapshotBoundsReplayAndTruncates(t *testing.T) {
 	dir := t.TempDir()
 	clock := softstate.NewFakeClock()
-	store := ldap.NewStore()
+	rounds := newRoundTable()
 	m, err := Open(Options{Dir: dir, Clock: clock, Sync: SyncAlways, SegmentBytes: 2048})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if err := m.Attach(store, nil); err != nil {
+	if err := m.Attach(rounds, nil); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
+	// Rounds are never waited on, and one group-commit batch rotates at
+	// most once: a Barrier after each round gives it a batch of its own.
 	for i := 0; i < 200; i++ {
-		dn := fmt.Sprintf("hn=h%d, ou=res, o=grid", i)
-		if err := store.Put(testEntry(t, dn)); err != nil {
-			t.Fatalf("Put: %v", err)
+		rounds.fill(fmt.Sprintf("b%d", i), hostEntry(t, i))
+		if err := m.Barrier(); err != nil {
+			t.Fatalf("Barrier: %v", err)
 		}
 	}
 	segsBefore, _ := listSegments(dir)
@@ -157,15 +204,13 @@ func TestSnapshotBoundsReplayAndTruncates(t *testing.T) {
 		t.Fatalf("snapshot did not truncate segments: %d -> %d", len(segsBefore), len(segsAfter))
 	}
 	// Tail writes after the snapshot land in the surviving segments.
-	if err := store.Put(testEntry(t, "hn=tail, ou=res, o=grid")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	want := storeImage(store)
+	rounds.fill("tail", testEntry(t, "hn=tail, ou=res, o=grid"))
+	want := rounds.image()
 	if err := m.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
-	fresh := ldap.NewStore()
+	fresh := newRoundTable()
 	m2, err := Open(Options{Dir: dir, Clock: clock, Sync: SyncAlways})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -177,15 +222,76 @@ func TestSnapshotBoundsReplayAndTruncates(t *testing.T) {
 	if stats.SnapshotPath == "" {
 		t.Fatal("Recover ignored the snapshot")
 	}
-	// 200 from the snapshot plus the tail write replayed past the watermark.
+	// 200 from the snapshot plus the tail round replayed past the watermark.
 	if stats.Entries != 201 {
 		t.Fatalf("restored entries: want 201, got %d", stats.Entries)
 	}
-	sameImage(t, want, storeImage(fresh))
+	sameImage(t, want, fresh.image())
 	if err := m2.Attach(fresh, nil); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
 	m2.Close()
+}
+
+// TestRoundsJournalConcurrently: backends journal their rounds at once
+// while snapshots are taken; the last round of each is what recovers.
+func TestRoundsJournalConcurrently(t *testing.T) {
+	dir := t.TempDir()
+	clock := softstate.NewFakeClock()
+	rounds := newRoundTable()
+	m := openAttached(t, dir, clock, SyncNone, rounds, nil)
+	var wg sync.WaitGroup
+	for b := 0; b < 4; b++ {
+		wg.Add(1)
+		go func(b int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				rounds.fill(fmt.Sprintf("b%d", b), hostEntry(t, b, "round", fmt.Sprint(i)))
+			}
+		}(b)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 5; i++ {
+			if err := m.Snapshot(); err != nil {
+				t.Errorf("Snapshot: %v", err)
+			}
+		}
+	}()
+	wg.Wait()
+	want := rounds.image()
+	if err := m.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	fresh := newRoundTable()
+	openAttached(t, dir, clock, SyncNone, fresh, nil).Close()
+	sameImage(t, want, fresh.image())
+}
+
+// TestSnapshotAfterRecoveryKeepsRounds: a snapshot taken after a restart,
+// before any backend has filled a new round, still holds the recovered
+// rounds — it truncates the segments they came from.
+func TestSnapshotAfterRecoveryKeepsRounds(t *testing.T) {
+	dir := t.TempDir()
+	clock := softstate.NewFakeClock()
+	rounds := newRoundTable()
+	m := openAttached(t, dir, clock, SyncAlways, rounds, nil)
+	rounds.fill("b0", hostEntry(t, 0))
+	rounds.fill("b1", hostEntry(t, 1), hostEntry(t, 2))
+	want := rounds.image()
+	m.Close()
+
+	for boot := 1; boot <= 2; boot++ {
+		fresh := newRoundTable()
+		m := openAttached(t, dir, clock, SyncAlways, fresh, nil)
+		sameImage(t, want, fresh.image())
+		if err := m.Snapshot(); err != nil {
+			t.Fatalf("boot %d: Snapshot: %v", boot, err)
+		}
+		m.Close()
+	}
 }
 
 func TestRegistryRecoveryGraceWindow(t *testing.T) {
@@ -254,15 +360,12 @@ func TestRegistryRecoveryGraceWindow(t *testing.T) {
 func TestTornTailTruncatesCleanly(t *testing.T) {
 	dir := t.TempDir()
 	clock := softstate.NewFakeClock()
-	store := ldap.NewStore()
-	m := openAttached(t, dir, clock, SyncAlways, store, nil)
+	rounds := newRoundTable()
+	m := openAttached(t, dir, clock, SyncAlways, rounds, nil)
 	for i := 0; i < 10; i++ {
-		dn := fmt.Sprintf("hn=h%d, ou=res, o=grid", i)
-		if err := store.Put(testEntry(t, dn)); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
+		rounds.fill(fmt.Sprintf("b%d", i), hostEntry(t, i))
 	}
-	want := storeImage(store)
+	want := rounds.image()
 	if err := m.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -282,9 +385,9 @@ func TestTornTailTruncatesCleanly(t *testing.T) {
 	if err := os.WriteFile(last, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	delete(want, mustDN(t, "hn=h9, ou=res, o=grid").Normalize()) // the torn record
+	delete(want, "b9#0 "+mustDN(t, "hn=h9, ou=res, o=grid").Normalize()) // the torn record
 
-	fresh := ldap.NewStore()
+	fresh := newRoundTable()
 	m2, err := Open(Options{Dir: dir, Clock: clock, Sync: SyncAlways})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -296,7 +399,7 @@ func TestTornTailTruncatesCleanly(t *testing.T) {
 	if stats.TornBytes == 0 {
 		t.Fatal("TornBytes: want > 0")
 	}
-	sameImage(t, want, storeImage(fresh))
+	sameImage(t, want, fresh.image())
 	if err := m2.Attach(fresh, nil); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
@@ -306,18 +409,16 @@ func TestTornTailTruncatesCleanly(t *testing.T) {
 func TestAttachRefusesDirtyDirWithoutRecover(t *testing.T) {
 	dir := t.TempDir()
 	clock := softstate.NewFakeClock()
-	store := ldap.NewStore()
-	m := openAttached(t, dir, clock, SyncAlways, store, nil)
-	if err := store.Put(testEntry(t, "hn=h0, ou=res, o=grid")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
+	rounds := newRoundTable()
+	m := openAttached(t, dir, clock, SyncAlways, rounds, nil)
+	rounds.fill("b0", hostEntry(t, 0))
 	m.Close()
 
 	m2, err := Open(Options{Dir: dir, Clock: clock})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if err := m2.Attach(ldap.NewStore(), nil); err == nil {
+	if err := m2.Attach(newRoundTable(), nil); err == nil {
 		t.Fatal("Attach on dirty dir without Recover: want error")
 	}
 }
@@ -325,18 +426,15 @@ func TestAttachRefusesDirtyDirWithoutRecover(t *testing.T) {
 func TestSnapshotSkippedWhenDamaged(t *testing.T) {
 	dir := t.TempDir()
 	clock := softstate.NewFakeClock()
-	store := ldap.NewStore()
-	m := openAttached(t, dir, clock, SyncAlways, store, nil)
+	rounds := newRoundTable()
+	m := openAttached(t, dir, clock, SyncAlways, rounds, nil)
 	for i := 0; i < 5; i++ {
-		dn := fmt.Sprintf("hn=h%d, ou=res, o=grid", i)
-		if err := store.Put(testEntry(t, dn)); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
+		rounds.fill(fmt.Sprintf("b%d", i), hostEntry(t, i))
 	}
 	if err := m.Snapshot(); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	want := storeImage(store)
+	want := rounds.image()
 	m.Close()
 
 	// Truncate the snapshot: the end marker disappears, so recovery must
@@ -355,7 +453,7 @@ func TestSnapshotSkippedWhenDamaged(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fresh := ldap.NewStore()
+	fresh := newRoundTable()
 	m2, err := Open(Options{Dir: dir, Clock: clock})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -367,7 +465,7 @@ func TestSnapshotSkippedWhenDamaged(t *testing.T) {
 	if stats.SnapshotPath != "" {
 		t.Fatal("damaged snapshot should have been skipped")
 	}
-	sameImage(t, want, storeImage(fresh))
+	sameImage(t, want, fresh.image())
 }
 
 func TestParseSyncMode(t *testing.T) {
@@ -393,18 +491,16 @@ func TestParseSyncMode(t *testing.T) {
 
 func TestSyncIntervalFlushesOnTimer(t *testing.T) {
 	dir := t.TempDir()
-	store := ldap.NewStore()
+	rounds := newRoundTable()
 	// Real clock: the interval timer must actually fire.
 	m, err := Open(Options{Dir: dir, Sync: SyncInterval, SyncEvery: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if err := m.Attach(store, nil); err != nil {
+	if err := m.Attach(rounds, nil); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
-	if err := store.Put(testEntry(t, "hn=h0, ou=res, o=grid")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
+	rounds.fill("b0", hostEntry(t, 0))
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		segs, _ := listSegments(dir)

@@ -1,31 +1,32 @@
 // Package persist implements write-ahead-log + snapshot durability for the
-// in-memory directory store (ldap.Store) and the soft-state registration
-// registry (softstate.Registry).
+// two owners of soft state: a GRIS's round table (the last completed round
+// of each cached provider, gris.Server) and a GIIS's registration registry
+// (softstate.Registry).
 //
 // The paper's design is all soft state: a restarted GRIS or GIIS forgets
-// every entry and registration and must wait out a full re-upload storm —
-// the dominant cold-start cost the MDS performance studies identify. This
-// package bounds recovery by snapshot size plus WAL tail instead:
+// every cached round and registration and must wait out a full re-upload
+// storm or a cold stampede of provider invocations. This package bounds
+// recovery by snapshot size plus WAL tail instead:
 //
-//   - Mutations (Put/PutAll/Modify/Delete on the store; register,
-//     refresh-batch, expire, remove on the registry) append checksummed,
-//     length-prefixed records to a group-committed, segment-rotated WAL.
-//     Appends enqueue under the caller's lock and never block; a single
-//     flusher goroutine writes and fsyncs whole batches, so one fsync
-//     acknowledges every mutation queued behind it.
-//   - A background snapshotter serializes the store's sealed copy-on-write
-//     entry snapshots plus the registry's live items, then truncates the
-//     WAL segments the snapshot supersedes.
-//   - Boot is snapshot-load + tail-replay: the DN tree, attribute indexes,
-//     and soft-state deadlines rebuild from disk, with recovered
-//     registrations served under a grace window until their first
+//   - Each owner journals its transitions (a completed provider round on
+//     the GRIS; register, refresh-batch, expire, remove on the registry)
+//     as checksummed, length-prefixed records in a group-committed,
+//     segment-rotated WAL. Journaling encodes and enqueues and never
+//     blocks; a single flusher goroutine writes and fsyncs whole batches.
+//     Nothing waits on a record: Barrier draws the durability line.
+//   - A background snapshotter writes the last journaled round of every
+//     backend plus the registry's live items, then truncates the WAL
+//     segments the snapshot supersedes.
+//   - Boot is snapshot-load + tail-replay: the rounds go back to the GRIS,
+//     which serves them until their warm grace runs out, and recovered
+//     registrations are served under a grace window until their first
 //     post-boot refresh or TTL lapse.
 //
-// Every record carries absolute values (entries are full upserts; registry
-// records carry absolute deadlines and counters), which makes tail replay
-// over a newer snapshot idempotent: the snapshot watermark is read before
-// state capture, so a record may be both inside the snapshot and replayed,
-// and converges either way.
+// Every record carries absolute values (a round replaces its backend's
+// previous one; registry records carry absolute deadlines and counters),
+// which makes tail replay over a newer snapshot idempotent: the snapshot
+// watermark is read before state capture, so a record may be both inside
+// the snapshot and replayed, and converges either way.
 package persist
 
 import (
@@ -37,14 +38,15 @@ import (
 	"mds2/internal/ldap"
 )
 
-// Record types. WAL segments and snapshot bodies share one framing.
+// Record types. WAL segments and snapshot bodies share one framing. Types 1
+// and 2 (directory-store upserts and removals) are retired: a data directory
+// that holds them fails recovery with "unknown record type".
 const (
-	recPut       byte = 1 // batch of full entry upserts (Put/PutAll/Modify)
-	recRemove    byte = 2 // one DN removal, optionally its whole subtree
 	recRefresh   byte = 3 // batch of absolute-state registration refreshes
 	recRegRemove byte = 4 // explicit registration removals (keys)
 	recRegExpire byte = 5 // TTL expirations observed by the registry (keys)
 	recSnapEnd   byte = 6 // snapshot end marker: counts prove completeness
+	recRound     byte = 7 // one backend's completed provider round
 )
 
 // Framing: u32le body length | u32le CRC-32C of the body | body.
@@ -54,7 +56,7 @@ const (
 	bodyHeader  = 17
 	// maxRecordBytes bounds a single record (a decode-side sanity check so
 	// a corrupt length prefix cannot drive a giant allocation). The largest
-	// legitimate producer is a snapshot entry batch, far below this.
+	// legitimate producer is one provider round, far below this.
 	maxRecordBytes = 1 << 26
 )
 
@@ -199,10 +201,11 @@ func capHint(n uint64, max int) int {
 	return int(n)
 }
 
-// encodeEntries renders a put batch: each entry as its DN string plus its
-// attributes. The entries are the store's sealed snapshots — read here,
-// never retained or mutated.
-func encodeEntries(buf []byte, entries []*ldap.Entry) []byte {
+// encodeRound renders one provider round: the backend name, then each
+// entry as its DN string plus its attributes. The entries are the round's
+// immutable snapshots — read here, never retained or mutated.
+func encodeRound(buf []byte, backend string, entries []*ldap.Entry) []byte {
+	buf = appendString(buf, backend)
 	buf = binary.AppendUvarint(buf, uint64(len(entries)))
 	for _, e := range entries {
 		buf = appendString(buf, e.DN.String())
@@ -219,41 +222,45 @@ func encodeEntries(buf []byte, entries []*ldap.Entry) []byte {
 	return buf
 }
 
-func decodeEntries(payload []byte) ([]*ldap.Entry, error) {
+func decodeRound(payload []byte) (string, []*ldap.Entry, error) {
 	r := &reader{b: payload}
+	backend, err := r.str()
+	if err != nil {
+		return "", nil, err
+	}
 	n, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	entries := make([]*ldap.Entry, 0, capHint(n, 1024))
 	for i := uint64(0); i < n; i++ {
 		dnStr, err := r.str()
 		if err != nil {
-			return nil, err
+			return "", nil, err
 		}
 		dn, err := ldap.ParseDN(dnStr)
 		if err != nil {
-			return nil, fmt.Errorf("%w: bad DN %q: %v", errCorrupt, dnStr, err)
+			return "", nil, fmt.Errorf("%w: bad DN %q: %v", errCorrupt, dnStr, err)
 		}
 		na, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return "", nil, err
 		}
 		attrs := make([]ldap.Attribute, 0, capHint(na, 256))
 		for j := uint64(0); j < na; j++ {
 			name, err := r.str()
 			if err != nil {
-				return nil, err
+				return "", nil, err
 			}
 			nv, err := r.uvarint()
 			if err != nil {
-				return nil, err
+				return "", nil, err
 			}
 			vals := make([]string, 0, capHint(nv, 256))
 			for k := uint64(0); k < nv; k++ {
 				v, err := r.str()
 				if err != nil {
-					return nil, err
+					return "", nil, err
 				}
 				vals = append(vals, v)
 			}
@@ -262,33 +269,9 @@ func decodeEntries(payload []byte) ([]*ldap.Entry, error) {
 		entries = append(entries, &ldap.Entry{DN: dn, Attrs: attrs})
 	}
 	if r.off != len(r.b) {
-		return nil, errCorrupt
+		return "", nil, errCorrupt
 	}
-	return entries, nil
-}
-
-func encodeRemove(buf []byte, dn string, subtree bool) []byte {
-	buf = appendString(buf, dn)
-	if subtree {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
-}
-
-func decodeRemove(payload []byte) (string, bool, error) {
-	r := &reader{b: payload}
-	dn, err := r.str()
-	if err != nil {
-		return "", false, err
-	}
-	sub, err := r.byte()
-	if err != nil {
-		return "", false, err
-	}
-	if r.off != len(r.b) || sub > 1 {
-		return "", false, errCorrupt
-	}
-	return dn, sub == 1, nil
+	return backend, entries, nil
 }
 
 // regItem is the journaled absolute state of one registration. Every field
@@ -401,14 +384,14 @@ func decodeKeys(payload []byte) ([]string, error) {
 // encodeSnapEnd seals a snapshot body: the counts double as a completeness
 // proof (a partially written snapshot cannot end with a valid marker whose
 // counts match what was read).
-func encodeSnapEnd(buf []byte, entries, items int) []byte {
-	buf = binary.AppendUvarint(buf, uint64(entries))
+func encodeSnapEnd(buf []byte, rounds, items int) []byte {
+	buf = binary.AppendUvarint(buf, uint64(rounds))
 	return binary.AppendUvarint(buf, uint64(items))
 }
 
-func decodeSnapEnd(payload []byte) (entries, items uint64, err error) {
+func decodeSnapEnd(payload []byte) (rounds, items uint64, err error) {
 	r := &reader{b: payload}
-	if entries, err = r.uvarint(); err != nil {
+	if rounds, err = r.uvarint(); err != nil {
 		return 0, 0, err
 	}
 	if items, err = r.uvarint(); err != nil {
@@ -417,5 +400,5 @@ func decodeSnapEnd(payload []byte) (entries, items uint64, err error) {
 	if r.off != len(r.b) {
 		return 0, 0, errCorrupt
 	}
-	return entries, items, nil
+	return rounds, items, nil
 }

@@ -13,13 +13,14 @@ import (
 // Snapshot files are named snap-%016x.snap, the hex digits being the WAL
 // watermark the snapshot captured: every record with LSN ≤ watermark is
 // reflected in the snapshot body, so recovery replays only the tail past
-// it. The body reuses the WAL record framing (recPut / recRefresh batches,
-// LSN field zero) and ends with a recSnapEnd marker whose entry/item
-// counts prove the file was written to completion — a truncated snapshot
-// fails validation and recovery falls back to the previous one.
+// it. The body reuses the WAL record framing (one recRound per backend,
+// recRefresh batches, LSN field zero) and ends with a recSnapEnd marker
+// whose round/item counts prove the file was written to completion — a
+// truncated snapshot fails validation and recovery falls back to the
+// previous one.
 const (
 	snapHeader    = len(snapMagic) + 8 // magic + u64le watermark
-	snapBatchSize = 256                // entries or registry items per record
+	snapBatchSize = 256                // registry items per record
 )
 
 func snapshotName(watermark uint64) string {
@@ -57,18 +58,14 @@ func listSnapshots(dir string) ([]snapInfo, error) {
 // and renames it into place (then fsyncs the directory) so a crash leaves
 // either the complete new snapshot or none of it. Returns the final path
 // and the serialized size.
-func writeSnapshot(dir string, watermark uint64, entries []*ldap.Entry, items []regItem) (string, int64, error) {
-	buf := make([]byte, 0, snapHeader+len(entries)*256+len(items)*128)
+func writeSnapshot(dir string, watermark uint64, rounds map[string][]*ldap.Entry, items []regItem) (string, int64, error) {
+	buf := make([]byte, 0, snapHeader+len(items)*128)
 	buf = append(buf, snapMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, watermark)
 	var payload []byte
-	for i := 0; i < len(entries); i += snapBatchSize {
-		end := i + snapBatchSize
-		if end > len(entries) {
-			end = len(entries)
-		}
-		payload = encodeEntries(payload[:0], entries[i:end])
-		buf = appendRecord(buf, recPut, 0, 0, payload)
+	for backend, entries := range rounds {
+		payload = encodeRound(payload[:0], backend, entries)
+		buf = appendRecord(buf, recRound, 0, 0, payload)
 	}
 	for i := 0; i < len(items); i += snapBatchSize {
 		end := i + snapBatchSize
@@ -78,7 +75,7 @@ func writeSnapshot(dir string, watermark uint64, entries []*ldap.Entry, items []
 		payload = encodeRegItems(payload[:0], items[i:end])
 		buf = appendRecord(buf, recRefresh, 0, 0, payload)
 	}
-	payload = encodeSnapEnd(payload[:0], len(entries), len(items))
+	payload = encodeSnapEnd(payload[:0], len(rounds), len(items))
 	buf = appendRecord(buf, recSnapEnd, 0, 0, payload)
 
 	tmp, err := os.CreateTemp(dir, "tmp-snap-*")
@@ -125,7 +122,7 @@ func syncDir(dir string) {
 // record scan to exactly the end, a final recSnapEnd whose counts match
 // what was decoded. Any deviation returns an error and the caller tries an
 // older snapshot.
-func loadSnapshot(path string) (watermark uint64, entries []*ldap.Entry, items []regItem, err error) {
+func loadSnapshot(path string) (watermark uint64, rounds map[string][]*ldap.Entry, items []regItem, err error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return 0, nil, nil, err
@@ -135,18 +132,21 @@ func loadSnapshot(path string) (watermark uint64, entries []*ldap.Entry, items [
 	}
 	watermark = binary.LittleEndian.Uint64(b[len(snapMagic):])
 	body := b[snapHeader:]
+	rounds = map[string][]*ldap.Entry{}
+	nrounds := 0 // round records read, duplicates included
 	sealed := false
 	off, err := scanRecords(body, func(rec record) error {
 		if sealed {
 			return fmt.Errorf("persist: %s: record after end marker", path)
 		}
 		switch rec.typ {
-		case recPut:
-			es, err := decodeEntries(rec.payload)
+		case recRound:
+			backend, entries, err := decodeRound(rec.payload)
 			if err != nil {
 				return err
 			}
-			entries = append(entries, es...)
+			rounds[backend] = entries
+			nrounds++
 		case recRefresh:
 			is, err := decodeRegItems(rec.payload)
 			if err != nil {
@@ -154,11 +154,11 @@ func loadSnapshot(path string) (watermark uint64, entries []*ldap.Entry, items [
 			}
 			items = append(items, is...)
 		case recSnapEnd:
-			ne, ni, err := decodeSnapEnd(rec.payload)
+			nr, ni, err := decodeSnapEnd(rec.payload)
 			if err != nil {
 				return err
 			}
-			if ne != uint64(len(entries)) || ni != uint64(len(items)) {
+			if nr != uint64(nrounds) || ni != uint64(len(items)) {
 				return fmt.Errorf("persist: %s: snapshot counts mismatch", path)
 			}
 			sealed = true
@@ -173,5 +173,5 @@ func loadSnapshot(path string) (watermark uint64, entries []*ldap.Entry, items [
 	if !sealed || off != len(body) {
 		return 0, nil, nil, fmt.Errorf("persist: %s: truncated snapshot", path)
 	}
-	return watermark, entries, items, nil
+	return watermark, rounds, items, nil
 }

@@ -13,13 +13,14 @@ import (
 	"mds2/internal/softstate"
 )
 
-// SyncMode selects when the WAL fsyncs relative to acknowledging mutations.
+// SyncMode selects when the WAL fsyncs what its group-commit batches wrote.
 type SyncMode int
 
 const (
-	// SyncAlways fsyncs before any mutation in the batch is acknowledged:
-	// every acknowledged write survives kill -9. Group commit keeps this
-	// affordable — one fsync covers the whole batch queued behind it.
+	// SyncAlways fsyncs every group-commit batch before the next one:
+	// everything a returned Barrier covered survives power loss. Group
+	// commit keeps this affordable — one fsync covers the whole batch
+	// queued behind it. Nothing but Barrier waits for it.
 	SyncAlways SyncMode = iota
 	// SyncInterval fsyncs at most once per Options.SyncEvery. A crash can
 	// lose the unsynced tail, never corrupt it: the checksummed framing
@@ -94,11 +95,12 @@ func listSegments(dir string) ([]segInfo, error) {
 // wal is the group-committed, segment-rotated log. append frames records
 // into a pending buffer under mu and never blocks; the single flusher
 // goroutine swaps the buffer out, writes it in one syscall, fsyncs per the
-// sync mode, and closes the batch's done channel — so one fsync
-// acknowledges every mutation that queued behind it.
+// sync mode, and closes the batch's done channel — so one fsync covers
+// every record that queued behind it.
 //
 // Failures are fail-stop: the first write or fsync error sticks, every
-// subsequent append and ack reports it, and nothing further reaches disk.
+// subsequent append and Barrier reports it, and nothing further reaches
+// disk.
 type wal struct {
 	dir       string
 	clock     softstate.Clock
@@ -385,8 +387,8 @@ func (w *wal) close() error {
 }
 
 // crash abandons the log without flushing the pending buffer — the test
-// hook simulating an abrupt kill. Acknowledged SyncAlways batches are
-// already on disk; everything still pending is deliberately dropped.
+// hook simulating an abrupt kill. Flushed batches are already in the
+// file; everything still pending is deliberately dropped.
 func (w *wal) crash() {
 	w.mu.Lock()
 	if w.err == nil {
