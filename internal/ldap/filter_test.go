@@ -2,7 +2,9 @@ package ldap
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"unicode"
@@ -457,6 +459,37 @@ func TestSortEntriesDeterministic(t *testing.T) {
 		if e.DN.String() != want[i] {
 			t.Errorf("pos %d: %q, want %q", i, e.DN, want[i])
 		}
+	}
+}
+
+// TestSortEntriesOrderAndSortedInputZeroAlloc: SortEntries orders any input by
+// depth, then Normalize key, and leaves input already in that order as it
+// is — allocating nothing once its scratch has grown.
+func TestSortEntriesOrderAndSortedInputZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var entries []*Entry
+	for i := 0; i < 60; i++ {
+		dn := fmt.Sprintf("hn=H%d, ou=S%d, o=grid", rng.Intn(40), rng.Intn(4))
+		if i%7 == 0 {
+			dn = fmt.Sprintf("ou=s%d, o=Grid", rng.Intn(4))
+		}
+		entries = append(entries, NewEntry(MustParseDN(dn)))
+	}
+	key := func(e *Entry) string { return fmt.Sprintf("%03d %s", len(e.DN), e.DN.Normalize()) }
+	for round := 0; round < 5; round++ {
+		rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+		SortEntries(entries)
+		if !slices.IsSortedFunc(entries, func(a, b *Entry) int { return strings.Compare(key(a), key(b)) }) {
+			t.Fatalf("round %d: not in depth, Normalize order", round)
+		}
+	}
+	sorted := slices.Clone(entries)
+	n := testing.AllocsPerRun(100, func() { SortEntries(entries) })
+	if !slices.Equal(entries, sorted) {
+		t.Error("sorting a sorted slice moved its entries")
+	}
+	if allocsExact && n != 0 {
+		t.Errorf("sorting a sorted slice makes %.0f allocations, want 0", n)
 	}
 }
 

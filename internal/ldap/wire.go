@@ -103,6 +103,37 @@ func ScanMessage(frame []byte) (*Message, error) {
 	return scanMessage(frame, false)
 }
 
+// scanDone is ScanMessage for a SearchResultDone frame, built into into
+// instead of an allocation of its own.
+func scanDone(frame []byte, into *doneMessage) (*Message, error) {
+	var s scanner
+	s.done(frame, into)
+	if s.err != nil {
+		return nil, s.err
+	}
+	s.second()
+	return s.done(s.owned(frame), into), s.err
+}
+
+// done reads a SearchResultDone message into into, as message would.
+func (s *scanner) done(frame []byte, into *doneMessage) *Message {
+	id, op, list := s.envelope(frame)
+	if s.err != nil {
+		return nil
+	}
+	s.op = op[0]
+	_, body, _ := s.elem(op)
+	r, body := s.result(body)
+	s.end(body, "result")
+	ctls := s.controls(list)
+	if !s.build || s.err != nil {
+		return nil
+	}
+	into.op = SearchResultDone{r}
+	into.msg = Message{ID: id, Op: &into.op, Controls: ctls}
+	return &into.msg
+}
+
 // DecodeMessage decodes one LDAPMessage from its BER element, by scanning
 // the element marshaled back to bytes. It is an adapter for the one caller
 // left holding a Packet, bench's layer pass (bench/cmd/bench/layers.go), and

@@ -156,15 +156,14 @@ func TestWireScannerRefuses(t *testing.T) {
 }
 
 // discardSearchWriter is the server's search writer over a connection whose
-// far end discards what it is sent. Its connWriter runs no idle-flush
-// goroutine, whose timers would count against an allocation budget: pending
-// frames drain once they pass flushThreshold, as they do mid-search.
+// far end discards what it is sent. Its idle timer runs on a clock that
+// never moves, so pending frames stay in the buffer for a test to read, and
+// drain once they pass flushThreshold, as they do mid-search.
 func discardSearchWriter(t *testing.T, id int64) *connSearchWriter {
 	near, far := net.Pipe()
 	t.Cleanup(func() { near.Close() })
 	go io.Copy(io.Discard, far)
-	w := &connWriter{conn: near, clock: softstate.RealClock{},
-		wake: make(chan struct{}, 1), done: make(chan struct{})}
+	w := newConnWriter(near, softstate.NewFakeClock(), nil)
 	return &connSearchWriter{conn: &serverConn{w: w}, id: id}
 }
 
@@ -466,9 +465,25 @@ func TestSearchEqualsTreeDecode(t *testing.T) {
 }
 
 // searchAllocs reports the allocations of one SearchWith per result entry,
-// on the calling side of the connection only: the server is a canned reply
-// written by a goroutine that allocates nothing.
+// on the calling side of the connection only (see cannedClient).
 func searchAllocs(t *testing.T, n int, use func([]*Entry)) float64 {
+	t.Helper()
+	c := cannedClient(t, n)
+	req := &SearchRequest{BaseDN: "o=grid", Scope: ScopeWholeSubtree}
+	perSearch := testing.AllocsPerRun(20, func() {
+		res, err := c.SearchWith(req, nil)
+		if err != nil || len(res.Entries) != n {
+			t.Fatalf("canned search: %v, %v", res, err)
+		}
+		use(res.Entries)
+	})
+	return perSearch / float64(n)
+}
+
+// cannedClient is a Client whose server answers every request, as a search,
+// with the same n entries and a done message: a canned reply written by a
+// goroutine that allocates nothing.
+func cannedClient(t *testing.T, n int) *Client {
 	t.Helper()
 	var reply []byte
 	for i := 0; i < n; i++ {
@@ -476,8 +491,10 @@ func searchAllocs(t *testing.T, n int, use func([]*Entry)) float64 {
 	}
 	client, server := net.Pipe()
 	c := NewClient(client)
-	defer c.Close()
-	defer server.Close()
+	t.Cleanup(func() {
+		c.Close()
+		server.Close()
+	})
 	go func() {
 		// Message IDs are patched into the canned frames: they stay below
 		// 128 here, so the INTEGER keeps its one content octet.
@@ -498,15 +515,31 @@ func searchAllocs(t *testing.T, n int, use func([]*Entry)) float64 {
 			server.Write(done)
 		}
 	}()
+	return c
+}
+
+// TestCollectedSearchAllocationBudget: once a Client has completed a search,
+// the next collected search reuses its routing state — op, reply channel,
+// timeout timer, and the done message built into the op — and costs its
+// caller its SearchResult and the handed-over entry slice: 2 allocations.
+// (AllocsPerRun counts whole allocations per run, so the one entry's
+// shares of the connection's entry, name and read-chunk slabs, ≈ 0.1, do
+// not show.) A fresh op, its channel, its timer and the done message took
+// 8 more (10 in all).
+func TestCollectedSearchAllocationBudget(t *testing.T) {
+	c := cannedClient(t, 1)
 	req := &SearchRequest{BaseDN: "o=grid", Scope: ScopeWholeSubtree}
-	perSearch := testing.AllocsPerRun(20, func() {
+	// The canned IDs stay below 128 (see cannedClient).
+	n := testing.AllocsPerRun(100, func() {
 		res, err := c.SearchWith(req, nil)
-		if err != nil || len(res.Entries) != n {
+		if err != nil || len(res.Entries) != 1 {
 			t.Fatalf("canned search: %v, %v", res, err)
 		}
-		use(res.Entries)
 	})
-	return perSearch / float64(n)
+	t.Logf("allocations per warmed-up collected search of one entry: %.0f", n)
+	if n > 2 {
+		t.Errorf("a warmed-up collected search makes %.0f allocations, want 2: its SearchResult and entry slice", n)
+	}
 }
 
 // TestClientSearchAllocationBudget: a collected search costs its caller at

@@ -450,6 +450,159 @@ func TestSearchTimeoutOnInjectedClock(t *testing.T) {
 	}
 }
 
+// heldSearches answers each search with three entries under its base and
+// a done message, but only once the test closes that base's release
+// channel, and whether or not the search was abandoned meanwhile.
+type heldSearches struct {
+	BaseHandler
+	started chan string
+	release map[string]chan struct{}
+}
+
+func (h *heldSearches) Search(_ *Request, req *SearchRequest, w SearchWriter) Result {
+	h.started <- req.BaseDN
+	<-h.release[req.BaseDN]
+	for i := 0; i < 3; i++ {
+		e := NewEntry(MustParseDN(fmt.Sprintf("hn=h%d, %s", i, req.BaseDN))).Add("objectclass", "computer")
+		if err := w.SendEntry(e); err != nil {
+			return Result{Code: ResultOther}
+		}
+	}
+	return Result{Code: ResultSuccess}
+}
+
+// TestLateReplyNeverReachesRecycledOp: a search that times out gives up its
+// routing state for good. Search 1 takes the op a completed search left for
+// reuse and times out on the client's FakeClock; its reply arrives only
+// while search 2 is in flight on the same Client. Search 2 gets exactly its
+// own entries and done message, every frame of the late reply is counted in
+// UnknownResponses, and search 2's op is kept for the next search.
+func TestLateReplyNeverReachesRecycledOp(t *testing.T) {
+	h := &heldSearches{started: make(chan string, 3), release: map[string]chan struct{}{
+		"ou=warm": make(chan struct{}), "ou=late": make(chan struct{}), "ou=prompt": make(chan struct{}),
+	}}
+	released := map[string]bool{}
+	release := func(base string) {
+		released[base] = true
+		close(h.release[base])
+	}
+	release("ou=warm")
+	srv := NewServer(h)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(func() { // a failed test leaves no handler waiting
+		for base := range h.release {
+			if !released[base] {
+				release(base)
+			}
+		}
+	})
+	c, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	fc := softstate.NewFakeClock()
+	c.Clock, c.Timeout = fc, time.Hour
+
+	reusable := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.free)
+	}
+	search := func(base string) (*SearchResult, error) {
+		return c.SearchWith(&SearchRequest{BaseDN: base, Scope: ScopeWholeSubtree}, nil)
+	}
+	started := func(base string) {
+		select {
+		case got := <-h.started:
+			if got != base {
+				t.Fatalf("server started %q, want %q", got, base)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("the search of %q never reached the server", base)
+		}
+	}
+	sameEntries := func(what string, res *SearchResult, base string) {
+		t.Helper()
+		if len(res.Entries) != 3 || res.Result.Code != ResultSuccess {
+			t.Fatalf("%s: %d entries, result %+v", what, len(res.Entries), res.Result)
+		}
+		for i, e := range res.Entries {
+			if want := MustParseDN(fmt.Sprintf("hn=h%d, %s", i, base)); !e.DN.Equal(want) {
+				t.Fatalf("%s: entry %d is %s, want %s", what, i, e.DN, want)
+			}
+		}
+	}
+
+	res, err := search("ou=warm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	started("ou=warm")
+	sameEntries("search 0", res, "ou=warm")
+	if n := reusable(); n != 1 {
+		t.Fatalf("a completed search left %d ops for reuse, want 1", n)
+	}
+
+	late := make(chan error, 1)
+	go func() {
+		_, err := search("ou=late")
+		late <- err
+	}()
+	started("ou=late")
+	// The search armed its timer before its request left, so one step of
+	// the clock times it out.
+	fc.Advance(c.Timeout)
+	select {
+	case err := <-late:
+		if err == nil || !strings.Contains(err.Error(), "timed out") {
+			t.Fatalf("search 1: want a timeout, got %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("search 1 never timed out on the fake clock")
+	}
+	if n, free := c.pendingCount(), reusable(); n != 0 || free != 0 {
+		t.Fatalf("after the timeout: %d ops routable, %d kept for reuse; want 0 and 0", n, free)
+	}
+
+	prompt := make(chan *SearchResult, 1)
+	go func() {
+		res, err := search("ou=prompt")
+		if err != nil {
+			t.Errorf("search 2: %v", err)
+		}
+		prompt <- res
+	}()
+	started("ou=prompt")
+	release("ou=late")
+	for start := time.Now(); c.UnknownResponses.Value() < 4; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("late reply: %d of its 4 frames counted as unknown", c.UnknownResponses.Value())
+		}
+	}
+	release("ou=prompt")
+	select {
+	case res := <-prompt:
+		if res == nil {
+			t.FailNow()
+		}
+		sameEntries("search 2", res, "ou=prompt")
+	case <-time.After(5 * time.Second):
+		t.Fatal("search 2 never completed")
+	}
+	if got := c.UnknownResponses.Value(); got != 4 {
+		t.Fatalf("UnknownResponses = %d, want the late reply's 4 frames", got)
+	}
+	if n := reusable(); n != 1 {
+		t.Fatalf("search 2 left %d ops for reuse, want 1", n)
+	}
+}
+
 // BenchmarkMessageEncode compares the direct emitter against the
 // Packet-tree reference path on a representative streamed search entry.
 func BenchmarkMessageEncode(b *testing.B) {

@@ -39,7 +39,8 @@ type Options struct {
 	Sync SyncMode
 	// SyncEvery is the SyncInterval fsync cadence. Default 100ms.
 	SyncEvery time.Duration
-	// SegmentBytes rotates the WAL once a segment reaches this size.
+	// SegmentBytes rotates the WAL once a segment reaches this size: a
+	// segment ends at most one record past it.
 	// Default 16 MiB.
 	SegmentBytes int64
 	// SnapshotEvery runs the background snapshotter at this cadence;

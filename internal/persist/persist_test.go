@@ -233,6 +233,82 @@ func TestSnapshotBoundsReplayAndTruncates(t *testing.T) {
 	m2.Close()
 }
 
+// TestBurstRotatesAtRecordBoundaries: rounds journaled in a burst, with no
+// wait between them, reach the flusher as a few large group-commit batches.
+// Each batch is cut at record boundaries, so every segment ends at most one
+// record past SegmentBytes; replay equals what was journaled, and a
+// snapshot truncates every sealed segment.
+func TestBurstRotatesAtRecordBoundaries(t *testing.T) {
+	const segBytes = 2048
+	dir := t.TempDir()
+	clock := softstate.NewFakeClock()
+	rounds := newRoundTable()
+	m, err := Open(Options{Dir: dir, Clock: clock, Sync: SyncAlways, SegmentBytes: segBytes})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if err := m.Attach(rounds, nil); err != nil {
+		t.Fatalf("Attach: %v", err)
+	}
+	for i := 0; i < 200; i++ {
+		rounds.fill(fmt.Sprintf("b%d", i), hostEntry(t, i))
+	}
+	if err := m.Barrier(); err != nil {
+		t.Fatalf("Barrier: %v", err)
+	}
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 4 {
+		t.Fatalf("a burst of 200 rounds left %d segments, want several", len(segs))
+	}
+	var lastLSN uint64
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := b[len(segMagic):]
+		lastRec := 0
+		end, err := scanRecords(body, func(rec record) error {
+			if rec.lsn != lastLSN+1 {
+				t.Fatalf("%s: record LSN %d follows %d", seg.path, rec.lsn, lastLSN)
+			}
+			lastLSN = rec.lsn
+			lastRec = frameHeader + bodyHeader + len(rec.payload)
+			return nil
+		})
+		if err != nil || end != len(body) {
+			t.Fatalf("%s: %d of %d bytes scan cleanly (%v)", seg.path, end, len(body), err)
+		}
+		if before := len(b) - lastRec; before >= segBytes {
+			t.Errorf("%s: %d bytes, %d before its last record: more than one record past SegmentBytes %d",
+				seg.path, len(b), before, segBytes)
+		}
+	}
+	if lastLSN != 201 { // the rounds and the Barrier's record
+		t.Fatalf("segments hold LSNs 1..%d, want 1..201", lastLSN)
+	}
+	want := rounds.image()
+	if err := m.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	fresh := newRoundTable()
+	m2 := openAttached(t, dir, clock, SyncAlways, fresh, nil)
+	sameImage(t, want, fresh.image())
+	if err := m2.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if after, _ := listSegments(dir); len(after) != 1 {
+		t.Errorf("the snapshot left %d segments, want only the open one", len(after))
+	}
+	if err := m2.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
 // TestRoundsJournalConcurrently: backends journal their rounds at once
 // while snapshots are taken; the last round of each is what recovers.
 func TestRoundsJournalConcurrently(t *testing.T) {

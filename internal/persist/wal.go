@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -118,7 +119,6 @@ type wal struct {
 	nextLSN     uint64
 	pending     []byte
 	pendingDone chan struct{}
-	pendingLast uint64
 	sealed      []segInfo
 	err         error
 
@@ -197,7 +197,6 @@ func (w *wal) append(typ byte, ts int64, payload []byte) (lsn uint64, done <-cha
 	lsn = w.nextLSN
 	w.nextLSN++
 	w.pending = appendRecord(w.pending, typ, lsn, ts, payload)
-	w.pendingLast = lsn
 	if w.pendingDone == nil {
 		w.pendingDone = make(chan struct{})
 	}
@@ -230,13 +229,16 @@ func (w *wal) stickyErr() error {
 	return w.err
 }
 
-func (w *wal) fail(err error) {
+// fail records err as the sticky failure unless one is already recorded,
+// and returns the sticky failure.
+func (w *wal) fail(err error) error {
 	w.errorsTotal.Inc()
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.err == nil {
 		w.err = err
 	}
-	w.mu.Unlock()
+	return w.err
 }
 
 // flushLoop is the single writer: it drains everything queued since its
@@ -264,26 +266,32 @@ func (w *wal) flushLoop() {
 }
 
 // flush writes the pending batch, optionally fsyncs, wakes the batch's
-// waiters, and rotates a full segment. Flusher goroutine only.
+// waiters, and rotates a full segment. A batch that fills the open segment
+// is cut at a record boundary and goes on in the next one, so a segment
+// ends at most one record past segBytes, however large the batch: a
+// snapshot truncates whole sealed segments only. Flusher goroutine only.
 func (w *wal) flush(sync bool) {
 	w.mu.Lock()
 	buf := w.pending
 	done := w.pendingDone
-	last := w.pendingLast
 	w.pending = nil
 	w.pendingDone = nil
 	failed := w.err
 	w.mu.Unlock()
 
-	if failed == nil && len(buf) > 0 {
-		if _, err := w.seg.Write(buf); err != nil {
+	for failed == nil && len(buf) > 0 {
+		n, last := w.segmentCut(buf)
+		if _, err := w.seg.Write(buf[:n]); err != nil {
 			w.fail(fmt.Errorf("persist: wal write: %w", err))
 			failed = err
-		} else {
-			w.segSize += int64(len(buf))
-			w.segLast = last
-			w.needSync = true
-			w.bytesTotal.Add(int64(len(buf)))
+			break
+		}
+		w.segSize += int64(n)
+		w.segLast = last
+		w.needSync = true
+		w.bytesTotal.Add(int64(n))
+		if buf = buf[n:]; len(buf) > 0 {
+			failed = w.rotate()
 		}
 	}
 	if failed == nil && sync && w.needSync {
@@ -305,24 +313,35 @@ func (w *wal) flush(sync bool) {
 	}
 }
 
+// segmentCut returns how much of buf, whole framed records, goes into the
+// open segment — records up to and including the first that takes it to
+// segBytes, at least one — and the LSN of the last of them.
+func (w *wal) segmentCut(buf []byte) (n int, last uint64) {
+	for size := w.segSize; n < len(buf) && (n == 0 || size < w.segBytes); {
+		rec := frameHeader + int(binary.LittleEndian.Uint32(buf[n:]))
+		last = binary.LittleEndian.Uint64(buf[n+frameHeader+1:])
+		n += rec
+		size += int64(rec)
+	}
+	return n, last
+}
+
 // rotate seals the open segment (fsyncing it so the sealed list only ever
-// names durable files) and opens the next one.
-func (w *wal) rotate() {
+// names durable files) and opens the next one. The error is the sticky one
+// it recorded, if it failed.
+func (w *wal) rotate() error {
 	if err := w.seg.Sync(); err != nil {
-		w.fail(fmt.Errorf("persist: wal fsync at rotation: %w", err))
-		return
+		return w.fail(fmt.Errorf("persist: wal fsync at rotation: %w", err))
 	}
 	w.needSync = false
 	if err := w.seg.Close(); err != nil {
-		w.fail(fmt.Errorf("persist: wal close at rotation: %w", err))
-		return
+		return w.fail(fmt.Errorf("persist: wal close at rotation: %w", err))
 	}
 	info := segInfo{index: w.segIndex, path: filepath.Join(w.dir, segmentName(w.segIndex)),
 		lastLSN: w.segLast}
 	f, err := createSegment(w.dir, w.segIndex+1)
 	if err != nil {
-		w.fail(fmt.Errorf("persist: rotating segment: %w", err))
-		return
+		return w.fail(fmt.Errorf("persist: rotating segment: %w", err))
 	}
 	w.mu.Lock()
 	w.sealed = append(w.sealed, info)
@@ -331,6 +350,7 @@ func (w *wal) rotate() {
 	w.segIndex++
 	w.segSize = int64(len(segMagic))
 	w.segLast = 0
+	return nil
 }
 
 // segmentCount returns sealed segments plus the open one (a gauge).

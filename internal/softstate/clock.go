@@ -19,17 +19,19 @@ type Clock interface {
 	Now() time.Time
 	// After behaves like time.After.
 	After(d time.Duration) <-chan time.Time
-	// NewTimer is After for a wait that usually ends before its timer does:
-	// stopping the timer releases it then, where an After timer stays until
-	// it fires.
-	NewTimer(d time.Duration) Timer
+	// AfterFunc behaves like time.AfterFunc: f runs once d has passed. The
+	// Timer re-arms it, so a wait that recurs keeps one timer for good
+	// where After would make one per wait.
+	AfterFunc(d time.Duration, f func()) Timer
 }
 
-// Timer is a Clock's stoppable timer.
+// Timer is an AfterFunc timer (*time.Timer is one).
 type Timer interface {
-	// C fires once, when the timer's duration has passed.
-	C() <-chan time.Time
-	// Stop releases the timer; it reports whether the timer had not fired.
+	// Reset re-arms the timer to call its func once d has passed; it
+	// reports whether the timer was armed.
+	Reset(d time.Duration) bool
+	// Stop disarms the timer; it reports whether that kept the func from
+	// being called (false: it was not armed, or its call has begun).
 	Stop() bool
 }
 
@@ -42,25 +44,24 @@ func (RealClock) Now() time.Time { return time.Now() }
 // After defers to time.After.
 func (RealClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-// NewTimer defers to time.NewTimer.
-func (RealClock) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
-
-type realTimer struct{ t *time.Timer }
-
-func (r realTimer) C() <-chan time.Time { return r.t.C }
-func (r realTimer) Stop() bool          { return r.t.Stop() }
+// AfterFunc defers to time.AfterFunc.
+func (RealClock) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
 
 // FakeClock is a manually advanced clock for deterministic tests and
 // discrete-time simulations.
 type FakeClock struct {
 	mu      sync.Mutex
 	now     time.Time
-	waiters []fakeWaiter
+	waiters []*fakeTimer
 }
 
-type fakeWaiter struct {
-	at time.Time
-	ch chan time.Time
+// fakeTimer is one armed wait: it sends on ch (After) or calls f
+// (AfterFunc) when it comes due.
+type fakeTimer struct {
+	clock *FakeClock
+	at    time.Time
+	ch    chan time.Time
+	f     func()
 }
 
 // NewFakeClock returns a fake clock starting at a fixed, arbitrary epoch.
@@ -80,34 +81,46 @@ func (c *FakeClock) After(d time.Duration) <-chan time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ch := make(chan time.Time, 1)
-	at := c.now.Add(d)
 	if d <= 0 {
 		ch <- c.now //mdslint:ignore lockcheck send on buffered chan, cap 1, freshly made: cannot block
 		return ch
 	}
-	c.waiters = append(c.waiters, fakeWaiter{at: at, ch: ch})
+	c.waiters = append(c.waiters, &fakeTimer{clock: c, at: c.now.Add(d), ch: ch})
 	return ch
 }
 
-// NewTimer is After with a Stop that drops the waiter, so a stopped timer
-// never fires and leaves nothing behind.
-func (c *FakeClock) NewTimer(d time.Duration) Timer {
-	return &fakeTimer{clock: c, ch: c.After(d)}
+// AfterFunc arms a timer that calls f on the goroutine of the Advance that
+// moves the clock past d, after Advance has released the clock (so f may use
+// it). With d <= 0 the next Advance calls it.
+func (c *FakeClock) AfterFunc(d time.Duration, f func()) Timer {
+	t := &fakeTimer{clock: c, f: f}
+	t.Reset(d)
+	return t
 }
 
-type fakeTimer struct {
-	clock *FakeClock
-	ch    <-chan time.Time
+// Reset re-arms t for d from the clock's present time.
+func (t *fakeTimer) Reset(d time.Duration) bool {
+	c := t.clock
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	armed := c.disarmLocked(t)
+	t.at = c.now.Add(d)
+	c.waiters = append(c.waiters, t)
+	return armed
 }
 
-func (t *fakeTimer) C() <-chan time.Time { return t.ch }
-
+// Stop disarms t; a stopped timer never fires and leaves nothing behind.
 func (t *fakeTimer) Stop() bool {
 	c := t.clock
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.disarmLocked(t)
+}
+
+// disarmLocked drops t from the waiters, reporting whether it was there.
+func (c *FakeClock) disarmLocked(t *fakeTimer) bool {
 	for i, w := range c.waiters {
-		if w.ch == t.ch {
+		if w == t {
 			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
 			return true
 		}
@@ -119,8 +132,7 @@ func (t *fakeTimer) Stop() bool {
 func (c *FakeClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	c.now = c.now.Add(d)
-	var remaining []fakeWaiter
-	var due []fakeWaiter
+	var remaining, due []*fakeTimer
 	for _, w := range c.waiters {
 		if !w.at.After(c.now) {
 			due = append(due, w)
@@ -132,6 +144,10 @@ func (c *FakeClock) Advance(d time.Duration) {
 	now := c.now
 	c.mu.Unlock()
 	for _, w := range due {
-		w.ch <- now
+		if w.f != nil {
+			w.f()
+		} else {
+			w.ch <- now
+		}
 	}
 }
