@@ -255,6 +255,53 @@ func TestFakeClockAfter(t *testing.T) {
 	}
 }
 
+// TestFakeClockAfterFunc: an AfterFunc timer calls its func on the Advance
+// that reaches its deadline, once; Reset re-arms it from the present and
+// Stop disarms it, each reporting whether it was armed.
+func TestFakeClockAfterFunc(t *testing.T) {
+	c := NewFakeClock()
+	calls := 0
+	tm := c.AfterFunc(10*time.Second, func() {
+		calls++
+		c.Now() // the clock is free to use from the func
+	})
+	c.Advance(9 * time.Second)
+	if calls != 0 {
+		t.Fatal("fired before its deadline")
+	}
+	c.Advance(time.Second)
+	c.Advance(time.Hour)
+	if calls != 1 {
+		t.Fatalf("%d calls after the deadline, want 1", calls)
+	}
+	if tm.Stop() {
+		t.Error("Stop of a fired timer reported it armed")
+	}
+	if tm.Reset(10 * time.Second) {
+		t.Error("Reset of a fired timer reported it armed")
+	}
+	c.Advance(5 * time.Second)
+	if !tm.Reset(10 * time.Second) { // its deadline moves 5 s later
+		t.Error("Reset of an armed timer reported it disarmed")
+	}
+	c.Advance(9 * time.Second)
+	if calls != 1 {
+		t.Fatal("Reset did not move the deadline")
+	}
+	c.Advance(time.Second)
+	if calls != 2 {
+		t.Fatalf("%d calls after the re-armed deadline, want 2", calls)
+	}
+	tm.Reset(time.Second)
+	if !tm.Stop() {
+		t.Error("Stop of an armed timer reported it disarmed")
+	}
+	c.Advance(time.Hour)
+	if calls != 2 {
+		t.Error("a stopped timer fired")
+	}
+}
+
 func BenchmarkRefresh(b *testing.B) {
 	r := NewRegistry(RealClock{})
 	defer r.Close()
