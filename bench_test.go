@@ -7,6 +7,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,13 +25,12 @@ import (
 	"mds2/internal/mds1"
 	"mds2/internal/nws"
 	"mds2/internal/providers"
-	"mds2/internal/shard"
 	"mds2/internal/softstate"
 )
 
 // buildGrid assembles a simulated grid with n registered hosts behind one
 // directory using the given strategy.
-func buildGrid(b *testing.B, n int, strategy giis.Strategy) (*core.Grid, *core.DirectoryNode) {
+func buildGrid(b *testing.B, n int, strategy *giis.Strategy) (*core.Grid, *core.DirectoryNode) {
 	b.Helper()
 	g, err := core.NewSimGrid(1234)
 	if err != nil {
@@ -157,26 +157,19 @@ func BenchmarkE3ScopedSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkGIISStrategies is the DESIGN.md ablation: chaining vs cached
-// index vs bloom-routed vs a one-member sharded ring answering the same
-// targeted query. CI runs it once per push, so every selector that feeds
-// the fan-out engine is exercised end to end.
+// BenchmarkGIISStrategies is the DESIGN.md ablation: every -strategy preset
+// answering the same targeted query, built by name as the flag builds it
+// (sharded as a one-member ring). CI runs it once per push, so every plan
+// that feeds the fan-out engine is exercised end to end.
 func BenchmarkGIISStrategies(b *testing.B) {
-	cases := []struct {
-		name     string
-		strategy func() giis.Strategy
-	}{
-		{"chaining", func() giis.Strategy { return giis.NewChaining() }},
-		{"cached-index", func() giis.Strategy { return giis.NewCachedIndex(time.Hour) }},
-		{"bloom-routed", func() giis.Strategy { return giis.NewBloomRouted(time.Hour, 1<<14) }},
-		{"sharded", func() giis.Strategy {
-			solo := shard.NewRing([]shard.Member{{ID: "s0", URL: ldap.MustParseURL("sim://dir:389")}}, 0)
-			return giis.NewSharded(solo, "s0", 1)
-		}},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			g, dir := buildGrid(b, 16, tc.strategy())
+	for _, name := range strings.Split(giis.StrategyNames(), " | ") {
+		b.Run(name, func(b *testing.B) {
+			strategy, err := giis.NewStrategy(name, giis.StrategyConfig{CacheTTL: time.Hour,
+				Ring: "s0=sim://dir:389", ShardID: "s0", Replicas: 1, ShardMode: "proxy"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			g, dir := buildGrid(b, 16, strategy)
 			defer g.Close()
 			user, err := dir.Client("user")
 			if err != nil {

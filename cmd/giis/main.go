@@ -38,9 +38,9 @@ func main() {
 	flag.StringVar(&sc.ShardID, "shard-id", "", "sharded strategy: this node's member ID in -shard-ring")
 	flag.IntVar(&sc.Replicas, "replicas", 2, "sharded strategy: owners per registration (K)")
 	flag.StringVar(&sc.ShardMode, "shard-mode", "proxy", "sharded strategy: proxy | referral")
-	flag.DurationVar(&sc.CacheTTL, "cache-ttl", giis.DefaultCacheTTL, "index freshness for cache/bloom strategies")
-	flag.IntVar(&sc.Fanout.MaxFanout, "max-fanout", giis.DefaultMaxFanout, "every chaining strategy (chain, bloom, sharded): max concurrent chained searches")
-	flag.DurationVar(&sc.Fanout.HedgeDeadline, "hedge", 0, "every chaining strategy (chain, bloom, sharded): return partial results after this deadline (0 = wait for all children)")
+	flag.DurationVar(&sc.CacheTTL, "cache-ttl", giis.DefaultCacheTTL, "freshness of the cache strategy's subtree index and of every Bloom summary (bloom's per child, sharded's per peer)")
+	flag.IntVar(&sc.Fanout.MaxFanout, "max-fanout", giis.DefaultMaxFanout, "every strategy that fetches (chain, cache, bloom, sharded): max concurrent chained searches")
+	flag.DurationVar(&sc.Fanout.HedgeDeadline, "hedge", 0, "every strategy that fetches (chain, cache, bloom, sharded): return partial results after this deadline (0 = wait for all children)")
 	flag.Parse()
 
 	if sc.Fanout.MaxFanout < 1 {

@@ -26,11 +26,10 @@ func main() {
 	}
 	defer grid.Close()
 
-	strategy, err := giis.NewStrategy("cache", giis.StrategyConfig{CacheTTL: 30 * time.Second})
+	index, err := giis.NewStrategy("cache", giis.StrategyConfig{CacheTTL: 30 * time.Second})
 	if err != nil {
 		log.Fatal(err)
 	}
-	index := strategy.(*giis.CachedIndex)
 	dir, err := grid.AddDirectory("giis.vo", core.DirectoryOptions{
 		Suffix:   "vo=compute",
 		Strategy: index,

@@ -230,7 +230,7 @@ func (t *Topology) finish(b *blockState, lineNo int) error {
 }
 
 // strategy builds the directory's search strategy from the giis table.
-func (d DirectorySpec) strategy() (giis.Strategy, error) {
+func (d DirectorySpec) strategy() (*giis.Strategy, error) {
 	return giis.NewStrategy(d.Strategy, giis.StrategyConfig{CacheTTL: d.CacheTTL})
 }
 

@@ -467,8 +467,8 @@ type DirectoryNode struct {
 type DirectoryOptions struct {
 	// Suffix is the directory's namespace root (e.g. "vo=alliance").
 	Suffix string
-	// Strategy defaults to chaining.
-	Strategy giis.Strategy
+	// Strategy defaults to the chain preset.
+	Strategy *giis.Strategy
 	// AcceptVO restricts admission (§2.3).
 	AcceptVO string
 	// RequireSigned demands signed registrations.

@@ -355,7 +355,10 @@ func TestMatchmakerExtension(t *testing.T) {
 	defer g.Close()
 	// Directory with a cached index (the matchmaker needs a corpus) and
 	// the matchmaker extension mounted.
-	strategy := giis.NewCachedIndex(time.Hour)
+	strategy, err := giis.NewStrategy("cache", giis.StrategyConfig{CacheTTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir, err := g.AddDirectory("dir", DirectoryOptions{
 		Suffix:   "vo=v",
 		Strategy: strategy,

@@ -17,8 +17,8 @@ import (
 // extension point.
 const OIDMatchmake = "1.3.6.1.4.1.3536.2.1"
 
-// MatchmakeExtension mounts a classad evaluator over a cached-index
-// directory. The request value is a small text form:
+// MatchmakeExtension mounts a classad evaluator over the subtree index of a
+// directory built with the cache preset. The request value is a small text form:
 //
 //	requirements: other.cpucount >= 32 && other.load5 < 1.0
 //	rank: other.freecpus
@@ -27,7 +27,7 @@ const OIDMatchmake = "1.3.6.1.4.1.3536.2.1"
 // attr.* lines populate the request ad so resource-side requirements can
 // reference them. The response is the LDIF of matching entries, best rank
 // first.
-func MatchmakeExtension(index *giis.CachedIndex) giis.Extension {
+func MatchmakeExtension(index *giis.Strategy) giis.Extension {
 	return func(_ *ldap.Request, value []byte) ([]byte, error) {
 		req, err := parseMatchRequest(string(value))
 		if err != nil {

@@ -11,7 +11,13 @@ import (
 	"mds2/internal/ldap"
 )
 
-func referralStrategy() giis.Strategy { return giis.NewReferral() }
+func referralStrategy() *giis.Strategy {
+	st, err := giis.NewStrategy("referral", giis.StrategyConfig{})
+	if err != nil {
+		panic(err)
+	}
+	return st
+}
 
 // TestTrustedDirectoryChaining exercises the first §7 posture end to end:
 // the provider trusts the directory, so an authenticated chaining directory

@@ -107,7 +107,7 @@ func (g *grid) dialsTo(name string) int {
 
 // directory starts a GIIS on its own node, serves it on the network and
 // offers it every child's registration.
-func (g *grid) directory(node string, strategy Strategy, mods ...func(*Config)) *Server {
+func (g *grid) directory(node string, strategy *Strategy, mods ...func(*Config)) *Server {
 	g.t.Helper()
 	cfg := Config{
 		Name:     "giis." + node,
@@ -200,14 +200,14 @@ func TestStrategiesAgree(t *testing.T) {
 	ring := shard.NewRing(members, 0)
 	shards := map[string]*Server{}
 	for _, m := range members {
-		shards[m.ID] = g.directory(m.ID, NewSharded(ring, m.ID, 2))
+		shards[m.ID] = g.directory(m.ID, preset("sharded", StrategyConfig{Ring: ringSpec(members), ShardID: m.ID, Replicas: 2, ShardMode: "proxy"}))
 	}
 	// Partial results surface where the unreachable hop is, so the sharded
 	// view is taken from a shard that owns the partitioned provider.
 	owner := shard.NewPlanner(ring, "", 2, ldap.MustParseDN("o=grid"), nil).
 		Owners(g.suffixes[down].String())[0].ID
 
-	g.directory("referral", NewReferral())
+	g.directory("referral", preset("referral", StrategyConfig{}))
 	dial := func(url ldap.URL) (*grip.Client, error) {
 		conn, err := g.network.Dial("client-node", url.Address())
 		if err != nil {
@@ -225,9 +225,9 @@ func TestStrategiesAgree(t *testing.T) {
 		name string
 		s    *Server
 	}{
-		{"chaining", g.directory("chain", NewChaining())},
-		{"bloom-routed", g.directory("bloom", NewBloomRouted(time.Hour, 1<<14))},
-		{"cached-index", g.directory("cache", NewCachedIndex(time.Hour))},
+		{"chaining", g.directory("chain", preset("chain", StrategyConfig{}))},
+		{"bloom-routed", g.directory("bloom", preset("bloom", StrategyConfig{CacheTTL: time.Hour}))},
+		{"cached-index", g.directory("cache", preset("cache", StrategyConfig{CacheTTL: time.Hour}))},
 		{"sharded", shards[owner]},
 	}
 
@@ -320,7 +320,7 @@ func TestBloomSummaryFilledOncePerTTL(t *testing.T) {
 		g.addChild(name, suffix, 5*time.Millisecond, hostEntries(suffix, name, "site", 4)...)
 	}
 	g.network.SetPartitions(nil, []string{down + "-node"})
-	dir := g.directory("bloom", NewBloomRouted(10*time.Minute, 1<<16))
+	dir := g.directory("bloom", preset("bloom", StrategyConfig{CacheTTL: 10 * time.Minute}))
 	query := &ldap.SearchRequest{BaseDN: "o=grid", Scope: ldap.ScopeWholeSubtree,
 		Filter: ldap.MustParseFilter("(hn=h000)")}
 
@@ -346,7 +346,7 @@ func TestBloomSummaryFilledOncePerTTL(t *testing.T) {
 	// Summaries are their own cache: behind a query cache, the only key a
 	// cold search leaves is the query that reached h000. (The down child's
 	// hop failed; failures are not kept.)
-	cached := g.directory("bloomqc", NewBloomRouted(10*time.Minute, 1<<16), withQueryCache(time.Hour))
+	cached := g.directory("bloomqc", preset("bloom", StrategyConfig{CacheTTL: 10 * time.Minute}), withQueryCache(time.Hour))
 	searchDNs(cached, query)
 	if n := cached.QueryCache().Len(); n != 1 {
 		t.Errorf("query cache holds %d keys after summary fills, want 1", n)
@@ -397,7 +397,7 @@ func TestBloomSummaryNeverHidesAMatch(t *testing.T) {
 		all = append(all, e)
 		g.addChild(name, suffix, 0, e)
 	}
-	dir := g.directory("bloom", NewBloomRouted(time.Hour, 1<<16))
+	dir := g.directory("bloom", preset("bloom", StrategyConfig{CacheTTL: time.Hour}))
 	for q := 0; q < 200; q++ {
 		filter := ldap.Eq("SITE", pick())
 		if q%2 == 1 {

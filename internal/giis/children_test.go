@@ -340,7 +340,7 @@ func TestChildTableEqualsRebuild(t *testing.T) {
 			clock := softstate.NewFakeClock()
 			// The referral strategy answers the data part without dialling.
 			s := New(Config{Name: "giis.vo", Suffix: ldap.MustParseDN("vo=alliance, o=grid"),
-				SelfURL: ldap.MustParseURL("sim://giis-node:389"), Clock: clock, Strategy: NewReferral()})
+				SelfURL: ldap.MustParseURL("sim://giis-node:389"), Clock: clock, Strategy: preset("referral", StrategyConfig{})})
 			defer s.Close()
 			r := &tableRig{t: t, rng: rand.New(rand.NewSource(seed)), clock: clock, s: s, gen: 1}
 			if seed%2 == 0 {
@@ -382,7 +382,7 @@ func TestChildTableEqualsRebuild(t *testing.T) {
 // which outlives either of them alone.
 func TestCollidingURLsShareOneIndexEntry(t *testing.T) {
 	clock := softstate.NewFakeClock()
-	s := New(Config{Name: "d", Suffix: ldap.MustParseDN("o=grid"), Clock: clock, Strategy: NewReferral()})
+	s := New(Config{Name: "d", Suffix: ldap.MustParseDN("o=grid"), Clock: clock, Strategy: preset("referral", StrategyConfig{})})
 	defer s.Close()
 	now := clock.Now()
 	register := func(url string, ttl time.Duration) {
@@ -421,7 +421,7 @@ func TestCollidingURLsShareOneIndexEntry(t *testing.T) {
 func TestAckedAddVisibleExpiredInvisible(t *testing.T) {
 	const writers, searchers, perWriter = 4, 4, 150
 	clock := softstate.NewFakeClock()
-	s := New(Config{Name: "d", Suffix: ldap.MustParseDN("o=grid"), Clock: clock, Strategy: NewReferral()})
+	s := New(Config{Name: "d", Suffix: ldap.MustParseDN("o=grid"), Clock: clock, Strategy: preset("referral", StrategyConfig{})})
 	defer s.Close()
 
 	// tick excludes clock advances from in-flight Ingests, so a provider's
@@ -521,7 +521,7 @@ func TestAckedAddVisibleExpiredInvisible(t *testing.T) {
 // ParseDN of a registration can be hiding in there.
 func TestRefreshDoesNotReparse(t *testing.T) {
 	const providers = 1000
-	s := New(Config{Name: "d", Suffix: ldap.MustParseDN("o=grid"), Strategy: NewReferral()})
+	s := New(Config{Name: "d", Suffix: ldap.MustParseDN("o=grid"), Strategy: preset("referral", StrategyConfig{})})
 	defer s.Close()
 	now := time.Now()
 	msgs := make([]*grrp.Message, providers)
@@ -565,7 +565,7 @@ func TestRefreshDoesNotReparse(t *testing.T) {
 // serving the root itself hangs at the tree's root, and every region holds it.
 func TestRegionAtTheRoot(t *testing.T) {
 	clock := softstate.NewFakeClock()
-	s := New(Config{Name: "d", Suffix: ldap.DN{}, Clock: clock, Strategy: NewReferral()})
+	s := New(Config{Name: "d", Suffix: ldap.DN{}, Clock: clock, Strategy: preset("referral", StrategyConfig{})})
 	defer s.Close()
 	now := clock.Now()
 	for i, suffix := range []string{"", "o=grid", "hn=h, o=grid"} {
@@ -596,7 +596,7 @@ func TestRegionAtTheRoot(t *testing.T) {
 // VO, with its name index built.
 func indexDirectory(t *testing.T, providers int) (*Server, []*grrp.Message) {
 	t.Helper()
-	s := New(Config{Name: "d", Suffix: ldap.MustParseDN("o=grid"), Strategy: NewReferral()})
+	s := New(Config{Name: "d", Suffix: ldap.MustParseDN("o=grid"), Strategy: preset("referral", StrategyConfig{})})
 	t.Cleanup(s.Close)
 	now := time.Now()
 	msgs := make([]*grrp.Message, providers)

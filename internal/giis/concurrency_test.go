@@ -11,7 +11,6 @@ import (
 
 	"mds2/internal/grrp"
 	"mds2/internal/ldap"
-	"mds2/internal/shard"
 	"mds2/internal/simnet"
 	"mds2/internal/softstate"
 )
@@ -70,26 +69,24 @@ func (h *laggyChild) Search(req *ldap.Request, op *ldap.SearchRequest, w ldap.Se
 	return ldap.Result{Code: ldap.ResultSuccess}
 }
 
-// chainingStrategies builds each chaining strategy around one Fanout: the
-// engine's bound, hedge and pool-safety guarantees must hold whichever
-// selector feeds it. The sharded entry is a one-member ring, so every child
-// is local and the fan-out is the whole search.
-var chainingStrategies = []struct {
-	name  string
-	build func(Fanout) Strategy
-}{
-	{"chaining", func(f Fanout) Strategy { return &Chaining{Fanout: f} }},
-	{"bloom-routed", func(f Fanout) Strategy {
-		b := NewBloomRouted(time.Hour, 1<<14)
-		b.Fanout = f
-		return b
-	}},
-	{"sharded", func(f Fanout) Strategy {
-		solo := shard.NewRing([]shard.Member{{ID: "s0", URL: ldap.MustParseURL("sim://giis-node:389")}}, 0)
-		sh := NewSharded(solo, "s0", 1)
-		sh.Fanout = f
-		return sh
-	}},
+// chainingStrategies names each preset that fetches: the engine's bound,
+// hedge and pool-safety guarantees must hold whatever the plan's hops do.
+// The sharded entry is a one-member ring, so every child is local and the
+// fan-out is the whole search.
+var chainingStrategies = []fetchingPreset{
+	{"chaining", "chain"},
+	{"cached-index", "cache"},
+	{"bloom-routed", "bloom"},
+	{"sharded", "sharded"},
+}
+
+type fetchingPreset struct{ name, preset string }
+
+// build makes the preset with fan-out f.
+func (p fetchingPreset) build(f Fanout) *Strategy {
+	c := soloRing
+	c.CacheTTL, c.Fanout = time.Hour, f
+	return preset(p.preset, c)
 }
 
 // fanoutRig is a wall-clock grid for concurrency tests and benchmarks:
@@ -101,7 +98,7 @@ type fanoutRig struct {
 	children []*laggyChild
 }
 
-func newFanoutRig(t testing.TB, strategy Strategy, fast, slow int, slowDelay time.Duration) *fanoutRig {
+func newFanoutRig(t testing.TB, strategy *Strategy, fast, slow int, slowDelay time.Duration) *fanoutRig {
 	t.Helper()
 	network := simnet.New(1)
 	g := New(Config{
@@ -198,7 +195,7 @@ func TestHedgeDeadlineBoundsSlowChild(t *testing.T) {
 // deadline the search waits out every child, slow ones included.
 func TestNoHedgeWaitsForAllChildren(t *testing.T) {
 	const delay = 50 * time.Millisecond
-	r := newFanoutRig(t, &Chaining{}, 3, 1, delay)
+	r := newFanoutRig(t, preset("chain", StrategyConfig{}), 3, 1, delay)
 	start := time.Now()
 	entries, res := r.search(t)
 	took := time.Since(start)
@@ -246,7 +243,7 @@ func TestConcurrentSearchStress(t *testing.T) {
 		rounds  = 3
 		hedge   = 25 * time.Millisecond
 	)
-	r := newFanoutRig(t, &Chaining{Fanout{MaxFanout: 4, HedgeDeadline: hedge}},
+	r := newFanoutRig(t, preset("chain", StrategyConfig{Fanout: Fanout{MaxFanout: 4, HedgeDeadline: hedge}}),
 		fast, 1, 300*time.Millisecond)
 	var wg sync.WaitGroup
 	errs := make(chan string, clients*rounds)
@@ -284,7 +281,7 @@ func TestConcurrentSearchSurvivesEviction(t *testing.T) {
 	}
 }
 
-func searchSurvivesEviction(t *testing.T, strategy Strategy) {
+func searchSurvivesEviction(t *testing.T, strategy *Strategy) {
 	network := simnet.New(1)
 	g := New(Config{
 		Name:     "giis.vo",

@@ -23,7 +23,7 @@ func (r *rig) depart() {
 // registration lapsed is dropped with the registration, not kept (stale,
 // since the index serves stale) for the matchmaker corpus that reads it.
 func TestDepartedChildLeavesCachedIndex(t *testing.T) {
-	strategy := NewCachedIndex(time.Minute)
+	strategy := preset("cache", StrategyConfig{CacheTTL: time.Minute})
 	r := newRig(t, strategy)
 	r.addHost("hostA", 1)
 	if entries, res := r.search(computerQuery()); res.Code != ldap.ResultSuccess || len(entries) != 1 {
@@ -41,7 +41,7 @@ func TestDepartedChildLeavesCachedIndex(t *testing.T) {
 // TestDepartedChildLeavesBloomSummaries: the same for a Bloom-routed
 // directory's per-child summaries.
 func TestDepartedChildLeavesBloomSummaries(t *testing.T) {
-	strategy := NewBloomRouted(time.Hour, 1<<14)
+	strategy := preset("bloom", StrategyConfig{CacheTTL: time.Hour})
 	r := newRig(t, strategy)
 	r.addHost("hostA", 1)
 	if entries, res := r.search(computerQuery()); res.Code != ldap.ResultSuccess || len(entries) != 1 {
@@ -61,7 +61,7 @@ func TestDepartedChildLeavesBloomSummaries(t *testing.T) {
 // expiries pass, it holds at most one per other member.
 func TestShardedPeerSummariesBoundedByRing(t *testing.T) {
 	const shards = 4
-	r := newShardRig(t, shards, 2, ShardProxy)
+	r := newShardRig(t, shards, 2, "proxy")
 	for i := 0; i < 8; i++ {
 		r.addHost(fmt.Sprintf("h%03d", i), fmt.Sprintf("site%d", i%2), int64(i))
 	}
@@ -77,6 +77,6 @@ func TestShardedPeerSummariesBoundedByRing(t *testing.T) {
 				t.Fatalf("round %d: %s holds %d peer summaries, want 1..%d", round, id, n, shards-1)
 			}
 		}
-		r.clock.Advance(DefaultShardSummaryTTL + time.Second)
+		r.clock.Advance(DefaultCacheTTL + time.Second)
 	}
 }

@@ -4,21 +4,17 @@ import (
 	"slices"
 	"time"
 
-	"mds2/internal/bloom"
 	"mds2/internal/ldap"
 	"mds2/internal/obs"
-	"mds2/internal/qcache"
 )
 
-// Fanout is the directory's one chained fan-out, embedded by every chaining
-// strategy (Chaining, BloomRouted, Sharded). The strategies differ only in
-// which hops they select; the bounded worker pool, the hedge deadline, the
-// reply-collect loop and the sender below are shared.
+// Fanout is the directory's one chained fan-out: every hop a Strategy plan
+// fetches, whatever it does, goes through the bounded worker pool, the hedge
+// deadline, the reply-collect loop and the sender below.
 type Fanout struct {
 	// MaxFanout bounds concurrent chained requests per search; zero means
 	// DefaultMaxFanout and one is a sequential walk. Excess hops queue for a
-	// free worker, so a directory with hundreds of children no longer spawns
-	// a goroutine and connection burst per query.
+	// free worker.
 	MaxFanout int
 	// HedgeDeadline is the soft deadline for child replies, measured on
 	// the directory's clock: when it expires, the replies received so far
@@ -31,30 +27,30 @@ type Fanout struct {
 // DefaultMaxFanout bounds chained concurrency when MaxFanout is unset.
 const DefaultMaxFanout = 16
 
-// hop is one unit of fan-out work: the query chained to the first of
-// targets that answers.
+// hop is one unit of fan-out work: the query put to the first of targets
+// that answers.
 type hop struct {
 	// targets are tried in order until one answers: a single child, or a
 	// partition key's owners in ring order (if the primary is down its
 	// replica still answers, which is the K-replication availability
 	// argument).
 	targets []Child
-	// extra controls ride on the chained request.
-	extra []ldap.Control
-	// skip, when set, runs on the worker before the first attempt; true
-	// drops the hop as an empty reply. Bloom pruning lives here rather than
-	// in the selector so a cold summary fetch is bounded and hedged like
-	// any other chained request.
-	skip func() bool
-	// attempt, when set, observes each try (n counts from zero).
-	attempt func(n int)
+	act     act // what the hop does with its target
+	// peer: the targets are ring peers, asked by shard-local sub-query and
+	// counted as peer queries; their summaries come over the shard-summary
+	// extended operation.
+	peer bool
+	// prune: on the worker, before the first attempt, the target's Bloom
+	// summary may drop the hop as an empty reply, so a cold summary fetch is
+	// bounded and hedged like any other chained request.
+	prune bool
 }
 
-// childHops wraps each child as a single-target hop.
-func childHops(children []Child) []hop {
+// childHops wraps each child as a single-target hop doing a.
+func childHops(children []Child, a act) []hop {
 	hops := make([]hop, len(children))
 	for i := range children {
-		hops[i].targets = children[i : i+1]
+		hops[i] = hop{targets: children[i : i+1], act: a}
 	}
 	return hops
 }
@@ -73,19 +69,21 @@ type hopReply struct {
 // A non-nil dups turns DN dedup on (replicated partitions answer twice),
 // counting what it drops.
 //
-// Hops the query cache can answer are answered first, on the search's own
-// goroutine: a hit never blocks, so it is sent (or buffered, under a size
-// limit) inline with its trace marker span, and only the misses get workers,
-// channels and the hedge deadline. A hop with a skip check or an attempt
-// hook (failover targets, peer accounting), and every hop of a persistent
-// search, goes to a worker as it is.
-func (f Fanout) run(ctx *SearchContext, hops []hop, dups *obs.Counter) ldap.Result {
+// Hops that can be answered without blocking are answered first, on the
+// search's own goroutine — a chained hop the query cache holds (with its
+// trace marker span), an index hop whose subtree is fresh — so they are sent
+// (or buffered, under a size limit) inline, and only the misses get workers,
+// channels and the hedge deadline. A pruned or peer hop, and every chained
+// hop of a persistent search, goes to a worker as it is.
+func (f Fanout) run(ctx *searchContext, hops []hop, dups *obs.Counter) ldap.Result {
 	if len(hops) == 0 {
 		return ldap.Result{Code: ldap.ResultSuccess}
 	}
 	s := ctx.Server
 	s.hFanout.ObserveValue(int64(len(hops)))
-	ctx.projected = slices.Equal(ctx.Op.Attributes, ctx.chainAttrs)
+	// An indexed subtree holds every attribute, so its entries are projected
+	// on the way out.
+	ctx.projected = s.strategy.act != actIndex && slices.Equal(ctx.Op.Attributes, ctx.chainAttrs)
 
 	// A size limit imposes a global order on which entries are kept, so
 	// replies buffer and sort before streaming; otherwise each hop's reply
@@ -117,20 +115,28 @@ func (f Fanout) run(ctx *SearchContext, hops []hop, dups *obs.Counter) ldap.Resu
 		return ctx.sendAll(entries)
 	}
 
+	ctx.qc = s.qc
+	if hasControl(ctx.Req, ldap.OIDPersistentSearch) {
+		ctx.qc = nil
+	}
 	var stack [16]int
 	misses := stack[:0] // the hops left to the workers, by index
-	probe := s.qc != nil && !isPersistentSearch(ctx.Req)
 	for i := range hops {
-		h := &hops[i]
-		if probe && h.skip == nil && h.attempt == nil && len(h.targets) == 1 {
-			if r, ok := s.cached(ctx, &h.targets[0], h.extra); ok {
-				if err := take(r); err != nil {
-					return sizeOrUnavailable(err)
-				}
-				continue
-			}
+		h, t := &hops[i], &hops[i].targets[0]
+		var r hopReply
+		ok := false
+		switch {
+		case h.act == actIndex:
+			r, ok = s.cached(ctx.Req, s.strategy.index, t, t.ViewSuffix, ldap.ScopeWholeSubtree, nil, nil, 0)
+			r.entries = ctx.evaluate(r.entries)
+		case ctx.qc != nil && !h.prune && !h.peer:
+			r, ok = s.cached(ctx.Req, ctx.qc, t, ctx.Base, ctx.Op.Scope, ctx.Op.Filter, ctx.chainAttrs, hopLimit(ctx.Op))
 		}
-		misses = append(misses, i)
+		if !ok {
+			misses = append(misses, i)
+		} else if err := take(r); err != nil {
+			return sizeOrUnavailable(err)
+		}
 	}
 
 	if len(misses) > 0 {
@@ -176,7 +182,8 @@ func (f Fanout) run(ctx *SearchContext, hops []hop, dups *obs.Counter) ldap.Resu
 			}
 		}
 	}
-	if err := ctx.sendSorted(buffered); err != nil {
+	ldap.SortEntries(buffered)
+	if err := ctx.sendAll(buffered); err != nil {
 		return sizeOrUnavailable(err)
 	}
 	switch {
@@ -190,18 +197,35 @@ func (f Fanout) run(ctx *SearchContext, hops []hop, dups *obs.Counter) ldap.Resu
 	return ldap.Result{Code: ldap.ResultSuccess}
 }
 
-// runHop chains the search to the hop's targets in order until one answers.
-func (s *Server) runHop(ctx *SearchContext, h *hop) (r hopReply) {
-	if h.skip != nil && h.skip() {
+// runHop does what the hop does: an index hop evaluates the search over the
+// child's subtree, fetched into the index when it is stale or missing, and
+// any other chains to the hop's targets in order until one answers — unless
+// its target's summary prunes it first.
+func (s *Server) runHop(ctx *searchContext, h *hop) (r hopReply) {
+	st := s.strategy
+	if h.prune && st.rulesOut(ctx, h) {
 		return hopReply{}
+	}
+	if h.act == actIndex {
+		t := h.targets[0]
+		r = s.chain(ctx.Req, st.index, t, t.ViewSuffix, ldap.ScopeWholeSubtree, nil, nil, 0, nil)
+		r.entries = ctx.evaluate(r.entries)
+		return r
+	}
+	var extra []ldap.Control
+	if h.peer {
+		extra = shardLocal
 	}
 	limit := hopLimit(ctx.Op)
 	for n, target := range h.targets {
-		if h.attempt != nil {
-			h.attempt(n)
+		if h.peer {
+			st.PeerQueries.Inc()
+			if n > 0 {
+				st.PeerFailovers.Inc()
+			}
 		}
-		r = s.chain(ctx.Req, target, ctx.Base, ctx.Op.Scope, ctx.Op.Filter,
-			ctx.chainAttrs, limit, h.extra)
+		r = s.chain(ctx.Req, ctx.qc, target, ctx.Base, ctx.Op.Scope, ctx.Op.Filter,
+			ctx.chainAttrs, limit, extra)
 		if r.err == nil {
 			break
 		}
@@ -235,57 +259,12 @@ func dropSeen(seen map[string]struct{}, entries []*ldap.Entry, dups *obs.Counter
 	return fresh
 }
 
-// sendSorted streams entries in DN order, honouring the size limit.
-func (c *SearchContext) sendSorted(entries []*ldap.Entry) error {
-	ldap.SortEntries(entries)
-	return c.sendAll(entries)
-}
-
 // sendAll streams entries as they lie, honouring the size limit.
-func (c *SearchContext) sendAll(entries []*ldap.Entry) error {
+func (c *searchContext) sendAll(entries []*ldap.Entry) error {
 	for _, e := range entries {
 		if err := c.send(e); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// refer answers with continuation references instead of (or, for a sharded
-// directory, beside) data: urls go out as one referral and on the result.
-func (c *SearchContext) refer(res ldap.Result, urls []string) ldap.Result {
-	if len(urls) > 0 {
-		if err := c.W.SendReferral(urls...); err != nil {
-			return ldap.Result{Code: ldap.ResultUnavailable, Message: err.Error()}
-		}
-	}
-	res.Referrals = urls
-	return res
-}
-
-// rulesOut reports (and counts on skipped) that the source behind key
-// provably holds no entry carrying every term: a conjunctive query can match
-// only if each equality term is (possibly) present. fetch fills a missing or
-// expired summary, kept for ttl; it returns nil when the source cannot
-// supply one, which is kept like a summary, so a down source is not
-// re-dialled for its summary on every search. No summary fails open.
-func (s *Server) rulesOut(summaries *qcache.Table[*bloom.Filter], ttl time.Duration, key string,
-	terms []string, skipped *obs.Counter, fetch func() *bloom.Filter) bool {
-	if len(terms) == 0 {
-		return false
-	}
-	f, _, _ := summaries.GetOrFill(key, key, func() (*bloom.Filter, time.Time, error) {
-		f := fetch()
-		return f, s.clock.Now().Add(ttl), nil
-	})
-	if f == nil {
-		return false
-	}
-	for _, t := range terms {
-		if !f.Test(t) {
-			skipped.Inc()
-			return true
-		}
-	}
-	return false
 }

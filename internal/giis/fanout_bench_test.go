@@ -25,7 +25,7 @@ func BenchmarkFanoutSlowChild(b *testing.B) {
 		slowDelay    = 500 * time.Millisecond
 		hedge        = 50 * time.Millisecond
 	)
-	run := func(b *testing.B, strategy *Chaining, wantHedged bool) {
+	run := func(b *testing.B, strategy *Strategy, wantHedged bool) {
 		r := newFanoutRig(b, strategy, fastChildren, 1, slowDelay)
 		total := 0
 		b.ResetTimer()
@@ -45,9 +45,9 @@ func BenchmarkFanoutSlowChild(b *testing.B) {
 		b.ReportMetric(float64(total)/float64(b.N), "entries/op")
 	}
 	b.Run("wait-all", func(b *testing.B) {
-		run(b, &Chaining{}, false)
+		run(b, preset("chain", StrategyConfig{}), false)
 	})
 	b.Run("hedge-50ms", func(b *testing.B) {
-		run(b, &Chaining{Fanout{HedgeDeadline: hedge}}, true)
+		run(b, preset("chain", StrategyConfig{Fanout: Fanout{HedgeDeadline: hedge}}), true)
 	})
 }

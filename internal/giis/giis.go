@@ -2,9 +2,10 @@
 // configurable aggregate directory framework. A GIIS accepts GRRP
 // registrations (over datagrams or mapped onto LDAP add operations, as in
 // MDS-2.1), maintains a soft-state index of child information providers,
-// and answers GRIP searches through a pluggable search strategy — chaining
-// requests to the authoritative providers, serving a locally maintained
-// cache index, routing via lossy Bloom summaries, or returning referrals.
+// and answers GRIP searches through a configurable search strategy —
+// chaining requests to the authoritative providers, serving a locally
+// maintained cache index, pruning by lossy Bloom summaries, or returning
+// referrals.
 //
 // A GIIS is itself an information provider: it publishes its own service
 // entry and the name index of its children, and registers up a hierarchy
@@ -14,6 +15,7 @@ package giis
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"slices"
 	"strings"
@@ -95,8 +97,9 @@ type Config struct {
 	Clock softstate.Clock
 	// Dial opens connections for chained searches; nil means TCP.
 	Dial Dialer
-	// Strategy answers data searches; nil means Chaining.
-	Strategy Strategy
+	// Strategy answers data searches (a NewStrategy preset); nil means the
+	// chain preset.
+	Strategy *Strategy
 	// Trust is the directory's trust store: with Keys it enables GSI SASL
 	// binds from clients and authenticated chaining; with
 	// RequireSignedRegistrations it verifies registration signatures.
@@ -156,7 +159,7 @@ type Server struct {
 	cfg      Config
 	clock    softstate.Clock
 	receiver *grrp.Receiver
-	strategy Strategy
+	strategy *Strategy
 
 	poolMu sync.Mutex
 	pool   map[string]*poolEntry
@@ -203,6 +206,14 @@ func New(cfg Config) *Server {
 	if cfg.Dial == nil {
 		cfg.Dial = TCPDialer
 	}
+	if cfg.Strategy == nil {
+		cfg.Strategy, _ = NewStrategy("chain", StrategyConfig{})
+	}
+	// The server adds handlers of its own (a ring member's shard summary):
+	// they go in a map of its own, never in the one the caller passed.
+	exts := map[string]Extension{}
+	maps.Copy(exts, cfg.Extensions)
+	cfg.Extensions = exts
 	s := &Server{
 		cfg:   cfg,
 		clock: cfg.Clock,
@@ -239,9 +250,6 @@ func New(cfg Config) *Server {
 		s.table.caches = append(s.table.caches, s.qc)
 	}
 	s.receiver.Registry.Observe(s.table)
-	if cfg.Strategy == nil {
-		cfg.Strategy = NewChaining()
-	}
 	s.strategy = cfg.Strategy
 	s.strategy.attach(s)
 	if cfg.Obs != nil {
@@ -264,41 +272,27 @@ func New(cfg Config) *Server {
 		// shows how long since each child last refreshed; recovered flags the
 		// restart-restored set explicitly so a post-crash dashboard can watch
 		// it drain as children reconfirm.
-		cfg.Obs.LabeledGaugeFunc("giis_child_up", "child", func() []obs.LabeledValue {
-			children := s.Children()
-			out := make([]obs.LabeledValue, len(children))
-			for i, c := range children {
-				v := 1.0
-				if c.Recovered {
-					v = 0
-				}
-				out[i] = obs.LabeledValue{Label: c.URL.String(), Value: v}
-			}
-			return out
-		})
-		cfg.Obs.LabeledGaugeFunc("giis_child_last_refresh_age_seconds", "child",
-			func() []obs.LabeledValue {
-				now := s.clock.Now()
-				children := s.Children()
+		childGauge := func(name string, value func(now time.Time, c *Child) float64) {
+			cfg.Obs.LabeledGaugeFunc(name, "child", func() []obs.LabeledValue {
+				now, children := s.clock.Now(), s.Children()
 				out := make([]obs.LabeledValue, len(children))
-				for i, c := range children {
-					out[i] = obs.LabeledValue{Label: c.URL.String(),
-						Value: now.Sub(c.LastRefresh).Seconds()}
+				for i := range children {
+					out[i] = obs.LabeledValue{Label: children[i].URL.String(), Value: value(now, &children[i])}
 				}
 				return out
 			})
-		cfg.Obs.LabeledGaugeFunc("giis_child_recovered", "child", func() []obs.LabeledValue {
-			children := s.Children()
-			out := make([]obs.LabeledValue, len(children))
-			for i, c := range children {
-				v := 0.0
-				if c.Recovered {
-					v = 1
-				}
-				out[i] = obs.LabeledValue{Label: c.URL.String(), Value: v}
+		}
+		recovered := func(_ time.Time, c *Child) float64 {
+			if c.Recovered {
+				return 1
 			}
-			return out
+			return 0
+		}
+		childGauge("giis_child_up", func(now time.Time, c *Child) float64 { return 1 - recovered(now, c) })
+		childGauge("giis_child_last_refresh_age_seconds", func(now time.Time, c *Child) float64 {
+			return now.Sub(c.LastRefresh).Seconds()
 		})
+		childGauge("giis_child_recovered", recovered)
 		cfg.Obs.GaugeFunc("giis_pool_size", func() float64 {
 			s.poolMu.Lock()
 			n := len(s.pool)
@@ -487,19 +481,6 @@ func (s *Server) evict(pe *poolEntry) {
 	s.poolMu.Unlock()
 }
 
-// chainUncached is chain with the query cache deliberately bypassed —
-// strategies that maintain their own result cache (CachedIndex, the Bloom
-// summaries) fill through here so an entry set is never cached twice at
-// different TTLs.
-func (s *Server) chainUncached(req *ldap.Request, child Child, base ldap.DN, scope ldap.Scope,
-	filter *ldap.Filter, attrs []string, sizeLimit int64) hopReply {
-	childBase, childScope, ok := translateRegion(base, scope, &child)
-	if !ok {
-		return hopReply{}
-	}
-	return s.chainTranslated(req, child, childBase, childScope, filter, attrs, sizeLimit, nil)
-}
-
 // partialReply carries a hop reply out of a query-cache fill without letting
 // the cache keep it: the child flagged its own answer incomplete, and an
 // answer that is missing a provider must be asked again, not served for a
@@ -535,27 +516,28 @@ func uncached(entries []*ldap.Entry, err error) hopReply {
 // identity propagates to the child via the trace-request control, and the
 // span tree the child reports back is grafted under the chain span — so the
 // root directory's trace shows every hop of a multi-level search. extra
-// controls ride on the chained request — the sharded strategy's shard-local
+// controls ride on the chained request — a ring peer hop's shard-local
 // marker, so a peer shard answers from its own children without fanning
 // out again.
 //
-// With the query cache enabled, the hop result is cached per child (the
+// The hop result goes through qc, when there is one, cached per child (the
 // owner component of the key), so identical queries hit without re-fanning
-// out and one slow or hedged child never poisons another child's key.
-// Persistent-search subscriptions bypass the cache entirely: a subscriber
-// wants the live change stream, and a cached snapshot answered in its
-// place would silently go stale for the subscription's whole lifetime.
-// A fan-out answers the hits it can from cached (on the search's own
-// goroutine) before it hands a hop to a worker, so what reaches chain with
-// the cache on is mostly a miss.
-func (s *Server) chain(req *ldap.Request, child Child, base ldap.DN, scope ldap.Scope,
+// out and one slow or hedged child never poisons another child's key. qc is
+// the query cache for a chained hop — nil when it is off, and for a
+// persistent-search subscription, which wants the live change stream rather
+// than a snapshot that would silently go stale for its whole lifetime — and
+// the subtree index for an index hop, which asks for the child's whole
+// subtree. A fan-out answers the hits it can from cached (on the search's
+// own goroutine) before it hands a hop to a worker, so what reaches chain
+// with a cache is mostly a miss.
+func (s *Server) chain(req *ldap.Request, qc *qcache.Cache, child Child, base ldap.DN, scope ldap.Scope,
 	filter *ldap.Filter, attrs []string, sizeLimit int64, extra []ldap.Control) hopReply {
 
 	childBase, childScope, ok := translateRegion(base, scope, &child)
 	if !ok {
 		return hopReply{}
 	}
-	if s.qc == nil || isPersistentSearch(req) {
+	if qc == nil {
 		return s.chainTranslated(req, child, childBase, childScope, filter, attrs, sizeLimit, extra)
 	}
 	region := hopRegion(&child, childBase, childScope, filter, extra)
@@ -564,7 +546,7 @@ func (s *Server) chain(req *ldap.Request, child Child, base ldap.DN, scope ldap.
 	// The child's soft-state deadline caps freshness: a cached result never
 	// outlives the registration that produced it (two-tier expiry). The
 	// deadline is the one current when the search selected the child.
-	entries, how, err := s.qc.GetOrFill(key, region, child.ExpiresAt, func() ([]*ldap.Entry, error) {
+	entries, how, err := qc.GetOrFill(key, region, child.ExpiresAt, func() ([]*ldap.Entry, error) {
 		return s.chainTranslated(req, child, childBase, childScope, filter, attrs, sizeLimit, extra).cacheable()
 	})
 	if how != qcache.OutcomeMiss {
@@ -573,28 +555,28 @@ func (s *Server) chain(req *ldap.Request, child Child, base ldap.DN, scope ldap.
 	return uncached(entries, err)
 }
 
-// cached answers a hop to one child from the query cache, or reports that
-// it cannot (ok false: a miss, which a worker chains). It is chain's hit
-// path, run before anything is spawned: the key is rendered into a buffer on
-// the stack and probed without a string, and a region that cannot reach the
-// child is the empty reply chain would give. The caller has checked that the
-// cache is on and the search is not persistent.
-func (s *Server) cached(ctx *SearchContext, child *Child, extra []ldap.Control) (r hopReply, ok bool) {
-	childBase, childScope, reaches := translateRegion(ctx.Base, ctx.Op.Scope, child)
+// cached answers a hop to one child from qc, or reports that it cannot (ok
+// false: a miss, which a worker chains). It is chain's hit path, run before
+// anything is spawned: the key is rendered into a buffer on the stack and
+// probed without a string, and a region that cannot reach the child is the
+// empty reply chain would give.
+func (s *Server) cached(req *ldap.Request, qc *qcache.Cache, child *Child, base ldap.DN, scope ldap.Scope,
+	filter *ldap.Filter, attrs []string, sizeLimit int64) (r hopReply, ok bool) {
+	childBase, childScope, reaches := translateRegion(base, scope, child)
 	if !reaches {
 		return hopReply{}, true
 	}
-	region := hopRegion(child, childBase, childScope, ctx.Op.Filter, extra)
+	region := hopRegion(child, childBase, childScope, filter, nil)
 	var kb [256]byte
-	entries, hit := s.qc.Lookup(region.AppendKey(kb[:0], ctx.chainAttrs, hopLimit(ctx.Op)))
+	entries, hit := qc.Lookup(region.AppendKey(kb[:0], attrs, sizeLimit))
 	if !hit {
 		return hopReply{}, false
 	}
-	markHop(ctx.Req, child, qcache.OutcomeHit)
+	markHop(req, child, qcache.OutcomeHit)
 	return hopReply{entries: entries}, true
 }
 
-// markHop records a hop the query cache answered. The miss path records a
+// markHop records a hop a cache answered. The miss path records a
 // real chain span inside chainTranslated; hits (and joined or stale fills)
 // record a zero-fan-out marker span so traces show where the cache cut the
 // chain short.
@@ -620,13 +602,12 @@ func hopRegion(child *Child, childBase ldap.DN, childScope ldap.Scope, filter *l
 	return qcache.Region{Owner: owner, Base: childBase, Scope: childScope, Filter: filter}
 }
 
-// isPersistentSearch reports whether the client request carries the
-// persistent-search control.
-func isPersistentSearch(req *ldap.Request) bool {
+// hasControl reports whether the client request carries the control oid.
+func hasControl(req *ldap.Request, oid string) bool {
 	if req == nil {
 		return false
 	}
-	_, ok := ldap.FindControl(req.Controls, ldap.OIDPersistentSearch)
+	_, ok := ldap.FindControl(req.Controls, oid)
 	return ok
 }
 
@@ -870,7 +851,7 @@ func (s *Server) Search(req *ldap.Request, op *ldap.SearchRequest, w ldap.Search
 	}
 
 	// Hand data queries to the strategy.
-	return s.strategy.Search(&SearchContext{
+	return s.strategy.search(&searchContext{
 		Server: s, Req: req, Op: op, W: w, Base: base, sent: &sent,
 		chainAttrs: qcache.NormalizeAttrs(op.Attributes),
 	})

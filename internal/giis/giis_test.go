@@ -3,6 +3,7 @@ package giis
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"mds2/internal/hostinfo"
 	"mds2/internal/ldap"
 	"mds2/internal/providers"
+	"mds2/internal/shard"
 	"mds2/internal/simnet"
 	"mds2/internal/softstate"
 )
@@ -27,7 +29,7 @@ type rig struct {
 	servers []*ldap.Server
 }
 
-func newRig(t *testing.T, strategy Strategy, mods ...func(*Config)) *rig {
+func newRig(t *testing.T, strategy *Strategy, mods ...func(*Config)) *rig {
 	t.Helper()
 	r := &rig{
 		t:       t,
@@ -117,7 +119,7 @@ func (s *sink) SendReferral(urls ...string) error {
 }
 
 func TestChainingMergesChildren(t *testing.T) {
-	r := newRig(t, NewChaining())
+	r := newRig(t, preset("chain", StrategyConfig{}))
 	r.addHost("hostA", 1)
 	r.addHost("hostB", 2)
 
@@ -145,7 +147,7 @@ func TestChainingMergesChildren(t *testing.T) {
 }
 
 func TestScopedSearchChainsOnlyRelevantChild(t *testing.T) {
-	r := newRig(t, NewChaining())
+	r := newRig(t, preset("chain", StrategyConfig{}))
 	r.addHost("hostA", 1)
 	r.addHost("hostB", 2)
 
@@ -201,7 +203,7 @@ func TestSearchOutOfRangeNotChained(t *testing.T) {
 }
 
 func TestNameIndexServedLocally(t *testing.T) {
-	r := newRig(t, NewChaining())
+	r := newRig(t, preset("chain", StrategyConfig{}))
 	r.addHost("hostA", 1)
 	r.addHost("hostB", 2)
 
@@ -221,7 +223,7 @@ func TestNameIndexServedLocally(t *testing.T) {
 }
 
 func TestSoftStateExpiryRemovesChild(t *testing.T) {
-	r := newRig(t, NewChaining())
+	r := newRig(t, preset("chain", StrategyConfig{}))
 	r.addHost("hostA", 1)
 	if len(r.giis.Children()) != 1 {
 		t.Fatal("child missing")
@@ -239,7 +241,7 @@ func TestSoftStateExpiryRemovesChild(t *testing.T) {
 }
 
 func TestPartitionedChildYieldsPartialResults(t *testing.T) {
-	r := newRig(t, NewChaining())
+	r := newRig(t, preset("chain", StrategyConfig{}))
 	r.addHost("hostA", 1)
 	r.addHost("hostB", 2)
 	// Partition hostB away from the GIIS.
@@ -262,7 +264,7 @@ func TestPartitionedChildYieldsPartialResults(t *testing.T) {
 }
 
 func TestLDAPAddCarriesRegistration(t *testing.T) {
-	r := newRig(t, NewChaining())
+	r := newRig(t, preset("chain", StrategyConfig{}))
 	now := r.clock.Now()
 	msg := &grrp.Message{
 		Type:       grrp.TypeRegister,
@@ -341,7 +343,7 @@ func TestSignedRegistrationRequired(t *testing.T) {
 }
 
 func TestCachedIndexServesWithoutChaining(t *testing.T) {
-	strategy := NewCachedIndex(10 * time.Minute)
+	strategy := preset("cache", StrategyConfig{CacheTTL: 10 * time.Minute})
 	r := newRig(t, strategy)
 	r.addHost("hostA", 1)
 
@@ -373,7 +375,7 @@ func TestCachedIndexServesWithoutChaining(t *testing.T) {
 }
 
 func TestCachedIndexServesStaleDuringPartition(t *testing.T) {
-	strategy := NewCachedIndex(time.Minute)
+	strategy := preset("cache", StrategyConfig{CacheTTL: time.Minute})
 	r := newRig(t, strategy)
 	r.addHost("hostA", 1)
 	// Populate.
@@ -391,7 +393,7 @@ func TestCachedIndexServesStaleDuringPartition(t *testing.T) {
 }
 
 func TestReferralStrategy(t *testing.T) {
-	r := newRig(t, NewReferral())
+	r := newRig(t, preset("referral", StrategyConfig{}))
 	r.addHost("hostA", 1)
 	w := &sink{}
 	res := r.giis.Search(&ldap.Request{Ctx: context.Background(), State: &ldap.ConnState{}},
@@ -413,7 +415,7 @@ func TestReferralStrategy(t *testing.T) {
 }
 
 func TestBloomRoutedSkipsNonMatchingChildren(t *testing.T) {
-	strategy := NewBloomRouted(time.Hour, 1<<14)
+	strategy := preset("bloom", StrategyConfig{CacheTTL: time.Hour})
 	r := newRig(t, strategy)
 	r.addHost("hostA", 1) // both hosts are linux/ia32 in the rig
 	r.addHost("hostB", 2)
@@ -432,8 +434,8 @@ func TestBloomRoutedSkipsNonMatchingChildren(t *testing.T) {
 	if r.giis.ChainedOps.Value() != base {
 		t.Errorf("bloom routing should skip all children, chains = %d", r.giis.ChainedOps.Value()-base)
 	}
-	if strategy.SkippedChildren.Value() < 2 {
-		t.Errorf("skipped = %d", strategy.SkippedChildren.Value())
+	if strategy.BloomSkipped.Value() < 2 {
+		t.Errorf("skipped = %d", strategy.BloomSkipped.Value())
 	}
 	// A query matching one host chains only there.
 	entries, _ = r.search(&ldap.SearchRequest{
@@ -450,7 +452,7 @@ func TestBloomRoutedSkipsNonMatchingChildren(t *testing.T) {
 func TestHierarchyTwoLevels(t *testing.T) {
 	// Figure 5: a center GIIS aggregates its hosts and registers with the
 	// VO GIIS; searches at the VO root traverse both levels.
-	r := newRig(t, NewChaining())
+	r := newRig(t, preset("chain", StrategyConfig{}))
 
 	clock := r.clock
 	center := New(Config{
@@ -541,7 +543,7 @@ func TestHierarchyTwoLevels(t *testing.T) {
 }
 
 func TestInvitationFlow(t *testing.T) {
-	r := newRig(t, NewChaining())
+	r := newRig(t, preset("chain", StrategyConfig{}))
 	var invited *grrp.Message
 	r.network.HandleDatagrams("gris-node", func(from string, payload []byte) {
 		m, err := grrp.Unmarshal(payload)
@@ -565,7 +567,7 @@ func TestInvitationFlow(t *testing.T) {
 }
 
 func TestSizeLimitAcrossLocalAndChained(t *testing.T) {
-	r := newRig(t, NewChaining())
+	r := newRig(t, preset("chain", StrategyConfig{}))
 	r.addHost("hostA", 1)
 	r.addHost("hostB", 2)
 	w := &sink{}
@@ -579,11 +581,52 @@ func TestSizeLimitAcrossLocalAndChained(t *testing.T) {
 	}
 }
 
+// TestStrategyNames: every name -strategy accepts builds, and a server using
+// it calls itself by that name in its root DSE; any other name is refused
+// with the list of names.
 func TestStrategyNames(t *testing.T) {
-	for _, s := range []Strategy{NewChaining(), NewCachedIndex(time.Minute),
-		NewReferral(), NewBloomRouted(time.Minute, 1024)} {
-		if s.Name() == "" {
-			t.Error("empty strategy name")
-		}
+	for _, name := range strings.Split(StrategyNames(), " | ") {
+		t.Run(name, func(t *testing.T) {
+			st, err := NewStrategy(name, soloRing)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := newRig(t, st)
+			w := &sink{}
+			res := r.giis.Search(&ldap.Request{Ctx: context.Background(), State: &ldap.ConnState{}},
+				&ldap.SearchRequest{BaseDN: "", Scope: ldap.ScopeBaseObject}, w)
+			if res.Code != ldap.ResultSuccess || len(w.entries) != 1 {
+				t.Fatalf("root DSE: %+v, %d entries", res, len(w.entries))
+			}
+			if got := w.entries[0].First("searchstrategy"); got != name {
+				t.Errorf("searchstrategy: %q, want %q", got, name)
+			}
+		})
 	}
+	_, err := NewStrategy("chaining", StrategyConfig{})
+	if err == nil || !strings.Contains(err.Error(), StrategyNames()) {
+		t.Errorf("unknown name: %v, want an error listing %s", err, StrategyNames())
+	}
+}
+
+// preset builds a strategy the way -strategy does.
+func preset(name string, c StrategyConfig) *Strategy {
+	st, err := NewStrategy(name, c)
+	if err != nil {
+		panic(err)
+	}
+	return st
+}
+
+// soloRing configures a one-member ring whose member is the rigs' directory
+// node: every child is local, and the other presets ignore it.
+var soloRing = StrategyConfig{Ring: "s0=sim://giis-node:389", ShardID: "s0", Replicas: 1, ShardMode: "proxy"}
+
+// ringSpec renders members as -shard-ring spells them.
+func ringSpec(members []shard.Member) string {
+	specs := make([]string, len(members))
+	for i, m := range members {
+		specs[i] = m.ID + "=" + m.URL.String()
+	}
+	return strings.Join(specs, ",")
 }

@@ -23,7 +23,7 @@ func computerQuery() *ldap.SearchRequest {
 }
 
 func TestQueryCacheHitSkipsChain(t *testing.T) {
-	r := newRig(t, NewChaining(), withQueryCache(time.Minute))
+	r := newRig(t, preset("chain", StrategyConfig{}), withQueryCache(time.Minute))
 	r.addHost("hostA", 1)
 	r.addHost("hostB", 2)
 
@@ -65,7 +65,7 @@ func TestQueryCacheHitSkipsChain(t *testing.T) {
 // so a query for the two was answered with the entries cached for the one —
 // which carry no attributes at all.
 func TestQueryCacheKeepsSelectionsApart(t *testing.T) {
-	r := newRig(t, NewChaining(), withQueryCache(time.Minute))
+	r := newRig(t, preset("chain", StrategyConfig{}), withQueryCache(time.Minute))
 	r.addHost("hostA", 1)
 
 	odd := computerQuery()
@@ -91,7 +91,7 @@ func TestQueryCacheKeepsSelectionsApart(t *testing.T) {
 // those requests must always chain to the authoritative provider even when
 // an identical plain query was just cached.
 func TestPersistentSearchBypassesQueryCache(t *testing.T) {
-	r := newRig(t, NewChaining(), withQueryCache(time.Minute))
+	r := newRig(t, preset("chain", StrategyConfig{}), withQueryCache(time.Minute))
 	r.addHost("hostA", 1)
 
 	if _, res := r.search(computerQuery()); res.Code != ldap.ResultSuccess {
@@ -116,7 +116,7 @@ func TestPersistentSearchBypassesQueryCache(t *testing.T) {
 // registration that produced it would have — a refresh that extends the
 // registration does not resurrect results cached under the old deadline.
 func TestQueryCacheBoundedByChildSoftState(t *testing.T) {
-	r := newRig(t, NewChaining(), withQueryCache(time.Hour))
+	r := newRig(t, preset("chain", StrategyConfig{}), withQueryCache(time.Hour))
 	r.addHost("hostA", 1)
 
 	// Shrink hostA's registration to 30s from now.
@@ -165,7 +165,7 @@ func TestQueryCacheBoundedByChildSoftState(t *testing.T) {
 // registry pass that applied the change, so a storm of other registrations
 // around it cannot crowd it out.
 func TestRegistryExpiryInvalidatesQueryCache(t *testing.T) {
-	r := newRig(t, NewChaining(), withQueryCache(24*time.Hour))
+	r := newRig(t, preset("chain", StrategyConfig{}), withQueryCache(24*time.Hour))
 	r.addHost("hostA", 1) // registrations valid for one hour
 	r.addHost("hostB", 2)
 
@@ -211,7 +211,7 @@ func TestRegistryExpiryInvalidatesQueryCache(t *testing.T) {
 // still fetches each child's subtree once per TTL window and serves
 // queries from the index in between.
 func TestCachedIndexSingleFetchPerChild(t *testing.T) {
-	r := newRig(t, NewCachedIndex(time.Minute))
+	r := newRig(t, preset("cache", StrategyConfig{CacheTTL: time.Minute}))
 	r.addHost("hostA", 1)
 
 	if _, res := r.search(computerQuery()); res.Code != ldap.ResultSuccess {

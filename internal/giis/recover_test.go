@@ -30,7 +30,7 @@ func TestRestartFromWAL(t *testing.T) {
 		o := obs.NewRegistry()
 		walRecords = o.Counter("persist_wal_records_total")
 		s := New(Config{Name: "giis.recover", Suffix: ldap.MustParseDN("o=grid"),
-			SelfURL: ldap.MustParseURL("sim://giis-node:389"), Clock: clock, Strategy: NewReferral()})
+			SelfURL: ldap.MustParseURL("sim://giis-node:389"), Clock: clock, Strategy: preset("referral", StrategyConfig{})})
 		pm, err := persist.Open(persist.Options{Dir: dir, Clock: clock, Sync: persist.SyncAlways,
 			RecoveryGrace: 2 * time.Minute, Obs: o,
 			Codec: persist.PayloadCodec{Encode: grrp.EncodePayload, Decode: grrp.DecodePayload}})

@@ -126,14 +126,14 @@ func TestRelayEqualsDecode(t *testing.T) {
 	}
 	ring := shard.NewRing(members, 0)
 	for _, m := range members {
-		g.directory(m.ID, NewSharded(ring, m.ID, 2))
+		g.directory(m.ID, preset("sharded", StrategyConfig{Ring: ringSpec(members), ShardID: m.ID, Replicas: 2, ShardMode: "proxy"}))
 	}
 	owner := shard.NewPlanner(ring, "", 2, ldap.MustParseDN("o=grid"), nil).
 		Owners(g.suffixes["h3"].String())[0].ID
-	g.directory("chain", NewChaining())
-	g.directory("bloom", NewBloomRouted(time.Hour, 1<<14))
-	g.directory("cache", NewCachedIndex(time.Hour))
-	g.directory("qc", NewChaining(), withQueryCache(time.Hour))
+	g.directory("chain", preset("chain", StrategyConfig{}))
+	g.directory("bloom", preset("bloom", StrategyConfig{CacheTTL: time.Hour}))
+	g.directory("cache", preset("cache", StrategyConfig{CacheTTL: time.Hour}))
+	g.directory("qc", preset("chain", StrategyConfig{}), withQueryCache(time.Hour))
 	views := []struct{ name, node string }{
 		{"chaining", "chain"}, {"bloom-routed", "bloom"}, {"cached-index", "cache"}, {"sharded", owner},
 		{"chaining+qcache fill", "qc"}, {"chaining+qcache hit", "qc"},
@@ -144,7 +144,7 @@ func TestRelayEqualsDecode(t *testing.T) {
 			clients[v.node] = g.client(v.node)
 		}
 	}
-	oracle := g.directory("oracle", NewChaining())
+	oracle := g.directory("oracle", preset("chain", StrategyConfig{}))
 
 	bases := []string{"o=grid", "o=siteA, o=grid", "o=siteB, o=grid", "o=siteC, o=grid",
 		"hn=h1, o=siteA, o=grid", "o=elsewhere, o=grid", "dev=cpu0, hn=f1, o=elsewhere, o=grid"}
@@ -317,7 +317,7 @@ func TestPartialFlagCrossesLevels(t *testing.T) {
 		}
 	})
 	t.Run("cached index", func(t *testing.T) {
-		h := newHierarchy(t, 2, 4, 5, func(c *Config) { c.Strategy = NewCachedIndex(time.Hour) })
+		h := newHierarchy(t, 2, 4, 5, func(c *Config) { c.Strategy = preset("cache", StrategyConfig{CacheTTL: time.Hour}) })
 		h.killLeaf(0)
 		// mid1's whole subtree becomes the index on the first query; mid0's,
 		// missing a leaf, is answered but fetched again by the second.
@@ -325,7 +325,7 @@ func TestPartialFlagCrossesLevels(t *testing.T) {
 		h.wantPartial(t, rackQuery(1), 15, 1)
 	})
 	t.Run("bloom summary", func(t *testing.T) {
-		bloom := NewBloomRouted(time.Hour, 1<<14)
+		bloom := preset("bloom", StrategyConfig{CacheTTL: time.Hour})
 		h := newHierarchy(t, 2, 4, 5, func(c *Config) { c.Strategy = bloom })
 		h.killLeaf(0)
 		// h0 lives on the dead leaf. mid1's summary rules mid1 out; mid0 has
@@ -336,7 +336,7 @@ func TestPartialFlagCrossesLevels(t *testing.T) {
 		}
 		h.wantPartial(t, hostQuery("h0"), 0, 3) // two summary fetches, one search
 		h.wantPartial(t, hostQuery("h7"), 1, 1) // mid0's other leaf still answers
-		if got := bloom.SkippedChildren.Value(); got != 2 {
+		if got := bloom.BloomSkipped.Value(); got != 2 {
 			t.Errorf("summaries ruled out %d hops, want 2 (mid1, twice)", got)
 		}
 	})

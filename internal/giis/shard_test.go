@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mds2/internal/bloom"
 	"mds2/internal/grip"
 	"mds2/internal/gris"
 	"mds2/internal/grrp"
@@ -25,21 +26,21 @@ type shardRig struct {
 	network *simnet.Network
 	ring    *shard.Ring
 	shards  map[string]*Server
-	strats  map[string]*Sharded
+	strats  map[string]*Strategy
 	// hostSuffix maps host name -> registration suffix.
 	hostSuffix map[string]ldap.DN
 }
 
 func shardNode(id string) string { return id + "-node" }
 
-func newShardRig(t *testing.T, n, k int, mode ShardMode) *shardRig {
+func newShardRig(t *testing.T, n, k int, mode string) *shardRig {
 	t.Helper()
 	r := &shardRig{
 		t:          t,
 		clock:      softstate.NewFakeClock(),
 		network:    simnet.New(1),
 		shards:     map[string]*Server{},
-		strats:     map[string]*Sharded{},
+		strats:     map[string]*Strategy{},
 		hostSuffix: map[string]ldap.DN{},
 	}
 	members := make([]shard.Member, n)
@@ -51,8 +52,7 @@ func newShardRig(t *testing.T, n, k int, mode ShardMode) *shardRig {
 	r.ring = shard.NewRing(members, 0)
 	for _, m := range members {
 		m := m
-		st := NewSharded(r.ring, m.ID, k)
-		st.Mode = mode
+		st := preset("sharded", StrategyConfig{Ring: ringSpec(members), ShardID: m.ID, Replicas: k, ShardMode: mode})
 		s := New(Config{
 			Name:     "giis." + m.ID,
 			Suffix:   ldap.MustParseDN("o=grid"),
@@ -123,7 +123,7 @@ func (r *shardRig) registration(name string) *grrp.Message {
 // owners returns the shard IDs owning a host's registration.
 func (r *shardRig) owners(name string) []string {
 	var out []string
-	for _, m := range r.strats["s0"].Planner().Owners(r.hostSuffix[name].String()) {
+	for _, m := range r.strats["s0"].ring.planner.Owners(r.hostSuffix[name].String()) {
 		out = append(out, m.ID)
 	}
 	return out
@@ -154,7 +154,7 @@ func (r *shardRig) search(id string, req *ldap.SearchRequest) ([]*ldap.Entry, ld
 
 func TestShardedOwnershipBoundsResidency(t *testing.T) {
 	const hosts, k, shards = 40, 2, 4
-	r := newShardRig(t, shards, k, ShardProxy)
+	r := newShardRig(t, shards, k, "proxy")
 	for i := 0; i < hosts; i++ {
 		r.addHost(fmt.Sprintf("h%03d", i), fmt.Sprintf("site%d", i%4), int64(i))
 	}
@@ -176,7 +176,7 @@ func TestShardedOwnershipBoundsResidency(t *testing.T) {
 }
 
 func TestShardedRoutableQuery(t *testing.T) {
-	r := newShardRig(t, 4, 2, ShardProxy)
+	r := newShardRig(t, 4, 2, "proxy")
 	for i := 0; i < 8; i++ {
 		r.addHost(fmt.Sprintf("h%03d", i), "site0", int64(i))
 	}
@@ -205,7 +205,7 @@ func TestShardedRoutableQuery(t *testing.T) {
 }
 
 func TestShardedBaseRoutedQuery(t *testing.T) {
-	r := newShardRig(t, 4, 2, ShardProxy)
+	r := newShardRig(t, 4, 2, "proxy")
 	r.addHost("h000", "site0", 1)
 	co := r.coordinator("h000")
 	entries, res := r.search(co, &ldap.SearchRequest{
@@ -214,14 +214,14 @@ func TestShardedBaseRoutedQuery(t *testing.T) {
 	if res.Code != ldap.ResultSuccess || len(entries) != 1 {
 		t.Fatalf("res=%+v n=%d", res, len(entries))
 	}
-	if !r.strats[co].Planner().Plan(r.hostSuffix["h000"], nil).Routable {
+	if !r.strats[co].ring.planner.Plan(r.hostSuffix["h000"], nil).Routable {
 		t.Error("base naming a host should be routable")
 	}
 }
 
 func TestShardedScatterDedup(t *testing.T) {
 	const hosts = 6
-	r := newShardRig(t, 4, 2, ShardProxy)
+	r := newShardRig(t, 4, 2, "proxy")
 	for i := 0; i < hosts; i++ {
 		r.addHost(fmt.Sprintf("h%03d", i), "site0", int64(i))
 	}
@@ -252,7 +252,7 @@ func TestShardedScatterDedup(t *testing.T) {
 }
 
 func TestShardedFailoverToReplica(t *testing.T) {
-	r := newShardRig(t, 4, 2, ShardProxy)
+	r := newShardRig(t, 4, 2, "proxy")
 	for i := 0; i < 8; i++ {
 		r.addHost(fmt.Sprintf("h%03d", i), "site0", int64(i))
 	}
@@ -279,7 +279,7 @@ func TestShardedFailoverToReplica(t *testing.T) {
 
 func TestShardedReferralModeFollowedByClient(t *testing.T) {
 	const hosts = 6
-	r := newShardRig(t, 3, 2, ShardReferral)
+	r := newShardRig(t, 3, 2, "referral")
 	for i := 0; i < hosts; i++ {
 		r.addHost(fmt.Sprintf("h%03d", i), "site0", int64(i))
 	}
@@ -326,7 +326,7 @@ func TestShardedReferralModeFollowedByClient(t *testing.T) {
 }
 
 func TestShardedBloomSkipsHopelessPeers(t *testing.T) {
-	r := newShardRig(t, 4, 2, ShardProxy)
+	r := newShardRig(t, 4, 2, "proxy")
 	for i := 0; i < 8; i++ {
 		r.addHost(fmt.Sprintf("h%03d", i), fmt.Sprintf("site%d", i%2), int64(i))
 	}
@@ -363,7 +363,7 @@ func TestShardedBloomSkipsHopelessPeers(t *testing.T) {
 }
 
 func TestShardedConcurrentSearches(t *testing.T) {
-	r := newShardRig(t, 3, 2, ShardProxy)
+	r := newShardRig(t, 3, 2, "proxy")
 	for i := 0; i < 6; i++ {
 		r.addHost(fmt.Sprintf("h%03d", i), "site0", int64(i))
 	}
@@ -388,5 +388,62 @@ func TestShardedConcurrentSearches(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// TestShardedMembersServeTheirOwnSummaries: ring members built from one
+// Extensions map each answer the shard-summary operation with a summary of
+// their own children, and the caller's map is left as it was. A member
+// answering with another's summary would let a scattering peer rule it out
+// for a query that only its own children match.
+func TestShardedMembersServeTheirOwnSummaries(t *testing.T) {
+	const oid = "1.3.6.1.4.1.3536.2.99"
+	shared := map[string]Extension{oid: func(*ldap.Request, []byte) ([]byte, error) { return nil, nil }}
+	members := []shard.Member{
+		{ID: "a", URL: ldap.MustParseURL("sim://a-node:389")},
+		{ID: "b", URL: ldap.MustParseURL("sim://b-node:389")},
+	}
+	clock := softstate.NewFakeClock()
+	var servers []*Server
+	for _, m := range members {
+		s := New(Config{Name: "giis." + m.ID, Suffix: ldap.MustParseDN("o=grid"), SelfURL: m.URL, Clock: clock,
+			Strategy: preset("sharded", StrategyConfig{Ring: ringSpec(members), ShardID: m.ID,
+				Replicas: 1, ShardMode: "proxy"}),
+			Extensions: shared})
+		t.Cleanup(s.Close)
+		servers = append(servers, s)
+	}
+	now := clock.Now()
+	for i := 0; i < 16; i++ {
+		for _, s := range servers { // each member admits what it owns
+			s.Ingest(&grrp.Message{Type: grrp.TypeRegister, MDSType: "gris",
+				ServiceURL: fmt.Sprintf("sim://h%03d-node:389", i),
+				SuffixDN:   fmt.Sprintf("hn=h%03d, o=site%d, o=grid", i, i),
+				IssuedAt:   now, ValidUntil: now.Add(time.Hour)})
+		}
+	}
+	for i, s := range servers {
+		children := s.Children()
+		if len(children) == 0 || len(children) == 16 {
+			t.Fatalf("member %s holds %d of 16 children, want a share", members[i].ID, len(children))
+		}
+		resp := s.Extended(&ldap.Request{}, &ldap.ExtendedRequest{OID: shard.OIDShardSummary})
+		if resp.Result.Code != ldap.ResultSuccess {
+			t.Fatalf("member %s: %+v", members[i].ID, resp.Result)
+		}
+		f, err := bloom.UnmarshalBinary(resp.Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range children {
+			for _, term := range shard.SuffixTerms(c.Suffix) {
+				if !f.Test(term) {
+					t.Errorf("member %s's summary rules out %q of its own child %s", members[i].ID, term, c.Suffix)
+				}
+			}
+		}
+	}
+	if _, added := shared[shard.OIDShardSummary]; added || len(shared) != 1 {
+		t.Errorf("the caller's Extensions map was written: %d handlers", len(shared))
 	}
 }

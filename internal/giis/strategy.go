@@ -3,17 +3,19 @@ package giis
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"mds2/internal/bloom"
+	"mds2/internal/grrp"
 	"mds2/internal/ldap"
 	"mds2/internal/obs"
 	"mds2/internal/qcache"
 	"mds2/internal/shard"
 )
 
-// SearchContext carries one data search through a strategy.
-type SearchContext struct {
+// searchContext carries one data search through the strategy.
+type searchContext struct {
 	Server *Server
 	Req    *ldap.Request
 	Op     *ldap.SearchRequest
@@ -30,6 +32,15 @@ type SearchContext struct {
 	// already in chainAttrs' form), so their replies go out as they came in
 	// and send does not look inside them.
 	projected bool
+
+	// qc is the query cache chained hops go through: nil when it is off or
+	// the search is persistent.
+	qc *qcache.Cache
+	// terms are the filter's equality terms a Bloom summary is tested
+	// against, set when the plan prunes; filter is the compiled filter an
+	// indexed subtree is evaluated with, set when the plan indexes.
+	terms  []string
+	filter *ldap.Compiled
 }
 
 // send streams one translated entry, honouring the size limit. The entry is
@@ -37,7 +48,7 @@ type SearchContext struct {
 // unless the children already applied the client's selection, the writer
 // projects it (ldap.SendProjected), which is the one thing on the relay
 // path that decodes a wire-backed entry.
-func (c *SearchContext) send(e *ldap.Entry) error {
+func (c *searchContext) send(e *ldap.Entry) error {
 	if c.Op.SizeLimit > 0 && *c.sent >= c.Op.SizeLimit {
 		return errSizeLimit
 	}
@@ -51,27 +62,30 @@ func (c *SearchContext) send(e *ldap.Entry) error {
 // inRegion returns the children the search region can touch, in Children()
 // order, with current deadlines: a walk of the view tree, which costs what
 // it returns.
-func (c *SearchContext) inRegion() []Child {
+func (c *searchContext) inRegion() []Child {
 	return c.Server.table.region(c.Base, c.Op.Scope)
 }
 
-// Strategy is the pluggable search handling of §10.4.
-type Strategy interface {
-	// Name identifies the strategy in configuration and experiments.
-	Name() string
-	// Search answers the data portion of a query.
-	Search(ctx *SearchContext) ldap.Result
-	// attach gives the strategy its owning server before first use.
-	attach(s *Server)
+// evaluate keeps, in place, the entries of an indexed subtree that the
+// search region and filter select.
+func (c *searchContext) evaluate(entries []*ldap.Entry) []*ldap.Entry {
+	kept := entries[:0]
+	for _, e := range entries {
+		if e.DN.WithinScope(c.Base, c.Op.Scope) && c.filter.Matches(e) {
+			kept = append(kept, e)
+		}
+	}
+	return kept
 }
 
-// StrategyConfig is what the strategy table needs to build a strategy by
-// name. Each field mirrors a flag of the giis command.
+// StrategyConfig is what NewStrategy needs to build a preset. Each field
+// mirrors a flag of the giis command.
 type StrategyConfig struct {
-	// CacheTTL bounds the cache strategy's index, the bloom strategy's
-	// summaries and the sharded strategy's peer summaries.
+	// CacheTTL bounds the cache preset's subtree index and every Bloom
+	// summary (the bloom preset's per child, the sharded preset's per peer);
+	// zero means DefaultCacheTTL.
 	CacheTTL time.Duration
-	// Fanout bounds the chaining strategies: chain, bloom and sharded.
+	// Fanout bounds every preset that fetches: chain, cache, bloom, sharded.
 	Fanout Fanout
 	// Ring ("id=url,id=url,..."), ShardID, Replicas and ShardMode ("proxy"
 	// or "referral") configure sharded.
@@ -85,278 +99,260 @@ type StrategyConfig struct {
 // start from.
 const DefaultCacheTTL = 30 * time.Second
 
-// BloomBits sizes each bloom-routed child summary.
+// BloomBits sizes each child summary of the bloom preset.
 const BloomBits = 1 << 16
 
-// strategies is the one table from strategy names to strategies: the giis
-// command's -strategy flag and the topology format's strategy key both
-// resolve through it.
-var strategies = []struct {
+// act is what a hop does with its target.
+type act uint8
+
+const (
+	actChain act = iota // chain the query and relay the reply
+	actIndex            // evaluate the query over the target's indexed subtree
+	actRefer            // name the target to the client as a referral
+)
+
+// presets is the one table from strategy names to plans: the giis command's
+// -strategy flag and the topology format's strategy key both resolve
+// through it, and no other plan can be built.
+var presets = []struct {
 	name  string
-	build func(StrategyConfig) (Strategy, error)
+	act   act  // what a child hop does
+	prune bool // child hops are pruned by their subtree summaries
+	ring  bool // peers on a shard ring are targets too
 }{
-	{"chain", func(c StrategyConfig) (Strategy, error) { return &Chaining{Fanout: c.Fanout}, nil }},
-	{"cache", func(c StrategyConfig) (Strategy, error) { return NewCachedIndex(c.CacheTTL), nil }},
-	{"referral", func(StrategyConfig) (Strategy, error) { return NewReferral(), nil }},
-	{"bloom", func(c StrategyConfig) (Strategy, error) {
-		b := NewBloomRouted(c.CacheTTL, BloomBits)
-		b.Fanout = c.Fanout
-		return b, nil
-	}},
-	{"sharded", newShardedStrategy},
+	{name: "chain"},
+	{name: "cache", act: actIndex},
+	{name: "referral", act: actRefer},
+	{name: "bloom", prune: true},
+	{name: "sharded", ring: true},
 }
 
 // StrategyNames lists the names NewStrategy accepts, joined by " | ".
 func StrategyNames() string {
-	names := make([]string, len(strategies))
-	for i, s := range strategies {
-		names[i] = s.name
+	names := make([]string, len(presets))
+	for i, p := range presets {
+		names[i] = p.name
 	}
 	return strings.Join(names, " | ")
 }
 
-// NewStrategy builds the strategy the table names.
-func NewStrategy(name string, c StrategyConfig) (Strategy, error) {
-	for _, s := range strategies {
-		if s.name == name {
-			return s.build(c)
+// Strategy is how a directory answers data searches — the configurable
+// behaviours of §10.4 — as one plan over three choices, fixed by the preset
+// NewStrategy builds:
+//
+//   - Targets: the children the search region can touch. On a shard ring,
+//     the routed local children plus one hop per remote partition key
+//     (failing over through the key's owners) or per scatter peer; a peer's
+//     shard-local sub-query gets the local children only.
+//   - Prune: a hop whose target's Bloom summary rules the query out is
+//     skipped (§5.1): the bloom preset's child hops by each child's subtree
+//     summary, the ring's scatter peers by each peer's namespace summary.
+//   - Act, per hop: chain the query to the target and relay its reply
+//     ("simply forwarded on to the appropriate information provider"), refer
+//     the client to it ("using the referral mechanisms"), or evaluate it over
+//     a per-child index of the target's whole subtree (the §3 relational
+//     aggregate directory, trading freshness for query cost).
+//
+// Every hop that is not referred goes through the one fan-out (Fanout.run),
+// bounded, hedged and streamed, whatever it does.
+type Strategy struct {
+	name   string
+	fanout Fanout
+	ttl    time.Duration // bounds the subtree index and every summary
+	act    act           // what a child hop does
+	prune  bool          // child hops are pruned by their subtree summaries
+	ring   *ring         // nil unless sharded
+
+	// index holds each child's whole subtree (cache preset). It serves a
+	// stale subtree when the child cannot be reached — "users should have
+	// as much partial or even inconsistent information as is available"
+	// (§2.2) — and keeps no subtree the child flags incomplete.
+	index *qcache.Cache
+	// summaries holds the Bloom summaries of hop targets, children's and
+	// peers' alike, by the target's service key (nil: the target could not
+	// supply one).
+	summaries *qcache.Table[*bloom.Filter]
+
+	// Stats, registered when the server has an obs registry: BloomSkipped as
+	// giis_bloom_skipped_total, the ring's under giis_shard_*.
+	BloomSkipped     obs.Counter // hops pruned by a summary
+	RoutableSearches obs.Counter // searches routed to owners only
+	ScatterSearches  obs.Counter // searches scattered ring-wide
+	PeerQueries      obs.Counter // chained sub-queries sent to peers
+	PeerFailovers    obs.Counter // owner failures absorbed by a replica
+	PeerReferrals    obs.Counter // peer referral URLs returned to clients
+	DupDropped       obs.Counter // duplicate entries dropped by DN dedup
+}
+
+// NewStrategy builds the preset the table names.
+func NewStrategy(name string, c StrategyConfig) (*Strategy, error) {
+	for _, p := range presets {
+		if p.name != name {
+			continue
 		}
+		st := &Strategy{name: name, fanout: c.Fanout, ttl: c.CacheTTL, act: p.act, prune: p.prune}
+		if st.ttl <= 0 {
+			st.ttl = DefaultCacheTTL
+		}
+		var err error
+		if p.ring {
+			st.ring, err = newRing(c)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return st, nil
 	}
 	return nil, fmt.Errorf("giis: unknown strategy %q (want %s)", name, StrategyNames())
 }
 
-// Chaining forwards requests to every live child whose namespace
-// intersects the query region and merges results — the simple aggregate
-// directory MDS-2.1 ships (§10.4: "GRIP requests directed to the GIIS are
-// simply forwarded on to the appropriate information provider").
-//
-// The fan-out is bounded and hedged (see Fanout): at most MaxFanout chained
-// requests run concurrently, child replies stream to the client as they
-// arrive (no full-barrier merge), and an optional hedge deadline cuts the
-// search off at a bounded latency with whatever has arrived rather than
-// waiting on the slowest or partitioned child.
-type Chaining struct {
-	Fanout
-}
-
-// NewChaining returns the default strategy (bounded fan-out, no hedge
-// deadline).
-func NewChaining() *Chaining { return &Chaining{} }
-
-// Name implements Strategy.
-func (c *Chaining) Name() string { return "chaining" }
-
-func (c *Chaining) attach(*Server) {}
-
-// Search implements Strategy.
-func (c *Chaining) Search(ctx *SearchContext) ldap.Result {
-	return c.run(ctx, childHops(ctx.inRegion()), nil)
-}
-
-// CachedIndex maintains a local copy of each child's entries, refreshed
-// through GRIP when stale — the §3 "relational aggregate directory" that
-// "follows up each registration with a GRIP query to determine its
-// properties". Queries are answered entirely from the index, trading
-// freshness for query cost (experiment E4/E6 territory: "tradeoffs between
-// the power of an index, the cost associated with maintaining it, and its
-// freshness").
-type CachedIndex struct {
-	// TTL bounds index staleness; stale children are re-fetched on demand.
-	TTL time.Duration
-
-	s *Server
-	// qc is the per-child entry-set cache, ServeStale for the §2.2
-	// partition behaviour.
-	qc *qcache.Cache
-}
-
-// NewCachedIndex returns a cached-index strategy with the given freshness
-// bound.
-func NewCachedIndex(ttl time.Duration) *CachedIndex {
-	return &CachedIndex{TTL: ttl}
-}
-
-// Name implements Strategy.
-func (c *CachedIndex) Name() string { return "cached-index" }
-
-func (c *CachedIndex) attach(s *Server) {
-	c.s = s
-	c.qc = qcache.New(qcache.Config{
-		Name:  "giis_index",
-		Clock: s.clock,
-		TTL:   c.TTL,
-		// An empty child subtree is as expensive to re-fetch as a full one:
-		// negative results keep the full index TTL.
-		NegTTL:     c.TTL,
-		ServeStale: true,
-		Obs:        s.cfg.Obs,
-	})
-	s.table.caches = append(s.table.caches, c.qc)
-}
-
-// Search implements Strategy.
-func (c *CachedIndex) Search(ctx *SearchContext) ldap.Result {
-	unreachable, incomplete := false, false
-	// Filter before sorting: the index holds every child's full subtree,
-	// and sorting the (usually small) matching subset is far cheaper than
-	// sorting the corpus. The filter compiles once per search so the
-	// per-entry match over the whole corpus stays allocation-free.
-	cf := ctx.Op.Filter.Compile()
-	var matched []*ldap.Entry
-	for _, child := range ctx.inRegion() {
-		r := c.childEntries(ctx.Req, child)
-		if r.err != nil {
-			unreachable = true
-			continue
-		}
-		incomplete = incomplete || r.partial
-		for _, e := range r.entries {
-			if !e.DN.WithinScope(ctx.Base, ctx.Op.Scope) {
-				continue
-			}
-			if !cf.Matches(e) {
-				continue
-			}
-			matched = append(matched, e)
-		}
-	}
-	if err := ctx.sendSorted(matched); err != nil {
-		return sizeOrUnavailable(err)
-	}
-	switch {
-	case unreachable:
-		return partialResult("some providers unreachable")
-	case incomplete:
-		return partialResult("some providers answered incompletely")
-	}
-	return ldap.Result{Code: ldap.ResultSuccess}
-}
-
-// childEntries returns the indexed entry set for one child, re-fetching
-// the child's whole subtree when the cached copy has expired. The fetch
-// bypasses the server-level query cache (chainUncached) so an entry set is
-// never cached twice at different TTLs; ServeStale on the index cache
-// keeps serving stale data when the authoritative source is unreachable:
-// "users should have as much partial or even inconsistent information as
-// is available" (§2.2). A subtree the child itself flags incomplete is
-// answered as such — or from the stale copy, if there is one — and never
-// becomes the index.
-func (c *CachedIndex) childEntries(req *ldap.Request, child Child) hopReply {
-	reg := qcache.Region{
-		Owner: child.service(),
-		Base:  child.ViewSuffix,
-		Scope: ldap.ScopeWholeSubtree,
-	}
-	entries, _, err := c.qc.GetOrFill(reg.Key(nil, 0), reg, child.ExpiresAt,
-		func() ([]*ldap.Entry, error) {
-			return c.s.chainUncached(req, child, child.ViewSuffix, ldap.ScopeWholeSubtree, nil, nil, 0).cacheable()
-		})
-	return uncached(entries, err)
-}
+// Name is the preset's name, as -strategy spells it.
+func (st *Strategy) Name() string { return st.name }
 
 // Entries returns a snapshot of every indexed entry across all children,
 // the corpus specialized services (e.g. the matchmaker extension) evaluate
-// against.
-func (c *CachedIndex) Entries() []*ldap.Entry {
-	out := c.qc.Entries()
+// against; nil unless the preset indexes.
+func (st *Strategy) Entries() []*ldap.Entry {
+	if st.index == nil {
+		return nil
+	}
+	out := st.index.Entries()
 	ldap.SortEntries(out)
 	return out
 }
 
-// Referral returns continuation references instead of data: the client is
-// redirected to the authoritative GRIS, which is how a GIIS serves data it
-// is not allowed to cache or proxy (§10.4: "we can return the name of the
-// information provider directly to the client in the form of a LDAP URL
-// using the referral mechanisms").
-type Referral struct{}
+// attach gives the strategy its owning server before first use.
+func (st *Strategy) attach(s *Server) {
+	if st.act == actIndex {
+		st.index = qcache.New(qcache.Config{Name: "giis_index", Clock: s.clock, TTL: st.ttl,
+			// An empty child subtree is as expensive to re-fetch as a full
+			// one: negative results keep the full index TTL.
+			NegTTL: st.ttl, ServeStale: true, Obs: s.cfg.Obs})
+		s.table.caches = append(s.table.caches, st.index)
+	}
+	if st.prune || st.ring != nil {
+		st.summaries = qcache.NewTable[*bloom.Filter](qcache.TableConfig{Clock: s.clock})
+		s.table.caches = append(s.table.caches, st.summaries)
+		s.cfg.Obs.RegisterCounter("giis_bloom_skipped_total", &st.BloomSkipped) // a nil registry ignores it
+	}
+	if st.ring != nil {
+		st.joinRing(s)
+	}
+}
 
-// NewReferral returns the referral strategy.
-func NewReferral() *Referral { return &Referral{} }
+// search plans a data search and carries the plan out: the hops that fetch
+// go through the fan-out, then the client is referred to the rest — instead
+// of data, or for a ring's peers beside it.
+func (st *Strategy) search(ctx *searchContext) ldap.Result {
+	var hops []hop
+	var dups *obs.Counter
+	if st.ring != nil {
+		// Replicated partitions answer twice.
+		hops, dups = st.ringHops(ctx), &st.DupDropped
+	} else {
+		hops = childHops(ctx.inRegion(), st.act)
+	}
+	if st.prune {
+		if ctx.terms = shard.QueryTerms(ctx.Op.Filter, nil); len(ctx.terms) > 0 {
+			for i := range hops {
+				hops[i].prune = true
+			}
+		}
+	}
+	if st.act == actIndex {
+		ctx.filter = ctx.Op.Filter.Compile()
+	}
+	// Referring hops come last: a ring refers its peers, never its children.
+	n := len(hops)
+	for n > 0 && hops[n-1].act == actRefer {
+		n--
+	}
+	res := st.fanout.run(ctx, hops[:n], dups)
+	if n == len(hops) || res.Code != ldap.ResultSuccess {
+		return res
+	}
+	urls := referrals(ctx, hops[n:])
+	if st.ring != nil {
+		st.PeerReferrals.Add(int64(len(urls)))
+	}
+	if len(urls) > 0 {
+		if err := ctx.W.SendReferral(urls...); err != nil {
+			return ldap.Result{Code: ldap.ResultUnavailable, Message: err.Error()}
+		}
+	}
+	res.Referrals = urls
+	return res
+}
 
-// Name implements Strategy.
-func (r *Referral) Name() string { return "referral" }
-
-func (r *Referral) attach(*Server) {}
-
-// Search implements Strategy. Each referral names the region in the child's
-// namespace, and carries its scope when translation changed it: a one-level
-// search from above narrows to a base search at the child's suffix, and a
-// client re-issuing it one-level there would get the child's children
-// instead (RFC 4511 §4.5.3).
-func (r *Referral) Search(ctx *SearchContext) ldap.Result {
+// referrals is the one referral builder: one URL per distinct target of
+// hops, naming the region in the target's namespace and carrying its scope
+// when translation changed it — a one-level search from above narrows to a
+// base search at a child's suffix, and a client re-issuing it one-level
+// there would get the child's children instead (RFC 4511 §4.5.3). All the
+// owners of a partition key are named: the client dedups what they both
+// return, and a replica covers a primary that is down.
+func referrals(ctx *searchContext, hops []hop) []string {
 	var urls []string
-	for _, child := range ctx.inRegion() {
-		base, scope, _ := translateRegion(ctx.Base, ctx.Op.Scope, &child)
-		url := child.URL.WithDN(base)
-		if scope != ctx.Op.Scope {
-			url = url.WithScope(scope)
-		}
-		urls = append(urls, url.String())
-	}
-	return ctx.refer(ldap.Result{Code: ldap.ResultSuccess}, urls)
-}
-
-// BloomRouted chains like Chaining but first consults per-child Bloom
-// summaries of the child's attribute terms, skipping children that provably
-// cannot match conjunctive equality terms of the filter — the §5.1 lossy
-// aggregation alternative (after the Service Discovery Service). False
-// positives cost a wasted chained query; false negatives cannot occur.
-type BloomRouted struct {
-	Fanout
-	// TTL bounds summary staleness.
-	TTL time.Duration
-	// Bits sizes each summary (experiment E5 sweeps this).
-	Bits uint64
-
-	// summaries maps child service keys to their term filters (nil: the
-	// child could not supply one).
-	summaries *qcache.Table[*bloom.Filter]
-
-	// SkippedChildren counts chains avoided by summary misses.
-	SkippedChildren obs.Counter
-}
-
-// NewBloomRouted returns the Bloom-routed chaining strategy.
-func NewBloomRouted(ttl time.Duration, bits uint64) *BloomRouted {
-	return &BloomRouted{TTL: ttl, Bits: bits}
-}
-
-// Name implements Strategy.
-func (b *BloomRouted) Name() string { return "bloom-routed" }
-
-func (b *BloomRouted) attach(s *Server) {
-	b.summaries = qcache.NewTable[*bloom.Filter](qcache.TableConfig{Clock: s.clock})
-	s.table.caches = append(s.table.caches, b.summaries)
-	if s.cfg.Obs != nil {
-		s.cfg.Obs.RegisterCounter("giis_bloom_skipped_total", &b.SkippedChildren)
-	}
-}
-
-// Search implements Strategy.
-func (b *BloomRouted) Search(ctx *SearchContext) ldap.Result {
-	hops := childHops(ctx.inRegion())
-	terms := shard.QueryTerms(ctx.Op.Filter, nil)
+	seen := map[string]bool{}
 	for i := range hops {
-		child := &hops[i].targets[0]
-		hops[i].skip = func() bool {
-			return ctx.Server.rulesOut(b.summaries, b.TTL, child.service(), terms, &b.SkippedChildren,
-				func() *bloom.Filter { return b.summarize(ctx.Server, *child) })
+		for j := range hops[i].targets {
+			t := &hops[i].targets[j]
+			base, scope, ok := translateRegion(ctx.Base, ctx.Op.Scope, t)
+			if !ok {
+				continue
+			}
+			url := t.URL.WithDN(base)
+			if scope != ctx.Op.Scope {
+				url = url.WithScope(scope)
+			}
+			if u := url.String(); !seen[u] {
+				seen[u] = true
+				urls = append(urls, u)
+			}
 		}
 	}
-	return b.run(ctx, hops, nil)
+	return urls
 }
 
-// summarize builds a child's summary from its whole subtree. The fetch
+// rulesOut reports (and counts) that the hop's target provably holds no
+// entry carrying every term: a conjunctive query can match only where each
+// equality term is (possibly) present. A missing or expired summary is
+// filled first and kept for the TTL; nil, when the target cannot supply
+// one, is kept like a summary, so a down target is not re-asked on every
+// search. No summary fails open.
+func (st *Strategy) rulesOut(ctx *searchContext, h *hop) bool {
+	t := &h.targets[0]
+	key := t.service()
+	f, _, _ := st.summaries.GetOrFill(key, key, func() (*bloom.Filter, time.Time, error) {
+		summarize := ctx.Server.subtreeSummary
+		if h.peer {
+			summarize = ctx.Server.peerSummary
+		}
+		return summarize(*t), ctx.Server.clock.Now().Add(st.ttl), nil
+	})
+	if f == nil {
+		return false
+	}
+	for _, term := range ctx.terms {
+		if !f.Test(term) {
+			st.BloomSkipped.Inc()
+			return true
+		}
+	}
+	return false
+}
+
+// subtreeSummary builds a child's summary from its whole subtree. The fetch
 // bypasses the query cache: a summary is its own cache, and the subtree
 // under a key no client asks for would only push real results out.
-func (b *BloomRouted) summarize(s *Server, child Child) *bloom.Filter {
-	r := s.chainUncached(nil, child, child.ViewSuffix, ldap.ScopeWholeSubtree, nil, nil, 0)
+func (s *Server) subtreeSummary(child Child) *bloom.Filter {
+	r := s.chain(nil, nil, child, child.ViewSuffix, ldap.ScopeWholeSubtree, nil, nil, 0, nil)
 	if r.err != nil || r.partial {
 		// No summary fails open. One built from a subtree that is missing a
 		// provider would rule that provider out.
 		return nil
 	}
-	f := bloom.New(b.Bits, 4)
+	f := bloom.New(BloomBits, 4)
 	for _, e := range r.entries {
 		for _, a := range e.Attributes() {
 			for _, v := range a.Values {
@@ -365,4 +361,206 @@ func (b *BloomRouted) summarize(s *Server, child Child) *bloom.Filter {
 		}
 	}
 	return f
+}
+
+// peerSummary asks a ring peer for its summary over the shard-summary
+// extended operation; nil means the peer cannot supply one right now.
+func (s *Server) peerSummary(peer Child) *bloom.Filter {
+	pe, err := s.acquire(peer.service(), peer.URL)
+	if err != nil {
+		return nil
+	}
+	resp, err := pe.c.Extended(shard.OIDShardSummary, nil)
+	if err != nil {
+		s.evict(pe)
+	}
+	s.release(pe)
+	if err != nil || resp.Result.Err() != nil {
+		return nil
+	}
+	f, _ := bloom.UnmarshalBinary(resp.Value) // nil for a summary it cannot read
+	return f
+}
+
+// ring is the sharded preset's place on a consistent-hash ring that splits
+// the registration namespace, each registration kept by replicas owners.
+// Registrations for keys this member does not own are refused at the
+// soft-state registry, which is what bounds per-node resident entries near
+// N·replicas/members.
+type ring struct {
+	planner *shard.Planner // its Suffix is the server's, set when it attaches
+	refer   bool           // referral mode: peers are referred to, not chained
+	// routes is the routing index over the local child set and localSummary
+	// this member's own Bloom summary, served to peers over the
+	// shard-summary extended operation.
+	routes       memo[shardRoutes]
+	localSummary memo[[]byte]
+}
+
+// newRing reads the sharded preset's settings.
+func newRing(c StrategyConfig) (*ring, error) {
+	members, err := shard.ParseRing(c.Ring)
+	if err != nil {
+		return nil, fmt.Errorf("giis: strategy sharded needs -shard-ring: %w", err)
+	}
+	hashRing := shard.NewRing(members, 0)
+	if _, ok := hashRing.Member(c.ShardID); !ok {
+		return nil, fmt.Errorf("giis: strategy sharded needs -shard-id naming a ring member, got %q", c.ShardID)
+	}
+	refer := c.ShardMode == "referral"
+	if !refer && c.ShardMode != "proxy" {
+		return nil, fmt.Errorf("giis: unknown shard mode %q (want proxy | referral)", c.ShardMode)
+	}
+	replicas := c.Replicas
+	if replicas < 1 {
+		replicas = 2
+	}
+	return &ring{planner: shard.NewPlanner(hashRing, c.ShardID, replicas, nil, nil), refer: refer}, nil
+}
+
+func (st *Strategy) joinRing(s *Server) {
+	r := st.ring
+	r.planner.Suffix = s.cfg.Suffix
+	s.receiver.Registry.SetOwns(func(_ string, payload any) bool {
+		m, ok := payload.(*grrp.Message)
+		return ok && r.planner.OwnsRegistration(m.SuffixDN)
+	})
+	// Serve this member's summary to peers, from the server's own extension
+	// map (New).
+	s.cfg.Extensions[shard.OIDShardSummary] = func(*ldap.Request, []byte) ([]byte, error) {
+		return st.localSummaryBytes(s), nil
+	}
+	reg := s.cfg.Obs // a nil registry ignores what is registered
+	reg.RegisterCounter("giis_shard_routable_total", &st.RoutableSearches)
+	reg.RegisterCounter("giis_shard_scatter_total", &st.ScatterSearches)
+	reg.RegisterCounter("giis_shard_peer_queries_total", &st.PeerQueries)
+	reg.RegisterCounter("giis_shard_peer_failovers_total", &st.PeerFailovers)
+	reg.RegisterCounter("giis_shard_peer_referrals_total", &st.PeerReferrals)
+	reg.RegisterCounter("giis_shard_dup_dropped_total", &st.DupDropped)
+	registry := s.receiver.Registry
+	reg.CounterFunc("giis_shard_not_owned_total", func() int64 { return int64(registry.NotOwnedTotal()) })
+}
+
+// memo holds a value derived from the newest child-table generation it was
+// asked for. A newer generation's value is built under the lock, once; a
+// caller from an older generation gets the newer value.
+type memo[V any] struct {
+	mu  sync.Mutex
+	gen uint64 // zero: nothing held (table generations start at one)
+	val V
+}
+
+func (m *memo[V]) get(gen uint64, build func() V) V {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if gen > m.gen {
+		m.val, m.gen = build(), gen
+	}
+	return m.val
+}
+
+// shardRoutes is the key-routed view of the local child set. It holds the
+// records, so a route read after a refresh still sees the new deadline.
+type shardRoutes struct {
+	byKey    map[string][]*childRec
+	wildcard []*childRec // records whose suffix carries no partition key
+}
+
+// shardLocal marks a sub-query as one peer asking another (shared and
+// read-only: chains copy it before appending trace controls).
+var shardLocal = []ldap.Control{{OID: shard.OIDShardLocal}}
+
+// ringHops is the ring's targets: the local children the region can touch,
+// then one hop per remote partition key the query names, failing over
+// through the key's owners, or, for a query that names none, one per other
+// member, pruned by its summary. A peer's sub-query carries the shard-local
+// control and gets the local children only: this one-hop rule is what
+// terminates proxy chains on a ring.
+func (st *Strategy) ringHops(ctx *searchContext) []hop {
+	r := st.ring
+	plan := r.planner.Plan(ctx.Base, ctx.Op.Filter)
+	var local []Child
+	if plan.Routable {
+		// Read the key index and check only the children it names: an owner
+		// holding hundreds of thousands of residents pays for what the
+		// region holds, not for its partition.
+		recs, gen := ctx.Server.table.records()
+		routes := r.routes.get(gen, func() shardRoutes {
+			routes := shardRoutes{byKey: map[string][]*childRec{}}
+			for _, rec := range recs {
+				if key, keyed := r.planner.RegistrationKeyDN(rec.Suffix); keyed {
+					routes.byKey[key] = append(routes.byKey[key], rec)
+				} else {
+					routes.wildcard = append(routes.wildcard, rec)
+				}
+			}
+			return routes
+		})
+		var cands []*childRec
+		for _, k := range plan.Keys {
+			cands = append(cands, routes.byKey[k]...)
+		}
+		for _, rec := range append(cands, routes.wildcard...) {
+			if _, _, ok := translateRegion(ctx.Base, ctx.Op.Scope, &rec.Child); ok {
+				local = append(local, rec.child())
+			}
+		}
+	} else {
+		local = ctx.inRegion()
+	}
+	hops := childHops(local, actChain)
+	if hasControl(ctx.Req, shard.OIDShardLocal) {
+		return hops
+	}
+
+	// Peers share this directory's suffix, so region translation and DN
+	// grafting are identity.
+	peerHop := func(members ...shard.Member) hop {
+		h := hop{targets: make([]Child, len(members)), act: actChain, peer: true}
+		if r.refer {
+			h.act = actRefer
+		}
+		for i, m := range members {
+			h.targets[i] = Child{URL: m.URL, Suffix: r.planner.Suffix, ViewSuffix: r.planner.Suffix, MDSType: "giis"}
+		}
+		return h
+	}
+	if plan.Routable {
+		st.RoutableSearches.Inc()
+		for _, key := range plan.Keys {
+			if owners := plan.OwnersFor(key); len(owners) > 0 {
+				hops = append(hops, peerHop(owners...))
+			}
+		}
+		return hops
+	}
+	st.ScatterSearches.Inc()
+	if !r.refer {
+		ctx.terms = shard.QueryTerms(ctx.Op.Filter, shard.DefaultSummaryAttrs)
+	}
+	for _, m := range plan.Remote {
+		h := peerHop(m)
+		h.prune = len(ctx.terms) > 0
+		hops = append(hops, h)
+	}
+	return hops
+}
+
+// localSummaryBytes renders this member's Bloom summary of its children's
+// namespace terms.
+func (st *Strategy) localSummaryBytes(s *Server) []byte {
+	s.sweep()
+	recs, gen := s.table.records()
+	return st.ring.localSummary.get(gen, func() []byte {
+		var terms []string
+		for _, rec := range recs {
+			terms = append(terms, shard.SuffixTerms(rec.Suffix)...)
+		}
+		f := bloom.NewForCapacity(len(terms), 0.01)
+		for _, t := range terms {
+			f.Add(t)
+		}
+		b, _ := f.MarshalBinary()
+		return b
+	})
 }

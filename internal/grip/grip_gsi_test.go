@@ -97,10 +97,14 @@ func TestSearchFollowingReferrals(t *testing.T) {
 	ca, trust := testSecurity(t)
 	grisAddr, suffix := startGRIS(t, ca, trust)
 
+	referral, err := giis.NewStrategy("referral", giis.StrategyConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := giis.New(giis.Config{
 		Name: "dir", Suffix: ldap.MustParseDN("vo=v"),
 		SelfURL:  ldap.MustParseURL("ldap://127.0.0.1:0"),
-		Strategy: giis.NewReferral(),
+		Strategy: referral,
 	})
 	t.Cleanup(dir.Close)
 	now := time.Now()

@@ -192,7 +192,7 @@ func TestWireRelayAllocationBudget(t *testing.T) {
 		}
 		SortEntries(entries)
 		for _, e := range entries {
-			// What SearchContext.send does per entry.
+			// What the GIIS searchContext.send does per entry.
 			if err := sw.SendEntry(e.Project(nil)); err != nil {
 				t.Fatal(err)
 			}
