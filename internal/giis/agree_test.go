@@ -27,10 +27,18 @@ type staticChild struct {
 	entries  []*ldap.Entry // in SortEntries order
 	delay    time.Duration
 	searches atomic.Int64
+	// held, while set, holds every search until the channel closes;
+	// arrived hears of each search it holds.
+	held    atomic.Pointer[chan struct{}]
+	arrived chan struct{}
 }
 
 func (h *staticChild) Search(_ *ldap.Request, op *ldap.SearchRequest, w ldap.SearchWriter) ldap.Result {
 	h.searches.Add(1)
+	if held := h.held.Load(); held != nil {
+		h.arrived <- struct{}{}
+		<-*held
+	}
 	time.Sleep(h.delay)
 	base, err := ldap.ParseDN(op.BaseDN)
 	if err != nil {
@@ -73,7 +81,7 @@ func newGrid(t *testing.T) *grid {
 func (g *grid) addChild(name, suffix string, delay time.Duration, entries ...*ldap.Entry) *staticChild {
 	g.t.Helper()
 	ldap.SortEntries(entries)
-	child := &staticChild{entries: entries, delay: delay}
+	child := &staticChild{entries: entries, delay: delay, arrived: make(chan struct{}, 16)}
 	srv := ldap.NewServer(child)
 	l, err := g.network.Listen(name+"-node", "389")
 	if err != nil {

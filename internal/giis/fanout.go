@@ -63,6 +63,7 @@ type hopReply struct {
 	// answer incomplete — it could not reach one of its providers.
 	partial bool
 	err     error
+	hop     int // the index of the hop a worker's reply answers
 }
 
 // run chains the search to every hop and merges the replies to the client.
@@ -116,7 +117,7 @@ func (f Fanout) run(ctx *searchContext, hops []hop, dups *obs.Counter) ldap.Resu
 	}
 
 	ctx.qc = s.qc
-	if hasControl(ctx.Req, ldap.OIDPersistentSearch) {
+	if _, ok := ldap.FindControl(ctx.controls, ldap.OIDPersistentSearch); ok {
 		ctx.qc = nil
 	}
 	var stack [16]int
@@ -127,10 +128,10 @@ func (f Fanout) run(ctx *searchContext, hops []hop, dups *obs.Counter) ldap.Resu
 		ok := false
 		switch {
 		case h.act == actIndex:
-			r, ok = s.cached(ctx.Req, s.strategy.index, t, t.ViewSuffix, ldap.ScopeWholeSubtree, nil, nil, 0)
+			r, ok = s.cached(ctx.trace, s.strategy.index, t, t.ViewSuffix, ldap.ScopeWholeSubtree, nil, nil, 0, false)
 			r.entries = ctx.evaluate(r.entries)
 		case ctx.qc != nil && !h.prune && !h.peer:
-			r, ok = s.cached(ctx.Req, ctx.qc, t, ctx.Base, ctx.Op.Scope, ctx.Op.Filter, ctx.chainAttrs, hopLimit(ctx.Op))
+			r, ok = s.cached(ctx.trace, ctx.qc, t, ctx.Base, ctx.Op.Scope, ctx.Op.Filter, ctx.chainAttrs, hopLimit(ctx.Op), false)
 		}
 		if !ok {
 			misses = append(misses, i)
@@ -159,25 +160,50 @@ func (f Fanout) run(ctx *searchContext, hops []hop, dups *obs.Counter) ldap.Resu
 		for i := 0; i < workers; i++ {
 			go func() {
 				for i := range jobs {
-					replies <- s.runHop(ctx, &hops[i])
+					r := s.runHop(ctx, &hops[i])
+					r.hop = i
+					replies <- r
 				}
 			}()
 		}
 
 		var hedge <-chan time.Time
+		var answered []bool // by hop, when an index hop may be cut off
 		if f.HedgeDeadline > 0 {
 			hedge = s.clock.After(f.HedgeDeadline)
+			if s.strategy.act == actIndex {
+				answered = make([]bool, len(hops))
+			}
 		}
 	collect:
 		for done := 0; done < len(misses); done++ {
 			select {
 			case r := <-replies:
+				if answered != nil {
+					answered[r.hop] = true
+				}
 				if err := take(r); err != nil {
 					return sizeOrUnavailable(err)
 				}
 			case <-hedge:
 				hedged = true
 				s.HedgeFired.Inc()
+				// An index hop still fetching is answered from the subtree
+				// the index holds for its child, however old: "as much
+				// partial or even inconsistent information as is available"
+				// (§2.2), flagged partial by the hedge like the rest.
+				for _, i := range misses {
+					if hops[i].act != actIndex || answered[i] {
+						continue
+					}
+					t := &hops[i].targets[0]
+					if r, ok := s.cached(ctx.trace, s.strategy.index, t, t.ViewSuffix, ldap.ScopeWholeSubtree, nil, nil, 0, true); ok {
+						r.entries = ctx.evaluate(r.entries)
+						if err := take(r); err != nil {
+							return sizeOrUnavailable(err)
+						}
+					}
+				}
 				break collect
 			}
 		}
@@ -208,7 +234,7 @@ func (s *Server) runHop(ctx *searchContext, h *hop) (r hopReply) {
 	}
 	if h.act == actIndex {
 		t := h.targets[0]
-		r = s.chain(ctx.Req, st.index, t, t.ViewSuffix, ldap.ScopeWholeSubtree, nil, nil, 0, nil)
+		r = s.chain(ctx.trace, st.index, t, t.ViewSuffix, ldap.ScopeWholeSubtree, nil, nil, 0, nil)
 		r.entries = ctx.evaluate(r.entries)
 		return r
 	}
@@ -224,7 +250,7 @@ func (s *Server) runHop(ctx *searchContext, h *hop) (r hopReply) {
 				st.PeerFailovers.Inc()
 			}
 		}
-		r = s.chain(ctx.Req, ctx.qc, target, ctx.Base, ctx.Op.Scope, ctx.Op.Filter,
+		r = s.chain(ctx.trace, ctx.qc, target, ctx.Base, ctx.Op.Scope, ctx.Op.Filter,
 			ctx.chainAttrs, limit, extra)
 		if r.err == nil {
 			break

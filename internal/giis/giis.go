@@ -510,9 +510,27 @@ func uncached(entries []*ldap.Entry, err error) hopReply {
 	return hopReply{entries: entries, err: err}
 }
 
+// hopTrace is the trace identity a search's hops carry, copied by value out
+// of the client's Request when the search starts: a hop the hedge cut off
+// still runs after the search returns, when the connection has handed the
+// Request to its next operation. The zero value is untraced.
+type hopTrace struct {
+	span  *obs.Span // the search's server span; hops hang theirs off it
+	id    string    // empty when the search is untraced
+	depth int
+}
+
+// traceOf copies req's trace identity.
+func traceOf(req *ldap.Request) hopTrace {
+	if req == nil {
+		return hopTrace{}
+	}
+	return hopTrace{span: req.Span, id: req.TraceID, depth: req.TraceDepth}
+}
+
 // chain translates a view-namespace region into the child's namespace,
 // runs the search there, and translates result DNs back into the view.
-// When req carries a trace, the hop is recorded as a chain span, the trace
+// When tr is a trace, the hop is recorded as a chain span, the trace
 // identity propagates to the child via the trace-request control, and the
 // span tree the child reports back is grafted under the chain span — so the
 // root directory's trace shows every hop of a multi-level search. extra
@@ -530,7 +548,7 @@ func uncached(entries []*ldap.Entry, err error) hopReply {
 // subtree. A fan-out answers the hits it can from cached (on the search's
 // own goroutine) before it hands a hop to a worker, so what reaches chain
 // with a cache is mostly a miss.
-func (s *Server) chain(req *ldap.Request, qc *qcache.Cache, child Child, base ldap.DN, scope ldap.Scope,
+func (s *Server) chain(tr hopTrace, qc *qcache.Cache, child Child, base ldap.DN, scope ldap.Scope,
 	filter *ldap.Filter, attrs []string, sizeLimit int64, extra []ldap.Control) hopReply {
 
 	childBase, childScope, ok := translateRegion(base, scope, &child)
@@ -538,7 +556,7 @@ func (s *Server) chain(req *ldap.Request, qc *qcache.Cache, child Child, base ld
 		return hopReply{}
 	}
 	if qc == nil {
-		return s.chainTranslated(req, child, childBase, childScope, filter, attrs, sizeLimit, extra)
+		return s.chainTranslated(tr, child, childBase, childScope, filter, attrs, sizeLimit, extra)
 	}
 	region := hopRegion(&child, childBase, childScope, filter, extra)
 	var kb [256]byte
@@ -547,10 +565,10 @@ func (s *Server) chain(req *ldap.Request, qc *qcache.Cache, child Child, base ld
 	// outlives the registration that produced it (two-tier expiry). The
 	// deadline is the one current when the search selected the child.
 	entries, how, err := qc.GetOrFill(key, region, child.ExpiresAt, func() ([]*ldap.Entry, error) {
-		return s.chainTranslated(req, child, childBase, childScope, filter, attrs, sizeLimit, extra).cacheable()
+		return s.chainTranslated(tr, child, childBase, childScope, filter, attrs, sizeLimit, extra).cacheable()
 	})
 	if how != qcache.OutcomeMiss {
-		markHop(req, &child, how)
+		markHop(tr, &child, how)
 	}
 	return uncached(entries, err)
 }
@@ -559,20 +577,29 @@ func (s *Server) chain(req *ldap.Request, qc *qcache.Cache, child Child, base ld
 // false: a miss, which a worker chains). It is chain's hit path, run before
 // anything is spawned: the key is rendered into a buffer on the stack and
 // probed without a string, and a region that cannot reach the child is the
-// empty reply chain would give.
-func (s *Server) cached(req *ldap.Request, qc *qcache.Cache, child *Child, base ldap.DN, scope ldap.Scope,
-	filter *ldap.Filter, attrs []string, sizeLimit int64) (r hopReply, ok bool) {
+// empty reply chain would give. With stale, an expired reply qc still holds
+// answers too (a ServeStale cache's, for a hop the hedge cut off).
+func (s *Server) cached(tr hopTrace, qc *qcache.Cache, child *Child, base ldap.DN, scope ldap.Scope,
+	filter *ldap.Filter, attrs []string, sizeLimit int64, stale bool) (r hopReply, ok bool) {
 	childBase, childScope, reaches := translateRegion(base, scope, child)
 	if !reaches {
 		return hopReply{}, true
 	}
 	region := hopRegion(child, childBase, childScope, filter, nil)
 	var kb [256]byte
-	entries, hit := qc.Lookup(region.AppendKey(kb[:0], attrs, sizeLimit))
+	key := region.AppendKey(kb[:0], attrs, sizeLimit)
+	var entries []*ldap.Entry
+	hit, how := false, qcache.OutcomeHit
+	if stale {
+		entries, hit = qc.LookupStale(key)
+		how = qcache.OutcomeStale
+	} else {
+		entries, hit = qc.Lookup(key)
+	}
 	if !hit {
 		return hopReply{}, false
 	}
-	markHop(req, child, qcache.OutcomeHit)
+	markHop(tr, child, how)
 	return hopReply{entries: entries}, true
 }
 
@@ -580,11 +607,11 @@ func (s *Server) cached(req *ldap.Request, qc *qcache.Cache, child *Child, base 
 // real chain span inside chainTranslated; hits (and joined or stale fills)
 // record a zero-fan-out marker span so traces show where the cache cut the
 // chain short.
-func markHop(req *ldap.Request, child *Child, how qcache.Outcome) {
-	if req == nil || req.TraceID == "" {
+func markHop(tr hopTrace, child *Child, how qcache.Outcome) {
+	if tr.id == "" {
 		return
 	}
-	sp := req.Span.Child("chain:" + child.URL.String())
+	sp := tr.span.Child("chain:" + child.URL.String())
 	sp.SetNote("cache " + how.String())
 	sp.End()
 }
@@ -602,18 +629,9 @@ func hopRegion(child *Child, childBase ldap.DN, childScope ldap.Scope, filter *l
 	return qcache.Region{Owner: owner, Base: childBase, Scope: childScope, Filter: filter}
 }
 
-// hasControl reports whether the client request carries the control oid.
-func hasControl(req *ldap.Request, oid string) bool {
-	if req == nil {
-		return false
-	}
-	_, ok := ldap.FindControl(req.Controls, oid)
-	return ok
-}
-
 // chainTranslated runs one uncached hop against a region already translated
 // into the child's namespace (the fill path under the query cache).
-func (s *Server) chainTranslated(req *ldap.Request, child Child, childBase ldap.DN,
+func (s *Server) chainTranslated(tr hopTrace, child Child, childBase ldap.DN,
 	childScope ldap.Scope, filter *ldap.Filter, attrs []string, sizeLimit int64,
 	extra []ldap.Control) hopReply {
 
@@ -626,11 +644,11 @@ func (s *Server) chainTranslated(req *ldap.Request, child Child, childBase ldap.
 	}
 	var sp *obs.Span
 	ctls := extra
-	traced := req != nil && req.TraceID != ""
+	traced := tr.id != ""
 	if traced {
-		sp = req.Span.Child("chain:" + child.URL.String())
+		sp = tr.span.Child("chain:" + child.URL.String())
 		ctls = append(append([]ldap.Control(nil), extra...),
-			ldap.NewTraceControl(req.TraceID, req.TraceDepth+1))
+			ldap.NewTraceControl(tr.id, tr.depth+1))
 	}
 	var start time.Time
 	if s.hChainChild != nil || traced {
@@ -852,7 +870,8 @@ func (s *Server) Search(req *ldap.Request, op *ldap.SearchRequest, w ldap.Search
 
 	// Hand data queries to the strategy.
 	return s.strategy.search(&searchContext{
-		Server: s, Req: req, Op: op, W: w, Base: base, sent: &sent,
+		Server: s, Op: op, W: w, Base: base, sent: &sent,
+		controls: req.Controls, trace: traceOf(req),
 		chainAttrs: qcache.NormalizeAttrs(op.Attributes),
 	})
 }

@@ -14,13 +14,20 @@ import (
 	"mds2/internal/shard"
 )
 
-// searchContext carries one data search through the strategy.
+// searchContext carries one data search through the strategy. It holds
+// nothing of the client's *ldap.Request, which the connection reuses once
+// the search returns, while a hop the hedge cut off runs on: what the plan
+// reads of the request is copied here when the search starts.
 type searchContext struct {
 	Server *Server
-	Req    *ldap.Request
 	Op     *ldap.SearchRequest
 	W      ldap.SearchWriter
 	Base   ldap.DN
+
+	// controls are the request's controls (they belong to the decoded
+	// message, not the Request), and trace its trace identity.
+	controls []ldap.Control
+	trace    hopTrace
 
 	sent *int64 // starts at the number of local entries already sent
 
@@ -346,7 +353,7 @@ func (st *Strategy) rulesOut(ctx *searchContext, h *hop) bool {
 // bypasses the query cache: a summary is its own cache, and the subtree
 // under a key no client asks for would only push real results out.
 func (s *Server) subtreeSummary(child Child) *bloom.Filter {
-	r := s.chain(nil, nil, child, child.ViewSuffix, ldap.ScopeWholeSubtree, nil, nil, 0, nil)
+	r := s.chain(hopTrace{}, nil, child, child.ViewSuffix, ldap.ScopeWholeSubtree, nil, nil, 0, nil)
 	if r.err != nil || r.partial {
 		// No summary fails open. One built from a subtree that is missing a
 		// provider would rule that provider out.
@@ -509,7 +516,7 @@ func (st *Strategy) ringHops(ctx *searchContext) []hop {
 		local = ctx.inRegion()
 	}
 	hops := childHops(local, actChain)
-	if hasControl(ctx.Req, shard.OIDShardLocal) {
+	if _, ok := ldap.FindControl(ctx.controls, shard.OIDShardLocal); ok {
 		return hops
 	}
 

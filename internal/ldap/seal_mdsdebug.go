@@ -2,7 +2,10 @@
 
 package ldap
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // Snapshot-seal sanitizer, debug flavor. The store's copy-on-write
 // contract says entries handed out by Find/FindLimit/All and delivered in
@@ -151,3 +154,39 @@ func poisonChunk(b []byte) {
 		b[i] = 0xDB
 	}
 }
+
+// writerSan marks a served search's writer retired once its op has ended:
+// the connection reuses the writer for a later search, so a send on a
+// retired one (a goroutine the handler left running) would land in another
+// operation's reply. Dispatch revives the writer when it hands it out again.
+type writerSan struct {
+	retired atomic.Bool
+}
+
+func (s *writerSan) retire() { s.retired.Store(true) }
+
+func (s *writerSan) check() {
+	if s.retired.Load() {
+		panic("ldap: search writer used after its handler returned (mdsdebug); a served writer is valid only during Handler.Search")
+	}
+}
+
+// retireRequest poisons a Request whose op has ended, as poisonChunk does a
+// recycled read chunk: a reader that outlived the handler finds a Ctx that
+// panics and a trace identity no span belongs to, instead of the fields of
+// the operation that reuses it.
+func retireRequest(r *Request) {
+	*r = Request{Ctx: retiredContext{}, Controls: retiredControls, TraceID: "\xdb\xdb\xdb\xdb", TraceDepth: -1}
+}
+
+var retiredControls = []Control{{OID: "retired"}}
+
+// retiredContext is a retired Request's Ctx: every use panics.
+type retiredContext struct{}
+
+func (retiredContext) Deadline() (time.Time, bool) { panic(retiredRequest) }
+func (retiredContext) Done() <-chan struct{}       { panic(retiredRequest) }
+func (retiredContext) Err() error                  { panic(retiredRequest) }
+func (retiredContext) Value(any) any               { panic(retiredRequest) }
+
+const retiredRequest = "ldap: Request used after its handler returned (mdsdebug); a served Request is valid only during the Handler call"

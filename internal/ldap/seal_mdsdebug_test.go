@@ -176,3 +176,44 @@ func TestSealCoversKeptNames(t *testing.T) {
 	poisonChunk(chunk[at : at+len(e.name)])
 	mustPanic(t, "re-emitting an entry whose name outlived its chunk", func() { entryFrame(4, e) })
 }
+
+// leakingSearches hands each search's Request and writer out of the handler,
+// as a goroutine left running past the handler would keep them.
+type leakingSearches struct {
+	BaseHandler
+	leaked chan leakedOp
+}
+
+type leakedOp struct {
+	req *Request
+	w   SearchWriter
+}
+
+func (h leakingSearches) Search(req *Request, _ *SearchRequest, w SearchWriter) Result {
+	h.leaked <- leakedOp{req, w}
+	return Result{Code: ResultSuccess}
+}
+
+// TestRetiredOpStatePoisoned: once a served search has ended, the writer it
+// was lent panics on every send, and its Request is poisoned: its Ctx panics
+// and its trace identity names no trace.
+func TestRetiredOpStatePoisoned(t *testing.T) {
+	h := leakingSearches{leaked: make(chan leakedOp, 1)}
+	srv := NewServer(h)
+	p := newOpPeer(t, srv)
+	p.write(1, &SearchRequest{BaseDN: "o=grid", Scope: ScopeWholeSubtree})
+	op := <-h.leaked
+	if res := p.done(1); res.Code != ResultSuccess {
+		t.Fatalf("search: %+v", res)
+	}
+	eventually(t, "the op retires", func() bool { return freeOps(srv) == 1 })
+	e := NewEntry(MustParseDN("hn=h1, o=grid")).Add("objectclass", "computer")
+	mustPanic(t, "SendEntry on a retired writer", func() { op.w.SendEntry(e) })
+	mustPanic(t, "SendProjected on a retired writer", func() { SendProjected(op.w, e, []string{"hn"}) })
+	mustPanic(t, "SendReferral on a retired writer", func() { op.w.SendReferral("ldap://h1/") })
+	mustPanic(t, "Done on a retired Request's Ctx", func() { op.req.Ctx.Done() })
+	mustPanic(t, "Err on a retired Request's Ctx", func() { op.req.Ctx.Err() })
+	if op.req.State != nil || op.req.TraceDepth >= 0 || len(op.req.Controls) != 1 || op.req.Controls[0].OID != "retired" {
+		t.Errorf("retired Request not poisoned: %+v", *op.req)
+	}
+}

@@ -54,7 +54,11 @@ func (c *ConnState) Identity() any {
 
 // SearchWriter streams search results back to the client. Implementations
 // are safe for concurrent use; a persistent search holds one for its
-// lifetime and feeds it from change notifications.
+// lifetime and feeds it from change notifications. A served search's writer
+// is valid only until its Handler.Search returns: the connection hands it to
+// a later search on the same connection, so a goroutine the handler leaves
+// running must not send on it (under -tags mdsdebug a retired writer
+// panics).
 type SearchWriter interface {
 	// SendEntry transmits one result entry with optional per-entry controls.
 	// The entry may be a shared immutable snapshot — a store's or cache's
@@ -68,7 +72,12 @@ type SearchWriter interface {
 
 // Request bundles the decoded operation with its envelope controls and a
 // context that is cancelled when the operation is abandoned or the
-// connection closes.
+// connection closes. A served Request, its Ctx included, is valid only until
+// the handler returns: the connection reuses it for a later operation, so
+// anything that outlives the call copies the fields it needs first (under
+// -tags mdsdebug a retired Request is poisoned). A goroutine that took
+// Ctx.Done() while the handler ran still sees it close when the operation
+// ends.
 type Request struct {
 	Ctx      context.Context
 	State    *ConnState
@@ -88,6 +97,11 @@ type Request struct {
 // Handler implements server-side LDAP semantics. GRIS and GIIS are both
 // Handlers plugged into the same protocol engine, mirroring how MDS-2
 // implements both as OpenLDAP backends behind one front end (§10.4).
+//
+// The *Request and the SearchWriter a method is given are the connection's,
+// lent for the call: both are valid only until the method returns, after
+// which the connection reuses them for another operation. The decoded
+// operation (op) and what it holds the method may keep.
 type Handler interface {
 	Bind(req *Request, op *BindRequest) *BindResponse
 	Search(req *Request, op *SearchRequest, w SearchWriter) Result
@@ -353,8 +367,14 @@ type serverConn struct {
 	inst  *serverInstruments
 	w     *connWriter // coalesces outbound messages onto the wire
 
+	// opMu guards ops, free and every cancellation of an op's context.
 	opMu sync.Mutex
-	ops  map[int64]context.CancelFunc // in-flight, abandonable operations
+	ops  map[int64]*opState // in-flight, abandonable operations
+	free []*opState         // retired ops' states, for reuse (at most maxFreeOps)
+
+	// bind is the Request a bind is served with: binds run one at a time on
+	// the read loop.
+	bind Request
 
 	// idle hands an operation to the connection's parked dispatch worker,
 	// if it has one. parked says a worker has committed to receiving on
@@ -380,7 +400,7 @@ func (s *Server) newConn(conn net.Conn) *serverConn {
 		clock: clock,
 		inst:  inst,
 		w:     newConnWriter(conn, s.Clock, inst.batch),
-		ops:   map[int64]context.CancelFunc{},
+		ops:   map[int64]*opState{},
 		idle:  make(chan admittedOp),
 	}
 }
@@ -392,8 +412,14 @@ func (c *serverConn) serve() {
 		// Order matters: close the transport, cancel every in-flight
 		// operation (persistent searches block on their context) and the
 		// idle worker's wait, and only then wait for the dispatch workers to
-		// drain, then stop the write coalescer.
+		// drain, then stop the write coalescer. The read loop registered
+		// every op there is, so each one is cancelled here or retires first.
 		c.conn.Close()
+		c.opMu.Lock()
+		for _, st := range c.ops {
+			st.ctx.cancel()
+		}
+		c.opMu.Unlock()
 		cancelAll()
 		opWG.Wait()
 		c.w.close()
@@ -433,7 +459,9 @@ func (c *serverConn) serve() {
 			if c.inst.enabled {
 				start = c.clock.Now()
 			}
-			resp := c.srv.Handler.Bind(c.request(root, msg), op)
+			c.bind = Request{Ctx: root, State: c.state, Controls: msg.Controls}
+			resp := c.srv.Handler.Bind(&c.bind, op)
+			retireRequest(&c.bind)
 			if c.inst.enabled {
 				c.inst.opDur[opBind].Observe(c.clock.Now().Sub(start))
 			}
@@ -474,11 +502,7 @@ func (c *serverConn) serve() {
 			// including any admission-queue wait.
 			tr := c.beginTrace(msg)
 			queued := tr.Root().Child("queue")
-			ctx, cancel := context.WithCancel(root)
-			c.opMu.Lock()
-			c.ops[msg.ID] = cancel
-			c.opMu.Unlock()
-			c.hand(admittedOp{msg: msg, ctx: ctx, cancel: cancel, ticket: ticket, holdsSlot: holdsSlot,
+			c.hand(admittedOp{msg: msg, st: c.register(msg.ID), ticket: ticket, holdsSlot: holdsSlot,
 				tr: tr, queued: queued}, root, &opWG)
 		}
 	}
@@ -487,8 +511,7 @@ func (c *serverConn) serve() {
 // admittedOp is one admitted operation on its way to a dispatch worker.
 type admittedOp struct {
 	msg       *Message
-	ctx       context.Context // cancelled by abandon, connection close or completion
-	cancel    context.CancelFunc
+	st        *opState     // registered under msg.ID until the op retires
 	ticket    *admitTicket // non-nil: queued for a worker slot
 	holdsSlot bool         // release the admission slot when done
 	tr        *obs.Trace
@@ -532,18 +555,13 @@ func (c *serverConn) worker(op admittedOp, root context.Context, wg *sync.WaitGr
 // run carries one operation from the admission queue through dispatch, and
 // retires it.
 func (c *serverConn) run(op admittedOp) {
-	defer func() {
-		op.cancel()
-		c.opMu.Lock()
-		delete(c.ops, op.msg.ID)
-		c.opMu.Unlock()
-	}()
+	defer c.retire(op.msg.ID, op.st)
 	adm := c.srv.admission()
 	if op.ticket != nil {
 		// Queued behind the worker set: wait for a slot off the read loop.
 		// Cancellation (abandon, connection close, server shutdown) drops the
 		// op without a response — the requester is gone or going.
-		if err := op.ticket.wait(adm, op.ctx.Done()); err != nil {
+		if err := op.ticket.wait(adm, op.st.ctx.Done()); err != nil {
 			op.queued.End()
 			return
 		}
@@ -555,7 +573,7 @@ func (c *serverConn) run(op admittedOp) {
 		}()
 	}
 	op.queued.End()
-	c.dispatch(op.ctx, op.msg, op.tr)
+	c.dispatch(op.st, op.msg, op.tr)
 }
 
 // beginTrace starts (or joins) a trace for one dispatched operation.
@@ -602,12 +620,13 @@ func opName(op Op) string {
 	return "other"
 }
 
-func (c *serverConn) request(ctx context.Context, msg *Message) *Request {
-	return &Request{Ctx: ctx, State: c.state, Controls: msg.Controls}
-}
-
-func (c *serverConn) dispatch(ctx context.Context, msg *Message, tr *obs.Trace) {
-	req := c.request(ctx, msg)
+// dispatch runs msg's handler with st's Request (and, for a search, st's
+// writer) and sends its reply; a search's done reply is st's as well. The
+// connection writer encodes a message before enqueue returns and keeps
+// nothing of it, so none of st is reachable once dispatch returns.
+func (c *serverConn) dispatch(st *opState, msg *Message, tr *obs.Trace) {
+	req := &st.req
+	*req = Request{Ctx: &st.ctx, State: c.state, Controls: msg.Controls}
 	if tr != nil {
 		req.Span = tr.Root()
 		req.TraceID = tr.ID
@@ -624,12 +643,14 @@ func (c *serverConn) dispatch(ctx context.Context, msg *Message, tr *obs.Trace) 
 	var reply Op
 	switch op := msg.Op.(type) {
 	case *SearchRequest:
-		w = &connSearchWriter{conn: c, id: msg.ID, track: tr != nil}
+		w = &st.w
+		*w = connSearchWriter{conn: c, id: msg.ID, track: tr != nil}
 		if why := searchRangeError(op); why != "" {
-			reply = &SearchResultDone{Result: Result{Code: ResultProtocolError, Message: why}}
+			st.done = SearchResultDone{Result: Result{Code: ResultProtocolError, Message: why}}
 		} else {
-			reply = &SearchResultDone{Result: c.srv.Handler.Search(req, op, w)}
+			st.done = SearchResultDone{Result: c.srv.Handler.Search(req, op, w)}
 		}
+		reply = &st.done
 	case *AddRequest:
 		kind = opAdd
 		reply = &AddResponse{Result: c.srv.Handler.Add(req, op)}
@@ -665,7 +686,8 @@ func (c *serverConn) dispatch(ctx context.Context, msg *Message, tr *obs.Trace) 
 			ctls = append(ctls, Control{OID: obs.OIDTraceSpans, Value: obs.EncodeSpans(tr.Export())})
 		}
 	}
-	c.send(msg.ID, reply, ctls...)
+	st.reply = Message{ID: msg.ID, Op: reply, Controls: ctls}
+	c.w.enqueue(&st.reply, true)
 }
 
 // searchRangeError names what RFC 4511 §4.5.1 puts out of range in a search
@@ -686,13 +708,135 @@ func searchRangeError(op *SearchRequest) string {
 	return ""
 }
 
+// abandon cancels the op registered under id, if there is one. Under opMu
+// it either finds the op before the op retires, which then never reuses its
+// state, or finds nothing: it cannot reach a later op that reuses the state.
 func (c *serverConn) abandon(id int64) {
 	c.opMu.Lock()
-	cancel, ok := c.ops[id]
-	c.opMu.Unlock()
-	if ok {
-		cancel()
+	if st := c.ops[id]; st != nil {
+		st.ctx.cancel()
 	}
+	c.opMu.Unlock()
+}
+
+// maxFreeOps bounds the retired op states a connection keeps: a client
+// pipelining deeper than this makes the rest afresh, and a burst leaves no
+// more than this behind.
+const maxFreeOps = 8
+
+// opState is one served operation's bookkeeping: its Request, context,
+// search writer and done reply, reused by the connection's later operations
+// once it retires (DESIGN §9.3).
+type opState struct {
+	ctx   opCtx
+	req   Request
+	w     connSearchWriter
+	done  SearchResultDone
+	reply Message // the envelope of the op's final reply
+}
+
+// register makes an op state routable under id for abandon, reusing a
+// retired one when the connection has one. A request reusing the ID of one
+// still outstanding (RFC 4511 §4.1.1.1 forbids it) takes the ID over, and the
+// older op, which nothing could abandon any more, is cancelled.
+func (c *serverConn) register(id int64) *opState {
+	c.opMu.Lock()
+	defer c.opMu.Unlock()
+	var st *opState
+	if n := len(c.free); n > 0 {
+		st = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		st = &opState{}
+	}
+	if old := c.ops[id]; old != nil {
+		old.ctx.cancel()
+	}
+	c.ops[id] = st
+	return st
+}
+
+// retire ends the op registered under id once its reply is queued: the op
+// leaves the table and, unless its context was cancelled or anyone took its
+// Done channel (which now closes), its state is kept for reuse.
+func (c *serverConn) retire(id int64, st *opState) {
+	retireRequest(&st.req)
+	st.w.san.retire()
+	c.opMu.Lock()
+	if c.ops[id] == st {
+		delete(c.ops, id)
+	}
+	if st.ctx.end() && len(c.free) < maxFreeOps {
+		st.done, st.reply = SearchResultDone{}, Message{}
+		c.free = append(c.free, st)
+	}
+	c.opMu.Unlock()
+}
+
+// opCtx is a served operation's context. Its Done channel is made only when
+// someone asks for it — an admission-queue wait, Store.Subscribe, a
+// persistent search's loop — so an op nobody waits on costs no channel, and
+// its state can be reused. It is cancelled under the connection's opMu, by
+// abandon, by the connection closing, by a newer op taking its ID, or by its
+// retirement when its Done channel was taken. Like the connection root it
+// stands in for, it carries no values and no deadline.
+type opCtx struct {
+	mu  sync.Mutex
+	ch  chan struct{} // made by the first Done
+	err error         // context.Canceled once cancelled
+}
+
+func (x *opCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
+
+func (x *opCtx) Value(any) any { return nil }
+
+func (x *opCtx) Done() <-chan struct{} {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.ch == nil {
+		x.ch = make(chan struct{})
+		if x.err != nil {
+			close(x.ch)
+		}
+	}
+	return x.ch
+}
+
+func (x *opCtx) Err() error {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.err
+}
+
+// cancel ends the context. Caller holds the connection's opMu.
+func (x *opCtx) cancel() {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.cancelLocked()
+}
+
+func (x *opCtx) cancelLocked() {
+	if x.err == nil {
+		x.err = context.Canceled
+		if x.ch != nil {
+			close(x.ch)
+		}
+	}
+}
+
+// end retires the context and reports whether it can serve another op: it
+// was never cancelled and no one took its Done channel. A context whose
+// channel was taken is cancelled instead, so whoever waits on it sees the op
+// end. Caller holds the connection's opMu.
+func (x *opCtx) end() bool {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.err == nil && x.ch == nil {
+		return true
+	}
+	x.cancelLocked()
+	return false
 }
 
 // send transmits a response message and flushes: results, done messages,
@@ -704,6 +848,7 @@ func (c *serverConn) send(id int64, op Op, controls ...Control) error {
 type connSearchWriter struct {
 	conn *serverConn
 	id   int64
+	san  writerSan // mdsdebug: panics on a send after the op retired
 	// track turns on encode/write accounting for traced searches; when
 	// false (the common case) SendEntry takes the untimed path — no clock
 	// reads, no atomics, no allocations beyond the send itself.
@@ -725,6 +870,7 @@ func (w *connSearchWriter) SendEntry(e *Entry, controls ...Control) error {
 // sendProjected is SendEntry(e.Project(attrs), controls...), with the
 // projection made by the encoder (appendProjectedEntry) instead of an Entry.
 func (w *connSearchWriter) sendProjected(e *Entry, attrs []string, controls []Control) error {
+	w.san.check()
 	flush := len(controls) > 0
 	if !w.track {
 		return w.conn.w.enqueueEntry(w.id, e, attrs, controls, flush)
@@ -749,6 +895,7 @@ func SendProjected(w SearchWriter, e *Entry, attrs []string, controls ...Control
 }
 
 func (w *connSearchWriter) SendReferral(urls ...string) error {
+	w.san.check()
 	return w.conn.w.enqueue(&Message{ID: w.id,
 		Op: &SearchResultReference{URLs: urls}}, false)
 }

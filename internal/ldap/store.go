@@ -597,8 +597,12 @@ func (s *Store) Subscribe(ctx context.Context, base DN, scope Scope, filter *Fil
 	s.mu.Lock()
 	s.watches[w] = struct{}{}
 	s.mu.Unlock()
+	// Take Done now, not in the goroutine: a served op's context is only
+	// valid while its handler runs, and taking the channel is what makes it
+	// close when the op ends (DESIGN §9.3).
+	done := ctx.Done()
 	go func() {
-		<-ctx.Done()
+		<-done
 		s.mu.Lock()
 		delete(s.watches, w)
 		s.mu.Unlock()

@@ -313,6 +313,13 @@ func (c *Cache) Lookup(key []byte) ([]*ldap.Entry, bool) {
 	return slices.Clone(entries), ok
 }
 
+// LookupStale is Lookup that also serves an expired result, on a ServeStale
+// cache, to a caller that cannot wait for the refill.
+func (c *Cache) LookupStale(key []byte) ([]*ldap.Entry, bool) {
+	entries, ok := c.t.LookupStale(key)
+	return slices.Clone(entries), ok
+}
+
 // GetOrFill returns the cached result for key, running fill on a miss (once,
 // however many callers miss at once) and caching what it returns. bound,
 // when non-zero, caps the result's freshness at that instant regardless of

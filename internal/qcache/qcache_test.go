@@ -300,8 +300,15 @@ func TestServeStaleOnFillError(t *testing.T) {
 	if err != nil || how != OutcomeStale || len(got) != 2 {
 		t.Fatalf("stale serve: got %d entries, outcome %v, err %v", len(got), how, err)
 	}
+	// A caller that will not wait for a fill is served the expired value too.
+	if got, ok := c.LookupStale([]byte(key)); !ok || len(got) != 2 {
+		t.Fatalf("LookupStale: %d entries, ok %v", len(got), ok)
+	}
+	if n := c.StaleServed.Value(); n != 2 {
+		t.Errorf("stale served %d times, want 2", n)
+	}
 
-	// Without ServeStale the error surfaces.
+	// Without ServeStale the error surfaces, and nothing expired is served.
 	c2 := New(Config{Clock: clk, TTL: 5 * time.Second})
 	c2.Put(key, reg, time.Time{}, testEntries(2))
 	clk.Advance(10 * time.Second)
@@ -309,6 +316,9 @@ func TestServeStaleOnFillError(t *testing.T) {
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want fill error", err)
+	}
+	if got, ok := c2.LookupStale([]byte(key)); ok {
+		t.Fatalf("LookupStale without ServeStale served %d entries", len(got))
 	}
 }
 

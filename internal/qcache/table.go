@@ -139,6 +139,19 @@ func (t *Table[V]) Lookup(key []byte) (V, bool) {
 	return t.hitLocked(t.items[string(key)], now, nil)
 }
 
+// LookupStale is Lookup for a caller that will not wait for a fill: a
+// ServeStale table serves key's resident value however old, counting an
+// expired one as stale served.
+func (t *Table[V]) LookupStale(key []byte) (v V, ok bool) {
+	if v, ok = t.Lookup(key); ok {
+		return v, true
+	}
+	if v, ok = t.stale(string(key)); ok {
+		t.counts.StaleServed.Inc()
+	}
+	return v, ok
+}
+
 // hitLocked serves it if it is fresh at now, counting an expired one on
 // stale. Caller holds mu.
 func (t *Table[V]) hitLocked(it *slot[V], now time.Time, stale *obs.Counter) (v V, ok bool) {
