@@ -307,6 +307,56 @@ func TestCLIStrategies(t *testing.T) {
 	})
 }
 
+// TestCLIMonitorDropsKilledChild: a gris registers with a mid giis, which
+// registers with a top giis. After the gris is killed with SIGKILL its
+// registration leaves the mid's monitor (cn=monitor under the mid's suffix)
+// within one TTL and one refresh interval, and so does what the top shows
+// of it, read by chaining at cn=monitor under the mid's view suffix.
+func TestCLIMonitorDropsKilledChild(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	const ttl, interval = 3 * time.Second, 300 * time.Millisecond
+	bins := buildTools(t)
+	topAddr, midAddr, grisAddr := loopbackAddr(t), loopbackAddr(t), loopbackAddr(t)
+	startTool(t, filepath.Join(bins, "giis"),
+		"-name", "giis.top", "-suffix", "vo=top", "-listen", topAddr, "-vo", "clitest")
+	waitPort(t, topAddr)
+	startTool(t, filepath.Join(bins, "giis"),
+		"-name", "giis.mid", "-suffix", "vo=mid", "-listen", midAddr, "-vo", "clitest",
+		"-parent", topAddr, "-interval", "200ms", "-ttl", "5s")
+	waitPort(t, midAddr)
+	grisCmd := startTool(t, filepath.Join(bins, "gris"),
+		"-host", "clihost", "-org", "cliorg", "-listen", grisAddr, "-register", midAddr,
+		"-vo", "clitest", "-interval", interval.String(), "-ttl", ttl.String())
+
+	row := "key: ldap://" + grisAddr
+	views := []struct{ server, base string }{
+		{midAddr, "cn=monitor, vo=mid"},
+		{topAddr, "cn=monitor, vo=mid, vo=top"},
+	}
+	for _, v := range views {
+		searchUntil(t, bins, v.server, v.base, row, "(objectclass=mdsregistration)")
+	}
+
+	grisCmd.Process.Kill()
+	grisCmd.Wait()
+	deadline := time.Now().Add(ttl + interval)
+	for _, v := range views {
+		for {
+			out, err := exec.Command(filepath.Join(bins, "gridsearch"), "-server", v.server,
+				"-base", v.base, "(objectclass=mdsregistration)").CombinedOutput()
+			if err == nil && !strings.Contains(string(out), row) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s at %s still lists the killed gris %v after its TTL: %v\n%s", v.base, v.server, ttl+interval, err, out)
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
+	}
+}
+
 // TestCLIDataDirSurvivesRestart kills a persisted giis with SIGKILL after
 // its only provider has stopped, restarts it on the same data directory,
 // and finds the child still listed: it can only have come from the log,

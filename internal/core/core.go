@@ -132,11 +132,11 @@ func (g *Grid) listen(node string) (net.Listener, ldap.URL, error) {
 }
 
 // serve starts a node's LDAP server on l.
-func (g *Grid) serve(h ldap.Handler, l net.Listener, url ldap.URL, suffix ldap.DN) *ldap.Server {
+func (g *Grid) serve(h ldap.Handler, l net.Listener, url ldap.URL) *ldap.Server {
 	srv := ldap.NewServer(h)
 	srv.Obs = g.obs
 	if g.daemon != nil {
-		g.daemon.serve(srv, url, suffix)
+		g.daemon.serve(srv, url)
 	}
 	go srv.Serve(l)
 	return srv
@@ -345,7 +345,7 @@ func (g *Grid) AddHost(name string, opts HostOptions) (*HostNode, error) {
 		closePersist()
 		return nil, err
 	}
-	srv := g.serve(gs, l, url, suffix)
+	srv := g.serve(gs, l, url)
 
 	n := &HostNode{
 		Name: name, Host: host, GRIS: gs, URL: url, Suffix: suffix, Keys: keys,
@@ -546,13 +546,7 @@ func (g *Grid) AddDirectory(name string, opts DirectoryOptions) (*DirectoryNode,
 			gs.Close()
 		}
 	}
-	if d := g.daemon; d != nil && d.handler != nil {
-		d.handler.AddTable("children", gs.Receiver().Registry)
-		if qc := gs.QueryCache(); qc != nil {
-			d.handler.AddCache("query", func() any { return qc.Debug() })
-		}
-	}
-	srv := g.serve(gs, l, url, suffix)
+	srv := g.serve(gs, l, url)
 
 	d := &DirectoryNode{
 		Name: name, GIIS: gs, URL: url, Keys: keys,

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"mds2/internal/gsi"
@@ -48,14 +47,11 @@ type Daemon struct {
 	listen, keyFile, anchor, walSync string
 	obsAddr                          string
 	obsSlow                          time.Duration
-	probes                           string
-	health                           ldap.HealthCheck
 	overload                         ldap.OverloadConfig
 
 	// Set by Grid when -obs-addr is.
 	tracer  *obs.Tracer
 	handler *obs.Handler
-	modes   []ldap.ProbeMode
 }
 
 // NewDaemon declares the shared flags on fs; listen is the default LDAP
@@ -68,15 +64,11 @@ func NewDaemon(fs *flag.FlagSet, role, listen string) *Daemon {
 	fs.DurationVar(&d.TTL, "ttl", DefaultTTL, "registration TTL")
 	fs.StringVar(&d.keyFile, "keys", "", "GSI key file for this service (see gridproxy); enables SASL/GSI binds (and a GIIS's -auth-children, -require-signed)")
 	fs.StringVar(&d.anchor, "anchor", "", "trust anchor file (required with -keys)")
-	fs.StringVar(&d.obsAddr, "obs-addr", "", "HTTP introspection listen address (/metrics, /debug/traces, /healthz; a GIIS adds /debug/registry, /debug/qcache); empty disables observability")
+	fs.StringVar(&d.obsAddr, "obs-addr", "", "HTTP introspection listen address (/metrics, /debug/traces, /healthz); empty disables observability. A GIIS serves its registrations and caches over GRIP under cn=monitor,<suffix>")
 	fs.DurationVar(&d.obsSlow, "obs-slow", 100*time.Millisecond, "slow-query log threshold (0 disables the slow ring)")
 	fs.StringVar(&d.Persist.Dir, "data-dir", "", "durability: data directory for the WAL (a GIIS logs its registrations, a GRIS its provider rounds); empty disables persistence")
 	fs.StringVar(&d.walSync, "wal-sync", "interval", "durability: WAL fsync policy: always | interval | none")
 	fs.DurationVar(&d.Persist.SnapshotEvery, "snapshot-every", 5*time.Minute, "durability: background snapshot cadence (0 disables)")
-	fs.StringVar(&d.probes, "health-probe", "anonymous", "healthz probe mode(s), comma-separated: anonymous | scoped-search")
-	fs.StringVar(&d.health.Base, "health-base", "", "scoped-search probe: base DN (default: the served suffix)")
-	fs.StringVar(&d.health.Filter, "health-filter", "(objectclass=*)", "scoped-search probe: filter")
-	fs.IntVar(&d.health.MinEntries, "health-min-entries", 1, "scoped-search probe: minimum entries required")
 	fs.IntVar(&d.overload.MaxWorkers, "max-workers", 0, "overload control: max concurrently dispatched operations (0 disables admission control)")
 	fs.IntVar(&d.overload.MaxQueue, "max-queue", 0, "overload control: ops queued behind the worker set before shedding unavailable")
 	fs.DurationVar(&d.overload.QueueBudget, "queue-budget", 0, "overload control: shed busy when projected queue wait exceeds this")
@@ -110,19 +102,12 @@ func (d *Daemon) Grid() (*Grid, error) {
 		d.logf("GSI enabled as %q", d.Keys.Credential.Subject)
 	}
 	if d.obsAddr != "" {
-		for _, spec := range strings.Split(d.probes, ",") {
-			mode, err := ldap.ParseProbeMode(spec)
-			if err != nil {
-				return nil, err
-			}
-			d.modes = append(d.modes, mode)
-		}
 		g.obs = obs.NewRegistry()
 		d.tracer = obs.NewTracer(g.Clock, d.obsSlow)
 		d.tracer.SlowLog = func(t *obs.TraceExport) {
 			d.logf("slow query trace=%s op=%s peer=%s took=%v", t.ID, t.Op, t.Peer, time.Duration(t.DurNs))
 		}
-		d.handler = obs.NewHandler(g.obs, d.tracer, g.Clock)
+		d.handler = obs.NewHandler(g.obs, d.tracer)
 	}
 	return g, nil
 }
@@ -155,17 +140,10 @@ func (d *Daemon) logf(format string, args ...any) {
 }
 
 // serve applies the daemon's overload control and observability to a
-// node's LDAP server, and points the health checks at the node.
-func (d *Daemon) serve(srv *ldap.Server, url ldap.URL, suffix ldap.DN) {
+// node's LDAP server, and points the root-DSE health check at the node.
+func (d *Daemon) serve(srv *ldap.Server, url ldap.URL) {
 	srv.ErrorLog, srv.Tracer, srv.Overload = log.Default(), d.tracer, d.overload
-	for _, mode := range d.modes {
-		hc := d.health
-		hc.Addr, hc.Mode, hc.Scope = url.Address(), mode, ldap.ScopeWholeSubtree
-		if mode == ldap.ProbeScopedSearch && hc.Base == "" {
-			hc.Base = suffix.String()
-		}
-		d.handler.AddHealthCheck("ldap-"+mode.String(), hc.Probe)
-	}
+	d.handler.AddHealthCheck("ldap-anonymous", ldap.HealthCheck{Addr: url.Address()}.Probe)
 }
 
 // advertised renders a listen address as a dialable one: ":2135" becomes

@@ -248,12 +248,15 @@ func TestStrategiesAgree(t *testing.T) {
 	ldap.SortEntries(reachable)
 	downChild := Child{Suffix: g.suffixes[down], ViewSuffix: g.suffixes[down]}
 
-	bases := []string{"o=grid", "o=siteA, o=grid", "o=siteB, o=grid", "o=siteC, o=grid",
+	// The root is above the suffix and o=grid is the suffix: a search there
+	// must not see the directories' monitors, which the last filter (it
+	// leaves out only the name index and the root DSE) would match.
+	bases := []string{"", "o=grid", "o=siteA, o=grid", "o=siteB, o=grid", "o=siteC, o=grid",
 		"hn=h1, o=siteA, o=grid", "hn=h3, o=siteB, o=grid", "hn=c9, o=siteC, o=grid",
 		"dev=cpu0, hn=h2, o=siteA, o=grid"}
 	scopes := []ldap.Scope{ldap.ScopeBaseObject, ldap.ScopeSingleLevel, ldap.ScopeWholeSubtree}
 	filters := []string{"(objectclass=computer)", "(&(objectclass=computer)(o=siteA))",
-		"(cpucount=8)", "(|(cpucount=4)(cpucount=2))", "(cpucount=*)"}
+		"(cpucount=8)", "(|(cpucount=4)(cpucount=2))", "(cpucount=*)", "(!(|(objectclass=mdsservice)(objectclass=top)))"}
 	for _, baseStr := range bases {
 		base := ldap.MustParseDN(baseStr)
 		for _, scope := range scopes {

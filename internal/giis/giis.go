@@ -8,8 +8,8 @@
 // referrals.
 //
 // A GIIS is itself an information provider: it publishes its own service
-// entry and the name index of its children, and registers up a hierarchy
-// with GRRP to form the Figure 5 discovery tree.
+// entry, the name index of its children and its monitor (monitor.go), and
+// registers up a hierarchy with GRRP to form the Figure 5 discovery tree.
 package giis
 
 import (
@@ -168,6 +168,8 @@ type Server struct {
 	// table is the child set and name index, maintained from the registry's
 	// transition feed.
 	table *childTable
+	// monitor roots the monitor subtree: cn=monitor under the suffix.
+	monitor ldap.DN
 
 	// Stats
 	Registrations obs.Counter // accepted GRRP messages
@@ -215,9 +217,10 @@ func New(cfg Config) *Server {
 	maps.Copy(exts, cfg.Extensions)
 	cfg.Extensions = exts
 	s := &Server{
-		cfg:   cfg,
-		clock: cfg.Clock,
-		pool:  map[string]*poolEntry{},
+		cfg:     cfg,
+		clock:   cfg.Clock,
+		pool:    map[string]*poolEntry{},
+		monitor: cfg.Suffix.ChildAVA("cn", "monitor"),
 	}
 	if cfg.Keys != nil && cfg.Trust != nil {
 		s.sasl = gsi.NewSASLBinder(cfg.Keys, cfg.Trust, cfg.Clock.Now, cfg.TrustedDirectories)
@@ -816,14 +819,15 @@ func (s *Server) Add(_ *ldap.Request, op *ldap.AddRequest) ldap.Result {
 	return ldap.Result{Code: ldap.ResultSuccess}
 }
 
-// rootDSE advertises the directory's namespace, strategy, and supported
-// extensions (the §6 service-publication mechanism).
+// rootDSE advertises the directory's namespace, monitor, strategy, and
+// supported extensions (the §6 service-publication mechanism).
 func (s *Server) rootDSE() *ldap.Entry {
 	e := ldap.NewEntry(ldap.DN{}).
 		Add("objectclass", "top").
 		Add("vendorname", "mds2").
 		Add("mdstype", "giis").
 		Add("namingcontexts", s.cfg.Suffix.String()).
+		Add("monitorcontext", s.monitor.String()).
 		Add("searchstrategy", s.strategy.Name()).
 		Add("supportedsaslmechanisms", gsi.SASLMechanism)
 	for oid := range s.cfg.Extensions {
@@ -832,8 +836,9 @@ func (s *Server) rootDSE() *ldap.Entry {
 	return e
 }
 
-// Search answers GRIP queries: service metadata and the name index are
-// served locally; data queries go through the configured strategy.
+// Search answers GRIP queries: service metadata, the monitor and the name
+// index are served locally; data queries go through the configured
+// strategy.
 func (s *Server) Search(req *ldap.Request, op *ldap.SearchRequest, w ldap.SearchWriter) ldap.Result {
 	s.Searches.Inc()
 	base, err := ldap.ParseDN(op.BaseDN)
@@ -850,6 +855,9 @@ func (s *Server) Search(req *ldap.Request, op *ldap.SearchRequest, w ldap.Search
 		return ldap.Result{Code: ldap.ResultSuccess}
 	}
 	s.sweep()
+	if base.WithinScope(s.monitor, ldap.ScopeWholeSubtree) {
+		return s.searchMonitor(base, op, w)
+	}
 
 	// Serve the local entries (self + name index) that fall in the region:
 	// one indexed lookup, and the stored entries go out as they are — the

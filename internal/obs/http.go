@@ -6,39 +6,24 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"mds2/internal/softstate"
 )
 
 // Handler is the live introspection endpoint mounted behind -obs-addr:
 //
 //	/metrics         Prometheus text exposition of the Registry
 //	/debug/traces    recent + slow traces as JSON
-//	/debug/registry  soft-state tables: key, TTL remaining, last refresh
-//	/debug/qcache    query-result cache snapshots: config, stats, keys
 //	/healthz         registered liveness probes; 200 all-pass, 503 otherwise
 //
-// Handler starts no goroutines and owns no listener; callers (cmd/gris,
-// cmd/giis, the wire experiment) pair it with http.Serve.
+// What a directory believes about its VO — its registrations and caches —
+// is not here: it is served over GRIP, under cn=monitor beneath the
+// directory's suffix. Handler starts no goroutines and owns no listener;
+// core.Daemon pairs it with http.Serve.
 type Handler struct {
 	reg    *Registry
 	tracer *Tracer
-	clock  softstate.Clock
 
 	mu     sync.Mutex
-	tables []namedTable
-	caches []namedCache
 	probes []namedProbe
-}
-
-type namedTable struct {
-	name string
-	reg  *softstate.Registry
-}
-
-type namedCache struct {
-	name string
-	fn   func() any
 }
 
 type namedProbe struct {
@@ -47,33 +32,8 @@ type namedProbe struct {
 }
 
 // NewHandler serves reg and tracer (either may be nil).
-func NewHandler(reg *Registry, tracer *Tracer, clock softstate.Clock) *Handler {
-	if clock == nil {
-		clock = softstate.RealClock{}
-	}
-	return &Handler{reg: reg, tracer: tracer, clock: clock}
-}
-
-// AddTable exposes a soft-state registry under /debug/registry.
-func (h *Handler) AddTable(name string, r *softstate.Registry) {
-	if h == nil || r == nil {
-		return
-	}
-	h.mu.Lock()
-	h.tables = append(h.tables, namedTable{name: name, reg: r})
-	h.mu.Unlock()
-}
-
-// AddCache exposes a query-cache debug snapshot under /debug/qcache. fn is
-// called per request (typically qcache.Cache.Debug) so the page always
-// reflects live state.
-func (h *Handler) AddCache(name string, fn func() any) {
-	if h == nil || fn == nil {
-		return
-	}
-	h.mu.Lock()
-	h.caches = append(h.caches, namedCache{name: name, fn: fn})
-	h.mu.Unlock()
+func NewHandler(reg *Registry, tracer *Tracer) *Handler {
+	return &Handler{reg: reg, tracer: tracer}
 }
 
 // AddHealthCheck registers a liveness probe run on every /healthz request
@@ -140,15 +100,11 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			"recent":            orEmpty(h.tracer.Recent()),
 			"slow":              orEmpty(h.tracer.Slow()),
 		})
-	case "/debug/registry":
-		writeJSON(w, h.registrySnapshot())
-	case "/debug/qcache":
-		writeJSON(w, h.cacheSnapshot())
 	case "/healthz":
 		h.healthz(w)
 	case "/":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write([]byte("mds2 obs endpoints: /metrics /debug/traces /debug/registry /debug/qcache /healthz\n"))
+		_, _ = w.Write([]byte("mds2 obs endpoints: /metrics /debug/traces /healthz\n"))
 	default:
 		http.NotFound(w, r)
 	}
@@ -166,72 +122,6 @@ func orEmpty(t []*TraceExport) []*TraceExport {
 		return []*TraceExport{}
 	}
 	return t
-}
-
-// RegistryEntry is one row of a /debug/registry table.
-type RegistryEntry struct {
-	Key         string `json:"key"`
-	ExpiresInMs int64  `json:"expires_in_ms"`
-	LastRefresh string `json:"last_refresh"`
-	JoinedAt    string `json:"joined_at"`
-	Refreshes   int    `json:"refreshes"`
-}
-
-// RegistryTable is one named soft-state table snapshot.
-type RegistryTable struct {
-	Table   string          `json:"table"`
-	Live    int             `json:"live"`
-	Expired uint64          `json:"expired_total"`
-	Entries []RegistryEntry `json:"entries"`
-}
-
-func (h *Handler) registrySnapshot() []RegistryTable {
-	h.mu.Lock()
-	tables := make([]namedTable, len(h.tables))
-	copy(tables, h.tables)
-	h.mu.Unlock()
-	now := h.clock.Now()
-	out := make([]RegistryTable, 0, len(tables))
-	for _, t := range tables {
-		live := t.reg.Live()
-		rt := RegistryTable{
-			Table:   t.name,
-			Live:    len(live),
-			Expired: t.reg.ExpiredTotal(),
-			Entries: make([]RegistryEntry, 0, len(live)),
-		}
-		for _, it := range live {
-			rt.Entries = append(rt.Entries, RegistryEntry{
-				Key:         it.Key,
-				ExpiresInMs: it.ExpiresAt.Sub(now).Milliseconds(),
-				LastRefresh: it.LastRefresh.UTC().Format(time.RFC3339Nano),
-				JoinedAt:    it.JoinedAt.UTC().Format(time.RFC3339Nano),
-				Refreshes:   it.Refreshes,
-			})
-		}
-		out = append(out, rt)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Table < out[j].Table })
-	return out
-}
-
-// CacheSnapshot is one named query-cache debug dump.
-type CacheSnapshot struct {
-	Cache string `json:"cache"`
-	State any    `json:"state"`
-}
-
-func (h *Handler) cacheSnapshot() []CacheSnapshot {
-	h.mu.Lock()
-	caches := make([]namedCache, len(h.caches))
-	copy(caches, h.caches)
-	h.mu.Unlock()
-	out := make([]CacheSnapshot, 0, len(caches))
-	for _, c := range caches {
-		out = append(out, CacheSnapshot{Cache: c.name, State: c.fn()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Cache < out[j].Cache })
-	return out
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -24,13 +24,7 @@ func newTestHandler(t *testing.T) (*Handler, *softstate.FakeClock) {
 	clock.Advance(20 * time.Millisecond)
 	tr.Finish()
 
-	ss := softstate.NewRegistry(clock)
-	ss.Refresh("ldap://child:389", nil, time.Minute)
-	clock.Advance(10 * time.Second)
-
-	h := NewHandler(reg, tracer, clock)
-	h.AddTable("children", ss)
-	return h, clock
+	return NewHandler(reg, tracer), clock
 }
 
 func TestHandlerMetrics(t *testing.T) {
@@ -78,29 +72,6 @@ func TestHandlerTraces(t *testing.T) {
 	}
 	if len(body.Slow) != 1 { // 20ms > 10ms threshold
 		t.Errorf("slow = %+v", body.Slow)
-	}
-}
-
-func TestHandlerRegistry(t *testing.T) {
-	h, _ := newTestHandler(t)
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/registry", nil))
-	var tables []RegistryTable
-	if err := json.Unmarshal(rr.Body.Bytes(), &tables); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, rr.Body.String())
-	}
-	if len(tables) != 1 || tables[0].Table != "children" || tables[0].Live != 1 {
-		t.Fatalf("tables = %+v", tables)
-	}
-	e := tables[0].Entries[0]
-	if e.Key != "ldap://child:389" {
-		t.Errorf("key = %q", e.Key)
-	}
-	if e.ExpiresInMs != 50_000 { // 60s TTL minus the 10s the clock advanced
-		t.Errorf("expires_in_ms = %d", e.ExpiresInMs)
-	}
-	if e.Refreshes != 1 { // the joining Refresh counts
-		t.Errorf("refreshes = %d", e.Refreshes)
 	}
 }
 

@@ -55,8 +55,8 @@ const (
 
 // Config assembles a Cache.
 type Config struct {
-	// Name prefixes the cache's obs series and labels its debug snapshot
-	// ("qcache" when empty). Non-alphanumeric runes become underscores in
+	// Name prefixes the cache's obs series and names it in a directory's
+	// monitor ("qcache" when empty). Non-alphanumeric runes become underscores in
 	// metric names.
 	Name string
 	// Clock drives freshness; nil means wall clock.
@@ -389,14 +389,14 @@ func (c *Cache) Entries() []*ldap.Entry {
 
 // Stats is a point-in-time counter snapshot.
 type Stats struct {
-	Keys        int   `json:"keys"`
-	Hits        int64 `json:"hits"`
-	Misses      int64 `json:"misses"`
-	Coalesced   int64 `json:"coalesced"`
-	Evicted     int64 `json:"evicted"`
-	Invalidated int64 `json:"invalidated"`
-	StaleSkips  int64 `json:"stale_skips"`
-	StaleServed int64 `json:"stale_served"`
+	Keys        int
+	Hits        int64
+	Misses      int64
+	Coalesced   int64
+	Evicted     int64
+	Invalidated int64
+	StaleSkips  int64
+	StaleServed int64
 }
 
 // Stats snapshots the cache counters.
@@ -413,42 +413,24 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// DebugKey is one resident key in a debug snapshot.
-type DebugKey struct {
-	Key         string `json:"key"`
-	Owner       string `json:"owner,omitempty"`
-	Entries     int    `json:"entries"`
-	Negative    bool   `json:"negative,omitempty"`
-	ExpiresInMs int64  `json:"expires_in_ms"`
-	Referenced  bool   `json:"referenced"`
+// Config returns the cache's configuration, defaults applied.
+func (c *Cache) Config() Config { return c.cfg }
+
+// Resident is one resident key, fresh or not.
+type Resident struct {
+	Key, Owner string
+	Entries    int // 0 for a negative result
+	Expires    time.Time
+	Referenced bool // the CLOCK reference bit
 }
 
-// DebugSnapshot is the full cache state for /debug introspection.
-type DebugSnapshot struct {
-	Name  string     `json:"name"`
-	TTLMs int64      `json:"ttl_ms"`
-	Max   int        `json:"max"`
-	Stats Stats      `json:"stats"`
-	Keys  []DebugKey `json:"keys"`
-}
-
-// Debug renders the cache for a /debug endpoint: configuration, counters,
-// and every resident key with its remaining freshness (negative once
-// expired).
-func (c *Cache) Debug() DebugSnapshot {
-	stats := c.Stats()
-	now := c.cfg.Clock.Now()
-	keys := []DebugKey{}
+// Residents lists every resident key, sorted by key.
+func (c *Cache) Residents() []Resident {
+	var out []Resident
 	c.t.each(func(it item[[]*ldap.Entry]) {
-		keys = append(keys, DebugKey{Key: it.Key, Owner: it.Owner, Entries: len(it.Value),
-			Negative: len(it.Value) == 0, ExpiresInMs: it.Expires.Sub(now).Milliseconds(), Referenced: it.Referenced})
+		out = append(out, Resident{Key: it.Key, Owner: it.Owner, Entries: len(it.Value),
+			Expires: it.Expires, Referenced: it.Referenced})
 	})
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Key < keys[j].Key })
-	return DebugSnapshot{
-		Name:  c.cfg.Name,
-		TTLMs: c.cfg.TTL.Milliseconds(),
-		Max:   c.cfg.Max,
-		Stats: stats,
-		Keys:  keys,
-	}
+	slices.SortFunc(out, func(a, b Resident) int { return strings.Compare(a.Key, b.Key) })
+	return out
 }

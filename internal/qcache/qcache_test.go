@@ -344,35 +344,6 @@ func TestFlushAndEntries(t *testing.T) {
 	}
 }
 
-func TestDebugSnapshot(t *testing.T) {
-	clk := softstate.NewFakeClock()
-	c := New(Config{Name: "test", Clock: clk, TTL: time.Minute, Max: 8})
-	reg := region("ou=test, o=grid", "(objectclass=computer)")
-	c.Put(reg.Key(nil, 0), reg, time.Time{}, testEntries(2))
-	neg := region("ou=none, o=grid", "")
-	c.Put(neg.Key(nil, 0), neg, time.Time{}, nil)
-
-	d := c.Debug()
-	if d.Name != "test" || d.Max != 8 || len(d.Keys) != 2 {
-		t.Fatalf("snapshot = %+v", d)
-	}
-	var sawNeg, sawPos bool
-	for _, k := range d.Keys {
-		if k.Negative {
-			sawNeg = true
-		}
-		if k.Entries == 2 {
-			sawPos = true
-			if k.ExpiresInMs != 60_000 {
-				t.Fatalf("expires_in_ms = %d, want 60000", k.ExpiresInMs)
-			}
-		}
-	}
-	if !sawNeg || !sawPos {
-		t.Fatalf("snapshot keys missing negative/positive rows: %+v", d.Keys)
-	}
-}
-
 // TestFillOwnsItsBytes: a chained hop's reply reaches the cache wire-backed,
 // its entries aliasing the client's read chunks. What the cache keeps — and
 // hands the fill's own caller — are copies over one buffer sized for the
