@@ -1,8 +1,10 @@
 package giis
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -356,4 +358,71 @@ func searchSurvivesEviction(t *testing.T, strategy *Strategy) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestFanoutStartsNoGoroutine: over a warm pool, a search issues every hop
+// from its own goroutine. While it waits on 8 children, all held in their
+// handlers, the directory runs no goroutine for it but the search's own.
+func TestFanoutStartsNoGoroutine(t *testing.T) {
+	g := newGrid(t)
+	var children []*staticChild
+	for i := 0; i < 8; i++ {
+		name := fmt.Sprintf("h%d", i)
+		suffix := "hn=" + name + ", o=grid"
+		children = append(children, g.addChild(name, suffix, 0, hostEntries(suffix, name, "s1", 1)...))
+	}
+	d := g.directory("top", preset("chain", StrategyConfig{}))
+	op := &ldap.SearchRequest{BaseDN: "o=grid", Scope: ldap.ScopeWholeSubtree,
+		Filter: ldap.MustParseFilter("(objectclass=computer)")}
+	if got, res := searchDNs(d, op); len(got) != 8 { // dials the pool
+		t.Fatalf("warming search: %v, %+v", got, res)
+	}
+	// Stragglers of earlier tests' searches may still be finishing: let
+	// them, and count what stays as the baseline.
+	idle := directoryGoroutines()
+	for start := time.Now(); idle > 0 && time.Since(start) < 5*time.Second; idle = directoryGoroutines() {
+		time.Sleep(time.Millisecond)
+	}
+	release := make(chan struct{})
+	for _, c := range children {
+		c.held.Store(&release)
+	}
+	done := make(chan []string, 1)
+	go func() {
+		got, _ := searchDNs(d, op)
+		done <- got
+	}()
+	for _, c := range children {
+		<-c.arrived
+	}
+	running := directoryGoroutines() - idle
+	for _, c := range children {
+		c.held.Store(nil)
+	}
+	close(release)
+	if got := <-done; len(got) != 8 {
+		t.Fatalf("held search returned %v", got)
+	}
+	if running != 1 {
+		t.Errorf("%d goroutines ran directory code while the search waited on its children, want 1: the search's own", running)
+	}
+}
+
+// directoryGoroutines counts the goroutines with a directory frame on their
+// stack (a server's, a search's or the fan-out's; not a test child's).
+func directoryGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, stack := range bytes.Split(buf, []byte("\n\n")) {
+		for _, line := range bytes.Split(stack, []byte("\n")) {
+			if bytes.HasPrefix(line, []byte("mds2/internal/giis.(*Server)")) ||
+				bytes.HasPrefix(line, []byte("mds2/internal/giis.(*searchContext)")) ||
+				bytes.HasPrefix(line, []byte("mds2/internal/giis.Fanout")) {
+				n++
+				break
+			}
+		}
+	}
+	return n
 }

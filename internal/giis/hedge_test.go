@@ -1,6 +1,7 @@
 package giis
 
 import (
+	"context"
 	"slices"
 	"strings"
 	"testing"
@@ -60,17 +61,16 @@ func TestHedgeServesStaleIndexedSubtree(t *testing.T) {
 	}
 }
 
-// TestHedgedStragglerKeepsItsOwnTrace: a hop the hedge cut off runs on
+// TestHedgedStragglerKeepsItsOwnTrace: a hop the hedge cut off finishes
 // after its search returns, while the connection serves its next operation
-// with the Request it recycled. The straggler chains under the trace of the
-// search it belongs to: the next traced search on the connection holds no
-// chain span of the straggler's.
+// with the Request it recycled. The straggler's chain span stays in the
+// trace of the search it belongs to: the next traced search on the
+// connection holds no chain span of the straggler's.
 func TestHedgedStragglerKeepsItsOwnTrace(t *testing.T) {
 	g := newGrid(t)
-	// Children() is in URL order: held first.
 	held := g.addChild("held", "hn=held, o=grid", 0, hostEntries("hn=held, o=grid", "held", "s1", 1)...)
 	quick := g.addChild("quick", "hn=quick, o=grid", 0, hostEntries("hn=quick, o=grid", "quick", "s2", 1)...)
-	g.directory("top", preset("chain", StrategyConfig{Fanout: Fanout{MaxFanout: 1, HedgeDeadline: time.Second}}))
+	top := g.directory("top", preset("chain", StrategyConfig{Fanout: Fanout{HedgeDeadline: time.Second}}))
 	conn, err := g.network.Dial("client-node", "top-node:389")
 	if err != nil {
 		t.Fatal(err)
@@ -91,9 +91,8 @@ func TestHedgedStragglerKeepsItsOwnTrace(t *testing.T) {
 		return out
 	}
 
-	// Search 1 has one worker, which walks the children in order: the hedge
-	// cuts it off while the worker waits on the held child, with the quick
-	// one still queued behind it.
+	// Search 1 chains to both children: the hedge cuts it off while its op
+	// to the held child is out, which makes that op the straggler.
 	release := make(chan struct{})
 	held.held.Store(&release)
 	first := search("o=grid", "trace-1")
@@ -114,13 +113,16 @@ func TestHedgedStragglerKeepsItsOwnTrace(t *testing.T) {
 	}
 
 	// Search 2, on the same connection, asks the quick child alone, and is
-	// held there until the straggler has chained to the quick child too.
+	// held there until the straggler has finished: its reply is in, and it
+	// has given back its pooled connection, leaving search 2's own.
 	hold := make(chan struct{})
 	quick.held.Store(&hold)
 	second := search("hn=quick, o=grid", "trace-2")
 	<-quick.arrived // search 2's own hop
-	close(release)  // the straggler finishes the held child, then takes the quick one
-	<-quick.arrived
+	close(release)
+	for top.borrowed() > 1 {
+		time.Sleep(time.Millisecond)
+	}
 	quick.held.Store(nil)
 	close(hold)
 	if res = <-second; res == nil {
@@ -139,4 +141,72 @@ func TestHedgedStragglerKeepsItsOwnTrace(t *testing.T) {
 	if len(chains) != 1 || chains[0] != "chain:sim://quick-node:389" {
 		t.Errorf("search 2's trace holds chain spans %v, want its own one:\n%s", chains, obs.FormatSpanTree(ex.Spans))
 	}
+}
+
+// borrowed counts the references ops in flight hold on pooled connections.
+func (s *Server) borrowed() int {
+	s.poolMu.Lock()
+	defer s.poolMu.Unlock()
+	n := 0
+	for _, pe := range s.pool {
+		n += pe.refs
+	}
+	return n
+}
+
+// TestHedgeBoundsColdDial: a pool miss is dialled off the search's
+// goroutine, so a child whose connection is still being dialled when the
+// hedge fires is cut off like a slow reply, and the result is flagged
+// partial.
+func TestHedgeBoundsColdDial(t *testing.T) {
+	g := newGrid(t)
+	g.addChild("h1", "hn=h1, o=grid", 0, hostEntries("hn=h1, o=grid", "h1", "s1", 1)...)
+	g.addChild("h2", "hn=h2, o=grid", 0, hostEntries("hn=h2, o=grid", "h2", "s1", 1)...)
+	gate := make(chan struct{})
+	d := g.directory("top", preset("chain", StrategyConfig{Fanout: Fanout{HedgeDeadline: time.Second}}),
+		func(c *Config) {
+			dial := c.Dial
+			c.Dial = func(url ldap.URL) (*ldap.Client, error) {
+				if url.Address() == "h2-node:389" {
+					<-gate // a dial that does not return
+				}
+				return dial(url)
+			}
+		})
+	t.Cleanup(func() { close(gate) })
+	w := &signalSink{sent: make(chan struct{}, 4)}
+	done := make(chan ldap.Result, 1)
+	go func() {
+		done <- d.Search(&ldap.Request{Ctx: context.Background(), State: &ldap.ConnState{}},
+			&ldap.SearchRequest{BaseDN: "o=grid", Scope: ldap.ScopeWholeSubtree,
+				Filter: ldap.MustParseFilter("(objectclass=computer)")}, w)
+	}()
+	<-w.sent // h1's host is through: only the held dial is left
+	var res ldap.Result
+	for waiting := true; waiting; {
+		select {
+		case res = <-done:
+			waiting = false
+		case <-time.After(time.Millisecond):
+			g.clock.Advance(time.Second) // until the hedge the search arms fires
+		}
+	}
+	if got := dnsOf(w.entries); !slices.Equal(got, []string{"hn=h1, o=grid"}) {
+		t.Errorf("hedged search returned %v, want h1's host alone", got)
+	}
+	if !strings.Contains(res.Message, "hedge deadline") {
+		t.Errorf("hedged search result %+v, want the hedge's partial diagnostic", res)
+	}
+}
+
+// signalSink is a sink that signals each entry it takes.
+type signalSink struct {
+	sink
+	sent chan struct{}
+}
+
+func (s *signalSink) SendEntry(e *ldap.Entry, ctls ...ldap.Control) error {
+	s.sink.SendEntry(e, ctls...)
+	s.sent <- struct{}{}
+	return nil
 }

@@ -112,9 +112,9 @@ func hitRig(tb testing.TB, hosts int, attrs []string) *hitConn {
 // its bytes costs. A search both of whose hops hit, with a selection the
 // directory chains in another spelling (so every entry is projected), makes
 // at most 30 allocations in the server — reading and scanning the request,
-// the operation's context and bookkeeping, one container per hop
-// — and the same number for 20 entries as for 200: nothing per entry, and
-// no goroutine per search or per hop.
+// the operation's context and bookkeeping — and the same number for 20
+// entries as for 200: nothing per entry, and no goroutine per search or per
+// hop.
 func TestQueryCacheHitAllocationBudget(t *testing.T) {
 	if !allocsExact {
 		t.Skip("allocation counts are not the program's under -race or mdsdebug")

@@ -475,12 +475,23 @@ func TestPersistentSearchPushesChanges(t *testing.T) {
 		done <- s.Search(req, &ldap.SearchRequest{
 			BaseDN: "hn=hostX, o=center1", Scope: ldap.ScopeWholeSubtree}, w)
 	}()
+	// armed waits until the poll loop waits on its timer: advancing the
+	// clock before that would move time under a loop that has not looked.
+	armed := func() {
+		t.Helper()
+		for start := time.Now(); clock.Pending() == 0; time.Sleep(time.Millisecond) {
+			if time.Since(start) > 5*time.Second {
+				t.Fatal("the poll loop never armed its timer")
+			}
+		}
+	}
 	// Baseline entry arrives.
 	e := <-got
 	if e.First("load5") != "1.0" {
 		t.Fatalf("baseline = %v", e)
 	}
 	// Change the value; next poll pushes an update.
+	armed()
 	dyn.entries = makeEntry("2.0")
 	clock.Advance(time.Second)
 	select {
@@ -491,12 +502,15 @@ func TestPersistentSearchPushesChanges(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("no push on change")
 	}
-	// Unchanged value: no extra push.
+	// Unchanged value: the next poll runs — the loop has armed its timer
+	// again once it is through — and pushes nothing.
+	armed()
 	clock.Advance(time.Second)
+	armed()
 	select {
 	case e := <-got:
 		t.Fatalf("unexpected push %v", e)
-	case <-time.After(50 * time.Millisecond):
+	default:
 	}
 	cancel()
 	select {

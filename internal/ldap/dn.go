@@ -51,10 +51,10 @@ func ParseDN(s string) (DN, error) {
 // name alone when slab is nil). canonical reports that s is byte for byte
 // dn.String(), so a relay may send s instead of rendering dn, by rules the
 // counting pass checks on the way: no whitespace at either end or beside '='
-// and '+', exactly ", " between RDNs, one '=' per AVA (a second would be
-// escaped on the way out), and no escape. An escape defeats the byte rules
-// (an escaped space may sit beside a separator), so a name with one reports
-// false even when it is canonical; a caller that cares compares renderings.
+// and '+', exactly ", " between RDNs, one '=' per AVA, nothing else the
+// rendering escapes (';', '"', '<', '>', a leading '#') and no escape. An
+// escape defeats the byte rules (an escaped space may sit beside a
+// separator): a name with one reports false even when it is canonical.
 func parseDN(s string, slab *dnSlab) (dn DN, canonical bool, err error) {
 	trimmed := trimDNSpace(s)
 	canonical = len(trimmed) == len(s)
@@ -80,6 +80,10 @@ func parseDN(s string, slab *dnSlab) (dn DN, canonical bool, err error) {
 		case '=':
 			eqs++
 			canonical = canonical && tight(s, i-1, i+1)
+		case ';', '"', '<', '>':
+			canonical = false // escaped on the way out
+		case '#': // escaped at the start of a name or value
+			canonical = canonical && i > 0 && s[i-1] != '=' && s[i-1] != '+' && (i < 2 || s[i-2:i] != ", ")
 		}
 	}
 	canonical = canonical && eqs == avas
@@ -312,13 +316,17 @@ func unescape(s string) string {
 	return b.String()
 }
 
+// dnSpecial reports the characters a value escapes wherever they stand (RFC
+// 4514 §2.4, and '='); a leading '#' (a BER value) is escaped too.
+func dnSpecial(c byte) bool { return strings.IndexByte(`,+=\;"<>`, c) >= 0 }
+
 func escapeDNValue(s string) string {
 	if s == "" {
 		return s
 	}
-	special := isDNSpace(s[0]) || isDNSpace(s[len(s)-1])
+	special := isDNSpace(s[0]) || isDNSpace(s[len(s)-1]) || s[0] == '#'
 	for i := 0; i < len(s) && !special; i++ {
-		special = s[i] == ',' || s[i] == '+' || s[i] == '=' || s[i] == '\\'
+		special = dnSpecial(s[i])
 	}
 	if !special {
 		return s
@@ -336,7 +344,7 @@ func escapeDNValue(s string) string {
 	var b strings.Builder
 	for i := 0; i < len(s); i++ {
 		switch {
-		case s[i] == ',' || s[i] == '+' || s[i] == '=' || s[i] == '\\':
+		case dnSpecial(s[i]) || i == 0 && s[i] == '#':
 			b.WriteByte('\\')
 		case isDNSpace(s[i]) && (i < lead || i >= trail):
 			b.WriteByte('\\')

@@ -95,11 +95,11 @@ func TestNormalizeEqualConsistency(t *testing.T) {
 
 // TestStringParseRoundTrip: rendering a structural DN and parsing it back
 // names the same entry, for values that carry boundary whitespace and every
-// special the renderer must escape — the inputs trimDNSpace's and
-// escapeDNValue's early-outs decide on.
+// special the renderer must escape (RFC 4514 §2.4, a leading '#' among
+// them) — the inputs trimDNSpace's and escapeDNValue's early-outs decide on.
 func TestStringParseRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
-	alphabet := []byte(" \t\r\n,+=\\aB7é")
+	alphabet := []byte(" \t\r\n,+=\\;\"<>#aB7é")
 	word := func() string {
 		b := make([]byte, 1+r.Intn(5))
 		for i := range b {

@@ -61,6 +61,30 @@ func TestParseDNEscapes(t *testing.T) {
 	}
 }
 
+// TestEscapeRFC4514Specials: a value carrying a character RFC 4514 §2.4
+// has escaped — ';', '"', '<', '>', a leading '#' — renders escaped and
+// parses back to itself (a query-cache key in a directory's monitor carries
+// ';' in its RDN).
+func TestEscapeRFC4514Specials(t *testing.T) {
+	for _, c := range []struct{ value, rendered string }{
+		{"a;b", `cn=a\;b`},
+		{`say "hi"`, `cn=say \"hi\"`},
+		{"<x>", `cn=\<x\>`},
+		{"#1", `cn=\#1`},
+		{"a#1", `cn=a#1`},
+		{"22:ldap://h:1;0;", `cn=22:ldap://h:1\;0\;`},
+	} {
+		dn := DN{{{Attr: "cn", Value: c.value}}}
+		if got := dn.String(); got != c.rendered {
+			t.Errorf("value %q renders %q, want %q", c.value, got, c.rendered)
+		}
+		back, err := ParseDN(c.rendered)
+		if err != nil || !back.Equal(dn) || back[0][0].Value != c.value {
+			t.Errorf("%q parses back as %#v (%v), want value %q", c.rendered, back, err, c.value)
+		}
+	}
+}
+
 func TestParseDNErrors(t *testing.T) {
 	for _, bad := range []string{"noequals", "=v", "a=", ",", "a=b,,c=d", "a=b, =x"} {
 		if _, err := ParseDN(bad); err == nil {

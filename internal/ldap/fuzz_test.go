@@ -40,7 +40,7 @@ func escapeDNValueReference(s string) string {
 	trail := max(lead, len(strings.TrimRight(s, dnSpace)))
 	var b strings.Builder
 	for i := 0; i < len(s); i++ {
-		if strings.IndexByte(`,+=\`, s[i]) >= 0 || i < lead || i >= trail {
+		if strings.IndexByte(`,+=\;"<>`, s[i]) >= 0 || i == 0 && s[i] == '#' || i < lead || i >= trail {
 			b.WriteByte('\\')
 		}
 		b.WriteByte(s[i])

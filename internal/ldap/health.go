@@ -15,47 +15,34 @@ import (
 // cmd/giis mount at /healthz. Whether a directory holds its children is
 // read from its monitor (a search under cn=monitor), not from this probe.
 type HealthCheck struct {
-	// Addr is the server to probe; Dial overrides the transport (tests).
+	// Addr is the server to probe.
 	Addr string
-	Dial func() (net.Conn, error)
-	// Timeout bounds the whole probe (default 5s).
+	// Timeout bounds the whole probe, dial included (default 5s).
 	Timeout time.Duration
-	// Clock stamps the probe; nil means wall clock.
-	Clock softstate.Clock
 }
 
 // Probe runs the check once. The returned duration is the full
 // dial+bind+search round trip, reported even on failure.
 func (hc HealthCheck) Probe() (time.Duration, error) {
-	clock := hc.Clock
-	if clock == nil {
-		clock = softstate.RealClock{}
-	}
 	timeout := hc.Timeout
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	dial := hc.Dial
-	if dial == nil {
-		addr := hc.Addr
-		dial = func() (net.Conn, error) { return net.Dial("tcp", addr) }
-	}
+	clock := softstate.RealClock{}
 	start := clock.Now()
 	elapsed := func() time.Duration { return clock.Now().Sub(start) }
-
-	conn, err := dial()
+	conn, err := net.DialTimeout("tcp", hc.Addr, timeout)
 	if err != nil {
 		return elapsed(), fmt.Errorf("dial: %w", err)
 	}
+	conn.SetDeadline(start.Add(timeout)) // the bind and the search get what the dial left
 	c := NewClient(conn)
 	defer c.Close()
 	c.Timeout = timeout
-	c.Clock = clock
 
 	if err := c.Bind("", ""); err != nil {
 		return elapsed(), fmt.Errorf("anonymous bind: %w", err)
 	}
-
 	if _, err := c.Search(&SearchRequest{
 		BaseDN: "",
 		Scope:  ScopeBaseObject,

@@ -58,3 +58,32 @@ func TestHealthCheckFailsWhenThrottled(t *testing.T) {
 		t.Fatalf("throttled probe error = %v, want busy", err)
 	}
 }
+
+// TestHealthCheckTimeoutBoundsWholeProbe: against a server that accepts the
+// connection and never answers, the probe fails once its Timeout has
+// passed. (The dial's share of the bound, net.DialTimeout, needs an address
+// that never answers a connect, which a loopback test cannot make.)
+func TestHealthCheckTimeoutBoundsWholeProbe(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close() // held open, never read
+		}
+	}()
+	start := time.Now()
+	d, err := (HealthCheck{Addr: l.Addr().String(), Timeout: 100 * time.Millisecond}).Probe()
+	if err == nil {
+		t.Fatal("probe against a server that never answers passed")
+	}
+	if took := time.Since(start); took > 5*time.Second || d < 100*time.Millisecond {
+		t.Fatalf("probe failed after %v (reported %v), want about its 100ms Timeout: %v", took, d, err)
+	}
+}

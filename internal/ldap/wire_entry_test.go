@@ -519,9 +519,10 @@ func cannedClient(t *testing.T, n int) *Client {
 }
 
 // TestCollectedSearchAllocationBudget: once a Client has completed a search,
-// the next collected search reuses its routing state — op, reply channel,
-// timeout timer, and the done message built into the op — and costs its
-// caller its SearchResult and the handed-over entry slice: 2 allocations.
+// the next collected search reuses its routing state — op, timeout timer,
+// and the done message built into the op — and a Done channel, and costs
+// its caller its Call (which holds its SearchResult) and the handed-over
+// entry slice: 2 allocations.
 // (AllocsPerRun counts whole allocations per run, so the one entry's
 // shares of the connection's entry, name and read-chunk slabs, ≈ 0.1, do
 // not show.) A fresh op, its channel, its timer and the done message took

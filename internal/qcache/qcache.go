@@ -17,10 +17,10 @@
 // TTL; eviction is size-bounded CLOCK.
 //
 // Cached entries are shared immutable snapshots, sealed under -tags
-// mdsdebug exactly like store hand-outs: hits return a fresh []*ldap.Entry
-// container (a pointer copy, never an entry clone) whose elements must be
-// laundered with Clone or Select before mutation — the contract the
-// mdsdebug seal holds at run time. Wire-backed entries (a chained
+// mdsdebug exactly like store hand-outs: they must be laundered with Clone
+// or Select before mutation — the contract the mdsdebug seal holds at run
+// time. Get hands out a fresh container (a pointer copy, never an entry
+// clone), Claim the cache's own. Wire-backed entries (a chained
 // reply kept as the frames it arrived in, see ldap.Entry) are cached as
 // such, so a hit re-emits bytes instead of re-encoding attributes; the fill
 // first copies their frames into one buffer the result owns
@@ -62,7 +62,7 @@ type Config struct {
 	// Clock drives freshness; nil means wall clock.
 	Clock softstate.Clock
 	// TTL bounds result freshness (DefaultTTL when zero). A result
-	// additionally expires at its soft-state bound (see GetOrFill).
+	// additionally expires at its soft-state bound (see Keep).
 	TTL time.Duration
 	// NegTTL bounds negative (empty) result freshness (DefaultNegTTL when
 	// zero, never longer than TTL).
@@ -102,7 +102,7 @@ func (r Region) Key(attrs []string, sizeLimit int64) string {
 	return string(r.AppendKey(buf[:0], attrs, sizeLimit))
 }
 
-// AppendKey appends Key's bytes to dst, for a lookup (Cache.Lookup) keyed
+// AppendKey appends Key's bytes to dst, for a lookup (Cache.Claim) keyed
 // from a buffer of the caller's: with attrs already in NormalizeAttrs form
 // — what a chaining directory sends downstream — rendering a key into a
 // buffer with room for it allocates nothing.
@@ -304,29 +304,22 @@ func (c *Cache) Get(key string) ([]*ldap.Entry, bool) {
 	return slices.Clone(entries), ok
 }
 
-// Lookup is Get for a key rendered by Region.AppendKey: the probe makes no
-// string of the key, so a hit costs its container and nothing else. Only a
-// hit is counted — a caller that misses goes on to GetOrFill with the key,
-// which counts the miss (or the stale result passed over) once.
-func (c *Cache) Lookup(key []byte) ([]*ldap.Entry, bool) {
-	entries, ok := c.t.Lookup(key)
-	return slices.Clone(entries), ok
-}
-
-// LookupStale is Lookup that also serves an expired result, on a ServeStale
-// cache, to a caller that cannot wait for the refill.
+// LookupStale is Get for a key rendered by Region.AppendKey that also serves
+// an expired result on a ServeStale cache. Only a hit is counted.
 func (c *Cache) LookupStale(key []byte) ([]*ldap.Entry, bool) {
 	entries, ok := c.t.LookupStale(key)
 	return slices.Clone(entries), ok
 }
 
+// Claim is Table.Claim for a key rendered by Region.AppendKey. It and the
+// fill hand out the cache's own container, to be read, not written.
+func (c *Cache) Claim(key []byte, owner string) ([]*ldap.Entry, *Fill[[]*ldap.Entry], Outcome) {
+	return c.t.Claim(key, owner)
+}
+
 // GetOrFill returns the cached result for key, running fill on a miss (once,
-// however many callers miss at once) and caching what it returns. bound,
-// when non-zero, caps the result's freshness at that instant regardless of
-// TTL — pass the contributing source's soft-state deadline so a cached
-// result never outlives the registration it came from. The result is a
-// fresh container (see Get); the slice fill returns becomes the cache's,
-// its wire-backed entries replaced by copies that own their bytes.
+// however many callers miss at once) and keeping what it returns as Keep
+// does. The result is a container of the caller's own (see Get).
 func (c *Cache) GetOrFill(key string, region Region, bound time.Time,
 	fill func() ([]*ldap.Entry, error)) ([]*ldap.Entry, Outcome, error) {
 
@@ -337,12 +330,18 @@ func (c *Cache) GetOrFill(key string, region Region, bound time.Time,
 		}
 		return entries, c.keep(entries, bound), nil
 	})
-	// Leader and joiners each take their own container over the flight's
-	// entries: any of them may reorder theirs while the others still copy.
 	return slices.Clone(entries), how, err
 }
 
-// Put caches a result directly (GetOrFill is the usual path; see it for
+// Keep ends a fill the caller leads with entries, kept until min(now+TTL,
+// bound) — NegTTL for an empty result — where a non-zero bound is the
+// source's soft-state deadline, so a result never outlives its
+// registration. The slice becomes the cache's (see keep).
+func (c *Cache) Keep(f *Fill[[]*ldap.Entry], entries []*ldap.Entry, bound time.Time) {
+	f.Keep(entries, c.keep(entries, bound))
+}
+
+// Put caches a result directly (a fill is the usual path; see Keep for
 // bound semantics).
 func (c *Cache) Put(key string, region Region, bound time.Time, entries []*ldap.Entry) {
 	c.t.Put(key, region.Owner, entries, c.keep(entries, bound))

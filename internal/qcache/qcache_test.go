@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,13 @@ import (
 	"mds2/internal/ldap"
 	"mds2/internal/softstate"
 )
+
+// Lookup is Claim's probe alone: the cached result for a key rendered by
+// Region.AppendKey, counting only a hit.
+func (c *Cache) Lookup(key []byte) ([]*ldap.Entry, bool) {
+	entries, ok := c.t.Lookup(key)
+	return slices.Clone(entries), ok
+}
 
 func testEntries(n int) []*ldap.Entry {
 	es := make([]*ldap.Entry, n)

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"mds2/internal/flight"
 	"mds2/internal/obs"
 	"mds2/internal/softstate"
 )
@@ -30,8 +29,8 @@ type Table[V any] struct {
 	hand  int
 	gen   uint64 // bumped by InvalidateOwner and Flush
 
-	fills flight.Group[filled[V]]
-	raced func() // test seam: runs between GetOrFill's lookup and its flight
+	fills map[string]*Fill[V] // misses being filled, by key
+	raced func()              // test seam: runs between GetOrFill's lookup and its claim
 }
 
 // TableConfig assembles a Table.
@@ -50,7 +49,7 @@ type TableConfig struct {
 type Counters struct {
 	Hits        *obs.Counter // fresh values served
 	Misses      *obs.Counter // fills run
-	Coalesced   *obs.Counter // callers that joined another's fill, as they park
+	Coalesced   *obs.Counter // callers that joined another's fill, as they join
 	Evicted     *obs.Counter // keys the CLOCK bound pushed out
 	Invalidated *obs.Counter // keys dropped with their owner
 	StaleSkips  *obs.Counter // expired values passed over by Get and GetOrFill
@@ -70,18 +69,12 @@ type slot[V any] struct {
 	pos int // position in the CLOCK ring
 }
 
-// filled is what one fill flight hands its leader and every joiner.
-type filled[V any] struct {
-	v   V
-	how Outcome
-}
-
-// Outcome reports how GetOrFill satisfied a lookup.
+// Outcome reports how Claim or GetOrFill satisfied a lookup.
 type Outcome int
 
 // GetOrFill outcomes.
 const (
-	// OutcomeMiss: the fill function ran for this caller.
+	// OutcomeMiss: the caller leads the fill (GetOrFill: its fill ran).
 	OutcomeMiss Outcome = iota
 	// OutcomeHit: served a fresh value.
 	OutcomeHit
@@ -107,10 +100,8 @@ func (o Outcome) String() string {
 
 // NewTable builds an empty table.
 func NewTable[V any](cfg TableConfig) *Table[V] {
-	t := &Table[V]{clock: cfg.Clock, max: cfg.Max, serveStale: cfg.ServeStale,
-		counts: cfg.Counters, items: map[string]*slot[V]{}}
-	t.fills.Joined = cfg.Coalesced
-	return t
+	return &Table[V]{clock: cfg.Clock, max: cfg.Max, serveStale: cfg.ServeStale,
+		counts: cfg.Counters, items: map[string]*slot[V]{}, fills: map[string]*Fill[V]{}}
 }
 
 // Get returns key's value when it is fresh.
@@ -167,15 +158,34 @@ func (t *Table[V]) hitLocked(it *slot[V], now time.Time, stale *obs.Counter) (v 
 	return it.Value, true
 }
 
+// Claim probes key, in a buffer of the caller's, for a fresh value. On a
+// miss the caller gets the key's one fill: another caller's to wait for
+// (OutcomeCoalesced), or a new one it must end with Keep, Pass or Fail.
+func (t *Table[V]) Claim(key []byte, owner string) (V, *Fill[V], Outcome) {
+	now := t.clock.Now()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if v, ok := t.hitLocked(t.items[string(key)], now, t.counts.StaleSkips); ok {
+		return v, nil, OutcomeHit
+	}
+	return t.fillLocked(string(key), owner)
+}
+
+// fillLocked makes a miss of key a fill, the one in progress or a new one.
+func (t *Table[V]) fillLocked(key, owner string) (v V, f *Fill[V], how Outcome) {
+	if f = t.fills[key]; f != nil {
+		t.counts.Coalesced.Inc()
+		return v, f, OutcomeCoalesced
+	}
+	f = &Fill[V]{t: t, key: key, owner: owner, gen: t.gen, done: make(chan struct{})}
+	t.fills[key] = f
+	t.counts.Misses.Inc()
+	return v, f, OutcomeMiss
+}
+
 // GetOrFill returns key's fresh value, or runs fill and keeps what it
-// returns until the expiry it returns (a value whose expiry has already
-// passed is handed out but not kept). Concurrent misses of one key share one
-// fill: its leader re-checks the table after winning the flight and
-// publishes before the flight retires, so the next miss finds the value.
-// A fill that an InvalidateOwner or Flush overtook is handed to its callers
-// but not kept: it may hold what the departed owner answered. On a failed
-// fill a ServeStale table serves the expired value if one is still
-// resident.
+// returns until the expiry it returns (Keep). Concurrent misses of one key
+// share one fill (Claim); a failed one ends as Fail says.
 func (t *Table[V]) GetOrFill(key, owner string, fill func() (V, time.Time, error)) (V, Outcome, error) {
 	if v, ok := t.Get(key); ok {
 		return v, OutcomeHit, nil
@@ -183,27 +193,102 @@ func (t *Table[V]) GetOrFill(key, owner string, fill func() (V, time.Time, error
 	if t.raced != nil {
 		t.raced()
 	}
-	res, shared, err := t.fills.Do(key, func() (filled[V], error) {
-		v, gen, ok := t.fresh(key, nil)
-		if ok {
-			return filled[V]{v, OutcomeHit}, nil
-		}
-		t.counts.Misses.Inc()
-		v, expires, err := fill()
-		if err != nil {
-			if v, ok := t.stale(key); ok {
-				t.counts.StaleServed.Inc()
-				return filled[V]{v, OutcomeStale}, nil
-			}
-			return filled[V]{}, err
-		}
-		t.put(key, owner, v, expires, &gen)
-		return filled[V]{v, OutcomeMiss}, nil
-	})
-	if shared {
-		res.how = OutcomeCoalesced
+	// A fill that ended since the lookup has left its value behind.
+	now := t.clock.Now()
+	t.mu.Lock()
+	v, ok := t.hitLocked(t.items[key], now, nil)
+	var f *Fill[V]
+	how := OutcomeHit
+	if !ok {
+		v, f, how = t.fillLocked(key, owner)
 	}
-	return res.v, res.how, err
+	t.mu.Unlock()
+	var err error
+	switch how {
+	case OutcomeCoalesced:
+		v, _, err = f.Wait()
+	case OutcomeMiss:
+		var expires time.Time
+		if v, expires, err = fill(); err != nil {
+			return f.Fail(err)
+		}
+		f.Keep(v, expires)
+	}
+	return v, how, err
+}
+
+// Fill is a miss of a Table being filled, the repo's one singleflight: its
+// leader ends it once, with Keep, Pass or Fail, and the callers that joined
+// it wait for that, in Wait or through OnDone.
+type Fill[V any] struct {
+	t          *Table[V]
+	key, owner string
+	gen        uint64 // the table generation the fill began in
+	done       chan struct{}
+	wake       []func() // guarded by t.mu
+	ended      bool     // guarded by t.mu
+	v          V
+	passed     bool
+	err        error
+}
+
+// end retires the fill: the key is free, Wait returns, and the OnDone funcs
+// run on this goroutine.
+func (f *Fill[V]) end(v V, passed bool, err error) {
+	f.v, f.passed, f.err = v, passed, err
+	f.t.mu.Lock()
+	delete(f.t.fills, f.key)
+	wake := f.wake
+	f.wake, f.ended = nil, true
+	f.t.mu.Unlock()
+	close(f.done) // outside every lock
+	for _, fn := range wake {
+		fn()
+	}
+}
+
+// Keep ends the fill with v, kept until expires — unless that has passed,
+// or an InvalidateOwner or Flush since the fill began may have made v stale.
+func (f *Fill[V]) Keep(v V, expires time.Time) {
+	f.t.put(f.key, f.owner, v, expires, &f.gen)
+	f.end(v, false, nil)
+}
+
+// Pass ends the fill with v kept nowhere: it is incomplete (a reply its
+// source flagged partial), and the next miss must ask again.
+func (f *Fill[V]) Pass(v V) { f.end(v, true, nil) }
+
+// Fail ends the fill without a value: a ServeStale table serves the expired
+// one, if resident, to all (OutcomeStale); otherwise all get err.
+func (f *Fill[V]) Fail(err error) (V, Outcome, error) {
+	v, ok := f.t.stale(f.key)
+	if !ok {
+		f.end(v, false, err)
+		return v, OutcomeMiss, err
+	}
+	f.t.counts.StaleServed.Inc()
+	f.end(v, false, nil)
+	return v, OutcomeStale, nil
+}
+
+// Wait blocks until the fill has ended and returns what it ended with;
+// passed: its leader ended it with Pass.
+func (f *Fill[V]) Wait() (v V, passed bool, err error) {
+	<-f.done
+	return f.v, f.passed, f.err
+}
+
+// OnDone has fn run once the fill has ended: at once if it has, else on the
+// goroutine that ends it, so fn must not block. Wait then returns at once.
+func (f *Fill[V]) OnDone(fn func()) {
+	f.t.mu.Lock()
+	if !f.ended {
+		f.wake = append(f.wake, fn)
+		f.t.mu.Unlock()
+		return
+	}
+	f.t.mu.Unlock()
+	fn()
 }
 
 // stale returns key's resident value, expired or not, on a ServeStale table.

@@ -128,6 +128,14 @@ func (c *FakeClock) disarmLocked(t *fakeTimer) bool {
 	return false
 }
 
+// Pending reports how many timers are armed, so a test can advance the
+// clock once the code under test waits on it, not before.
+func (c *FakeClock) Pending() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.waiters)
+}
+
 // Advance moves the clock forward, firing any timers that come due.
 func (c *FakeClock) Advance(d time.Duration) {
 	c.mu.Lock()
