@@ -3,6 +3,7 @@ package giis
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,6 +21,67 @@ func withQueryCache(ttl time.Duration) func(*Config) {
 func computerQuery() *ldap.SearchRequest {
 	return &ldap.SearchRequest{BaseDN: "vo=alliance", Scope: ldap.ScopeWholeSubtree,
 		Filter: ldap.MustParseFilter("(objectclass=computer)")}
+}
+
+// TestStalledClientHoldsNoFill: a fill a search leads ends when its child
+// answers, whatever the search's own client does. Search A's client stops
+// reading while A still waits on a held child; search B joins A's fill of
+// that child's key and gets its reply once the child answers, with A's
+// client still stalled.
+func TestStalledClientHoldsNoFill(t *testing.T) {
+	g := newGrid(t)
+	g.addChild("h1", "hn=h1, o=grid", 0, hostEntries("hn=h1, o=grid", "h1", "s1", 1)...)
+	held := g.addChild("h2", "hn=h2, o=grid", 0, hostEntries("hn=h2, o=grid", "h2", "s1", 1)...)
+	d := g.directory("top", preset("chain", StrategyConfig{}), withQueryCache(time.Hour))
+	op := &ldap.SearchRequest{BaseDN: "o=grid", Scope: ldap.ScopeWholeSubtree,
+		Filter: ldap.MustParseFilter("(objectclass=computer)")}
+	release := make(chan struct{})
+	held.held.Store(&release)
+	w := &stallSink{stalled: make(chan struct{}), unstall: make(chan struct{})}
+	a := make(chan ldap.Result, 1)
+	go func() {
+		a <- d.Search(&ldap.Request{Ctx: context.Background(), State: &ldap.ConnState{}}, op, w)
+	}()
+	<-held.arrived
+	<-w.stalled // A took h1's reply and cannot send it
+	b := make(chan []string, 1)
+	go func() {
+		got, _ := searchDNs(d, op)
+		b <- got
+	}()
+	for d.QueryCache().Coalesced.Value() == 0 {
+		time.Sleep(time.Millisecond) // until B has joined A's fill of h2's key
+	}
+	held.held.Store(nil)
+	close(release)
+	select {
+	case got := <-b:
+		if len(got) != 2 {
+			t.Errorf("search B returned %v, want both hosts", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("search B still waits on the fill search A leads, 10s after the child answered")
+	}
+	close(w.unstall)
+	if res := <-a; res.Code != ldap.ResultSuccess {
+		t.Errorf("search A: %+v", res)
+	}
+}
+
+// stallSink is a client that stops reading: its first SendEntry signals
+// stalled, then blocks until unstall closes.
+type stallSink struct {
+	sink
+	once             sync.Once
+	stalled, unstall chan struct{}
+}
+
+func (s *stallSink) SendEntry(e *ldap.Entry, ctls ...ldap.Control) error {
+	s.once.Do(func() {
+		close(s.stalled)
+		<-s.unstall
+	})
+	return s.sink.SendEntry(e, ctls...)
 }
 
 func TestQueryCacheHitSkipsChain(t *testing.T) {
