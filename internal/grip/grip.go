@@ -178,7 +178,9 @@ type Update struct {
 
 // Subscribe is GRIP subscription (§6 push mode): asynchronous delivery of
 // matching entries as they change, until ctx is cancelled. The onUpdate
-// callback runs on the receive goroutine; returning an error cancels.
+// callback runs on the client's read loop, so it must not wait for a reply
+// on this client; returning an error cancels. A subscription the server
+// refuses (busy, noSuchObject) returns the refusal.
 func (g *Client) Subscribe(ctx context.Context, base ldap.DN, filter string,
 	changesOnly bool, onUpdate func(Update) error) error {
 
@@ -203,7 +205,7 @@ func (g *Client) Subscribe(ctx context.Context, base ldap.DN, filter string,
 			}
 		}
 		return onUpdate(up)
-	}, nil, nil)
+	})
 	if err == context.Canceled {
 		return nil
 	}

@@ -14,7 +14,13 @@ import (
 func startStore(t *testing.T) (*Client, *ldap.Store) {
 	t.Helper()
 	store := ldap.NewStore()
-	srv := ldap.NewServer(store)
+	return serve(t, store), store
+}
+
+// serve serves h over loopback TCP and returns a connected client.
+func serve(t *testing.T, h ldap.Handler) *Client {
+	t.Helper()
+	srv := ldap.NewServer(h)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +32,7 @@ func startStore(t *testing.T) (*Client, *ldap.Store) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c, store
+	return c
 }
 
 func seedEntries(t *testing.T, store *ldap.Store) {
@@ -119,6 +125,27 @@ func TestSubscribe(t *testing.T) {
 	case u := <-got:
 		t.Fatalf("unexpected update %+v", u)
 	case <-time.After(20 * time.Millisecond):
+	}
+}
+
+// busyHandler refuses every search, as a server shedding load does.
+type busyHandler struct{ ldap.BaseHandler }
+
+func (busyHandler) Search(*ldap.Request, *ldap.SearchRequest, ldap.SearchWriter) ldap.Result {
+	return ldap.Result{Code: ldap.ResultBusy, Message: "server overloaded"}
+}
+
+// TestSubscribeReportsRefusal: a subscription the server refuses ends with
+// the refusal, not as if it had ended cleanly.
+func TestSubscribeReportsRefusal(t *testing.T) {
+	c := serve(t, busyHandler{})
+	err := c.Subscribe(context.Background(), ldap.MustParseDN("o=g"), "(objectclass=*)", false,
+		func(u Update) error {
+			t.Errorf("update from a refused subscription: %+v", u)
+			return nil
+		})
+	if !ldap.IsCode(err, ldap.ResultBusy) {
+		t.Fatalf("refused subscription returned %v, want busy", err)
 	}
 }
 

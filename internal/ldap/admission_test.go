@@ -349,7 +349,7 @@ func TestPersistentSearchBypassesAdmission(t *testing.T) {
 			Filter: MustParseFilter("(objectclass=*)")},
 			[]Control{NewPersistentSearchControl(PersistentSearch{
 				ChangeTypes: ChangeAll, ChangesOnly: true})},
-			func(*Entry, []Control) error { return nil }, nil, nil)
+			func(*Entry, []Control) error { return nil })
 	}()
 	<-started
 	// The lone worker slot must still be free: a plain search completes.

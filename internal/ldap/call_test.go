@@ -1,10 +1,13 @@
 package ldap
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,11 +42,25 @@ func answerEven(conn net.Conn) {
 	}
 }
 
-// TestCallPostedOnceWhateverEndsIt: a collected op ends by its done reply,
-// its Timeout, a connection failure or Close, whichever comes first, and its
-// call is handed to Done exactly once — with its result, or with why it
-// ended without one. Each round races all four over 16 ops in flight, half
-// of which the server answers.
+// keptEntries is a Chan that takes its search's entries and keeps them.
+type keptEntries struct {
+	Chan
+	entries []*Entry
+}
+
+func (k *keptEntries) TakeEntry(e *Entry, _ []Control) bool {
+	k.entries = append(k.entries, e)
+	return true
+}
+
+var errStopped = errors.New("stopped by the test")
+
+// TestCallPostedOnceWhateverEndsIt: an op ends by its done reply, its
+// Timeout (unless it takes its entries), Stop, a connection failure or
+// Close, whichever comes first, and its call is handed to Done exactly once
+// — with its result, or with why it ended without one. Each round races all
+// five over 16 ops in flight, half of which the server answers and half of
+// which take their entries.
 func TestCallPostedOnceWhateverEndsIt(t *testing.T) {
 	const ops = 16
 	for round := 0; round < 50; round++ {
@@ -53,12 +70,22 @@ func TestCallPostedOnceWhateverEndsIt(t *testing.T) {
 		fc := softstate.NewFakeClock()
 		c.Clock, c.Timeout = fc, time.Second
 		done := make(Chan, 2*ops)
-		for i := 0; i < ops; i++ {
-			c.Start(&Call{Done: done}, &SearchRequest{BaseDN: "o=grid", Scope: ScopeWholeSubtree}, nil)
+		calls := make([]*Call, ops)
+		for i := range calls {
+			calls[i] = &Call{Done: done}
+			if i%4 >= 2 { // IDs run from 1: answered and unanswered takers
+				calls[i].Done = &keptEntries{Chan: done}
+			}
+			c.Start(calls[i], &SearchRequest{BaseDN: "o=grid", Scope: ScopeWholeSubtree}, nil)
 		}
 		var wg sync.WaitGroup
 		for _, end := range []func(){
 			func() { fc.Advance(time.Second) },
+			func() {
+				for _, call := range calls {
+					c.Stop(call, errStopped)
+				}
+			},
 			func() { server.Close() },
 			func() { c.Close() },
 		} {
@@ -96,11 +123,16 @@ func TestCallPostedOnceWhateverEndsIt(t *testing.T) {
 }
 
 // TestLateReplyNeverReachesReusedCall: a caller that takes its call back
-// after a timeout may start its next op on it at once. The first op's
-// routing state is given up for good: its late reply is counted unknown,
-// frame by frame, and the call gets the next op's entries and nothing of
-// the late one's.
+// after a timeout, or after it stopped an op that takes its entries, may
+// start its next op on it at once. The first op's routing state is given
+// up for good: its late reply is counted unknown, frame by frame, and the
+// call gets the next op's entries and nothing of the late one's.
 func TestLateReplyNeverReachesReusedCall(t *testing.T) {
+	t.Run("timed out", func(t *testing.T) { lateReplyAfterReuse(t, false) })
+	t.Run("stopped taker", func(t *testing.T) { lateReplyAfterReuse(t, true) })
+}
+
+func lateReplyAfterReuse(t *testing.T, streamed bool) {
 	h := &heldSearches{started: make(chan string, 2), release: map[string]chan struct{}{
 		"ou=late": make(chan struct{}), "ou=next": make(chan struct{}),
 	}}
@@ -144,11 +176,22 @@ func TestLateReplyNeverReachesReusedCall(t *testing.T) {
 
 	done := make(Chan, 1)
 	call := &Call{Done: done}
+	kept := &keptEntries{Chan: done}
+	if streamed {
+		call.Done = kept
+	}
 	c.Start(call, &SearchRequest{BaseDN: "ou=late", Scope: ScopeWholeSubtree}, nil)
 	started("ou=late")
-	fc.Advance(c.Timeout) // the op armed its timer before its request left
-	if <-done; call.Err == nil || !strings.Contains(call.Err.Error(), "timed out") {
-		t.Fatalf("first op: want a timeout, got %v", call.Err)
+	if streamed {
+		c.Stop(call, errStopped)
+		if <-done; call.Err != errStopped {
+			t.Fatalf("first op: want it stopped, got %v", call.Err)
+		}
+	} else {
+		fc.Advance(c.Timeout) // the op armed its timer before its request left
+		if <-done; call.Err == nil || !strings.Contains(call.Err.Error(), "timed out") {
+			t.Fatalf("first op: want a timeout, got %v", call.Err)
+		}
 	}
 
 	c.Start(call, &SearchRequest{BaseDN: "ou=next", Scope: ScopeWholeSubtree}, nil)
@@ -165,16 +208,124 @@ func TestLateReplyNeverReachesReusedCall(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("second op never ended")
 	}
-	if call.Err != nil || len(call.Entries) != 3 || call.Result.Code != ResultSuccess {
-		t.Fatalf("second op: %d entries, result %+v, err %v", len(call.Entries), call.Result, call.Err)
+	entries := call.Entries
+	if streamed {
+		entries = kept.entries
 	}
-	for i, e := range call.Entries {
+	if call.Err != nil || len(entries) != 3 || call.Result.Code != ResultSuccess {
+		t.Fatalf("second op: %d entries, result %+v, err %v", len(entries), call.Result, call.Err)
+	}
+	for i, e := range entries {
 		if want := MustParseDN(fmt.Sprintf("hn=h%d, ou=next", i)); !e.DN.Equal(want) {
 			t.Fatalf("second op: entry %d is %s, want %s", i, e.DN, want)
 		}
 	}
 	if got := c.UnknownResponses.Value(); got != 4 {
 		t.Fatalf("UnknownResponses = %d, want the late reply's 4 frames", got)
+	}
+}
+
+// strictTaker takes a stream's entries and fails the test if one reaches
+// it with or after CallEnded: took is a plain field that TakeEntry writes
+// and CallEnded reads, so the race detector reports any overlap, and over
+// catches a later entry. At entry at it closes mid, then holds the entry
+// until hold closes when hold is set, and declines it when decline is set.
+type strictTaker struct {
+	t       *testing.T
+	took    int
+	at      int
+	mid     chan struct{}
+	hold    chan struct{}
+	decline bool
+	over    atomic.Bool
+	ended   chan struct{}
+}
+
+func (s *strictTaker) TakeEntry(*Entry, []Control) bool {
+	if s.over.Load() {
+		s.t.Error("an entry reached its taker after CallEnded")
+	}
+	if s.took++; s.took == s.at {
+		close(s.mid)
+		if s.hold != nil {
+			<-s.hold
+		}
+		return !s.decline
+	}
+	runtime.Gosched()
+	return true
+}
+
+func (s *strictTaker) CallEnded(call *Call) {
+	if s.over.Swap(true) {
+		s.t.Error("CallEnded twice")
+		return
+	}
+	if s.took < s.at {
+		s.t.Errorf("the call ended after %d entries, before the test ended it (err %v)", s.took, call.Err)
+	}
+	close(s.ended)
+}
+
+// TestNoEntryAfterCallEnded: CallEnded is the last thing a taker sees. Each
+// round streams 1,000 entries to a taker and, once an entry partway through
+// has reached it, ends the op while the read loop hands it the rest: Stop
+// and Close race each other and the stream, or one of them comes while the
+// taker holds that entry, or Close races the taker declining it. The call
+// ends once, and no TakeEntry runs with CallEnded or after it.
+func TestNoEntryAfterCallEnded(t *testing.T) {
+	addr := startWireServer(t, 1000, false).conn.RemoteAddr().String()
+	req := &SearchRequest{BaseDN: "o=grid", Scope: ScopeWholeSubtree}
+	for round := 0; round < 32; round++ {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := &strictTaker{t: t, at: 1 + 31*round, mid: make(chan struct{}), ended: make(chan struct{})}
+		call := &Call{Done: s}
+		stop := func() { c.Stop(call, errStopped) }
+		closing := func() { c.Close() }
+		var ends []func()
+		switch round % 4 {
+		case 0:
+			ends = []func(){stop, closing}
+		case 1:
+			s.hold, ends = make(chan struct{}), []func(){stop}
+		case 2:
+			s.hold, ends = make(chan struct{}), []func(){closing}
+		case 3:
+			s.decline, ends = true, []func(){closing}
+		}
+		c.Start(call, req, nil)
+		select {
+		case <-s.mid:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: entry %d never reached the taker", round, s.at)
+		}
+		var wg sync.WaitGroup
+		for _, end := range ends {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				end()
+			}()
+		}
+		wg.Wait()
+		if s.hold != nil {
+			if s.over.Load() {
+				t.Fatalf("round %d: the call ended while its taker held an entry", round)
+			}
+			close(s.hold)
+		}
+		select {
+		case <-s.ended:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: the call never ended", round)
+		}
+		if s.hold != nil && call.Err != errStopped && call.Err != ErrClientClosed {
+			t.Fatalf("round %d: a held call ended with %v", round, call.Err)
+		}
+		c.Close()
 	}
 }
 

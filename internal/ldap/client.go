@@ -39,19 +39,20 @@ type Client struct {
 	// ErrorLog receives client-side protocol warnings; nil discards them.
 	ErrorLog *log.Logger
 
-	// Timeout bounds each operation but SearchFunc's; zero means no limit.
+	// Timeout bounds each operation whose ender does not take its entries
+	// (see EntryTaker); zero means no limit.
 	Timeout time.Duration
 	// Clock supplies the timeout timer so FakeClock tests drive operation
 	// deadlines deterministically; nil means the wall clock.
 	Clock softstate.Clock
 }
 
-// Call is one collected operation begun with Start, in the shape of
-// net/rpc's Call. It ends exactly once — by its reply, its Timeout on the
-// client's Clock, a connection failure or Close, whichever comes first — and
-// is then handed to Done on the goroutine that ended it: the client's read
-// loop, the Timeout's timer, the one that failed or closed the connection,
-// or Start's own. It is the caller's again once handed back.
+// Call is one operation begun with Start, in the shape of net/rpc's Call.
+// It ends exactly once — by its reply, its Timeout on the client's Clock,
+// Stop, a connection failure or Close, whichever comes first — and is then
+// handed to Done on the goroutine that ended it: the client's read loop,
+// the Timeout's timer, Stop's caller, the one that failed or closed the
+// connection, or Start's own. It is the caller's again once handed back.
 type Call struct {
 	Done         CallEnder // must not wait for a reply: none is read meanwhile
 	Err          error     // why the op ended without its reply; nil when it came
@@ -64,23 +65,33 @@ type Call struct {
 // CallEnder takes the Calls a client ends (see Call).
 type CallEnder interface{ CallEnded(*Call) }
 
+// EntryTaker is implemented by a CallEnder that takes its search's entries
+// itself rather than have the Call collect them: each is handed to
+// TakeEntry in order on the client's read loop, so TakeEntry must not wait
+// for a reply either, and owns its bytes (see SearchFunc). Returning false
+// stops the op (see Stop). CallEnded is the last thing a taker sees: no
+// TakeEntry runs with it or after it, whatever ends the op. A taker's op
+// has no Timeout.
+type EntryTaker interface {
+	TakeEntry(e *Entry, controls []Control) bool
+}
+
 // Chan is net/rpc's Done: it posts each call on the channel, which must
 // have room for it, as the client never waits.
 type Chan chan *Call
 
 func (ch Chan) CallEnded(call *Call) { ch <- call }
 
-// pendingOp routes responses for one in-flight operation. A collected op
-// (call set) is reused only after its done reply ended it with its timer
-// stopped, so a late reply finds no op. A streamed op (SearchFunc) delivers
-// each response on ch; gone closes when its caller departs or the
-// connection fails, so the read loop never wedges on a full ch.
+// pendingOp routes responses for one in-flight operation. It is reused
+// only after its done reply ended it with its timer stopped, so a late
+// reply finds no op.
 type pendingOp struct {
-	id   int64
-	call *Call
+	id    int64
+	call  *Call
+	taker EntryTaker // call.Done, when it takes its entries
 
-	// entries, refs and done: a collected search's result, gathered and
-	// handed over by the read loop alone.
+	// entries, refs and done: a search's result, gathered and handed over
+	// by the read loop alone (entries only when there is no taker).
 	entries []*Entry
 	refs    []string
 	done    doneMessage
@@ -88,10 +99,9 @@ type pendingOp struct {
 	timer softstate.Timer
 	clock softstate.Clock
 	timed bool
-
-	ch   chan *Message
-	gone chan struct{}
-	left bool // gone is closed; guarded by Client.mu
+	// taking: the read loop is handing the taker an entry, and an end that
+	// comes meanwhile leaves the call to it (see take); guarded by Client.mu.
+	taking bool
 }
 
 // doneMessage is a SearchResultDone message, the two in one value.
@@ -133,7 +143,7 @@ const (
 // readLoop frames the connection's responses out of its own read chunk and
 // routes them. Every frame is scanned where it lies (see route). A
 // SearchResultEntry becomes a wire-backed entry: aliasing the chunk when its
-// search collects its result, over a copy of its own when it is streamed.
+// search collects its result, over a copy of its own when a taker takes it.
 // A chunk is reused until an entry aliases it; from then on it is only ever
 // filled further, then left to the entries that hold it.
 func (c *Client) readLoop() {
@@ -198,22 +208,14 @@ func (c *Client) route(frame []byte, wire *wireEntries) (aliased bool, err error
 		return false, s.err
 	}
 	if op[0] != idSearchEntry {
-		// Anything but a continuation reference ends its operation: the op
-		// leaves the table here, so nothing read after this reply reaches
-		// it.
-		ends := op[0] != idSearchReference
-		pop := c.pendingFor(id, ends)
-		if pop != nil && pop.call != nil {
+		pop := c.pendingFor(id, op[0])
+		if pop != nil {
 			return false, c.collect(pop, op[0], frame, wire)
 		}
-		msg, err := ScanMessage(frame)
-		if err != nil {
-			if pop != nil {
-				c.drop(pop)
-			}
+		if _, err := ScanMessage(frame); err != nil {
 			return false, err
 		}
-		c.deliver(pop, msg)
+		c.noteUnknown(id)
 		return false, nil
 	}
 	dn, attrs := s.searchEntry(op)
@@ -224,26 +226,49 @@ func (c *Client) route(frame []byte, wire *wireEntries) (aliased bool, err error
 	if err != nil {
 		return false, err
 	}
-	pop := c.pendingFor(id, false)
-	collect := pop != nil && pop.call != nil
-	e, err := wire.next(dn, attrs, !collect)
-	if err != nil {
+	pop := c.pendingFor(id, op[0])
+	if pop != nil && pop.taker != nil {
+		return false, c.take(pop, dn, attrs, ctls, wire)
+	}
+	e, err := wire.next(dn, attrs, pop == nil)
+	switch {
+	case err != nil:
 		return false, err
+	case pop == nil:
+		c.noteUnknown(id)
+		return false, nil
 	}
-	if collect {
-		if pop.entries == nil {
-			pop.entries = wire.borrow()
-		}
-		pop.entries = append(pop.entries, e)
-		return true, nil
+	if pop.entries == nil {
+		pop.entries = wire.borrow()
 	}
-	c.deliver(pop, &Message{ID: id, Op: &SearchResultEntry{Entry: e}, Controls: ctls})
-	return false, nil
+	pop.entries = append(pop.entries, e)
+	return true, nil
 }
 
-// collect takes a collected op's continuation reference, or the response
-// that ended it (and took op out of the table): the call gets the result,
-// and op is reused if its timer was stopped before it fired.
+// take hands an entry to op's taker; pendingFor marked op taking. An end
+// that comes meanwhile (Stop, a failure, Close) takes op out of the table
+// but leaves its call to take, to end once TakeEntry has returned: so
+// CallEnded is the last thing a taker sees.
+func (c *Client) take(op *pendingOp, dn, attrs []byte, ctls []Control, wire *wireEntries) error {
+	e, err := wire.next(dn, attrs, true)
+	more := err == nil && op.taker.TakeEntry(e, ctls)
+	c.mu.Lock()
+	op.taking = false
+	switch {
+	case c.pending[op.id] != op:
+		c.mu.Unlock()
+		c.post(op, op.call.Err)
+	case more || err != nil: // a failing connection ends it
+		c.mu.Unlock()
+	default:
+		c.stop(op, nil, errTakerStopped)
+	}
+	return err
+}
+
+// collect takes an op's continuation reference, or the response that ended
+// it (and took op out of the table): the call gets the result, and op is
+// reused if its timer was stopped before it fired.
 func (c *Client) collect(op *pendingOp, tag byte, frame []byte, wire *wireEntries) error {
 	var msg *Message
 	var err error
@@ -281,28 +306,19 @@ func (c *Client) collect(op *pendingOp, tag byte, frame []byte, wire *wireEntrie
 	return nil
 }
 
-// deliver hands msg to the streamed op waiting for it, unless there is none
-// or it has left.
-func (c *Client) deliver(op *pendingOp, msg *Message) {
-	if op == nil {
-		c.noteUnknown(msg.ID)
-		return
-	}
-	select {
-	case op.ch <- msg:
-	case <-op.gone:
-		// The caller left between the map lookup and the send.
-		c.noteUnknown(msg.ID)
-	}
-}
-
-// pendingFor returns the op routing id, taking it out of the table when
-// the response ends the operation.
-func (c *Client) pendingFor(id int64, ends bool) *pendingOp {
+// pendingFor returns the op routing a response with tag to id. Anything but
+// an entry or a continuation reference ends the operation and takes the op
+// out of the table, so nothing read after it reaches the op; an entry for a
+// taker marks the op taking (see take).
+func (c *Client) pendingFor(id int64, tag byte) *pendingOp {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	op := c.pending[id]
-	if ends && op != nil {
+	switch {
+	case op == nil:
+	case tag == idSearchEntry:
+		op.taking = op.taker != nil
+	case tag != idSearchReference:
 		delete(c.pending, id)
 	}
 	return op
@@ -330,19 +346,16 @@ func (c *Client) fail(err error) {
 	ops := make([]*pendingOp, 0, len(c.pending))
 	for id, op := range c.pending {
 		delete(c.pending, id)
-		if op.call != nil || !op.left {
-			op.left = true
+		if op.taking {
+			op.call.Err = err // take ends it
+		} else {
 			ops = append(ops, op)
 		}
 	}
 	c.free = nil
 	c.mu.Unlock()
 	for _, op := range ops {
-		if op.call != nil {
-			c.post(op, err)
-		} else {
-			close(op.gone)
-		}
+		c.post(op, err)
 	}
 }
 
@@ -371,38 +384,35 @@ func (c *Client) allocID() int64 {
 	return id
 }
 
-// register routes responses to a new message ID through an op — for a
-// collected one (call set), one that ended by its reply if there is one,
-// its timer armed before it is routable; for a streamed one, a new op.
-func (c *Client) register(call *Call, req Op, controls []Control) (*pendingOp, error) {
+// register routes call's responses to a new message ID through an op —
+// one that ended by its reply if there is one — with its taker resolved
+// and, unless it has one, its timer armed before it is routable.
+func (c *Client) register(call *Call, req Op, controls []Control) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
-		return nil, c.err
+		return c.err
 	}
 	if c.closed {
-		return nil, ErrClientClosed
+		return ErrClientClosed
 	}
 	id := c.nextID
 	c.nextID++
 	var op *pendingOp
-	if n := len(c.free); n > 0 && call != nil {
+	if n := len(c.free); n > 0 {
 		op, c.free[n-1], c.free = c.free[n-1], nil, c.free[:n-1]
 	} else {
 		op = &pendingOp{}
 	}
 	op.id, op.call = id, call
+	op.taker, _ = call.Done.(EntryTaker)
 	c.pending[id] = op
-	if call == nil {
-		op.ch, op.gone = make(chan *Message, 64), make(chan struct{})
-		return op, nil
-	}
 	call.req = Message{ID: id, Op: req, Controls: controls}
 	clock := c.Clock
 	if clock == nil {
 		clock = softstate.RealClock{}
 	}
-	switch op.timed = c.Timeout > 0; {
+	switch op.timed = c.Timeout > 0 && op.taker == nil; {
 	case !op.timed:
 	case op.timer == nil || op.clock != clock:
 		op.clock = clock
@@ -410,29 +420,51 @@ func (c *Client) register(call *Call, req Op, controls []Control) (*pendingOp, e
 	default:
 		op.timer.Reset(c.Timeout)
 	}
-	return op, nil
+	return nil
 }
 
-// expire is a collected op's timer func: unless it has ended meanwhile,
-// the op ends with a timeout, and a search is abandoned at the server.
+// errTakerStopped ends an op whose taker declined an entry.
+var errTakerStopped = errors.New("ldap: entry taker stopped the search")
+
+// Stop ends call's op without its reply, unless it has ended: the call
+// fails with err, and a search is abandoned at the server. It is the one
+// way to end an op early; a late reply is counted in UnknownResponses.
+func (c *Client) Stop(call *Call, err error) {
+	c.mu.Lock()
+	c.stop(c.pending[call.req.ID], call, err)
+}
+
+// expire is an op's timer func: Stop with the timeout.
 func (c *Client) expire(op *pendingOp) {
 	c.mu.Lock()
-	if c.pending[op.id] != op {
+	c.stop(op, nil, fmt.Errorf("ldap: operation timed out after %v", c.Timeout))
+}
+
+// stop is Stop for op, unless it has left the table or serves another call
+// than call (when set); c.mu is held, and released here. While the read
+// loop hands op's taker an entry, take ends the call.
+func (c *Client) stop(op *pendingOp, call *Call, err error) {
+	if op == nil || c.pending[op.id] != op || call != nil && op.call != call {
 		c.mu.Unlock()
 		return
 	}
 	delete(c.pending, op.id)
-	id := op.id
+	id, taking := op.id, op.taking
 	_, search := op.call.req.Op.(*SearchRequest)
+	if taking {
+		op.call.Err = err
+	}
 	c.mu.Unlock()
-	c.post(op, fmt.Errorf("ldap: operation timed out after %v", c.Timeout))
+	if !taking {
+		c.post(op, err)
+	}
 	if search {
 		c.write(&Message{ID: c.allocID(), Op: &AbandonRequest{IDToAbandon: id}})
 	}
 }
 
-// post ends a collected op, already out of the table, without its reply:
-// its call fails with err, and the op is never reused.
+// post ends an op, already out of the table, without its reply: its call
+// fails with err, and the op is never reused.
 func (c *Client) post(op *pendingOp, err error) {
 	if op.timed {
 		op.timer.Stop()
@@ -440,21 +472,6 @@ func (c *Client) post(op *pendingOp, err error) {
 	call := op.call
 	call.Err = err
 	call.Done.CallEnded(call)
-}
-
-// drop takes a streamed op out of the table if it is still there and
-// closes its gone, for good.
-func (c *Client) drop(op *pendingOp) {
-	c.mu.Lock()
-	if c.pending[op.id] == op {
-		delete(c.pending, op.id)
-	}
-	closing := !op.left
-	op.left = true
-	c.mu.Unlock()
-	if closing {
-		close(op.gone)
-	}
 }
 
 func (c *Client) write(m *Message) error {
@@ -465,12 +482,13 @@ func (c *Client) write(m *Message) error {
 
 // Start sends req and returns without waiting for the reply: call is handed
 // back when the operation ends (see Call), perhaps before Start returns,
-// with a search's result collected as SearchWith returns it, or any other
-// operation's Reply. req and controls must not change until then. A search
-// that outlives the Timeout is abandoned.
+// with a search's result collected as SearchWith returns it (its entries
+// taken instead when Done is an EntryTaker), or any other operation's
+// Reply. req and controls must not change until then. A search that
+// outlives the Timeout is abandoned.
 func (c *Client) Start(call *Call, req Op, controls []Control) {
 	call.Err, call.SearchResult, call.Reply = nil, SearchResult{}, nil
-	if _, err := c.register(call, req, controls); err != nil {
+	if err := c.register(call, req, controls); err != nil {
 		call.Err = err
 		call.Done.CallEnded(call)
 	} else if err := c.write(&call.req); err != nil {
@@ -507,15 +525,6 @@ func exchange[R Op](c *Client, req Op) (resp R, err error) {
 		return resp, fmt.Errorf("ldap: unexpected reply to %T", req)
 	}
 	return resp, nil
-}
-
-func (c *Client) connErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return c.err
-	}
-	return ErrClientClosed
 }
 
 // resultOf is a single-reply operation's error: the exchange's, or the
@@ -576,62 +585,47 @@ func (c *Client) SearchWith(req *SearchRequest, controls []Control) (*SearchResu
 	return &call.SearchResult, call.Result.Err()
 }
 
-// SearchFunc streams search results through callbacks until the search
-// completes, ctx is cancelled (which abandons the operation server-side),
-// or a callback returns an error. refFn may be nil to ignore referrals;
-// done, when non-nil, receives the final LDAPResult. The entries are the
-// immutable wire-backed snapshots SearchWith returns, except that each owns
-// its bytes: keeping one keeps that entry and nothing else. The client's
-// Timeout does not apply.
+// SearchFunc streams a search's entries to entryFn until the search
+// completes, ctx ends (which abandons it at the server) or entryFn returns
+// an error, and returns that error, ctx's, the connection's, or the one the
+// done message reports, as SearchWith does. entryFn is the op's EntryTaker:
+// it runs on the client's read loop, so it must not wait for a reply on
+// this client. The entries are the immutable wire-backed snapshots
+// SearchWith returns, except that each owns its bytes: keeping one keeps
+// that entry and nothing else. The client's Timeout does not apply.
 //
 // With a persistent-search control attached, the server never sends a
-// final done message and SearchFunc runs until ctx is cancelled: this is
-// GRIP subscription mode.
+// final done message and SearchFunc runs until ctx ends: this is GRIP
+// subscription mode.
 func (c *Client) SearchFunc(ctx context.Context, req *SearchRequest, controls []Control,
-	entryFn func(*Entry, []Control) error, refFn func([]string) error, done *Result) error {
+	entryFn func(*Entry, []Control) error) error {
 
-	op, err := c.register(nil, nil, nil)
-	if err != nil {
-		return err
+	t := &funcTaker{Chan: make(Chan, 1), fn: entryFn}
+	call := &Call{Done: t}
+	c.Start(call, req, controls)
+	stop := context.AfterFunc(ctx, func() { c.Stop(call, ctx.Err()) })
+	<-t.Chan
+	stop()
+	switch {
+	case t.err != nil:
+		return t.err
+	case call.Reply != nil:
+		return fmt.Errorf("ldap: unexpected search reply %T", call.Reply.Op)
 	}
-	defer c.drop(op)
-	if err := c.write(&Message{ID: op.id, Op: req, Controls: controls}); err != nil {
-		return err
-	}
-	abandon := func() {
-		c.write(&Message{ID: c.allocID(), Op: &AbandonRequest{IDToAbandon: op.id}})
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			abandon()
-			return ctx.Err()
-		case <-op.gone:
-			return c.connErr()
-		case msg := <-op.ch:
-			switch m := msg.Op.(type) {
-			case *SearchResultEntry:
-				if err := entryFn(m.Entry, msg.Controls); err != nil {
-					abandon()
-					return err
-				}
-			case *SearchResultReference:
-				if refFn != nil {
-					if err := refFn(m.URLs); err != nil {
-						abandon()
-						return err
-					}
-				}
-			case *SearchResultDone:
-				if done != nil {
-					*done = m.Result
-				}
-				return nil
-			default:
-				return fmt.Errorf("ldap: unexpected search reply %T", msg.Op)
-			}
-		}
-	}
+	return resultOf(call.Result, call.Err)
+}
+
+// funcTaker is SearchFunc's ender: it hands each entry to fn, and posts
+// the call on Chan.
+type funcTaker struct {
+	Chan
+	fn  func(*Entry, []Control) error
+	err error // fn's, which stopped the op
+}
+
+func (t *funcTaker) TakeEntry(e *Entry, controls []Control) bool {
+	t.err = t.fn(e, controls)
+	return t.err == nil
 }
 
 // Add inserts an entry.

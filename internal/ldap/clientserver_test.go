@@ -163,7 +163,7 @@ func TestClientPersistentSearchOverWire(t *testing.T) {
 			func(e *Entry, cs []Control) error {
 				got <- e
 				return nil
-			}, nil, nil)
+			})
 	}()
 	time.Sleep(50 * time.Millisecond) // let the subscription establish
 	e := NewEntry(MustParseDN("hn=fresh, o=grid")).Add("objectclass", "computer").Add("hn", "fresh")

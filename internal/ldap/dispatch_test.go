@@ -115,7 +115,7 @@ func startParked(t *testing.T, c *Client, h *parkHandler) context.CancelFunc {
 	ctx, cancel := context.WithCancel(context.Background())
 	go c.SearchFunc(ctx, &SearchRequest{BaseDN: "o=grid", Scope: ScopeWholeSubtree,
 		Filter: MustParseFilter("(park=*)")}, nil,
-		func(*Entry, []Control) error { return nil }, nil, nil)
+		func(*Entry, []Control) error { return nil })
 	select {
 	case <-h.parked:
 	case <-time.After(5 * time.Second):
@@ -254,7 +254,7 @@ func TestDispatchQueuedOpDroppedOnAbandon(t *testing.T) {
 	go func() {
 		queuedDone <- c.SearchFunc(ctx, &SearchRequest{BaseDN: "o=grid", Scope: ScopeWholeSubtree,
 			Filter: MustParseFilter("(objectclass=*)")}, nil,
-			func(*Entry, []Control) error { return nil }, nil, nil)
+			func(*Entry, []Control) error { return nil })
 	}()
 	depth := reg.Gauge("ldap_admission_queue_depth")
 	eventually(t, "the second search queues", func() bool { return depth.Value() == 1 })

@@ -116,7 +116,7 @@ func TestIdleFlushPushesStalledStream(t *testing.T) {
 			func(e *Entry, _ []Control) error {
 				got <- e
 				return nil
-			}, nil, nil)
+			})
 		select {
 		case <-h.sent:
 		case <-time.After(5 * time.Second):

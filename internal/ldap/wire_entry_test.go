@@ -433,7 +433,7 @@ func TestSearchEqualsTreeDecode(t *testing.T) {
 					err = c.SearchFunc(context.Background(), req, nil, func(e *Entry, _ []Control) error {
 						results[i] = append(results[i], e)
 						return nil
-					}, nil, nil)
+					})
 				}
 				if err != nil {
 					t.Errorf("search %d: %v", i, err)
@@ -599,7 +599,7 @@ func TestKeptEntriesDoNotPinReadChunks(t *testing.T) {
 					held = append(held, e)
 				}
 				return nil
-			}, nil, nil)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
