@@ -282,7 +282,7 @@ func (t *childTable) upsert(it *softstate.Item) bool {
 	}
 	rec = &childRec{key: it.Key, order: url.String(), msg: m, Child: Child{
 		URL: url, Suffix: suffix, ViewSuffix: view, MDSType: m.MDSType, VO: m.VO,
-		Recovered: it.Recovered, serviceKey: url.ServiceKey(),
+		Recovered: it.Recovered, serviceKey: url.ServiceKey(), suffix: suffix.String(),
 	}}
 	rec.refresh(it)
 	t.byKey[it.Key] = rec

@@ -45,7 +45,7 @@ func (s *Server) buildChildren() []Child {
 		}
 		out = append(out, Child{URL: url, Suffix: suffix, ViewSuffix: view, MDSType: m.MDSType,
 			VO: m.VO, ExpiresAt: it.ExpiresAt, LastRefresh: it.LastRefresh, Recovered: it.Recovered,
-			serviceKey: url.ServiceKey()})
+			serviceKey: url.ServiceKey(), suffix: suffix.String()})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].URL.String() < out[j].URL.String() })
 	return out

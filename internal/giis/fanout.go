@@ -316,7 +316,7 @@ func (c *searchContext) begin(h *hop) bool {
 			return c.await(h, fill.OnDone)
 		case qcache.OutcomeMiss:
 			// Not through the query cache: a summary is its own cache.
-			h.cache, h.req = nil, ldap.SearchRequest{BaseDN: t.Suffix.String(), Scope: ldap.ScopeWholeSubtree}
+			h.cache, h.req = nil, ldap.SearchRequest{BaseDN: t.baseText(t.Suffix), Scope: ldap.ScopeWholeSubtree}
 			return c.open(h)
 		}
 		if c.test(h, sum) {
@@ -357,7 +357,7 @@ func (c *searchContext) begin(h *hop) bool {
 			return c.await(h, fill.OnDone)
 		}
 	}
-	h.req = ldap.SearchRequest{BaseDN: childBase.String(), Scope: childScope, Filter: filter,
+	h.req = ldap.SearchRequest{BaseDN: t.baseText(childBase), Scope: childScope, Filter: filter,
 		Attributes: attrs, SizeLimit: limit}
 	return c.open(h)
 }

@@ -69,9 +69,10 @@ type Child struct {
 	// distinguish recovered-but-unconfirmed children on the metrics surface.
 	Recovered bool
 
-	// serviceKey is URL.ServiceKey(), rendered once when the child table
-	// built the record; empty on a Child made anywhere else (service).
-	serviceKey string
+	// serviceKey is URL.ServiceKey(), and suffix Suffix.String(), rendered
+	// once when the child table built the record; empty on a Child made
+	// anywhere else (service, baseText).
+	serviceKey, suffix string
 }
 
 // service returns the child's URL.ServiceKey(): the owner of its query-cache
@@ -81,6 +82,15 @@ func (c *Child) service() string {
 		return c.serviceKey
 	}
 	return c.URL.ServiceKey()
+}
+
+// baseText renders base, a region translateRegion translated for the
+// child: Suffix itself, rendered once in the record, or a name below it.
+func (c *Child) baseText(base ldap.DN) string {
+	if c.suffix != "" && len(base) == len(c.Suffix) {
+		return c.suffix
+	}
+	return base.String()
 }
 
 // Config assembles a GIIS.
@@ -642,7 +652,7 @@ func (s *Server) rootDSE() *ldap.Entry {
 // strategy.
 func (s *Server) Search(req *ldap.Request, op *ldap.SearchRequest, w ldap.SearchWriter) ldap.Result {
 	s.Searches.Inc()
-	base, err := ldap.ParseDN(op.BaseDN)
+	base, err := op.Base()
 	if err != nil {
 		return ldap.Result{Code: ldap.ResultProtocolError, Message: err.Error()}
 	}
@@ -665,7 +675,8 @@ func (s *Server) Search(req *ldap.Request, op *ldap.SearchRequest, w ldap.Search
 	// writer encodes an entry before SendEntry returns.
 	sent := int64(0)
 	if mayContainLocal(s.cfg.Suffix, base, op.Scope) {
-		local, more := s.table.nameIndex().FindCompiled(base, op.Scope, op.Filter.Compile(), op.SizeLimit)
+		var found [8]*ldap.Entry
+		local, more := s.table.nameIndex().AppendCompiled(found[:0], base, op.Scope, op.Plan(), op.SizeLimit)
 		for _, e := range local {
 			if err := ldap.SendProjected(w, e, op.Attributes); err != nil {
 				return ldap.Result{Code: ldap.ResultUnavailable, Message: err.Error()}

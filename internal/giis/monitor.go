@@ -27,7 +27,7 @@ import (
 
 // searchMonitor answers a search based at or below s.monitor.
 func (s *Server) searchMonitor(base ldap.DN, op *ldap.SearchRequest, w ldap.SearchWriter) ldap.Result {
-	filter := op.Filter.Compile()
+	filter := op.Plan()
 	sent := int64(0)
 	for _, e := range s.monitorEntries() {
 		if !e.DN.WithinScope(base, op.Scope) || !filter.Matches(e) {

@@ -272,7 +272,7 @@ func (st *Strategy) search(ctx *searchContext) ldap.Result {
 		}
 	}
 	if st.act == actIndex {
-		ctx.filter = ctx.Op.Filter.Compile()
+		ctx.filter = ctx.Op.Plan()
 	}
 	// Referring hops come last: a ring refers its peers, never its children.
 	n := len(hops)

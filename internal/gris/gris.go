@@ -320,7 +320,7 @@ func (s *Server) rootDSE() *ldap.Entry {
 // search control) subscription.
 func (s *Server) Search(req *ldap.Request, op *ldap.SearchRequest, w ldap.SearchWriter) ldap.Result {
 	s.Queries.Inc()
-	base, err := ldap.ParseDN(op.BaseDN)
+	base, err := op.Base()
 	if err != nil {
 		return ldap.Result{Code: ldap.ResultProtocolError, Message: err.Error()}
 	}
@@ -354,8 +354,9 @@ func (s *Server) Search(req *ldap.Request, op *ldap.SearchRequest, w ldap.Search
 	if s.cfg.Policy == nil && op.SizeLimit > 0 {
 		limit = op.SizeLimit + 1
 	}
-	entries, partial := s.evaluate(&Query{Base: base, Scope: op.Scope, Filter: op.Filter,
-		Now: s.clock.Now(), Span: req.Span}, limit)
+	var found [8]*ldap.Entry // an enquiry's answer, without an allocation
+	entries, partial := s.evaluate(found[:0], Query{Base: base, Scope: op.Scope, Filter: op.Filter,
+		Now: s.clock.Now(), Span: req.Span}, op.Plan(), limit)
 	sent := int64(0)
 	for _, e := range entries {
 		visible := s.redact(p, e, op)
@@ -400,15 +401,14 @@ func (s *Server) redact(p *gsi.Principal, e *ldap.Entry, op *ldap.SearchRequest)
 	return out
 }
 
-// evaluate runs the query against all intersecting backends, returning the
-// matches in SortEntries order; a positive limit lets each cached backend
-// stop after its first limit matches. It reports whether any backend
-// declined or failed.
-func (s *Server) evaluate(q *Query, limit int64) ([]*ldap.Entry, bool) {
-	var out []*ldap.Entry
-	ordered := true // out is in SortEntries order
+// evaluate runs the query, whose filter cf is compiled, against all
+// intersecting backends, and appends the matches to out in SortEntries
+// order; a positive limit lets each cached backend stop after its first
+// limit matches. It reports whether any backend declined or failed.
+func (s *Server) evaluate(out []*ldap.Entry, q Query, cf *ldap.Compiled, limit int64) ([]*ldap.Entry, bool) {
+	first := len(out)
+	ordered := true // out[first:] is in SortEntries order
 	partial := false
-	cf := q.Filter.Compile() // once per query, not per backend or entry
 	for _, b := range s.registered() {
 		if !regionsIntersect(q.Base, q.Scope, b.Suffix()) {
 			continue
@@ -420,7 +420,7 @@ func (s *Server) evaluate(q *Query, limit int64) ([]*ldap.Entry, bool) {
 		if q.Span != nil {
 			sp = q.Span.Child("backend:" + b.Name())
 		}
-		entries, sorted, err := s.fetch(b, q, cf, limit, sp)
+		next, sorted, err := s.fetch(out, b, q, cf, limit, sp)
 		sp.End()
 		if err != nil {
 			// A provider that fails or declines the scope (ErrScopeTooWide)
@@ -429,14 +429,15 @@ func (s *Server) evaluate(q *Query, limit int64) ([]*ldap.Entry, bool) {
 			continue
 		}
 		// A single contributor's order stands; a second one forces a merge.
-		if len(out) == 0 {
-			out, ordered = entries, sorted
-		} else if len(entries) > 0 {
-			out, ordered = append(out, entries...), false
+		if len(out) == first {
+			ordered = sorted
+		} else if len(next) > len(out) {
+			ordered = false
 		}
+		out = next
 	}
 	if !ordered {
-		ldap.SortEntries(out)
+		ldap.SortEntries(out[first:])
 	}
 	return out, partial
 }
@@ -450,13 +451,14 @@ func (s *Server) evaluate(q *Query, limit int64) ([]*ldap.Entry, bool) {
 // depends on the filter), are invoked every time and filtered inline.
 // Concurrent misses of an expired TTL coalesce into one provider invocation
 // (refresh), or every TTL boundary under load would stampede the backend.
-func (s *Server) fetch(b Backend, q *Query, cf *ldap.Compiled, limit int64, sp *obs.Span) ([]*ldap.Entry, bool, error) {
+// fetch appends the entries to out.
+func (s *Server) fetch(out []*ldap.Entry, b Backend, q Query, cf *ldap.Compiled, limit int64, sp *obs.Span) ([]*ldap.Entry, bool, error) {
 	ttl := b.CacheTTL()
 	if ttl <= 0 {
 		s.Invocations.Inc()
 		sp.SetNote("invoke")
-		entries, err := b.Entries(q)
-		var out []*ldap.Entry
+		invoked := q // the backend's own copy: only an invocation makes one
+		entries, err := b.Entries(&invoked)
 		for _, e := range entries {
 			if e.DN.WithinScope(q.Base, q.Scope) && cf.Matches(e) {
 				out = append(out, e)
@@ -466,9 +468,9 @@ func (s *Server) fetch(b Backend, q *Query, cf *ldap.Compiled, limit int64, sp *
 	}
 	round, err := s.round(b, q.Now, ttl, sp)
 	if err != nil {
-		return nil, false, err
+		return out, false, err
 	}
-	out, _ := round.FindCompiled(q.Base, q.Scope, cf, limit)
+	out, _ = round.AppendCompiled(out, q.Base, q.Scope, cf, limit)
 	return out, true, nil
 }
 
@@ -536,9 +538,9 @@ func (s *Server) persistentSearch(req *ldap.Request, op *ldap.SearchRequest,
 		}
 		return w.SendEntry(visible, controls...)
 	}
-	first := true
+	first, cf := true, op.Plan()
 	for {
-		entries, _ := s.evaluate(&Query{Base: base, Scope: op.Scope, Filter: op.Filter, Now: s.clock.Now()}, 0)
+		entries, _ := s.evaluate(nil, Query{Base: base, Scope: op.Scope, Filter: op.Filter, Now: s.clock.Now()}, cf, 0)
 		seen := map[string]bool{}
 		for _, e := range entries {
 			key := e.DN.Normalize()

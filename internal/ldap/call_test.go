@@ -329,6 +329,65 @@ func TestNoEntryAfterCallEnded(t *testing.T) {
 	}
 }
 
+// heldSearch is a handler that holds every search's reply: it tells started
+// that a search arrived, then waits until the op is abandoned or its
+// connection closes.
+type heldSearch struct {
+	BaseHandler
+	started chan struct{}
+}
+
+func (h heldSearch) Search(req *Request, _ *SearchRequest, _ SearchWriter) Result {
+	h.started <- struct{}{}
+	<-req.Ctx.Done()
+	return Result{Code: ResultSuccess}
+}
+
+// TestCloseEndsPendingOpsWithErrClientClosed: ops pending when their
+// client's own Close comes — one collecting its result, one taking its
+// entries, both held by the server — end with ErrClientClosed, not with the
+// read loop's error from the connection Close closed.
+func TestCloseEndsPendingOpsWithErrClientClosed(t *testing.T) {
+	h := heldSearch{started: make(chan struct{}, 2)}
+	srv := NewServer(h)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	t.Cleanup(func() { srv.Close() })
+	req := &SearchRequest{BaseDN: "o=grid", Scope: ScopeWholeSubtree}
+	for round := 0; round < 50; round++ {
+		c, err := Dial(l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(Chan, 2)
+		calls := map[*Call]string{{Done: done}: "collected", {Done: &keptEntries{Chan: done}}: "taker"}
+		for call := range calls {
+			c.Start(call, req, nil)
+		}
+		for range calls {
+			select {
+			case <-h.started:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("round %d: a search never reached the server", round)
+			}
+		}
+		c.Close()
+		for range calls {
+			select {
+			case call := <-done:
+				if !errors.Is(call.Err, ErrClientClosed) {
+					t.Fatalf("round %d: the %s op ended with %v, want %v", round, calls[call], call.Err, ErrClientClosed)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("round %d: a pending op never ended", round)
+			}
+		}
+	}
+}
+
 // pendingCount reports in-flight routing entries.
 func (c *Client) pendingCount() int {
 	c.mu.Lock()

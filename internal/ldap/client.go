@@ -359,7 +359,9 @@ func (c *Client) fail(err error) {
 	}
 }
 
-// Close unbinds and tears down the connection.
+// Close unbinds and tears down the connection. Every op still pending ends
+// with ErrClientClosed: it is the client's error before the connection
+// closes, so the read loop failing on the closed connection reports it too.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -367,6 +369,9 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
+	if c.err == nil {
+		c.err = ErrClientClosed
+	}
 	c.mu.Unlock()
 	// Best-effort polite unbind; the connection close is authoritative.
 	c.write(&Message{ID: c.allocID(), Op: &UnbindRequest{}})

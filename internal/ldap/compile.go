@@ -32,15 +32,23 @@ type Compiled struct {
 //
 // A plan is laid out in one array of nodes and one of subplan pointers, cut
 // with capped capacities: two allocations for any filter, one for a leaf.
-func (f *Filter) Compile() *Compiled {
+func (f *Filter) Compile() *Compiled { return f.compileInto(nil, nil) }
+
+// compileInto is Compile with the plan laid out in nodes and subs, each
+// replaced by an array of its own when it is too short: a scanned search
+// request compiles its filter into arrays inside its one allocation.
+func (f *Filter) compileInto(nodes []Compiled, subs []*Compiled) *Compiled {
 	if f == nil {
 		return nil
 	}
-	nodes, subs := f.planSize()
-	p := planner{nodes: make([]Compiled, nodes)}
-	if subs > 0 {
-		p.subs = make([]*Compiled, subs)
+	n, k := f.planSize()
+	if n > len(nodes) {
+		nodes = make([]Compiled, n)
 	}
+	if k > len(subs) {
+		subs = make([]*Compiled, k)
+	}
+	p := planner{nodes: nodes, subs: subs}
 	return p.compile(f)
 }
 

@@ -165,6 +165,9 @@ func tight(s string, before, after int) bool {
 type dnSlab struct {
 	rdns []RDN
 	avas []AVA
+	// fixed: the arrays are all the slab has, as a scanned request's inline
+	// ones are, and a name they cannot hold gets arrays of its own.
+	fixed bool
 }
 
 // dnSlabLen is the RDN and AVA count of one slab: room for a few dozen
@@ -175,7 +178,7 @@ const dnSlabLen = 128
 // with room for avas AVAs. Both capacities are exact, so appending to one
 // name never writes into its neighbour.
 func (s *dnSlab) cut(rdns, avas int) (DN, []AVA) {
-	if s == nil {
+	if s == nil || s.fixed && (len(s.rdns) < rdns || len(s.avas) < avas) {
 		return make(DN, 0, rdns), make([]AVA, 0, avas)
 	}
 	if len(s.rdns) < rdns {

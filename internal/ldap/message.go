@@ -187,6 +187,31 @@ type SearchRequest struct {
 	TypesOnly  bool
 	Filter     *Filter
 	Attributes []string
+
+	// scanned is the allocation a server's scan built the request in, which
+	// holds its base DN and plan; nil for a request built in process.
+	scanned *scannedSearch
+}
+
+// Base returns the request's base object, BaseDN parsed: cut once by the
+// scan for a request a server received, parsed afresh for one built in
+// process or whose BaseDN was replaced since. The DN is shared by every
+// call: read it, do not write into it.
+func (r *SearchRequest) Base() (DN, error) {
+	if ss := r.scanned; ss != nil && r.BaseDN == ss.baseText {
+		return ss.base, ss.baseErr
+	}
+	return ParseDN(r.BaseDN)
+}
+
+// Plan returns the request's filter compiled (nil, matching all, for no
+// filter): compiled once by the scan for a request a server received,
+// afresh for one built in process or whose Filter was replaced since.
+func (r *SearchRequest) Plan() *Compiled {
+	if ss := r.scanned; ss != nil && ss.plan.Source() == r.Filter {
+		return ss.plan
+	}
+	return r.Filter.Compile()
 }
 
 // SearchResultEntry carries one matching entry.

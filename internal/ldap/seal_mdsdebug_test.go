@@ -120,8 +120,8 @@ func TestSealCoversWireEntries(t *testing.T) {
 
 // TestReadFramePoisonsRecycledRequests: a server reads every request of a
 // connection into one frame buffer, and nothing that leaves its read loop
-// aliases it — a search lives in a copy of its frame, any other request
-// copies what it keeps. A string planted on purpose to alias the buffer
+// aliases it — a search lives in a copy of its frame, as do its base DN and
+// plan, and any other request copies what it keeps. A string planted on purpose to alias the buffer
 // reads poison after the next ReadFrame, while the message built from the
 // same frame reads on intact.
 func TestReadFramePoisonsRecycledRequests(t *testing.T) {
@@ -151,9 +151,10 @@ func TestReadFramePoisonsRecycledRequests(t *testing.T) {
 		if poison := strings.Repeat("\xdb", len(planted)); planted != poison {
 			t.Errorf("%s: a string aliasing the recycled frame reads %q, want poison", name, planted)
 		}
-		if !reflect.DeepEqual(msg, want) {
+		if !reflect.DeepEqual(unscanned(msg), want) {
 			t.Errorf("%s: message changed with the frame it was read from:\n %#v\nwant\n %#v", name, msg, want)
 		}
+		checkRequestPlan(t, msg) // a search's base DN and plan do not alias the frame either
 	}
 }
 

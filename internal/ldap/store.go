@@ -440,18 +440,34 @@ func (s *Store) FindLimit(base DN, scope Scope, filter *Filter, limit int64) ([]
 // FindCompiled is FindLimit for a caller that already holds the compiled
 // filter — one query evaluated against several stores compiles once.
 func (s *Store) FindCompiled(base DN, scope Scope, cf *Compiled, limit int64) ([]*Entry, bool) {
+	return s.AppendCompiled(nil, base, scope, cf, limit)
+}
+
+// AppendCompiled is FindCompiled appending its result to dst: a caller that
+// gathers results in scratch of its own, such as an array on its stack,
+// makes no allocation for a result that fits there. The index's candidates
+// are gathered on AppendCompiled's own stack while they fit.
+func (s *Store) AppendCompiled(dst []*Entry, base DN, scope Scope, cf *Compiled, limit int64) ([]*Entry, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	bn := s.nodes[base.Normalize()]
+	var key [96]byte
+	bn := s.nodes[string(base.AppendNormalized(key[:0]))]
 	if bn == nil {
-		return nil, false
+		return dst, false
 	}
+	first, more := len(dst), false
 	if cands, ok := s.candidatesLocked(cf); ok {
-		out, more := collectCandidates(cands, bn, scope, cf, limit)
-		return verifyEntries(out), more
+		var scratch [16]*node
+		all := scratch[:0]
+		if n := cands.len(); n > len(scratch) {
+			all = make([]*node, 0, n)
+		}
+		dst, more = appendCandidates(dst, cands.appendTo(all), bn, scope, cf, limit)
+	} else {
+		dst, more = walkScope(dst, bn, scope, cf, limit)
 	}
-	out, more := walkScope(bn, scope, cf, limit)
-	return verifyEntries(out), more
+	verifyEntries(dst[first:])
+	return dst, more
 }
 
 // candidatesLocked derives a candidate node set from the indexable shape
@@ -495,13 +511,13 @@ func (s *Store) candidatesLocked(c *Compiled) (nodeSet, bool) {
 	return nodeSet{}, false
 }
 
-// collectCandidates verifies an index-derived candidate set against scope
-// and the full filter, then orders and truncates it. Candidate sets are
-// small by construction, so sort-then-truncate here is cheap.
-func collectCandidates(cands nodeSet, bn *node, scope Scope, cf *Compiled, limit int64) ([]*Entry, bool) {
-	all := cands.appendTo(make([]*node, 0, cands.len()))
-	matched := all[:0]
-	for _, n := range all {
+// appendCandidates verifies index-derived candidates against scope and the
+// full filter, then orders and truncates them, and appends their entries to
+// dst. Candidate sets are small by construction, so sort-then-truncate here
+// is cheap.
+func appendCandidates(dst []*Entry, cands []*node, bn *node, scope Scope, cf *Compiled, limit int64) ([]*Entry, bool) {
+	matched := cands[:0]
+	for _, n := range cands {
 		if n.entry != nil && n.inScope(bn, scope) && cf.Matches(n.entry) {
 			matched = append(matched, n)
 		}
@@ -511,36 +527,36 @@ func collectCandidates(cands nodeSet, bn *node, scope Scope, cf *Compiled, limit
 	if limit > 0 && int64(len(matched)) > limit {
 		matched, truncated = matched[:limit], true
 	}
-	out := make([]*Entry, len(matched))
-	for i, n := range matched {
-		out[i] = n.entry
+	dst = slices.Grow(dst, len(matched))
+	for _, n := range matched {
+		dst = append(dst, n.entry)
 	}
-	return out, truncated
+	return dst, truncated
 }
 
 // walkScope answers a non-indexable query by walking only the tree region
 // the scope can reach, level by level with each level in key order — which
 // emits matches in exactly SortEntries order, so an early size-limit cut
-// returns the same prefix a full sort would have.
-func walkScope(bn *node, scope Scope, cf *Compiled, limit int64) ([]*Entry, bool) {
-	var out []*Entry
+// returns the same prefix a full sort would have. It appends them to dst.
+func walkScope(dst []*Entry, bn *node, scope Scope, cf *Compiled, limit int64) ([]*Entry, bool) {
+	first := len(dst)
 	add := func(n *node) bool { // false: the limit cut the walk
 		if n.entry == nil || !cf.Matches(n.entry) {
 			return true
 		}
-		if limit > 0 && int64(len(out)) >= limit {
+		if limit > 0 && int64(len(dst)-first) >= limit {
 			return false
 		}
-		out = append(out, n.entry)
+		dst = append(dst, n.entry)
 		return true
 	}
 	switch scope {
 	case ScopeBaseObject:
-		return out, !add(bn)
+		return dst, !add(bn)
 	case ScopeSingleLevel:
 		for _, c := range sortedChildren(bn) {
 			if !add(c) {
-				return out, true
+				return dst, true
 			}
 		}
 	case ScopeWholeSubtree:
@@ -548,7 +564,7 @@ func walkScope(bn *node, scope Scope, cf *Compiled, limit int64) ([]*Entry, bool
 		for len(level) > 0 {
 			for _, n := range level {
 				if !add(n) {
-					return out, true
+					return dst, true
 				}
 			}
 			var next []*node
@@ -561,7 +577,7 @@ func walkScope(bn *node, scope Scope, cf *Compiled, limit int64) ([]*Entry, bool
 			level = next
 		}
 	}
-	return out, false
+	return dst, false
 }
 
 func sortedChildren(n *node) []*node {
@@ -626,16 +642,17 @@ func (s *Store) Bind(_ *Request, op *BindRequest) *BindResponse {
 // Search implements Handler, including persistent-search subscription:
 // with the persistent-search control attached the call blocks streaming
 // change notifications until the operation is abandoned. The size limit is
-// plumbed into FindLimit so the walk terminates as soon as the limit is
+// plumbed into the lookup so the walk terminates as soon as the limit is
 // reached instead of materializing the full result set.
 func (s *Store) Search(req *Request, op *SearchRequest, w SearchWriter) Result {
-	base, err := ParseDN(op.BaseDN)
+	base, err := op.Base()
 	if err != nil {
 		return Result{Code: ResultProtocolError, Message: err.Error()}
 	}
 	psCtl, isPS := FindControl(req.Controls, OIDPersistentSearch)
 	if !isPS {
-		entries, truncated := s.FindLimit(base, op.Scope, op.Filter, op.SizeLimit)
+		var found [8]*Entry
+		entries, truncated := s.AppendCompiled(found[:0], base, op.Scope, op.Plan(), op.SizeLimit)
 		for _, e := range entries {
 			if err := SendProjected(w, e, op.Attributes); err != nil {
 				return Result{Code: ResultUnavailable, Message: err.Error()}
@@ -654,7 +671,8 @@ func (s *Store) Search(req *Request, op *SearchRequest, w SearchWriter) Result {
 	// duplicates are possible and harmless under soft-state semantics.
 	events := s.Subscribe(req.Ctx, base, op.Scope, op.Filter)
 	if !ps.ChangesOnly {
-		for _, e := range s.Find(base, op.Scope, op.Filter) {
+		entries, _ := s.FindCompiled(base, op.Scope, op.Plan(), 0)
+		for _, e := range entries {
 			if err := SendProjected(w, e, op.Attributes); err != nil {
 				return Result{Code: ResultUnavailable, Message: err.Error()}
 			}

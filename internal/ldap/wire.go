@@ -17,7 +17,10 @@ import (
 // those sizes — one for all its strings, one for its filter's nodes, and so
 // on. Its strings and byte fields view one exact-size copy of the frame,
 // made only when some of them are non-empty: a successful done message is
-// its Message and nothing else. A server's read loop reuses its frame
+// its Message and nothing else. A search request is one allocation
+// (scannedSearch) that holds those arrays and the frame copy when they fit,
+// and the base DN and filter plan every handler would otherwise make of it
+// again. A server's read loop reuses its frame
 // buffer, and keeps a GRRP Add's values for as long as the registration
 // lives, where views would pin the whole Add frame; so on a server every
 // request but a search copies each string it keeps instead.
@@ -152,6 +155,9 @@ func scanMessage(frame []byte, copyRequests bool) (*Message, error) {
 		return nil, s.err
 	}
 	s.copy = copyRequests && s.op != idSearchRequest
+	if s.op == idSearchRequest {
+		s.search = new(scannedSearch)
+	}
 	s.second()
 	m := s.message(s.owned(frame))
 	if s.err != nil {
@@ -190,6 +196,9 @@ type scanner struct {
 	keep  int   // bytes of strings and byte fields, counted by the first pass
 	n     struct{ strs, attrs, nodes, subs, ctls, mods int }
 
+	// search is a search request's one allocation, made for the second pass.
+	search *scannedSearch
+
 	// The arrays of the second pass, at the sizes n counted. Each list a
 	// message holds is a run of one of them, capped at its own end, so that
 	// appending to one list never writes into the next.
@@ -202,28 +211,43 @@ type scanner struct {
 }
 
 // second turns s into the second pass: it makes the arrays the first pass
-// counted (a search request makes its own subfilter pointers).
+// counted, or cuts them from a search request's allocation where they fit.
 func (s *scanner) second() {
 	s.build = true
-	s.strs = makeRun[string](s.n.strs)
-	s.attrs = makeRun[Attribute](s.n.attrs)
-	s.nodes = makeRun[Filter](s.n.nodes)
-	s.ctls = makeRun[Control](s.n.ctls)
-	s.mods = makeRun[ModifyChange](s.n.mods)
+	if ss := s.search; ss != nil {
+		s.strs = makeRun(ss.strs[:], s.n.strs)
+		s.nodes = makeRun(ss.nodes[:], s.n.nodes)
+		s.subs = makeRun(ss.subs[:], s.n.subs)
+	} else {
+		s.strs = makeRun[string](nil, s.n.strs)
+		s.nodes = makeRun[Filter](nil, s.n.nodes)
+	}
+	s.attrs = makeRun[Attribute](nil, s.n.attrs)
+	s.ctls = makeRun[Control](nil, s.n.ctls)
+	s.mods = makeRun[ModifyChange](nil, s.n.mods)
 }
 
 // owned returns what the second pass walks: b itself, or, when some string
-// or byte field is to view it, a copy of it.
+// or byte field is to view it, a copy of it — in a search request's
+// allocation when it fits there.
 func (s *scanner) owned(b []byte) []byte {
-	if s.copy || s.keep == 0 {
+	switch {
+	case s.copy || s.keep == 0:
 		return b
+	case s.search != nil && len(b) <= len(s.search.frame):
+		return s.search.frame[:copy(s.search.frame[:], b):len(b)]
 	}
 	return cloneBytes(b)
 }
 
-func makeRun[T any](n int) []T {
-	if n == 0 {
+// makeRun returns an empty array with room for n items: inline, when it has
+// room for them, or one of its own; nil when n is 0.
+func makeRun[T any](inline []T, n int) []T {
+	switch {
+	case n == 0:
 		return nil
+	case n <= len(inline):
+		return inline[:0:n]
 	}
 	return make([]T, 0, n)
 }
@@ -610,25 +634,37 @@ func (s *scanner) controls(list []byte) []Control {
 	return run(s.ctls, first)
 }
 
-// scannedSearch is the one allocation behind a scanned search request's
-// envelope and operation, with room for the subfilter pointers of a typical
-// GRIP query: (&(objectclass=…)(hn=…)) needs two.
+// scannedSearch is the one allocation behind a scanned search request: its
+// envelope and operation, the base DN and the plan the scan makes of them
+// (SearchRequest.Base and Plan), and inline arrays sized for a GRIP query —
+// the frame copy its strings view, its attribute list, its filter's nodes
+// and subfilter pointers, its plan's, and its base DN's RDNs and AVAs. An
+// enquiry, (&(objectclass=…)(hn=…)) at "ou=…, o=…", fits with room to spare,
+// as does a discovery's (&(objectclass=…)(rack=…)(!(jobid=…))). What
+// outgrows an array gets one of its own.
 type scannedSearch struct {
-	msg  Message
-	op   SearchRequest
-	subs [4]*Filter
+	msg Message
+	op  SearchRequest
+
+	baseText string // the BaseDN base and baseErr were parsed from
+	base     DN
+	baseErr  error
+	plan     *Compiled
+
+	strs  [4]string
+	nodes [5]Filter
+	subs  [4]*Filter
+	plans [5]Compiled
+	psubs [4]*Compiled
+	rdns  [4]RDN
+	avas  [4]AVA
+	frame [256]byte // last: the collector need not look past the pointers
 }
 
-// searchRequest reads the eight fields of a SearchRequest.
+// searchRequest reads the eight fields of a SearchRequest, then cuts its
+// base DN and compiles its filter. A base DN that does not parse leaves the
+// request as it is, for its handler to answer; the error is Base's.
 func (s *scanner) searchRequest(id int64, body []byte) *Message {
-	var ss *scannedSearch
-	if s.build {
-		ss = new(scannedSearch)
-		s.subs = ss.subs[:0]
-		if s.n.subs > len(ss.subs) {
-			s.subs = make([]*Filter, 0, s.n.subs)
-		}
-	}
 	base, body := s.next(body, idOctetString)
 	scope, body := s.int(body, idEnumerated)
 	deref, body := s.int(body, idEnumerated)
@@ -641,11 +677,16 @@ func (s *scanner) searchRequest(id int64, body []byte) *Message {
 	s.end(body, "search request")
 	r := SearchRequest{BaseDN: s.str(base), Scope: Scope(scope), DerefAlias: deref, SizeLimit: size,
 		TimeLimit: limit, TypesOnly: typesOnly, Filter: filter, Attributes: s.strList(attrs)}
-	if ss == nil || s.err != nil {
+	ss := s.search
+	if !s.build || s.err != nil {
 		return nil
 	}
-	ss.op = r
+	ss.op, ss.baseText = r, r.BaseDN
+	ss.op.scanned = ss
 	ss.msg = Message{ID: id, Op: &ss.op}
+	slab := dnSlab{rdns: ss.rdns[:], avas: ss.avas[:], fixed: true}
+	ss.base, _, ss.baseErr = parseDN(r.BaseDN, &slab)
+	ss.plan = r.Filter.compileInto(ss.plans[:], ss.psubs[:])
 	return &ss.msg
 }
 

@@ -120,6 +120,25 @@ func requestSeeds() map[string][]byte {
 		r.Filter = f
 		seeds[name] = (&Message{ID: 3, Op: r}).Encode()
 	}
+	// Requests that outgrow each array of the scan's one allocation: a
+	// 6-RDN base, a 12-node filter, a frame larger than the inline copy; and
+	// a base that does not parse, which the scan keeps for its handler.
+	big := seedRequest()
+	big.BaseDN = "hn=h1, rack=r1, ou=s0, o=center1, o=grid, vo=alliance"
+	seeds["6-RDN base"] = (&Message{ID: 3, Op: big}).Encode()
+	big = seedRequest()
+	big.Filter = MustParseFilter("(&(objectclass=computer)(|(hn=a)(hn=b)(hn=c)(hn=d))(!(rack=r9))(load5>=1)(cpucount<=8)(cn=x*))")
+	seeds["12-node filter"] = (&Message{ID: 3, Op: big}).Encode()
+	big = seedRequest()
+	big.Attributes = []string{"hn", "load5", "load15", "cpucount", "memsize", "system", "rack", "objectclass",
+		"mds-host-hn", "mds-cpu-total-count", "mds-memory-ram-total-size-mb", "mds-os-name", "mds-os-version"}
+	big.Filter = MustParseFilter("(&(objectclass=mdshost)(mds-host-hn=gris7.center1.example.org)(mds-os-name=linux))")
+	seeds["frame past the inline copy"] = (&Message{ID: 3, Op: big}).Encode()
+	for _, bad := range []string{"===bad", "hn=h1, o=grid,"} {
+		big = seedRequest()
+		big.BaseDN = bad
+		seeds["malformed base "+bad] = (&Message{ID: 3, Op: big}).Encode()
+	}
 	seeds["no attributes, no limits"] = (&Message{ID: 4, Op: &SearchRequest{BaseDN: "o=grid",
 		Filter: Present("objectclass")}}).Encode()
 	seeds["out-of-range scope"] = (&Message{ID: 4, Op: &SearchRequest{BaseDN: "o=grid", Scope: 5}}).Encode()
@@ -309,7 +328,7 @@ func TestScanLanguage(t *testing.T) {
 		if accepted := err == nil && controlValuesParse(got); accepted != row.kept {
 			t.Errorf("%s: scanner accepts %v (%v), the table says %v: % x", row.leniency, accepted, err, row.kept, row.frame)
 		}
-		if err == nil && !reflect.DeepEqual(got, want) {
+		if err == nil && !reflect.DeepEqual(unscanned(got), want) {
 			t.Errorf("%s: scanned\n %#v\noracle\n %#v", row.leniency, got, want)
 		}
 	}
@@ -385,9 +404,10 @@ func checkScan(t *testing.T, frame []byte) {
 			t.Fatalf("scanner accepted a frame the oracle refuses: % x", frame)
 		}
 		poison(in)
-		if !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(unscanned(got), want) {
 			t.Fatalf("scanned (server %v)\n %#v\noracle\n %#v", server, got, want)
 		}
+		checkRequestPlan(t, got)
 	}
 	if want != nil {
 		canon := want.Encode()
@@ -395,12 +415,70 @@ func checkScan(t *testing.T, frame []byte) {
 		if err != nil {
 			t.Fatalf("scanner refused our own encoding (%v) of a message the oracle accepts: % x", err, canon)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(unscanned(got), want) {
 			t.Fatalf("scanned our own encoding\n %#v\noracle\n %#v", got, want)
 		}
 	}
 	checkWireEntry(t, frame, want)
 	checkDone(t, frame)
+}
+
+// unscanned returns m as the oracle builds it: a scanned search request
+// without what its scan keeps beside its eight fields, which
+// checkRequestPlan checks.
+func unscanned(m *Message) *Message {
+	r, ok := m.Op.(*SearchRequest)
+	if !ok || r.scanned == nil {
+		return m
+	}
+	cp, op := *m, *r
+	op.scanned = nil
+	cp.Op = &op
+	return &cp
+}
+
+// planEntries are the entries checkRequestPlan matches plans against:
+// values of every filter kind the seeds use, in more than one case, as
+// numbers and as text.
+var planEntries = []*Entry{
+	NewEntry(MustParseDN("hn=h1, ou=s0, o=grid")).Add("objectclass", "computer").Add("hn", "h1").Add("load5", "0.5"),
+	NewEntry(MustParseDN("hn=H2, ou=s0, o=grid")).Add("objectClass", "Computer").Add("HN", "H2").Add("cpucount", "16"),
+	NewEntry(MustParseDN("cn=hostX, o=grid")).Add("objectclass", "host").Add("cn", "hostX", "ho st X"),
+	NewEntry(MustParseDN("cn=mid, o=grid")).Add("cn", "amidst", "a", "z", "b"),
+	NewEntry(MustParseDN("cn=x, o=grid")).Add("cn", "X").Add("a", "1").Add("b", "2").Add("d", "4").Add("e", "5").Add("f", "6").Add("g", "7"),
+	NewEntry(MustParseDN("cn=y, o=grid")).Add("a", "1").Add("c", "30").Add("d", "3").Add("e", "50"),
+	NewEntry(MustParseDN("o=grid")).Add("objectclass", "organization"),
+	NewEntry(MustParseDN("hn=h3, ou=s1, o=grid")).Add("objectclass", "computer").Add("hn", "h3", "h1").Add("rack", "r1"),
+	NewEntry(DN{}),
+}
+
+// checkRequestPlan is checkScan's property of a scanned search request:
+// what the scan cut and compiled is what a handler would make of the
+// request itself — Base is ParseDN(BaseDN), as an error or as an equal DN
+// rendering the same, and Plan matches exactly the entries of planEntries
+// that Filter.Compile() matches.
+func checkRequestPlan(t *testing.T, m *Message) {
+	r, ok := m.Op.(*SearchRequest)
+	if !ok {
+		return
+	}
+	if ss := r.scanned; ss == nil || ss.baseText != r.BaseDN || ss.plan.Source() != r.Filter {
+		t.Fatalf("a scanned request %+v does not hold its own base DN and plan", r)
+	}
+	base, err := r.Base()
+	want, wantErr := ParseDN(r.BaseDN)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("Base of %q: %v, ParseDN: %v", r.BaseDN, err, wantErr)
+	}
+	if err == nil && (!base.Equal(want) || base.String() != want.String()) {
+		t.Fatalf("Base of %q = %q, ParseDN %q", r.BaseDN, base, want)
+	}
+	plan, compiled := r.Plan(), r.Filter.Compile()
+	for _, e := range planEntries {
+		if got, want := plan.Matches(e), compiled.Matches(e); got != want {
+			t.Fatalf("Plan of %s matches %q: %v, Filter.Compile: %v", r.Filter, e.DN, got, want)
+		}
+	}
 }
 
 // checkDone is checkScan's property of a collected search's done message:
@@ -467,10 +545,41 @@ func checkWireEntry(t *testing.T, frame []byte, want *Message) {
 	}
 }
 
-// TestSearchRequestAllocationBudget: a scanned request is the frame's one
-// copy, the Message and SearchRequest together, the filter's nodes and the
-// attribute list — at most 4 allocations for (&(objectclass=…)(hn=…)) and
-// two attributes, where the oracle makes about 30.
+// TestScanSeedsOutgrowInlineArrays: the seeds meant to outgrow the scan's
+// inline arrays do, so the fuzz targets run the fallback of each.
+func TestScanSeedsOutgrowInlineArrays(t *testing.T) {
+	seeds := requestSeeds()
+	var ss scannedSearch
+	for name, outgrows := range map[string]func(r *SearchRequest) bool{
+		"6-RDN base": func(r *SearchRequest) bool {
+			base, _ := r.Base()
+			return len(base) > len(ss.rdns) && len(base) > len(ss.avas)
+		},
+		"12-node filter": func(r *SearchRequest) bool {
+			nodes, subs := r.Filter.planSize()
+			return nodes == 12 && nodes > len(ss.nodes) && nodes > len(ss.plans) && subs > len(ss.psubs)
+		},
+		"frame past the inline copy": func(*SearchRequest) bool {
+			return len(seeds["frame past the inline copy"]) > len(ss.frame)
+		},
+	} {
+		m, err := ScanMessage(seeds[name])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !outgrows(m.Op.(*SearchRequest)) {
+			t.Errorf("seed %q fits the scan's inline arrays", name)
+		}
+	}
+}
+
+// TestSearchRequestAllocationBudget: a scanned request is one allocation —
+// the Message and SearchRequest together with the frame's copy, the filter's
+// nodes, the attribute list, the base DN and the plan — for
+// (&(objectclass=…)(hn=…)) and two attributes, where the oracle makes about
+// 30. It took 4 while the frame's copy, the filter's nodes and the attribute
+// list were allocations of their own, and its handler made 3 more of the
+// base DN and the plan.
 func TestSearchRequestAllocationBudget(t *testing.T) {
 	frame := (&Message{ID: 7, Op: &SearchRequest{BaseDN: "ou=s0, o=grid", Scope: ScopeWholeSubtree,
 		Filter:     MustParseFilter("(&(objectclass=computer)(hn=h1))"),
@@ -482,8 +591,8 @@ func TestSearchRequestAllocationBudget(t *testing.T) {
 	})
 	tree := testing.AllocsPerRun(100, func() { ParseMessageBytes(frame) })
 	t.Logf("allocations per search request: scanned %.0f, oracle %.0f", n, tree)
-	if n > 4 {
-		t.Errorf("scanning a search request costs %.0f allocations, budget 4", n)
+	if n > 1 {
+		t.Errorf("scanning a search request costs %.0f allocations, budget 1", n)
 	}
 }
 
