@@ -389,8 +389,8 @@ type poolEntry struct {
 	evicted bool
 }
 
-// QueryCache returns the query-result cache, or nil when disabled — the
-// /debug introspection mount point.
+// QueryCache returns the query-result cache, or nil when disabled, for a
+// caller that reads its counters; over GRIP they are cn=monitor entries.
 func (s *Server) QueryCache() *qcache.Cache { return s.qc }
 
 // Close releases pooled connections and the registry. Connections still

@@ -3,18 +3,54 @@ package grip
 import (
 	"context"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
+	"mds2/internal/gris"
 	"mds2/internal/gsi"
 	"mds2/internal/ldap"
+	"mds2/internal/softstate"
 )
+
+// storeHandler serves a Store's entries: a search is AppendCompiled into a
+// stack array, then SendProjected, and an add puts its entry. Everything
+// else is BaseHandler's, which refuses SASL binds and extended operations.
+type storeHandler struct {
+	ldap.BaseHandler
+	store *ldap.Store
+}
+
+func (h storeHandler) Search(_ *ldap.Request, op *ldap.SearchRequest, w ldap.SearchWriter) ldap.Result {
+	base, err := op.Base()
+	if err != nil {
+		return ldap.Result{Code: ldap.ResultProtocolError, Message: err.Error()}
+	}
+	var found [8]*ldap.Entry
+	entries, truncated := h.store.AppendCompiled(found[:0], base, op.Scope, op.Plan(), op.SizeLimit)
+	for _, e := range entries {
+		if err := ldap.SendProjected(w, e, op.Attributes); err != nil {
+			return ldap.Result{Code: ldap.ResultUnavailable, Message: err.Error()}
+		}
+	}
+	if truncated {
+		return ldap.Result{Code: ldap.ResultSizeLimitExceeded}
+	}
+	return ldap.Result{Code: ldap.ResultSuccess}
+}
+
+func (h storeHandler) Add(_ *ldap.Request, op *ldap.AddRequest) ldap.Result {
+	if err := h.store.Put(op.Entry); err != nil {
+		return ldap.Result{Code: ldap.ResultUnwillingToPerform, Message: err.Error()}
+	}
+	return ldap.Result{Code: ldap.ResultSuccess}
+}
 
 // startStore serves an ldap.Store over loopback TCP.
 func startStore(t *testing.T) (*Client, *ldap.Store) {
 	t.Helper()
 	store := ldap.NewStore()
-	return serve(t, store), store
+	return serve(t, storeHandler{store: store}), store
 }
 
 // serve serves h over loopback TCP and returns a connected client.
@@ -93,9 +129,44 @@ func TestSearchAndLimits(t *testing.T) {
 	}
 }
 
+// hostBackend is a GRIS provider whose entries the test swaps.
+type hostBackend struct {
+	mu      sync.Mutex
+	entries []*ldap.Entry
+}
+
+func (b *hostBackend) Name() string            { return "host" }
+func (b *hostBackend) Suffix() ldap.DN         { return ldap.MustParseDN("o=g") }
+func (b *hostBackend) Attributes() []string    { return nil }
+func (b *hostBackend) CacheTTL() time.Duration { return 0 }
+
+func (b *hostBackend) Entries(*gris.Query) ([]*ldap.Entry, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.entries, nil
+}
+
+func (b *hostBackend) set(entries ...*ldap.Entry) {
+	b.mu.Lock()
+	b.entries = entries
+	b.mu.Unlock()
+}
+
+// TestSubscribe runs a GRIP subscription against a GRIS, whose poll loop
+// pushes what changed between two of its rounds.
 func TestSubscribe(t *testing.T) {
-	c, store := startStore(t)
-	seedEntries(t, store)
+	clock := softstate.NewFakeClock()
+	seed := []*ldap.Entry{
+		ldap.NewEntry(ldap.MustParseDN("hn=a, o=g")).
+			Add("objectclass", "computer").Add("hn", "a").Add("cpucount", "8"),
+		ldap.NewEntry(ldap.MustParseDN("hn=b, o=g")).
+			Add("objectclass", "computer").Add("hn", "b").Add("cpucount", "64"),
+	}
+	host := &hostBackend{}
+	host.set(seed...)
+	srv := gris.New(gris.Config{Suffix: ldap.MustParseDN("o=g"), Clock: clock, PollInterval: time.Second})
+	srv.Register(host)
+	c := serve(t, srv)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	got := make(chan Update, 16)
@@ -106,25 +177,40 @@ func TestSubscribe(t *testing.T) {
 				return nil
 			})
 	}()
-	time.Sleep(50 * time.Millisecond)
+	// armed waits until the poll loop waits on its timer, its round done.
+	armed := func() {
+		t.Helper()
+		for start := time.Now(); clock.Pending() == 0; time.Sleep(time.Millisecond) {
+			if time.Since(start) > 5*time.Second {
+				t.Fatal("the subscription's poll loop never armed its timer")
+			}
+		}
+	}
+	armed()
 	fresh := ldap.NewEntry(ldap.MustParseDN("hn=c, o=g")).
 		Add("objectclass", "computer").Add("hn", "c")
-	if err := store.Put(fresh); err != nil {
-		t.Fatal(err)
-	}
+	host.set(append(seed, fresh)...)
+	clock.Advance(time.Second)
+	// The baseline, had it been sent, would have come first.
 	select {
 	case u := <-got:
 		if !u.Entry.DN.Equal(fresh.DN) || u.ChangeType != ldap.ChangeAdd {
 			t.Fatalf("update = %+v", u)
 		}
-	case <-time.After(3 * time.Second):
+	case <-time.After(5 * time.Second):
 		t.Fatal("no subscription update")
 	}
-	// changesOnly suppressed the baseline: nothing else buffered.
+	// changesOnly suppressed the baseline: nothing else was sent. A search
+	// on the same connection is answered after whatever the subscription
+	// sent before it, and updates are handed over on the read loop.
+	armed()
+	if _, err := c.Search(ldap.MustParseDN("o=g"), "(hn=c)"); err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case u := <-got:
 		t.Fatalf("unexpected update %+v", u)
-	case <-time.After(20 * time.Millisecond):
+	default:
 	}
 }
 
@@ -162,7 +248,7 @@ func TestRegisterViaAdd(t *testing.T) {
 }
 
 func TestAuthenticateAgainstGRIS(t *testing.T) {
-	// The SASL flow requires a GSI-aware handler; ldap.Store refuses it.
+	// The SASL flow requires a GSI-aware handler; BaseHandler refuses it.
 	c, _ := startStore(t)
 	ca, _ := gsi.NewAuthority("o=ca")
 	trust := gsi.NewTrustStore()

@@ -516,8 +516,9 @@ func (s *Server) round(b Backend, now time.Time, ttl time.Duration, sp *obs.Span
 
 // persistentSearch implements push-mode GRIP on a GRIS by periodic
 // re-evaluation: entries whose content changed (or appeared) since the last
-// round are streamed to the subscriber. This supplies the §6 "push mode"
-// delivery model.
+// round are streamed to the subscriber, and an entry that left the result
+// goes out once more, as last seen, marked deleted. This supplies the §6
+// "push mode" delivery model.
 func (s *Server) persistentSearch(req *ldap.Request, op *ldap.SearchRequest,
 	base ldap.DN, w ldap.SearchWriter, p *gsi.Principal) ldap.Result {
 
@@ -526,7 +527,11 @@ func (s *Server) persistentSearch(req *ldap.Request, op *ldap.SearchRequest,
 	if err != nil {
 		return ldap.Result{Code: ldap.ResultProtocolError, Message: err.Error()}
 	}
-	last := map[string]string{} // normalized DN -> content fingerprint
+	type seenEntry struct {
+		fp string // content fingerprint
+		e  *ldap.Entry
+	}
+	last := map[string]seenEntry{} // normalized DN -> the entry last seen there
 	send := func(e *ldap.Entry, changeType int64) error {
 		visible := s.redact(p, e, op)
 		if visible == nil {
@@ -540,17 +545,17 @@ func (s *Server) persistentSearch(req *ldap.Request, op *ldap.SearchRequest,
 	}
 	first, cf := true, op.Plan()
 	for {
-		entries, _ := s.evaluate(nil, Query{Base: base, Scope: op.Scope, Filter: op.Filter, Now: s.clock.Now()}, cf, 0)
+		entries, partial := s.evaluate(nil, Query{Base: base, Scope: op.Scope, Filter: op.Filter, Now: s.clock.Now()}, cf, 0)
 		seen := map[string]bool{}
 		for _, e := range entries {
 			key := e.DN.Normalize()
 			seen[key] = true
 			fp := fingerprint(e)
 			prev, existed := last[key]
-			if existed && prev == fp {
+			if existed && prev.fp == fp {
 				continue
 			}
-			last[key] = fp
+			last[key] = seenEntry{fp, e}
 			changeType := ldap.ChangeModify
 			if !existed {
 				changeType = ldap.ChangeAdd
@@ -565,9 +570,18 @@ func (s *Server) persistentSearch(req *ldap.Request, op *ldap.SearchRequest,
 				return ldap.Result{Code: ldap.ResultUnavailable, Message: err.Error()}
 			}
 		}
-		for key := range last {
-			if !seen[key] {
-				delete(last, key)
+		// A round a provider failed says nothing of its entries: only a
+		// complete one deletes.
+		for key, prev := range last {
+			if seen[key] || partial {
+				continue
+			}
+			delete(last, key)
+			if ps.ChangeTypes&ldap.ChangeDelete == 0 {
+				continue
+			}
+			if err := send(prev.e, ldap.ChangeDelete); err != nil {
+				return ldap.Result{Code: ldap.ResultUnavailable, Message: err.Error()}
 			}
 		}
 		first = false

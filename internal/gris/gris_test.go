@@ -523,6 +523,102 @@ func TestPersistentSearchPushesChanges(t *testing.T) {
 	}
 }
 
+// TestPersistentSearchPushesDeletes: an entry that leaves a subscriber's
+// result is pushed once more, as it was last sent and projected like any
+// other push, with a ChangeDelete entry-change control. A subscription
+// whose change types leave out deletes is sent nothing, and a round a
+// provider failed deletes nothing.
+func TestPersistentSearchPushesDeletes(t *testing.T) {
+	for _, types := range []int64{ldap.ChangeAll, ldap.ChangeAdd | ldap.ChangeModify} {
+		clock := softstate.NewFakeClock()
+		s := New(Config{Suffix: hostDN(), Clock: clock, PollInterval: time.Second})
+		dyn := &fakeBackend{name: "dyn", suffix: hostDN(), ttl: 0, entries: []*ldap.Entry{
+			ldap.NewEntry(hostDN().ChildAVA("perf", "load")).
+				Add("objectclass", "loadaverage").Add("perf", "load").Add("load5", "1.0")}}
+		s.Register(dyn)
+
+		ctx, cancel := context.WithCancel(context.Background())
+		req := &ldap.Request{Ctx: ctx, State: &ldap.ConnState{},
+			Controls: []ldap.Control{ldap.NewPersistentSearchControl(ldap.PersistentSearch{
+				ChangeTypes: types, ReturnECs: true})}}
+		got := make(changeSink, 16)
+		done := make(chan ldap.Result, 1)
+		go func() {
+			done <- s.Search(req, &ldap.SearchRequest{BaseDN: "hn=hostX, o=center1",
+				Scope: ldap.ScopeWholeSubtree, Attributes: []string{"load5"}}, got)
+		}()
+		armed := func() {
+			t.Helper()
+			for start := time.Now(); clock.Pending() == 0; time.Sleep(time.Millisecond) {
+				if time.Since(start) > 5*time.Second {
+					t.Fatal("the poll loop never armed its timer")
+				}
+			}
+		}
+		if c := <-got; c.typ != ldap.ChangeAdd {
+			t.Fatalf("types %d: baseline pushed as change %d", types, c.typ)
+		}
+		// A round the backend fails is partial: its entry did not leave.
+		armed()
+		dyn.err = errors.New("provider down")
+		clock.Advance(time.Second)
+		armed()
+		select {
+		case c := <-got:
+			t.Fatalf("types %d: a failed round pushed change %d of %s", types, c.typ, c.e.DN)
+		default:
+		}
+		// The backend drops its entry; the next poll reports the removal.
+		dyn.err, dyn.entries = nil, nil
+		clock.Advance(time.Second)
+		if types&ldap.ChangeDelete != 0 {
+			select {
+			case c := <-got:
+				if c.typ != ldap.ChangeDelete || !c.e.DN.Equal(hostDN().ChildAVA("perf", "load")) {
+					t.Fatalf("removal pushed as change %d of %s", c.typ, c.e.DN)
+				}
+				if attrs := c.e.Attributes(); len(attrs) != 1 || c.e.First("load5") != "1.0" {
+					t.Fatalf("removal pushed as %v, want the last load5 only", c.e)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("no push on removal")
+			}
+			armed()
+			clock.Advance(time.Second)
+		}
+		// The removal goes out once, and not at all unless asked for.
+		armed()
+		select {
+		case c := <-got:
+			t.Fatalf("types %d: unexpected push of change %d of %s", types, c.typ, c.e.DN)
+		default:
+		}
+		cancel()
+		if res := <-done; res.Code != ldap.ResultSuccess {
+			t.Fatalf("final = %+v", res)
+		}
+	}
+}
+
+// changeSink passes each pushed entry on with the change type its
+// entry-change control names (-1 without one).
+type changeSink chan pushedChange
+
+type pushedChange struct {
+	e   *ldap.Entry
+	typ int64
+}
+
+func (c changeSink) SendEntry(e *ldap.Entry, cs ...ldap.Control) error {
+	typ := int64(-1)
+	if len(cs) == 1 {
+		typ, _ = ldap.ParseEntryChange(cs[0])
+	}
+	c <- pushedChange{e, typ}
+	return nil
+}
+func (changeSink) SendReferral(...string) error { return nil }
+
 type pushSink struct{ got chan *ldap.Entry }
 
 func (p pushSink) SendEntry(e *ldap.Entry, _ ...ldap.Control) error {

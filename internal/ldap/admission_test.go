@@ -290,7 +290,7 @@ func TestServerShedsUnderOverload(t *testing.T) {
 // TestServerThrottlesPerClient verifies the token bucket sheds over-rate
 // operations with busy.
 func TestServerThrottlesPerClient(t *testing.T) {
-	store := NewStore()
+	store := newStoreHandler()
 	srv := NewServer(store)
 	srv.Overload = OverloadConfig{ClientRate: 0.001, ClientBurst: 2}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -327,7 +327,7 @@ func TestServerThrottlesPerClient(t *testing.T) {
 // TestPersistentSearchBypassesAdmission pins the subscription exemption: a
 // parked persistent search must not consume a worker slot.
 func TestPersistentSearchBypassesAdmission(t *testing.T) {
-	store := NewStore()
+	store := newStoreHandler()
 	srv := NewServer(store)
 	srv.Overload = OverloadConfig{MaxWorkers: 1, MaxQueue: 0}
 	a, b := net.Pipe()

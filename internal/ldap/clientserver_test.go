@@ -9,11 +9,79 @@ import (
 	"time"
 )
 
-// startTestServer serves a Store over loopback TCP and returns a connected
-// client plus the store.
-func startTestServer(tb testing.TB) (*Client, *Store) {
+// storeHandler serves a Store's entries behind the protocol engine, for the
+// tests that need a server holding data. A search is AppendCompiled into a
+// stack array, then SendProjected, as a GRIS serves a round. A persistent
+// search takes its context's Done and sends each entry handed to push until
+// its op ends. Add puts an entry that is not there yet and Delete removes
+// one; everything else is BaseHandler's.
+type storeHandler struct {
+	BaseHandler
+	*Store
+	push chan *Entry
+}
+
+func newStoreHandler() *storeHandler {
+	return &storeHandler{Store: NewStore(), push: make(chan *Entry)}
+}
+
+func (h *storeHandler) Search(req *Request, op *SearchRequest, w SearchWriter) Result {
+	if _, ok := FindControl(req.Controls, OIDPersistentSearch); ok {
+		done := req.Ctx.Done()
+		for {
+			select {
+			case <-done:
+				return Result{Code: ResultSuccess, Message: "persistent search abandoned"}
+			case e := <-h.push:
+				if err := SendProjected(w, e, op.Attributes); err != nil {
+					return Result{Code: ResultUnavailable, Message: err.Error()}
+				}
+			}
+		}
+	}
+	base, err := op.Base()
+	if err != nil {
+		return Result{Code: ResultProtocolError, Message: err.Error()}
+	}
+	var found [8]*Entry
+	entries, truncated := h.AppendCompiled(found[:0], base, op.Scope, op.Plan(), op.SizeLimit)
+	for _, e := range entries {
+		if err := SendProjected(w, e, op.Attributes); err != nil {
+			return Result{Code: ResultUnavailable, Message: err.Error()}
+		}
+	}
+	if truncated {
+		return Result{Code: ResultSizeLimitExceeded}
+	}
+	return Result{Code: ResultSuccess}
+}
+
+func (h *storeHandler) Add(_ *Request, op *AddRequest) Result {
+	if _, exists := h.Get(op.Entry.DN); exists {
+		return Result{Code: ResultEntryAlreadyExists, MatchedDN: op.Entry.DN.String()}
+	}
+	if err := h.Put(op.Entry); err != nil {
+		return Result{Code: ResultUnwillingToPerform, Message: err.Error()}
+	}
+	return Result{Code: ResultSuccess}
+}
+
+func (h *storeHandler) Delete(_ *Request, op *DelRequest) Result {
+	dn, err := ParseDN(op.DN)
+	if err != nil {
+		return Result{Code: ResultProtocolError, Message: err.Error()}
+	}
+	if !h.Remove(dn) {
+		return Result{Code: ResultNoSuchObject, MatchedDN: op.DN}
+	}
+	return Result{Code: ResultSuccess}
+}
+
+// startTestServer serves a storeHandler over loopback TCP and returns a
+// connected client plus the handler.
+func startTestServer(tb testing.TB) (*Client, *storeHandler) {
 	tb.Helper()
-	store := NewStore()
+	store := newStoreHandler()
 	srv := NewServer(store)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -66,10 +134,11 @@ func TestClientServerEndToEnd(t *testing.T) {
 	if len(res.Entries) != 1 || len(res.Entries[0].Attributes()) != 1 {
 		t.Fatalf("selected search = %v", res.Entries[0])
 	}
+	// The handler takes no modify: BaseHandler's refusal crosses the wire.
 	if err := c.Modify("hn=hostX, o=grid", []ModifyChange{
 		{Op: ModReplace, Attr: Attribute{Name: "load5", Values: []string{"0.5"}}},
-	}); err != nil {
-		t.Fatal(err)
+	}); !IsCode(err, ResultUnwillingToPerform) {
+		t.Fatalf("modify: %v", err)
 	}
 	if err := c.Delete("hn=hostX, o=grid"); err != nil {
 		t.Fatal(err)
@@ -165,10 +234,11 @@ func TestClientPersistentSearchOverWire(t *testing.T) {
 				return nil
 			})
 	}()
-	time.Sleep(50 * time.Millisecond) // let the subscription establish
 	e := NewEntry(MustParseDN("hn=fresh, o=grid")).Add("objectclass", "computer").Add("hn", "fresh")
-	if err := store.Put(e); err != nil {
-		t.Fatal(err)
+	select {
+	case store.push <- e: // taken once the subscription is established
+	case <-time.After(3 * time.Second):
+		t.Fatal("the persistent search never started")
 	}
 	select {
 	case entry := <-got:
@@ -187,7 +257,7 @@ func TestClientPersistentSearchOverWire(t *testing.T) {
 }
 
 func TestClientServerSurvivesClientCrash(t *testing.T) {
-	store := NewStore()
+	store := newStoreHandler()
 	srv := NewServer(store)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -216,7 +286,7 @@ func TestClientServerSurvivesClientCrash(t *testing.T) {
 }
 
 func TestClientServerRejectsGarbage(t *testing.T) {
-	store := NewStore()
+	store := newStoreHandler()
 	srv := NewServer(store)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -292,7 +362,7 @@ func TestServerConnStateIdentity(t *testing.T) {
 }
 
 func TestServerCloseUnblocksServe(t *testing.T) {
-	srv := NewServer(NewStore())
+	srv := NewServer(newStoreHandler())
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +382,7 @@ func TestServerCloseUnblocksServe(t *testing.T) {
 }
 
 func BenchmarkWireSearchRoundTrip(b *testing.B) {
-	store := NewStore()
+	store := newStoreHandler()
 	for i := 0; i < 100; i++ {
 		store.Put(NewEntry(MustParseDN(fmt.Sprintf("hn=h%d, o=g", i))).
 			Add("objectclass", "computer").Add("hn", fmt.Sprintf("h%d", i)))

@@ -10,7 +10,7 @@ import (
 // TestHealthCheckProbe: against a live server the probe passes; after Close
 // it fails at dial; against a server shedding binds it fails at bind.
 func TestHealthCheckProbe(t *testing.T) {
-	store := NewStore()
+	store := newStoreHandler()
 	srv := NewServer(store)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -34,7 +34,7 @@ func TestHealthCheckProbe(t *testing.T) {
 // TestHealthCheckFailsWhenThrottled: a server that sheds the probe's bind
 // reports unhealthy — overload is a health signal, not a silent state.
 func TestHealthCheckFailsWhenThrottled(t *testing.T) {
-	store := NewStore()
+	store := newStoreHandler()
 	srv := NewServer(store)
 	// Rate so low the very first bind finds an empty bucket after the
 	// warmup probe drains the single-token burst.

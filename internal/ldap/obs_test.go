@@ -10,11 +10,11 @@ import (
 	"mds2/internal/softstate"
 )
 
-// startObsServer serves a populated Store with the given observability
+// startObsServer serves a populated store with the given observability
 // hookup (either may be nil) and returns a connected client.
 func startObsServer(t testing.TB, reg *obs.Registry, tracer *obs.Tracer, entries int) *Client {
 	t.Helper()
-	store := NewStore()
+	store := newStoreHandler()
 	for i := 0; i < entries; i++ {
 		dn := MustParseDN("o=grid").ChildAVA("hn", "h"+strings.Repeat("x", i%7))
 		e := NewEntry(dn.ChildAVA("n", string(rune('a'+i%26)))).

@@ -170,35 +170,42 @@ type failingWriter struct{}
 func (failingWriter) SendEntry(*Entry, ...Control) error { return net.ErrClosed }
 func (failingWriter) SendReferral(...string) error       { return net.ErrClosed }
 
-// sendFailingStore is a Store whose searches write to a failingWriter.
-type sendFailingStore struct{ *Store }
+// sendFailingStore is a storeHandler whose searches write to a
+// failingWriter. It hands on the Done channel of each search's context.
+type sendFailingStore struct {
+	*storeHandler
+	done chan (<-chan struct{})
+}
 
 func (s sendFailingStore) Search(req *Request, op *SearchRequest, _ SearchWriter) Result {
-	return s.Store.Search(req, op, failingWriter{})
+	res := s.storeHandler.Search(req, op, failingWriter{})
+	s.done <- req.Ctx.Done()
+	return res
 }
 
 // TestPersistentSearchContextEndsWithOp: a persistent search that fails its
-// first send returns right after Store.Subscribe. Its op's context still
-// closes when the op ends, so the subscription's goroutine exits, and a
+// first send returns after taking its context's Done. That context still
+// closes when the op ends, so a subscription waiting on it exits, and a
 // context whose Done was taken is never reused for a later op.
 func TestPersistentSearchContextEndsWithOp(t *testing.T) {
-	st := NewStore()
-	if err := st.Put(NewEntry(MustParseDN("hn=h1, o=grid")).Add("objectclass", "computer")); err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(sendFailingStore{st})
+	h := sendFailingStore{newStoreHandler(), make(chan (<-chan struct{}), 1)}
+	srv := NewServer(h)
 	p := newOpPeer(t, srv)
 	p.write(1, &SearchRequest{BaseDN: "o=grid", Scope: ScopeWholeSubtree},
 		NewPersistentSearchControl(PersistentSearch{ChangeTypes: ChangeAll}))
+	h.push <- NewEntry(MustParseDN("hn=h1, o=grid")).Add("objectclass", "computer")
 	if res := p.done(1); res.Code != ResultUnavailable {
 		t.Fatalf("persistent search with a failing writer ended %+v", res)
 	}
-	watches := func() int {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		return len(st.watches)
-	}
-	eventually(t, "the subscription ends with its op", func() bool { return watches() == 0 })
+	done := <-h.done
+	eventually(t, "the subscription ends with its op", func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	})
 	if n := freeOps(srv); n != 0 {
 		t.Errorf("the persistent search's state was kept for reuse (%d free), though its Done was taken", n)
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // Snapshot-seal sanitizer, debug flavor. The store's copy-on-write
-// contract says entries handed out by Find/FindLimit/All and delivered in
-// ChangeEvents are shared immutable snapshots; mutating one corrupts every
+// contract says entries handed out by Find, AppendCompiled and All are
+// shared immutable snapshots; mutating one corrupts every
 // concurrent reader and the equality indexes. Under -tags mdsdebug each
 // snapshot is sealed (a checksum of its contents taken) at the moment it
 // is installed in the tree, and
@@ -17,9 +17,9 @@ import (
 //   - the mutating Entry methods (Add, Set, Delete, SortAttrs) panic
 //     outright when called on a sealed entry — the earliest, most precise
 //     catch;
-//   - every hand-out (Find, FindLimit, FindCompiled — one code path) and
-//     every ChangeEvent delivery re-verifies the checksum, catching raw
-//     field/slice writes that bypass the methods.
+//   - every hand-out (Find, AppendCompiled, All — one code path)
+//     re-verifies the checksum, catching raw field/slice writes that
+//     bypass the methods.
 //
 // Clone and Select build fresh keyed literals, so their results carry a
 // zero (unsealed) seal and stay freely mutable: that is the laundering
@@ -114,7 +114,7 @@ func (e *Entry) sealOrVerify() {
 // verifySeal panics if a sealed entry's contents changed after publication.
 func (e *Entry) verifySeal() {
 	if sum := e.san.sum.Load(); sum != 0 && sum != e.checksum() {
-		panic("ldap: snapshot mutated after publication (mdsdebug); Clone or Select before modifying entries from Find, ChangeEvents or Client.Search* — or a wire-backed entry outlived its read chunk: " + e.DN.String())
+		panic("ldap: snapshot mutated after publication (mdsdebug); Clone or Select before modifying entries from Find or Client.Search* — or a wire-backed entry outlived its read chunk: " + e.DN.String())
 	}
 }
 

@@ -775,8 +775,8 @@ func (c *serverConn) retire(id int64, st *opState) {
 }
 
 // opCtx is a served operation's context. Its Done channel is made only when
-// someone asks for it — an admission-queue wait, Store.Subscribe, a
-// persistent search's loop — so an op nobody waits on costs no channel, and
+// someone asks for it — an admission-queue wait, a persistent search's
+// loop — so an op nobody waits on costs no channel, and
 // its state can be reused. It is cancelled under the connection's opMu, by
 // abandon, by the connection closing, by a newer op taking its ID, or by its
 // retirement when its Done channel was taken. Like the connection root it

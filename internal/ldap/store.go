@@ -1,17 +1,15 @@
 package ldap
 
 import (
-	"context"
-	"fmt"
 	"slices"
 	"strings"
 	"sync"
 )
 
-// Store is a thread-safe in-memory directory information tree with change
-// notification, usable directly as a server Handler. It backs the MDS-1
-// style centralized baseline and the test suites; GRIS and GIIS implement
-// their own Handlers with provider dispatch and soft-state indices.
+// Store is a thread-safe, indexed in-memory directory information tree:
+// the data plane under a GRIS provider round, a GIIS child table's name
+// index and the MDS-1 style centralized baseline. It is not a server; the
+// GRIS and GIIS Handlers read it.
 //
 // The data plane is indexed and copy-on-write:
 //
@@ -22,12 +20,12 @@ import (
 //     (equality and presence leaves, intersected through AND, unioned
 //     through OR) instead of scanning.
 //   - Stored entries are immutable snapshots: every mutation installs a
-//     fresh entry (Put and Modify copy), so Find, Get-free paths, and
-//     change notification hand out the stored pointer without cloning.
-//     Callers MUST NOT mutate entries returned by Find or delivered in
-//     ChangeEvents; use Clone first. Get still returns a private copy.
+//     fresh entry (Put copies, Adopt takes the caller's), so Find and
+//     AppendCompiled hand out the stored pointer without cloning. Callers
+//     MUST NOT mutate entries they return; use Clone first. Get still
+//     returns a private copy.
 type Store struct {
-	// Schema, when non-nil, validates entries on Add.
+	// Schema, when non-nil, validates entries on Put, PutAll and Adopt.
 	Schema *Schema
 
 	mu    sync.RWMutex
@@ -40,8 +38,6 @@ type Store struct {
 	// maintained incrementally by every mutation.
 	eq   map[string]map[string]nodeSet
 	pres map[string]nodeSet
-
-	watches map[*watch]struct{}
 }
 
 // node is one position in the DN tree. Interior positions whose DN has no
@@ -130,31 +126,14 @@ func (n *node) inScope(base *node, scope Scope) bool {
 	return false
 }
 
-type watch struct {
-	base   DN
-	scope  Scope
-	filter *Filter
-	cf     *Compiled
-	ch     chan ChangeEvent
-}
-
-// ChangeEvent describes one mutation, delivered to subscribers. The Entry
-// is the store's immutable snapshot — for deletes, the entry exactly as it
-// stood before removal — shared with the store; treat it as read-only.
-type ChangeEvent struct {
-	Type  int64 // ChangeAdd, ChangeDelete, ChangeModify
-	Entry *Entry
-}
-
 // NewStore returns an empty store.
 func NewStore() *Store {
 	root := &node{key: ""}
 	return &Store{
-		root:    root,
-		nodes:   map[string]*node{"": root},
-		eq:      map[string]map[string]nodeSet{},
-		pres:    map[string]nodeSet{},
-		watches: map[*watch]struct{}{},
+		root:  root,
+		nodes: map[string]*node{"": root},
+		eq:    map[string]map[string]nodeSet{},
+		pres:  map[string]nodeSet{},
 	}
 }
 
@@ -254,23 +233,21 @@ func (s *Store) unindexLocked(n *node) {
 }
 
 // putLocked installs cp (never mutated afterwards) at its node, maintaining
-// the indexes, and reports whether a prior entry existed.
-func (s *Store) putLocked(cp *Entry) bool {
+// the indexes.
+func (s *Store) putLocked(cp *Entry) {
 	cp.publish()
 	n := s.ensureNodeLocked(cp.DN)
-	existed := n.entry != nil
-	if existed {
+	if n.entry != nil {
 		s.unindexLocked(n)
 	} else {
 		s.count++
 	}
 	n.entry = cp
 	s.indexLocked(n)
-	return existed
 }
 
-// Put inserts or replaces an entry, notifying subscribers. The entry is
-// copied; the caller keeps ownership of e.
+// Put inserts or replaces an entry. The entry is copied; the caller keeps
+// ownership of e.
 func (s *Store) Put(e *Entry) error {
 	if s.Schema != nil {
 		if err := s.Schema.Validate(e); err != nil {
@@ -279,8 +256,7 @@ func (s *Store) Put(e *Entry) error {
 	}
 	cp := e.Clone()
 	s.mu.Lock()
-	existed := s.putLocked(cp)
-	s.notifyLocked(existed, cp)
+	s.putLocked(cp)
 	s.mu.Unlock()
 	return nil
 }
@@ -323,54 +299,19 @@ func (s *Store) Adopt(entries []*Entry) error {
 	}
 	s.mu.Lock()
 	for _, e := range entries {
-		existed := s.putLocked(e)
-		s.notifyLocked(existed, e)
+		s.putLocked(e)
 	}
 	s.mu.Unlock()
 	return nil
 }
 
-func (s *Store) notifyLocked(existed bool, e *Entry) {
-	typ := ChangeAdd
-	if existed {
-		typ = ChangeModify
-	}
-	for w := range s.watches {
-		s.deliverLocked(w, ChangeEvent{Type: typ, Entry: e})
-	}
-}
-
-// deliverLocked forwards one change event to a subscriber. Scope applies to
-// every change type; the filter applies to adds and modifies but not
-// deletes (a delete is observable even when the final state no longer
-// matches — soft-state subscribers need to unlearn the entry). The entry is
-// the store's immutable snapshot, delivered without cloning; for deletes it
-// is the pre-delete state.
-func (s *Store) deliverLocked(w *watch, ev ChangeEvent) {
-	ev.Entry.verifySeal()
-	if !ev.Entry.DN.WithinScope(w.base, w.scope) {
-		return
-	}
-	if ev.Type != ChangeDelete && !w.cf.Matches(ev.Entry) {
-		return
-	}
-	select {
-	case w.ch <- ev:
-	default:
-		// Subscriber too slow: drop rather than block the mutator. Soft
-		// state means a subsequent refresh re-delivers current truth.
-	}
-}
-
 // removeLocked detaches n's entry, maintaining indexes and pruning the
-// tree, and returns the removed snapshot.
-func (s *Store) removeLocked(n *node) *Entry {
-	e := n.entry
+// tree.
+func (s *Store) removeLocked(n *node) {
 	s.unindexLocked(n)
 	n.entry = nil
 	s.count--
 	s.pruneLocked(n)
-	return e
 }
 
 // Remove deletes the entry with the given DN, reporting whether it existed.
@@ -381,16 +322,13 @@ func (s *Store) Remove(dn DN) bool {
 		s.mu.Unlock()
 		return false
 	}
-	e := s.removeLocked(n)
-	for w := range s.watches {
-		s.deliverLocked(w, ChangeEvent{Type: ChangeDelete, Entry: e})
-	}
+	s.removeLocked(n)
 	s.mu.Unlock()
 	return true
 }
 
 // RemoveSubtree deletes an entry and all its descendants, returning the
-// number removed. Deletions are delivered parents-first in DN order.
+// number removed.
 func (s *Store) RemoveSubtree(dn DN) int {
 	s.mu.Lock()
 	bn := s.nodes[dn.Normalize()]
@@ -409,12 +347,8 @@ func (s *Store) RemoveSubtree(dn DN) int {
 		}
 	}
 	walk(bn)
-	sortNodes(doomed)
 	for _, n := range doomed {
-		e := s.removeLocked(n)
-		for w := range s.watches {
-			s.deliverLocked(w, ChangeEvent{Type: ChangeDelete, Entry: e})
-		}
+		s.removeLocked(n)
 	}
 	s.mu.Unlock()
 	return len(doomed)
@@ -424,29 +358,19 @@ func (s *Store) RemoveSubtree(dn DN) int {
 // (depth, DN) order. A nil filter matches everything. The returned entries
 // are the store's immutable snapshots — do not mutate them.
 func (s *Store) Find(base DN, scope Scope, filter *Filter) []*Entry {
-	out, _ := s.FindLimit(base, scope, filter, 0)
+	out, _ := s.AppendCompiled(nil, base, scope, filter.Compile(), 0)
 	return out
 }
 
-// FindLimit is Find with an early-terminating size limit: once limit
+// AppendCompiled is Find for a caller that holds the compiled filter, with
+// an early-terminating size limit, appending its result to dst. Once limit
 // matches (in result order) have been collected the walk stops, and the
 // second result reports whether at least one further match was cut off —
-// the Search handler's SizeLimitExceeded signal. A limit <= 0 means
-// unlimited.
-func (s *Store) FindLimit(base DN, scope Scope, filter *Filter, limit int64) ([]*Entry, bool) {
-	return s.FindCompiled(base, scope, filter.Compile(), limit)
-}
-
-// FindCompiled is FindLimit for a caller that already holds the compiled
-// filter — one query evaluated against several stores compiles once.
-func (s *Store) FindCompiled(base DN, scope Scope, cf *Compiled, limit int64) ([]*Entry, bool) {
-	return s.AppendCompiled(nil, base, scope, cf, limit)
-}
-
-// AppendCompiled is FindCompiled appending its result to dst: a caller that
-// gathers results in scratch of its own, such as an array on its stack,
-// makes no allocation for a result that fits there. The index's candidates
-// are gathered on AppendCompiled's own stack while they fit.
+// a search's SizeLimitExceeded signal; a limit <= 0 means unlimited. A
+// caller that gathers results in scratch of its own, such as an array on
+// its stack, makes no allocation for a result that fits there, and the
+// index's candidates are gathered on AppendCompiled's own stack while they
+// fit.
 func (s *Store) AppendCompiled(dst []*Entry, base DN, scope Scope, cf *Compiled, limit int64) ([]*Entry, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -602,193 +526,3 @@ func sortNodes(ns []*node) {
 
 // All returns a snapshot of every entry.
 func (s *Store) All() []*Entry { return s.Find(DN{}, ScopeWholeSubtree, nil) }
-
-// Subscribe registers for change events within scope of base matching
-// filter until ctx is cancelled. Events are delivered best-effort: a slow
-// consumer loses events rather than blocking writers. Delivered entries
-// are shared immutable snapshots; clone before mutating.
-func (s *Store) Subscribe(ctx context.Context, base DN, scope Scope, filter *Filter) <-chan ChangeEvent {
-	w := &watch{base: base, scope: scope, filter: filter, cf: filter.Compile(),
-		ch: make(chan ChangeEvent, 128)}
-	s.mu.Lock()
-	s.watches[w] = struct{}{}
-	s.mu.Unlock()
-	// Take Done now, not in the goroutine: a served op's context is only
-	// valid while its handler runs, and taking the channel is what makes it
-	// close when the op ends (DESIGN §9.3).
-	done := ctx.Done()
-	go func() {
-		<-done
-		s.mu.Lock()
-		delete(s.watches, w)
-		s.mu.Unlock()
-		close(w.ch)
-	}()
-	return w.ch
-}
-
-// Store implements the server Handler interface so it can be mounted
-// directly behind the protocol engine.
-
-// Bind accepts any simple bind (the store itself enforces no policy).
-func (s *Store) Bind(_ *Request, op *BindRequest) *BindResponse {
-	if op.SASLMech != "" {
-		return &BindResponse{Result: Result{Code: ResultAuthMethodNotSupported,
-			Message: "store supports simple bind only"}}
-	}
-	return &BindResponse{Result: Result{Code: ResultSuccess}}
-}
-
-// Search implements Handler, including persistent-search subscription:
-// with the persistent-search control attached the call blocks streaming
-// change notifications until the operation is abandoned. The size limit is
-// plumbed into the lookup so the walk terminates as soon as the limit is
-// reached instead of materializing the full result set.
-func (s *Store) Search(req *Request, op *SearchRequest, w SearchWriter) Result {
-	base, err := op.Base()
-	if err != nil {
-		return Result{Code: ResultProtocolError, Message: err.Error()}
-	}
-	psCtl, isPS := FindControl(req.Controls, OIDPersistentSearch)
-	if !isPS {
-		var found [8]*Entry
-		entries, truncated := s.AppendCompiled(found[:0], base, op.Scope, op.Plan(), op.SizeLimit)
-		for _, e := range entries {
-			if err := SendProjected(w, e, op.Attributes); err != nil {
-				return Result{Code: ResultUnavailable, Message: err.Error()}
-			}
-		}
-		if truncated {
-			return Result{Code: ResultSizeLimitExceeded}
-		}
-		return Result{Code: ResultSuccess}
-	}
-	ps, err := ParsePersistentSearch(psCtl)
-	if err != nil {
-		return Result{Code: ResultProtocolError, Message: err.Error()}
-	}
-	// Subscribe before the initial sweep so no change is lost in between;
-	// duplicates are possible and harmless under soft-state semantics.
-	events := s.Subscribe(req.Ctx, base, op.Scope, op.Filter)
-	if !ps.ChangesOnly {
-		entries, _ := s.FindCompiled(base, op.Scope, op.Plan(), 0)
-		for _, e := range entries {
-			if err := SendProjected(w, e, op.Attributes); err != nil {
-				return Result{Code: ResultUnavailable, Message: err.Error()}
-			}
-		}
-	}
-	for {
-		select {
-		case <-req.Ctx.Done():
-			return Result{Code: ResultSuccess, Message: "persistent search abandoned"}
-		case ev, ok := <-events:
-			if !ok {
-				return Result{Code: ResultSuccess}
-			}
-			if ev.Type&ps.ChangeTypes == 0 {
-				continue
-			}
-			var controls []Control
-			if ps.ReturnECs {
-				controls = append(controls, NewEntryChangeControl(ev.Type))
-			}
-			if err := SendProjected(w, ev.Entry, op.Attributes, controls...); err != nil {
-				return Result{Code: ResultUnavailable, Message: err.Error()}
-			}
-		}
-	}
-}
-
-// Add implements Handler.
-func (s *Store) Add(_ *Request, op *AddRequest) Result {
-	s.mu.RLock()
-	n := s.nodes[op.Entry.DN.Normalize()]
-	exists := n != nil && n.entry != nil
-	s.mu.RUnlock()
-	if exists {
-		return Result{Code: ResultEntryAlreadyExists, MatchedDN: op.Entry.DN.String()}
-	}
-	if err := s.Put(op.Entry); err != nil {
-		return Result{Code: ResultUnwillingToPerform, Message: err.Error()}
-	}
-	return Result{Code: ResultSuccess}
-}
-
-// Delete implements Handler.
-func (s *Store) Delete(_ *Request, op *DelRequest) Result {
-	dn, err := ParseDN(op.DN)
-	if err != nil {
-		return Result{Code: ResultProtocolError, Message: err.Error()}
-	}
-	if !s.Remove(dn) {
-		return Result{Code: ResultNoSuchObject, MatchedDN: op.DN}
-	}
-	return Result{Code: ResultSuccess}
-}
-
-// Modify implements Handler. Under copy-on-write the stored entry is never
-// edited in place: the changes apply to a private copy that then replaces
-// the snapshot (and its index postings) atomically.
-func (s *Store) Modify(_ *Request, op *ModifyRequest) Result {
-	dn, err := ParseDN(op.DN)
-	if err != nil {
-		return Result{Code: ResultProtocolError, Message: err.Error()}
-	}
-	s.mu.Lock()
-	n := s.nodes[dn.Normalize()]
-	if n == nil || n.entry == nil {
-		s.mu.Unlock()
-		return Result{Code: ResultNoSuchObject, MatchedDN: op.DN}
-	}
-	e := n.entry.Clone()
-	for _, ch := range op.Changes {
-		switch ch.Op {
-		case ModAdd:
-			e.Add(ch.Attr.Name, ch.Attr.Values...)
-		case ModReplace:
-			e.Set(ch.Attr.Name, ch.Attr.Values...)
-		case ModDelete:
-			if len(ch.Attr.Values) == 0 {
-				e.Delete(ch.Attr.Name)
-			} else {
-				kept := e.Values(ch.Attr.Name)[:0:0]
-				for _, v := range e.Values(ch.Attr.Name) {
-					drop := false
-					for _, dv := range ch.Attr.Values {
-						if strings.EqualFold(v, dv) {
-							drop = true
-							break
-						}
-					}
-					if !drop {
-						kept = append(kept, v)
-					}
-				}
-				if len(kept) == 0 {
-					e.Delete(ch.Attr.Name)
-				} else {
-					e.Set(ch.Attr.Name, kept...)
-				}
-			}
-		default:
-			s.mu.Unlock()
-			return Result{Code: ResultProtocolError, Message: fmt.Sprintf("bad modify op %d", ch.Op)}
-		}
-	}
-	e.publish()
-	s.unindexLocked(n)
-	n.entry = e
-	s.indexLocked(n)
-	for w := range s.watches {
-		s.deliverLocked(w, ChangeEvent{Type: ChangeModify, Entry: e})
-	}
-	s.mu.Unlock()
-	return Result{Code: ResultSuccess}
-}
-
-// Extended implements Handler (refusing everything).
-func (s *Store) Extended(_ *Request, op *ExtendedRequest) *ExtendedResponse {
-	return &ExtendedResponse{Result: Result{Code: ResultProtocolError,
-		Message: "unsupported extended operation " + op.OID}}
-}

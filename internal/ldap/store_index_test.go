@@ -1,7 +1,6 @@
 package ldap
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -166,8 +165,8 @@ func TestStoreFindEqualsScanProperty(t *testing.T) {
 	}
 }
 
-// TestStoreFindLimitPrefix asserts that the early-terminating FindLimit
-// returns exactly the first N entries of the unlimited result, and that
+// TestStoreFindLimitPrefix asserts that AppendCompiled's early-terminating
+// size limit returns exactly the first N entries of the unlimited result, and that
 // the truncated flag fires iff matches were cut off.
 func TestStoreFindLimitPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -182,7 +181,7 @@ func TestStoreFindLimitPrefix(t *testing.T) {
 			for scope := ScopeBaseObject; scope <= ScopeWholeSubtree; scope++ {
 				full := s.Find(base, scope, f)
 				for _, limit := range []int64{0, 1, 2, 7, int64(len(full)), int64(len(full)) + 1} {
-					got, truncated := s.FindLimit(base, scope, f, limit)
+					got, truncated := s.AppendCompiled(nil, base, scope, f.Compile(), limit)
 					want := full
 					wantTrunc := false
 					if limit > 0 && int64(len(full)) > limit {
@@ -250,133 +249,11 @@ func TestCompiledFilterEquivalence(t *testing.T) {
 	}
 }
 
-// TestStorePersistentSearchDeleteSemantics pins the watch delivery rules
-// for all three change types: scope applies to everything, the filter
-// applies to adds and modifies but never deletes, and delete events carry
-// the pre-delete snapshot even after the DN is reused.
-func TestStorePersistentSearchDeleteSemantics(t *testing.T) {
-	s := NewStore()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	events := s.Subscribe(ctx, MustParseDN("ou=watched, o=g"), ScopeWholeSubtree,
-		MustParseFilter("(objectclass=computer)"))
-
-	next := func() ChangeEvent {
-		t.Helper()
-		select {
-		case ev := <-events:
-			return ev
-		default:
-			t.Fatal("expected a delivered event")
-			return ChangeEvent{}
-		}
-	}
-	assertNone := func() {
-		t.Helper()
-		select {
-		case ev := <-events:
-			t.Fatalf("unexpected event %d for %q", ev.Type, ev.Entry.DN)
-		default:
-		}
-	}
-
-	inScope := MustParseDN("hn=a, ou=watched, o=g")
-	outScope := MustParseDN("hn=b, ou=other, o=g")
-
-	// Add: scope and filter both gate delivery.
-	if err := s.Put(NewEntry(inScope).Add("objectclass", "computer").Add("gen", "1")); err != nil {
-		t.Fatal(err)
-	}
-	if ev := next(); ev.Type != ChangeAdd || ev.Entry.First("gen") != "1" {
-		t.Fatalf("want ChangeAdd gen=1, got type %d gen %q", ev.Type, ev.Entry.First("gen"))
-	}
-	if err := s.Put(NewEntry(outScope).Add("objectclass", "computer")); err != nil {
-		t.Fatal(err)
-	}
-	assertNone() // out of scope
-	if err := s.Put(NewEntry(MustParseDN("p=x, ou=watched, o=g")).Add("objectclass", "perf")); err != nil {
-		t.Fatal(err)
-	}
-	assertNone() // in scope, filter miss
-
-	// Modify: same gating as add.
-	if err := s.Put(NewEntry(inScope).Add("objectclass", "computer").Add("gen", "2")); err != nil {
-		t.Fatal(err)
-	}
-	if ev := next(); ev.Type != ChangeModify || ev.Entry.First("gen") != "2" {
-		t.Fatalf("want ChangeModify gen=2, got type %d gen %q", ev.Type, ev.Entry.First("gen"))
-	}
-
-	// Delete: filter is bypassed — replace the entry so it no longer
-	// matches, then delete; the event must still arrive, carrying the
-	// pre-delete state.
-	if err := s.Put(NewEntry(inScope).Add("objectclass", "retired").Add("gen", "3")); err != nil {
-		t.Fatal(err)
-	}
-	assertNone() // modify filtered out: entry no longer matches
-	if !s.Remove(inScope) {
-		t.Fatal("remove failed")
-	}
-	ev := next()
-	if ev.Type != ChangeDelete {
-		t.Fatalf("want ChangeDelete, got %d", ev.Type)
-	}
-	if ev.Entry.First("gen") != "3" || ev.Entry.First("objectclass") != "retired" {
-		t.Fatalf("delete must carry the pre-delete snapshot, got gen %q class %q",
-			ev.Entry.First("gen"), ev.Entry.First("objectclass"))
-	}
-
-	// The snapshot stays stable even after the DN is reused.
-	if err := s.Put(NewEntry(inScope).Add("objectclass", "computer").Add("gen", "4")); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Entry.First("gen") != "3" {
-		t.Fatalf("delivered snapshot mutated by re-Put: gen %q", ev.Entry.First("gen"))
-	}
-	if ev2 := next(); ev2.Type != ChangeAdd || ev2.Entry.First("gen") != "4" {
-		t.Fatalf("want ChangeAdd gen=4 after reuse, got type %d gen %q", ev2.Type, ev2.Entry.First("gen"))
-	}
-
-	// Out-of-scope delete: suppressed like any other out-of-scope change.
-	s.Remove(outScope)
-	assertNone()
-
-	// RemoveSubtree delivers a delete per doomed entry, parents first.
-	if err := s.Put(NewEntry(MustParseDN("doc=d, hn=a, ou=watched, o=g")).Add("objectclass", "document")); err != nil {
-		t.Fatal(err)
-	}
-	assertNone() // document misses the filter
-	if n := s.RemoveSubtree(MustParseDN("ou=watched, o=g")); n != 3 {
-		t.Fatalf("RemoveSubtree removed %d entries, want 3", n)
-	}
-	// ou=watched itself holds no entry; deletes arrive for p=x, hn=a,
-	// doc=d — all of them, filter notwithstanding, in (depth, DN) order.
-	wantDNs := []string{"hn=a, ou=watched, o=g", "p=x, ou=watched, o=g", "doc=d, hn=a, ou=watched, o=g"}
-	for _, want := range wantDNs {
-		ev := next()
-		if ev.Type != ChangeDelete || !ev.Entry.DN.Equal(MustParseDN(want)) {
-			t.Fatalf("want delete of %q, got type %d %q", want, ev.Type, ev.Entry.DN)
-		}
-	}
-	assertNone()
-}
-
 // TestStoreConcurrentIndexedAccess hammers every mutation path against
-// concurrent indexed reads and a live persistent-search subscriber; run
-// under -race it proves the index maintenance holds the locking contract.
+// concurrent indexed reads; run under -race it proves the index
+// maintenance holds the locking contract.
 func TestStoreConcurrentIndexedAccess(t *testing.T) {
 	s := NewStore()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	events := s.Subscribe(ctx, MustParseDN("o=grid"), ScopeWholeSubtree,
-		MustParseFilter("(objectclass=computer)"))
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for ev := range events {
-			_ = ev.Entry.First("hn") // touch the snapshot
-		}
-	}()
 
 	const workers, iters = 4, 200
 	var wg sync.WaitGroup
@@ -400,7 +277,7 @@ func TestStoreConcurrentIndexedAccess(t *testing.T) {
 						_ = e.First("hn")
 					}
 				case 3:
-					s.FindLimit(MustParseDN("o=grid"), ScopeWholeSubtree, nil, 5)
+					s.AppendCompiled(nil, MustParseDN("o=grid"), ScopeWholeSubtree, nil, 5)
 				default:
 					e := NewEntry(dn).Add("objectclass", "computer").
 						Add("hn", fmt.Sprintf("h%d", n)).Add("load", fmt.Sprintf("%d", i))
@@ -413,8 +290,6 @@ func TestStoreConcurrentIndexedAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	cancel()
-	<-drained
 
 	// The index must still be coherent after the storm.
 	got := s.Find(MustParseDN("o=grid"), ScopeWholeSubtree, MustParseFilter("(objectclass=computer)"))

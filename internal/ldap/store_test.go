@@ -5,7 +5,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestStorePutGetRemove(t *testing.T) {
@@ -56,116 +55,6 @@ func TestStoreSchemaEnforcement(t *testing.T) {
 	}
 }
 
-func TestStoreSubscribe(t *testing.T) {
-	s := NewStore()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	events := s.Subscribe(ctx, MustParseDN("o=g"), ScopeWholeSubtree, MustParseFilter("(objectclass=computer)"))
-
-	comp := NewEntry(MustParseDN("hn=a, o=g")).Add("objectclass", "computer").Add("hn", "a")
-	other := NewEntry(MustParseDN("hn=b, o=elsewhere")).Add("objectclass", "computer").Add("hn", "b")
-	nonMatching := NewEntry(MustParseDN("p=l, o=g")).Add("objectclass", "perf").Add("perf", "l")
-	for _, e := range []*Entry{comp, other, nonMatching} {
-		if err := s.Put(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ev := <-events
-	if ev.Type != ChangeAdd || !ev.Entry.DN.Equal(comp.DN) {
-		t.Fatalf("event = %+v", ev)
-	}
-	// Modify triggers a second event.
-	comp.Set("load5", "1.0")
-	if err := s.Put(comp); err != nil {
-		t.Fatal(err)
-	}
-	ev = <-events
-	if ev.Type != ChangeModify {
-		t.Fatalf("event = %+v", ev)
-	}
-	// Delete is delivered even though the filter references a live entry.
-	s.Remove(comp.DN)
-	ev = <-events
-	if ev.Type != ChangeDelete {
-		t.Fatalf("event = %+v", ev)
-	}
-	// Out-of-scope and non-matching puts produced no events.
-	select {
-	case ev := <-events:
-		t.Fatalf("unexpected event %+v", ev)
-	case <-time.After(10 * time.Millisecond):
-	}
-	cancel()
-	// Channel closes after cancellation.
-	if _, ok := <-events; ok {
-		// Drain any event raced in before close.
-		for range events {
-		}
-	}
-}
-
-func TestStoreSubscriberCannotBlockWriters(t *testing.T) {
-	s := NewStore()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	s.Subscribe(ctx, DN{}, ScopeWholeSubtree, nil) // never drained
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 1000; i++ {
-			e := NewEntry(MustParseDN("hn=h, o=g")).Add("objectclass", "top").Set("i", "x")
-			if err := s.Put(e); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("writer blocked by slow subscriber")
-	}
-}
-
-func TestStoreHandlerAddDeleteModify(t *testing.T) {
-	s := NewStore()
-	req := &Request{Ctx: context.Background(), State: &ConnState{}}
-	e := NewEntry(MustParseDN("hn=a, o=g")).Add("objectclass", "computer").Add("hn", "a")
-
-	if res := s.Add(req, &AddRequest{Entry: e}); res.Code != ResultSuccess {
-		t.Fatalf("add: %+v", res)
-	}
-	if res := s.Add(req, &AddRequest{Entry: e}); res.Code != ResultEntryAlreadyExists {
-		t.Fatalf("duplicate add: %+v", res)
-	}
-	if res := s.Modify(req, &ModifyRequest{DN: "hn=a, o=g", Changes: []ModifyChange{
-		{Op: ModReplace, Attr: Attribute{Name: "load5", Values: []string{"2.0"}}},
-		{Op: ModAdd, Attr: Attribute{Name: "tag", Values: []string{"x", "y"}}},
-		{Op: ModDelete, Attr: Attribute{Name: "tag", Values: []string{"x"}}},
-	}}); res.Code != ResultSuccess {
-		t.Fatalf("modify: %+v", res)
-	}
-	got, _ := s.Get(e.DN)
-	if got.First("load5") != "2.0" {
-		t.Errorf("replace failed: %v", got)
-	}
-	if vs := got.Values("tag"); len(vs) != 1 || vs[0] != "y" {
-		t.Errorf("value delete failed: %v", vs)
-	}
-	if res := s.Modify(req, &ModifyRequest{DN: "hn=missing", Changes: nil}); res.Code != ResultNoSuchObject {
-		t.Fatalf("modify missing: %+v", res)
-	}
-	if res := s.Delete(req, &DelRequest{DN: "hn=a, o=g"}); res.Code != ResultSuccess {
-		t.Fatalf("delete: %+v", res)
-	}
-	if res := s.Delete(req, &DelRequest{DN: "hn=a, o=g"}); res.Code != ResultNoSuchObject {
-		t.Fatalf("delete missing: %+v", res)
-	}
-	if res := s.Delete(req, &DelRequest{DN: "===bad"}); res.Code != ResultProtocolError {
-		t.Fatalf("delete bad dn: %+v", res)
-	}
-}
-
 type captureWriter struct {
 	entries   []*Entry
 	controls  [][]Control
@@ -184,7 +73,7 @@ func (w *captureWriter) SendReferral(urls ...string) error {
 }
 
 func TestStoreHandlerSearch(t *testing.T) {
-	s := NewStore()
+	s := newStoreHandler()
 	for i, dn := range []string{"hn=a, o=g", "hn=b, o=g", "hn=c, o=other"} {
 		e := NewEntry(MustParseDN(dn)).Add("objectclass", "computer").Add("hn", string(rune('a'+i)))
 		if err := s.Put(e); err != nil {
@@ -211,65 +100,8 @@ func TestStoreHandlerSearch(t *testing.T) {
 	}
 }
 
-func TestStorePersistentSearchHandler(t *testing.T) {
-	s := NewStore()
-	ctx, cancel := context.WithCancel(context.Background())
-	req := &Request{Ctx: ctx, State: &ConnState{},
-		Controls: []Control{NewPersistentSearchControl(PersistentSearch{
-			ChangeTypes: ChangeAll, ChangesOnly: true, ReturnECs: true})}}
-
-	type sent struct {
-		e  *Entry
-		cs []Control
-	}
-	ch := make(chan sent, 16)
-	w := writerFunc(func(e *Entry, cs ...Control) error {
-		ch <- sent{e, cs}
-		return nil
-	})
-	done := make(chan Result, 1)
-	go func() {
-		done <- s.Search(req, &SearchRequest{BaseDN: "o=g", Scope: ScopeWholeSubtree}, w)
-	}()
-	// Give the persistent search a moment to subscribe.
-	time.Sleep(20 * time.Millisecond)
-	e := NewEntry(MustParseDN("hn=new, o=g")).Add("objectclass", "computer").Add("hn", "new")
-	if err := s.Put(e); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case got := <-ch:
-		if !got.e.DN.Equal(e.DN) {
-			t.Errorf("entry = %q", got.e.DN)
-		}
-		if len(got.cs) != 1 || got.cs[0].OID != OIDEntryChangeNotification {
-			t.Errorf("controls = %+v", got.cs)
-		}
-		typ, err := ParseEntryChange(got.cs[0])
-		if err != nil || typ != ChangeAdd {
-			t.Errorf("change type = %d, %v", typ, err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no notification")
-	}
-	cancel()
-	select {
-	case res := <-done:
-		if res.Code != ResultSuccess {
-			t.Errorf("final result %+v", res)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("persistent search did not stop on abandon")
-	}
-}
-
-type writerFunc func(*Entry, ...Control) error
-
-func (f writerFunc) SendEntry(e *Entry, cs ...Control) error { return f(e, cs...) }
-func (f writerFunc) SendReferral(...string) error            { return nil }
-
 func TestStoreBindPolicy(t *testing.T) {
-	s := NewStore()
+	s := newStoreHandler()
 	if r := s.Bind(nil, &BindRequest{Version: 3}); r.Code != ResultSuccess {
 		t.Errorf("anonymous bind: %+v", r)
 	}
@@ -282,7 +114,7 @@ func TestStoreBindPolicy(t *testing.T) {
 }
 
 // TestStoreSnapshotWireForm: a stored decoded entry — adopted, put or
-// modified — goes out as the wire form its store recorded when it published
+// replaced — goes out as the wire form its store recorded when it published
 // the entry, byte for byte what the reference tree encoder makes of it,
 // escaped names and multi-valued attributes included, while Attributes
 // still hands back the entry's own attributes. Stores that adopt one
@@ -331,16 +163,15 @@ func TestStoreSnapshotWireForm(t *testing.T) {
 	for _, e := range put.All() {
 		check("put", e)
 	}
-	mod := &ModifyRequest{DN: "hn=h1, o=grid", Changes: []ModifyChange{
-		{Op: ModReplace, Attr: Attribute{Name: "load5", Values: []string{"2.5", "2,6"}}}}}
-	if res := put.Modify(nil, mod); res.Code != ResultSuccess {
-		t.Fatalf("modify: %+v", res)
+	changed, _ := put.Get(MustParseDN("hn=h1, o=grid"))
+	if err := put.Put(changed.Set("load5", "2.5", "2,6")); err != nil {
+		t.Fatal(err)
 	}
-	modified := put.Find(MustParseDN("hn=h1, o=grid"), ScopeBaseObject, nil)[0]
-	if modified.First("load5") != "2.5" {
-		t.Fatalf("modify not applied: %s", modified)
+	replaced := put.Find(MustParseDN("hn=h1, o=grid"), ScopeBaseObject, nil)[0]
+	if replaced.First("load5") != "2.5" {
+		t.Fatalf("replacement not applied: %s", replaced)
 	}
-	check("modified", modified)
+	check("replaced", replaced)
 
 	// What goes out is the recorded form itself, copied, not a re-encoding.
 	marked := NewEntry(MustParseDN("hn=m, o=grid")).Add("objectclass", "computer")
